@@ -148,17 +148,30 @@ def _predict_config(cfg: ExperimentConfig, section: str, seed: int) -> PredictCo
     )
 
 
+def _fixed_prior_precision(cfg: ExperimentConfig) -> float | None:
+    """``[laplace] prior_precision`` as a float, or None when it is 'tune'."""
+    raw = cfg.get("laplace", "prior_precision").strip()
+    if raw == "tune":
+        return None
+    try:
+        return float(raw)
+    except ValueError:
+        raise ConfigError(
+            f"[laplace] prior_precision must be a float or 'tune', got {raw!r}"
+        ) from None
+
+
 def _fit_posterior(cfg: ExperimentConfig, net, train, val, loss):
     """Curvature on the train split, prior precision fixed or tuned on val."""
     kind = cfg.get_choice(
         "laplace", "curvature", ("full_ggn", "diag_ggn", "kfac_last_layer")
     )
     subset = cfg.get_choice("laplace", "subset", ("last_layer", "all_layers"))
-    curv = fit_curvature(net, train.features, loss, kind, subset)
-    raw_lam = cfg.get("laplace", "prior_precision").strip()
+    lam = _fixed_prior_precision(cfg)
     seed = cfg.get_int("laplace", "seed")
     predict_cfg = _predict_config(cfg, "laplace", seed)
-    if raw_lam == "tune":
+    curv = fit_curvature(net, train.features, loss, kind, subset)
+    if lam is None:
         objective = cfg.get_choice(
             "laplace", "tune_objective", ("val_log_likelihood", "ood_mmc")
         )
@@ -186,12 +199,6 @@ def _fit_posterior(cfg: ExperimentConfig, net, train, val, loss):
             num_classes=num_classes,
         )
     else:
-        try:
-            lam = float(raw_lam)
-        except ValueError:
-            raise ConfigError(
-                f"[laplace] prior_precision must be a float or 'tune', got {raw_lam!r}"
-            ) from None
         scores = [(lam, float("nan"))]
     return build_posterior(curv, lam), curv, lam, scores
 
@@ -221,9 +228,6 @@ def _lula_train_config(cfg: ExperimentConfig, epochs: int | None = None):
         sample_count=cfg.get_int("lula", "sample_count"),
         variance_evaluator=cfg.get_choice(
             "lula", "variance_evaluator", ("linearized", "mc")
-        ),
-        gradient_method=cfg.get_choice(
-            "lula", "gradient_method", ("finite_difference", "analytic")
         ),
         in_batch=cfg.get_int("lula", "in_batch"),
         out_batch=cfg.get_int("lula", "out_batch"),
@@ -333,11 +337,9 @@ def cmd_lula(
     cfg = _load(config_path, seed)
     train, val, test, loss = _build_data(cfg)
     net = net_mod.load(model_path)
-    raw_lam = cfg.get("laplace", "prior_precision").strip()
-    if raw_lam == "tune":
+    lam = _fixed_prior_precision(cfg)
+    if lam is None:
         _, _, lam, _ = _fit_posterior(cfg, net, train, val, loss)
-    else:
-        lam = float(raw_lam)
     lcfg = _lula_train_config(cfg)
     init_std = _init_std(cfg)
     in_features = val.features if val.num_rows else train.features

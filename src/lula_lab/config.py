@@ -78,7 +78,6 @@ SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
         "epochs": ("20", "uncertainty-training epochs"),
         "sample_count": ("30", "samples for the mc variance evaluator"),
         "variance_evaluator": ("linearized", "linearized | mc"),
-        "gradient_method": ("finite_difference", "finite_difference | analytic"),
         "in_batch": ("128", "inlier batch size per epoch"),
         "out_batch": ("128", "outlier batch size per epoch"),
         "init_std": ("default", "'default' (0.1 sqrt(2/fan_in)) or a float"),

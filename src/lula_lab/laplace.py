@@ -87,14 +87,6 @@ def last_layer_mean(net: Network) -> np.ndarray:
     return np.concatenate([w, b[:, None]], axis=1).ravel(order="C")
 
 
-def set_last_layer_flat(net: Network, flat: np.ndarray) -> Network:
-    """Inverse of :func:`last_layer_mean`."""
-    k = net.output_dim
-    feat = net.specs[-1].in_dim + 1
-    mat = flat.reshape(k, feat)
-    return net.with_last_layer(mat[:, :-1].copy(), mat[:, -1].copy())
-
-
 def fit_curvature(
     net: Network,
     features: np.ndarray,
@@ -350,10 +342,7 @@ def linearized_variance_batch(
     if post.subset == "last_layer":
         hbar = _last_layer_feature_batch(net, x)
         blocks = post.output_block_cov()
-        return np.stack(
-            [np.einsum("mf,fg,mg->m", hbar, blocks[i], hbar) for i in range(post.num_outputs)],
-            axis=1,
-        )
+        return ((hbar @ blocks) * hbar).sum(axis=2).T
     out = np.empty((x.shape[0], post.num_outputs))
     for j in range(x.shape[0]):
         jac = output_jacobian(net, x[j])

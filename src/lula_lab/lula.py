@@ -10,9 +10,7 @@ on outliers, touching only the free parameters via gradient masking.
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +29,11 @@ from .network import (
     Network,
     ParamGrads,
     activation_derivative,
-    apply_activation,
     augment_ones,
     forward,
 )
 from .numerics import Rng
-from .training import LossKind
+from .training import LossKind, _Adam
 
 __all__ = [
     "LulaAugmentation",
@@ -52,9 +49,6 @@ __all__ = [
 ]
 
 DEFAULT_UNIT_GRID = (32, 64, 128, 256, 512)
-
-# Relative step for the central-difference gradient of the variance objective.
-FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -84,18 +78,21 @@ class LulaAugmentation:
 class LulaTrainConfig:
     """Settings for uncertainty training.
 
-    The masked update defaults to Adam: the variance objective's gradient
-    spans several orders of magnitude across free coordinates (fresh units
-    start with near-zero curvature, so their posterior variance is about
-    1/prior_precision), and the plain step either stalls or overshoots.
-    ``optimizer = "gd"`` selects the unnormalized step instead.
+    ``variance_evaluator`` picks how the total output variance is measured:
+    ``"linearized"`` uses the posterior covariance directly, ``"mc"`` the
+    empirical covariance of ``sample_count`` draws with a fixed ``seed``.
+    The gradient is closed form for both. The masked update defaults to
+    Adam: the gradient spans several orders of magnitude across free
+    coordinates (fresh units start with near-zero curvature, so their
+    posterior variance is about 1/prior_precision), and the plain step
+    either stalls or overshoots. ``optimizer = "gd"`` selects the
+    unnormalized step instead.
     """
 
     learning_rate: float = 0.1
     epochs: int = 20
     sample_count: int = 30
     variance_evaluator: str = "linearized"
-    gradient_method: str = "finite_difference"
     optimizer: str = "adam"
     in_batch: int = 128
     out_batch: int = 128
@@ -111,10 +108,6 @@ class LulaTrainConfig:
         if self.variance_evaluator not in ("linearized", "mc"):
             raise ValueError(
                 f"unknown variance evaluator {self.variance_evaluator!r}"
-            )
-        if self.gradient_method not in ("finite_difference", "analytic"):
-            raise ValueError(
-                f"unknown gradient method {self.gradient_method!r}"
             )
         if self.optimizer not in ("adam", "gd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
@@ -214,9 +207,19 @@ def mask_gradient(grads: ParamGrads, aug: LulaAugmentation) -> ParamGrads:
     return ParamGrads(out_w, out_b)
 
 
-def _mc_variance_from_outputs(sum_f, sum_sq, count):
-    mean = sum_f / count
-    return np.maximum(sum_sq / count - mean * mean, 0.0)
+def _variance_matrix(post: LaplacePosterior, cfg: LulaTrainConfig) -> np.ndarray:
+    """F x F matrix B with total variance hbar^T B hbar, last-layer posterior.
+
+    Linearized: the covariance blocks of the k output rows, summed. mc: the
+    biased empirical covariance of the fixed-seed samples, each sample read
+    as k rows of length F and the k covariances summed, which is the plain
+    S-sample moment estimator of the summed output variance.
+    """
+    if cfg.variance_evaluator == "linearized":
+        return post.sum_output_block_cov()
+    samples = post.sample(Rng(cfg.seed), cfg.sample_count)
+    centred = (samples - samples.mean(axis=0)).reshape(-1, post.feature_dim)
+    return centred.T @ centred / cfg.sample_count
 
 
 def total_variance_batch(
@@ -227,33 +230,22 @@ def total_variance_batch(
 ) -> np.ndarray:
     """Total output variance per input row, shape (m,).
 
-    The linearized evaluator sums the per-output quadratic forms; the mc
-    evaluator uses the plain S-sample moment estimator with a fixed seed, so
-    repeated calls are deterministic.
+    The linearized evaluator sums the per-output linearized variances; the
+    mc evaluator uses the plain S-sample moment estimator with a fixed seed,
+    so repeated calls are deterministic. For a last-layer posterior both are
+    the quadratic form hbar^T B hbar of :func:`_variance_matrix`.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
+    if post.subset == "last_layer":
+        hbar = augment_ones(forward(net, x).activations[-2])
+        return ((hbar @ _variance_matrix(post, cfg)) * hbar).sum(axis=1)
     if cfg.variance_evaluator == "linearized":
         return linearized_variance_batch(net, post, x).sum(axis=1)
     samples = post.sample(Rng(cfg.seed), cfg.sample_count)
-    if post.subset == "last_layer":
-        hbar = augment_ones(forward(net, x).activations[-2])
-        k, feat = post.num_outputs, post.feature_dim
-        sum_f = np.zeros((x.shape[0], k))
-        sum_sq = np.zeros((x.shape[0], k))
-        for s in samples:
-            out = hbar @ s.reshape(k, feat).T
-            sum_f += out
-            sum_sq += out * out
-    else:
-        sum_f = np.zeros((x.shape[0], net.output_dim))
-        sum_sq = np.zeros_like(sum_f)
-        for s in samples:
-            out = forward(net.with_flat_params(s), x).output
-            sum_f += out
-            sum_sq += out * out
-    return _mc_variance_from_outputs(sum_f, sum_sq, cfg.sample_count).sum(axis=1)
+    outs = np.stack([forward(net.with_flat_params(s), x).output for s in samples])
+    return outs.var(axis=0).sum(axis=1)
 
 
 def total_variance(
@@ -282,216 +274,29 @@ def lula_objective(
     return float(np.mean(v_in) - np.mean(v_out))
 
 
-def _free_coordinates(aug: LulaAugmentation):
-    coords = []
-    for layer, (mw, mb) in enumerate(zip(aug.weight_masks, aug.bias_masks)):
-        for row, col in zip(*np.nonzero(mw)):
-            coords.append((layer, "w", int(row), int(col)))
-        for (idx,) in zip(*np.nonzero(mb)):
-            coords.append((layer, "b", int(idx), 0))
-    return coords
+def objective_gradient(
+    net: Network,
+    aug: LulaAugmentation,
+    post: LaplacePosterior,
+    in_batch: np.ndarray,
+    out_batch: np.ndarray,
+    cfg: LulaTrainConfig,
+) -> ParamGrads:
+    """Closed-form gradient of the variance objective over the free parameters.
 
-
-class _ObjectiveEvaluator:
-    """Evaluates the variance objective under single-coordinate perturbations.
-
-    The posterior is a fixed input here: the gradient is taken with the
-    covariance held at its value from the top of the current epoch (it is
-    refreshed once per epoch by the training loop). Activations below the
-    lowest perturbed layer never change, so they are cached per batch.
-
-    Requires a last-layer posterior (the training loop's default); for the
-    linearized evaluator, a perturbation at the final hidden layer touches a
-    single feature column, so the quadratic form is updated in O(batch)
-    instead of re-evaluated.
+    The posterior is held fixed (the training loop refits it once per
+    epoch), so each row's total variance is the quadratic form
+    hbar^T B hbar with B from :func:`_variance_matrix`, for either
+    evaluator, and its gradient in hbar is 2 B hbar. Only the added units of
+    the final hidden layer reach hbar: units added at deeper layers feed
+    structurally-zero columns everywhere downstream, so their free
+    parameters have exactly zero gradient. Requires a last-layer posterior;
+    any other subset raises ``ValueError``.
     """
-
-    def __init__(self, net, post, in_batch, out_batch, cfg):
-        if post.subset != "last_layer":
-            raise ValueError("coordinate evaluator needs a last_layer posterior")
-        self.net = net
-        self.post = post
-        self.cfg = cfg
-        self.top = net.num_layers - 2  # final hidden layer index
-        self.in_trace = forward(net, in_batch)
-        self.out_trace = forward(net, out_batch)
-        if cfg.variance_evaluator == "linearized":
-            self.block_sum = post.sum_output_block_cov()
-            self.sample_mats = None
-            self._rank_one = [
-                self._rank_one_cache(t) for t in (self.in_trace, self.out_trace)
-            ]
-        else:
-            samples = post.sample(Rng(cfg.seed), cfg.sample_count)
-            self.sample_mats = samples.reshape(
-                cfg.sample_count, post.num_outputs, post.feature_dim
-            )
-            self.block_sum = None
-            self._rank_one = None
-
-    def _rank_one_cache(self, trace):
-        hbar = augment_ones(trace.activations[-2])
-        t_hbar = hbar @ self.block_sum
-        nu = np.einsum("mf,mf->m", hbar, t_hbar)
-        return {
-            "hbar": hbar,
-            "t_hbar": t_hbar,
-            "nu_mean": float(np.mean(nu)),
-            "h_prev": trace.activations[self.top] if self.top >= 0 else None,
-            "a_top": trace.pre_activations[self.top] if self.top >= 0 else None,
-        }
-
-    def _features(self, acts, layer, weights, biases):
-        h = acts[layer]
-        for i in range(layer, self.net.num_layers - 1):
-            a = h @ weights[i].T + biases[i]
-            h = apply_activation(self.net.specs[i].activation, a)
-        return h
-
-    def _nu_mean(self, features):
-        hbar = augment_ones(features)
-        if self.block_sum is not None:
-            return float(
-                np.mean(np.einsum("mf,fg,mg->m", hbar, self.block_sum, hbar))
-            )
-        sum_f = np.zeros((hbar.shape[0], self.post.num_outputs))
-        sum_sq = np.zeros_like(sum_f)
-        for mat in self.sample_mats:
-            out = hbar @ mat.T
-            sum_f += out
-            sum_sq += out * out
-        var = _mc_variance_from_outputs(sum_f, sum_sq, self.cfg.sample_count)
-        return float(np.mean(var.sum(axis=1)))
-
-    def _nu_mean_rank_one(self, cache, row, col, value, is_bias) -> float:
-        # nu is quadratic in the feature vector and only column `row` of the
-        # final hidden activation changes, so update each row's quadratic
-        # form in closed form.
-        base_w = self.net.weights[self.top]
-        base_b = self.net.biases[self.top]
-        if is_bias:
-            a_new = cache["a_top"][:, row] + (value - base_b[row])
-        else:
-            a_new = cache["a_top"][:, row] + (value - base_w[row, col]) * cache[
-                "h_prev"
-            ][:, col]
-        act = self.net.specs[self.top].activation
-        h_new = apply_activation(act, a_new)
-        delta = h_new - cache["hbar"][:, row]
-        t_uu = self.block_sum[row, row]
-        nu_shift = 2.0 * delta * cache["t_hbar"][:, row] + delta * delta * t_uu
-        return cache["nu_mean"] + float(np.mean(nu_shift))
-
-    def objective_with(self, layer, kind, row, col, value) -> float:
-        if self._rank_one is not None and layer == self.top:
-            cache_in, cache_out = self._rank_one
-            is_bias = kind == "b"
-            return self._nu_mean_rank_one(
-                cache_in, row, col, value, is_bias
-            ) - self._nu_mean_rank_one(cache_out, row, col, value, is_bias)
-        weights = list(self.net.weights)
-        biases = list(self.net.biases)
-        if kind == "w":
-            perturbed = weights[layer].copy()
-            perturbed[row, col] = value
-            weights[layer] = perturbed
-        else:
-            perturbed = biases[layer].copy()
-            perturbed[row] = value
-            biases[layer] = perturbed
-        nu_in = self._nu_mean(
-            self._features(self.in_trace.activations, layer, weights, biases)
-        )
-        nu_out = self._nu_mean(
-            self._features(self.out_trace.activations, layer, weights, biases)
-        )
-        return nu_in - nu_out
-
-
-class _SlowEvaluator:
-    """Coordinate perturbations via full objective re-evaluation.
-
-    Used for posteriors over all layers, where changing any parameter can
-    shift every term of the variance; correct for any subset, just slow.
-    """
-
-    def __init__(self, net, post, in_batch, out_batch, cfg):
-        self.net = net
-        self.post = post
-        self.cfg = cfg
-        self.in_batch = in_batch
-        self.out_batch = out_batch
-
-    def objective_with(self, layer, kind, row, col, value) -> float:
-        weights = list(self.net.weights)
-        biases = list(self.net.biases)
-        if kind == "w":
-            perturbed = weights[layer].copy()
-            perturbed[row, col] = value
-            weights[layer] = perturbed
-        else:
-            perturbed = biases[layer].copy()
-            perturbed[row] = value
-            biases[layer] = perturbed
-        moved = Network(self.net.specs, weights, biases)
-        return lula_objective(moved, self.post, self.in_batch, self.out_batch, self.cfg)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("LULA_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _fd_gradient(net, aug, post, in_batch, out_batch, cfg) -> ParamGrads:
-    if post.subset == "last_layer":
-        evaluator = _ObjectiveEvaluator(net, post, in_batch, out_batch, cfg)
-    else:
-        evaluator = _SlowEvaluator(net, post, in_batch, out_batch, cfg)
-    coords = _free_coordinates(aug)
-    grad_w = [np.zeros_like(w) for w in net.weights]
-    grad_b = [np.zeros_like(b) for b in net.biases]
-
-    def one(coord):
-        layer, kind, row, col = coord
-        base = (
-            net.weights[layer][row, col] if kind == "w" else net.biases[layer][row]
-        )
-        step = FD_STEP * max(1.0, abs(base))
-        hi = evaluator.objective_with(layer, kind, row, col, base + step)
-        lo = evaluator.objective_with(layer, kind, row, col, base - step)
-        return (hi - lo) / (2.0 * step)
-
-    threads = _thread_count()
-    if threads > 1 and len(coords) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(one, coords))
-    else:
-        values = [one(c) for c in coords]
-    for coord, value in zip(coords, values):
-        layer, kind, row, col = coord
-        if kind == "w":
-            grad_w[layer][row, col] = value
-        else:
-            grad_b[layer][row] = value
-    return ParamGrads(grad_w, grad_b)
-
-
-def _analytic_gradient(net, aug, post, in_batch, out_batch, cfg) -> ParamGrads:
-    """Closed-form gradient for the linearized evaluator, last-layer posterior.
-
-    With the covariance fixed, the objective depends on the free parameters
-    only through the added units of the final hidden layer: units added at
-    deeper layers feed structurally-zero columns everywhere downstream, so
-    their free parameters have exactly zero gradient.
-    """
-    if cfg.variance_evaluator != "linearized" or post.subset != "last_layer":
-        raise ValueError(
-            "analytic gradient requires the linearized evaluator and a "
-            "last_layer posterior; use finite_difference otherwise"
-        )
+    if post.subset != "last_layer":
+        raise ValueError("objective gradient requires a last_layer posterior")
+    in_batch = np.atleast_2d(np.asarray(in_batch, dtype=np.float64))
+    out_batch = np.atleast_2d(np.asarray(out_batch, dtype=np.float64))
     grad_w = [np.zeros_like(w) for w in net.weights]
     grad_b = [np.zeros_like(b) for b in net.biases]
     top = net.num_layers - 2  # final hidden layer
@@ -503,7 +308,7 @@ def _analytic_gradient(net, aug, post, in_batch, out_batch, cfg) -> ParamGrads:
     n_in_orig = aug.weight_masks[top].shape[1] - (
         aug.unit_counts[top - 1] if top > 0 else 0
     )
-    block_sum = post.sum_output_block_cov()
+    block_sum = _variance_matrix(post, cfg)
 
     def accumulate(batch, sign):
         trace = forward(net, batch)
@@ -519,32 +324,9 @@ def _analytic_gradient(net, aug, post, in_batch, out_batch, cfg) -> ParamGrads:
         grad_w[top][n_out_orig:, :n_in_orig] += weight * (delta.T @ h_prev)
         grad_b[top][n_out_orig:] += weight * delta.sum(axis=0)
 
-    accumulate(np.atleast_2d(in_batch), 1.0)
-    accumulate(np.atleast_2d(out_batch), -1.0)
+    accumulate(in_batch, 1.0)
+    accumulate(out_batch, -1.0)
     return ParamGrads(grad_w, grad_b)
-
-
-def objective_gradient(
-    net: Network,
-    aug: LulaAugmentation,
-    post: LaplacePosterior,
-    in_batch: np.ndarray,
-    out_batch: np.ndarray,
-    cfg: LulaTrainConfig,
-) -> ParamGrads:
-    """Gradient of the variance objective over the free parameters only.
-
-    The default central finite differences perturb each free coordinate with
-    step 1e-4 * max(1, |value|); the analytic path is restricted to the
-    linearized evaluator with a last-layer posterior and is validated against
-    the finite-difference oracle in the test suite. Either way the posterior
-    is treated as fixed.
-    """
-    in_batch = np.atleast_2d(np.asarray(in_batch, dtype=np.float64))
-    out_batch = np.atleast_2d(np.asarray(out_batch, dtype=np.float64))
-    if cfg.gradient_method == "analytic":
-        return _analytic_gradient(net, aug, post, in_batch, out_batch, cfg)
-    return _fd_gradient(net, aug, post, in_batch, out_batch, cfg)
 
 
 def _draw_batch(features: np.ndarray, size: int, rng: Rng) -> np.ndarray:
@@ -567,22 +349,20 @@ def train_lula(
 
     Per epoch: refit a diagonal last-layer posterior of the current network
     on the inlier features, evaluate the variance objective on fresh seeded
-    batches, take a masked gradient step. Original parameters and structural
-    zeros are preserved bitwise throughout. Returns the tuned network, the
-    per-epoch objective history, and a final refit posterior.
+    batches, and step the flat parameter vector along the masked closed-form
+    gradient of :func:`objective_gradient` (Adam, or the plain step for
+    ``optimizer = "gd"``). Masked entries have exactly zero gradient, so
+    original parameters and structural zeros are preserved bitwise
+    throughout. Returns the tuned network, the per-epoch objective history,
+    and a final refit posterior.
     """
     in_features = np.atleast_2d(np.asarray(in_features, dtype=np.float64))
     out_features = np.atleast_2d(np.asarray(out_features, dtype=np.float64))
     rng = Rng(cfg.seed)
     current = net
+    theta = net.flatten_params()
+    adam = _Adam(theta.size, cfg.learning_rate) if cfg.optimizer == "adam" else None
     history: list[float] = []
-    adam_m = adam_v = None
-    if cfg.optimizer == "adam":
-        adam_m = ParamGrads(
-            [np.zeros_like(w) for w in net.weights],
-            [np.zeros_like(b) for b in net.biases],
-        )
-        adam_v = adam_m.copy()
     for epoch in range(cfg.epochs):
         curv = fit_curvature(current, in_features, loss, "diag_ggn", "last_layer")
         post = build_posterior(curv, prior_precision)
@@ -592,41 +372,16 @@ def train_lula(
         if not np.isfinite(value):
             raise DivergenceError(f"non-finite objective at epoch {epoch}")
         history.append(value)
-        grads = mask_gradient(
+        grad = mask_gradient(
             objective_gradient(current, aug, post, in_batch, out_batch, cfg), aug
-        )
-        steps = _update_direction(grads, adam_m, adam_v, epoch, cfg)
-        weights = [
-            w - cfg.learning_rate * s for w, s in zip(current.weights, steps.weights)
-        ]
-        biases = [
-            b - cfg.learning_rate * s for b, s in zip(current.biases, steps.biases)
-        ]
-        current = Network(current.specs, weights, biases)
+        ).flatten()
+        if adam is None:
+            theta = theta - cfg.learning_rate * grad
+        else:
+            theta = adam.step(theta, grad)
+        current = current.with_flat_params(theta)
     curv = fit_curvature(current, in_features, loss, "diag_ggn", "last_layer")
     return current, history, build_posterior(curv, prior_precision)
-
-
-def _update_direction(grads, adam_m, adam_v, epoch, cfg) -> ParamGrads:
-    # masked entries carry exactly-zero gradients, so both branches leave
-    # them bitwise untouched (0 - lr * 0)
-    if cfg.optimizer == "gd":
-        return grads
-    b1, b2, eps = 0.9, 0.999, 1e-8
-    t = epoch + 1
-    out_w, out_b = [], []
-    for kind, store_m, store_v, g_list in (
-        ("w", adam_m.weights, adam_v.weights, grads.weights),
-        ("b", adam_m.biases, adam_v.biases, grads.biases),
-    ):
-        out = out_w if kind == "w" else out_b
-        for i, g in enumerate(g_list):
-            store_m[i] = b1 * store_m[i] + (1.0 - b1) * g
-            store_v[i] = b2 * store_v[i] + (1.0 - b2) * g * g
-            m_hat = store_m[i] / (1.0 - b1**t)
-            v_hat = store_v[i] / (1.0 - b2**t)
-            out.append(m_hat / (np.sqrt(v_hat) + eps))
-    return ParamGrads(out_w, out_b)
 
 
 def grid_search_units(

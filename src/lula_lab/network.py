@@ -174,11 +174,6 @@ class Network:
             offset += spec.out_dim
         return Network(self.specs, weights, biases)
 
-    def with_last_layer(self, weight: np.ndarray, bias: np.ndarray) -> "Network":
-        weights = list(self.weights[:-1]) + [weight]
-        biases = list(self.biases[:-1]) + [bias]
-        return Network(self.specs, weights, biases)
-
 
 @dataclass(frozen=True)
 class ForwardTrace:
@@ -210,11 +205,6 @@ class ParamGrads:
             parts.append(b)
         return np.concatenate(parts)
 
-    def copy(self) -> "ParamGrads":
-        return ParamGrads(
-            [w.copy() for w in self.weights], [b.copy() for b in self.biases]
-        )
-
 
 def _as_batch(x: np.ndarray, input_dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
@@ -236,23 +226,6 @@ def forward(net: Network, x: np.ndarray) -> ForwardTrace:
         pre.append(a)
         acts.append(apply_activation(spec.activation, a))
     return ForwardTrace(tuple(pre), tuple(acts))
-
-
-def forward_from_layer(
-    net: Network, start: int, hidden: np.ndarray
-) -> np.ndarray:
-    """Features entering the output layer, given the input to layer ``start``.
-
-    ``hidden`` is the activation batch feeding layer ``start`` (0-based), i.e.
-    ``forward(net, x).activations[start]``. Layers start .. L-2 are applied,
-    so the result is the final hidden activation. Used to re-evaluate features
-    cheaply when only upper layers changed.
-    """
-    h = hidden
-    for i in range(start, net.num_layers - 1):
-        a = h @ net.weights[i].T + net.biases[i]
-        h = apply_activation(net.specs[i].activation, a)
-    return h
 
 
 def backward(
@@ -306,15 +279,6 @@ def output_jacobian(net: Network, x: np.ndarray) -> np.ndarray:
         grads, _ = backward(net, trace, onehot)
         rows.append(grads.flatten())
     return np.stack(rows, axis=0)
-
-
-def last_hidden_features(net: Network, x: np.ndarray) -> np.ndarray:
-    """Activations feeding the output layer, shape (m, n_last_hidden).
-
-    For a single-layer network this is the input batch itself.
-    """
-    trace = forward(net, x)
-    return trace.activations[-2]
 
 
 def augment_ones(features: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lula_lab.lula import lula_objective
 from lula_lab.network import Network
 from lula_lab.numerics import Rng
 
@@ -31,6 +32,30 @@ def fd_param_gradient(f, theta: np.ndarray, eps: float = 1e-5) -> np.ndarray:
         hi[i] += eps
         lo[i] -= eps
         grad[i] = (f(hi) - f(lo)) / (2.0 * eps)
+    return grad
+
+
+def fd_free_gradient(net, aug, post, in_batch, out_batch, cfg) -> np.ndarray:
+    """Finite-difference oracle of ``lula_objective`` over the free parameters.
+
+    The posterior is held fixed. Returns a flat gradient in the network's
+    parameter order, zero outside the free blocks.
+    """
+    free = np.concatenate(
+        [np.concatenate([mw.ravel(), mb])
+         for mw, mb in zip(aug.weight_masks, aug.bias_masks)]
+    )
+    theta = net.flatten_params()
+
+    def objective(values):
+        moved = theta.copy()
+        moved[free] = values
+        return lula_objective(
+            net.with_flat_params(moved), post, in_batch, out_batch, cfg
+        )
+
+    grad = np.zeros_like(theta)
+    grad[free] = fd_param_gradient(objective, theta[free])
     return grad
 
 

@@ -7,7 +7,8 @@ from lula_lab import cli
 from lula_lab.config import default_config, load_config, reference_text, SCHEMA
 from lula_lab.errors import ConfigError
 from lula_lab.metrics import mmc
-from lula_lab.network import forward, load
+from lula_lab.network import Network, forward, load, save
+from lula_lab.numerics import Rng
 from lula_lab.training import softmax
 
 
@@ -170,6 +171,20 @@ class TestCliCommands:
         assert code == 2
         assert "bogus_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["laplace", "lula", "eval"])
+    def test_malformed_prior_precision_exits_2(self, command, tmp_path, capsys):
+        ini = TINY_INI.replace("prior_precision = 1.0", "prior_precision = abc")
+        config = tmp_path / "bad.ini"
+        config.write_text(ini)
+        model = str(tmp_path / "model.txt")
+        save(Network.init_random([2, 16, 16, 2], "relu", Rng(0)), model)
+        code = cli.main(
+            [command, "--config", str(config), "--model", model,
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert "prior_precision" in capsys.readouterr().err
+
     def test_train_reruns_byte_identical(self, tiny_config, tmp_path):
         a = str(tmp_path / "a.txt")
         b = str(tmp_path / "b.txt")
@@ -239,35 +254,6 @@ sample_count = 40
         ) == 0
         report = (tmp_path / "eval" / "eval_report.csv").read_text()
         assert "mean_std" in report and "log_likelihood" in report
-
-    def test_thread_cap_is_deterministic(self, monkeypatch):
-        import numpy as np
-
-        from lula_lab.laplace import build_posterior, fit_curvature
-        from lula_lab.lula import (
-            LulaTrainConfig,
-            augment,
-            objective_gradient,
-        )
-        from lula_lab.network import Network
-        from lula_lab.numerics import Rng
-        from lula_lab.training import LossKind
-
-        rng = Rng(44)
-        net = Network.init_random([2, 6, 2], "relu", rng)
-        aug_net, aug = augment(net, [4], rng)
-        data = Rng(1).standard_normal((16, 2))
-        out = Rng(2).uniform(-5, 5, (16, 2))
-        post = build_posterior(
-            fit_curvature(aug_net, data, LossKind("categorical_ce"), "diag_ggn",
-                          "last_layer"),
-            0.5,
-        )
-        cfg = LulaTrainConfig()
-        serial = objective_gradient(aug_net, aug, post, data, out, cfg).flatten()
-        monkeypatch.setenv("LULA_LAB_THREADS", "4")
-        threaded = objective_gradient(aug_net, aug, post, data, out, cfg).flatten()
-        assert np.array_equal(serial, threaded)
 
     def test_grid_counts_requires_classification(self, tmp_path, capsys):
         ini = TINY_INI.replace("counts = 6", "counts = grid").replace(

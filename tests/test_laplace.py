@@ -260,6 +260,25 @@ class TestLinearizedVariance:
         expected = np.einsum("ij,ij->i", jac @ factor, jac @ factor)
         assert np.allclose(v, expected, atol=1e-10)
 
+    @pytest.mark.parametrize("kind", ["full_ggn", "diag_ggn", "kfac_last_layer"])
+    def test_last_layer_batch_matches_per_output_quad_forms(self, kind):
+        # output i's last-layer gradient is e_i kron hbar, so each column of
+        # the batched kernel is one quadratic form of the posterior
+        rng = Rng(12)
+        net = Network.init_random([2, 5, 3], "tanh", rng)
+        x = rng.standard_normal((12, 2))
+        curv = fit_curvature(net, x, LossKind("categorical_ce"), kind, "last_layer")
+        post = build_posterior(curv, 0.5)
+        points = rng.standard_normal((7, 2))
+        hbar = np.concatenate(
+            [forward(net, points).activations[-2], np.ones((7, 1))], axis=1
+        )
+        expected = np.stack(
+            [post.quad_forms(np.kron(np.eye(3)[i], hbar)) for i in range(3)], axis=1
+        )
+        v = linearized_variance_batch(net, post, points)
+        assert np.allclose(v, expected, rtol=1e-12, atol=1e-15)
+
     def test_mc_agrees_for_linear_last_layer(self):
         # outputs are linear in the sampled last layer, so the MC variance is
         # an unbiased estimate of the quadratic form; 3 standard errors

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_network, relative_error
+from conftest import fd_free_gradient, random_network, relative_error
 from lula_lab import lula as lula_mod
 from lula_lab.laplace import Predictive, build_posterior, fit_curvature
 from lula_lab.lula import (
@@ -130,6 +130,28 @@ class TestTotalVariance:
         se = lin * np.sqrt(2.0 / 50000)
         assert abs(mc - lin) <= 3 * se
 
+    @pytest.mark.parametrize("subset", ["last_layer", "all_layers"])
+    def test_mc_equals_per_sample_moments(self, subset):
+        # reference: the sample variance of the outputs of each drawn network
+        rng = Rng(20)
+        net = Network.init_random([2, 5, 3], "tanh", rng)
+        x = rng.standard_normal((9, 2))
+        curv = fit_curvature(net, x, LossKind("categorical_ce"), "diag_ggn", subset)
+        post = build_posterior(curv, 0.7)
+        cfg = LulaTrainConfig(variance_evaluator="mc", sample_count=40, seed=3)
+        outs = []
+        for s in post.sample(Rng(cfg.seed), cfg.sample_count):
+            if subset == "last_layer":
+                hbar = np.concatenate(
+                    [forward(net, x).activations[-2], np.ones((9, 1))], axis=1
+                )
+                outs.append(hbar @ s.reshape(3, -1).T)
+            else:
+                outs.append(forward(net.with_flat_params(s), x).output)
+        expected = np.var(np.stack(outs), axis=0).sum(axis=1)
+        got = total_variance_batch(net, post, x, cfg)
+        assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+
     def test_augmentation_never_reduces_variance(self):
         # diagonal last-layer posterior, real-valued output: the added
         # directions contribute a nonnegative quadratic form
@@ -189,7 +211,8 @@ class TestObjective:
 
 
 class TestObjectiveGradient:
-    def test_analytic_matches_fd_across_configs(self):
+    @pytest.mark.parametrize("evaluator", ["linearized", "mc"])
+    def test_analytic_matches_fd_across_configs(self, evaluator):
         rng = Rng(9)
         worst = 0.0
         for trial in range(20):
@@ -202,11 +225,10 @@ class TestObjectiveGradient:
             post = diag_last_layer_posterior(
                 aug_net, data, LossKind("gaussian_nll"), 0.3
             )
-            cfg = LulaTrainConfig(gradient_method="finite_difference")
-            fd = objective_gradient(aug_net, aug, post, data[:6], out[:6], cfg)
-            cfg_an = LulaTrainConfig(gradient_method="analytic")
-            an = objective_gradient(aug_net, aug, post, data[:6], out[:6], cfg_an)
-            err = relative_error(an.flatten(), fd.flatten())
+            cfg = LulaTrainConfig(variance_evaluator=evaluator, seed=trial)
+            fd = fd_free_gradient(aug_net, aug, post, data[:6], out[:6], cfg)
+            an = objective_gradient(aug_net, aug, post, data[:6], out[:6], cfg)
+            err = relative_error(an.flatten(), fd)
             worst = max(worst, err)
             assert err <= 1e-3, f"trial {trial}: {err}"
         assert worst > 0.0  # gradients are nonzero somewhere
@@ -221,20 +243,29 @@ class TestObjectiveGradient:
         data = rng.standard_normal((10, 2))
         post = diag_last_layer_posterior(aug_net, data, LossKind("gaussian_nll"), 0.5)
         cfg = LulaTrainConfig()
-        fd = objective_gradient(aug_net, aug, post, data[:5], data[5:], cfg)
+        flat_fd = fd_free_gradient(aug_net, aug, post, data[:5], data[5:], cfg)
+        fd = aug_net.with_flat_params(flat_fd)  # per-layer view of the gradient
         assert np.array_equal(fd.weights[0][4:], np.zeros((3, 2)))
         assert np.array_equal(fd.biases[0][4:], np.zeros(3))
         assert np.any(fd.weights[1][4:, :4] != 0.0)
+        an = objective_gradient(aug_net, aug, post, data[:5], data[5:], cfg)
+        assert np.array_equal(an.weights[0], np.zeros((7, 2)))
+        assert np.array_equal(an.biases[0], np.zeros(7))
+        assert relative_error(an.flatten(), flat_fd) <= 1e-3
 
-    def test_mc_evaluator_fd_runs(self):
+    def test_rejects_all_layers_posterior(self):
         rng = Rng(11)
         net = Network.init_random([2, 3, 1], "tanh", rng)
         aug_net, aug = augment(net, [2], rng)
         data = rng.standard_normal((8, 2))
-        post = diag_last_layer_posterior(aug_net, data, LossKind("gaussian_nll"), 0.5)
-        cfg = LulaTrainConfig(variance_evaluator="mc", sample_count=64, seed=4)
-        grads = objective_gradient(aug_net, aug, post, data[:4], data[4:], cfg)
-        assert np.all(np.isfinite(grads.flatten()))
+        curv = fit_curvature(
+            aug_net, data, LossKind("gaussian_nll"), "diag_ggn", "all_layers"
+        )
+        post = build_posterior(curv, 0.5)
+        with pytest.raises(ValueError, match="last_layer"):
+            objective_gradient(
+                aug_net, aug, post, data[:4], data[4:], LulaTrainConfig()
+            )
 
 
 class TestTrainLula:
@@ -274,13 +305,16 @@ class TestTrainLula:
         assert after < before
         assert len(history) == 8
 
-    def test_structural_invariants_bitwise(self):
+    @pytest.mark.parametrize("optimizer", ["adam", "gd"])
+    def test_structural_invariants_bitwise(self, optimizer):
         rng = Rng(14)
         net = Network.init_random([2, 5, 5, 2], "relu", rng)
         aug_net, aug = augment(net, [3, 3], rng)
         data = rng.standard_normal((20, 2))
         out = rng.uniform(-6, 6, (20, 2))
-        cfg = LulaTrainConfig(epochs=2, learning_rate=0.05, seed=5)
+        cfg = LulaTrainConfig(
+            epochs=2, learning_rate=0.05, optimizer=optimizer, seed=5
+        )
         tuned, _, _ = train_lula(
             aug_net, aug, data, out, LossKind("categorical_ce"), 0.5, cfg
         )
