@@ -35,7 +35,6 @@ from .laplace import (
     linearized_variance,
     mc_predict,
     probit_predict_binary,
-    sample_params,
     tune_prior_precision,
 )
 from .lula import (

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -54,57 +55,32 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _resolve_loss(cfg: ExperimentConfig, task: str) -> LossKind:
-    choice = cfg.get_choice(
-        "train", "loss", ("auto", "gaussian_nll", "categorical_ce", "binary_ce")
-    )
+    choice = cfg["train"]["loss"]
     if choice == "auto":
         choice = "gaussian_nll" if task == "regression" else "categorical_ce"
     if choice == "gaussian_nll":
-        return LossKind("gaussian_nll", cfg.get_float("train", "noise_precision"))
+        return LossKind("gaussian_nll", cfg["train"]["noise_precision"])
     return LossKind(choice)
 
 
 def _build_data(cfg: ExperimentConfig):
     """Generate/ingest, split, and optionally standardize the dataset."""
-    generator = cfg.get_choice(
-        "data", "generator", ("two_moons", "toy_regression", "csv")
-    )
-    seed = cfg.get_int("data", "seed")
-    size = cfg.get_int("data", "size")
-    noise = cfg.get_float("data", "noise_std")
-    if generator == "two_moons":
-        full = data_mod.gen_two_moons(size, noise, seed)
-    elif generator == "toy_regression":
+    d = cfg["data"]
+    if d["generator"] == "two_moons":
+        full = data_mod.gen_two_moons(d["size"], d["noise_std"], d["seed"])
+    elif d["generator"] == "toy_regression":
         full = data_mod.gen_toy_regression(
-            size,
-            (cfg.get_float("data", "x_low"), cfg.get_float("data", "x_high")),
-            noise,
-            seed,
+            d["size"], (d["x_low"], d["x_high"]), d["noise_std"], d["seed"]
         )
     else:
-        path = cfg.get("data", "csv_path").strip()
-        if not path:
-            raise ConfigError("[data] csv_path is required for generator = csv")
-        target = cfg.get("data", "target_column").strip()
-        if not target:
-            raise ConfigError("[data] target_column is required for generator = csv")
-        if not cfg.get_bool("data", "header"):
-            target = int(target)
-        full = data_mod.load_csv(path, target, cfg.get_bool("data", "header"))
-        loss_choice = cfg.get("train", "loss")
-        if loss_choice in ("categorical_ce", "binary_ce"):
+        full = data_mod.load_csv(d["csv_path"], d["target_column"], d["header"])
+        if cfg["train"]["loss"] in ("categorical_ce", "binary_ce"):
             labels = full.targets.ravel().astype(np.int64)
             full = data_mod.Dataset(full.features, labels, task="classification")
-    fractions = cfg.get_float_list("data", "split")
-    if len(fractions) != 3:
-        raise ConfigError("[data] split needs exactly three fractions")
-    spec = data_mod.SplitSpec(tuple(fractions), seed=_mix64(seed, 1))
+    spec = data_mod.SplitSpec(d["split"], seed=_mix64(d["seed"], 1))
     train, val, test = data_mod.split(full, spec)
-    if cfg.get_bool("data", "standardize"):
-        include_targets = (
-            cfg.get_bool("data", "standardize_targets")
-            and full.task == "regression"
-        )
+    if d["standardize"]:
+        include_targets = d["standardize_targets"] and full.task == "regression"
         train, (val, test), _ = data_mod.standardize(
             train, [val, test], include_targets=include_targets
         )
@@ -112,78 +88,33 @@ def _build_data(cfg: ExperimentConfig):
 
 
 def _init_network(cfg: ExperimentConfig, input_dim: int) -> net_mod.Network:
-    dims = cfg.get_int_list("model", "dims")
-    if len(dims) < 2:
-        raise ConfigError("[model] dims needs at least input and output sizes")
+    dims = cfg["model"]["dims"]
     if dims[0] != input_dim:
         raise ConfigError(
             f"[model] dims starts with {dims[0]} but the data has "
             f"{input_dim} features"
         )
-    activation = cfg.get_choice(
-        "model", "activation", ("relu", "selu", "tanh", "identity")
-    )
-    seed = _mix64(cfg.get_int("train", "seed"), 99)
-    return net_mod.Network.init_random(list(dims), activation, Rng(seed))
-
-
-def _train_config(cfg: ExperimentConfig) -> TrainConfig:
-    batch = cfg.get_int("train", "batch_size")
-    return TrainConfig(
-        optimizer=cfg.get_choice("train", "optimizer", ("adam", "sgd")),
-        learning_rate=cfg.get_float("train", "learning_rate"),
-        momentum=cfg.get_float("train", "momentum"),
-        epochs=cfg.get_int("train", "epochs"),
-        batch_size=batch if batch > 0 else None,
-        weight_decay=cfg.get_float("train", "weight_decay"),
-        seed=cfg.get_int("train", "seed"),
+    seed = _mix64(cfg["train"]["seed"], 99)
+    return net_mod.Network.init_random(
+        list(dims), cfg["model"]["activation"], Rng(seed)
     )
 
 
-def _predict_config(cfg: ExperimentConfig, section: str, seed: int) -> PredictConfig:
-    return PredictConfig(
-        method=cfg.get_choice(section, "method", ("mc", "probit_linearized")),
-        sample_count=cfg.get_int(section, "sample_count"),
-        seed=seed,
-    )
-
-
-def _fixed_prior_precision(cfg: ExperimentConfig) -> float | None:
-    """``[laplace] prior_precision`` as a float, or None when it is 'tune'."""
-    raw = cfg.get("laplace", "prior_precision").strip()
-    if raw == "tune":
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(
-            f"[laplace] prior_precision must be a float or 'tune', got {raw!r}"
-        ) from None
-
-
-def _fit_posterior(cfg: ExperimentConfig, net, train, val, loss):
+def _fit_posterior(cfg: ExperimentConfig, predict_cfg, net, train, val, loss):
     """Curvature on the train split, prior precision fixed or tuned on val."""
-    kind = cfg.get_choice(
-        "laplace", "curvature", ("full_ggn", "diag_ggn", "kfac_last_layer")
-    )
-    subset = cfg.get_choice("laplace", "subset", ("last_layer", "all_layers"))
-    lam = _fixed_prior_precision(cfg)
-    seed = cfg.get_int("laplace", "seed")
-    predict_cfg = _predict_config(cfg, "laplace", seed)
-    curv = fit_curvature(net, train.features, loss, kind, subset)
+    la = cfg["laplace"]
+    lam = la["prior_precision"]
+    curv = fit_curvature(net, train.features, loss, la["curvature"], la["subset"])
     if lam is None:
-        objective = cfg.get_choice(
-            "laplace", "tune_objective", ("val_log_likelihood", "ood_mmc")
-        )
         out_features = None
         num_classes = None
-        if objective == "ood_mmc":
+        if la["tune_objective"] == "ood_mmc":
             out_features = data_mod.gen_uniform_noise(
                 val.num_rows,
                 val.num_features,
-                cfg.get_float("lula", "ood_low"),
-                cfg.get_float("lula", "ood_high"),
-                _mix64(seed, 7),
+                cfg["lula"]["ood_low"],
+                cfg["lula"]["ood_high"],
+                _mix64(la["seed"], 7),
             ).features
             num_classes = 2 if loss.kind == "binary_ce" else net.output_dim
         lam, scores = tune_prior_precision(
@@ -192,8 +123,8 @@ def _fit_posterior(cfg: ExperimentConfig, net, train, val, loss):
             val.features,
             val.targets,
             loss,
-            objective=objective,
-            grid=cfg.lambda_grid(),
+            objective=la["tune_objective"],
+            grid=la["lambda_grid"],
             predict_cfg=predict_cfg,
             out_features=out_features,
             num_classes=num_classes,
@@ -203,57 +134,14 @@ def _fit_posterior(cfg: ExperimentConfig, net, train, val, loss):
     return build_posterior(curv, lam), curv, lam, scores
 
 
-def _resolve_counts(cfg: ExperimentConfig, net) -> list[int] | None:
-    """Unit counts per hidden layer, or None when a grid search is requested."""
-    raw = cfg.get("lula", "counts").strip()
-    n_hidden = net.num_layers - 1
-    if raw == "grid":
-        return None
-    values = [int(p) for p in raw.split(",") if p.strip()]
-    if len(values) == 1 and n_hidden >= 1:
-        counts = [0] * n_hidden
-        counts[-1] = values[0]
-        return counts
-    if len(values) != n_hidden:
-        raise ConfigError(
-            f"[lula] counts: expected 1 or {n_hidden} values, got {len(values)}"
-        )
-    return values
-
-
-def _lula_train_config(cfg: ExperimentConfig, epochs: int | None = None):
-    return lula_mod.LulaTrainConfig(
-        learning_rate=cfg.get_float("lula", "learning_rate"),
-        epochs=cfg.get_int("lula", "epochs") if epochs is None else epochs,
-        sample_count=cfg.get_int("lula", "sample_count"),
-        variance_evaluator=cfg.get_choice(
-            "lula", "variance_evaluator", ("linearized", "mc")
-        ),
-        in_batch=cfg.get_int("lula", "in_batch"),
-        out_batch=cfg.get_int("lula", "out_batch"),
-        seed=cfg.get_int("lula", "seed"),
-    )
-
-
-def _init_std(cfg: ExperimentConfig) -> float | None:
-    raw = cfg.get("lula", "init_std").strip()
-    if raw == "default":
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(
-            f"[lula] init_std must be 'default' or a float, got {raw!r}"
-        ) from None
-
-
 def _ood_training_features(cfg: ExperimentConfig, num_features: int) -> np.ndarray:
+    lu = cfg["lula"]
     return data_mod.gen_uniform_noise(
-        cfg.get_int("lula", "ood_size"),
+        lu["ood_size"],
         num_features,
-        cfg.get_float("lula", "ood_low"),
-        cfg.get_float("lula", "ood_high"),
-        _mix64(cfg.get_int("lula", "seed"), 11),
+        lu["ood_low"],
+        lu["ood_high"],
+        _mix64(lu["seed"], 11),
     ).features
 
 
@@ -282,11 +170,11 @@ def _save_augmentation(path: str, aug: lula_mod.LulaAugmentation) -> None:
 
 
 def cmd_train(config_path: str, out_path: str, seed: int | None = None) -> int:
-    cfg = _load(config_path, seed)
+    cfg, train_cfg, *_ = _load(config_path, seed)
     train, val, test, loss = _build_data(cfg)
     net = _init_network(cfg, train.num_features)
     trained, history = train_map(
-        net, train.features, train.targets, loss, _train_config(cfg)
+        net, train.features, train.targets, loss, train_cfg
     )
     net_mod.save(trained, out_path)
     base = os.path.splitext(out_path)[0]
@@ -302,17 +190,17 @@ def cmd_train(config_path: str, out_path: str, seed: int | None = None) -> int:
 def cmd_laplace(
     config_path: str, model_path: str, out_path: str | None, seed: int | None = None
 ) -> int:
-    cfg = _load(config_path, seed)
+    cfg, _, _, laplace_cfg, _ = _load(config_path, seed)
     train, val, test, loss = _build_data(cfg)
     net = net_mod.load(model_path)
-    post, curv, lam, scores = _fit_posterior(cfg, net, train, val, loss)
+    post, curv, lam, scores = _fit_posterior(cfg, laplace_cfg, net, train, val, loss)
     out_path = out_path or os.path.splitext(model_path)[0] + "_laplace.txt"
     lines = [
         "lula-lab-posterior v1",
         f"curvature {curv.kind}",
         f"subset {curv.subset}",
         f"prior_precision {_fmt(lam)}",
-        f"objective {cfg.get('laplace', 'tune_objective')}",
+        f"objective {cfg['laplace']['tune_objective']}",
     ]
     for cand, score in scores:
         lines.append(f"grid_point {_fmt(cand)} {_fmt(score)}")
@@ -334,48 +222,46 @@ def _prop1_check(original, augmented, extent: float, seed: int) -> float:
 def cmd_lula(
     config_path: str, model_path: str, out_path: str, seed: int | None = None
 ) -> int:
-    cfg = _load(config_path, seed)
+    cfg, _, lcfg, laplace_cfg, _ = _load(config_path, seed)
+    lu = cfg["lula"]
     train, val, test, loss = _build_data(cfg)
+    count = lu["counts"]
+    if count is None and loss.kind == "gaussian_nll":
+        raise ConfigError(
+            "[lula] counts = grid needs a classification model (the score "
+            "uses class confidences)"
+        )
     net = net_mod.load(model_path)
-    lam = _fixed_prior_precision(cfg)
+    lam = cfg["laplace"]["prior_precision"]
     if lam is None:
-        _, _, lam, _ = _fit_posterior(cfg, net, train, val, loss)
-    lcfg = _lula_train_config(cfg)
-    init_std = _init_std(cfg)
+        _, _, lam, _ = _fit_posterior(cfg, laplace_cfg, net, train, val, loss)
     in_features = val.features if val.num_rows else train.features
     out_features = _ood_training_features(cfg, train.num_features)
-    counts = _resolve_counts(cfg, net)
-    if counts is None:
-        if loss.kind == "gaussian_nll":
-            raise ConfigError(
-                "[lula] counts = grid needs a classification model (the score "
-                "uses class confidences)"
-            )
+    if count is None:
         num_classes = 2 if loss.kind == "binary_ce" else net.output_dim
-        best, scores = lula_mod.grid_search_units(
+        count, scores = lula_mod.grid_search_units(
             net,
-            cfg.get_int_list("lula", "grid"),
+            lu["grid"],
             in_features,
             out_features,
             loss,
             lam,
             lcfg,
             num_classes,
-            init_std,
+            lu["init_std"],
         )
         print(
             "grid search: "
             + ", ".join(f"{c}:{_fmt(s)}" for c, s in sorted(scores.items()))
-            + f" -> {best}"
+            + f" -> {count}"
         )
-        counts = [0] * (net.num_layers - 1)
-        counts[-1] = best
-    aug_net, aug = augment_with_seed(net, counts, cfg, init_std)
+    counts = [0] * (net.num_layers - 2) + [count]
+    aug_net, aug = augment_with_seed(net, counts, cfg, lu["init_std"])
     tuned, history, _ = lula_mod.train_lula(
         aug_net, aug, in_features, out_features, loss, lam, lcfg
     )
     rel = _prop1_check(
-        net, tuned, cfg.get_float("eval", "grid_extent"), _mix64(lcfg.seed, 17)
+        net, tuned, cfg["eval"]["grid_extent"], _mix64(lcfg.seed, 17)
     )
     print(f"output-preservation check: max relative difference {rel:.3e}")
     if rel > 1e-12:
@@ -394,61 +280,44 @@ def cmd_lula(
 
 
 def augment_with_seed(net, counts, cfg: ExperimentConfig, init_std):
-    rng = Rng(_mix64(cfg.get_int("lula", "seed"), 23))
+    rng = Rng(_mix64(cfg["lula"]["seed"], 23))
     return lula_mod.augment(net, counts, rng, init_std)
 
 
-def _eval_ood_sets(cfg: ExperimentConfig, test, loss):
+def _eval_ood_sets(cfg: ExperimentConfig, test):
     """Named OOD feature sets derived from the test split."""
-    kinds = [
-        k.strip()
-        for k in cfg.get("eval", "ood_kinds").split(",")
-        if k.strip()
-    ]
-    seed = cfg.get_int("eval", "seed")
     sets = {}
-    for i, kind in enumerate(kinds):
-        if kind in ("permute", "blur", "contrast"):
-            sets[kind] = data_mod.synthesize_ood(
-                test, kind, Rng(_mix64(seed, 100 + i))
-            ).features
-        elif kind == "uniform":
+    for i, kind in enumerate(cfg["eval"]["ood_kinds"]):
+        seed = _mix64(cfg["eval"]["seed"], 100 + i)
+        if kind == "uniform":
             sets[kind] = data_mod.gen_uniform_noise(
-                test.num_rows, test.num_features, -10.0, 10.0, _mix64(seed, 100 + i)
+                test.num_rows, test.num_features, -10.0, 10.0, seed
             ).features
         elif kind == "asymptotic":
             sets[kind] = data_mod.gen_uniform_noise(
-                test.num_rows,
-                test.num_features,
-                0.0,
-                1.0,
-                _mix64(seed, 100 + i),
-                scale=5000.0,
+                test.num_rows, test.num_features, 0.0, 1.0, seed, scale=5000.0
             ).features
         else:
-            raise ConfigError(f"[eval] ood_kinds: unknown kind {kind!r}")
+            sets[kind] = data_mod.synthesize_ood(test, kind, Rng(seed)).features
     return sets
 
 
 def cmd_eval(
     config_path: str, model_path: str, out_dir: str, seed: int | None = None
 ) -> int:
-    cfg = _load(config_path, seed)
+    cfg, _, _, laplace_cfg, eval_cfg = _load(config_path, seed)
     train, val, test, loss = _build_data(cfg)
     net = net_mod.load(model_path)
-    post, curv, lam, _ = _fit_posterior(cfg, net, train, val, loss)
-    ood_sets = _eval_ood_sets(cfg, test, loss)
-    runs = cfg.get_int("eval", "runs")
-    eval_seed = cfg.get_int("eval", "seed")
-    report_total = (
-        cfg.get_choice("eval", "report_std", ("epistemic", "total")) == "total"
-    )
+    ood_sets = _eval_ood_sets(cfg, test)
+    post, curv, lam, _ = _fit_posterior(cfg, laplace_cfg, net, train, val, loss)
+    runs = cfg["eval"]["runs"]
+    report_total = cfg["eval"]["report_std"] == "total"
     classification = loss.kind in ("categorical_ce", "binary_ce")
 
     per_metric: dict[str, list[float]] = {}
     first_run_reports: list[metrics_mod.EvalReport] = []
     for r in range(runs):
-        pcfg = _predict_config(cfg, "eval", _mix64(eval_seed, 1000 + r))
+        pcfg = replace(eval_cfg, seed=_mix64(eval_cfg.seed, 1000 + r))
         reports = []
         if classification:
             pred_test = mc_predict(net, post, test.features, pcfg, loss)
@@ -541,10 +410,11 @@ def cmd_eval(
 
 
 def _demo_moons(cfg: ExperimentConfig, out_dir: str, summary: list[str]) -> None:
-    seed = cfg.get_int("demo", "seed")
-    size = cfg.get_int("demo", "moons_size")
-    noise = cfg.get_float("demo", "moons_noise")
-    full = data_mod.gen_two_moons(size, noise, _mix64(seed, 1))
+    demo = cfg["demo"]
+    seed = demo["seed"]
+    full = data_mod.gen_two_moons(
+        demo["moons_size"], demo["moons_noise"], _mix64(seed, 1)
+    )
     train, val, test = data_mod.split(
         full, data_mod.SplitSpec((0.6, 0.2, 0.2), seed=_mix64(seed, 2))
     )
@@ -553,7 +423,7 @@ def _demo_moons(cfg: ExperimentConfig, out_dir: str, summary: list[str]) -> None
     tcfg = TrainConfig(
         optimizer="adam",
         learning_rate=1e-3,
-        epochs=cfg.get_int("demo", "moons_train_epochs"),
+        epochs=demo["moons_train_epochs"],
         batch_size=64,
         weight_decay=1e-3,
         seed=_mix64(seed, 4),
@@ -565,17 +435,17 @@ def _demo_moons(cfg: ExperimentConfig, out_dir: str, summary: list[str]) -> None
     curv = fit_curvature(net, train.features, loss, "kfac_last_layer", "last_layer")
     post_la = build_posterior(curv, lam)
 
-    units = cfg.get_int("demo", "moons_lula_units")
+    units = demo["moons_lula_units"]
     aug_net, aug = lula_mod.augment(net, [0, units], Rng(_mix64(seed, 6)), 0.2)
     lcfg = lula_mod.LulaTrainConfig(
         learning_rate=0.5,
-        epochs=cfg.get_int("demo", "moons_lula_epochs"),
+        epochs=demo["moons_lula_epochs"],
         in_batch=512,
         out_batch=512,
         seed=_mix64(seed, 7),
     )
     out_train = data_mod.gen_uniform_noise(
-        cfg.get_int("lula", "ood_size"), 2, -10.0, 10.0, _mix64(seed, 8)
+        cfg["lula"]["ood_size"], 2, -10.0, 10.0, _mix64(seed, 8)
     ).features
     tuned, _, _ = lula_mod.train_lula(
         aug_net, aug, val.features, out_train, loss, lam, lcfg
@@ -585,13 +455,13 @@ def _demo_moons(cfg: ExperimentConfig, out_dir: str, summary: list[str]) -> None
     )
     post_lula = build_posterior(curv_lula, lam)
 
-    extent = cfg.get_float("eval", "grid_extent")
-    grid_n = cfg.get_int("eval", "grid_size")
+    extent = cfg["eval"]["grid_extent"]
+    grid_n = cfg["eval"]["grid_size"]
     axis = np.linspace(-extent, extent, grid_n)
     xx, yy = np.meshgrid(axis, axis)
     lattice = np.stack([xx.ravel(), yy.ravel()], axis=1)
 
-    pcfg = PredictConfig("mc", cfg.get_int("eval", "sample_count"), _mix64(seed, 9))
+    pcfg = PredictConfig("mc", cfg["eval"]["sample_count"], _mix64(seed, 9))
     stage_probs = {
         "map": softmax(net_mod.forward(net, lattice).output),
         "laplace": mc_predict(net, post_la, lattice, pcfg, loss).probabilities,
@@ -611,7 +481,7 @@ def _demo_moons(cfg: ExperimentConfig, out_dir: str, summary: list[str]) -> None
     # far-field ring and in-distribution confidences per stage
     ring_rng = Rng(_mix64(seed, 10))
     radius = ring_rng.uniform(
-        cfg.get_float("eval", "ring_inner"), cfg.get_float("eval", "ring_outer"), 400
+        cfg["eval"]["ring_inner"], cfg["eval"]["ring_outer"], 400
     )
     angle = ring_rng.uniform(0.0, 2.0 * np.pi, 400)
     ring = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
@@ -643,12 +513,10 @@ def _demo_moons(cfg: ExperimentConfig, out_dir: str, summary: list[str]) -> None
 
 
 def _demo_regression(cfg: ExperimentConfig, out_dir: str, summary: list[str]) -> None:
-    seed = cfg.get_int("demo", "seed")
+    demo = cfg["demo"]
+    seed = demo["seed"]
     full = data_mod.gen_toy_regression(
-        cfg.get_int("demo", "reg_size"),
-        (-4.0, 4.0),
-        cfg.get_float("demo", "reg_noise"),
-        _mix64(seed, 21),
+        demo["reg_size"], (-4.0, 4.0), demo["reg_noise"], _mix64(seed, 21)
     )
     train, val, test = data_mod.split(
         full, data_mod.SplitSpec((0.6, 0.2, 0.2), seed=_mix64(seed, 22))
@@ -656,12 +524,12 @@ def _demo_regression(cfg: ExperimentConfig, out_dir: str, summary: list[str]) ->
     train, (val, test), stats = data_mod.standardize(
         train, [val, test], include_targets=True
     )
-    loss = LossKind("gaussian_nll", cfg.get_float("train", "noise_precision"))
+    loss = LossKind("gaussian_nll", cfg["train"]["noise_precision"])
     net0 = net_mod.Network.init_random([1, 50, 1], "relu", Rng(_mix64(seed, 23)))
     tcfg = TrainConfig(
         optimizer="adam",
         learning_rate=1e-2,
-        epochs=cfg.get_int("demo", "reg_train_epochs"),
+        epochs=demo["reg_train_epochs"],
         batch_size=None,
         weight_decay=1e-3,
         seed=_mix64(seed, 24),
@@ -672,17 +540,17 @@ def _demo_regression(cfg: ExperimentConfig, out_dir: str, summary: list[str]) ->
     curv = fit_curvature(net, train.features, loss, "kfac_last_layer", "last_layer")
     post_la = build_posterior(curv, lam)
 
-    units = cfg.get_int("demo", "reg_lula_units")
+    units = demo["reg_lula_units"]
     aug_net, aug = lula_mod.augment(net, [units], Rng(_mix64(seed, 26)), 0.2)
     lcfg = lula_mod.LulaTrainConfig(
         learning_rate=1.0,
-        epochs=cfg.get_int("demo", "reg_lula_epochs"),
+        epochs=demo["reg_lula_epochs"],
         in_batch=512,
         out_batch=512,
         seed=_mix64(seed, 27),
     )
     out_train = data_mod.gen_uniform_noise(
-        cfg.get_int("lula", "ood_size"), 1, -10.0, 10.0, _mix64(seed, 28)
+        cfg["lula"]["ood_size"], 1, -10.0, 10.0, _mix64(seed, 28)
     ).features
     tuned, _, _ = lula_mod.train_lula(
         aug_net, aug, val.features, out_train, loss, lam, lcfg
@@ -692,14 +560,12 @@ def _demo_regression(cfg: ExperimentConfig, out_dir: str, summary: list[str]) ->
     )
     post_lula = build_posterior(curv_lula, lam)
 
-    extent = cfg.get_float("eval", "grid_extent")
-    grid_n = cfg.get_int("eval", "grid_size")
+    extent = cfg["eval"]["grid_extent"]
+    grid_n = cfg["eval"]["grid_size"]
     grid = np.linspace(-extent, extent, grid_n * 10).reshape(-1, 1)
-    pcfg = PredictConfig("mc", cfg.get_int("eval", "sample_count"), _mix64(seed, 29))
+    pcfg = PredictConfig("mc", cfg["eval"]["sample_count"], _mix64(seed, 29))
     aleatoric = 1.0 / loss.noise_precision
-    report_total = (
-        cfg.get_choice("eval", "report_std", ("epistemic", "total")) == "total"
-    )
+    report_total = cfg["eval"]["report_std"] == "total"
 
     def stage_rows(network, post, x):
         mean_map = net_mod.forward(network, x).output
@@ -725,7 +591,7 @@ def _demo_regression(cfg: ExperimentConfig, out_dir: str, summary: list[str]) ->
             rows,
         )
         std_report = std_t if report_total else std_e
-        far = np.abs(grid[:, 0]) >= cfg.get_float("eval", "far_field")
+        far = np.abs(grid[:, 0]) >= cfg["eval"]["far_field"]
         summary.append(
             f"regression.{stage}.far_field_std {_fmt(std_report[far, 0].mean())}"
         )
@@ -738,9 +604,7 @@ def _demo_regression(cfg: ExperimentConfig, out_dir: str, summary: list[str]) ->
 
 
 def cmd_demo_toy(config_path: str | None, out_dir: str, seed: int | None = None) -> int:
-    cfg = _load(config_path, seed) if config_path else default_config()
-    if config_path is None and seed is not None:
-        cfg = cfg.with_master_seed(seed)
+    cfg = _load(config_path, seed)[0]
     os.makedirs(out_dir, exist_ok=True)
     summary: list[str] = ["lula-lab-demo v1"]
     _demo_moons(cfg, out_dir, summary)
@@ -753,11 +617,33 @@ def cmd_demo_toy(config_path: str | None, out_dir: str, seed: int | None = None)
 # ---------------------------------------------------------------------------
 
 
-def _load(config_path: str | None, seed: int | None) -> ExperimentConfig:
+def _stage(cls, cfg: ExperimentConfig, section: str):
+    """``cls`` built from the keys of ``[section]`` named like its fields."""
+    values = cfg[section]
+    names = [f.name for f in fields(cls) if f.name in values]
+    try:
+        return cls(**{name: values[name] for name in names})
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
+
+
+def _load(config_path: str | None, seed: int | None):
+    """The typed config and the stage settings built from it.
+
+    Returns (config, TrainConfig, LulaTrainConfig, [laplace] PredictConfig,
+    [eval] PredictConfig). Every command builds all four, so their range
+    rules reject a bad file with exit 2 before any data is built.
+    """
     cfg = load_config(config_path) if config_path else default_config()
     if seed is not None:
         cfg = cfg.with_master_seed(seed)
-    return cfg
+    return (
+        cfg,
+        _stage(TrainConfig, cfg, "train"),
+        _stage(lula_mod.LulaTrainConfig, cfg, "lula"),
+        _stage(PredictConfig, cfg, "laplace"),
+        _stage(PredictConfig, cfg, "eval"),
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,6 +1,8 @@
-"""Experiment configuration: INI-style files with strict key validation.
+"""Experiment configuration: INI-style files, typed and validated at load.
 
-Every key has a documented default; unknown sections or keys are rejected.
+Every key has a documented default and a parser. Loading converts the whole
+file at once, so an unknown section or key, or a malformed value, raises
+:class:`ConfigError` naming ``[section] key`` before any work starts.
 ``python -m lula_lab.config [path]`` writes the reference file with every
 key, its default, and a one-line comment.
 """
@@ -14,224 +16,310 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import OOD_KINDS
 from .errors import ConfigError
+from .laplace import CURVATURE_KINDS, PREDICT_METHODS, SUBSETS, TUNE_OBJECTIVES
+from .lula import VARIANCE_EVALUATORS
+from .network import ACTIVATIONS
 from .numerics import _mix64
+from .training import LOSS_KINDS, OPTIMIZERS
 
 __all__ = ["ExperimentConfig", "load_config", "default_config", "reference_text"]
 
 
-# section -> key -> (default, comment)
-SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
-    "data": {
-        "generator": ("two_moons", "two_moons | toy_regression | csv"),
-        "size": ("500", "number of generated points"),
-        "noise_std": ("0.1", "generator noise standard deviation"),
-        "x_low": ("-4.0", "toy_regression input range, lower end"),
-        "x_high": ("4.0", "toy_regression input range, upper end"),
-        "csv_path": ("", "input file for generator = csv"),
-        "target_column": ("", "csv target column name or 0-based index"),
-        "header": ("true", "csv has a header row"),
-        "split": ("0.6,0.2,0.2", "train/val/test fractions, sum to 1"),
-        "standardize": ("false", "standardize features with train stats"),
-        "standardize_targets": ("false", "also standardize regression targets"),
-        "seed": ("0", "generation and split seed"),
-    },
-    "model": {
-        "dims": ("2,64,64,2", "layer sizes, input first, output last"),
-        "activation": ("relu", "hidden activation: relu | selu | tanh | identity"),
-    },
-    "train": {
-        "optimizer": ("adam", "adam | sgd"),
-        "learning_rate": ("0.001", "step size"),
-        "momentum": ("0.9", "sgd momentum"),
-        "epochs": ("200", "passes over the training split"),
-        "batch_size": ("64", "minibatch size; 0 for full batch"),
-        "weight_decay": ("0.001", "prior precision used during training"),
-        "loss": ("auto", "auto | gaussian_nll | categorical_ce | binary_ce"),
-        "noise_precision": ("25.0", "Gaussian likelihood precision (beta)"),
-        "seed": ("1", "shuffling and initialization seed"),
-    },
-    "laplace": {
-        "curvature": ("kfac_last_layer", "full_ggn | diag_ggn | kfac_last_layer"),
-        "subset": ("last_layer", "last_layer | all_layers"),
-        "prior_precision": ("tune", "a float, or 'tune' to search the grid"),
-        "tune_objective": (
-            "val_log_likelihood",
-            "val_log_likelihood | ood_mmc",
-        ),
-        "lambda_grid": (
-            "logspace:-4:4:17",
-            "logspace:lo:hi:count (base 10) or a comma list of values",
-        ),
-        "method": ("mc", "predictive used for tuning: mc | probit_linearized"),
-        "sample_count": ("100", "posterior samples for the mc predictive"),
-        "seed": ("2", "sampling seed"),
-    },
-    "lula": {
-        "counts": (
-            "32",
-            "added units: an int (final hidden layer), a per-hidden-layer "
-            "comma list, or 'grid' for a search",
-        ),
-        "grid": ("32,64,128,256,512", "candidate counts for counts = grid"),
-        "learning_rate": ("0.05", "uncertainty-training step size"),
-        "epochs": ("20", "uncertainty-training epochs"),
-        "sample_count": ("30", "samples for the mc variance evaluator"),
-        "variance_evaluator": ("linearized", "linearized | mc"),
-        "in_batch": ("128", "inlier batch size per epoch"),
-        "out_batch": ("128", "outlier batch size per epoch"),
-        "init_std": ("default", "'default' (0.1 sqrt(2/fan_in)) or a float"),
-        "ood_low": ("-10.0", "outlier box lower bound"),
-        "ood_high": ("10.0", "outlier box upper bound"),
-        "ood_size": ("500", "number of outlier training points"),
-        "seed": ("3", "batching and initialization seed"),
-    },
-    "eval": {
-        "ood_kinds": (
-            "uniform,asymptotic",
-            "comma list from permute, blur, contrast, uniform, asymptotic",
-        ),
-        "sample_count": ("100", "posterior samples per prediction run"),
-        "runs": ("10", "prediction repetitions (mean and std reported)"),
-        "method": ("mc", "mc | probit_linearized"),
-        "report_std": ("epistemic", "regression std to report: epistemic | total"),
-        "grid_size": ("60", "demo lattice resolution per axis"),
-        "grid_extent": ("12.0", "demo lattice half width"),
-        "ring_inner": ("8.0", "far-field ring inner radius (classification demo)"),
-        "ring_outer": ("12.0", "far-field ring outer radius"),
-        "far_field": ("6.0", "|x| above this is far field (regression demo)"),
-        "seed": ("4", "evaluation seed"),
-    },
-    "demo": {
-        "moons_size": ("600", "two-moons dataset size"),
-        "moons_noise": ("0.15", "two-moons noise std"),
-        "moons_train_epochs": ("200", "MAP epochs for the two-moons net"),
-        "moons_lula_units": ("32", "added units for the two-moons stage"),
-        "moons_lula_epochs": ("100", "uncertainty-training epochs, two-moons"),
-        "reg_size": ("400", "toy regression dataset size"),
-        "reg_noise": ("0.15", "toy regression noise std"),
-        "reg_train_epochs": ("2000", "MAP epochs for the regression net"),
-        "reg_lula_units": ("50", "added units for the regression stage"),
-        "reg_lula_epochs": ("40", "uncertainty-training epochs, regression"),
-        "seed": ("5", "demo seed"),
-    },
-}
+# Parsers turn the raw string into the typed value or raise ValueError; the
+# loader adds the [section] key to the message.
 
 
-def _parse_bool(section: str, key: str, raw: str) -> bool:
+def _int(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {raw!r}") from None
+
+
+def _float(raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"expected a float, got {raw!r}") from None
+
+
+def _bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("true", "yes", "1", "on"):
         return True
     if low in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"[{section}] {key}: expected a boolean, got {raw!r}")
+    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_float(section: str, key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected a float, got {raw!r}") from None
-
-
-def _parse_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"[{section}] {key}: expected an integer, got {raw!r}"
-        ) from None
-
-
-def _parse_choice(section: str, key: str, raw: str, choices) -> str:
-    value = raw.strip()
-    if value not in choices:
-        raise ConfigError(
-            f"[{section}] {key}: {value!r} is not one of {', '.join(choices)}"
-        )
+def _count(raw: str) -> int:
+    value = _int(raw)
+    if value < 0:
+        raise ValueError(f"expected a nonnegative integer, got {raw!r}")
     return value
 
 
-def _parse_float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in raw.split(",") if p.strip())
-    except ValueError:
-        raise ConfigError(
-            f"[{section}] {key}: expected comma-separated floats, got {raw!r}"
-        ) from None
+def _one_of(choices: tuple[str, ...]):
+    def parse(raw: str) -> str:
+        value = raw.strip()
+        if value not in choices:
+            raise ValueError(f"{value!r} is not one of {', '.join(choices)}")
+        return value
+
+    return parse
 
 
-def _parse_int_list(section: str, key: str, raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in raw.split(",") if p.strip())
-    except ValueError:
-        raise ConfigError(
-            f"[{section}] {key}: expected comma-separated integers, got {raw!r}"
-        ) from None
+def _list(item, min_len: int, max_len: int | None = None):
+    """Comma list of ``item`` values, as a tuple of bounded length."""
+
+    def parse(raw: str) -> tuple:
+        values = tuple(item(p) for p in raw.split(",") if p.strip())
+        if len(values) < min_len or (max_len is not None and len(values) > max_len):
+            want = f"exactly {min_len}" if max_len == min_len else f"at least {min_len}"
+            raise ValueError(f"expected {want} comma-separated values, got {raw!r}")
+        return values
+
+    return parse
+
+
+def _float_or(word: str):
+    """A float, or None for the literal ``word``."""
+
+    def parse(raw: str) -> float | None:
+        if raw.strip() == word:
+            return None
+        try:
+            return float(raw)
+        except ValueError:
+            raise ValueError(f"expected a float or {word!r}, got {raw!r}") from None
+
+    return parse
+
+
+def _batch_size(raw: str) -> int | None:
+    value = _count(raw)
+    return value if value > 0 else None
+
+
+def _unit_count(raw: str) -> int | None:
+    if raw.strip() == "grid":
+        return None
+    if "," in raw:
+        raise ValueError(
+            "takes one count or 'grid', not a per-layer list: under the "
+            "last-layer posterior only final-hidden-layer units train"
+        )
+    return _count(raw)
+
+
+def _lambda_grid(raw: str) -> tuple[float, ...]:
+    raw = raw.strip()
+    if not raw.startswith("logspace:"):
+        return _list(_float, 1)(raw)
+    parts = raw.split(":")
+    if len(parts) != 4:
+        raise ValueError("logspace form is logspace:lo:hi:count")
+    count = _int(parts[3])
+    if count < 1:
+        raise ValueError("logspace count must be positive")
+    return tuple(np.logspace(_float(parts[1]), _float(parts[2]), count))
+
+
+def _choice(default: str, choices: tuple[str, ...], comment: str):
+    """Schema entry for a key naming one of ``choices``."""
+    return (default, _one_of(choices), f"{comment}: {' | '.join(choices)}")
+
+
+# section -> key -> (default, parse, comment)
+SCHEMA: dict[str, dict[str, tuple]] = {
+    "data": {
+        "generator": _choice(
+            "two_moons", ("two_moons", "toy_regression", "csv"), "data source"
+        ),
+        "size": ("500", _int, "number of generated points"),
+        "noise_std": ("0.1", _float, "generator noise standard deviation"),
+        "x_low": ("-4.0", _float, "toy_regression input range, lower end"),
+        "x_high": ("4.0", _float, "toy_regression input range, upper end"),
+        "csv_path": ("", str, "input file for generator = csv"),
+        "target_column": (
+            "",
+            str,
+            "csv target column name, or 0-based index when header = false",
+        ),
+        "header": ("true", _bool, "csv has a header row"),
+        "split": (
+            "0.6,0.2,0.2", _list(_float, 3, 3), "train/val/test fractions, sum to 1"
+        ),
+        "standardize": ("false", _bool, "standardize features with train stats"),
+        "standardize_targets": (
+            "false", _bool, "also standardize regression targets"
+        ),
+        "seed": ("0", _int, "generation and split seed"),
+    },
+    "model": {
+        "dims": ("2,64,64,2", _list(_int, 2), "layer sizes, input first, output last"),
+        "activation": _choice("relu", ACTIVATIONS, "hidden activation"),
+    },
+    "train": {
+        "optimizer": _choice("adam", OPTIMIZERS, "MAP optimizer"),
+        "learning_rate": ("0.001", _float, "step size"),
+        "momentum": ("0.9", _float, "sgd momentum"),
+        "epochs": ("200", _int, "passes over the training split"),
+        "batch_size": ("64", _batch_size, "minibatch size; 0 for full batch"),
+        "weight_decay": ("0.001", _float, "prior precision used during training"),
+        "loss": _choice(
+            "auto", ("auto",) + LOSS_KINDS, "likelihood, auto picks from the task"
+        ),
+        "noise_precision": ("25.0", _float, "Gaussian likelihood precision (beta)"),
+        "seed": ("1", _int, "shuffling and initialization seed"),
+    },
+    "laplace": {
+        "curvature": _choice("kfac_last_layer", CURVATURE_KINDS, "GGN structure"),
+        "subset": _choice("last_layer", SUBSETS, "parameters under the posterior"),
+        "prior_precision": (
+            "tune", _float_or("tune"), "a float, or 'tune' to search the grid"
+        ),
+        "tune_objective": _choice(
+            "val_log_likelihood", TUNE_OBJECTIVES, "prior-precision tuning score"
+        ),
+        "lambda_grid": (
+            "logspace:-4:4:17",
+            _lambda_grid,
+            "logspace:lo:hi:count (base 10) or a comma list of values",
+        ),
+        "method": _choice("mc", PREDICT_METHODS, "predictive used for tuning"),
+        "sample_count": ("100", _int, "posterior samples for the mc predictive"),
+        "seed": ("2", _int, "sampling seed"),
+    },
+    "lula": {
+        "counts": (
+            "32",
+            _unit_count,
+            "units added to the final hidden layer: an int, or 'grid' for a "
+            "search",
+        ),
+        "grid": (
+            "32,64,128,256,512",
+            _list(_count, 1),
+            "candidate counts for counts = grid",
+        ),
+        "learning_rate": ("0.05", _float, "uncertainty-training step size"),
+        "epochs": ("20", _int, "uncertainty-training epochs"),
+        "sample_count": ("30", _int, "samples for the mc variance evaluator"),
+        "variance_evaluator": _choice(
+            "linearized", VARIANCE_EVALUATORS, "total-variance estimate"
+        ),
+        "in_batch": ("128", _int, "inlier batch size per epoch"),
+        "out_batch": ("128", _int, "outlier batch size per epoch"),
+        "init_std": (
+            "default",
+            _float_or("default"),
+            "'default' (0.1 sqrt(2/fan_in)) or a float",
+        ),
+        "ood_low": ("-10.0", _float, "outlier box lower bound"),
+        "ood_high": ("10.0", _float, "outlier box upper bound"),
+        "ood_size": ("500", _int, "number of outlier training points"),
+        "seed": ("3", _int, "batching and initialization seed"),
+    },
+    "eval": {
+        "ood_kinds": (
+            "uniform,asymptotic",
+            _list(_one_of(OOD_KINDS), 0),
+            f"comma list from {', '.join(OOD_KINDS)}",
+        ),
+        "sample_count": ("100", _int, "posterior samples per prediction run"),
+        "runs": ("10", _int, "prediction repetitions (mean and std reported)"),
+        "method": _choice("mc", PREDICT_METHODS, "predictive"),
+        "report_std": _choice(
+            "epistemic", ("epistemic", "total"), "regression std to report"
+        ),
+        "grid_size": ("60", _int, "demo lattice resolution per axis"),
+        "grid_extent": ("12.0", _float, "demo lattice half width"),
+        "ring_inner": (
+            "8.0", _float, "far-field ring inner radius (classification demo)"
+        ),
+        "ring_outer": ("12.0", _float, "far-field ring outer radius"),
+        "far_field": ("6.0", _float, "|x| above this is far field (regression demo)"),
+        "seed": ("4", _int, "evaluation seed"),
+    },
+    "demo": {
+        "moons_size": ("600", _int, "two-moons dataset size"),
+        "moons_noise": ("0.15", _float, "two-moons noise std"),
+        "moons_train_epochs": ("200", _int, "MAP epochs for the two-moons net"),
+        "moons_lula_units": ("32", _int, "added units for the two-moons stage"),
+        "moons_lula_epochs": ("100", _int, "uncertainty-training epochs, two-moons"),
+        "reg_size": ("400", _int, "toy regression dataset size"),
+        "reg_noise": ("0.15", _float, "toy regression noise std"),
+        "reg_train_epochs": ("2000", _int, "MAP epochs for the regression net"),
+        "reg_lula_units": ("50", _int, "added units for the regression stage"),
+        "reg_lula_epochs": ("40", _int, "uncertainty-training epochs, regression"),
+        "seed": ("5", _int, "demo seed"),
+    },
+}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated configuration; raw holds section -> key -> string."""
+    """Validated configuration; ``cfg[section][key]`` is the typed value."""
 
-    raw: dict
+    values: dict
 
-    def get(self, section: str, key: str) -> str:
-        return self.raw[section][key]
-
-    def get_bool(self, section: str, key: str) -> bool:
-        return _parse_bool(section, key, self.get(section, key))
-
-    def get_float(self, section: str, key: str) -> float:
-        return _parse_float(section, key, self.get(section, key))
-
-    def get_int(self, section: str, key: str) -> int:
-        return _parse_int(section, key, self.get(section, key))
-
-    def get_choice(self, section: str, key: str, choices) -> str:
-        return _parse_choice(section, key, self.get(section, key), choices)
-
-    def get_float_list(self, section: str, key: str) -> tuple[float, ...]:
-        return _parse_float_list(section, key, self.get(section, key))
-
-    def get_int_list(self, section: str, key: str) -> tuple[int, ...]:
-        return _parse_int_list(section, key, self.get(section, key))
-
-    def lambda_grid(self) -> tuple[float, ...]:
-        raw = self.get("laplace", "lambda_grid").strip()
-        if raw.startswith("logspace:"):
-            parts = raw.split(":")
-            if len(parts) != 4:
-                raise ConfigError(
-                    "[laplace] lambda_grid: logspace form is logspace:lo:hi:count"
-                )
-            lo = _parse_float("laplace", "lambda_grid", parts[1])
-            hi = _parse_float("laplace", "lambda_grid", parts[2])
-            count = _parse_int("laplace", "lambda_grid", parts[3])
-            if count < 1:
-                raise ConfigError("[laplace] lambda_grid: count must be positive")
-            return tuple(np.logspace(lo, hi, count))
-        return _parse_float_list("laplace", "lambda_grid", raw)
+    def __getitem__(self, section: str) -> dict:
+        return self.values[section]
 
     def with_master_seed(self, master: int) -> "ExperimentConfig":
         """Replace every section seed with one derived from ``master``."""
-        raw = {s: dict(kv) for s, kv in self.raw.items()}
-        for index, section in enumerate(sorted(raw)):
-            if "seed" in raw[section]:
-                raw[section]["seed"] = str(_mix64(int(master), index))
-        return ExperimentConfig(raw)
+        values = {s: dict(kv) for s, kv in self.values.items()}
+        for index, section in enumerate(sorted(values)):
+            if "seed" in values[section]:
+                values[section]["seed"] = _mix64(int(master), index)
+        return ExperimentConfig(values)
+
+
+def _parse(section: str, key: str, parse, raw: str):
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: {exc}") from None
+
+
+def _convert(raw: dict) -> ExperimentConfig:
+    """Typed config from section -> key -> string, with cross-key rules."""
+    values = {
+        section: {key: _parse(section, key, parse, raw[section][key])
+                  for key, (_, parse, _) in keys.items()}
+        for section, keys in SCHEMA.items()
+    }
+    data = values["data"]
+    if data["generator"] == "csv":
+        for key in ("csv_path", "target_column"):
+            if not data[key]:
+                raise ConfigError(f"[data] {key} is required for generator = csv")
+    if data["target_column"] and not data["header"]:
+        data["target_column"] = _parse(
+            "data", "target_column", _int, data["target_column"]
+        )
+    laplace = values["laplace"]
+    if laplace["curvature"] == "kfac_last_layer" and laplace["subset"] != "last_layer":
+        raise ConfigError("[laplace] curvature = kfac_last_layer needs subset = last_layer")
+    return ExperimentConfig(values)
+
+
+def _default_raw() -> dict:
+    return {
+        section: {key: entry[0] for key, entry in keys.items()}
+        for section, keys in SCHEMA.items()
+    }
 
 
 def default_config() -> ExperimentConfig:
-    raw = {
-        section: {key: default for key, (default, _) in keys.items()}
-        for section, keys in SCHEMA.items()
-    }
-    return ExperimentConfig(raw)
+    return _convert(_default_raw())
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Parse and validate an INI file against the schema."""
+    """Parse an INI file and convert every key against the schema."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -240,10 +328,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
-    raw = {
-        section: {key: default for key, (default, _) in keys.items()}
-        for section, keys in SCHEMA.items()
-    }
+    raw = _default_raw()
     for section in parser.sections():
         if section not in SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
@@ -251,7 +336,7 @@ def load_config(path: str) -> ExperimentConfig:
             if key not in SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             raw[section][key] = value
-    return ExperimentConfig(raw)
+    return _convert(raw)
 
 
 def reference_text() -> str:
@@ -261,7 +346,7 @@ def reference_text() -> str:
     out.write("; Every key is shown with its default value.\n")
     for section, keys in SCHEMA.items():
         out.write(f"\n[{section}]\n")
-        for key, (default, comment) in keys.items():
+        for key, (default, _, comment) in keys.items():
             out.write(f"; {comment}\n")
             out.write(f"{key} = {default}\n")
     return out.getvalue()

@@ -33,6 +33,10 @@ CONTRAST_RANGE = (0.05, 0.3)
 BLUR_WIDTH = 3
 BLUR_PASSES = 2
 
+# Evaluation OOD sets: synthesize_ood builds the first three from the test
+# split; uniform and asymptotic are gen_uniform_noise draws.
+OOD_KINDS = ("permute", "blur", "contrast", "uniform", "asymptotic")
+
 
 @dataclass(frozen=True)
 class Stats:

@@ -42,13 +42,14 @@ from .training import LossKind, output_hessians, sigmoid, softmax
 __all__ = [
     "CURVATURE_KINDS",
     "SUBSETS",
+    "PREDICT_METHODS",
+    "TUNE_OBJECTIVES",
     "Curvature",
     "LaplacePosterior",
     "PredictConfig",
     "Predictive",
     "fit_curvature",
     "build_posterior",
-    "sample_params",
     "linearized_variance",
     "probit_predict_binary",
     "mc_predict",
@@ -57,6 +58,8 @@ __all__ = [
 
 CURVATURE_KINDS = ("full_ggn", "diag_ggn", "kfac_last_layer")
 SUBSETS = ("all_layers", "last_layer")
+PREDICT_METHODS = ("mc", "probit_linearized")
+TUNE_OBJECTIVES = ("val_log_likelihood", "ood_mmc")
 
 DEFAULT_DENSE_CAP = 5000
 DEFAULT_LAMBDA_GRID = tuple(np.logspace(-4.0, 4.0, 17))
@@ -256,9 +259,7 @@ class LaplacePosterior:
             # the flat covariance the Kronecker product of the factor inverses.
             k, feat = self.num_outputs, self.feature_dim
             z = rng.standard_normal((count, k, feat))
-            mats = np.einsum(
-                "ij,njg,fg->nif", self._out_sample_factor, z, self._feat_sample_factor
-            )
+            mats = self._out_sample_factor @ z @ self._feat_sample_factor.T
             return self.mean[None, :] + mats.reshape(count, self.dim)
         z = rng.standard_normal((count, self.dim))
         return self.mean[None, :] + z @ self._cov_factor.T
@@ -315,10 +316,6 @@ def build_posterior(
 ) -> LaplacePosterior:
     """Gaussian posterior with covariance (H_data + prior_precision I)^-1."""
     return LaplacePosterior(curvature, prior_precision, mean, dense_cap)
-
-
-def sample_params(post: LaplacePosterior, rng: Rng, count: int) -> np.ndarray:
-    return post.sample(rng, count)
 
 
 def _last_layer_feature_batch(net: Network, x: np.ndarray) -> np.ndarray:
@@ -378,7 +375,7 @@ class PredictConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.method not in ("mc", "probit_linearized"):
+        if self.method not in PREDICT_METHODS:
             raise ValueError(f"unknown predict method {self.method!r}")
         if self.method == "mc" and self.sample_count < 1:
             raise ValueError("sample_count must be at least 1")
@@ -534,7 +531,7 @@ def tune_prior_precision(
     """
     from .metrics import mmc  # local import to avoid a cycle
 
-    if objective not in ("val_log_likelihood", "ood_mmc"):
+    if objective not in TUNE_OBJECTIVES:
         raise ValueError(f"unknown tuning objective {objective!r}")
     cand = list(DEFAULT_LAMBDA_GRID if grid is None else grid)
     if not cand:

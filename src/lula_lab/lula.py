@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 DEFAULT_UNIT_GRID = (32, 64, 128, 256, 512)
+VARIANCE_EVALUATORS = ("linearized", "mc")
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,7 @@ class LulaTrainConfig:
             raise ValueError("epochs must be nonnegative")
         if self.sample_count < 1:
             raise ValueError("sample_count must be at least 1")
-        if self.variance_evaluator not in ("linearized", "mc"):
+        if self.variance_evaluator not in VARIANCE_EVALUATORS:
             raise ValueError(
                 f"unknown variance evaluator {self.variance_evaluator!r}"
             )

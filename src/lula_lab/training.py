@@ -23,6 +23,7 @@ __all__ = [
 ]
 
 LOSS_KINDS = ("gaussian_nll", "categorical_ce", "binary_ce")
+OPTIMIZERS = ("adam", "sgd")
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.optimizer not in ("sgd", "adam"):
+        if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")

@@ -7,7 +7,7 @@ from lula_lab import cli
 from lula_lab.config import default_config, load_config, reference_text, SCHEMA
 from lula_lab.errors import ConfigError
 from lula_lab.metrics import mmc
-from lula_lab.network import Network, forward, load, save
+from lula_lab.network import ACTIVATIONS, Network, forward, load, save
 from lula_lab.numerics import Rng
 from lula_lab.training import softmax
 
@@ -46,6 +46,26 @@ sample_count = 50
 """
 
 
+# (section, key, value) triples that each make a config invalid.
+MALFORMED = [
+    ("lula", "counts", "abc"),
+    ("lula", "counts", "0,32"),
+    ("lula", "epochs", "-1"),
+    ("lula", "grid", "a,b"),
+    ("laplace", "sample_count", "0"),
+    ("laplace", "tune_objective", "foo"),
+    ("laplace", "lambda_grid", "logspace:1:2"),
+    ("laplace", "prior_precision", "abc"),
+    ("laplace", "subset", "all_layers"),
+    ("train", "epochs", "-3"),
+    ("train", "learning_rate", "-1"),
+    ("data", "header", "maybe"),
+    ("eval", "ood_kinds", "foo"),
+    ("eval", "grid_size", "abc"),
+    ("demo", "moons_lula_units", "abc"),
+]
+
+
 @pytest.fixture
 def tiny_config(tmp_path):
     path = tmp_path / "tiny.ini"
@@ -57,8 +77,31 @@ class TestConfig:
     def test_defaults_cover_schema(self):
         cfg = default_config()
         for section, keys in SCHEMA.items():
-            for key in keys:
-                assert cfg.get(section, key) is not None
+            assert set(cfg[section]) == set(keys)
+        assert cfg["model"]["dims"] == (2, 64, 64, 2)
+        assert cfg["data"]["header"] is True
+        assert cfg["lula"]["counts"] == 32
+        assert cfg["eval"]["ood_kinds"] == ("uniform", "asymptotic")
+
+    def test_special_forms_parse_to_typed_values(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text(
+            "[data]\ntarget_column = 3\nheader = false\n"
+            "[train]\nbatch_size = 0\n"
+            "[laplace]\nprior_precision = 0.5\n"
+            "[lula]\ncounts = grid\ninit_std = 0.2\ngrid = 4, 8\n"
+        )
+        cfg = load_config(str(path))
+        assert cfg["data"]["target_column"] == 3
+        assert cfg["train"]["batch_size"] is None
+        assert cfg["laplace"]["prior_precision"] == 0.5
+        assert cfg["lula"]["counts"] is None
+        assert cfg["lula"]["init_std"] == 0.2
+        assert cfg["lula"]["grid"] == (4, 8)
+        defaults = default_config()
+        assert defaults["laplace"]["prior_precision"] is None
+        assert defaults["lula"]["init_std"] is None
+        assert defaults["data"]["target_column"] == ""
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -73,8 +116,7 @@ class TestConfig:
             load_config(str(path))
 
     def test_lambda_grid_logspace(self):
-        cfg = default_config()
-        grid = cfg.lambda_grid()
+        grid = default_config()["laplace"]["lambda_grid"]
         assert len(grid) == 17
         assert grid[0] == pytest.approx(1e-4)
         assert grid[-1] == pytest.approx(1e4)
@@ -82,29 +124,30 @@ class TestConfig:
     def test_lambda_grid_list(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("[laplace]\nlambda_grid = 0.5,2.0\n")
-        assert load_config(str(path)).lambda_grid() == (0.5, 2.0)
+        assert load_config(str(path))["laplace"]["lambda_grid"] == (0.5, 2.0)
 
     def test_lambda_grid_malformed(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("[laplace]\nlambda_grid = logspace:1:2\n")
-        with pytest.raises(ConfigError):
-            load_config(str(path)).lambda_grid()
+        with pytest.raises(ConfigError, match=r"\[laplace\] lambda_grid"):
+            load_config(str(path))
 
     def test_reference_text_lists_every_key(self):
         text = reference_text()
         for section, keys in SCHEMA.items():
             assert f"[{section}]" in text
-            for key, (default, _) in keys.items():
+            for key, (default, _, _) in keys.items():
                 assert f"{key} = {default}" in text
+        assert " | ".join(ACTIVATIONS) in text
 
     def test_master_seed_override(self):
         cfg = default_config()
         derived = cfg.with_master_seed(42)
-        assert derived.get("data", "seed") != cfg.get("data", "seed")
-        assert derived.with_master_seed is not None
+        assert derived["data"]["seed"] != cfg["data"]["seed"]
+        assert isinstance(derived["data"]["seed"], int)
         # deterministic derivation
         again = cfg.with_master_seed(42)
-        assert derived.get("train", "seed") == again.get("train", "seed")
+        assert derived["train"]["seed"] == again["train"]["seed"]
 
 
 class TestCliCommands:
@@ -184,6 +227,25 @@ class TestCliCommands:
         )
         assert code == 2
         assert "prior_precision" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "laplace", "lula", "eval", "demo-toy"])
+    @pytest.mark.parametrize("section,key,value", MALFORMED)
+    def test_malformed_key_exits_2_before_work(
+        self, section, key, value, command, tmp_path, capsys, monkeypatch
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the config was validated")
+
+        monkeypatch.setattr(cli, "_build_data", no_work)
+        monkeypatch.setattr(cli, "train_map", no_work)
+        config = tmp_path / "bad.ini"
+        config.write_text(f"[{section}]\n{key} = {value}\n")
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+        if command in ("laplace", "lula", "eval"):
+            argv += ["--model", str(tmp_path / "model.txt")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"[{section}]" in err and key in err
 
     def test_train_reruns_byte_identical(self, tiny_config, tmp_path):
         a = str(tmp_path / "a.txt")

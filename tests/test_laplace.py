@@ -14,7 +14,6 @@ from lula_lab.laplace import (
     linearized_variance_batch,
     mc_predict,
     probit_predict_binary,
-    sample_params,
     tune_prior_precision,
 )
 from lula_lab.network import LayerSpec, Network, forward
@@ -184,12 +183,12 @@ class TestSampling:
 
     def test_huge_precision_collapses_to_mean(self):
         post = self._posterior(lam=1e12)
-        samples = sample_params(post, Rng(0), 50)
+        samples = post.sample(Rng(0), 50)
         assert np.max(np.abs(samples - post.mean)) <= 1e-4
 
     def test_empirical_covariance_full(self):
         post = self._posterior(lam=0.8)
-        samples = sample_params(post, Rng(1), 10000)
+        samples = post.sample(Rng(1), 10000)
         emp = np.cov(samples.T, bias=True)
         factor = post._cov_factor
         target = factor @ factor.T
@@ -198,7 +197,7 @@ class TestSampling:
     def test_seed_reproducibility(self):
         post = self._posterior()
         assert np.array_equal(
-            sample_params(post, Rng(9), 7), sample_params(post, Rng(9), 7)
+            post.sample(Rng(9), 7), post.sample(Rng(9), 7)
         )
 
     def test_kfac_sampling_matches_dense_oracle(self):
@@ -218,10 +217,17 @@ class TestSampling:
         dense = kron(curv.output_factor, curv.input_factor) + lam * np.eye(post.dim)
         oracle = np.linalg.inv(dense)
         assert np.linalg.norm(emp - oracle) / np.linalg.norm(oracle) <= 0.10
+        # The batched matmul draw against the matrix-normal einsum reference.
+        z = Rng(2).standard_normal((7, post.num_outputs, post.feature_dim))
+        ref = np.einsum(
+            "ij,njg,fg->nif", post._out_sample_factor, z, post._feat_sample_factor
+        )
+        diff = post.sample(Rng(2), 7) - post.mean - ref.reshape(7, -1)
+        assert np.max(np.abs(diff)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_diag_sampling_variances(self):
         post = self._posterior(kind="diag_ggn", lam=0.3)
-        samples = sample_params(post, Rng(3), 40000)
+        samples = post.sample(Rng(3), 40000)
         emp = samples.var(axis=0)
         assert np.allclose(emp, post.marginal_variances(), rtol=0.1, atol=1e-6)
 
