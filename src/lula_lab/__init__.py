@@ -13,7 +13,7 @@ from .errors import (
     ModelFormatError,
     NotPositiveDefinite,
 )
-from .numerics import Rng, cholesky_psd, kron, sample_gaussian, solve_psd
+from .numerics import Rng, cholesky_psd, kron
 from .network import (
     ForwardTrace,
     LayerSpec,

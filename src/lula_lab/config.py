@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import OOD_KINDS
+from .data import OOD_KINDS, SplitSpec
 from .errors import ConfigError
 from .laplace import CURVATURE_KINDS, PREDICT_METHODS, SUBSETS, TUNE_OBJECTIVES
-from .lula import VARIANCE_EVALUATORS
 from .network import ACTIVATIONS
 from .numerics import _mix64
 from .training import LOSS_KINDS, OPTIMIZERS
@@ -54,10 +53,24 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _count(raw: str) -> int:
-    value = _int(raw)
-    if value < 0:
-        raise ValueError(f"expected a nonnegative integer, got {raw!r}")
+def _int_at_least(low: int):
+    def parse(raw: str) -> int:
+        value = _int(raw)
+        if value < low:
+            raise ValueError(f"expected an integer >= {low}, got {raw!r}")
+        return value
+
+    return parse
+
+
+_count = _int_at_least(0)
+
+
+def _precision(raw: str) -> float:
+    """A prior precision: a nonnegative float."""
+    value = _float(raw)
+    if not value >= 0.0:
+        raise ValueError(f"expected a nonnegative float, got {raw!r}")
     return value
 
 
@@ -84,18 +97,18 @@ def _list(item, min_len: int, max_len: int | None = None):
     return parse
 
 
-def _float_or(word: str):
-    """A float, or None for the literal ``word``."""
+def _or_none(word: str, parse):
+    """``parse``, or None for the literal ``word``."""
 
-    def parse(raw: str) -> float | None:
+    def parse_or_none(raw: str):
         if raw.strip() == word:
             return None
         try:
-            return float(raw)
-        except ValueError:
-            raise ValueError(f"expected a float or {word!r}, got {raw!r}") from None
+            return parse(raw)
+        except ValueError as exc:
+            raise ValueError(f"{exc}; {word!r} is also accepted") from None
 
-    return parse
+    return parse_or_none
 
 
 def _batch_size(raw: str) -> int | None:
@@ -117,7 +130,7 @@ def _unit_count(raw: str) -> int | None:
 def _lambda_grid(raw: str) -> tuple[float, ...]:
     raw = raw.strip()
     if not raw.startswith("logspace:"):
-        return _list(_float, 1)(raw)
+        return _list(_precision, 1)(raw)
     parts = raw.split(":")
     if len(parts) != 4:
         raise ValueError("logspace form is logspace:lo:hi:count")
@@ -125,6 +138,10 @@ def _lambda_grid(raw: str) -> tuple[float, ...]:
     if count < 1:
         raise ValueError("logspace count must be positive")
     return tuple(np.logspace(_float(parts[1]), _float(parts[2]), count))
+
+
+def _split(raw: str) -> tuple[float, float, float]:
+    return SplitSpec(_list(_float, 3, 3)(raw)).fractions
 
 
 def _choice(default: str, choices: tuple[str, ...], comment: str):
@@ -149,9 +166,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
             "csv target column name, or 0-based index when header = false",
         ),
         "header": ("true", _bool, "csv has a header row"),
-        "split": (
-            "0.6,0.2,0.2", _list(_float, 3, 3), "train/val/test fractions, sum to 1"
-        ),
+        "split": ("0.6,0.2,0.2", _split, "train/val/test fractions, sum to 1"),
         "standardize": ("false", _bool, "standardize features with train stats"),
         "standardize_targets": (
             "false", _bool, "also standardize regression targets"
@@ -179,7 +194,9 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "curvature": _choice("kfac_last_layer", CURVATURE_KINDS, "GGN structure"),
         "subset": _choice("last_layer", SUBSETS, "parameters under the posterior"),
         "prior_precision": (
-            "tune", _float_or("tune"), "a float, or 'tune' to search the grid"
+            "tune",
+            _or_none("tune", _precision),
+            "a nonnegative float, or 'tune' to search the grid",
         ),
         "tune_objective": _choice(
             "val_log_likelihood", TUNE_OBJECTIVES, "prior-precision tuning score"
@@ -187,7 +204,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "lambda_grid": (
             "logspace:-4:4:17",
             _lambda_grid,
-            "logspace:lo:hi:count (base 10) or a comma list of values",
+            "logspace:lo:hi:count (base 10) or a comma list of nonnegative values",
         ),
         "method": _choice("mc", PREDICT_METHODS, "predictive used for tuning"),
         "sample_count": ("100", _int, "posterior samples for the mc predictive"),
@@ -207,15 +224,14 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         ),
         "learning_rate": ("0.05", _float, "uncertainty-training step size"),
         "epochs": ("20", _int, "uncertainty-training epochs"),
-        "sample_count": ("30", _int, "samples for the mc variance evaluator"),
-        "variance_evaluator": _choice(
-            "linearized", VARIANCE_EVALUATORS, "total-variance estimate"
+        "sample_count": (
+            "30", _int, "posterior samples for the counts = grid score"
         ),
         "in_batch": ("128", _int, "inlier batch size per epoch"),
         "out_batch": ("128", _int, "outlier batch size per epoch"),
         "init_std": (
             "default",
-            _float_or("default"),
+            _or_none("default", _float),
             "'default' (0.1 sqrt(2/fan_in)) or a float",
         ),
         "ood_low": ("-10.0", _float, "outlier box lower bound"),
@@ -230,7 +246,9 @@ SCHEMA: dict[str, dict[str, tuple]] = {
             f"comma list from {', '.join(OOD_KINDS)}",
         ),
         "sample_count": ("100", _int, "posterior samples per prediction run"),
-        "runs": ("10", _int, "prediction repetitions (mean and std reported)"),
+        "runs": (
+            "10", _int_at_least(1), "prediction repetitions (mean and std reported)"
+        ),
         "method": _choice("mc", PREDICT_METHODS, "predictive"),
         "report_std": _choice(
             "epistemic", ("epistemic", "total"), "regression std to report"

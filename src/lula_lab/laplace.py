@@ -18,9 +18,12 @@ For the Kronecker-factored kind, the stored factors follow the convention
 output_factor = sum over data of Lambda_x (k x k) and input_factor = average
 over data of the augmented feature outer products (F x F), so that
 kron(output_factor, input_factor) targets the data-term GGN. Variance queries
-use the exact dense reconstruction kron(G, A) + lambda * I; sampling uses the
-standard per-factor damped approximation (G + sqrt(lambda) I) kron
-(A + sqrt(lambda) I), which is documented as an approximation.
+are exact: with G = Q_G diag(g) Q_G^T and A = Q_A diag(a) Q_A^T, the posterior
+covariance is (Q_G kron Q_A) diag(1 / (g_p a_q + lambda)) (Q_G kron Q_A)^T
+(Ritter, Botev & Barber 2018; Daxberger et al. 2021), so no kF x kF matrix is
+ever formed. Sampling uses the standard per-factor damped approximation
+(G + sqrt(lambda) I) kron (A + sqrt(lambda) I), which is documented as an
+approximation.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .network import (
     forward,
     output_jacobian,
 )
-from .numerics import Rng, inverse_cholesky_factor, kron
+from .numerics import Rng, inverse_cholesky_factor
 from .training import LossKind, output_hessians, sigmoid, softmax
 
 __all__ = [
@@ -61,7 +64,8 @@ SUBSETS = ("all_layers", "last_layer")
 PREDICT_METHODS = ("mc", "probit_linearized")
 TUNE_OBJECTIVES = ("val_log_likelihood", "ood_mmc")
 
-DEFAULT_DENSE_CAP = 5000
+# Largest parameter count for which a full GGN (a dim x dim matrix) is built.
+FULL_GGN_CAP = 5000
 DEFAULT_LAMBDA_GRID = tuple(np.logspace(-4.0, 4.0, 17))
 
 
@@ -96,7 +100,6 @@ def fit_curvature(
     loss: LossKind,
     kind: str,
     subset: str = "last_layer",
-    dense_cap: int = DEFAULT_DENSE_CAP,
 ) -> Curvature:
     """Accumulate the data-term GGN over the given dataset.
 
@@ -135,9 +138,9 @@ def fit_curvature(
                 input_factor=(hbar.T @ hbar) / features.shape[0],
             )
         if kind == "full_ggn":
-            if dim > dense_cap:
+            if dim > FULL_GGN_CAP:
                 raise ValueError(
-                    f"full_ggn dimension {dim} exceeds cap {dense_cap}"
+                    f"full_ggn dimension {dim} exceeds cap {FULL_GGN_CAP}"
                 )
             h = np.einsum("mij,mc,md->icjd", lambdas, hbar, hbar, optimize=True)
             return Curvature(
@@ -149,8 +152,8 @@ def fit_curvature(
 
     # all_layers: accumulate per example through the output Jacobian
     dim = net.num_params
-    if kind == "full_ggn" and dim > dense_cap:
-        raise ValueError(f"full_ggn dimension {dim} exceeds cap {dense_cap}")
+    if kind == "full_ggn" and dim > FULL_GGN_CAP:
+        raise ValueError(f"full_ggn dimension {dim} exceeds cap {FULL_GGN_CAP}")
     trace = forward(net, features)
     lambdas = output_hessians(loss, trace.output)
     mean = net.flatten_params()
@@ -185,7 +188,10 @@ class LaplacePosterior:
     """Gaussian over a parameter subset with precision H_data + lambda * I.
 
     Construction factors everything needed for sampling and variance
-    queries; instances are immutable afterwards. Raises
+    queries; instances are immutable afterwards. The covariance is held in
+    each curvature kind's own exact form: a dense inverse Cholesky factor
+    (full), a vector of variances (diagonal), or variances in the
+    eigenbasis of the two factors (Kronecker). Raises
     :class:`NotPositiveDefinite` when the damped curvature cannot be
     factored.
     """
@@ -195,7 +201,6 @@ class LaplacePosterior:
         curvature: Curvature,
         prior_precision: float,
         mean: np.ndarray | None = None,
-        dense_cap: int = DEFAULT_DENSE_CAP,
     ):
         if prior_precision < 0.0:
             raise ValueError("prior_precision must be nonnegative")
@@ -211,11 +216,9 @@ class LaplacePosterior:
             raise ValueError("mean does not match curvature dimension")
         self._cov_factor: np.ndarray | None = None
         self._var_diag: np.ndarray | None = None
+        self._basis: tuple[np.ndarray, np.ndarray] | None = None
         self._out_sample_factor: np.ndarray | None = None
         self._feat_sample_factor: np.ndarray | None = None
-        self._dense_cap = dense_cap
-        self._output_factor = curvature.output_factor
-        self._input_factor = curvature.input_factor
 
         lam = self.prior_precision
         if curvature.full is not None:
@@ -224,36 +227,25 @@ class LaplacePosterior:
         elif curvature.diag is not None:
             self._var_diag = 1.0 / _positive_diag(curvature.diag + lam)
         else:
+            # Exact: the precision is diagonal, g_p a_q + lambda, in the
+            # basis Q_G kron Q_A; _var_diag holds its inverse in that basis.
+            g, q_out = np.linalg.eigh(curvature.output_factor)
+            a, q_feat = np.linalg.eigh(curvature.input_factor)
+            self._basis = (q_out, q_feat)
+            self._var_diag = 1.0 / _positive_diag(np.outer(g, a).ravel() + lam)
             damp = np.sqrt(lam)
-            g = curvature.output_factor + damp * np.eye(self.num_outputs)
-            a = curvature.input_factor + damp * np.eye(self.feature_dim)
-            self._out_sample_factor = inverse_cholesky_factor(g)
-            self._feat_sample_factor = inverse_cholesky_factor(a)
+            g_damped = curvature.output_factor + damp * np.eye(self.num_outputs)
+            a_damped = curvature.input_factor + damp * np.eye(self.feature_dim)
+            self._out_sample_factor = inverse_cholesky_factor(g_damped)
+            self._feat_sample_factor = inverse_cholesky_factor(a_damped)
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    def _dense_factor(self) -> np.ndarray:
-        # Exact covariance factor for the Kronecker kind, cached lazily.
-        if self._cov_factor is None:
-            dim = self.dim
-            if dim > self._dense_cap:
-                raise ValueError(
-                    f"dense reconstruction of dimension {dim} exceeds cap "
-                    f"{self._dense_cap}"
-                )
-            precision = kron(self._output_factor, self._input_factor)
-            precision += self.prior_precision * np.eye(dim)
-            self._cov_factor = inverse_cholesky_factor(precision)
-        return self._cov_factor
-
     def sample(self, rng: Rng, count: int) -> np.ndarray:
         """Draw parameter vectors, shape (count, dim), around the mean."""
         count = int(count)
-        if self._var_diag is not None:
-            z = rng.standard_normal((count, self.dim))
-            return self.mean[None, :] + z * np.sqrt(self._var_diag)[None, :]
         if self.kind == "kfac_last_layer":
             # Matrix-normal draw S = M_G Z M_A^T; row-major flattening makes
             # the flat covariance the Kronecker product of the factor inverses.
@@ -262,24 +254,25 @@ class LaplacePosterior:
             mats = self._out_sample_factor @ z @ self._feat_sample_factor.T
             return self.mean[None, :] + mats.reshape(count, self.dim)
         z = rng.standard_normal((count, self.dim))
-        return self.mean[None, :] + z @ self._cov_factor.T
-
-    def marginal_variances(self) -> np.ndarray:
         if self._var_diag is not None:
-            return self._var_diag.copy()
-        factor = self._dense_factor() if self.kind == "kfac_last_layer" else self._cov_factor
-        return np.einsum("ij,ij->i", factor, factor)
+            return self.mean[None, :] + z * np.sqrt(self._var_diag)[None, :]
+        return self.mean[None, :] + z @ self._cov_factor.T
 
     def quad_forms(self, vectors: np.ndarray) -> np.ndarray:
         """g^T Sigma g for each row g of ``vectors``."""
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
         if vectors.shape[1] != self.dim:
             raise ValueError("vector dimension does not match posterior")
-        if self._var_diag is not None:
-            return (vectors * vectors) @ self._var_diag
-        factor = self._dense_factor() if self.kind == "kfac_last_layer" else self._cov_factor
-        half = vectors @ factor
-        return np.einsum("ij,ij->i", half, half)
+        if self._var_diag is None:
+            half = vectors @ self._cov_factor
+            return np.einsum("ij,ij->i", half, half)
+        if self._basis is not None:
+            # with M the row-major (k, F) view of g, (Q_G kron Q_A)^T g is
+            # the flattened Q_G^T M Q_A
+            q_out, q_feat = self._basis
+            mats = vectors.reshape(-1, self.num_outputs, self.feature_dim)
+            vectors = (q_out.T @ mats @ q_feat).reshape(vectors.shape)
+        return (vectors * vectors) @ self._var_diag
 
     def output_block_cov(self) -> np.ndarray:
         """Per-output diagonal covariance blocks, shape (k, F, F).
@@ -290,32 +283,25 @@ class LaplacePosterior:
         if self.subset != "last_layer":
             raise ValueError("output blocks only defined for last_layer subset")
         k, feat = self.num_outputs, self.feature_dim
-        if self._var_diag is not None:
-            blocks = np.zeros((k, feat, feat))
-            var = self._var_diag.reshape(k, feat)
-            for i in range(k):
-                np.fill_diagonal(blocks[i], var[i])
-            return blocks
-        factor = self._dense_factor() if self.kind == "kfac_last_layer" else self._cov_factor
-        blocks = np.empty((k, feat, feat))
-        for i in range(k):
-            rows = factor[i * feat : (i + 1) * feat]
-            blocks[i] = rows @ rows.T
-        return blocks
-
-    def sum_output_block_cov(self) -> np.ndarray:
-        """Sum over outputs of the diagonal covariance blocks (F x F)."""
-        return self.output_block_cov().sum(axis=0)
+        if self._var_diag is None:
+            rows = self._cov_factor.reshape(k, feat, self.dim)
+            return rows @ rows.transpose(0, 2, 1)
+        var = self._var_diag.reshape(k, feat)
+        if self._basis is None:
+            return var[:, :, None] * np.eye(feat)
+        # block i = Q_A diag(sum_p Q_G[i, p]^2 var[p, :]) Q_A^T
+        q_out, q_feat = self._basis
+        weights = (q_out * q_out) @ var
+        return (q_feat * weights[:, None, :]) @ q_feat.T
 
 
 def build_posterior(
     curvature: Curvature,
     prior_precision: float,
     mean: np.ndarray | None = None,
-    dense_cap: int = DEFAULT_DENSE_CAP,
 ) -> LaplacePosterior:
     """Gaussian posterior with covariance (H_data + prior_precision I)^-1."""
-    return LaplacePosterior(curvature, prior_precision, mean, dense_cap)
+    return LaplacePosterior(curvature, prior_precision, mean)
 
 
 def _last_layer_feature_batch(net: Network, x: np.ndarray) -> np.ndarray:

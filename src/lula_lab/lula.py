@@ -22,7 +22,6 @@ from .laplace import (
     build_posterior,
     fit_curvature,
     mc_predict,
-    linearized_variance_batch,
 )
 from .network import (
     LayerSpec,
@@ -49,7 +48,6 @@ __all__ = [
 ]
 
 DEFAULT_UNIT_GRID = (32, 64, 128, 256, 512)
-VARIANCE_EVALUATORS = ("linearized", "mc")
 
 
 @dataclass(frozen=True)
@@ -79,22 +77,17 @@ class LulaAugmentation:
 class LulaTrainConfig:
     """Settings for uncertainty training.
 
-    ``variance_evaluator`` picks how the total output variance is measured:
-    ``"linearized"`` uses the posterior covariance directly, ``"mc"`` the
-    empirical covariance of ``sample_count`` draws with a fixed ``seed``.
-    The gradient is closed form for both. The masked update defaults to
-    Adam: the gradient spans several orders of magnitude across free
-    coordinates (fresh units start with near-zero curvature, so their
-    posterior variance is about 1/prior_precision), and the plain step
-    either stalls or overshoots. ``optimizer = "gd"`` selects the
-    unnormalized step instead.
+    The masked update is Adam: the gradient spans several orders of
+    magnitude across free coordinates (fresh units start with near-zero
+    curvature, so their posterior variance is about 1/prior_precision), and
+    a plain step either stalls or overshoots. ``sample_count`` and ``seed``
+    also set the Monte-Carlo predictive that scores each candidate of
+    :func:`grid_search_units`.
     """
 
     learning_rate: float = 0.1
     epochs: int = 20
     sample_count: int = 30
-    variance_evaluator: str = "linearized"
-    optimizer: str = "adam"
     in_batch: int = 128
     out_batch: int = 128
     seed: int = 0
@@ -106,12 +99,6 @@ class LulaTrainConfig:
             raise ValueError("epochs must be nonnegative")
         if self.sample_count < 1:
             raise ValueError("sample_count must be at least 1")
-        if self.variance_evaluator not in VARIANCE_EVALUATORS:
-            raise ValueError(
-                f"unknown variance evaluator {self.variance_evaluator!r}"
-            )
-        if self.optimizer not in ("adam", "gd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 def _mask_shapes(dims: tuple[int, ...], counts) -> tuple[list, list]:
@@ -208,54 +195,40 @@ def mask_gradient(grads: ParamGrads, aug: LulaAugmentation) -> ParamGrads:
     return ParamGrads(out_w, out_b)
 
 
-def _variance_matrix(post: LaplacePosterior, cfg: LulaTrainConfig) -> np.ndarray:
-    """F x F matrix B with total variance hbar^T B hbar, last-layer posterior.
+def _variance_matrix(post: LaplacePosterior) -> np.ndarray:
+    """F x F matrix B with total variance hbar^T B hbar.
 
-    Linearized: the covariance blocks of the k output rows, summed. mc: the
-    biased empirical covariance of the fixed-seed samples, each sample read
-    as k rows of length F and the k covariances summed, which is the plain
-    S-sample moment estimator of the summed output variance.
+    B is the sum of the k output covariance blocks of a last-layer
+    posterior; any other subset raises ``ValueError``.
     """
-    if cfg.variance_evaluator == "linearized":
-        return post.sum_output_block_cov()
-    samples = post.sample(Rng(cfg.seed), cfg.sample_count)
-    centred = (samples - samples.mean(axis=0)).reshape(-1, post.feature_dim)
-    return centred.T @ centred / cfg.sample_count
+    if post.subset != "last_layer":
+        raise ValueError("LULA variances require a last_layer posterior")
+    return post.output_block_cov().sum(axis=0)
 
 
 def total_variance_batch(
-    net: Network,
-    post: LaplacePosterior,
-    x: np.ndarray,
-    cfg: LulaTrainConfig,
+    net: Network, post: LaplacePosterior, x: np.ndarray
 ) -> np.ndarray:
-    """Total output variance per input row, shape (m,).
+    """Total linearized output variance per input row, shape (m,).
 
-    The linearized evaluator sums the per-output linearized variances; the
-    mc evaluator uses the plain S-sample moment estimator with a fixed seed,
-    so repeated calls are deterministic. For a last-layer posterior both are
-    the quadratic form hbar^T B hbar of :func:`_variance_matrix`.
+    The sum over outputs of the exact per-output variances, i.e. the
+    quadratic form hbar^T B hbar of :func:`_variance_matrix` in the final
+    hidden features. Requires a last-layer posterior; any other subset
+    raises ``ValueError``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
-    if post.subset == "last_layer":
-        hbar = augment_ones(forward(net, x).activations[-2])
-        return ((hbar @ _variance_matrix(post, cfg)) * hbar).sum(axis=1)
-    if cfg.variance_evaluator == "linearized":
-        return linearized_variance_batch(net, post, x).sum(axis=1)
-    samples = post.sample(Rng(cfg.seed), cfg.sample_count)
-    outs = np.stack([forward(net.with_flat_params(s), x).output for s in samples])
-    return outs.var(axis=0).sum(axis=1)
+    block_sum = _variance_matrix(post)
+    hbar = augment_ones(forward(net, x).activations[-2])
+    return ((hbar @ block_sum) * hbar).sum(axis=1)
 
 
-def total_variance(
-    net: Network, post: LaplacePosterior, x: np.ndarray, cfg: LulaTrainConfig
-) -> float:
+def total_variance(net: Network, post: LaplacePosterior, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("total_variance expects a single input vector")
-    return float(total_variance_batch(net, post, x[None, :], cfg)[0])
+    return float(total_variance_batch(net, post, x[None, :])[0])
 
 
 def lula_objective(
@@ -263,15 +236,14 @@ def lula_objective(
     post: LaplacePosterior,
     in_batch: np.ndarray,
     out_batch: np.ndarray,
-    cfg: LulaTrainConfig,
 ) -> float:
     """Mean total variance over inliers minus mean over outliers."""
     in_batch = np.atleast_2d(np.asarray(in_batch, dtype=np.float64))
     out_batch = np.atleast_2d(np.asarray(out_batch, dtype=np.float64))
     if in_batch.shape[0] == 0 or out_batch.shape[0] == 0:
         raise ValueError("both batches must be nonempty")
-    v_in = total_variance_batch(net, post, in_batch, cfg)
-    v_out = total_variance_batch(net, post, out_batch, cfg)
+    v_in = total_variance_batch(net, post, in_batch)
+    v_out = total_variance_batch(net, post, out_batch)
     return float(np.mean(v_in) - np.mean(v_out))
 
 
@@ -281,21 +253,19 @@ def objective_gradient(
     post: LaplacePosterior,
     in_batch: np.ndarray,
     out_batch: np.ndarray,
-    cfg: LulaTrainConfig,
 ) -> ParamGrads:
     """Closed-form gradient of the variance objective over the free parameters.
 
     The posterior is held fixed (the training loop refits it once per
     epoch), so each row's total variance is the quadratic form
-    hbar^T B hbar with B from :func:`_variance_matrix`, for either
-    evaluator, and its gradient in hbar is 2 B hbar. Only the added units of
-    the final hidden layer reach hbar: units added at deeper layers feed
-    structurally-zero columns everywhere downstream, so their free
-    parameters have exactly zero gradient. Requires a last-layer posterior;
-    any other subset raises ``ValueError``.
+    hbar^T B hbar with B from :func:`_variance_matrix`, and its gradient in
+    hbar is 2 B hbar. Only the added units of the final hidden layer reach
+    hbar: units added at deeper layers feed structurally-zero columns
+    everywhere downstream, so their free parameters have exactly zero
+    gradient. Requires a last-layer posterior; any other subset raises
+    ``ValueError``.
     """
-    if post.subset != "last_layer":
-        raise ValueError("objective gradient requires a last_layer posterior")
+    block_sum = _variance_matrix(post)
     in_batch = np.atleast_2d(np.asarray(in_batch, dtype=np.float64))
     out_batch = np.atleast_2d(np.asarray(out_batch, dtype=np.float64))
     grad_w = [np.zeros_like(w) for w in net.weights]
@@ -309,7 +279,6 @@ def objective_gradient(
     n_in_orig = aug.weight_masks[top].shape[1] - (
         aug.unit_counts[top - 1] if top > 0 else 0
     )
-    block_sum = _variance_matrix(post, cfg)
 
     def accumulate(batch, sign):
         trace = forward(net, batch)
@@ -351,35 +320,31 @@ def train_lula(
     Per epoch: refit a diagonal last-layer posterior of the current network
     on the inlier features, evaluate the variance objective on fresh seeded
     batches, and step the flat parameter vector along the masked closed-form
-    gradient of :func:`objective_gradient` (Adam, or the plain step for
-    ``optimizer = "gd"``). Masked entries have exactly zero gradient, so
-    original parameters and structural zeros are preserved bitwise
-    throughout. Returns the tuned network, the per-epoch objective history,
-    and a final refit posterior.
+    gradient of :func:`objective_gradient` with Adam. Masked entries have
+    exactly zero gradient, so original parameters and structural zeros are
+    preserved bitwise throughout. Returns the tuned network, the per-epoch
+    objective history, and a final refit posterior.
     """
     in_features = np.atleast_2d(np.asarray(in_features, dtype=np.float64))
     out_features = np.atleast_2d(np.asarray(out_features, dtype=np.float64))
     rng = Rng(cfg.seed)
     current = net
     theta = net.flatten_params()
-    adam = _Adam(theta.size, cfg.learning_rate) if cfg.optimizer == "adam" else None
+    adam = _Adam(theta.size, cfg.learning_rate)
     history: list[float] = []
     for epoch in range(cfg.epochs):
         curv = fit_curvature(current, in_features, loss, "diag_ggn", "last_layer")
         post = build_posterior(curv, prior_precision)
         in_batch = _draw_batch(in_features, cfg.in_batch, rng.derive(2 * epoch))
         out_batch = _draw_batch(out_features, cfg.out_batch, rng.derive(2 * epoch + 1))
-        value = lula_objective(current, post, in_batch, out_batch, cfg)
+        value = lula_objective(current, post, in_batch, out_batch)
         if not np.isfinite(value):
             raise DivergenceError(f"non-finite objective at epoch {epoch}")
         history.append(value)
         grad = mask_gradient(
-            objective_gradient(current, aug, post, in_batch, out_batch, cfg), aug
+            objective_gradient(current, aug, post, in_batch, out_batch), aug
         ).flatten()
-        if adam is None:
-            theta = theta - cfg.learning_rate * grad
-        else:
-            theta = adam.step(theta, grad)
+        theta = adam.step(theta, grad)
         current = current.with_flat_params(theta)
     curv = fit_curvature(current, in_features, loss, "diag_ggn", "last_layer")
     return current, history, build_posterior(curv, prior_precision)
@@ -402,22 +367,15 @@ def grid_search_units(
     :func:`train_lula`; the score is |1 - MMC_in| + |1/k - MMC_out| on the
     validation sets using the refit posterior. Ties break toward the smaller
     count; candidates whose posterior fails to factor are skipped with a
-    warning. ``candidate_counts=None`` selects the default grid, dropping
-    counts whose augmented posterior would exceed the dense dimension cap.
+    warning. ``candidate_counts=None`` selects :data:`DEFAULT_UNIT_GRID`.
     """
-    from .laplace import DEFAULT_DENSE_CAP
     from .metrics import mmc
 
     n_hidden = net.num_layers - 1
     if n_hidden < 1:
         raise ValueError("network has no hidden layer to augment")
     if candidate_counts is None:
-        feat = net.specs[-1].in_dim
-        candidate_counts = [
-            c
-            for c in DEFAULT_UNIT_GRID
-            if net.output_dim * (feat + c + 1) <= DEFAULT_DENSE_CAP
-        ]
+        candidate_counts = DEFAULT_UNIT_GRID
     candidates = sorted(set(int(c) for c in candidate_counts))
     if not candidates:
         raise ValueError("candidate set must be nonempty")

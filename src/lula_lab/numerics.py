@@ -16,9 +16,8 @@ from .errors import NotPositiveDefinite
 __all__ = [
     "Rng",
     "cholesky_psd",
-    "solve_psd",
+    "inverse_cholesky_factor",
     "kron",
-    "sample_gaussian",
 ]
 
 # Escalating diagonal jitter used when factoring curvature matrices: attempt
@@ -108,27 +107,6 @@ def cholesky_psd(a: np.ndarray) -> np.ndarray:
     )
 
 
-def solve_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b for symmetric positive-definite a via Cholesky."""
-    chol = cholesky_psd(a)
-    return solve_with_cholesky(chol, b)
-
-
-def solve_with_cholesky(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (L @ L.T) x = b given a precomputed lower-triangular L."""
-    b = np.asarray(b, dtype=np.float64)
-    squeeze = b.ndim == 1
-    rhs = b[:, None] if squeeze else b
-    if rhs.shape[0] != chol.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: factor is {chol.shape[0]}x{chol.shape[0]}, "
-            f"rhs has {rhs.shape[0]} rows"
-        )
-    y = solve_triangular(chol, rhs, lower=True)
-    x = solve_triangular(chol.T, y, lower=False)
-    return x[:, 0] if squeeze else x
-
-
 def inverse_cholesky_factor(a: np.ndarray) -> np.ndarray:
     """Upper-triangular M with M @ M.T == inv(a), for PD a.
 
@@ -148,21 +126,3 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     kron(a, b) @ s.ravel() = (a @ s @ b.T).ravel().
     """
     return np.kron(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
-
-
-def sample_gaussian(
-    mean: np.ndarray, chol_cov: np.ndarray, rng: Rng, count: int
-) -> np.ndarray:
-    """Draw ``count`` samples from N(mean, chol_cov @ chol_cov.T).
-
-    Returns an array of shape (count, dim). Deterministic given the rng seed.
-    """
-    mean = np.asarray(mean, dtype=np.float64).ravel()
-    chol_cov = _as_square_matrix(np.asarray(chol_cov, dtype=np.float64), "chol_cov")
-    if chol_cov.shape[0] != mean.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: mean has {mean.shape[0]} entries, "
-            f"chol_cov is {chol_cov.shape[0]}x{chol_cov.shape[1]}"
-        )
-    z = rng.standard_normal((int(count), mean.shape[0]))
-    return mean[None, :] + z @ chol_cov.T

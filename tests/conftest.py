@@ -35,7 +35,7 @@ def fd_param_gradient(f, theta: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     return grad
 
 
-def fd_free_gradient(net, aug, post, in_batch, out_batch, cfg) -> np.ndarray:
+def fd_free_gradient(net, aug, post, in_batch, out_batch) -> np.ndarray:
     """Finite-difference oracle of ``lula_objective`` over the free parameters.
 
     The posterior is held fixed. Returns a flat gradient in the network's
@@ -50,9 +50,7 @@ def fd_free_gradient(net, aug, post, in_batch, out_batch, cfg) -> np.ndarray:
     def objective(values):
         moved = theta.copy()
         moved[free] = values
-        return lula_objective(
-            net.with_flat_params(moved), post, in_batch, out_batch, cfg
-        )
+        return lula_objective(net.with_flat_params(moved), post, in_batch, out_batch)
 
     grad = np.zeros_like(theta)
     grad[free] = fd_param_gradient(objective, theta[free])

@@ -168,9 +168,8 @@ def test_criterion_3_gradient_oracles():
                           "last_layer"),
             0.3,
         )
-        cfg = LulaTrainConfig()
-        fd_g = fd_free_gradient(aug_net, aug, post, data[:5], out[:5], cfg)
-        an_g = objective_gradient(aug_net, aug, post, data[:5], out[:5], cfg)
+        fd_g = fd_free_gradient(aug_net, aug, post, data[:5], out[:5])
+        an_g = objective_gradient(aug_net, aug, post, data[:5], out[:5])
         worst_lula = max(worst_lula, relative_error(an_g.flatten(), fd_g))
 
     ok = worst_bwd <= 1e-5 and worst_loss <= 1e-5 and worst_lula <= 1e-3

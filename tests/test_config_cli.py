@@ -56,12 +56,16 @@ MALFORMED = [
     ("laplace", "tune_objective", "foo"),
     ("laplace", "lambda_grid", "logspace:1:2"),
     ("laplace", "prior_precision", "abc"),
+    ("laplace", "prior_precision", "-1"),
+    ("laplace", "lambda_grid", "-1,1"),
     ("laplace", "subset", "all_layers"),
     ("train", "epochs", "-3"),
     ("train", "learning_rate", "-1"),
     ("data", "header", "maybe"),
+    ("data", "split", "0.5,0.5,0.5"),
     ("eval", "ood_kinds", "foo"),
     ("eval", "grid_size", "abc"),
+    ("eval", "runs", "0"),
     ("demo", "moons_lula_units", "abc"),
 ]
 

@@ -5,6 +5,7 @@ from conftest import relative_error
 from lula_lab.errors import NotPositiveDefinite
 from lula_lab.laplace import (
     DEFAULT_LAMBDA_GRID,
+    FULL_GGN_CAP,
     Curvature,
     PredictConfig,
     build_posterior,
@@ -28,6 +29,10 @@ def linear_net(weight, bias):
         [w],
         [np.asarray(bias, dtype=float).ravel()],
     )
+
+
+def marginal_variances(post):
+    return post.quad_forms(np.eye(post.dim))
 
 
 def fd_hessian(f, theta, eps=1e-4):
@@ -110,10 +115,11 @@ class TestFitCurvature:
                           "kfac_last_layer", "all_layers")
 
     def test_dimension_cap(self):
-        net = Network.init_random([50, 60, 2], "relu", Rng(0))
-        with pytest.raises(ValueError):
+        net = Network.init_random([50, 60, 60, 2], "relu", Rng(0))
+        assert net.num_params > FULL_GGN_CAP
+        with pytest.raises(ValueError, match="exceeds cap"):
             fit_curvature(net, np.ones((1, 50)), LossKind("categorical_ce"),
-                          "full_ggn", "all_layers", dense_cap=100)
+                          "full_ggn", "all_layers")
 
     def test_kfac_exact_for_gaussian(self):
         # constant output factor makes the Kronecker split exact
@@ -132,25 +138,69 @@ class TestBuildPosterior:
         curv = Curvature("full_ggn", "last_layer", np.zeros(3), 1, 3,
                          full=np.zeros((3, 3)))
         post = build_posterior(curv, 2.0)
-        assert np.allclose(post.marginal_variances(), 0.5 * np.ones(3), atol=1e-12)
+        assert np.allclose(marginal_variances(post), 0.5 * np.ones(3), atol=1e-12)
 
     def test_identity_curvature(self):
         curv = Curvature("full_ggn", "last_layer", np.zeros(2), 1, 2,
                          full=np.eye(2))
         post = build_posterior(curv, 1.0)
-        assert np.allclose(post.marginal_variances(), 0.5 * np.ones(2), atol=1e-12)
+        assert np.allclose(marginal_variances(post), 0.5 * np.ones(2), atol=1e-12)
 
-    def test_kfac_marginals_match_dense_inverse(self):
-        # 3-class, 4-feature instance; oracle is the explicit dense inverse
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_kfac_marginals_match_dense_inverse(self, k):
+        # the eigenbasis covariance against the explicit dense inverse of
+        # kron(G, A) + lambda I: marginals and every output block
         rng = Rng(4)
-        net = Network.init_random([2, 4, 3], "tanh", rng)
+        net = Network.init_random([2, 4, k], "tanh", rng)
         x = rng.standard_normal((25, 2))
+        loss = LossKind("binary_ce" if k == 1 else "categorical_ce")
+        curv = fit_curvature(net, x, loss, "kfac_last_layer")
+        feat = curv.feature_dim
+        for lam in (0.37,) + DEFAULT_LAMBDA_GRID[4::4]:
+            post = build_posterior(curv, lam)
+            dense = kron(curv.output_factor, curv.input_factor)
+            oracle = np.linalg.inv(dense + lam * np.eye(post.dim))
+            oracle_blocks = np.stack(
+                [oracle[i * feat:(i + 1) * feat, i * feat:(i + 1) * feat]
+                 for i in range(k)]
+            )
+            scale = np.max(np.abs(oracle))
+            blocks = post.output_block_cov()
+            assert np.max(np.abs(blocks - oracle_blocks)) <= 1e-10 * scale, lam
+            marginals = marginal_variances(post)
+            assert np.max(np.abs(marginals - np.diag(oracle))) <= 1e-10 * scale
+
+    def test_kfac_beyond_full_ggn_cap(self):
+        # k F = 10 * 600 = 6000 > FULL_GGN_CAP: the eigenbasis never forms
+        # a kF x kF matrix, so the linearized variance is still available
+        rng = Rng(21)
+        net = Network.init_random([4, 599, 10], "tanh", rng)
+        x = rng.standard_normal((30, 4))
         curv = fit_curvature(net, x, LossKind("categorical_ce"), "kfac_last_layer")
-        lam = 0.37
-        post = build_posterior(curv, lam)
-        dense = kron(curv.output_factor, curv.input_factor) + lam * np.eye(post.dim)
-        oracle = np.diag(np.linalg.inv(dense))
-        assert np.allclose(post.marginal_variances(), oracle, atol=1e-10)
+        post = build_posterior(curv, 1.0)
+        assert post.dim > FULL_GGN_CAP
+        points = rng.standard_normal((5, 4))
+        v = linearized_variance_batch(net, post, points)
+        hbar = np.concatenate(
+            [forward(net, points).activations[-2], np.ones((5, 1))], axis=1
+        )
+        expected = post.quad_forms(np.kron(np.eye(10)[3], hbar))
+        assert v.shape == (5, 10)
+        assert np.allclose(v[:, 3], expected, rtol=1e-10, atol=0.0)
+
+    def test_kfac_zero_prior_precision_singular_factor(self):
+        # categorical output factors are singular (the softmax shift
+        # direction), so lambda = 0 leaves zero eigenvalues in the precision
+        rng = Rng(22)
+        net = Network.init_random([2, 5, 3], "tanh", rng)
+        x = rng.standard_normal((20, 2))
+        curv = fit_curvature(net, x, LossKind("categorical_ce"), "kfac_last_layer")
+        assert np.min(np.linalg.eigvalsh(curv.output_factor)) <= 1e-12
+        post = build_posterior(curv, 0.0)
+        v = linearized_variance_batch(net, post, rng.standard_normal((8, 2)))
+        assert np.all(np.isfinite(v)) and np.all(v >= 0.0)
+        var = marginal_variances(post)
+        assert np.all(np.isfinite(var)) and np.all(var >= 0.0)
 
     def test_negative_curvature_fails(self):
         curv = Curvature("full_ggn", "last_layer", np.zeros(1), 1, 1,
@@ -167,7 +217,7 @@ class TestBuildPosterior:
             curv = fit_curvature(net, x, loss, kind, "last_layer")
             previous = None
             for lam in DEFAULT_LAMBDA_GRID:
-                var = build_posterior(curv, lam).marginal_variances()
+                var = marginal_variances(build_posterior(curv, lam))
                 if previous is not None:
                     assert np.all(var <= previous + 1e-12), kind
                 previous = var
@@ -229,7 +279,7 @@ class TestSampling:
         post = self._posterior(kind="diag_ggn", lam=0.3)
         samples = post.sample(Rng(3), 40000)
         emp = samples.var(axis=0)
-        assert np.allclose(emp, post.marginal_variances(), rtol=0.1, atol=1e-6)
+        assert np.allclose(emp, marginal_variances(post), rtol=0.1, atol=1e-6)
 
 
 class TestLinearizedVariance:

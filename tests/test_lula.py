@@ -116,41 +116,7 @@ class TestTotalVariance:
         net = Network.init_random([2, 5, 2], "tanh", rng)
         x = rng.standard_normal((10, 2))
         post = diag_last_layer_posterior(net, x, LossKind("categorical_ce"), 1e12)
-        cfg = LulaTrainConfig()
-        assert total_variance(net, post, x[0], cfg) <= 1e-8
-
-    def test_mc_matches_linearized_for_linear_output(self):
-        rng = Rng(5)
-        net = Network.init_random([2, 4, 1], "tanh", rng)
-        x = rng.standard_normal((15, 2))
-        post = diag_last_layer_posterior(net, x, LossKind("gaussian_nll"), 0.3)
-        lin = total_variance(net, post, x[0], LulaTrainConfig())
-        mc_cfg = LulaTrainConfig(sample_count=50000, variance_evaluator="mc", seed=8)
-        mc = total_variance(net, post, x[0], mc_cfg)
-        se = lin * np.sqrt(2.0 / 50000)
-        assert abs(mc - lin) <= 3 * se
-
-    @pytest.mark.parametrize("subset", ["last_layer", "all_layers"])
-    def test_mc_equals_per_sample_moments(self, subset):
-        # reference: the sample variance of the outputs of each drawn network
-        rng = Rng(20)
-        net = Network.init_random([2, 5, 3], "tanh", rng)
-        x = rng.standard_normal((9, 2))
-        curv = fit_curvature(net, x, LossKind("categorical_ce"), "diag_ggn", subset)
-        post = build_posterior(curv, 0.7)
-        cfg = LulaTrainConfig(variance_evaluator="mc", sample_count=40, seed=3)
-        outs = []
-        for s in post.sample(Rng(cfg.seed), cfg.sample_count):
-            if subset == "last_layer":
-                hbar = np.concatenate(
-                    [forward(net, x).activations[-2], np.ones((9, 1))], axis=1
-                )
-                outs.append(hbar @ s.reshape(3, -1).T)
-            else:
-                outs.append(forward(net.with_flat_params(s), x).output)
-        expected = np.var(np.stack(outs), axis=0).sum(axis=1)
-        got = total_variance_batch(net, post, x, cfg)
-        assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+        assert total_variance(net, post, x[0]) <= 1e-8
 
     def test_augmentation_never_reduces_variance(self):
         # diagonal last-layer posterior, real-valued output: the added
@@ -162,11 +128,20 @@ class TestTotalVariance:
         loss = LossKind("gaussian_nll")
         post = diag_last_layer_posterior(net, data, loss, 0.5)
         post_aug = diag_last_layer_posterior(aug_net, data, loss, 0.5)
-        cfg = LulaTrainConfig()
         xs = rng.uniform(-5.0, 5.0, (200, 2))
-        v = total_variance_batch(net, post, xs, cfg)
-        v_aug = total_variance_batch(aug_net, post_aug, xs, cfg)
+        v = total_variance_batch(net, post, xs)
+        v_aug = total_variance_batch(aug_net, post_aug, xs)
         assert np.all(v_aug >= v - 1e-12)
+
+    def test_rejects_all_layers_posterior(self):
+        rng = Rng(20)
+        net = Network.init_random([2, 5, 3], "tanh", rng)
+        x = rng.standard_normal((9, 2))
+        curv = fit_curvature(net, x, LossKind("categorical_ce"), "diag_ggn",
+                             "all_layers")
+        post = build_posterior(curv, 0.7)
+        with pytest.raises(ValueError, match="last_layer"):
+            total_variance_batch(net, post, x)
 
 
 class TestObjective:
@@ -180,39 +155,35 @@ class TestObjective:
 
     def test_identical_batches_cancel(self):
         net, _, post, data = self._setup()
-        cfg = LulaTrainConfig()
-        assert lula_objective(net, post, data, data, cfg) == 0.0
+        assert lula_objective(net, post, data, data) == 0.0
 
     def test_difference_of_means(self):
         net, _, post, data = self._setup()
-        cfg = LulaTrainConfig()
         a, b = data[:4], data[4:10]
-        nu_a = total_variance_batch(net, post, a, cfg)
-        nu_b = total_variance_batch(net, post, b, cfg)
+        nu_a = total_variance_batch(net, post, a)
+        nu_b = total_variance_batch(net, post, b)
         expected = float(np.mean(nu_a) - np.mean(nu_b))
-        assert lula_objective(net, post, a, b, cfg) == pytest.approx(
+        assert lula_objective(net, post, a, b) == pytest.approx(
             expected, abs=1e-12
         )
 
     def test_duplication_invariance(self):
         net, _, post, data = self._setup()
-        cfg = LulaTrainConfig()
         a, b = data[:4], data[4:8]
-        base = lula_objective(net, post, a, b, cfg)
+        base = lula_objective(net, post, a, b)
         doubled = lula_objective(
-            net, post, np.concatenate([a, a]), np.concatenate([b, b]), cfg
+            net, post, np.concatenate([a, a]), np.concatenate([b, b])
         )
         assert doubled == pytest.approx(base, abs=1e-12)
 
     def test_empty_batch_rejected(self):
         net, _, post, data = self._setup()
         with pytest.raises(ValueError):
-            lula_objective(net, post, np.empty((0, 2)), data, LulaTrainConfig())
+            lula_objective(net, post, np.empty((0, 2)), data)
 
 
 class TestObjectiveGradient:
-    @pytest.mark.parametrize("evaluator", ["linearized", "mc"])
-    def test_analytic_matches_fd_across_configs(self, evaluator):
+    def test_analytic_matches_fd_across_configs(self):
         rng = Rng(9)
         worst = 0.0
         for trial in range(20):
@@ -225,9 +196,8 @@ class TestObjectiveGradient:
             post = diag_last_layer_posterior(
                 aug_net, data, LossKind("gaussian_nll"), 0.3
             )
-            cfg = LulaTrainConfig(variance_evaluator=evaluator, seed=trial)
-            fd = fd_free_gradient(aug_net, aug, post, data[:6], out[:6], cfg)
-            an = objective_gradient(aug_net, aug, post, data[:6], out[:6], cfg)
+            fd = fd_free_gradient(aug_net, aug, post, data[:6], out[:6])
+            an = objective_gradient(aug_net, aug, post, data[:6], out[:6])
             err = relative_error(an.flatten(), fd)
             worst = max(worst, err)
             assert err <= 1e-3, f"trial {trial}: {err}"
@@ -242,13 +212,12 @@ class TestObjectiveGradient:
         aug_net, aug = augment(net, [3, 2], rng)
         data = rng.standard_normal((10, 2))
         post = diag_last_layer_posterior(aug_net, data, LossKind("gaussian_nll"), 0.5)
-        cfg = LulaTrainConfig()
-        flat_fd = fd_free_gradient(aug_net, aug, post, data[:5], data[5:], cfg)
+        flat_fd = fd_free_gradient(aug_net, aug, post, data[:5], data[5:])
         fd = aug_net.with_flat_params(flat_fd)  # per-layer view of the gradient
         assert np.array_equal(fd.weights[0][4:], np.zeros((3, 2)))
         assert np.array_equal(fd.biases[0][4:], np.zeros(3))
         assert np.any(fd.weights[1][4:, :4] != 0.0)
-        an = objective_gradient(aug_net, aug, post, data[:5], data[5:], cfg)
+        an = objective_gradient(aug_net, aug, post, data[:5], data[5:])
         assert np.array_equal(an.weights[0], np.zeros((7, 2)))
         assert np.array_equal(an.biases[0], np.zeros(7))
         assert relative_error(an.flatten(), flat_fd) <= 1e-3
@@ -263,9 +232,7 @@ class TestObjectiveGradient:
         )
         post = build_posterior(curv, 0.5)
         with pytest.raises(ValueError, match="last_layer"):
-            objective_gradient(
-                aug_net, aug, post, data[:4], data[4:], LulaTrainConfig()
-            )
+            objective_gradient(aug_net, aug, post, data[:4], data[4:])
 
 
 class TestTrainLula:
@@ -297,24 +264,21 @@ class TestTrainLula:
         )
         eval_in, eval_out = moons.features[100:], out[60:]
         post0 = diag_last_layer_posterior(aug_net, moons.features[:100], loss, 0.5)
-        before = lula_objective(aug_net, post0, eval_in, eval_out, cfg)
+        before = lula_objective(aug_net, post0, eval_in, eval_out)
         tuned, history, post1 = train_lula(
             aug_net, aug, moons.features[:100], out[:60], loss, 0.5, cfg
         )
-        after = lula_objective(tuned, post1, eval_in, eval_out, cfg)
+        after = lula_objective(tuned, post1, eval_in, eval_out)
         assert after < before
         assert len(history) == 8
 
-    @pytest.mark.parametrize("optimizer", ["adam", "gd"])
-    def test_structural_invariants_bitwise(self, optimizer):
+    def test_structural_invariants_bitwise(self):
         rng = Rng(14)
         net = Network.init_random([2, 5, 5, 2], "relu", rng)
         aug_net, aug = augment(net, [3, 3], rng)
         data = rng.standard_normal((20, 2))
         out = rng.uniform(-6, 6, (20, 2))
-        cfg = LulaTrainConfig(
-            epochs=2, learning_rate=0.05, optimizer=optimizer, seed=5
-        )
+        cfg = LulaTrainConfig(epochs=2, learning_rate=0.05, seed=5)
         tuned, _, _ = train_lula(
             aug_net, aug, data, out, LossKind("categorical_ce"), 0.5, cfg
         )
@@ -395,6 +359,30 @@ class TestGridSearch:
         # counts 4 and 8 tie with the better score; the smaller one wins
         assert scores[4] == scores[8] < scores[2]
         assert best == 4
+
+    def test_default_grid_is_the_whole_unit_grid(self, monkeypatch):
+        # 10 outputs: the largest counts give k (F + c + 1) > 5000 last-layer
+        # parameters, which the diagonal training posterior handles
+        rng = Rng(20)
+        net = Network.init_random([2, 4, 10], "relu", rng)
+        data = rng.standard_normal((10, 2))
+        post = diag_last_layer_posterior(net, data, LossKind("categorical_ce"), 0.5)
+        trained = []
+
+        def fake_train(aug_net, aug, in_f, out_f, l, lam, cfg):
+            trained.append(aug.unit_counts[-1])
+            return aug_net, [], post
+
+        def fake_predict(network, posterior, feats, cfg, l):
+            return Predictive(probabilities=np.full((feats.shape[0], 10), 0.1))
+
+        monkeypatch.setattr(lula_mod, "train_lula", fake_train)
+        monkeypatch.setattr(lula_mod, "mc_predict", fake_predict)
+        grid_search_units(
+            net, None, data, data, LossKind("categorical_ce"), 0.5,
+            LulaTrainConfig(epochs=1), 10,
+        )
+        assert tuple(trained) == lula_mod.DEFAULT_UNIT_GRID
 
     def test_singleton_candidate(self):
         rng = Rng(18)

@@ -7,8 +7,6 @@ from lula_lab.numerics import (
     cholesky_psd,
     inverse_cholesky_factor,
     kron,
-    sample_gaussian,
-    solve_psd,
 )
 
 
@@ -37,37 +35,6 @@ class TestCholesky:
         singular = v @ v.T
         chol = cholesky_psd(singular)
         assert np.allclose(chol @ chol.T, singular, atol=1e-6)
-
-
-class TestSolvePsd:
-    def test_scalar_inverse(self):
-        assert np.allclose(solve_psd(2.0 * np.eye(3), np.eye(3)), 0.5 * np.eye(3))
-
-    def test_identity_returns_rhs(self):
-        rhs = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        assert np.allclose(solve_psd(np.eye(3), rhs), rhs)
-
-    def test_residual_on_2x2(self):
-        a = np.array([[4.0, 2.0], [2.0, 3.0]])
-        b = np.array([1.0, 1.0])
-        x = solve_psd(a, b)
-        assert np.allclose(a @ x, b, atol=1e-12)
-
-    def test_roundtrip_random_spd(self):
-        rng = Rng(7)
-        for trial in range(100):
-            n = int(rng.integers(1, 21))
-            m = rng.standard_normal((n, n))
-            a = m @ m.T + 0.5 * np.eye(n)
-            x = rng.standard_normal(n)
-            recovered = solve_psd(a, a @ x)
-            assert np.linalg.norm(recovered - x) <= 1e-8 * max(
-                np.linalg.norm(x), 1.0
-            ), f"trial {trial}"
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_psd(np.eye(3), np.ones(4))
 
 
 class TestKron:
@@ -101,36 +68,6 @@ class TestKron:
         b = rng.standard_normal((4, 4))
         s = rng.standard_normal((2, 4))
         assert np.allclose(kron(a, b) @ s.ravel(), (a @ s @ b.T).ravel(), atol=1e-12)
-
-
-class TestSampleGaussian:
-    def test_zero_covariance_returns_mean(self):
-        mean = np.array([1.0, -2.0, 3.0])
-        samples = sample_gaussian(mean, np.zeros((3, 3)), Rng(0), 5)
-        assert np.array_equal(samples, np.tile(mean, (5, 1)))
-
-    def test_law_of_large_numbers(self):
-        samples = sample_gaussian(np.zeros(3), np.eye(3), Rng(11), 10000)
-        assert np.all(np.abs(samples.mean(axis=0)) <= 4.0 / np.sqrt(10000))
-
-    def test_seed_determinism(self):
-        a = sample_gaussian(np.zeros(2), np.eye(2), Rng(5), 10)
-        b = sample_gaussian(np.zeros(2), np.eye(2), Rng(5), 10)
-        assert np.array_equal(a, b)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            sample_gaussian(np.zeros(2), np.eye(3), Rng(0), 1)
-
-    def test_empirical_covariance(self):
-        rng = Rng(21)
-        m = rng.standard_normal((3, 3))
-        cov = m @ m.T + np.eye(3)
-        chol = cholesky_psd(cov)
-        samples = sample_gaussian(np.zeros(3), chol, Rng(42), 50000)
-        emp = np.cov(samples.T, bias=True)
-        rel = np.linalg.norm(emp - cov) / np.linalg.norm(cov)
-        assert rel <= 0.10
 
 
 class TestRng:
