@@ -17,9 +17,11 @@ Parameter subsets:
 For the Kronecker-factored kind, the stored factors follow the convention
 output_factor = sum over data of Lambda_x (k x k) and input_factor = average
 over data of the augmented feature outer products (F x F), so that
-kron(output_factor, input_factor) targets the data-term GGN. Variance queries
-are exact: with G = Q_G diag(g) Q_G^T and A = Q_A diag(a) Q_A^T, the posterior
-covariance is (Q_G kron Q_A) diag(1 / (g_p a_q + lambda)) (Q_G kron Q_A)^T
+kron(output_factor, input_factor) targets the data-term GGN; their
+eigendecompositions are stored with them and shared by the posterior of
+every prior precision. Variance queries are exact: with G = Q_G diag(g) Q_G^T
+and A = Q_A diag(a) Q_A^T, the posterior covariance is
+(Q_G kron Q_A) diag(1 / (g_p a_q + lambda)) (Q_G kron Q_A)^T
 (Ritter, Botev & Barber 2018; Daxberger et al. 2021), so no kF x kF matrix is
 ever formed. Sampling uses the standard per-factor damped approximation
 (G + sqrt(lambda) I) kron (A + sqrt(lambda) I), which is documented as an
@@ -39,7 +41,7 @@ from .network import (
     forward,
     output_jacobian,
 )
-from .numerics import Rng, inverse_cholesky_factor
+from .numerics import Rng, add_to_diagonal, inverse_cholesky_factor, positive_diagonal
 from .training import LossKind, output_hessians, sigmoid, softmax
 
 __all__ = [
@@ -82,6 +84,9 @@ class Curvature:
     diag: np.ndarray | None = None
     output_factor: np.ndarray | None = None
     input_factor: np.ndarray | None = None
+    # (eigenvalues, eigenvectors) of output_factor and input_factor
+    output_eigh: tuple[np.ndarray, np.ndarray] | None = None
+    input_eigh: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def dim(self) -> int:
@@ -128,14 +133,18 @@ def fit_curvature(
         dim = k * feat
         mean = last_layer_mean(net)
         if kind == "kfac_last_layer":
+            output_factor = lambdas.sum(axis=0)
+            input_factor = (hbar.T @ hbar) / features.shape[0]
             return Curvature(
                 kind,
                 subset,
                 mean,
                 k,
                 feature_dim=feat,
-                output_factor=lambdas.sum(axis=0),
-                input_factor=(hbar.T @ hbar) / features.shape[0],
+                output_factor=output_factor,
+                input_factor=input_factor,
+                output_eigh=np.linalg.eigh(output_factor),
+                input_eigh=np.linalg.eigh(input_factor),
             )
         if kind == "full_ggn":
             if dim > FULL_GGN_CAP:
@@ -168,20 +177,6 @@ def fit_curvature(
         jac = output_jacobian(net, features[i])
         acc_diag += np.einsum("ip,ij,jp->p", jac, lambdas[i], jac)
     return Curvature(kind, subset, mean, k, diag=acc_diag)
-
-
-def _positive_diag(entries: np.ndarray) -> np.ndarray:
-    """Apply the jitter ladder to a diagonal precision; raise if hopeless."""
-    if np.all(entries > 0.0):
-        return entries
-    base = float(np.mean(entries))
-    if not np.isfinite(base) or base <= 0.0:
-        base = 1.0
-    for scale in (1e-8, 1e-6):
-        candidate = entries + scale * base
-        if np.all(candidate > 0.0):
-            return candidate
-    raise NotPositiveDefinite("diagonal precision has non-positive entries")
 
 
 class LaplacePosterior:
@@ -222,20 +217,20 @@ class LaplacePosterior:
 
         lam = self.prior_precision
         if curvature.full is not None:
-            precision = curvature.full + lam * np.eye(curvature.dim)
+            precision = add_to_diagonal(curvature.full, lam)
             self._cov_factor = inverse_cholesky_factor(precision)
         elif curvature.diag is not None:
-            self._var_diag = 1.0 / _positive_diag(curvature.diag + lam)
+            self._var_diag = 1.0 / positive_diagonal(curvature.diag + lam)
         else:
             # Exact: the precision is diagonal, g_p a_q + lambda, in the
             # basis Q_G kron Q_A; _var_diag holds its inverse in that basis.
-            g, q_out = np.linalg.eigh(curvature.output_factor)
-            a, q_feat = np.linalg.eigh(curvature.input_factor)
+            g, q_out = curvature.output_eigh
+            a, q_feat = curvature.input_eigh
             self._basis = (q_out, q_feat)
-            self._var_diag = 1.0 / _positive_diag(np.outer(g, a).ravel() + lam)
+            self._var_diag = 1.0 / positive_diagonal(np.outer(g, a).ravel() + lam)
             damp = np.sqrt(lam)
-            g_damped = curvature.output_factor + damp * np.eye(self.num_outputs)
-            a_damped = curvature.input_factor + damp * np.eye(self.feature_dim)
+            g_damped = add_to_diagonal(curvature.output_factor, damp)
+            a_damped = add_to_diagonal(curvature.input_factor, damp)
             self._out_sample_factor = inverse_cholesky_factor(g_damped)
             self._feat_sample_factor = inverse_cholesky_factor(a_damped)
 

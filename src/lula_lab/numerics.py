@@ -9,21 +9,26 @@ here touches a global random state.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import NotPositiveDefinite
 
 __all__ = [
     "Rng",
+    "add_to_diagonal",
     "cholesky_psd",
     "inverse_cholesky_factor",
     "kron",
+    "positive_diagonal",
 ]
 
 # Escalating diagonal jitter used when factoring curvature matrices: attempt
 # a clean factorization first (keeps exact cases exact), then retry with
 # 1e-8 and 1e-6 times the mean diagonal added to the diagonal.
 JITTER_SCALES = (0.0, 1e-8, 1e-6)
+
+# Triangular blocks up to this order are inverted directly; larger ones are
+# halved recursively so that the work is done by matrix products.
+_TRIANGULAR_BLOCK = 128
 
 _MASK64 = (1 << 64) - 1
 
@@ -80,6 +85,19 @@ def _as_square_matrix(a: np.ndarray, name: str = "a") -> np.ndarray:
     return a
 
 
+def add_to_diagonal(a: np.ndarray, value: float) -> np.ndarray:
+    """Copy of the square matrix a with value added to its diagonal."""
+    out = np.array(a, dtype=np.float64)
+    out.flat[:: out.shape[0] + 1] += value
+    return out
+
+
+def _jitter_base(diag: np.ndarray) -> float:
+    """Mean of the diagonal, or 1 when that is not a finite positive number."""
+    base = float(np.mean(diag)) if diag.size else 1.0
+    return base if np.isfinite(base) and base > 0.0 else 1.0
+
+
 def cholesky_psd(a: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L @ L.T == a, tolerating near-PSD input.
 
@@ -92,13 +110,12 @@ def cholesky_psd(a: np.ndarray) -> np.ndarray:
     scale = max(float(np.max(np.abs(a))), 1.0)
     if float(np.max(np.abs(a - a.T))) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric within 1e-10 relative")
-    base = float(np.mean(np.diag(a))) if a.shape[0] else 1.0
-    if not np.isfinite(base) or base <= 0.0:
-        base = 1.0
-    eye = np.eye(a.shape[0])
+    base = _jitter_base(np.diag(a))
     for jitter in JITTER_SCALES:
         try:
-            return np.linalg.cholesky(a + (jitter * base) * eye)
+            return np.linalg.cholesky(
+                add_to_diagonal(a, jitter * base) if jitter else a
+            )
         except np.linalg.LinAlgError:
             continue
     raise NotPositiveDefinite(
@@ -107,14 +124,46 @@ def cholesky_psd(a: np.ndarray) -> np.ndarray:
     )
 
 
+def positive_diagonal(entries: np.ndarray) -> np.ndarray:
+    """Diagonal precision made positive by the jitter ladder of cholesky_psd.
+
+    Each rung of :data:`JITTER_SCALES` adds ``scale * mean(entries)`` to every
+    entry; the first rung with all entries positive is returned. Raises
+    :class:`NotPositiveDefinite` when all rungs fail.
+    """
+    base = _jitter_base(entries)
+    for jitter in JITTER_SCALES:
+        candidate = entries + jitter * base if jitter else entries
+        if np.all(candidate > 0.0):
+            return candidate
+    raise NotPositiveDefinite("diagonal precision has non-positive entries")
+
+
+def _lower_triangular_inverse(low: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower-triangular matrix, itself lower.
+
+    With low = [[A, 0], [B, C]] the inverse is
+    [[inv(A), 0], [-inv(C) B inv(A), inv(C)]]; np.tril clears the rounding
+    that a general inverse leaves above the diagonal of a small block.
+    """
+    n = low.shape[0]
+    if n <= _TRIANGULAR_BLOCK:
+        return np.tril(np.linalg.inv(low))
+    h = n // 2
+    out = np.zeros_like(low)
+    out[:h, :h] = _lower_triangular_inverse(low[:h, :h])
+    out[h:, h:] = _lower_triangular_inverse(low[h:, h:])
+    out[h:, :h] = -(out[h:, h:] @ low[h:, :h]) @ out[:h, :h]
+    return out
+
+
 def inverse_cholesky_factor(a: np.ndarray) -> np.ndarray:
     """Upper-triangular M with M @ M.T == inv(a), for PD a.
 
     Computed as inv(chol(a)).T, so sampling with M draws from the Gaussian
     whose precision is a.
     """
-    chol = cholesky_psd(a)
-    return solve_triangular(chol, np.eye(chol.shape[0]), lower=True).T
+    return _lower_triangular_inverse(cholesky_psd(a)).T
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -382,6 +385,37 @@ class TestDemoToy:
             a = (out1 / name).read_bytes()
             b = (out2 / name).read_bytes()
             assert a == b, f"{name} differs between runs"
+
+    def test_runs_with_scipy_import_blocked(self, tmp_path):
+        # numpy is the only runtime dependency: a fresh interpreter in which
+        # importing scipy fails must import the CLI and run the demo.
+        config = tmp_path / "demo.ini"
+        config.write_text(DEMO_INI)
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from lula_lab import cli\n"
+            "loaded = sorted(name for name, mod in sys.modules.items()\n"
+            "                if mod is not None and name.split('.')[0] == 'scipy')\n"
+            "if loaded:\n"
+            "    sys.exit(f'scipy loaded: {loaded}')\n"
+            "sys.exit(cli.main(['demo-toy', '--config', sys.argv[1],\n"
+            "                   '--out', sys.argv[2]]))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(config), str(tmp_path / "out")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "out" / "summary.txt").exists()
 
     def test_demo_without_config_uses_defaults(self):
         # parser accepts a missing --config for demo-toy (defaults kick in);

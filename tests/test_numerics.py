@@ -7,6 +7,7 @@ from lula_lab.numerics import (
     cholesky_psd,
     inverse_cholesky_factor,
     kron,
+    positive_diagonal,
 )
 
 
@@ -30,11 +31,52 @@ class TestCholesky:
         with pytest.raises(ValueError):
             cholesky_psd(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "a, scale",
+        [
+            # rank 1: the second pivot is exactly zero, so rung 0 fails
+            (np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]), 1e-8),
+            # smallest eigenvalue about -5e-8: rung 1 fails, rung 2 holds
+            (np.array([[1.0, 1.0], [1.0, 1.0 - 1e-7]]), 1e-6),
+        ],
+    )
+    def test_jitter_rung_arithmetic(self, a, scale):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(a)
+        expected = np.linalg.cholesky(
+            a + scale * np.mean(np.diag(a)) * np.eye(a.shape[0])
+        )
+        assert np.array_equal(cholesky_psd(a), expected)
+
     def test_jitter_rescues_rank_deficient_psd(self):
         v = np.array([[1.0], [2.0], [3.0]])
         singular = v @ v.T
         chol = cholesky_psd(singular)
         assert np.allclose(chol @ chol.T, singular, atol=1e-6)
+
+
+class TestPositiveDiagonal:
+    def test_positive_entries_returned_unchanged(self):
+        entries = np.array([1e-300, 2.0, 3.0])
+        assert positive_diagonal(entries) is entries
+
+    @pytest.mark.parametrize(
+        "entries, scale",
+        [
+            (np.array([0.0, 2.0, 4.0]), 1e-8),
+            (np.array([-5e-8, 1.0, 2.0]), 1e-6),
+            # nonpositive mean: the base falls back to 1
+            (np.array([-1e-7, 0.0]), 1e-6),
+        ],
+    )
+    def test_ladder_rungs(self, entries, scale):
+        mean = np.mean(entries)
+        base = mean if mean > 0.0 else 1.0
+        assert np.array_equal(positive_diagonal(entries), entries + scale * base)
+
+    def test_hopeless_entries_rejected(self):
+        with pytest.raises(NotPositiveDefinite):
+            positive_diagonal(np.array([-1.0, 1.0]))
 
 
 class TestKron:
@@ -88,6 +130,20 @@ class TestRng:
         again = Rng(2024).standard_normal(2)
         assert np.array_equal(first_two, again)
         assert np.all(np.isfinite(first_two))
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300, 700])
+def test_inverse_cholesky_factor_ill_conditioned(n):
+    # x x^T + 1e-4 I with row scales over two decades: condition about 1e6.
+    # Sizes straddle the direct-inverse block of 128 and recurse up to 3 deep.
+    rng = Rng(n)
+    x = rng.standard_normal((n, n)) * np.logspace(-1.0, 1.0, n)[:, None]
+    a = x @ x.T / n + 1e-4 * np.eye(n)
+    factor = inverse_cholesky_factor(a)
+    inv = np.linalg.inv(a)
+    err = np.linalg.norm(factor @ factor.T - inv) / np.linalg.norm(inv)
+    assert err <= 1e-10
+    assert np.array_equal(factor, np.triu(factor))
 
 
 def test_inverse_cholesky_factor():
