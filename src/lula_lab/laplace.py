@@ -8,7 +8,12 @@ posterior precision is the data-term curvature plus prior_precision * I.
 Parameter subsets:
 
 * ``all_layers``: the full flattened parameter vector (frozen layer-major
-  ordering from :mod:`lula_lab.network`).
+  ordering from :mod:`lula_lab.network`). The GGN is accumulated over
+  chunks of examples: with Lambda_x = L_x L_x^T in closed form
+  (:func:`lula_lab.training.output_hessian_roots`) and R the stacked rows
+  L_x^T J_x of a chunk's batched output Jacobians, the chunk adds R^T R (its
+  diagonal, the column sums of R * R). A fixed byte budget for the stacked
+  Jacobians bounds the chunk, so memory stays flat however long the data.
 * ``last_layer``: only the output layer, with biases folded into the weight
   matrix through a constant-1 feature. Ordering is row-major over the
   augmented matrix [W | b], i.e. index (i, c) -> i * F + c with F the
@@ -42,7 +47,13 @@ from .network import (
     output_jacobian,
 )
 from .numerics import Rng, add_to_diagonal, inverse_cholesky_factor, positive_diagonal
-from .training import LossKind, output_hessians, sigmoid, softmax
+from .training import (
+    LossKind,
+    output_hessian_roots,
+    output_hessians,
+    sigmoid,
+    softmax,
+)
 
 __all__ = [
     "CURVATURE_KINDS",
@@ -69,6 +80,14 @@ TUNE_OBJECTIVES = ("val_log_likelihood", "ood_mmc")
 # Largest parameter count for which a full GGN (a dim x dim matrix) is built.
 FULL_GGN_CAP = 5000
 DEFAULT_LAMBDA_GRID = tuple(np.logspace(-4.0, 4.0, 17))
+# Bytes of stacked (m, k, d) output Jacobians held at once by the all-layers
+# curvature fit and variance; bounds memory for long datasets and large d.
+_JACOBIAN_CHUNK_BYTES = 8 * 2**20
+
+
+def _chunk_rows(num_outputs: int, dim: int) -> int:
+    """Examples per chunk of stacked output Jacobians."""
+    return max(1, _JACOBIAN_CHUNK_BYTES // (8 * num_outputs * dim))
 
 
 @dataclass
@@ -112,7 +131,10 @@ def fit_curvature(
     the negative log-likelihood, a function of the outputs alone. For the
     last-layer subset the exact per-example structure
     Lambda_x kron (hbar hbar^T) is used directly; the Kronecker kind stores
-    the two factors instead of assembling them.
+    the two factors instead of assembling them. For all layers, each chunk
+    of examples contributes R^T R (full) or the column sums of R * R
+    (diagonal), with R the stacked L_x^T J_x of the batched output
+    Jacobians and L_x L_x^T = Lambda_x.
     """
     if kind not in CURVATURE_KINDS:
         raise ValueError(f"unknown curvature kind {kind!r}")
@@ -159,24 +181,24 @@ def fit_curvature(
         diag = np.einsum("mi,mc->ic", lam_diag, hbar * hbar).ravel(order="C")
         return Curvature(kind, subset, mean, k, feature_dim=feat, diag=diag)
 
-    # all_layers: accumulate per example through the output Jacobian
+    # all_layers: R^T R over chunks of stacked L_x^T J_x rows
     dim = net.num_params
     if kind == "full_ggn" and dim > FULL_GGN_CAP:
         raise ValueError(f"full_ggn dimension {dim} exceeds cap {FULL_GGN_CAP}")
-    trace = forward(net, features)
-    lambdas = output_hessians(loss, trace.output)
-    mean = net.flatten_params()
-    if kind == "full_ggn":
-        acc = np.zeros((dim, dim))
-        for i in range(features.shape[0]):
-            jac = output_jacobian(net, features[i])
-            acc += jac.T @ lambdas[i] @ jac
-        return Curvature(kind, subset, mean, k, full=acc)
-    acc_diag = np.zeros(dim)
-    for i in range(features.shape[0]):
-        jac = output_jacobian(net, features[i])
-        acc_diag += np.einsum("ip,ij,jp->p", jac, lambdas[i], jac)
-    return Curvature(kind, subset, mean, k, diag=acc_diag)
+    roots = output_hessian_roots(loss, forward(net, features).output)
+    roots_t = roots.transpose(0, 2, 1)
+    full = np.zeros((dim, dim)) if kind == "full_ggn" else None
+    diag = np.zeros(dim) if kind == "diag_ggn" else None
+    rows = _chunk_rows(k, dim)
+    for start in range(0, features.shape[0], rows):
+        chunk = slice(start, start + rows)
+        jac = output_jacobian(net, features[chunk])
+        r = (roots_t[chunk] @ jac).reshape(-1, dim)
+        if full is not None:
+            full += r.T @ r  # numpy's syrk path: exactly symmetric
+        else:
+            diag += (r * r).sum(axis=0)
+    return Curvature(kind, subset, net.flatten_params(), k, full=full, diag=diag)
 
 
 class LaplacePosterior:
@@ -312,7 +334,9 @@ def linearized_variance_batch(
     """Per-output linearized predictive variances, shape (m, k).
 
     v_i(x) = g_i^T Sigma g_i with g_i the output-i gradient restricted to the
-    posterior subset, evaluated at the network's current parameters.
+    posterior subset, evaluated at the network's current parameters. For
+    all layers, the stacked output Jacobians of each chunk of points go
+    through one ``quad_forms`` call.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
@@ -321,10 +345,13 @@ def linearized_variance_batch(
         hbar = _last_layer_feature_batch(net, x)
         blocks = post.output_block_cov()
         return ((hbar @ blocks) * hbar).sum(axis=2).T
-    out = np.empty((x.shape[0], post.num_outputs))
-    for j in range(x.shape[0]):
-        jac = output_jacobian(net, x[j])
-        out[j] = post.quad_forms(jac)
+    k = post.num_outputs
+    out = np.empty((x.shape[0], k))
+    rows = _chunk_rows(k, post.dim)
+    for start in range(0, x.shape[0], rows):
+        chunk = slice(start, start + rows)
+        jac = output_jacobian(net, x[chunk]).reshape(-1, post.dim)
+        out[chunk] = post.quad_forms(jac).reshape(-1, k)
     return out
 
 

@@ -262,23 +262,42 @@ def backward(
 
 
 def output_jacobian(net: Network, x: np.ndarray) -> np.ndarray:
-    """Jacobian of the outputs w.r.t. the flattened parameters, shape (k, d).
+    """Jacobian of the outputs w.r.t. the flattened parameters.
 
-    Row i holds the gradient of output i in the frozen flattening order
-    (layer-major, weights row-major, then bias).
+    A single input vector gives shape (k, d); a batch of m rows gives
+    (m, k, d), one (k, d) Jacobian per example. Row i of each holds the
+    gradient of output i in the frozen flattening order (layer-major,
+    weights row-major, then bias).
+
+    One backward sweep carries, for every example and every output, the
+    gradient delta_l of that output w.r.t. layer l's pre-activations; the
+    layer's weight block is then the outer product delta_l(x) h_{l-1}(x)^T
+    and its bias block delta_l(x) itself.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("output_jacobian expects a single input vector")
-    trace = forward(net, x[None, :])
-    k = net.output_dim
-    rows = []
-    for i in range(k):
-        onehot = np.zeros((1, k))
-        onehot[0, i] = 1.0
-        grads, _ = backward(net, trace, onehot)
-        rows.append(grads.flatten())
-    return np.stack(rows, axis=0)
+    if x.ndim not in (1, 2):
+        raise ValueError("output_jacobian expects an input vector or a batch")
+    trace = forward(net, x)
+    m, k = trace.output.shape
+    jac = np.empty((m, k, net.num_params))
+    delta = np.broadcast_to(np.eye(k), (m, k, k))  # output layer is linear
+    stop = net.num_params
+    for i in range(net.num_layers - 1, -1, -1):
+        h = trace.activations[i]
+        spec = net.specs[i]
+        bias_start = stop - spec.out_dim
+        start = bias_start - spec.out_dim * spec.in_dim
+        jac[:, :, start:bias_start] = (
+            delta[:, :, :, None] * h[:, None, None, :]
+        ).reshape(m, k, bias_start - start)
+        jac[:, :, bias_start:stop] = delta
+        if i > 0:
+            phi_grad = activation_derivative(
+                net.specs[i - 1].activation, trace.pre_activations[i - 1]
+            )
+            delta = (delta @ net.weights[i]) * phi_grad[:, None, :]
+        stop = start
+    return jac[0] if x.ndim == 1 else jac
 
 
 def augment_ones(features: np.ndarray) -> np.ndarray:

@@ -131,6 +131,30 @@ def output_hessians(loss: LossKind, outputs: np.ndarray) -> np.ndarray:
     return (s * (1.0 - s)).reshape(m, 1, 1)
 
 
+def output_hessian_roots(loss: LossKind, outputs: np.ndarray) -> np.ndarray:
+    """Per-example roots L with L L^T = Lambda of :func:`output_hessians`.
+
+    Closed forms, shape (m, k, k): sqrt(beta) * I for the Gaussian,
+    sqrt(sigma * (1 - sigma)) for the binary case, and diag(sqrt(p)) -
+    p sqrt(p)^T for the categorical, whose product with its transpose is
+    diag(p) - p p^T because the probabilities sum to one.
+    """
+    m, k = outputs.shape
+    if loss.kind == "gaussian_nll":
+        return np.broadcast_to(
+            np.sqrt(loss.noise_precision) * np.eye(k), (m, k, k)
+        ).copy()
+    if loss.kind == "categorical_ce":
+        p = softmax(outputs)
+        root_p = np.sqrt(p)
+        r = -p[:, :, None] * root_p[:, None, :]
+        rows = np.arange(k)
+        r[:, rows, rows] += root_p
+        return r
+    s = sigmoid(outputs[:, 0])
+    return np.sqrt(s * (1.0 - s)).reshape(m, 1, 1)
+
+
 def map_loss(
     net: Network,
     features: np.ndarray,

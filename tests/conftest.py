@@ -1,10 +1,10 @@
-"""Shared helpers: random network factories and finite-difference oracles."""
+"""Shared helpers: random network factories, loop and finite-difference oracles."""
 
 import numpy as np
 import pytest
 
 from lula_lab.lula import lula_objective
-from lula_lab.network import Network
+from lula_lab.network import Network, backward, forward
 from lula_lab.numerics import Rng
 
 
@@ -21,6 +21,19 @@ def random_network(rng: Rng, max_layers=3, max_units=10, input_dim=None,
     # random biases exercise more of the affine path than the zero default
     biases = [b + 0.1 * rng.standard_normal(b.shape) for b in net.biases]
     return Network(net.specs, net.weights, biases)
+
+
+def loop_output_jacobian(net: Network, x: np.ndarray) -> np.ndarray:
+    """Oracle (k, d) Jacobian of one input: one one-hot backward pass per output."""
+    trace = forward(net, np.asarray(x, dtype=np.float64)[None, :])
+    k = net.output_dim
+    rows = []
+    for i in range(k):
+        onehot = np.zeros((1, k))
+        onehot[0, i] = 1.0
+        grads, _ = backward(net, trace, onehot)
+        rows.append(grads.flatten())
+    return np.stack(rows, axis=0)
 
 
 def fd_param_gradient(f, theta: np.ndarray, eps: float = 1e-5) -> np.ndarray:

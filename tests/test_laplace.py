@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import relative_error
+from conftest import loop_output_jacobian, relative_error
+from lula_lab import laplace
 from lula_lab.errors import NotPositiveDefinite
 from lula_lab.laplace import (
     DEFAULT_LAMBDA_GRID,
@@ -19,7 +20,14 @@ from lula_lab.laplace import (
 )
 from lula_lab.network import LayerSpec, Network, forward
 from lula_lab.numerics import Rng, kron
-from lula_lab.training import LossKind, map_loss, sigmoid, softmax
+from lula_lab.training import (
+    LossKind,
+    map_loss,
+    output_hessian_roots,
+    output_hessians,
+    sigmoid,
+    softmax,
+)
 
 
 def linear_net(weight, bias):
@@ -46,6 +54,24 @@ def fd_hessian(f, theta, eps=1e-4):
             mm = theta.copy(); mm[i] -= eps; mm[j] -= eps
             h[i, j] = (f(pp) - f(pm) - f(mp) + f(mm)) / (4 * eps * eps)
     return h
+
+
+def loop_ggn(net, x, loss):
+    """Oracle all-layers GGN: sum over examples of J^T Lambda J."""
+    lambdas = output_hessians(loss, forward(net, x).output)
+    acc = np.zeros((net.num_params, net.num_params))
+    for i in range(x.shape[0]):
+        jac = loop_output_jacobian(net, x[i])
+        acc += jac.T @ lambdas[i] @ jac
+    return acc
+
+
+# (loss, number of outputs) for each likelihood
+LOSS_CASES = [
+    pytest.param(LossKind("categorical_ce"), 3, id="categorical"),
+    pytest.param(LossKind("binary_ce"), 1, id="binary"),
+    pytest.param(LossKind("gaussian_nll", 2.5), 3, id="gaussian"),
+]
 
 
 class TestFitCurvature:
@@ -131,6 +157,45 @@ class TestFitCurvature:
         kf = fit_curvature(net, x, loss, "kfac_last_layer")
         assert np.allclose(kron(kf.output_factor, kf.input_factor), full.full,
                            atol=1e-10)
+
+
+class TestAllLayersGGN:
+    @pytest.mark.parametrize("loss, k", LOSS_CASES)
+    def test_matches_per_example_loop(self, loss, k):
+        rng = Rng(21)
+        net = Network.init_random([3, 6, 5, k], "tanh", rng)
+        x = 2.0 * rng.standard_normal((20, 3))
+        expected = loop_ggn(net, x, loss)
+        full = fit_curvature(net, x, loss, "full_ggn", "all_layers").full
+        diag = fit_curvature(net, x, loss, "diag_ggn", "all_layers").diag
+        assert relative_error(full, expected) <= 1e-10
+        assert relative_error(diag, np.diag(expected)) <= 1e-10
+        assert np.array_equal(full, full.T)
+
+    @pytest.mark.parametrize("kind", ["full_ggn", "diag_ggn"])
+    def test_chunk_invariance(self, monkeypatch, kind):
+        rng = Rng(22)
+        net = Network.init_random([3, 6, 5, 3], "tanh", rng)
+        x = rng.standard_normal((20, 3))
+        loss = LossKind("categorical_ce")
+        dim = net.num_params
+        assert laplace._chunk_rows(3, dim) >= 20
+        whole = fit_curvature(net, x, loss, kind, "all_layers")
+        monkeypatch.setattr(laplace, "_JACOBIAN_CHUNK_BYTES", 7 * 8 * 3 * dim)
+        assert laplace._chunk_rows(3, dim) == 7  # chunks of 7, 7 and 6
+        chunked = fit_curvature(net, x, loss, kind, "all_layers")
+        if kind == "full_ggn":
+            assert relative_error(chunked.full, whole.full) <= 1e-12
+            assert np.array_equal(chunked.full, chunked.full.T)
+        else:
+            assert relative_error(chunked.diag, whole.diag) <= 1e-12
+
+    @pytest.mark.parametrize("loss, k", LOSS_CASES)
+    def test_output_hessian_roots(self, loss, k):
+        outputs = 3.0 * Rng(23).standard_normal((50, k))
+        roots = output_hessian_roots(loss, outputs)
+        lambdas = output_hessians(loss, outputs)
+        assert np.max(np.abs(roots @ roots.transpose(0, 2, 1) - lambdas)) <= 1e-15
 
 
 class TestBuildPosterior:
@@ -315,6 +380,24 @@ class TestLinearizedVariance:
         factor = post._cov_factor
         expected = np.einsum("ij,ij->i", jac @ factor, jac @ factor)
         assert np.allclose(v, expected, atol=1e-10)
+
+    @pytest.mark.parametrize("kind", ["full_ggn", "diag_ggn"])
+    def test_all_layers_batch_matches_per_point_oracle(self, monkeypatch, kind):
+        rng = Rng(13)
+        net = Network.init_random([2, 5, 4, 3], "tanh", rng)
+        x = rng.standard_normal((12, 2))
+        curv = fit_curvature(net, x, LossKind("categorical_ce"), kind, "all_layers")
+        post = build_posterior(curv, 0.5)
+        points = rng.standard_normal((9, 2))
+        expected = np.stack(
+            [post.quad_forms(loop_output_jacobian(net, p)) for p in points]
+        )
+        v = linearized_variance_batch(net, post, points)
+        assert v.shape == (9, 3)
+        assert relative_error(v, expected) <= 1e-12
+        monkeypatch.setattr(laplace, "_JACOBIAN_CHUNK_BYTES", 4 * 8 * 3 * post.dim)
+        chunked = linearized_variance_batch(net, post, points)
+        assert relative_error(chunked, expected) <= 1e-12
 
     @pytest.mark.parametrize("kind", ["full_ggn", "diag_ggn", "kfac_last_layer"])
     def test_last_layer_batch_matches_per_output_quad_forms(self, kind):

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import fd_param_gradient, random_network, relative_error
+from conftest import (
+    fd_param_gradient,
+    loop_output_jacobian,
+    random_network,
+    relative_error,
+)
 from lula_lab.errors import ModelFormatError
 from lula_lab.network import (
     LayerSpec,
@@ -145,6 +150,36 @@ class TestOutputJacobian:
         net = random_network(rng, output_dim=1)
         jac = output_jacobian(net, rng.standard_normal(net.input_dim))
         assert jac.shape == (1, net.num_params)
+
+    def test_batch_and_vector_shapes(self, rng):
+        net = random_network(rng, input_dim=3, output_dim=2)
+        x = rng.standard_normal((5, 3))
+        assert output_jacobian(net, x).shape == (5, 2, net.num_params)
+        assert output_jacobian(net, x[1]).shape == (2, net.num_params)
+        assert output_jacobian(net, x[:0]).shape == (0, 2, net.num_params)
+
+    @pytest.mark.parametrize("bad", [np.float64(1.0), np.ones((2, 2, 3)), np.ones(4),
+                                     np.ones((2, 4))])
+    def test_rejects_bad_input_shapes(self, rng, bad):
+        net = random_network(rng, input_dim=3, output_dim=2)
+        with pytest.raises(ValueError):
+            output_jacobian(net, bad)
+
+    @pytest.mark.parametrize("hidden", [1, 3])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("activation", ["relu", "selu", "tanh", "identity"])
+    def test_batch_matches_loop_oracle(self, activation, k, hidden):
+        rng = Rng(41)
+        dims = [3] + [int(rng.integers(2, 8)) for _ in range(hidden)] + [k]
+        net = Network.init_random(dims, activation, rng)
+        biases = [b + 0.1 * rng.standard_normal(b.shape) for b in net.biases]
+        net = Network(net.specs, net.weights, biases)
+        x = rng.standard_normal((9, 3))
+        jac = output_jacobian(net, x)
+        for j in range(x.shape[0]):
+            expected = loop_output_jacobian(net, x[j])
+            assert relative_error(jac[j], expected) <= 1e-14
+            assert relative_error(output_jacobian(net, x[j]), expected) <= 1e-14
 
     def test_matches_finite_differences(self):
         rng = Rng(31)
