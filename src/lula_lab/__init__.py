@@ -34,6 +34,7 @@ from .laplace import (
     fit_curvature,
     linearized_variance,
     mc_predict,
+    mc_predict_sets,
     probit_predict_binary,
     tune_prior_precision,
 )

@@ -24,7 +24,7 @@ from .laplace import (
     PredictConfig,
     build_posterior,
     fit_curvature,
-    mc_predict,
+    mc_predict_sets,
     predictive_log_likelihood,
     tune_prior_precision,
 )
@@ -319,8 +319,10 @@ def cmd_eval(
     for r in range(runs):
         pcfg = replace(eval_cfg, seed=_mix64(eval_cfg.seed, 1000 + r))
         reports = []
+        pred_test, *pred_ood = mc_predict_sets(
+            net, post, [test.features, *ood_sets.values()], pcfg, loss
+        )
         if classification:
-            pred_test = mc_predict(net, post, test.features, pcfg, loss)
             conf_test = pred_test.probabilities.max(axis=1)
             reports.append(
                 metrics_mod.EvalReport(
@@ -330,8 +332,7 @@ def cmd_eval(
                     confidences=conf_test,
                 )
             )
-            for name, feats in ood_sets.items():
-                pred = mc_predict(net, post, feats, pcfg, loss)
+            for name, pred in zip(ood_sets, pred_ood):
                 conf = pred.probabilities.max(axis=1)
                 reports.append(
                     metrics_mod.EvalReport(
@@ -356,15 +357,11 @@ def cmd_eval(
                 var = pred.var_total if report_total else pred.var_epistemic
                 return float(np.mean(np.sqrt(var)))
 
-            pred_test = mc_predict(net, post, test.features, pcfg, loss)
             per_metric.setdefault("test.mean_std", []).append(std_summary(pred_test))
             per_metric.setdefault("test.log_likelihood", []).append(
-                predictive_log_likelihood(
-                    net, post, test.features, test.targets, loss, pcfg
-                )
+                predictive_log_likelihood(pred_test, test.targets)
             )
-            for name, feats in ood_sets.items():
-                pred = mc_predict(net, post, feats, pcfg, loss)
+            for name, pred in zip(ood_sets, pred_ood):
                 per_metric.setdefault(f"{name}.mean_std", []).append(
                     std_summary(pred)
                 )
@@ -461,49 +458,36 @@ def _demo_moons(cfg: ExperimentConfig, out_dir: str, summary: list[str]) -> None
     xx, yy = np.meshgrid(axis, axis)
     lattice = np.stack([xx.ravel(), yy.ravel()], axis=1)
 
-    pcfg = PredictConfig("mc", cfg["eval"]["sample_count"], _mix64(seed, 9))
-    stage_probs = {
-        "map": softmax(net_mod.forward(net, lattice).output),
-        "laplace": mc_predict(net, post_la, lattice, pcfg, loss).probabilities,
-        "lula": mc_predict(tuned, post_lula, lattice, pcfg, loss).probabilities,
-    }
-    for stage, probs in stage_probs.items():
-        rows = [
-            (lattice[i, 0], lattice[i, 1], probs[i, 0], probs[i, 1], probs[i].max())
-            for i in range(lattice.shape[0])
-        ]
-        _write_csv(
-            os.path.join(out_dir, f"moons_{stage}.csv"),
-            ["x1", "x2", "p0", "p1", "confidence"],
-            rows,
-        )
-
-    # far-field ring and in-distribution confidences per stage
+    # far-field ring beside the lattice and the test split
     ring_rng = Rng(_mix64(seed, 10))
     radius = ring_rng.uniform(
         cfg["eval"]["ring_inner"], cfg["eval"]["ring_outer"], 400
     )
     angle = ring_rng.uniform(0.0, 2.0 * np.pi, 400)
     ring = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
-    nets = {"map": net, "laplace": net, "lula": tuned}
-    posts = {"map": None, "laplace": post_la, "lula": post_lula}
-    for stage in ("map", "laplace", "lula"):
-        if posts[stage] is None:
-            conf_ring = softmax(net_mod.forward(nets[stage], ring).output).max(axis=1)
-            conf_test = softmax(
-                net_mod.forward(nets[stage], test.features).output
-            ).max(axis=1)
-        else:
-            conf_ring = (
-                mc_predict(nets[stage], posts[stage], ring, pcfg, loss)
-                .probabilities.max(axis=1)
-            )
-            conf_test = (
-                mc_predict(nets[stage], posts[stage], test.features, pcfg, loss)
-                .probabilities.max(axis=1)
-            )
-        summary.append(f"moons.{stage}.ring_confidence {_fmt(conf_ring.mean())}")
-        summary.append(f"moons.{stage}.test_confidence {_fmt(conf_test.mean())}")
+    point_sets = [lattice, ring, test.features]
+
+    pcfg = PredictConfig("mc", cfg["eval"]["sample_count"], _mix64(seed, 9))
+
+    def probabilities(network, post):
+        preds = mc_predict_sets(network, post, point_sets, pcfg, loss)
+        return [pred.probabilities for pred in preds]
+
+    stage_probs = {
+        "map": [softmax(net_mod.forward(net, x).output) for x in point_sets],
+        "laplace": probabilities(net, post_la),
+        "lula": probabilities(tuned, post_lula),
+    }
+    for stage, (probs, probs_ring, probs_test) in stage_probs.items():
+        _write_csv(
+            os.path.join(out_dir, f"moons_{stage}.csv"),
+            ["x1", "x2", "p0", "p1", "confidence"],
+            zip(lattice[:, 0], lattice[:, 1], probs[:, 0], probs[:, 1], probs.max(axis=1)),
+        )
+        conf_ring = probs_ring.max(axis=1).mean()
+        conf_test = probs_test.max(axis=1).mean()
+        summary.append(f"moons.{stage}.ring_confidence {_fmt(conf_ring)}")
+        summary.append(f"moons.{stage}.test_confidence {_fmt(conf_test)}")
     map_labels = net_mod.forward(net, test.features).output.argmax(axis=1)
     lula_labels = net_mod.forward(tuned, test.features).output.argmax(axis=1)
     summary.append(
@@ -567,20 +551,27 @@ def _demo_regression(cfg: ExperimentConfig, out_dir: str, summary: list[str]) ->
     aleatoric = 1.0 / loss.noise_precision
     report_total = cfg["eval"]["report_std"] == "total"
 
-    def stage_rows(network, post, x):
-        mean_map = net_mod.forward(network, x).output
+    def stage_rows(network, post, xs):
+        """(mean, epistemic std, total std) for each point set in xs."""
         if post is None:
-            zeros = np.zeros_like(mean_map)
-            return mean_map, zeros, np.full_like(mean_map, np.sqrt(aleatoric))
-        pred = mc_predict(network, post, x, pcfg, loss)
-        return pred.mean, np.sqrt(pred.var_epistemic), np.sqrt(pred.var_total)
+            means = [net_mod.forward(network, x).output for x in xs]
+            return [
+                (m, np.zeros_like(m), np.full_like(m, np.sqrt(aleatoric)))
+                for m in means
+            ]
+        return [
+            (pred.mean, np.sqrt(pred.var_epistemic), np.sqrt(pred.var_total))
+            for pred in mc_predict_sets(network, post, xs, pcfg, loss)
+        ]
 
     for stage, (network, post) in {
         "map": (net, None),
         "laplace": (net, post_la),
         "lula": (tuned, post_lula),
     }.items():
-        mean, std_e, std_t = stage_rows(network, post, grid)
+        (mean, std_e, std_t), (_, test_e, test_t) = stage_rows(
+            network, post, [grid, test.features]
+        )
         rows = [
             (grid[i, 0], mean[i, 0], std_e[i, 0], std_t[i, 0])
             for i in range(grid.shape[0])
@@ -595,7 +586,6 @@ def _demo_regression(cfg: ExperimentConfig, out_dir: str, summary: list[str]) ->
         summary.append(
             f"regression.{stage}.far_field_std {_fmt(std_report[far, 0].mean())}"
         )
-        _, test_e, test_t = stage_rows(network, post, test.features)
         test_report = test_t if report_total else test_e
         summary.append(
             f"regression.{stage}.test_std {_fmt(float(test_report.mean()))}"

@@ -69,6 +69,8 @@ __all__ = [
     "linearized_variance",
     "probit_predict_binary",
     "mc_predict",
+    "mc_predict_sets",
+    "predictive_log_likelihood",
     "tune_prior_precision",
 ]
 
@@ -321,11 +323,13 @@ def build_posterior(
     return LaplacePosterior(curvature, prior_precision, mean)
 
 
-def _last_layer_feature_batch(net: Network, x: np.ndarray) -> np.ndarray:
+def _as_batch(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    return augment_ones(forward(net, x).activations[-2])
+    return x[None, :] if x.ndim == 1 else x
+
+
+def _last_layer_feature_batch(net: Network, x: np.ndarray) -> np.ndarray:
+    return augment_ones(forward(net, _as_batch(x)).activations[-2])
 
 
 def linearized_variance_batch(
@@ -338,9 +342,7 @@ def linearized_variance_batch(
     all layers, the stacked output Jacobians of each chunk of points go
     through one ``quad_forms`` call.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
+    x = _as_batch(x)
     if post.subset == "last_layer":
         hbar = _last_layer_feature_batch(net, x)
         blocks = post.output_block_cov()
@@ -403,19 +405,104 @@ class Predictive:
     var_total: np.ndarray | None = None
 
 
-def _sampled_outputs_accumulate(
-    net: Network, post: LaplacePosterior, x: np.ndarray, samples: np.ndarray, combine
-) -> None:
-    """Evaluate the net under each parameter sample, calling combine(outputs)."""
+def _sampled_outputs(
+    net: Network, post: LaplacePosterior, xs: list[np.ndarray], samples: np.ndarray
+):
+    """Yield (set index, outputs) for every sample, and every set under it.
+
+    Samples are the outer loop, so an all-layers sample is unflattened into
+    a network once for all sets; each set keeps its own forward pass, so its
+    outputs do not depend on the other sets.
+    """
     if post.subset == "last_layer":
-        hbar = _last_layer_feature_batch(net, x)
+        hbars = [_last_layer_feature_batch(net, x) for x in xs]
         k, feat = post.num_outputs, post.feature_dim
         for s in samples:
-            mat = s.reshape(k, feat)
-            combine(hbar @ mat.T)
+            mat_t = s.reshape(k, feat).T
+            for i, hbar in enumerate(hbars):
+                yield i, hbar @ mat_t
     else:
         for s in samples:
-            combine(forward(net.with_flat_params(s), x).output)
+            sampled = net.with_flat_params(s)
+            for i, x in enumerate(xs):
+                yield i, forward(sampled, x).output
+
+
+def _probit_predict(
+    net: Network, post: LaplacePosterior, x: np.ndarray, loss: LossKind
+) -> Predictive:
+    if loss.kind == "categorical_ce":
+        raise ValueError(
+            "probit_linearized supports binary (single-logit) or regression "
+            "models only"
+        )
+    f_map = forward(net, x).output
+    v = linearized_variance_batch(net, post, x)
+    if loss.kind == "binary_ce":
+        p1 = probit_predict_binary(f_map[:, 0], v[:, 0])
+        return Predictive(probabilities=np.stack([1.0 - p1, p1], axis=1))
+    return Predictive(
+        mean=f_map,
+        var_epistemic=v,
+        var_total=v + 1.0 / loss.noise_precision,
+    )
+
+
+def mc_predict_sets(
+    net: Network,
+    post: LaplacePosterior,
+    xs: list[np.ndarray],
+    cfg: PredictConfig,
+    loss: LossKind,
+) -> list[Predictive]:
+    """Posterior predictive for each batch in ``xs``, from one posterior draw.
+
+    The mc method draws ``cfg.sample_count`` parameter samples once from
+    ``Rng(cfg.seed)`` and scores every batch against that same draw, so each
+    result is bit-identical to scoring its batch alone with the same
+    posterior and seed. Classification returns the sample average of
+    softmax (or sigmoid) outputs; regression returns the MC moments of the
+    sampled outputs. The probit_linearized method is the closed-form
+    alternative, computed per batch: exact linearization for regression,
+    the probit approximation for single-logit binary classification (no
+    multi-class closed form is provided).
+    """
+    xs = [_as_batch(x) for x in xs]
+    if cfg.method == "probit_linearized":
+        return [_probit_predict(net, post, x, loss) for x in xs]
+
+    k, n = net.output_dim, cfg.sample_count
+    samples = post.sample(Rng(cfg.seed), n)
+    if loss.kind == "categorical_ce":
+        accs = [np.zeros((x.shape[0], k)) for x in xs]
+        for i, outputs in _sampled_outputs(net, post, xs, samples):
+            accs[i] += softmax(outputs)
+        return [Predictive(probabilities=acc / n) for acc in accs]
+    if loss.kind == "binary_ce":
+        accs = [np.zeros((x.shape[0], 2)) for x in xs]
+        for i, outputs in _sampled_outputs(net, post, xs, samples):
+            p1 = sigmoid(outputs[:, 0])
+            accs[i][:, 0] += 1.0 - p1
+            accs[i][:, 1] += p1
+        return [Predictive(probabilities=acc / n) for acc in accs]
+
+    totals = [np.zeros((x.shape[0], k)) for x in xs]
+    squares = [np.zeros((x.shape[0], k)) for x in xs]
+    for i, outputs in _sampled_outputs(net, post, xs, samples):
+        totals[i] += outputs
+        squares[i] += outputs * outputs
+    preds = []
+    for total, total_sq in zip(totals, squares):
+        mean = total / n
+        var = np.maximum(total_sq / n - mean * mean, 0.0)
+        preds.append(
+            Predictive(
+                mean=mean,
+                var_epistemic=var,
+                var_total=var + 1.0 / loss.noise_precision,
+            )
+        )
+    return preds
 
 
 def mc_predict(
@@ -425,85 +512,21 @@ def mc_predict(
     cfg: PredictConfig,
     loss: LossKind,
 ) -> Predictive:
-    """Posterior predictive for a batch.
+    """Posterior predictive for one batch: :func:`mc_predict_sets` on ``[x]``.
 
-    Classification returns the sample average of softmax (or sigmoid) outputs;
-    regression returns the MC moments of the sampled outputs. The
-    probit_linearized method is the closed-form alternative: exact
-    linearization for regression, the probit approximation for single-logit
-    binary classification (no multi-class closed form is provided).
+    Scoring several batches with the same posterior and seed through
+    :func:`mc_predict_sets` draws the samples once instead of once per batch.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    m, k = x.shape[0], net.output_dim
-    classification = loss.kind in ("categorical_ce", "binary_ce")
-
-    if cfg.method == "probit_linearized":
-        if loss.kind == "categorical_ce":
-            raise ValueError(
-                "probit_linearized supports binary (single-logit) or regression "
-                "models only"
-            )
-        f_map = forward(net, x).output
-        v = linearized_variance_batch(net, post, x)
-        if loss.kind == "binary_ce":
-            p1 = probit_predict_binary(f_map[:, 0], v[:, 0])
-            return Predictive(probabilities=np.stack([1.0 - p1, p1], axis=1))
-        return Predictive(
-            mean=f_map,
-            var_epistemic=v,
-            var_total=v + 1.0 / loss.noise_precision,
-        )
-
-    samples = post.sample(Rng(cfg.seed), cfg.sample_count)
-    if classification:
-        acc = np.zeros((m, k if loss.kind == "categorical_ce" else 2))
-
-        def combine(outputs):
-            if loss.kind == "categorical_ce":
-                acc[:] += softmax(outputs)
-            else:
-                p1 = sigmoid(outputs[:, 0])
-                acc[:, 0] += 1.0 - p1
-                acc[:, 1] += p1
-
-        _sampled_outputs_accumulate(net, post, x, samples, combine)
-        return Predictive(probabilities=acc / cfg.sample_count)
-
-    total = np.zeros((m, k))
-    total_sq = np.zeros((m, k))
-
-    def combine(outputs):
-        total[:] += outputs
-        total_sq[:] += outputs * outputs
-
-    _sampled_outputs_accumulate(net, post, x, samples, combine)
-    mean = total / cfg.sample_count
-    var = total_sq / cfg.sample_count - mean * mean
-    var = np.maximum(var, 0.0)
-    return Predictive(
-        mean=mean,
-        var_epistemic=var,
-        var_total=var + 1.0 / loss.noise_precision,
-    )
+    return mc_predict_sets(net, post, [x], cfg, loss)[0]
 
 
-def predictive_log_likelihood(
-    net: Network,
-    post: LaplacePosterior,
-    features: np.ndarray,
-    targets: np.ndarray,
-    loss: LossKind,
-    cfg: PredictConfig,
-) -> float:
-    """Summed predictive log-likelihood of a labelled dataset.
+def predictive_log_likelihood(pred: Predictive, targets: np.ndarray) -> float:
+    """Summed log-likelihood of labelled targets under a predictive.
 
     Classification scores log of the predictive probability of the true
     class; regression scores the full Gaussian density with the total
     (epistemic plus aleatoric) predictive variance.
     """
-    pred = mc_predict(net, post, features, cfg, loss)
     if pred.probabilities is not None:
         labels = np.asarray(targets).astype(np.int64)
         p = pred.probabilities[np.arange(labels.shape[0]), labels]
@@ -532,8 +555,9 @@ def tune_prior_precision(
 
     ``val_log_likelihood`` maximizes the predictive log-likelihood on the
     given validation data. ``ood_mmc`` minimizes
-    |1 - MMC_in| + |1/k - MMC_out| and additionally needs ``out_features``
-    and ``num_classes``. Candidates whose posterior cannot be factored are
+    |1 - MMC_in| + |1/k - MMC_out|, both from one posterior draw per
+    candidate, and additionally needs ``out_features`` and
+    ``num_classes``. Candidates whose posterior cannot be factored are
     skipped; returns (best, [(lambda, score), ...]) with score in the
     objective's native orientation.
     """
@@ -554,15 +578,15 @@ def tune_prior_precision(
         try:
             post = build_posterior(curvature, lam)
             if objective == "val_log_likelihood":
-                score = predictive_log_likelihood(
-                    net, post, features, targets, loss, cfg
-                )
+                pred = mc_predict(net, post, features, cfg, loss)
+                score = predictive_log_likelihood(pred, targets)
                 key = score
             else:
-                mmc_in = mmc(mc_predict(net, post, features, cfg, loss).probabilities)
-                mmc_out = mmc(
-                    mc_predict(net, post, out_features, cfg, loss).probabilities
+                pred_in, pred_out = mc_predict_sets(
+                    net, post, [features, out_features], cfg, loss
                 )
+                mmc_in = mmc(pred_in.probabilities)
+                mmc_out = mmc(pred_out.probabilities)
                 score = abs(1.0 - mmc_in) + abs(1.0 / num_classes - mmc_out)
                 key = -score
         except NotPositiveDefinite:

@@ -21,7 +21,7 @@ from .laplace import (
     PredictConfig,
     build_posterior,
     fit_curvature,
-    mc_predict,
+    mc_predict_sets,
 )
 from .network import (
     LayerSpec,
@@ -393,11 +393,13 @@ def grid_search_units(
             trained, _, post = train_lula(
                 aug_net, aug, in_val, out_val, loss, prior_precision, cfg
             )
-            mmc_in = mmc(mc_predict(trained, post, in_val, predict_cfg, loss).probabilities)
-            mmc_out = mmc(mc_predict(trained, post, out_val, predict_cfg, loss).probabilities)
+            pred_in, pred_out = mc_predict_sets(
+                trained, post, [in_val, out_val], predict_cfg, loss
+            )
         except NotPositiveDefinite as exc:
             warnings.warn(f"skipping count {count}: {exc}")
             continue
+        mmc_in, mmc_out = mmc(pred_in.probabilities), mmc(pred_out.probabilities)
         score = abs(1.0 - mmc_in) + abs(1.0 / num_classes - mmc_out)
         scores[count] = float(score)
         if score < best_score:

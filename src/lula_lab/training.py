@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .network import Network, ParamGrads, backward, forward
+from .network import ForwardTrace, Network, ParamGrads, backward, forward
 from .numerics import Rng
 
 __all__ = [
@@ -155,6 +155,29 @@ def output_hessian_roots(loss: LossKind, outputs: np.ndarray) -> np.ndarray:
     return np.sqrt(s * (1.0 - s)).reshape(m, 1, 1)
 
 
+def _map_objective(
+    net: Network,
+    features: np.ndarray,
+    targets: np.ndarray,
+    loss: LossKind,
+    weight_decay: float,
+) -> tuple[float, ForwardTrace]:
+    """Summed NLL plus (weight_decay / 2) * ||theta||^2, and the forward trace.
+
+    Forward pass only; :func:`map_loss` adds the backward pass.
+    """
+    if features.shape[0] == 0:
+        raise ValueError("batch must be nonempty")
+    trace = forward(net, features)
+    value = float(np.sum(pointwise_nll(loss, trace.output, targets)))
+    if weight_decay != 0.0:
+        theta = net.flatten_params()
+        value += 0.5 * weight_decay * float(theta @ theta)
+    if not np.isfinite(value):
+        raise DivergenceError(f"non-finite loss value {value}")
+    return value, trace
+
+
 def map_loss(
     net: Network,
     features: np.ndarray,
@@ -163,20 +186,12 @@ def map_loss(
     weight_decay: float,
 ) -> tuple[float, ParamGrads]:
     """Summed NLL plus (weight_decay / 2) * ||theta||^2, with gradients."""
-    if features.shape[0] == 0:
-        raise ValueError("batch must be nonempty")
-    trace = forward(net, features)
-    nll = pointwise_nll(loss, trace.output, targets)
-    value = float(np.sum(nll))
+    value, trace = _map_objective(net, features, targets, loss, weight_decay)
     grads, _ = backward(net, trace, nll_output_grad(loss, trace.output, targets))
     if weight_decay != 0.0:
-        theta = net.flatten_params()
-        value += 0.5 * weight_decay * float(theta @ theta)
         for i in range(net.num_layers):
             grads.weights[i] = grads.weights[i] + weight_decay * net.weights[i]
             grads.biases[i] = grads.biases[i] + weight_decay * net.biases[i]
-    if not np.isfinite(value):
-        raise DivergenceError(f"non-finite loss value {value}")
     return value, grads
 
 
@@ -267,6 +282,8 @@ def train_map(
                 raise DivergenceError(f"non-finite gradient at epoch {epoch}")
             theta = opt.step(theta, g)
             current = current.with_flat_params(theta)
-        value, _ = map_loss(current, features, targets, loss, config.weight_decay)
+        value, _ = _map_objective(
+            current, features, targets, loss, config.weight_decay
+        )
         history.append(value)
     return current, history

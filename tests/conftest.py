@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lula_lab.laplace import LaplacePosterior
 from lula_lab.lula import lula_objective
 from lula_lab.network import Network, backward, forward
 from lula_lab.numerics import Rng
@@ -78,3 +79,17 @@ def relative_error(actual: np.ndarray, expected: np.ndarray) -> float:
 @pytest.fixture
 def rng():
     return Rng(1234)
+
+
+@pytest.fixture
+def sample_calls(monkeypatch):
+    """Sample counts of every ``LaplacePosterior.sample`` call, in call order."""
+    calls = []
+    original = LaplacePosterior.sample
+
+    def counting(self, rng, count):
+        calls.append(count)
+        return original(self, rng, count)
+
+    monkeypatch.setattr(LaplacePosterior, "sample", counting)
+    return calls

@@ -189,7 +189,7 @@ class TestCliCommands:
         assert confs[0] == "dataset,index,confidence"
         assert len(confs) > 10
 
-    def test_eval_collapsed_posterior_matches_map(self, tmp_path, capsys):
+    def test_eval_collapsed_posterior_matches_map(self, tmp_path, capsys, sample_calls):
         ini = TINY_INI.replace("prior_precision = 1.0", "prior_precision = 1e12")
         config = tmp_path / "cfg.ini"
         config.write_text(ini)
@@ -211,6 +211,8 @@ class TestCliCommands:
         net = load(model)
         map_mmc = mmc(softmax(forward(net, test.features).output))
         assert abs(summary["test.mmc.mean"] - map_mmc) <= 1e-3
+        # one draw per run, shared by the test split and both OOD sets
+        assert sample_calls == [50, 50]
 
     def test_invalid_config_key_exits_2(self, tmp_path, capsys):
         config = tmp_path / "bad.ini"
@@ -284,7 +286,7 @@ class TestCliCommands:
         meta = (tmp_path / "model_laplace.txt").read_text()
         assert meta.count("grid_point") == 3
 
-    def test_regression_eval_reports_stds(self, tmp_path):
+    def test_regression_eval_reports_stds(self, tmp_path, sample_calls):
         ini = """
 [data]
 generator = toy_regression
@@ -323,6 +325,8 @@ sample_count = 40
         ) == 0
         report = (tmp_path / "eval" / "eval_report.csv").read_text()
         assert "mean_std" in report and "log_likelihood" in report
+        # one draw per run: the test split's log-likelihood reuses its predictive
+        assert sample_calls == [40, 40]
 
     def test_grid_counts_requires_classification(self, tmp_path, capsys):
         ini = TINY_INI.replace("counts = 6", "counts = grid").replace(
@@ -367,7 +371,7 @@ sample_count = 20
 
 
 class TestDemoToy:
-    def test_file_count_contract_and_determinism(self, tmp_path, capsys):
+    def test_file_count_contract_and_determinism(self, tmp_path, capsys, sample_calls):
         config = tmp_path / "demo.ini"
         config.write_text(DEMO_INI)
         out1 = tmp_path / "run1"
@@ -385,6 +389,8 @@ class TestDemoToy:
             a = (out1 / name).read_bytes()
             b = (out2 / name).read_bytes()
             assert a == b, f"{name} differs between runs"
+        # per run, one draw for each of the four posteriors
+        assert sample_calls == [20] * 8
 
     def test_runs_with_scipy_import_blocked(self, tmp_path):
         # numpy is the only runtime dependency: a fresh interpreter in which

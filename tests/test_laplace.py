@@ -9,16 +9,19 @@ from lula_lab.laplace import (
     FULL_GGN_CAP,
     Curvature,
     PredictConfig,
+    Predictive,
     build_posterior,
     fit_curvature,
     last_layer_mean,
     linearized_variance,
     linearized_variance_batch,
     mc_predict,
+    mc_predict_sets,
+    predictive_log_likelihood,
     probit_predict_binary,
     tune_prior_precision,
 )
-from lula_lab.network import LayerSpec, Network, forward
+from lula_lab.network import LayerSpec, Network, augment_ones, forward
 from lula_lab.numerics import Rng, kron
 from lula_lab.training import (
     LossKind,
@@ -521,6 +524,115 @@ class TestMcPredict:
             mc_predict(net, post, x, PredictConfig("probit_linearized", 1, 0), loss)
 
 
+def reference_mc_predict(net, post, x, cfg, loss):
+    """Loop oracle: one fresh draw for one set, accumulated sample by sample."""
+    samples = post.sample(Rng(cfg.seed), cfg.sample_count)
+    hbar = augment_ones(forward(net, x).activations[-2])
+    outputs = [
+        hbar @ s.reshape(post.num_outputs, post.feature_dim).T
+        if post.subset == "last_layer"
+        else forward(net.with_flat_params(s), x).output
+        for s in samples
+    ]
+    n = cfg.sample_count
+    if loss.kind == "categorical_ce":
+        acc = np.zeros((x.shape[0], net.output_dim))
+        for out in outputs:
+            acc += softmax(out)
+        return {"probabilities": acc / n}
+    if loss.kind == "binary_ce":
+        acc = np.zeros((x.shape[0], 2))
+        for out in outputs:
+            p1 = sigmoid(out[:, 0])
+            acc[:, 0] += 1.0 - p1
+            acc[:, 1] += p1
+        return {"probabilities": acc / n}
+    total = np.zeros((x.shape[0], net.output_dim))
+    total_sq = np.zeros_like(total)
+    for out in outputs:
+        total += out
+        total_sq += out * out
+    mean = total / n
+    var = np.maximum(total_sq / n - mean * mean, 0.0)
+    return {
+        "mean": mean,
+        "var_epistemic": var,
+        "var_total": var + 1.0 / loss.noise_precision,
+    }
+
+
+def reference_log_likelihood(pred, targets):
+    """Gaussian predictive log-density of regression targets, summed."""
+    y = targets.reshape(pred.mean.shape)
+    var = np.maximum(pred.var_total, 1e-300)
+    dens = -0.5 * np.log(2.0 * np.pi * var) - (y - pred.mean) ** 2 / (2.0 * var)
+    return float(np.sum(dens))
+
+
+PREDICT_FIELDS = ("probabilities", "mean", "var_epistemic", "var_total")
+
+POSTERIOR_CASES = [
+    pytest.param("kfac_last_layer", "last_layer", id="kfac-last"),
+    pytest.param("diag_ggn", "last_layer", id="diag-last"),
+    pytest.param("full_ggn", "last_layer", id="full-last"),
+    pytest.param("full_ggn", "all_layers", id="full-all"),
+    pytest.param("diag_ggn", "all_layers", id="diag-all"),
+]
+
+
+class TestMcPredictSets:
+    def _instance(self, kind, subset, loss, k, seed=41):
+        rng = Rng(seed)
+        net = Network.init_random([2, 4, k], "tanh", rng)
+        x = rng.standard_normal((12, 2))
+        post = build_posterior(fit_curvature(net, x, loss, kind, subset), 0.7)
+        sets = [rng.standard_normal((m, 2)) for m in (7, 1, 5)]
+        return net, post, sets
+
+    @pytest.mark.parametrize("kind, subset", POSTERIOR_CASES)
+    @pytest.mark.parametrize("loss, k", LOSS_CASES)
+    def test_shared_draw_equals_per_set_draws(self, kind, subset, loss, k):
+        net, post, sets = self._instance(kind, subset, loss, k)
+        cfg = PredictConfig("mc", 16, 3)
+        shared = mc_predict_sets(net, post, sets, cfg, loss)
+        assert len(shared) == len(sets)
+        for x, pred in zip(sets, shared):
+            single = mc_predict(net, post, x, cfg, loss)
+            oracle = reference_mc_predict(net, post, x, cfg, loss)
+            for name in PREDICT_FIELDS:
+                value = getattr(pred, name)
+                assert (value is None) == (name not in oracle)
+                if value is not None:
+                    assert np.array_equal(value, getattr(single, name))
+                    assert np.array_equal(value, oracle[name])
+
+    @pytest.mark.parametrize("loss, k", LOSS_CASES[1:])
+    def test_probit_sets_equal_single_sets(self, loss, k):
+        net, post, sets = self._instance("full_ggn", "last_layer", loss, k)
+        cfg = PredictConfig("probit_linearized", 1, 0)
+        for x, pred in zip(sets, mc_predict_sets(net, post, sets, cfg, loss)):
+            single = mc_predict(net, post, x, cfg, loss)
+            for name in PREDICT_FIELDS:
+                if getattr(pred, name) is not None:
+                    assert np.array_equal(getattr(pred, name), getattr(single, name))
+
+    def test_one_draw_for_all_sets(self, sample_calls):
+        loss = LossKind("categorical_ce")
+        net, post, sets = self._instance("kfac_last_layer", "last_layer", loss, 3)
+        mc_predict_sets(net, post, sets, PredictConfig("mc", 16, 3), loss)
+        assert sample_calls == [16]
+
+    def test_regression_log_likelihood_scores_the_shared_predictive(self):
+        loss = LossKind("gaussian_nll", 2.5)
+        net, post, sets = self._instance("kfac_last_layer", "last_layer", loss, 2)
+        targets = Rng(42).standard_normal((7, 2))
+        cfg = PredictConfig("mc", 16, 3)
+        pred = mc_predict_sets(net, post, sets, cfg, loss)[0]
+        oracle = reference_mc_predict(net, post, sets[0], cfg, loss)
+        expected = reference_log_likelihood(Predictive(**oracle), targets)
+        assert predictive_log_likelihood(pred, targets) == expected
+
+
 class TestTunePriorPrecision:
     def _instance(self, seed=15):
         rng = Rng(seed)
@@ -564,7 +676,7 @@ class TestTunePriorPrecision:
                 predict_cfg=PredictConfig("probit_linearized", 1, 0),
             )
 
-    def test_ood_mmc_objective(self):
+    def test_ood_mmc_objective(self, sample_calls):
         net, curv, x, y, loss = self._instance()
         out = Rng(1).uniform(-8.0, 8.0, (30, 2))
         lam, scores = tune_prior_precision(
@@ -574,6 +686,8 @@ class TestTunePriorPrecision:
         )
         best = min(scores, key=lambda pair: pair[1])
         assert lam == best[0]
+        # in and out of distribution share one draw per candidate
+        assert sample_calls == [64, 64, 64]
 
     def test_last_layer_mean_roundtrip(self):
         net = linear_net([[1.0, 2.0], [3.0, 4.0]], [5.0, 6.0])

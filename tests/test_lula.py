@@ -341,18 +341,17 @@ class TestGridSearch:
             current["count"] = aug.unit_counts[-1]
             return aug_net, [], post
 
-        def fake_predict(network, posterior, feats, cfg, l):
-            mmc_in, mmc_out = scripted[current["count"]]
-            value = mmc_in if current.setdefault("flip", 0) % 2 == 0 else mmc_out
-            current["flip"] += 1
-            m = feats.shape[0]
-            probs = np.full((m, 2), 1.0 - value)
-            probs[:, 0] = value
-            probs[:, 1] = 1.0 - value
-            return Predictive(probabilities=probs)
+        def fake_predict_sets(network, posterior, sets, cfg, l):
+            preds = []
+            for feats, value in zip(sets, scripted[current["count"]]):
+                probs = np.empty((feats.shape[0], 2))
+                probs[:, 0] = value
+                probs[:, 1] = 1.0 - value
+                preds.append(Predictive(probabilities=probs))
+            return preds
 
         monkeypatch.setattr(lula_mod, "train_lula", fake_train)
-        monkeypatch.setattr(lula_mod, "mc_predict", fake_predict)
+        monkeypatch.setattr(lula_mod, "mc_predict_sets", fake_predict_sets)
         best, scores = grid_search_units(
             net, [8, 2, 4], data, out, loss, 0.5, LulaTrainConfig(epochs=1), 2
         )
@@ -373,11 +372,14 @@ class TestGridSearch:
             trained.append(aug.unit_counts[-1])
             return aug_net, [], post
 
-        def fake_predict(network, posterior, feats, cfg, l):
-            return Predictive(probabilities=np.full((feats.shape[0], 10), 0.1))
+        def fake_predict_sets(network, posterior, sets, cfg, l):
+            return [
+                Predictive(probabilities=np.full((feats.shape[0], 10), 0.1))
+                for feats in sets
+            ]
 
         monkeypatch.setattr(lula_mod, "train_lula", fake_train)
-        monkeypatch.setattr(lula_mod, "mc_predict", fake_predict)
+        monkeypatch.setattr(lula_mod, "mc_predict_sets", fake_predict_sets)
         grid_search_units(
             net, None, data, data, LossKind("categorical_ce"), 0.5,
             LulaTrainConfig(epochs=1), 10,

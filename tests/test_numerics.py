@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lula_lab import numerics
 from lula_lab.errors import NotPositiveDefinite
 from lula_lab.numerics import (
     Rng,
@@ -30,6 +31,31 @@ class TestCholesky:
     def test_asymmetric_input_rejected(self):
         with pytest.raises(ValueError):
             cholesky_psd(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    # entry (i, j) and its mirror: above and below the diagonal in different
+    # tiles, inside one diagonal tile, and in the last, partial tile
+    @pytest.mark.parametrize("i, j", [(5, 200), (250, 17), (130, 140), (299, 1), (260, 290)])
+    @pytest.mark.parametrize("factor", [1.01, 0.99])
+    def test_symmetry_tolerance_across_tiles(self, i, j, factor):
+        n = 300
+        assert n > 2 * numerics._SYMMETRY_TILE
+        b = Rng(7).standard_normal((n, n))
+        a = b @ b.T + n * np.eye(n)
+        scale = np.max(np.abs(a))  # on the diagonal, which stays untouched
+        a[i, j] = a[j, i] + factor * 1e-10 * scale
+        if factor > 1.0:
+            with pytest.raises(ValueError, match="not symmetric within 1e-10"):
+                cholesky_psd(a)
+        else:
+            chol = cholesky_psd(a)
+            assert np.allclose(chol @ chol.T, a, rtol=0.0, atol=1e-9 * scale)
+
+    def test_symmetry_scale_counts_negative_entries(self):
+        # the asymmetry 5e-5 is within 1e-10 of the largest magnitude 1e6,
+        # which is negative; the matrix passes the check and fails to factor
+        a = np.array([[1.0, -1e6], [-1e6 + 5e-5, 1.0]])
+        with pytest.raises(NotPositiveDefinite):
+            cholesky_psd(a)
 
     @pytest.mark.parametrize(
         "a, scale",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_param_gradient, random_network, relative_error
+from lula_lab import training
 from lula_lab.data import gen_two_moons
 from lula_lab.network import LayerSpec, Network, forward
 from lula_lab.numerics import Rng
@@ -146,6 +147,32 @@ class TestTrainMap:
         trained, history = train_map(net, x, y, LossKind("gaussian_nll"), cfg)
         assert history == []
         assert np.array_equal(trained.flatten_params(), net.flatten_params())
+
+    def test_history_is_map_loss_without_backward_passes(self, monkeypatch):
+        rng = Rng(31)
+        x = rng.standard_normal((20, 2))
+        y = rng.integers(0, 3, 20)
+        loss = LossKind("categorical_ce")
+        net = Network.init_random([2, 6, 3], "tanh", Rng(5))
+
+        def config(epochs):
+            return TrainConfig(epochs=epochs, batch_size=8, weight_decay=0.3, seed=2)
+
+        backward_calls = []
+        original = training.backward
+
+        def counting(*args):
+            backward_calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(training, "backward", counting)
+        _, history = train_map(net, x, y, loss, config(3))
+        # one backward pass per minibatch (3 of 20 rows each epoch), none
+        # for the recorded history
+        assert len(backward_calls) == 3 * 3
+        for epoch, value in enumerate(history, start=1):
+            trained, _ = train_map(net, x, y, loss, config(epoch))
+            assert value == map_loss(trained, x, y, loss, 0.3)[0]
 
     def test_seed_determinism(self):
         rng = Rng(13)
