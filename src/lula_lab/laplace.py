@@ -11,13 +11,34 @@ Parameter subsets:
   ordering from :mod:`lula_lab.network`). The GGN is accumulated over
   chunks of examples: with Lambda_x = L_x L_x^T in closed form
   (:func:`lula_lab.training.output_hessian_roots`) and R the stacked rows
-  L_x^T J_x of a chunk's batched output Jacobians, the chunk adds R^T R (its
-  diagonal, the column sums of R * R). A fixed byte budget for the stacked
-  Jacobians bounds the chunk, so memory stays flat however long the data.
+  L_x^T J_x of a chunk's batched output Jacobians, the chunk adds its rows
+  to the full GGN (below) or the column sums of R * R to the diagonal. A
+  fixed byte budget for the stacked Jacobians bounds the chunk, so the
+  diagonal's memory stays flat however long the data, and the full GGN
+  never holds more than one d x d array.
 * ``last_layer``: only the output layer, with biases folded into the weight
   matrix through a constant-1 feature. Ordering is row-major over the
   augmented matrix [W | b], i.e. index (i, c) -> i * F + c with F the
   augmented feature count.
+
+The full GGN is R^T R with R the (n k, d) stack of every example's rows
+L_x^T J_x, and it is eigendecomposed once per curvature, in the smaller of
+the two spaces, so that the posterior of every prior precision is a
+diagonal in that basis and no d x d precision is ever factored:
+
+* data space, n k < d (Khan et al. 2019; Immer, Korzepa & Bauer 2021):
+  eigh(R R^T) = U diag(e) U^T and W = U^T R, so GGN = W^T W and
+  W W^T = diag(e). Then Sigma = (I - W^T diag(1 / (e + lambda)) W) / lambda,
+  with no division by e; the d - n k directions outside the rows of W carry
+  the prior alone.
+* parameter space, n k >= d: the d x d GGN is formed and eigh(GGN) =
+  Q diag(e) Q^T gives Sigma = Q diag(1 / (e + lambda)) Q^T, exact at
+  lambda = 0 as well.
+
+Both sides run the jitter ladder over the whole spectrum of the precision
+(e plus lambda, and in data space lambda alone for each complement
+direction), so its base is mean(diag(precision)) as for a Cholesky
+factorization, and both draw with the symmetric square root of Sigma.
 
 For the Kronecker-factored kind, the stored factors follow the convention
 output_factor = sum over data of Lambda_x (k x k) and input_factor = average
@@ -79,12 +100,15 @@ SUBSETS = ("all_layers", "last_layer")
 PREDICT_METHODS = ("mc", "probit_linearized")
 TUNE_OBJECTIVES = ("val_log_likelihood", "ood_mmc")
 
-# Largest parameter count for which a full GGN (a dim x dim matrix) is built.
+# Largest parameter count for which a full GGN is built (in parameter space
+# it is a dim x dim matrix, in data space an (n k) x dim one with n k < dim).
 FULL_GGN_CAP = 5000
 DEFAULT_LAMBDA_GRID = tuple(np.logspace(-4.0, 4.0, 17))
 # Bytes of stacked (m, k, d) output Jacobians held at once by the all-layers
 # curvature fit and variance; bounds memory for long datasets and large d.
 _JACOBIAN_CHUNK_BYTES = 8 * 2**20
+# Columns of R turned into W = U^T R per product in the data-space fit.
+_EIGH_COLUMN_BLOCK = 256
 
 
 def _chunk_rows(num_outputs: int, dim: int) -> int:
@@ -94,14 +118,20 @@ def _chunk_rows(num_outputs: int, dim: int) -> int:
 
 @dataclass
 class Curvature:
-    """Data-term GGN over a parameter subset (prior term not included)."""
+    """Data-term GGN over a parameter subset (prior term not included).
+
+    The full kind stores only ``full_eigh = (e, rows)``, one
+    eigendecomposition: with fewer rows than parameters (data space),
+    GGN = rows^T rows and rows rows^T = diag(e); otherwise rows holds the
+    orthonormal eigenvectors as rows and GGN = rows^T diag(e) rows.
+    """
 
     kind: str
     subset: str
     mean: np.ndarray
     num_outputs: int
     feature_dim: int | None = None
-    full: np.ndarray | None = None
+    full_eigh: tuple[np.ndarray, np.ndarray] | None = None
     diag: np.ndarray | None = None
     output_factor: np.ndarray | None = None
     input_factor: np.ndarray | None = None
@@ -112,6 +142,26 @@ class Curvature:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
+
+
+def _data_space_eigh(root: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(e, W = U^T R) from eigh(R R^T) = U diag(e) U^T, so GGN = W^T W.
+
+    W overwrites R one block of columns at a time, so only one (n k, d)
+    array is ever held.
+    """
+    e, u = np.linalg.eigh(root @ root.T)
+    u_t = u.T
+    for start in range(0, root.shape[1], _EIGH_COLUMN_BLOCK):
+        cols = root[:, start : start + _EIGH_COLUMN_BLOCK]
+        cols[...] = u_t @ cols
+    return e, root
+
+
+def _parameter_space_eigh(ggn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(e, Q^T) from eigh(GGN) = Q diag(e) Q^T."""
+    e, q = np.linalg.eigh(ggn)
+    return e, q.T
 
 
 def last_layer_mean(net: Network) -> np.ndarray:
@@ -134,9 +184,12 @@ def fit_curvature(
     last-layer subset the exact per-example structure
     Lambda_x kron (hbar hbar^T) is used directly; the Kronecker kind stores
     the two factors instead of assembling them. For all layers, each chunk
-    of examples contributes R^T R (full) or the column sums of R * R
-    (diagonal), with R the stacked L_x^T J_x of the batched output
-    Jacobians and L_x L_x^T = Lambda_x.
+    of examples contributes its rows of R, the stacked L_x^T J_x of the
+    batched output Jacobians with L_x L_x^T = Lambda_x, or the column sums
+    of R * R (diagonal). The full kind is eigendecomposed once, in data
+    space from the whole R when it has fewer rows (n k) than parameters,
+    otherwise in parameter space from the summed R^T R (last layer: the
+    Kronecker-structured einsum).
     """
     if kind not in CURVATURE_KINDS:
         raise ValueError(f"unknown curvature kind {kind!r}")
@@ -175,44 +228,66 @@ def fit_curvature(
                 raise ValueError(
                     f"full_ggn dimension {dim} exceeds cap {FULL_GGN_CAP}"
                 )
-            h = np.einsum("mij,mc,md->icjd", lambdas, hbar, hbar, optimize=True)
+            if features.shape[0] * k < dim:
+                # row a of L_x^T J_x is sum_i L_x[i, a] (e_i kron hbar_x)
+                roots = output_hessian_roots(loss, trace.output)
+                root = np.einsum("mia,mc->maic", roots, hbar).reshape(-1, dim)
+                full_eigh = _data_space_eigh(root)
+            else:
+                h = np.einsum("mij,mc,md->icjd", lambdas, hbar, hbar, optimize=True)
+                full_eigh = _parameter_space_eigh(h.reshape(dim, dim))
             return Curvature(
-                kind, subset, mean, k, feature_dim=feat, full=h.reshape(dim, dim)
+                kind, subset, mean, k, feature_dim=feat, full_eigh=full_eigh
             )
         lam_diag = np.einsum("mii->mi", lambdas)
         diag = np.einsum("mi,mc->ic", lam_diag, hbar * hbar).ravel(order="C")
         return Curvature(kind, subset, mean, k, feature_dim=feat, diag=diag)
 
-    # all_layers: R^T R over chunks of stacked L_x^T J_x rows
+    # all_layers: stacked L_x^T J_x rows over chunks of examples, kept whole
+    # (data space), summed as R^T R (parameter space) or as column sums of
+    # R * R (diagonal)
     dim = net.num_params
     if kind == "full_ggn" and dim > FULL_GGN_CAP:
         raise ValueError(f"full_ggn dimension {dim} exceeds cap {FULL_GGN_CAP}")
+    n = features.shape[0]
     roots = output_hessian_roots(loss, forward(net, features).output)
     roots_t = roots.transpose(0, 2, 1)
-    full = np.zeros((dim, dim)) if kind == "full_ggn" else None
+    root = np.empty((n, k, dim)) if kind == "full_ggn" and n * k < dim else None
+    full = np.zeros((dim, dim)) if kind == "full_ggn" and root is None else None
     diag = np.zeros(dim) if kind == "diag_ggn" else None
     rows = _chunk_rows(k, dim)
-    for start in range(0, features.shape[0], rows):
+    for start in range(0, n, rows):
         chunk = slice(start, start + rows)
         jac = output_jacobian(net, features[chunk])
-        r = (roots_t[chunk] @ jac).reshape(-1, dim)
+        out = None if root is None else root[chunk]
+        r = np.matmul(roots_t[chunk], jac, out=out).reshape(-1, dim)
         if full is not None:
             full += r.T @ r  # numpy's syrk path: exactly symmetric
-        else:
+        elif diag is not None:
             diag += (r * r).sum(axis=0)
-    return Curvature(kind, subset, net.flatten_params(), k, full=full, diag=diag)
+    full_eigh = None
+    if root is not None:
+        full_eigh = _data_space_eigh(root.reshape(n * k, dim))
+    elif full is not None:
+        full_eigh = _parameter_space_eigh(full)
+    return Curvature(
+        kind, subset, net.flatten_params(), k, full_eigh=full_eigh, diag=diag
+    )
 
 
 class LaplacePosterior:
     """Gaussian over a parameter subset with precision H_data + lambda * I.
 
-    Construction factors everything needed for sampling and variance
+    Construction computes everything needed for sampling and variance
     queries; instances are immutable afterwards. The covariance is held in
-    each curvature kind's own exact form: a dense inverse Cholesky factor
-    (full), a vector of variances (diagonal), or variances in the
-    eigenbasis of the two factors (Kronecker). Raises
-    :class:`NotPositiveDefinite` when the damped curvature cannot be
-    factored.
+    each curvature kind's own exact form: for the full kind,
+    Sigma = c I + rows^T diag(t) rows over the rows of the curvature's one
+    eigendecomposition (data space: c = 1 / lambda,
+    t = -1 / (lambda (e + lambda)); parameter space: c = 0,
+    t = 1 / (e + lambda)); a vector of variances (diagonal); or variances in
+    the eigenbasis of the two factors (Kronecker). Raises
+    :class:`NotPositiveDefinite` when the jitter ladder cannot make the
+    precision's spectrum positive.
     """
 
     def __init__(
@@ -233,16 +308,41 @@ class LaplacePosterior:
         )
         if self.mean.shape != (curvature.dim,):
             raise ValueError("mean does not match curvature dimension")
-        self._cov_factor: np.ndarray | None = None
+        # full kind: Sigma = iso I + rows^T diag(row_var) rows, and
+        # iso_root I + rows^T diag(row_root) rows is its symmetric square root
+        self._rows: np.ndarray | None = None
+        self._iso = self._iso_root = 0.0
+        self._row_var: np.ndarray | None = None
+        self._row_root: np.ndarray | None = None
         self._var_diag: np.ndarray | None = None
         self._basis: tuple[np.ndarray, np.ndarray] | None = None
         self._out_sample_factor: np.ndarray | None = None
         self._feat_sample_factor: np.ndarray | None = None
 
         lam = self.prior_precision
-        if curvature.full is not None:
-            precision = add_to_diagonal(curvature.full, lam)
-            self._cov_factor = inverse_cholesky_factor(precision)
+        if curvature.full_eigh is not None:
+            e, self._rows = curvature.full_eigh
+            if self._rows.shape[0] < self.dim:
+                # data space: the complement of the rows has eigenvalue 0, so
+                # the ladder runs over e padded with zeros, and its one shift
+                # lam (lambda plus any jitter) applies in every direction
+                spectrum = positive_diagonal(
+                    np.concatenate([e, np.zeros(self.dim - e.size)]) + lam
+                )
+                shifted, lam = spectrum[: e.size], spectrum[-1]
+                root_lam, root_shifted = np.sqrt(lam), np.sqrt(shifted)
+                self._iso, self._iso_root = 1.0 / lam, 1.0 / root_lam
+                # row j of W has squared norm e_j, so these are
+                # (1/s - 1/lam) / e and (1/sqrt(s) - 1/sqrt(lam)) / e with
+                # s = e + lam, written without dividing by e
+                self._row_var = -1.0 / (lam * shifted)
+                self._row_root = -1.0 / (
+                    root_lam * root_shifted * (root_shifted + root_lam)
+                )
+            else:
+                shifted = positive_diagonal(e + lam)
+                self._row_var = 1.0 / shifted
+                self._row_root = np.sqrt(self._row_var)
         elif curvature.diag is not None:
             self._var_diag = 1.0 / positive_diagonal(curvature.diag + lam)
         else:
@@ -275,16 +375,22 @@ class LaplacePosterior:
         z = rng.standard_normal((count, self.dim))
         if self._var_diag is not None:
             return self.mean[None, :] + z * np.sqrt(self._var_diag)[None, :]
-        return self.mean[None, :] + z @ self._cov_factor.T
+        rows = self._rows
+        return (
+            self.mean[None, :]
+            + self._iso_root * z
+            + ((z @ rows.T) * self._row_root) @ rows
+        )
 
     def quad_forms(self, vectors: np.ndarray) -> np.ndarray:
         """g^T Sigma g for each row g of ``vectors``."""
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
         if vectors.shape[1] != self.dim:
             raise ValueError("vector dimension does not match posterior")
-        if self._var_diag is None:
-            half = vectors @ self._cov_factor
-            return np.einsum("ij,ij->i", half, half)
+        if self._rows is not None:
+            proj = vectors @ self._rows.T
+            squares = np.einsum("ij,ij->i", vectors, vectors)
+            return self._iso * squares + (proj * proj) @ self._row_var
         if self._basis is not None:
             # with M the row-major (k, F) view of g, (Q_G kron Q_A)^T g is
             # the flattened Q_G^T M Q_A
@@ -302,9 +408,12 @@ class LaplacePosterior:
         if self.subset != "last_layer":
             raise ValueError("output blocks only defined for last_layer subset")
         k, feat = self.num_outputs, self.feature_dim
-        if self._var_diag is None:
-            rows = self._cov_factor.reshape(k, feat, self.dim)
-            return rows @ rows.transpose(0, 2, 1)
+        if self._rows is not None:
+            # block i = iso I + B_i^T diag(row_var) B_i, with B_i the columns
+            # of the rows that belong to output i
+            cols = self._rows.reshape(-1, k, feat).transpose(1, 0, 2)
+            blocks = (cols.transpose(0, 2, 1) * self._row_var) @ cols
+            return blocks + self._iso * np.eye(feat)
         var = self._var_diag.reshape(k, feat)
         if self._basis is None:
             return var[:, :, None] * np.eye(feat)

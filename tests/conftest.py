@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lula_lab.laplace import LaplacePosterior
+from lula_lab.laplace import Curvature, LaplacePosterior
 from lula_lab.lula import lula_objective
 from lula_lab.network import Network, backward, forward
 from lula_lab.numerics import Rng
@@ -69,6 +69,24 @@ def fd_free_gradient(net, aug, post, in_batch, out_batch) -> np.ndarray:
     grad = np.zeros_like(theta)
     grad[free] = fd_param_gradient(objective, theta[free])
     return grad
+
+
+def curvature_from_matrix(matrix) -> Curvature:
+    """Single-output last-layer full GGN equal to a given symmetric matrix."""
+    e, q = np.linalg.eigh(np.asarray(matrix, dtype=np.float64))
+    return Curvature("full_ggn", "last_layer", np.zeros(e.size), 1, e.size,
+                     full_eigh=(e, q.T))
+
+
+def dense_ggn(curv: Curvature) -> np.ndarray:
+    """The d x d GGN rebuilt from a full curvature's one eigendecomposition."""
+    e, rows = curv.full_eigh
+    if rows.shape[0] < curv.dim:  # data space: GGN = W^T W
+        return rows.T @ rows
+    # Q diag(e) Q^T is symmetric; averaging with the transpose removes the
+    # rounding of the product so exact-symmetry checks see the matrix itself
+    ggn = (rows.T * e) @ rows
+    return 0.5 * (ggn + ggn.T)
 
 
 def relative_error(actual: np.ndarray, expected: np.ndarray) -> float:

@@ -1,8 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import loop_output_jacobian, relative_error
-from lula_lab import laplace
+from conftest import (
+    curvature_from_matrix,
+    dense_ggn,
+    loop_output_jacobian,
+    relative_error,
+)
+from lula_lab import laplace, numerics
 from lula_lab.errors import NotPositiveDefinite
 from lula_lab.laplace import (
     DEFAULT_LAMBDA_GRID,
@@ -87,21 +94,22 @@ class TestFitCurvature:
         loss = LossKind("gaussian_nll", 1.0)
         curv = fit_curvature(net, x, loss, "full_ggn", "last_layer")
         xbar = np.array([1.5, -2.0, 1.0])
-        assert np.allclose(curv.full, np.outer(xbar, xbar), atol=1e-12)
+        ggn = dense_ggn(curv)
+        assert np.allclose(ggn, np.outer(xbar, xbar), atol=1e-12)
 
         def data_term(theta):
             value, _ = map_loss(net.with_flat_params(theta), x, y, loss, 0.0)
             return value
 
         fd = fd_hessian(data_term, net.flatten_params())
-        assert relative_error(curv.full, fd) <= 1e-6
+        assert relative_error(ggn, fd) <= 1e-6
 
     def test_binary_ce_factor_at_zero_logit(self):
         net = linear_net([[0.0, 0.0]], [0.0])
         x = np.array([[2.0, -1.0]])
         curv = fit_curvature(net, x, LossKind("binary_ce"), "full_ggn", "last_layer")
         hbar = np.array([2.0, -1.0, 1.0])
-        assert np.allclose(curv.full, 0.25 * np.outer(hbar, hbar), atol=1e-12)
+        assert np.allclose(dense_ggn(curv), 0.25 * np.outer(hbar, hbar), atol=1e-12)
         kf = fit_curvature(net, x, LossKind("binary_ce"), "kfac_last_layer")
         assert kf.output_factor[0, 0] == pytest.approx(0.25, abs=1e-15)
 
@@ -109,8 +117,9 @@ class TestFitCurvature:
         net = linear_net([[0.3, 0.4]], [0.0])
         x = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0]])
         curv = fit_curvature(net, x, LossKind("gaussian_nll"), "full_ggn", "last_layer")
-        assert np.array_equal(curv.full[1], np.zeros(3))
-        assert np.array_equal(curv.full[:, 1], np.zeros(3))
+        ggn = dense_ggn(curv)
+        assert np.array_equal(ggn[1], np.zeros(3))
+        assert np.array_equal(ggn[:, 1], np.zeros(3))
 
     def test_diag_matches_full_diagonal(self):
         rng = Rng(2)
@@ -120,7 +129,7 @@ class TestFitCurvature:
         for subset in ("last_layer", "all_layers"):
             full = fit_curvature(net, x, loss, "full_ggn", subset)
             diag = fit_curvature(net, x, loss, "diag_ggn", subset)
-            assert np.allclose(diag.diag, np.diag(full.full), atol=1e-10)
+            assert np.allclose(diag.diag, np.diag(dense_ggn(full)), atol=1e-10)
 
     def test_all_layers_matches_fd_hessian_linear_model(self):
         # multi-output linear model: GGN == exact Hessian over all params
@@ -135,7 +144,7 @@ class TestFitCurvature:
             return value
 
         fd = fd_hessian(data_term, net.flatten_params())
-        assert relative_error(curv.full, fd) <= 1e-5
+        assert relative_error(dense_ggn(curv), fd) <= 1e-5
 
     def test_kfac_requires_last_layer(self):
         net = linear_net([[1.0]], [0.0])
@@ -158,38 +167,50 @@ class TestFitCurvature:
         loss = LossKind("gaussian_nll", 2.0)
         full = fit_curvature(net, x, loss, "full_ggn", "last_layer")
         kf = fit_curvature(net, x, loss, "kfac_last_layer")
-        assert np.allclose(kron(kf.output_factor, kf.input_factor), full.full,
+        assert np.allclose(kron(kf.output_factor, kf.input_factor), dense_ggn(full),
                            atol=1e-10)
 
 
+# The [3, 6, 5, k] nets of TestAllLayersGGN have d = 59 + 6 k parameters, so
+# 20 curvature points hold the full GGN in data space (n k < d) and 80 hold
+# it in parameter space.
 class TestAllLayersGGN:
-    @pytest.mark.parametrize("loss, k", LOSS_CASES)
-    def test_matches_per_example_loop(self, loss, k):
+    @pytest.mark.parametrize("loss, k, n", [
+        *[pytest.param(*case.values, 20, id=case.id) for case in LOSS_CASES],
+        *[pytest.param(*case.values, 80, id=f"{case.id}-parameter")
+          for case in LOSS_CASES],
+    ])
+    def test_matches_per_example_loop(self, loss, k, n):
         rng = Rng(21)
         net = Network.init_random([3, 6, 5, k], "tanh", rng)
-        x = 2.0 * rng.standard_normal((20, 3))
+        x = 2.0 * rng.standard_normal((n, 3))
         expected = loop_ggn(net, x, loss)
-        full = fit_curvature(net, x, loss, "full_ggn", "all_layers").full
+        full = dense_ggn(fit_curvature(net, x, loss, "full_ggn", "all_layers"))
         diag = fit_curvature(net, x, loss, "diag_ggn", "all_layers").diag
         assert relative_error(full, expected) <= 1e-10
         assert relative_error(diag, np.diag(expected)) <= 1e-10
         assert np.array_equal(full, full.T)
 
-    @pytest.mark.parametrize("kind", ["full_ggn", "diag_ggn"])
-    def test_chunk_invariance(self, monkeypatch, kind):
+    @pytest.mark.parametrize("kind, n", [
+        pytest.param("full_ggn", 20, id="full_ggn"),
+        pytest.param("diag_ggn", 20, id="diag_ggn"),
+        pytest.param("full_ggn", 80, id="full_ggn-parameter"),
+    ])
+    def test_chunk_invariance(self, monkeypatch, kind, n):
         rng = Rng(22)
         net = Network.init_random([3, 6, 5, 3], "tanh", rng)
-        x = rng.standard_normal((20, 3))
+        x = rng.standard_normal((n, 3))
         loss = LossKind("categorical_ce")
         dim = net.num_params
-        assert laplace._chunk_rows(3, dim) >= 20
+        assert laplace._chunk_rows(3, dim) >= n
         whole = fit_curvature(net, x, loss, kind, "all_layers")
         monkeypatch.setattr(laplace, "_JACOBIAN_CHUNK_BYTES", 7 * 8 * 3 * dim)
-        assert laplace._chunk_rows(3, dim) == 7  # chunks of 7, 7 and 6
+        assert laplace._chunk_rows(3, dim) == 7  # chunks of 7, the last shorter
         chunked = fit_curvature(net, x, loss, kind, "all_layers")
         if kind == "full_ggn":
-            assert relative_error(chunked.full, whole.full) <= 1e-12
-            assert np.array_equal(chunked.full, chunked.full.T)
+            ggn = dense_ggn(chunked)
+            assert relative_error(ggn, dense_ggn(whole)) <= 1e-12
+            assert np.array_equal(ggn, ggn.T)
         else:
             assert relative_error(chunked.diag, whole.diag) <= 1e-12
 
@@ -203,14 +224,12 @@ class TestAllLayersGGN:
 
 class TestBuildPosterior:
     def test_prior_only(self):
-        curv = Curvature("full_ggn", "last_layer", np.zeros(3), 1, 3,
-                         full=np.zeros((3, 3)))
+        curv = curvature_from_matrix(np.zeros((3, 3)))
         post = build_posterior(curv, 2.0)
         assert np.allclose(marginal_variances(post), 0.5 * np.ones(3), atol=1e-12)
 
     def test_identity_curvature(self):
-        curv = Curvature("full_ggn", "last_layer", np.zeros(2), 1, 2,
-                         full=np.eye(2))
+        curv = curvature_from_matrix(np.eye(2))
         post = build_posterior(curv, 1.0)
         assert np.allclose(marginal_variances(post), 0.5 * np.ones(2), atol=1e-12)
 
@@ -271,8 +290,7 @@ class TestBuildPosterior:
         assert np.all(np.isfinite(var)) and np.all(var >= 0.0)
 
     def test_negative_curvature_fails(self):
-        curv = Curvature("full_ggn", "last_layer", np.zeros(1), 1, 1,
-                         full=np.array([[-10.0]]))
+        curv = curvature_from_matrix(np.array([[-10.0]]))
         with pytest.raises(NotPositiveDefinite):
             build_posterior(curv, 0.1)
 
@@ -291,13 +309,173 @@ class TestBuildPosterior:
                 previous = var
 
 
+def loop_last_layer_ggn(net, x, loss):
+    """Oracle last-layer GGN: sum over examples of Lambda_x kron hbar hbar^T."""
+    trace = forward(net, x)
+    hbar = augment_ones(trace.activations[-2])
+    lambdas = output_hessians(loss, trace.output)
+    return sum(kron(lam, np.outer(h, h)) for lam, h in zip(lambdas, hbar))
+
+
+def oracle_ggn(net, x, loss, subset):
+    return (loop_ggn if subset == "all_layers" else loop_last_layer_ggn)(net, x, loss)
+
+
+# (subset, curvature points, data space) around n k = d for the [2, 5, 4, k]
+# nets of TestFullGGNEigenbasis: d = 5 k for the last layer, 39 + 5 k for
+# all layers; n k = d itself is held in parameter space
+SIDE_CASES = [
+    pytest.param("last_layer", 3, True, id="last-data"),
+    pytest.param("last_layer", 5, False, id="last-boundary"),
+    pytest.param("last_layer", 60, False, id="last-parameter"),
+    pytest.param("all_layers", 6, True, id="all-data"),
+    pytest.param("all_layers", 60, False, id="all-parameter"),
+]
+
+
+class TestFullGGNEigenbasis:
+    def _instance(self, subset, n, data_space, loss, k=3, seed=31):
+        rng = Rng(seed)
+        net = Network.init_random([2, 5, 4, k], "tanh", rng)
+        x = 2.0 * rng.standard_normal((n, 2))
+        curv = fit_curvature(net, x, loss, "full_ggn", subset)
+        assert (curv.full_eigh[1].shape[0] < curv.dim) == data_space
+        return net, x, curv
+
+    @pytest.mark.parametrize("subset, n, data_space", SIDE_CASES)
+    @pytest.mark.parametrize("loss, k", LOSS_CASES)
+    def test_matches_dense_inverse_over_grid(self, subset, n, data_space, loss, k):
+        net, x, curv = self._instance(subset, n, data_space, loss, k)
+        ggn, dim, feat = oracle_ggn(net, x, loss, subset), curv.dim, curv.feature_dim
+        vectors = Rng(32).standard_normal((6, dim))
+        for lam in DEFAULT_LAMBDA_GRID:
+            post = build_posterior(curv, lam)
+            oracle = np.linalg.inv(ggn + lam * np.eye(dim))
+            scale = np.max(np.abs(oracle))
+            marginals = marginal_variances(post)
+            assert np.max(np.abs(marginals - np.diag(oracle))) <= 1e-9 * scale, lam
+            expected = np.einsum("ij,jk,ik->i", vectors, oracle, vectors)
+            quad = post.quad_forms(vectors)
+            assert np.max(np.abs(quad - expected)) <= 1e-9 * np.max(expected), lam
+            if subset == "last_layer":
+                blocks = np.stack(
+                    [oracle[i * feat:(i + 1) * feat, i * feat:(i + 1) * feat]
+                     for i in range(k)]
+                )
+                error = np.max(np.abs(post.output_block_cov() - blocks))
+                assert error <= 1e-9 * scale, lam
+
+    @pytest.mark.parametrize("dims, subset", [
+        pytest.param([2, 5, 4, 3], "last_layer", id="last"),
+        pytest.param([2, 3], "all_layers", id="all-linear"),
+    ])
+    def test_zero_prior_precision_full_rank(self, dims, subset):
+        # Gaussian likelihood and more rows than parameters: the GGN is
+        # nonsingular, so lambda = 0 is its plain inverse
+        rng = Rng(33)
+        net = Network.init_random(dims, "tanh", rng)
+        x = 2.0 * rng.standard_normal((60, 2))
+        loss = LossKind("gaussian_nll", 2.5)
+        curv = fit_curvature(net, x, loss, "full_ggn", subset)
+        oracle = np.linalg.inv(oracle_ggn(net, x, loss, subset))
+        post = build_posterior(curv, 0.0)
+        scale = np.max(np.abs(oracle))
+        assert np.max(np.abs(marginal_variances(post) - np.diag(oracle))) <= 1e-9 * scale
+        vectors = rng.standard_normal((5, post.dim))
+        expected = np.einsum("ij,jk,ik->i", vectors, oracle, vectors)
+        assert np.max(np.abs(post.quad_forms(vectors) - expected)) <= 1e-9 * np.max(expected)
+
+    @pytest.mark.parametrize("subset, n, data_space", SIDE_CASES)
+    def test_zero_prior_precision_rank_deficient(self, subset, n, data_space):
+        # categorical GGNs are singular (the softmax shift direction); data
+        # space adds d - n k null directions
+        net, x, curv = self._instance(subset, n, data_space, LossKind("categorical_ce"))
+        post = build_posterior(curv, 0.0)
+        var = marginal_variances(post)
+        v = linearized_variance_batch(net, post, Rng(34).standard_normal((8, 2)))
+        for values in (var, v):
+            assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+        if data_space:
+            # the zero eigenvalues land on the first jitter rung, whose shift
+            # is 1e-8 times the mean diagonal of the precision
+            jitter = 1e-8 * np.mean(np.diag(dense_ggn(curv)))
+            rung = marginal_variances(build_posterior(curv, jitter))
+            assert relative_error(var, rung) <= 1e-10
+
+    @pytest.mark.parametrize("subset, n, data_space", SIDE_CASES)
+    def test_empirical_covariance(self, subset, n, data_space):
+        loss = LossKind("categorical_ce")
+        net, x, curv = self._instance(subset, n, data_space, loss)
+        post = build_posterior(curv, 0.5)
+        samples = post.sample(Rng(35), 10000)
+        emp = np.cov(samples.T, bias=True)
+        oracle = np.linalg.inv(oracle_ggn(net, x, loss, subset) + 0.5 * np.eye(post.dim))
+        assert np.linalg.norm(emp - oracle) / np.linalg.norm(oracle) <= 0.10
+
+    @pytest.mark.parametrize("subset, n, data_space", SIDE_CASES)
+    def test_draws_are_the_symmetric_square_root(self, subset, n, data_space):
+        # both sides map the same z = standard_normal((count, d)) through the
+        # symmetric root of Sigma, so they draw the same samples
+        loss = LossKind("categorical_ce")
+        net, x, curv = self._instance(subset, n, data_space, loss)
+        ggn = oracle_ggn(net, x, loss, subset)
+        for lam in (1e-2, 1.0, 1e2):
+            w, v = np.linalg.eigh(ggn + lam * np.eye(curv.dim))
+            root = (v / np.sqrt(w)) @ v.T
+            z = Rng(36).standard_normal((5, curv.dim))
+            samples = build_posterior(curv, lam).sample(Rng(36), 5)
+            assert relative_error(samples - curv.mean, z @ root) <= 1e-9, lam
+
+    @pytest.mark.parametrize("subset, n, data_space", SIDE_CASES)
+    def test_tuning_makes_no_cholesky_calls(self, monkeypatch, subset, n, data_space):
+        calls = []
+        original = numerics.cholesky_psd
+
+        def counting(a):
+            calls.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(numerics, "cholesky_psd", counting)
+        loss = LossKind("categorical_ce")
+        net, x, curv = self._instance(subset, n, data_space, loss)
+        labels = np.arange(n) % 3
+        _, scores = tune_prior_precision(
+            net, curv, x, labels, loss, predict_cfg=PredictConfig("mc", 8, 0)
+        )
+        assert len(scores) == len(DEFAULT_LAMBDA_GRID) == 17
+        assert calls == []
+        # the counter sees the factorizations that do remain: Kronecker
+        # sampling factors its two damped factors
+        build_posterior(fit_curvature(net, x, loss, "kfac_last_layer"), 1.0)
+        assert len(calls) == 2
+
+    def test_default_dims_stay_below_one_dense_matrix(self):
+        # 2,64,64,2 with 360 points: d = 4482 and n k = 720, so the fit and
+        # posterior stay in data space and never hold a d x d array
+        rng = Rng(37)
+        net = Network.init_random([2, 64, 64, 2], "relu", rng)
+        x = rng.standard_normal((360, 2))
+        assert net.num_params == 4482
+        tracemalloc.start()
+        try:
+            curv = fit_curvature(net, x, LossKind("categorical_ce"), "full_ggn",
+                                 "all_layers")
+            build_posterior(curv, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * net.num_params ** 2
+
+
 class TestSampling:
-    def _posterior(self, kind="full_ggn", lam=0.5, seed=6):
+    def _curvature(self, kind="full_ggn", seed=6):
         rng = Rng(seed)
         net = Network.init_random([2, 4, 2], "tanh", rng)
         x = rng.standard_normal((20, 2))
-        curv = fit_curvature(net, x, LossKind("categorical_ce"), kind, "last_layer")
-        return build_posterior(curv, lam)
+        return fit_curvature(net, x, LossKind("categorical_ce"), kind, "last_layer")
+
+    def _posterior(self, kind="full_ggn", lam=0.5, seed=6):
+        return build_posterior(self._curvature(kind, seed), lam)
 
     def test_huge_precision_collapses_to_mean(self):
         post = self._posterior(lam=1e12)
@@ -305,11 +483,11 @@ class TestSampling:
         assert np.max(np.abs(samples - post.mean)) <= 1e-4
 
     def test_empirical_covariance_full(self):
-        post = self._posterior(lam=0.8)
+        curv = self._curvature()
+        post = build_posterior(curv, 0.8)
         samples = post.sample(Rng(1), 10000)
         emp = np.cov(samples.T, bias=True)
-        factor = post._cov_factor
-        target = factor @ factor.T
+        target = np.linalg.inv(dense_ggn(curv) + 0.8 * np.eye(post.dim))
         assert np.linalg.norm(emp - target) / np.linalg.norm(target) <= 0.10
 
     def test_seed_reproducibility(self):
@@ -380,8 +558,8 @@ class TestLinearizedVariance:
         from lula_lab.network import output_jacobian
 
         jac = output_jacobian(net, point)
-        factor = post._cov_factor
-        expected = np.einsum("ij,ij->i", jac @ factor, jac @ factor)
+        cov = np.linalg.inv(dense_ggn(curv) + 0.5 * np.eye(post.dim))
+        expected = np.einsum("ij,jk,ik->i", jac, cov, jac)
         assert np.allclose(v, expected, atol=1e-10)
 
     @pytest.mark.parametrize("kind", ["full_ggn", "diag_ggn"])
@@ -666,8 +844,7 @@ class TestTunePriorPrecision:
         assert first == second
 
     def test_all_candidates_failing_raises(self):
-        curv = Curvature("full_ggn", "last_layer", np.zeros(1), 1, 1,
-                         full=np.array([[-100.0]]))
+        curv = curvature_from_matrix(np.array([[-100.0]]))
         net = linear_net([[1.0]], [0.0])
         with pytest.raises(NotPositiveDefinite):
             tune_prior_precision(
