@@ -39,12 +39,10 @@ from .laplace import (
     tune_prior_precision,
 )
 from .lula import (
-    LulaAugmentation,
     LulaTrainConfig,
     augment,
     grid_search_units,
     lula_objective,
-    mask_gradient,
     total_variance,
     train_lula,
 )

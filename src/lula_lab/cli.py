@@ -149,19 +149,30 @@ def _ood_training_features(cfg: ExperimentConfig, num_features: int) -> np.ndarr
 # augmentation sidecar file
 
 
-def _save_augmentation(path: str, aug: lula_mod.LulaAugmentation) -> None:
+def _save_augmentation(
+    path: str, net: net_mod.Network, units: int, init_std: float | None
+) -> None:
+    """Format v1: per-hidden-layer counts and the free mask of every layer.
+
+    Only the final hidden layer carries added units; its last ``units`` rows
+    are free across every column, since the layer below has none.
+    """
+    top = net.num_layers - 2
     lines = ["lula-lab-augmentation v1"]
-    lines.append("counts " + " ".join(str(c) for c in aug.unit_counts))
+    lines.append(
+        "counts " + " ".join(str(units if i == top else 0) for i in range(top + 1))
+    )
     lines.append(
         "init_std "
-        + ("default" if aug.init_std is None else format(aug.init_std, ".17g"))
+        + ("default" if init_std is None else format(init_std, ".17g"))
     )
-    for i, (mw, mb) in enumerate(zip(aug.weight_masks, aug.bias_masks)):
-        lines.append(f"layer {i} mask_w {mw.shape[0]} {mw.shape[1]}")
-        for row in mw.astype(int):
-            lines.append(" ".join(str(v) for v in row))
-        lines.append(f"mask_b {mb.shape[0]}")
-        lines.append(" ".join(str(v) for v in mb.astype(int)))
+    for i, spec in enumerate(net.specs):
+        free = units if i == top else 0
+        flags = ["0"] * (spec.out_dim - free) + ["1"] * free
+        lines.append(f"layer {i} mask_w {spec.out_dim} {spec.in_dim}")
+        lines.extend(" ".join([flag] * spec.in_dim) for flag in flags)
+        lines.append(f"mask_b {spec.out_dim}")
+        lines.append(" ".join(flags))
     _write_lines(path, lines)
 
 
@@ -232,6 +243,10 @@ def cmd_lula(
             "uses class confidences)"
         )
     net = net_mod.load(model_path)
+    if net.num_layers < 2:
+        raise ConfigError(
+            f"{model_path} has no hidden layer to add uncertainty units to"
+        )
     lam = cfg["laplace"]["prior_precision"]
     if lam is None:
         _, _, lam, _ = _fit_posterior(cfg, laplace_cfg, net, train, val, loss)
@@ -255,10 +270,9 @@ def cmd_lula(
             + ", ".join(f"{c}:{_fmt(s)}" for c, s in sorted(scores.items()))
             + f" -> {count}"
         )
-    counts = [0] * (net.num_layers - 2) + [count]
-    aug_net, aug = augment_with_seed(net, counts, cfg, lu["init_std"])
+    aug_net = augment_with_seed(net, count, cfg, lu["init_std"])
     tuned, history, _ = lula_mod.train_lula(
-        aug_net, aug, in_features, out_features, loss, lam, lcfg
+        aug_net, count, in_features, out_features, loss, lam, lcfg
     )
     rel = _prop1_check(
         net, tuned, cfg["eval"]["grid_extent"], _mix64(lcfg.seed, 17)
@@ -269,7 +283,7 @@ def cmd_lula(
         return 1
     net_mod.save(tuned, out_path)
     base = os.path.splitext(out_path)[0]
-    _save_augmentation(base + "_augmentation.txt", aug)
+    _save_augmentation(base + "_augmentation.txt", tuned, count, lu["init_std"])
     _write_csv(
         base + "_history.csv",
         ["epoch", "objective"],
@@ -279,9 +293,9 @@ def cmd_lula(
     return 0
 
 
-def augment_with_seed(net, counts, cfg: ExperimentConfig, init_std):
+def augment_with_seed(net, units: int, cfg: ExperimentConfig, init_std):
     rng = Rng(_mix64(cfg["lula"]["seed"], 23))
-    return lula_mod.augment(net, counts, rng, init_std)
+    return lula_mod.augment(net, units, rng, init_std)
 
 
 def _eval_ood_sets(cfg: ExperimentConfig, test):
@@ -433,7 +447,7 @@ def _demo_moons(cfg: ExperimentConfig, out_dir: str, summary: list[str]) -> None
     post_la = build_posterior(curv, lam)
 
     units = demo["moons_lula_units"]
-    aug_net, aug = lula_mod.augment(net, [0, units], Rng(_mix64(seed, 6)), 0.2)
+    aug_net = lula_mod.augment(net, units, Rng(_mix64(seed, 6)), 0.2)
     lcfg = lula_mod.LulaTrainConfig(
         learning_rate=0.5,
         epochs=demo["moons_lula_epochs"],
@@ -445,7 +459,7 @@ def _demo_moons(cfg: ExperimentConfig, out_dir: str, summary: list[str]) -> None
         cfg["lula"]["ood_size"], 2, -10.0, 10.0, _mix64(seed, 8)
     ).features
     tuned, _, _ = lula_mod.train_lula(
-        aug_net, aug, val.features, out_train, loss, lam, lcfg
+        aug_net, units, val.features, out_train, loss, lam, lcfg
     )
     curv_lula = fit_curvature(
         tuned, train.features, loss, "kfac_last_layer", "last_layer"
@@ -525,7 +539,7 @@ def _demo_regression(cfg: ExperimentConfig, out_dir: str, summary: list[str]) ->
     post_la = build_posterior(curv, lam)
 
     units = demo["reg_lula_units"]
-    aug_net, aug = lula_mod.augment(net, [units], Rng(_mix64(seed, 26)), 0.2)
+    aug_net = lula_mod.augment(net, units, Rng(_mix64(seed, 26)), 0.2)
     lcfg = lula_mod.LulaTrainConfig(
         learning_rate=1.0,
         epochs=demo["reg_lula_epochs"],
@@ -537,7 +551,7 @@ def _demo_regression(cfg: ExperimentConfig, out_dir: str, summary: list[str]) ->
         cfg["lula"]["ood_size"], 1, -10.0, 10.0, _mix64(seed, 28)
     ).features
     tuned, _, _ = lula_mod.train_lula(
-        aug_net, aug, val.features, out_train, loss, lam, lcfg
+        aug_net, units, val.features, out_train, loss, lam, lcfg
     )
     curv_lula = fit_curvature(
         tuned, train.features, loss, "kfac_last_layer", "last_layer"

@@ -2,8 +2,8 @@
 
 Parameter flattening contract (frozen, shared by every module): layers in
 order, and within a layer the weight matrix in row-major (C) order followed
-by the bias vector. Jacobians, curvature matrices over the full parameter
-set, and gradient masks all use this ordering.
+by the bias vector. Jacobians and curvature matrices over the full parameter
+set use this ordering.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ from lula_lab.numerics import Rng
 
 
 def random_network(rng: Rng, max_layers=3, max_units=10, input_dim=None,
-                   output_dim=None, activation=None) -> Network:
+                   output_dim=None, activation=None, min_hidden=0) -> Network:
     """Small random net with random layer sizes and nonzero biases."""
-    n_hidden = int(rng.integers(0, max_layers))
+    n_hidden = int(rng.integers(min_hidden, max_layers))
     dims = [input_dim or int(rng.integers(1, 6))]
     for _ in range(n_hidden):
         dims.append(int(rng.integers(2, max_units + 1)))
@@ -49,26 +49,26 @@ def fd_param_gradient(f, theta: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     return grad
 
 
-def fd_free_gradient(net, aug, post, in_batch, out_batch) -> np.ndarray:
-    """Finite-difference oracle of ``lula_objective`` over the free parameters.
+def fd_free_gradient(net, units, post, in_batch, out_batch) -> np.ndarray:
+    """Finite-difference oracle of ``lula_objective`` over the free block.
 
-    The posterior is held fixed. Returns a flat gradient in the network's
-    parameter order, zero outside the free blocks.
+    The free block is the last ``units`` rows of the final hidden layer's
+    weights and biases. The posterior is held fixed. Returns the flat
+    gradient: the free weights in row-major order, then the free biases.
     """
-    free = np.concatenate(
-        [np.concatenate([mw.ravel(), mb])
-         for mw, mb in zip(aug.weight_masks, aug.bias_masks)]
-    )
-    theta = net.flatten_params()
+    top = net.num_layers - 2
+    first = net.specs[top].out_dim - units
+    w, b = net.weights[top], net.biases[top]
+    n_w = units * w.shape[1]
 
     def objective(values):
-        moved = theta.copy()
-        moved[free] = values
-        return lula_objective(net.with_flat_params(moved), post, in_batch, out_batch)
+        weights, biases = list(net.weights), list(net.biases)
+        weights[top] = np.vstack([w[:first], values[:n_w].reshape(units, -1)])
+        biases[top] = np.concatenate([b[:first], values[n_w:]])
+        moved = Network(net.specs, weights, biases)
+        return lula_objective(moved, post, in_batch, out_batch)
 
-    grad = np.zeros_like(theta)
-    grad[free] = fd_param_gradient(objective, theta[free])
-    return grad
+    return fd_param_gradient(objective, np.concatenate([w[first:].ravel(), b[first:]]))
 
 
 def curvature_from_matrix(matrix) -> Curvature:

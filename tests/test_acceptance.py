@@ -52,21 +52,21 @@ def _report(number, name, ok, detail=""):
 
 
 def test_criterion_1_output_preservation():
-    # 1000 random (net, input, counts) triples; augmented forward must match
-    # the original within 1e-12 relative. Budget: 30 s.
+    # 1000 random (net, input, units) triples, each net with a hidden layer;
+    # augmented forward must match the original within 1e-12 relative.
+    # Budget: 30 s.
     start = time.monotonic()
     rng = Rng(101)
     worst = 0.0
     for _ in range(1000):
-        n_layers = int(rng.integers(1, 5))
+        n_layers = int(rng.integers(2, 5))
         dims = [int(rng.integers(1, 7))]
         for _ in range(n_layers - 1):
             dims.append(int(rng.integers(2, 33)))
         dims.append(int(rng.integers(1, 4)))
         act = ("relu", "selu", "tanh")[int(rng.integers(0, 3))]
         net = Network.init_random(dims, act, rng)
-        counts = [int(rng.integers(0, 65)) for _ in range(net.num_layers - 1)]
-        aug_net, _ = augment(net, counts, rng)
+        aug_net = augment(net, int(rng.integers(0, 65)), rng)
         x = 3.0 * rng.standard_normal((4, net.input_dim))
         a = forward(net, x).output
         b = forward(aug_net, x).output
@@ -95,9 +95,7 @@ def test_criterion_2_variance_never_decreases():
         act = ("relu", "selu", "tanh")[int(rng.integers(0, 3))]
         net = Network.init_random(dims, act, rng)
         data = rng.standard_normal((40, 2))
-        counts = [0] * (net.num_layers - 1)
-        counts[-1] = int(rng.integers(1, 17))
-        aug_net, _ = augment(net, counts, rng)
+        aug_net = augment(net, int(rng.integers(1, 17)), rng)
         lam = float(10.0 ** rng.uniform(-3, 1, None))
         post = build_posterior(
             fit_curvature(net, data, loss, "diag_ggn", "last_layer"), lam
@@ -160,7 +158,8 @@ def test_criterion_3_gradient_oracles():
     for _ in range(20):
         dims = [2, int(rng.integers(3, 8)), int(rng.integers(1, 4))]
         net = Network.init_random(dims, "tanh", rng)
-        aug_net, aug = augment(net, [int(rng.integers(1, 6))], rng)
+        units = int(rng.integers(1, 6))
+        aug_net = augment(net, units, rng)
         data = rng.standard_normal((10, 2))
         out = rng.uniform(-4.0, 4.0, (8, 2))
         post = build_posterior(
@@ -168,9 +167,10 @@ def test_criterion_3_gradient_oracles():
                           "last_layer"),
             0.3,
         )
-        fd_g = fd_free_gradient(aug_net, aug, post, data[:5], out[:5])
-        an_g = objective_gradient(aug_net, aug, post, data[:5], out[:5])
-        worst_lula = max(worst_lula, relative_error(an_g.flatten(), fd_g))
+        fd_g = fd_free_gradient(aug_net, units, post, data[:5], out[:5])
+        grad_w, grad_b = objective_gradient(aug_net, units, post, data[:5], out[:5])
+        an_g = np.concatenate([grad_w.ravel(), grad_b])
+        worst_lula = max(worst_lula, relative_error(an_g, fd_g))
 
     ok = worst_bwd <= 1e-5 and worst_loss <= 1e-5 and worst_lula <= 1e-3
     _report(
@@ -291,11 +291,11 @@ def moons_pipeline():
         fit_curvature(net, train.features, loss, "kfac_last_layer"), lam
     )
     out_train = gen_uniform_noise(500, 2, -10.0, 10.0, 17).features
-    aug_net, aug = augment(net, [0, 32], Rng(18), 0.2)
+    aug_net = augment(net, 32, Rng(18), 0.2)
     lcfg = LulaTrainConfig(
         learning_rate=0.5, epochs=100, in_batch=512, out_batch=512, seed=19
     )
-    tuned, _, _ = train_lula(aug_net, aug, val.features, out_train, loss, lam, lcfg)
+    tuned, _, _ = train_lula(aug_net, 32, val.features, out_train, loss, lam, lcfg)
     post_lula = build_posterior(
         fit_curvature(tuned, train.features, loss, "kfac_last_layer"), lam
     )
@@ -355,11 +355,11 @@ def test_criterion_8_regression_pattern():
     )
     outliers = gen_uniform_noise(300, 1, -10.0, 10.0, 34).features
     out_train = gen_uniform_noise(500, 1, -10.0, 10.0, 36).features
-    aug_net, aug = augment(net, [50], Rng(37), 0.2)
+    aug_net = augment(net, 50, Rng(37), 0.2)
     lcfg = LulaTrainConfig(
         learning_rate=1.0, epochs=100, in_batch=512, out_batch=512, seed=38
     )
-    tuned, _, _ = train_lula(aug_net, aug, val.features, out_train, loss, lam, lcfg)
+    tuned, _, _ = train_lula(aug_net, 50, val.features, out_train, loss, lam, lcfg)
     post_lula = build_posterior(
         fit_curvature(tuned, train.features, loss, "kfac_last_layer"), lam
     )

@@ -349,6 +349,62 @@ sample_count = 40
         )
         assert code == 2
 
+    def test_lula_without_hidden_layer_exits_2_before_work(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        ini = TINY_INI.replace("dims = 2,16,16,2", "dims = 2,2").replace(
+            "prior_precision = 1.0", "prior_precision = tune"
+        )
+        config = tmp_path / "cfg.ini"
+        config.write_text(ini)
+        model = str(tmp_path / "model.txt")
+        assert cli.main(["train", "--config", str(config), "--out", model]) == 0
+        def no_tuning(*args, **kwargs):
+            raise AssertionError("the prior precision was tuned first")
+
+        monkeypatch.setattr(cli, "tune_prior_precision", no_tuning)
+        tuned = tmp_path / "tuned.txt"
+        code = cli.main(
+            ["lula", "--config", str(config), "--model", model, "--out", str(tuned)]
+        )
+        assert code == 2
+        assert "no hidden layer" in capsys.readouterr().err
+        assert not tuned.exists()
+        assert not (tmp_path / "tuned_augmentation.txt").exists()
+        assert not (tmp_path / "tuned_history.csv").exists()
+
+    @pytest.mark.parametrize(
+        "init_std,std_line",
+        [(None, "init_std default"), ("0.2", "init_std 0.20000000000000001")],
+    )
+    def test_augmentation_file_v1_bytes(self, init_std, std_line, tmp_path):
+        ini = TINY_INI.replace("dims = 2,16,16,2", "dims = 2,3,3,2").replace(
+            "counts = 6", "counts = 2"
+        )
+        if init_std is not None:
+            ini = ini.replace("[lula]\n", f"[lula]\ninit_std = {init_std}\n")
+        config = tmp_path / "cfg.ini"
+        config.write_text(ini)
+        model = str(tmp_path / "model.txt")
+        save(Network.init_random([2, 3, 3, 2], "relu", Rng(0)), model)
+        tuned = str(tmp_path / "tuned.txt")
+        assert cli.main(
+            ["lula", "--config", str(config), "--model", model, "--out", tuned]
+        ) == 0
+        expected = (
+            "lula-lab-augmentation v1\n"
+            "counts 0 2\n"
+            f"{std_line}\n"
+            "layer 0 mask_w 3 2\n0 0\n0 0\n0 0\n"
+            "mask_b 3\n0 0 0\n"
+            "layer 1 mask_w 5 3\n0 0 0\n0 0 0\n0 0 0\n1 1 1\n1 1 1\n"
+            "mask_b 5\n0 0 0 1 1\n"
+            "layer 2 mask_w 2 5\n0 0 0 0 0\n0 0 0 0 0\n"
+            "mask_b 2\n0 0\n"
+        )
+        written = (tmp_path / "tuned_augmentation.txt").read_bytes()
+        assert written == expected.encode("ascii")
+
 
 DEMO_INI = """
 [demo]

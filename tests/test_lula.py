@@ -9,13 +9,12 @@ from lula_lab.lula import (
     augment,
     grid_search_units,
     lula_objective,
-    mask_gradient,
     objective_gradient,
     total_variance,
     total_variance_batch,
     train_lula,
 )
-from lula_lab.network import Network, ParamGrads, forward
+from lula_lab.network import Network, forward
 from lula_lab.numerics import Rng
 from lula_lab.training import LossKind
 
@@ -28,7 +27,7 @@ def diag_last_layer_posterior(net, x, loss, lam=0.5):
 class TestAugment:
     def test_block_shapes_2_3_1(self, rng):
         net = Network.init_random([2, 3, 1], "relu", rng)
-        aug_net, aug = augment(net, [2], rng)
+        aug_net = augment(net, 2, rng)
         assert aug_net.weights[0].shape == (5, 2)
         assert aug_net.weights[1].shape == (1, 5)
         assert np.array_equal(aug_net.weights[1][:, 3:], np.zeros((1, 2)))
@@ -36,17 +35,16 @@ class TestAugment:
         assert np.array_equal(aug_net.biases[1], net.biases[1])
 
     def test_zero_counts_bitwise_noop(self, rng):
-        net = random_network(rng, max_layers=3)
-        aug_net, aug = augment(net, [0] * (net.num_layers - 1), rng)
+        net = random_network(rng, max_layers=3, min_hidden=1)
+        aug_net = augment(net, 0, rng)
+        assert aug_net.specs == net.specs
         assert np.array_equal(aug_net.flatten_params(), net.flatten_params())
-        assert aug.num_free == 0
 
     def test_forward_preserved_exactly(self):
         rng = Rng(3)
         for trial in range(50):
-            net = random_network(rng, max_layers=3, max_units=12)
-            counts = [int(rng.integers(0, 9)) for _ in range(net.num_layers - 1)]
-            aug_net, _ = augment(net, counts, rng)
+            net = random_network(rng, max_layers=3, max_units=12, min_hidden=1)
+            aug_net = augment(net, int(rng.integers(0, 9)), rng)
             x = rng.standard_normal((6, net.input_dim))
             a = forward(net, x).output
             b = forward(aug_net, x).output
@@ -55,60 +53,35 @@ class TestAugment:
 
     def test_intermediate_zero_columns(self, rng):
         net = Network.init_random([2, 4, 4, 2], "relu", rng)
-        aug_net, aug = augment(net, [3, 2], rng)
-        # layer 1 weight is (4+2) x (4+3); its last 3 columns are all zero
-        assert aug_net.weights[1].shape == (6, 7)
-        assert np.array_equal(aug_net.weights[1][:, 4:], np.zeros((6, 3)))
-        # free block sits in rows 4:6, columns 0:4
-        assert aug.weight_masks[1][4:, :4].all()
-        assert not aug.weight_masks[1][:4].any()
-        assert not aug.weight_masks[1][:, 4:].any()
-        assert not aug.weight_masks[2].any()  # output layer never free
+        aug_net = augment(net, 2, rng)
+        # the final hidden layer gains rows 4:6, the output layer reads them
+        # through exactly zero columns
+        assert aug_net.weights[1].shape == (6, 4)
+        assert aug_net.weights[2].shape == (2, 6)
+        assert np.array_equal(aug_net.weights[2][:, 4:], np.zeros((2, 2)))
+        # every non-free entry is bitwise the original
+        assert np.array_equal(aug_net.weights[0], net.weights[0])
+        assert np.array_equal(aug_net.biases[0], net.biases[0])
+        assert np.array_equal(aug_net.weights[1][:4], net.weights[1])
+        assert np.array_equal(aug_net.biases[1][:4], net.biases[1])
+        assert np.array_equal(aug_net.weights[2][:, :4], net.weights[2])
+        assert np.array_equal(aug_net.biases[2], net.biases[2])
 
-    def test_wrong_count_length_rejected(self, rng):
+    def test_negative_count_rejected(self, rng):
         net = Network.init_random([2, 4, 2], "relu", rng)
         with pytest.raises(ValueError):
-            augment(net, [1, 1], rng)  # would add units on the output layer
-        with pytest.raises(ValueError):
-            augment(net, [-1], rng)
+            augment(net, -1, rng)
+
+    def test_no_hidden_layer_rejected(self, rng):
+        net = Network.init_random([2, 3], "relu", rng)
+        with pytest.raises(ValueError, match="no hidden layer"):
+            augment(net, 2, rng)
 
     def test_free_blocks_use_init_std(self, rng):
         net = Network.init_random([2, 3, 1], "relu", rng)
-        aug_net, _ = augment(net, [500], rng, init_std=0.05)
+        aug_net = augment(net, 500, rng, init_std=0.05)
         free = aug_net.weights[0][3:]
         assert abs(free.std() - 0.05) < 0.01
-
-
-class TestMaskGradient:
-    def test_ones_gradient_keeps_free_blocks_only(self, rng):
-        net = Network.init_random([2, 3, 2], "relu", rng)
-        aug_net, aug = augment(net, [2], rng)
-        ones = ParamGrads(
-            [np.ones_like(w) for w in aug_net.weights],
-            [np.ones_like(b) for b in aug_net.biases],
-        )
-        masked = mask_gradient(ones, aug)
-        for mw, gw in zip(aug.weight_masks, masked.weights):
-            assert np.array_equal(gw, mw.astype(float))
-        for mb, gb in zip(aug.bias_masks, masked.biases):
-            assert np.array_equal(gb, mb.astype(float))
-
-    def test_zero_gradient_stays_zero(self, rng):
-        net = Network.init_random([2, 3, 2], "relu", rng)
-        aug_net, aug = augment(net, [2], rng)
-        zeros = ParamGrads(
-            [np.zeros_like(w) for w in aug_net.weights],
-            [np.zeros_like(b) for b in aug_net.biases],
-        )
-        masked = mask_gradient(zeros, aug)
-        assert all(np.array_equal(g, np.zeros_like(g)) for g in masked.weights)
-
-    def test_shape_mismatch_rejected(self, rng):
-        net = Network.init_random([2, 3, 2], "relu", rng)
-        _, aug = augment(net, [2], rng)
-        bad = ParamGrads([np.ones((1, 1))] * 2, [np.ones(1)] * 2)
-        with pytest.raises(ValueError):
-            mask_gradient(bad, aug)
 
 
 class TestTotalVariance:
@@ -124,7 +97,7 @@ class TestTotalVariance:
         rng = Rng(6)
         net = Network.init_random([2, 6, 1], "relu", rng)
         data = rng.standard_normal((30, 2))
-        aug_net, _ = augment(net, [4], rng)
+        aug_net = augment(net, 4, rng)
         loss = LossKind("gaussian_nll")
         post = diag_last_layer_posterior(net, data, loss, 0.5)
         post_aug = diag_last_layer_posterior(aug_net, data, loss, 0.5)
@@ -148,17 +121,17 @@ class TestObjective:
     def _setup(self, seed=7):
         rng = Rng(seed)
         net = Network.init_random([2, 5, 2], "tanh", rng)
-        aug_net, aug = augment(net, [3], rng)
+        aug_net = augment(net, 3, rng)
         data = rng.standard_normal((20, 2))
         post = diag_last_layer_posterior(aug_net, data, LossKind("categorical_ce"), 0.4)
-        return aug_net, aug, post, data
+        return aug_net, post, data
 
     def test_identical_batches_cancel(self):
-        net, _, post, data = self._setup()
+        net, post, data = self._setup()
         assert lula_objective(net, post, data, data) == 0.0
 
     def test_difference_of_means(self):
-        net, _, post, data = self._setup()
+        net, post, data = self._setup()
         a, b = data[:4], data[4:10]
         nu_a = total_variance_batch(net, post, a)
         nu_b = total_variance_batch(net, post, b)
@@ -168,7 +141,7 @@ class TestObjective:
         )
 
     def test_duplication_invariance(self):
-        net, _, post, data = self._setup()
+        net, post, data = self._setup()
         a, b = data[:4], data[4:8]
         base = lula_objective(net, post, a, b)
         doubled = lula_objective(
@@ -177,7 +150,7 @@ class TestObjective:
         assert doubled == pytest.approx(base, abs=1e-12)
 
     def test_empty_batch_rejected(self):
-        net, _, post, data = self._setup()
+        net, post, data = self._setup()
         with pytest.raises(ValueError):
             lula_objective(net, post, np.empty((0, 2)), data)
 
@@ -189,62 +162,44 @@ class TestObjectiveGradient:
         for trial in range(20):
             dims = [2, int(rng.integers(3, 7)), int(rng.integers(1, 4))]
             net = Network.init_random(dims, "tanh", rng)
-            counts = [int(rng.integers(1, 5))]
-            aug_net, aug = augment(net, counts, rng)
+            units = int(rng.integers(1, 5))
+            aug_net = augment(net, units, rng)
             data = rng.standard_normal((12, 2))
             out = rng.uniform(-4.0, 4.0, (10, 2))
             post = diag_last_layer_posterior(
                 aug_net, data, LossKind("gaussian_nll"), 0.3
             )
-            fd = fd_free_gradient(aug_net, aug, post, data[:6], out[:6])
-            an = objective_gradient(aug_net, aug, post, data[:6], out[:6])
-            err = relative_error(an.flatten(), fd)
+            fd = fd_free_gradient(aug_net, units, post, data[:6], out[:6])
+            grad_w, grad_b = objective_gradient(aug_net, units, post, data[:6], out[:6])
+            assert grad_w.shape == (units, 2) and grad_b.shape == (units,)
+            err = relative_error(np.concatenate([grad_w.ravel(), grad_b]), fd)
             worst = max(worst, err)
             assert err <= 1e-3, f"trial {trial}: {err}"
         assert worst > 0.0  # gradients are nonzero somewhere
 
-    def test_deeper_free_layers_have_zero_gradient(self):
-        # added units below the top hidden layer feed structurally-zero
-        # columns everywhere, so their free parameters cannot move the
-        # objective under a last-layer posterior
-        rng = Rng(10)
-        net = Network.init_random([2, 4, 4, 1], "tanh", rng)
-        aug_net, aug = augment(net, [3, 2], rng)
-        data = rng.standard_normal((10, 2))
-        post = diag_last_layer_posterior(aug_net, data, LossKind("gaussian_nll"), 0.5)
-        flat_fd = fd_free_gradient(aug_net, aug, post, data[:5], data[5:])
-        fd = aug_net.with_flat_params(flat_fd)  # per-layer view of the gradient
-        assert np.array_equal(fd.weights[0][4:], np.zeros((3, 2)))
-        assert np.array_equal(fd.biases[0][4:], np.zeros(3))
-        assert np.any(fd.weights[1][4:, :4] != 0.0)
-        an = objective_gradient(aug_net, aug, post, data[:5], data[5:])
-        assert np.array_equal(an.weights[0], np.zeros((7, 2)))
-        assert np.array_equal(an.biases[0], np.zeros(7))
-        assert relative_error(an.flatten(), flat_fd) <= 1e-3
-
     def test_rejects_all_layers_posterior(self):
         rng = Rng(11)
         net = Network.init_random([2, 3, 1], "tanh", rng)
-        aug_net, aug = augment(net, [2], rng)
+        aug_net = augment(net, 2, rng)
         data = rng.standard_normal((8, 2))
         curv = fit_curvature(
             aug_net, data, LossKind("gaussian_nll"), "diag_ggn", "all_layers"
         )
         post = build_posterior(curv, 0.5)
         with pytest.raises(ValueError, match="last_layer"):
-            objective_gradient(aug_net, aug, post, data[:4], data[4:])
+            objective_gradient(aug_net, 2, post, data[:4], data[4:])
 
 
 class TestTrainLula:
     def test_zero_epochs_noop(self):
         rng = Rng(12)
         net = Network.init_random([2, 4, 2], "relu", rng)
-        aug_net, aug = augment(net, [2], rng)
+        aug_net = augment(net, 2, rng)
         data = rng.standard_normal((10, 2))
         out = rng.uniform(-5, 5, (10, 2))
         cfg = LulaTrainConfig(epochs=0)
         tuned, history, post = train_lula(
-            aug_net, aug, data, out, LossKind("categorical_ce"), 0.5, cfg
+            aug_net, 2, data, out, LossKind("categorical_ce"), 0.5, cfg
         )
         assert history == []
         assert np.array_equal(tuned.flatten_params(), aug_net.flatten_params())
@@ -256,7 +211,7 @@ class TestTrainLula:
 
         moons = gen_two_moons(150, 0.1, seed=2)
         net = Network.init_random([2, 8, 8, 2], "relu", rng)
-        aug_net, aug = augment(net, [0, 6], rng)
+        aug_net = augment(net, 6, rng)
         out = rng.uniform(-8.0, 8.0, (80, 2))
         loss = LossKind("categorical_ce")
         cfg = LulaTrainConfig(
@@ -266,7 +221,7 @@ class TestTrainLula:
         post0 = diag_last_layer_posterior(aug_net, moons.features[:100], loss, 0.5)
         before = lula_objective(aug_net, post0, eval_in, eval_out)
         tuned, history, post1 = train_lula(
-            aug_net, aug, moons.features[:100], out[:60], loss, 0.5, cfg
+            aug_net, 6, moons.features[:100], out[:60], loss, 0.5, cfg
         )
         after = lula_objective(tuned, post1, eval_in, eval_out)
         assert after < before
@@ -275,36 +230,34 @@ class TestTrainLula:
     def test_structural_invariants_bitwise(self):
         rng = Rng(14)
         net = Network.init_random([2, 5, 5, 2], "relu", rng)
-        aug_net, aug = augment(net, [3, 3], rng)
+        aug_net = augment(net, 3, rng)
         data = rng.standard_normal((20, 2))
         out = rng.uniform(-6, 6, (20, 2))
         cfg = LulaTrainConfig(epochs=2, learning_rate=0.05, seed=5)
         tuned, _, _ = train_lula(
-            aug_net, aug, data, out, LossKind("categorical_ce"), 0.5, cfg
+            aug_net, 3, data, out, LossKind("categorical_ce"), 0.5, cfg
         )
-        for layer in range(tuned.num_layers):
-            mask_w = aug.weight_masks[layer]
-            mask_b = aug.bias_masks[layer]
-            # every non-free entry is bitwise what augmentation produced
-            assert np.array_equal(
-                tuned.weights[layer][~mask_w], aug_net.weights[layer][~mask_w]
-            )
-            assert np.array_equal(
-                tuned.biases[layer][~mask_b], aug_net.biases[layer][~mask_b]
-            )
-        # structural zero blocks are exactly zero
-        assert np.array_equal(tuned.weights[1][:, 5:], np.zeros((8, 3)))
+        # every non-free entry is bitwise what augmentation produced
+        assert tuned.specs == aug_net.specs
+        assert np.array_equal(tuned.weights[0], aug_net.weights[0])
+        assert np.array_equal(tuned.biases[0], aug_net.biases[0])
+        assert np.array_equal(tuned.weights[1][:5], aug_net.weights[1][:5])
+        assert np.array_equal(tuned.biases[1][:5], aug_net.biases[1][:5])
+        assert np.array_equal(tuned.weights[2], aug_net.weights[2])
+        assert np.array_equal(tuned.biases[2], aug_net.biases[2])
+        # structural zero columns are exactly zero; the free block moved
         assert np.array_equal(tuned.weights[2][:, 5:], np.zeros((2, 3)))
+        assert np.any(tuned.weights[1][5:] != aug_net.weights[1][5:])
 
     def test_predictions_preserved_after_training(self):
         rng = Rng(15)
         net = Network.init_random([2, 6, 2], "relu", rng)
-        aug_net, aug = augment(net, [4], rng)
+        aug_net = augment(net, 4, rng)
         data = rng.standard_normal((15, 2))
         out = rng.uniform(-6, 6, (15, 2))
         cfg = LulaTrainConfig(epochs=3, learning_rate=0.05, seed=6)
         tuned, _, _ = train_lula(
-            aug_net, aug, data, out, LossKind("categorical_ce"), 0.5, cfg
+            aug_net, 4, data, out, LossKind("categorical_ce"), 0.5, cfg
         )
         x = rng.uniform(-10.0, 10.0, (100, 2))
         a = forward(net, x).output
@@ -314,16 +267,32 @@ class TestTrainLula:
     def test_determinism(self):
         rng = Rng(16)
         net = Network.init_random([2, 4, 2], "relu", rng)
-        aug_net, aug = augment(net, [2], rng)
+        aug_net = augment(net, 2, rng)
         data = Rng(1).standard_normal((12, 2))
         out = Rng(2).uniform(-5, 5, (12, 2))
         cfg = LulaTrainConfig(epochs=3, seed=9)
         runs = [
-            train_lula(aug_net, aug, data, out, LossKind("categorical_ce"), 0.5, cfg)
+            train_lula(aug_net, 2, data, out, LossKind("categorical_ce"), 0.5, cfg)
             for _ in range(2)
         ]
         assert np.array_equal(runs[0][0].flatten_params(), runs[1][0].flatten_params())
         assert runs[0][1] == runs[1][1]
+
+    def test_rejects_units_that_are_not_added(self):
+        rng = Rng(21)
+        net = Network.init_random([2, 4, 2], "relu", rng)
+        aug_net = augment(net, 2, rng)
+        data = rng.standard_normal((10, 2))
+        out = rng.uniform(-5, 5, (10, 2))
+        cfg = LulaTrainConfig(epochs=1)
+        loss = LossKind("categorical_ce")
+        # 3 would train an original unit; -1 and 7 leave [0, width]
+        for units in (3, -1, 7):
+            with pytest.raises(ValueError):
+                train_lula(aug_net, units, data, out, loss, 0.5, cfg)
+        with pytest.raises(ValueError, match="no hidden layer"):
+            train_lula(Network.init_random([2, 2], "relu", rng), 0, data, out,
+                       loss, 0.5, cfg)
 
 
 class TestGridSearch:
@@ -337,8 +306,8 @@ class TestGridSearch:
         scripted = {2: (0.8, 0.6), 4: (0.9, 0.55), 8: (0.9, 0.55)}
         current = {}
 
-        def fake_train(aug_net, aug, in_f, out_f, l, lam, cfg):
-            current["count"] = aug.unit_counts[-1]
+        def fake_train(aug_net, units, in_f, out_f, l, lam, cfg):
+            current["count"] = units
             return aug_net, [], post
 
         def fake_predict_sets(network, posterior, sets, cfg, l):
@@ -368,8 +337,8 @@ class TestGridSearch:
         post = diag_last_layer_posterior(net, data, LossKind("categorical_ce"), 0.5)
         trained = []
 
-        def fake_train(aug_net, aug, in_f, out_f, l, lam, cfg):
-            trained.append(aug.unit_counts[-1])
+        def fake_train(aug_net, units, in_f, out_f, l, lam, cfg):
+            trained.append(units)
             return aug_net, [], post
 
         def fake_predict_sets(network, posterior, sets, cfg, l):
