@@ -44,9 +44,18 @@ def _write_lines(path: str, lines: list[str]) -> None:
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
+    """One line per row, each formatted by one ``%`` operation.
+
+    The first row fixes the column formats: ``%.10g``, which prints what
+    :func:`_fmt` does, where its value is a float (np.float64 included),
+    and ``%s`` elsewhere.
+    """
     lines = [",".join(header)]
+    row_fmt = None
     for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+        if row_fmt is None:
+            row_fmt = ",".join("%.10g" if isinstance(v, float) else "%s" for v in row)
+        lines.append(row_fmt % tuple(row))
     _write_lines(path, lines)
 
 

@@ -63,8 +63,10 @@ import numpy as np
 from .errors import NotPositiveDefinite
 from .network import (
     Network,
+    apply_activation,
     augment_ones,
     forward,
+    forward_stacked,
     output_jacobian,
 )
 from .numerics import Rng, add_to_diagonal, inverse_cholesky_factor, positive_diagonal
@@ -73,7 +75,6 @@ from .training import (
     output_hessian_roots,
     output_hessians,
     sigmoid,
-    softmax,
 )
 
 __all__ = [
@@ -109,6 +110,9 @@ DEFAULT_LAMBDA_GRID = tuple(np.logspace(-4.0, 4.0, 17))
 _JACOBIAN_CHUNK_BYTES = 8 * 2**20
 # Columns of R turned into W = U^T R per product in the data-space fit.
 _EIGH_COLUMN_BLOCK = 256
+# Bytes of sampled (c, width, m) logits or hidden activations held at once
+# by the MC predictive.
+_MC_CHUNK_BYTES = 2 * 2**20
 
 
 def _chunk_rows(num_outputs: int, dim: int) -> int:
@@ -438,7 +442,15 @@ def _as_batch(x: np.ndarray) -> np.ndarray:
 
 
 def _last_layer_feature_batch(net: Network, x: np.ndarray) -> np.ndarray:
-    return augment_ones(forward(net, _as_batch(x)).activations[-2])
+    """Augmented final hidden features, bitwise those of :func:`forward`.
+
+    Only the running activation is kept, not the per-layer trace that a
+    backward pass would need.
+    """
+    h = _as_batch(x)
+    for spec, w, b in zip(net.specs[:-1], net.weights, net.biases):
+        h = apply_activation(spec.activation, h @ w.T + b)
+    return augment_ones(h)
 
 
 def linearized_variance_batch(
@@ -514,27 +526,34 @@ class Predictive:
     var_total: np.ndarray | None = None
 
 
-def _sampled_outputs(
-    net: Network, post: LaplacePosterior, xs: list[np.ndarray], samples: np.ndarray
+def _sampled_logits(
+    net: Network, post: LaplacePosterior, x: np.ndarray, samples: np.ndarray
 ):
-    """Yield (set index, outputs) for every sample, and every set under it.
+    """Yield the outputs of consecutive samples at ``x``, shape (c, k, m).
 
-    Samples are the outer loop, so an all-layers sample is unflattened into
-    a network once for all sets; each set keeps its own forward pass, so its
-    outputs do not depend on the other sets.
+    Last layer: one GEMM per chunk, the chunk's (c k, F) weight rows times
+    the transposed features. All layers: :func:`forward_stacked` on the
+    chunk's rows. The chunk size c depends only on the network and on the
+    point count m, so a set's outputs do not depend on any other set.
     """
+    m = x.shape[0]
     if post.subset == "last_layer":
-        hbars = [_last_layer_feature_batch(net, x) for x in xs]
         k, feat = post.num_outputs, post.feature_dim
-        for s in samples:
-            mat_t = s.reshape(k, feat).T
-            for i, hbar in enumerate(hbars):
-                yield i, hbar @ mat_t
+        hbar_t = _last_layer_feature_batch(net, x).T
+        rows = max(1, _MC_CHUNK_BYTES // (8 * k * m))
+        for start in range(0, samples.shape[0], rows):
+            chunk = samples[start : start + rows]
+            yield (chunk.reshape(-1, feat) @ hbar_t).reshape(-1, k, m)
     else:
-        for s in samples:
-            sampled = net.with_flat_params(s)
-            for i, x in enumerate(xs):
-                yield i, forward(sampled, x).output
+        width = max(net.layer_dims()[1:])
+        rows = max(1, _MC_CHUNK_BYTES // (8 * width * m))
+        for start in range(0, samples.shape[0], rows):
+            yield forward_stacked(net, samples[start : start + rows], x)
+
+
+def _points_major(acc: np.ndarray, n: int) -> np.ndarray:
+    """A (r, m) sum over n samples as a C-ordered (m, r) mean."""
+    return np.ascontiguousarray(acc.T) / n
 
 
 def _probit_predict(
@@ -571,7 +590,10 @@ def mc_predict_sets(
     result is bit-identical to scoring its batch alone with the same
     posterior and seed. Classification returns the sample average of
     softmax (or sigmoid) outputs; regression returns the MC moments of the
-    sampled outputs. The probit_linearized method is the closed-form
+    sampled outputs. The sampled outputs come in (samples, k, points)
+    chunks, so the softmax reduces across k contiguous point vectors; each
+    chunk's sum over samples goes into (k, points) accumulators, transposed
+    once at the end. The probit_linearized method is the closed-form
     alternative, computed per batch: exact linearization for regression,
     the probit approximation for single-logit binary classification (no
     multi-class closed form is provided).
@@ -582,35 +604,38 @@ def mc_predict_sets(
 
     k, n = net.output_dim, cfg.sample_count
     samples = post.sample(Rng(cfg.seed), n)
-    if loss.kind == "categorical_ce":
-        accs = [np.zeros((x.shape[0], k)) for x in xs]
-        for i, outputs in _sampled_outputs(net, post, xs, samples):
-            accs[i] += softmax(outputs)
-        return [Predictive(probabilities=acc / n) for acc in accs]
-    if loss.kind == "binary_ce":
-        accs = [np.zeros((x.shape[0], 2)) for x in xs]
-        for i, outputs in _sampled_outputs(net, post, xs, samples):
-            p1 = sigmoid(outputs[:, 0])
-            accs[i][:, 0] += 1.0 - p1
-            accs[i][:, 1] += p1
-        return [Predictive(probabilities=acc / n) for acc in accs]
-
-    totals = [np.zeros((x.shape[0], k)) for x in xs]
-    squares = [np.zeros((x.shape[0], k)) for x in xs]
-    for i, outputs in _sampled_outputs(net, post, xs, samples):
-        totals[i] += outputs
-        squares[i] += outputs * outputs
     preds = []
-    for total, total_sq in zip(totals, squares):
-        mean = total / n
-        var = np.maximum(total_sq / n - mean * mean, 0.0)
-        preds.append(
-            Predictive(
-                mean=mean,
-                var_epistemic=var,
-                var_total=var + 1.0 / loss.noise_precision,
+    for x in xs:
+        if loss.kind == "categorical_ce":
+            acc = np.zeros((k, x.shape[0]))
+            for z in _sampled_logits(net, post, x, samples):
+                z -= z.max(axis=1, keepdims=True)
+                np.exp(z, out=z)
+                z /= z.sum(axis=1, keepdims=True)
+                acc += z.sum(axis=0)
+            preds.append(Predictive(probabilities=_points_major(acc, n)))
+        elif loss.kind == "binary_ce":
+            acc = np.zeros((2, x.shape[0]))
+            for z in _sampled_logits(net, post, x, samples):
+                p1 = sigmoid(z[:, 0, :])
+                acc[0] += (1.0 - p1).sum(axis=0)
+                acc[1] += p1.sum(axis=0)
+            preds.append(Predictive(probabilities=_points_major(acc, n)))
+        else:
+            total = np.zeros((k, x.shape[0]))
+            total_sq = np.zeros_like(total)
+            for z in _sampled_logits(net, post, x, samples):
+                total += z.sum(axis=0)
+                total_sq += (z * z).sum(axis=0)
+            mean = _points_major(total, n)
+            var = np.maximum(_points_major(total_sq, n) - mean * mean, 0.0)
+            preds.append(
+                Predictive(
+                    mean=mean,
+                    var_epistemic=var,
+                    var_total=var + 1.0 / loss.noise_precision,
+                )
             )
-        )
     return preds
 
 

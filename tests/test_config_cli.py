@@ -157,6 +157,26 @@ class TestConfig:
         assert derived["train"]["seed"] == again["train"]["seed"]
 
 
+def test_csv_rows_match_per_value_formatting(tmp_path):
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+                1e300, -1.5e-7, 1.0 / 3.0, 123456789012.5, 7.0]
+    rows = [
+        (i, f"set{i % 3}", np.float64(v), float(-v), np.float64(v) * 3.0)
+        for i, v in enumerate(specials)
+    ]
+    rows += [(i, "rng", *Rng(i).standard_normal(3)) for i in range(50)]
+    header = ["index", "name", "a", "b", "c"]
+    path = tmp_path / "rows.csv"
+    cli._write_csv(str(path), header, rows)
+    # the per-value formatter the row format replaced
+    expected = [",".join(header)] + [
+        ",".join("{:.10g}".format(float(v)) if isinstance(v, float) else str(v)
+                 for v in row)
+        for row in rows
+    ]
+    assert path.read_text() == "\n".join(expected) + "\n"
+
+
 class TestCliCommands:
     def test_train_laplace_lula_eval_pipeline(self, tiny_config, tmp_path, capsys):
         model = str(tmp_path / "model.txt")

@@ -28,7 +28,7 @@ from lula_lab.laplace import (
     probit_predict_binary,
     tune_prior_precision,
 )
-from lula_lab.network import LayerSpec, Network, augment_ones, forward
+from lula_lab.network import ACTIVATIONS, LayerSpec, Network, augment_ones, forward
 from lula_lab.numerics import Rng, kron
 from lula_lab.training import (
     LossKind,
@@ -758,6 +758,19 @@ POSTERIOR_CASES = [
 ]
 
 
+class TestLastLayerFeatures:
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("hidden", [1, 3])
+    def test_bitwise_equal_to_forward_trace(self, activation, hidden):
+        rng = Rng(71)
+        net = Network.init_random([3] + [6] * hidden + [2], activation, rng)
+        biases = [b + 0.1 * rng.standard_normal(b.shape) for b in net.biases]
+        net = Network(net.specs, net.weights, biases)
+        x = rng.standard_normal((11, 3))
+        expected = augment_ones(forward(net, x).activations[-2])
+        assert np.array_equal(laplace._last_layer_feature_batch(net, x), expected)
+
+
 class TestMcPredictSets:
     def _instance(self, kind, subset, loss, k, seed=41):
         rng = Rng(seed)
@@ -782,7 +795,11 @@ class TestMcPredictSets:
                 assert (value is None) == (name not in oracle)
                 if value is not None:
                     assert np.array_equal(value, getattr(single, name))
-                    assert np.array_equal(value, oracle[name])
+                    # chunked sums and GEMMs differ from the per-sample loop
+                    # by round-off only
+                    np.testing.assert_allclose(
+                        value, oracle[name], rtol=1e-14, atol=0.0
+                    )
 
     @pytest.mark.parametrize("loss, k", LOSS_CASES[1:])
     def test_probit_sets_equal_single_sets(self, loss, k):
@@ -793,6 +810,52 @@ class TestMcPredictSets:
             for name in PREDICT_FIELDS:
                 if getattr(pred, name) is not None:
                     assert np.array_equal(getattr(pred, name), getattr(single, name))
+
+    @pytest.mark.parametrize("kind, subset", POSTERIOR_CASES)
+    @pytest.mark.parametrize("loss, k", LOSS_CASES)
+    def test_chunked_samples_match_one_chunk(self, kind, subset, loss, k, monkeypatch):
+        net, post, sets = self._instance(kind, subset, loss, k)
+        x, cfg = sets[0], PredictConfig("mc", 16, 3)
+        sizes = []
+        original = laplace._sampled_logits
+
+        def recording(*args):
+            for logits in original(*args):
+                sizes.append(logits.shape[0])
+                yield logits
+
+        monkeypatch.setattr(laplace, "_sampled_logits", recording)
+        whole = mc_predict(net, post, x, cfg, loss)
+        assert sizes == [16]
+        # the budget of three samples' widest (width, m) array
+        width = k if subset == "last_layer" else max(net.layer_dims()[1:])
+        monkeypatch.setattr(laplace, "_MC_CHUNK_BYTES", 3 * 8 * width * x.shape[0])
+        sizes.clear()
+        chunked = mc_predict(net, post, x, cfg, loss)
+        assert sizes == [3, 3, 3, 3, 3, 1]
+        for name in PREDICT_FIELDS:
+            if getattr(whole, name) is not None:
+                np.testing.assert_allclose(
+                    getattr(chunked, name), getattr(whole, name), rtol=1e-14, atol=0.0
+                )
+
+    def test_memory_flat_in_sample_count(self):
+        rng = Rng(43)
+        net = Network.init_random([2, 16, 2], "relu", rng)
+        loss = LossKind("categorical_ce")
+        curv = fit_curvature(net, rng.standard_normal((50, 2)), loss, "kfac_last_layer")
+        post = build_posterior(curv, 1.0)
+        x = rng.standard_normal((3600, 2))
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                mc_predict_sets(net, post, [x], PredictConfig("mc", count, 0), loss)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1000) - peak(100) <= laplace._MC_CHUNK_BYTES
 
     def test_one_draw_for_all_sets(self, sample_calls):
         loss = LossKind("categorical_ce")
