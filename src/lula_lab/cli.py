@@ -233,8 +233,8 @@ def _prop1_check(original, augmented, extent: float, seed: int) -> float:
     """Max relative output difference over 100 fresh random inputs."""
     rng = Rng(seed)
     x = rng.uniform(-extent, extent, (100, original.input_dim))
-    a = net_mod.forward(original, x).output
-    b = net_mod.forward(augmented, x).output
+    a = net_mod.forward_output(original, x)
+    b = net_mod.forward_output(augmented, x)
     scale = max(float(np.max(np.abs(a))), 1e-30)
     return float(np.max(np.abs(a - b)) / scale)
 
@@ -497,7 +497,7 @@ def _demo_moons(cfg: ExperimentConfig, out_dir: str, summary: list[str]) -> None
         return [pred.probabilities for pred in preds]
 
     stage_probs = {
-        "map": [softmax(net_mod.forward(net, x).output) for x in point_sets],
+        "map": [softmax(net_mod.forward_output(net, x)) for x in point_sets],
         "laplace": probabilities(net, post_la),
         "lula": probabilities(tuned, post_lula),
     }
@@ -511,8 +511,8 @@ def _demo_moons(cfg: ExperimentConfig, out_dir: str, summary: list[str]) -> None
         conf_test = probs_test.max(axis=1).mean()
         summary.append(f"moons.{stage}.ring_confidence {_fmt(conf_ring)}")
         summary.append(f"moons.{stage}.test_confidence {_fmt(conf_test)}")
-    map_labels = net_mod.forward(net, test.features).output.argmax(axis=1)
-    lula_labels = net_mod.forward(tuned, test.features).output.argmax(axis=1)
+    map_labels = net_mod.forward_output(net, test.features).argmax(axis=1)
+    lula_labels = net_mod.forward_output(tuned, test.features).argmax(axis=1)
     summary.append(
         f"moons.label_agreement {_fmt(float(np.mean(map_labels == lula_labels)))}"
     )
@@ -577,7 +577,7 @@ def _demo_regression(cfg: ExperimentConfig, out_dir: str, summary: list[str]) ->
     def stage_rows(network, post, xs):
         """(mean, epistemic std, total std) for each point set in xs."""
         if post is None:
-            means = [net_mod.forward(network, x).output for x in xs]
+            means = [net_mod.forward_output(network, x) for x in xs]
             return [
                 (m, np.zeros_like(m), np.full_like(m, np.sqrt(aleatoric)))
                 for m in means

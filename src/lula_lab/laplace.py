@@ -63,9 +63,9 @@ import numpy as np
 from .errors import NotPositiveDefinite
 from .network import (
     Network,
-    apply_activation,
     augment_ones,
     forward,
+    forward_output,
     forward_stacked,
     output_jacobian,
 )
@@ -101,8 +101,9 @@ SUBSETS = ("all_layers", "last_layer")
 PREDICT_METHODS = ("mc", "probit_linearized")
 TUNE_OBJECTIVES = ("val_log_likelihood", "ood_mmc")
 
-# Largest parameter count for which a full GGN is built (in parameter space
-# it is a dim x dim matrix, in data space an (n k) x dim one with n k < dim).
+# A full GGN stores a min(n k, dim) x dim array (in parameter space the
+# dim x dim matrix, in data space the n k stacked rows when n k < dim); it is
+# built only when that array holds at most FULL_GGN_CAP**2 floats.
 FULL_GGN_CAP = 5000
 DEFAULT_LAMBDA_GRID = tuple(np.logspace(-4.0, 4.0, 17))
 # Bytes of stacked (m, k, d) output Jacobians held at once by the all-layers
@@ -113,6 +114,17 @@ _EIGH_COLUMN_BLOCK = 256
 # Bytes of sampled (c, width, m) logits or hidden activations held at once
 # by the MC predictive.
 _MC_CHUNK_BYTES = 2 * 2**20
+
+
+def _check_full_ggn_cap(num_rows: int, dim: int) -> None:
+    """Refuse a full GGN over ``num_rows`` (n k) stacked rows and ``dim``
+    parameters whose stored array would exceed FULL_GGN_CAP**2 floats."""
+    stored = min(num_rows, dim)
+    if stored * dim > FULL_GGN_CAP**2:
+        raise ValueError(
+            f"full_ggn array of {stored} x {dim} floats exceeds cap "
+            f"{FULL_GGN_CAP}**2"
+        )
 
 
 def _chunk_rows(num_outputs: int, dim: int) -> int:
@@ -193,7 +205,9 @@ def fit_curvature(
     of R * R (diagonal). The full kind is eigendecomposed once, in data
     space from the whole R when it has fewer rows (n k) than parameters,
     otherwise in parameter space from the summed R^T R (last layer: the
-    Kronecker-structured einsum).
+    Kronecker-structured einsum). A full kind whose stored array,
+    min(n k, d) x d, would exceed FULL_GGN_CAP**2 floats raises
+    ``ValueError`` before any work.
     """
     if kind not in CURVATURE_KINDS:
         raise ValueError(f"unknown curvature kind {kind!r}")
@@ -228,10 +242,7 @@ def fit_curvature(
                 input_eigh=np.linalg.eigh(input_factor),
             )
         if kind == "full_ggn":
-            if dim > FULL_GGN_CAP:
-                raise ValueError(
-                    f"full_ggn dimension {dim} exceeds cap {FULL_GGN_CAP}"
-                )
+            _check_full_ggn_cap(features.shape[0] * k, dim)
             if features.shape[0] * k < dim:
                 # row a of L_x^T J_x is sum_i L_x[i, a] (e_i kron hbar_x)
                 roots = output_hessian_roots(loss, trace.output)
@@ -251,10 +262,10 @@ def fit_curvature(
     # (data space), summed as R^T R (parameter space) or as column sums of
     # R * R (diagonal)
     dim = net.num_params
-    if kind == "full_ggn" and dim > FULL_GGN_CAP:
-        raise ValueError(f"full_ggn dimension {dim} exceeds cap {FULL_GGN_CAP}")
     n = features.shape[0]
-    roots = output_hessian_roots(loss, forward(net, features).output)
+    if kind == "full_ggn":
+        _check_full_ggn_cap(n * k, dim)
+    roots = output_hessian_roots(loss, forward_output(net, features))
     roots_t = roots.transpose(0, 2, 1)
     root = np.empty((n, k, dim)) if kind == "full_ggn" and n * k < dim else None
     full = np.zeros((dim, dim)) if kind == "full_ggn" and root is None else None
@@ -442,15 +453,8 @@ def _as_batch(x: np.ndarray) -> np.ndarray:
 
 
 def _last_layer_feature_batch(net: Network, x: np.ndarray) -> np.ndarray:
-    """Augmented final hidden features, bitwise those of :func:`forward`.
-
-    Only the running activation is kept, not the per-layer trace that a
-    backward pass would need.
-    """
-    h = _as_batch(x)
-    for spec, w, b in zip(net.specs[:-1], net.weights, net.biases):
-        h = apply_activation(spec.activation, h @ w.T + b)
-    return augment_ones(h)
+    """Augmented final hidden features, bitwise those of :func:`forward`."""
+    return augment_ones(forward_output(net, x, net.num_layers - 1))
 
 
 def linearized_variance_batch(
@@ -564,7 +568,7 @@ def _probit_predict(
             "probit_linearized supports binary (single-logit) or regression "
             "models only"
         )
-    f_map = forward(net, x).output
+    f_map = forward_output(net, x)
     v = linearized_variance_batch(net, post, x)
     if loss.kind == "binary_ce":
         p1 = probit_predict_binary(f_map[:, 0], v[:, 0])

@@ -254,7 +254,7 @@ def train_lula(
             raise DivergenceError(f"non-finite objective at epoch {epoch}")
         history.append(value)
         grad_w, grad_b = objective_gradient(current, units, post, in_batch, out_batch)
-        theta = adam.step(theta, np.concatenate([grad_w.ravel(), grad_b]))
+        adam.step(theta, np.concatenate([grad_w.ravel(), grad_b]))
         weights, biases = list(current.weights), list(current.biases)
         weights[top] = np.vstack(
             [net.weights[top][:first], theta[: w_free.size].reshape(w_free.shape)]

@@ -23,6 +23,7 @@ __all__ = [
     "ForwardTrace",
     "ParamGrads",
     "forward",
+    "forward_output",
     "forward_stacked",
     "backward",
     "output_jacobian",
@@ -82,7 +83,9 @@ class Network:
     """Immutable feedforward network: a chain of affine layers.
 
     Hidden layers apply their configured activation; the output layer is
-    always linear (its spec must use the identity activation).
+    always linear (its spec must use the identity activation). All
+    parameters live in one flat read-only buffer in the frozen order;
+    ``weights`` and ``biases`` are read-only views into it.
     """
 
     def __init__(
@@ -108,8 +111,30 @@ class Network:
             if i > 0 and spec.in_dim != specs[i - 1].out_dim:
                 raise ValueError(f"layer {i}: dimension chain broken")
         self.specs = tuple(specs)
-        self.weights = tuple(np.array(w, dtype=np.float64) for w in weights)
-        self.biases = tuple(np.array(b, dtype=np.float64) for b in biases)
+        params = np.concatenate(
+            [np.ravel(p) for pair in zip(weights, biases) for p in pair]
+        ).astype(np.float64, copy=False)
+        params.flags.writeable = False
+        self._bind(params)
+
+    @classmethod
+    def _on_buffer(cls, specs: Sequence[LayerSpec], params: np.ndarray) -> "Network":
+        """Network over ``params`` itself, not a copy; specs are not re-checked.
+
+        Writing ``params`` changes the network, so only code that owns the
+        buffer (the optimizer loop of ``train_map``) builds one this way.
+        """
+        net = cls.__new__(cls)
+        net.specs = tuple(specs)
+        net._bind(params)
+        return net
+
+    def _bind(self, params: np.ndarray) -> None:
+        self._params = params
+        weights, biases = _layer_views(self.specs, params)
+        for view in weights + biases:
+            view.flags.writeable = False
+        self.weights, self.biases = tuple(weights), tuple(biases)
 
     @property
     def num_layers(self) -> int:
@@ -151,29 +176,31 @@ class Network:
         return Network(specs, weights, biases)
 
     def flatten_params(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel(order="C"))
-            parts.append(b)
-        return np.concatenate(parts)
+        return self._params.copy()
 
     def with_flat_params(self, theta: np.ndarray) -> "Network":
-        """New network with the same specs and parameters taken from theta."""
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != (self.num_params,):
+        """New network with the same specs and parameters copied from theta."""
+        params = np.array(theta, dtype=np.float64)
+        if params.shape != (self.num_params,):
             raise ValueError(
-                f"expected {self.num_params} parameters, got {theta.shape}"
+                f"expected {self.num_params} parameters, got {params.shape}"
             )
-        weights, biases, offset = [], [], 0
-        for spec in self.specs:
-            n_w = spec.out_dim * spec.in_dim
-            weights.append(
-                theta[offset : offset + n_w].reshape(spec.out_dim, spec.in_dim)
-            )
-            offset += n_w
-            biases.append(theta[offset : offset + spec.out_dim])
-            offset += spec.out_dim
-        return Network(self.specs, weights, biases)
+        params.flags.writeable = False
+        return Network._on_buffer(self.specs, params)
+
+
+def _layer_views(
+    specs: Sequence[LayerSpec], flat: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views of a flat vector in the frozen order."""
+    weights, biases, offset = [], [], 0
+    for spec in specs:
+        n_w = spec.out_dim * spec.in_dim
+        weights.append(flat[offset : offset + n_w].reshape(spec.out_dim, spec.in_dim))
+        offset += n_w
+        biases.append(flat[offset : offset + spec.out_dim])
+        offset += spec.out_dim
+    return weights, biases
 
 
 @dataclass(frozen=True)
@@ -194,17 +221,33 @@ class ForwardTrace:
 
 @dataclass
 class ParamGrads:
-    """Per-layer gradients, aligned with Network.weights / Network.biases."""
+    """Parameter gradients in one flat buffer in the frozen order.
 
+    ``weights`` and ``biases`` are views into ``flat``, aligned with
+    Network.weights / Network.biases.
+    """
+
+    flat: np.ndarray
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
+    @classmethod
+    def for_network(cls, net: Network) -> "ParamGrads":
+        flat = np.zeros(net.num_params)
+        return cls(flat, *_layer_views(net.specs, flat))
+
     def flatten(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel(order="C"))
-            parts.append(b)
-        return np.concatenate(parts)
+        return self.flat.copy()
+
+
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Matrix product a b of two 2-d arrays, the one layer product.
+
+    ``np.dot`` calls BLAS for every shape; ``@`` runs numpy's own loop when
+    the inner dimension is 1 (a (240, 1) by (1, 50) product took about 42 us
+    against 10 us on one BLAS thread), and both give the same bits otherwise.
+    """
+    return np.dot(a, b, out=out)
 
 
 def _as_batch(x: np.ndarray, input_dim: int) -> np.ndarray:
@@ -218,15 +261,33 @@ def _as_batch(x: np.ndarray, input_dim: int) -> np.ndarray:
     return x
 
 
+def _pre_activation(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    a = _product(h, w.T)
+    a += b
+    return a
+
+
 def forward(net: Network, x: np.ndarray) -> ForwardTrace:
     """Run the network on a batch (rows are samples) and record the trace."""
     h = _as_batch(x, net.input_dim)
     pre, acts = [], [h]
-    for i, spec in enumerate(net.specs):
-        a = acts[-1] @ net.weights[i].T + net.biases[i]
+    for spec, w, b in zip(net.specs, net.weights, net.biases):
+        a = _pre_activation(acts[-1], w, b)
         pre.append(a)
         acts.append(apply_activation(spec.activation, a))
     return ForwardTrace(tuple(pre), tuple(acts))
+
+
+def forward_output(net: Network, x: np.ndarray, depth: int | None = None) -> np.ndarray:
+    """Activation after the first ``depth`` layers (default all: the output).
+
+    Bitwise ``forward(net, x).activations[depth]``, but only the running
+    activation is kept, not the per-layer trace a backward pass needs.
+    """
+    h = _as_batch(x, net.input_dim)
+    for spec, w, b in zip(net.specs[:depth], net.weights, net.biases):
+        h = apply_activation(spec.activation, _pre_activation(h, w, b))
+    return h
 
 
 def forward_stacked(net: Network, thetas: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -260,13 +321,16 @@ def forward_stacked(net: Network, thetas: np.ndarray, x: np.ndarray) -> np.ndarr
 
 
 def backward(
-    net: Network, trace: ForwardTrace, output_grad: np.ndarray
-) -> tuple[ParamGrads, np.ndarray]:
-    """Gradients of sum(output_grad * output) w.r.t. parameters and inputs.
+    net: Network,
+    trace: ForwardTrace,
+    output_grad: np.ndarray,
+    out: ParamGrads | None = None,
+) -> ParamGrads:
+    """Gradients of sum(output_grad * output) w.r.t. the parameters.
 
-    ``output_grad`` must match the traced output batch shape. Returns the
-    per-layer parameter gradients (summed over the batch) and the gradient
-    with respect to the input batch.
+    ``output_grad`` must match the traced output batch shape. The per-layer
+    gradients (summed over the batch) are written into ``out`` when given,
+    else into a new :class:`ParamGrads`, which is returned.
     """
     g = np.asarray(output_grad, dtype=np.float64)
     if g.shape != trace.output.shape:
@@ -274,22 +338,17 @@ def backward(
             f"output_grad shape {g.shape} does not match output "
             f"{trace.output.shape}"
         )
-    n_layers = net.num_layers
-    grad_w: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
-    grad_b: list[np.ndarray] = [None] * n_layers  # type: ignore[list-item]
+    grads = ParamGrads.for_network(net) if out is None else out
     delta = g  # output layer is linear
-    for i in range(n_layers - 1, -1, -1):
-        grad_w[i] = delta.T @ trace.activations[i]
-        grad_b[i] = delta.sum(axis=0)
+    for i in range(net.num_layers - 1, -1, -1):
+        _product(delta.T, trace.activations[i], out=grads.weights[i])
+        delta.sum(axis=0, out=grads.biases[i])
         if i > 0:
-            upstream = delta @ net.weights[i]
             phi_grad = activation_derivative(
                 net.specs[i - 1].activation, trace.pre_activations[i - 1]
             )
-            delta = upstream * phi_grad
-        else:
-            delta = delta @ net.weights[0]
-    return ParamGrads(grad_w, grad_b), delta
+            delta = _product(delta, net.weights[i]) * phi_grad
+    return grads
 
 
 def output_jacobian(net: Network, x: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .network import ForwardTrace, Network, ParamGrads, backward, forward
+from .network import Network, ParamGrads, backward, forward, forward_output
 from .numerics import Rng
 
 __all__ = [
@@ -155,27 +155,21 @@ def output_hessian_roots(loss: LossKind, outputs: np.ndarray) -> np.ndarray:
     return np.sqrt(s * (1.0 - s)).reshape(m, 1, 1)
 
 
-def _map_objective(
+def _map_value(
     net: Network,
-    features: np.ndarray,
+    outputs: np.ndarray,
     targets: np.ndarray,
     loss: LossKind,
     weight_decay: float,
-) -> tuple[float, ForwardTrace]:
-    """Summed NLL plus (weight_decay / 2) * ||theta||^2, and the forward trace.
-
-    Forward pass only; :func:`map_loss` adds the backward pass.
-    """
-    if features.shape[0] == 0:
-        raise ValueError("batch must be nonempty")
-    trace = forward(net, features)
-    value = float(np.sum(pointwise_nll(loss, trace.output, targets)))
+) -> float:
+    """Summed NLL of ``outputs`` plus (weight_decay / 2) * ||theta||^2."""
+    value = float(np.sum(pointwise_nll(loss, outputs, targets)))
     if weight_decay != 0.0:
         theta = net.flatten_params()
         value += 0.5 * weight_decay * float(theta @ theta)
     if not np.isfinite(value):
         raise DivergenceError(f"non-finite loss value {value}")
-    return value, trace
+    return value
 
 
 def map_loss(
@@ -186,12 +180,13 @@ def map_loss(
     weight_decay: float,
 ) -> tuple[float, ParamGrads]:
     """Summed NLL plus (weight_decay / 2) * ||theta||^2, with gradients."""
-    value, trace = _map_objective(net, features, targets, loss, weight_decay)
-    grads, _ = backward(net, trace, nll_output_grad(loss, trace.output, targets))
+    if features.shape[0] == 0:
+        raise ValueError("batch must be nonempty")
+    trace = forward(net, features)
+    value = _map_value(net, trace.output, targets, loss, weight_decay)
+    grads = backward(net, trace, nll_output_grad(loss, trace.output, targets))
     if weight_decay != 0.0:
-        for i in range(net.num_layers):
-            grads.weights[i] = grads.weights[i] + weight_decay * net.weights[i]
-            grads.biases[i] = grads.biases[i] + weight_decay * net.biases[i]
+        grads.flat += weight_decay * net.flatten_params()
     return value, grads
 
 
@@ -217,30 +212,56 @@ class TrainConfig:
 
 
 class _Sgd:
+    """Heavy-ball SGD; ``step`` updates theta and the velocity in place."""
+
     def __init__(self, dim: int, lr: float, momentum: float):
         self.lr = lr
         self.momentum = momentum
         self.velocity = np.zeros(dim)
+        self._delta = np.empty(dim)
 
-    def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        self.velocity = self.momentum * self.velocity + grad
-        return theta - self.lr * self.velocity
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
+        # velocity = momentum * velocity + grad; theta -= lr * velocity
+        self.velocity *= self.momentum
+        self.velocity += grad
+        np.multiply(self.velocity, self.lr, out=self._delta)
+        theta -= self._delta
 
 
 class _Adam:
+    """Adam; ``step`` updates theta and the moments in place.
+
+    Each in-place operation repeats one of the out-of-place update
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
+    theta -= lr m_hat / (sqrt(v_hat) + eps) in its own order, so the
+    iterates are bitwise those of that update.
+    """
+
     def __init__(self, dim: int, lr: float, b1=0.9, b2=0.999, eps=1e-8):
         self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
         self.m = np.zeros(dim)
         self.v = np.zeros(dim)
         self.t = 0
+        self._delta = np.empty(dim)
+        self._denom = np.empty(dim)
 
-    def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
-        self.m = self.b1 * self.m + (1.0 - self.b1) * grad
-        self.v = self.b2 * self.v + (1.0 - self.b2) * grad * grad
-        m_hat = self.m / (1.0 - self.b1**self.t)
-        v_hat = self.v / (1.0 - self.b2**self.t)
-        return theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        delta, denom = self._delta, self._denom
+        self.m *= self.b1
+        np.multiply(grad, 1.0 - self.b1, out=delta)
+        self.m += delta
+        self.v *= self.b2
+        np.multiply(grad, 1.0 - self.b2, out=delta)
+        delta *= grad
+        self.v += delta
+        np.divide(self.v, 1.0 - self.b2**self.t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        np.divide(self.m, 1.0 - self.b1**self.t, out=delta)
+        delta *= self.lr
+        delta /= denom
+        theta -= delta
 
 
 def train_map(
@@ -256,12 +277,19 @@ def train_map(
     term scaled by 1/m, so the optimized objective is the full MAP loss
     divided by the dataset size (identical minimizer). The history records
     the full summed MAP loss once per epoch. Deterministic given the seed.
+
+    The optimizer steps one flat parameter buffer in place, and the loop
+    differentiates a network whose weights are views of that buffer, so a
+    step allocates no network and no parameter-sized temporary.
     """
     features = np.asarray(features, dtype=np.float64)
     m = features.shape[0]
     if m == 0:
         raise ValueError("training data must be nonempty")
     theta = net.flatten_params()
+    current = Network._on_buffer(net.specs, theta)
+    grads = ParamGrads.for_network(net)
+    g, decay = np.empty_like(theta), np.empty_like(theta)
     if config.optimizer == "adam":
         opt = _Adam(theta.size, config.learning_rate)
     else:
@@ -269,21 +297,20 @@ def train_map(
     rng = Rng(config.seed)
     batch = config.batch_size or m
     history: list[float] = []
-    current = net
     for epoch in range(config.epochs):
         order = rng.derive(epoch).permutation(m)
         for start in range(0, m, batch):
             idx = order[start : start + batch]
             trace = forward(current, features[idx])
             out_grad = nll_output_grad(loss, trace.output, targets[idx])
-            grads, _ = backward(current, trace, out_grad)
-            g = grads.flatten() / idx.size + (config.weight_decay / m) * theta
+            backward(current, trace, out_grad, grads)
+            # g = grads / batch size + (weight_decay / m) * theta
+            np.divide(grads.flat, idx.size, out=g)
+            np.multiply(theta, config.weight_decay / m, out=decay)
+            g += decay
             if not np.all(np.isfinite(g)):
                 raise DivergenceError(f"non-finite gradient at epoch {epoch}")
-            theta = opt.step(theta, g)
-            current = current.with_flat_params(theta)
-        value, _ = _map_objective(
-            current, features, targets, loss, config.weight_decay
-        )
-        history.append(value)
-    return current, history
+            opt.step(theta, g)
+        outputs = forward_output(current, features)
+        history.append(_map_value(current, outputs, targets, loss, config.weight_decay))
+    return net.with_flat_params(theta), history

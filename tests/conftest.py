@@ -32,7 +32,7 @@ def loop_output_jacobian(net: Network, x: np.ndarray) -> np.ndarray:
     for i in range(k):
         onehot = np.zeros((1, k))
         onehot[0, i] = 1.0
-        grads, _ = backward(net, trace, onehot)
+        grads = backward(net, trace, onehot)
         rows.append(grads.flatten())
     return np.stack(rows, axis=0)
 

@@ -124,7 +124,7 @@ def test_criterion_3_gradient_oracles():
         net = random_network(rng, max_layers=3, max_units=8, activation="tanh")
         x = rng.standard_normal((3, net.input_dim))
         g = rng.standard_normal((3, net.output_dim))
-        grads, _ = backward(net, forward(net, x), g)
+        grads = backward(net, forward(net, x), g)
 
         def f_bwd(theta):
             return float(np.sum(g * forward(net.with_flat_params(theta), x).output))

@@ -153,11 +153,21 @@ class TestFitCurvature:
                           "kfac_last_layer", "all_layers")
 
     def test_dimension_cap(self):
+        # the cap bounds the stored min(n k, d) x d array, not d alone
         net = Network.init_random([50, 60, 60, 2], "relu", Rng(0))
+        loss = LossKind("categorical_ce")
         assert net.num_params > FULL_GGN_CAP
+        # parameter space (n k >= d): a d x d array over the cap is refused
+        n = net.num_params // 2 + 1
         with pytest.raises(ValueError, match="exceeds cap"):
-            fit_curvature(net, np.ones((1, 50)), LossKind("categorical_ce"),
-                          "full_ggn", "all_layers")
+            fit_curvature(net, np.ones((n, 50)), loss, "full_ggn", "all_layers")
+        # data space with one point: 2 rows of d floats fit
+        curv = fit_curvature(net, np.ones((1, 50)), loss, "full_ggn", "all_layers")
+        assert curv.full_eigh[1].shape == (2, net.num_params)
+        post = build_posterior(curv, 1.0)
+        draws = post.sample(Rng(1), 3)
+        assert draws.shape == (3, net.num_params)
+        assert np.all(np.isfinite(draws))
 
     def test_kfac_exact_for_gaussian(self):
         # constant output factor makes the Kronecker split exact

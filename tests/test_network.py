@@ -14,6 +14,7 @@ from lula_lab.network import (
     Network,
     backward,
     forward,
+    forward_output,
     forward_stacked,
     load,
     output_jacobian,
@@ -66,6 +67,66 @@ class TestForward:
         assert trace.output.shape == (3, net.output_dim)
 
 
+class TestFlatParams:
+    def test_weights_are_read_only(self, rng):
+        net = random_network(rng)
+        with pytest.raises(ValueError):
+            net.weights[0][0, 0] = 1.0
+        with pytest.raises(ValueError):
+            net.biases[-1][0] = 1.0
+
+    def test_views_share_one_buffer_in_frozen_order(self, rng):
+        net = random_network(rng)
+        flat = net.flatten_params()
+        offset = 0
+        buffer = net.weights[0].base
+        assert buffer.shape == (net.num_params,)
+        for w, b in zip(net.weights, net.biases):
+            assert w.base is buffer and b.base is buffer
+            assert np.array_equal(flat[offset : offset + w.size], w.ravel())
+            offset += w.size
+            assert np.array_equal(flat[offset : offset + b.size], b)
+            offset += b.size
+        assert offset == net.num_params
+
+    def test_with_flat_params_copies_theta(self, rng):
+        net = random_network(rng)
+        theta = net.flatten_params() + 1.0
+        moved = net.with_flat_params(theta)
+        before = moved.flatten_params()
+        theta[:] = 0.0
+        assert np.array_equal(moved.flatten_params(), before)
+        assert np.array_equal(moved.weights[0].ravel(), before[: moved.weights[0].size])
+
+    def test_flatten_params_is_a_writable_copy(self, rng):
+        net = random_network(rng)
+        flat = net.flatten_params()
+        flat[:] = 0.0
+        assert not np.array_equal(net.flatten_params(), flat)
+
+
+class TestForwardOutput:
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("dims", [[1, 5, 1], [3, 6, 4, 2], [2, 1, 3]])
+    def test_bitwise_equal_to_forward_trace(self, activation, dims):
+        rng = Rng(83)
+        net = Network.init_random(dims, activation, rng)
+        biases = [b + 0.1 * rng.standard_normal(b.shape) for b in net.biases]
+        net = Network(net.specs, net.weights, biases)
+        x = rng.standard_normal((7, dims[0]))
+        trace = forward(net, x)
+        assert np.array_equal(forward_output(net, x), trace.output)
+        for depth in range(net.num_layers + 1):
+            assert np.array_equal(
+                forward_output(net, x, depth), trace.activations[depth]
+            )
+
+    def test_dimension_mismatch(self, rng):
+        net = random_network(rng, input_dim=3)
+        with pytest.raises(ValueError):
+            forward_output(net, np.ones((2, 4)))
+
+
 class TestForwardStacked:
     @pytest.mark.parametrize("activation", ACTIVATIONS)
     def test_matches_forward_per_parameter_vector(self, activation):
@@ -90,15 +151,14 @@ class TestBackward:
         net = random_network(rng)
         x = rng.standard_normal((3, net.input_dim))
         trace = forward(net, x)
-        grads, input_grad = backward(net, trace, np.zeros_like(trace.output))
+        grads = backward(net, trace, np.zeros_like(trace.output))
         assert np.array_equal(grads.flatten(), np.zeros(net.num_params))
-        assert np.array_equal(input_grad, np.zeros_like(x))
 
     def test_affine_hand_gradient(self):
         net = single_layer([[2.0]], [1.0])
         x = np.array([[3.0]])
         trace = forward(net, x)
-        grads, _ = backward(net, trace, np.ones((1, 1)))
+        grads = backward(net, trace, np.ones((1, 1)))
         assert grads.weights[0][0, 0] == 3.0  # d/dW of W*x is x
         assert grads.biases[0][0] == 1.0
 
@@ -108,7 +168,7 @@ class TestBackward:
         x = rng.standard_normal((4, 2))
         g = rng.standard_normal((4, 1))
         trace = forward(net, x)
-        grads, _ = backward(net, trace, g)
+        grads = backward(net, trace, g)
 
         def objective(theta):
             out = forward(net.with_flat_params(theta), x).output
@@ -124,7 +184,7 @@ class TestBackward:
             x = rng.standard_normal((2, net.input_dim))
             g = rng.standard_normal((2, net.output_dim))
             trace = forward(net, x)
-            grads, _ = backward(net, trace, g)
+            grads = backward(net, trace, g)
 
             def objective(theta):
                 out = forward(net.with_flat_params(theta), x).output
@@ -133,23 +193,17 @@ class TestBackward:
             fd = fd_param_gradient(objective, net.flatten_params())
             assert relative_error(grads.flatten(), fd) <= 1e-5, f"trial {trial}"
 
-    def test_input_gradient_matches_fd(self):
-        rng = Rng(23)
-        net = Network.init_random([3, 5, 2], "tanh", rng)
-        x = rng.standard_normal((1, 3))
-        g = rng.standard_normal((1, 2))
-        _, input_grad = backward(net, forward(net, x), g)
-        fd = np.zeros(3)
-        eps = 1e-6
-        for i in range(3):
-            hi, lo = x.copy(), x.copy()
-            hi[0, i] += eps
-            lo[0, i] -= eps
-            fd[i] = (
-                np.sum(g * forward(net, hi).output)
-                - np.sum(g * forward(net, lo).output)
-            ) / (2 * eps)
-        assert relative_error(input_grad[0], fd) <= 1e-6
+    def test_writes_into_given_buffer(self, rng):
+        net = random_network(rng)
+        x = rng.standard_normal((5, net.input_dim))
+        trace = forward(net, x)
+        g = rng.standard_normal(trace.output.shape)
+        fresh = backward(net, trace, g)
+        out = backward(net, forward(net, 2.0 * x), g)
+        assert backward(net, trace, g, out) is out
+        assert np.array_equal(out.flat, fresh.flat)
+        for w, b in zip(out.weights, out.biases):
+            assert np.shares_memory(w, out.flat) and np.shares_memory(b, out.flat)
 
     def test_shape_mismatch(self, rng):
         net = random_network(rng)

@@ -4,7 +4,7 @@ import pytest
 from conftest import fd_param_gradient, random_network, relative_error
 from lula_lab import training
 from lula_lab.data import gen_two_moons
-from lula_lab.network import LayerSpec, Network, forward
+from lula_lab.network import LayerSpec, Network, backward, forward
 from lula_lab.numerics import Rng
 from lula_lab.training import (
     LossKind,
@@ -211,6 +211,91 @@ class TestTrainMap:
         )
         trained, _ = train_map(net, x, y, LossKind("gaussian_nll", 1.0), cfg)
         assert abs(trained.weights[0][0, 0] - 2.0) <= 0.1
+
+
+class _ReferenceSgd:
+    def __init__(self, dim, lr, momentum):
+        self.lr, self.momentum = lr, momentum
+        self.velocity = np.zeros(dim)
+
+    def step(self, theta, grad):
+        self.velocity = self.momentum * self.velocity + grad
+        return theta - self.lr * self.velocity
+
+
+class _ReferenceAdam:
+    def __init__(self, dim, lr, b1=0.9, b2=0.999, eps=1e-8):
+        self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
+        self.m, self.v, self.t = np.zeros(dim), np.zeros(dim), 0
+
+    def step(self, theta, grad):
+        self.t += 1
+        self.m = self.b1 * self.m + (1.0 - self.b1) * grad
+        self.v = self.b2 * self.v + (1.0 - self.b2) * grad * grad
+        m_hat = self.m / (1.0 - self.b1**self.t)
+        v_hat = self.v / (1.0 - self.b2**self.t)
+        return theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def reference_train_map(net, features, targets, loss, config):
+    """train_map as a plain loop: out-of-place optimizer steps and one new
+    network per step."""
+    m = features.shape[0]
+    theta = net.flatten_params()
+    if config.optimizer == "adam":
+        opt = _ReferenceAdam(theta.size, config.learning_rate)
+    else:
+        opt = _ReferenceSgd(theta.size, config.learning_rate, config.momentum)
+    rng = Rng(config.seed)
+    batch = config.batch_size or m
+    history, current = [], net
+    for epoch in range(config.epochs):
+        order = rng.derive(epoch).permutation(m)
+        for start in range(0, m, batch):
+            idx = order[start : start + batch]
+            trace = forward(current, features[idx])
+            out_grad = training.nll_output_grad(loss, trace.output, targets[idx])
+            grads = backward(current, trace, out_grad)
+            g = grads.flatten() / idx.size + (config.weight_decay / m) * theta
+            theta = opt.step(theta, g)
+            current = current.with_flat_params(theta)
+        history.append(map_loss(current, features, targets, loss, config.weight_decay)[0])
+    return current, history
+
+
+class TestTrainMapMatchesReference:
+    CASES = {
+        # 1 input and 1 output: every layer product has inner dimension 1
+        # except the output layer's weight gradient
+        "regression_1_50_1": ([1, 50, 1], "tanh", LossKind("gaussian_nll", 4.0)),
+        "categorical_2_8_6_3": ([2, 8, 6, 3], "relu", LossKind("categorical_ce")),
+        "binary_3_7_1": ([3, 7, 1], "selu", LossKind("binary_ce")),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("batch_size", [None, 7])
+    def test_bitwise_equal(self, case, optimizer, batch_size):
+        dims, activation, loss = self.CASES[case]
+        rng = Rng(37)
+        x = rng.standard_normal((30, dims[0]))
+        if loss.kind == "gaussian_nll":
+            y = np.sin(2.0 * x[:, :1])
+        else:
+            y = rng.integers(0, max(dims[-1], 2), 30)
+        net = Network.init_random(dims, activation, Rng(8))
+        cfg = TrainConfig(
+            optimizer=optimizer,
+            learning_rate=0.01,
+            epochs=6,
+            batch_size=batch_size,
+            weight_decay=0.2,
+            seed=4,
+        )
+        trained, history = train_map(net, x, y, loss, cfg)
+        expected, expected_history = reference_train_map(net, x, y, loss, cfg)
+        assert np.array_equal(trained.flatten_params(), expected.flatten_params())
+        assert history == expected_history
 
 
 def test_pointwise_nll_shapes():
