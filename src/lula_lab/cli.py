@@ -15,6 +15,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import data as data_mod
+from . import demo as demo_mod
 from . import lula as lula_mod
 from . import metrics as metrics_mod
 from . import network as net_mod
@@ -279,7 +280,9 @@ def cmd_lula(
             + ", ".join(f"{c}:{_fmt(s)}" for c, s in sorted(scores.items()))
             + f" -> {count}"
         )
-    aug_net = augment_with_seed(net, count, cfg, lu["init_std"])
+    aug_net = lula_mod.augment(
+        net, count, Rng(_mix64(lu["seed"], 23)), lu["init_std"]
+    )
     tuned, history, _ = lula_mod.train_lula(
         aug_net, count, in_features, out_features, loss, lam, lcfg
     )
@@ -300,11 +303,6 @@ def cmd_lula(
     )
     print(f"wrote {out_path}, {base}_augmentation.txt, {base}_history.csv")
     return 0
-
-
-def augment_with_seed(net, units: int, cfg: ExperimentConfig, init_std):
-    rng = Rng(_mix64(cfg["lula"]["seed"], 23))
-    return lula_mod.augment(net, units, rng, init_std)
 
 
 def _eval_ood_sets(cfg: ExperimentConfig, test):
@@ -432,48 +430,15 @@ def cmd_eval(
 def _demo_moons(cfg: ExperimentConfig, out_dir: str, summary: list[str]) -> None:
     demo = cfg["demo"]
     seed = demo["seed"]
-    full = data_mod.gen_two_moons(
-        demo["moons_size"], demo["moons_noise"], _mix64(seed, 1)
+    net, tuned, post_la, post_lula, test, loss = demo_mod.moons(
+        demo["moons_size"],
+        demo["moons_noise"],
+        demo["moons_train_epochs"],
+        demo["moons_lula_units"],
+        demo["moons_lula_epochs"],
+        cfg["lula"]["ood_size"],
+        demo_mod.Seeds(*(_mix64(seed, i) for i in (1, 2, 3, 4, 6, 7, 8))),
     )
-    train, val, test = data_mod.split(
-        full, data_mod.SplitSpec((0.6, 0.2, 0.2), seed=_mix64(seed, 2))
-    )
-    loss = LossKind("categorical_ce")
-    net0 = net_mod.Network.init_random([2, 64, 64, 2], "relu", Rng(_mix64(seed, 3)))
-    tcfg = TrainConfig(
-        optimizer="adam",
-        learning_rate=1e-3,
-        epochs=demo["moons_train_epochs"],
-        batch_size=64,
-        weight_decay=1e-3,
-        seed=_mix64(seed, 4),
-    )
-    net, _ = train_map(net0, train.features, train.targets, loss, tcfg)
-
-    # untuned vanilla posterior: the prior precision is the training decay
-    lam = tcfg.weight_decay
-    curv = fit_curvature(net, train.features, loss, "kfac_last_layer", "last_layer")
-    post_la = build_posterior(curv, lam)
-
-    units = demo["moons_lula_units"]
-    aug_net = lula_mod.augment(net, units, Rng(_mix64(seed, 6)), 0.2)
-    lcfg = lula_mod.LulaTrainConfig(
-        learning_rate=0.5,
-        epochs=demo["moons_lula_epochs"],
-        in_batch=512,
-        out_batch=512,
-        seed=_mix64(seed, 7),
-    )
-    out_train = data_mod.gen_uniform_noise(
-        cfg["lula"]["ood_size"], 2, -10.0, 10.0, _mix64(seed, 8)
-    ).features
-    tuned, _, _ = lula_mod.train_lula(
-        aug_net, units, val.features, out_train, loss, lam, lcfg
-    )
-    curv_lula = fit_curvature(
-        tuned, train.features, loss, "kfac_last_layer", "last_layer"
-    )
-    post_lula = build_posterior(curv_lula, lam)
 
     extent = cfg["eval"]["grid_extent"]
     grid_n = cfg["eval"]["grid_size"]
@@ -516,56 +481,22 @@ def _demo_moons(cfg: ExperimentConfig, out_dir: str, summary: list[str]) -> None
     summary.append(
         f"moons.label_agreement {_fmt(float(np.mean(map_labels == lula_labels)))}"
     )
-    summary.append(f"moons.prior_precision {_fmt(lam)}")
+    summary.append(f"moons.prior_precision {_fmt(post_la.prior_precision)}")
 
 
 def _demo_regression(cfg: ExperimentConfig, out_dir: str, summary: list[str]) -> None:
     demo = cfg["demo"]
     seed = demo["seed"]
-    full = data_mod.gen_toy_regression(
-        demo["reg_size"], (-4.0, 4.0), demo["reg_noise"], _mix64(seed, 21)
+    net, tuned, post_la, post_lula, test, loss = demo_mod.regression(
+        demo["reg_size"],
+        demo["reg_noise"],
+        cfg["train"]["noise_precision"],
+        demo["reg_train_epochs"],
+        demo["reg_lula_units"],
+        demo["reg_lula_epochs"],
+        cfg["lula"]["ood_size"],
+        demo_mod.Seeds(*(_mix64(seed, i) for i in (21, 22, 23, 24, 26, 27, 28))),
     )
-    train, val, test = data_mod.split(
-        full, data_mod.SplitSpec((0.6, 0.2, 0.2), seed=_mix64(seed, 22))
-    )
-    train, (val, test), stats = data_mod.standardize(
-        train, [val, test], include_targets=True
-    )
-    loss = LossKind("gaussian_nll", cfg["train"]["noise_precision"])
-    net0 = net_mod.Network.init_random([1, 50, 1], "relu", Rng(_mix64(seed, 23)))
-    tcfg = TrainConfig(
-        optimizer="adam",
-        learning_rate=1e-2,
-        epochs=demo["reg_train_epochs"],
-        batch_size=None,
-        weight_decay=1e-3,
-        seed=_mix64(seed, 24),
-    )
-    net, _ = train_map(net0, train.features, train.targets, loss, tcfg)
-
-    lam = tcfg.weight_decay
-    curv = fit_curvature(net, train.features, loss, "kfac_last_layer", "last_layer")
-    post_la = build_posterior(curv, lam)
-
-    units = demo["reg_lula_units"]
-    aug_net = lula_mod.augment(net, units, Rng(_mix64(seed, 26)), 0.2)
-    lcfg = lula_mod.LulaTrainConfig(
-        learning_rate=1.0,
-        epochs=demo["reg_lula_epochs"],
-        in_batch=512,
-        out_batch=512,
-        seed=_mix64(seed, 27),
-    )
-    out_train = data_mod.gen_uniform_noise(
-        cfg["lula"]["ood_size"], 1, -10.0, 10.0, _mix64(seed, 28)
-    ).features
-    tuned, _, _ = lula_mod.train_lula(
-        aug_net, units, val.features, out_train, loss, lam, lcfg
-    )
-    curv_lula = fit_curvature(
-        tuned, train.features, loss, "kfac_last_layer", "last_layer"
-    )
-    post_lula = build_posterior(curv_lula, lam)
 
     extent = cfg["eval"]["grid_extent"]
     grid_n = cfg["eval"]["grid_size"]
@@ -613,7 +544,7 @@ def _demo_regression(cfg: ExperimentConfig, out_dir: str, summary: list[str]) ->
         summary.append(
             f"regression.{stage}.test_std {_fmt(float(test_report.mean()))}"
         )
-    summary.append(f"regression.prior_precision {_fmt(lam)}")
+    summary.append(f"regression.prior_precision {_fmt(post_la.prior_precision)}")
 
 
 def cmd_demo_toy(config_path: str | None, out_dir: str, seed: int | None = None) -> int:

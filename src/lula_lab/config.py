@@ -236,7 +236,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         ),
         "ood_low": ("-10.0", _float, "outlier box lower bound"),
         "ood_high": ("10.0", _float, "outlier box upper bound"),
-        "ood_size": ("500", _int, "number of outlier training points"),
+        "ood_size": ("500", _int_at_least(1), "number of outlier training points"),
         "seed": ("3", _int, "batching and initialization seed"),
     },
     "eval": {
@@ -263,16 +263,16 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "seed": ("4", _int, "evaluation seed"),
     },
     "demo": {
-        "moons_size": ("600", _int, "two-moons dataset size"),
+        "moons_size": ("600", _int_at_least(3), "two-moons dataset size"),
         "moons_noise": ("0.15", _float, "two-moons noise std"),
-        "moons_train_epochs": ("200", _int, "MAP epochs for the two-moons net"),
-        "moons_lula_units": ("32", _int, "added units for the two-moons stage"),
-        "moons_lula_epochs": ("100", _int, "uncertainty-training epochs, two-moons"),
-        "reg_size": ("400", _int, "toy regression dataset size"),
+        "moons_train_epochs": ("200", _count, "MAP epochs for the two-moons net"),
+        "moons_lula_units": ("32", _count, "added units for the two-moons stage"),
+        "moons_lula_epochs": ("100", _count, "uncertainty-training epochs, two-moons"),
+        "reg_size": ("400", _int_at_least(3), "toy regression dataset size"),
         "reg_noise": ("0.15", _float, "toy regression noise std"),
-        "reg_train_epochs": ("2000", _int, "MAP epochs for the regression net"),
-        "reg_lula_units": ("50", _int, "added units for the regression stage"),
-        "reg_lula_epochs": ("40", _int, "uncertainty-training epochs, regression"),
+        "reg_train_epochs": ("2000", _count, "MAP epochs for the regression net"),
+        "reg_lula_units": ("50", _count, "added units for the regression stage"),
+        "reg_lula_epochs": ("40", _count, "uncertainty-training epochs, regression"),
         "seed": ("5", _int, "demo seed"),
     },
 }

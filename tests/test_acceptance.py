@@ -16,33 +16,20 @@ from conftest import (
     random_network,
     relative_error,
 )
-from lula_lab import cli
-from lula_lab.data import (
-    SplitSpec,
-    gen_toy_regression,
-    gen_two_moons,
-    gen_uniform_noise,
-    split,
-    standardize,
-)
+from lula_lab import cli, demo
+from lula_lab.data import gen_uniform_noise
 from lula_lab.laplace import (
     PredictConfig,
     build_posterior,
     fit_curvature,
     linearized_variance_batch,
     mc_predict,
-    probit_predict_binary,
 )
-from lula_lab.lula import (
-    LulaTrainConfig,
-    augment,
-    objective_gradient,
-    train_lula,
-)
+from lula_lab.lula import augment, objective_gradient
 from lula_lab.metrics import auroc, brier, mmc
 from lula_lab.network import Network, backward, forward
 from lula_lab.numerics import Rng
-from lula_lab.training import LossKind, TrainConfig, map_loss, train_map
+from lula_lab.training import LossKind, map_loss
 
 
 def _report(number, name, ok, detail=""):
@@ -274,37 +261,12 @@ def test_criterion_6_metric_oracles():
     )
 
 
-@pytest.fixture(scope="module")
-def moons_pipeline():
+def test_criterion_7_two_moons_pattern():
+    # the demo-toy two-moons pipeline at its default sizes, other seeds
     start = time.monotonic()
-    moons = gen_two_moons(600, 0.15, seed=10)
-    train, val, test = split(moons, SplitSpec((0.6, 0.2, 0.2), 11))
-    loss = LossKind("categorical_ce")
-    net0 = Network.init_random([2, 64, 64, 2], "relu", Rng(12))
-    tcfg = TrainConfig(
-        optimizer="adam", learning_rate=1e-3, epochs=200, batch_size=64,
-        weight_decay=1e-3, seed=13,
+    net, tuned, post_la, post_lula, test, loss = demo.moons(
+        600, 0.15, 200, 32, 100, 500, demo.Seeds(10, 11, 12, 13, 18, 19, 17)
     )
-    net, _ = train_map(net0, train.features, train.targets, loss, tcfg)
-    lam = tcfg.weight_decay  # untuned: the vanilla prior precision
-    post_la = build_posterior(
-        fit_curvature(net, train.features, loss, "kfac_last_layer"), lam
-    )
-    out_train = gen_uniform_noise(500, 2, -10.0, 10.0, 17).features
-    aug_net = augment(net, 32, Rng(18), 0.2)
-    lcfg = LulaTrainConfig(
-        learning_rate=0.5, epochs=100, in_batch=512, out_batch=512, seed=19
-    )
-    tuned, _, _ = train_lula(aug_net, 32, val.features, out_train, loss, lam, lcfg)
-    post_lula = build_posterior(
-        fit_curvature(tuned, train.features, loss, "kfac_last_layer"), lam
-    )
-    return net, tuned, post_la, post_lula, test, loss, time.monotonic() - start
-
-
-def test_criterion_7_two_moons_pattern(moons_pipeline):
-    start = time.monotonic()
-    net, tuned, post_la, post_lula, test, loss, train_time = moons_pipeline
     labels_map = forward(net, test.features).output.argmax(axis=1)
     labels_lula = forward(tuned, test.features).output.argmax(axis=1)
     labels_ok = bool(np.array_equal(labels_map, labels_lula))
@@ -326,7 +288,7 @@ def test_criterion_7_two_moons_pattern(moons_pipeline):
     test_lula = confidence(tuned, post_lula, test.features)
     drop = ring_la - ring_lula
     shift = abs(test_la - test_lula)
-    elapsed = time.monotonic() - start + train_time
+    elapsed = time.monotonic() - start
     ok = labels_ok and drop >= 0.10 and shift <= 0.05 and elapsed < 300.0
     _report(
         7,
@@ -339,30 +301,11 @@ def test_criterion_7_two_moons_pattern(moons_pipeline):
 
 def test_criterion_8_regression_pattern():
     start = time.monotonic()
-    full = gen_toy_regression(400, (-4.0, 4.0), 0.15, seed=30)
-    train, val, test = split(full, SplitSpec((0.6, 0.2, 0.2), 31))
-    train, (val, test), _ = standardize(train, [val, test], include_targets=True)
-    loss = LossKind("gaussian_nll", 25.0)
-    net0 = Network.init_random([1, 50, 1], "relu", Rng(32))
-    tcfg = TrainConfig(
-        optimizer="adam", learning_rate=1e-2, epochs=2000, batch_size=None,
-        weight_decay=1e-3, seed=33,
-    )
-    net, _ = train_map(net0, train.features, train.targets, loss, tcfg)
-    lam = tcfg.weight_decay
-    post_la = build_posterior(
-        fit_curvature(net, train.features, loss, "kfac_last_layer"), lam
+    # the demo-toy regression pipeline with 100 LULA epochs, other seeds
+    net, tuned, post_la, post_lula, test, loss = demo.regression(
+        400, 0.15, 25.0, 2000, 50, 100, 500, demo.Seeds(30, 31, 32, 33, 37, 38, 36)
     )
     outliers = gen_uniform_noise(300, 1, -10.0, 10.0, 34).features
-    out_train = gen_uniform_noise(500, 1, -10.0, 10.0, 36).features
-    aug_net = augment(net, 50, Rng(37), 0.2)
-    lcfg = LulaTrainConfig(
-        learning_rate=1.0, epochs=100, in_batch=512, out_batch=512, seed=38
-    )
-    tuned, _, _ = train_lula(aug_net, 50, val.features, out_train, loss, lam, lcfg)
-    post_lula = build_posterior(
-        fit_curvature(tuned, train.features, loss, "kfac_last_layer"), lam
-    )
     pcfg = PredictConfig("mc", 100, 35)
 
     def mean_std(network, post, x):

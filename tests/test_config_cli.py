@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lula_lab import cli
+from lula_lab import cli, demo
 from lula_lab.config import default_config, load_config, reference_text, SCHEMA
 from lula_lab.errors import ConfigError
 from lula_lab.metrics import mmc
@@ -70,6 +70,11 @@ MALFORMED = [
     ("eval", "grid_size", "abc"),
     ("eval", "runs", "0"),
     ("demo", "moons_lula_units", "abc"),
+    ("demo", "reg_lula_units", "-1"),
+    ("demo", "reg_size", "2"),
+    ("demo", "moons_size", "2"),
+    ("demo", "moons_train_epochs", "-1"),
+    ("lula", "ood_size", "0"),
 ]
 
 
@@ -267,6 +272,7 @@ class TestCliCommands:
 
         monkeypatch.setattr(cli, "_build_data", no_work)
         monkeypatch.setattr(cli, "train_map", no_work)
+        monkeypatch.setattr(demo, "train_map", no_work)
         config = tmp_path / "bad.ini"
         config.write_text(f"[{section}]\n{key} = {value}\n")
         argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
@@ -501,7 +507,8 @@ class TestDemoToy:
 
     def test_demo_without_config_uses_defaults(self):
         # parser accepts a missing --config for demo-toy (defaults kick in);
-        # not executed here because the default demo is minutes long
+        # not executed here: criteria 7-8 already run its pipelines at the
+        # default sizes, and criterion 9 runs the command end to end
         parser_args = ["demo-toy", "--out", "somewhere"]
         args = cli._build_parser().parse_args(parser_args)
         assert args.config is None
