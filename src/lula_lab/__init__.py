@@ -13,7 +13,7 @@ from .errors import (
     ModelFormatError,
     NotPositiveDefinite,
 )
-from .numerics import Rng, cholesky_psd, kron
+from .numerics import Rng
 from .network import (
     ForwardTrace,
     LayerSpec,

@@ -66,8 +66,8 @@ def _int_at_least(low: int):
 _count = _int_at_least(0)
 
 
-def _precision(raw: str) -> float:
-    """A prior precision: a nonnegative float."""
+def _nonnegative(raw: str) -> float:
+    """A nonnegative float: a prior precision or a noise scale."""
     value = _float(raw)
     if not value >= 0.0:
         raise ValueError(f"expected a nonnegative float, got {raw!r}")
@@ -130,7 +130,7 @@ def _unit_count(raw: str) -> int | None:
 def _lambda_grid(raw: str) -> tuple[float, ...]:
     raw = raw.strip()
     if not raw.startswith("logspace:"):
-        return _list(_precision, 1)(raw)
+        return _list(_nonnegative, 1)(raw)
     parts = raw.split(":")
     if len(parts) != 4:
         raise ValueError("logspace form is logspace:lo:hi:count")
@@ -156,7 +156,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
             "two_moons", ("two_moons", "toy_regression", "csv"), "data source"
         ),
         "size": ("500", _int, "number of generated points"),
-        "noise_std": ("0.1", _float, "generator noise standard deviation"),
+        "noise_std": ("0.1", _nonnegative, "generator noise standard deviation"),
         "x_low": ("-4.0", _float, "toy_regression input range, lower end"),
         "x_high": ("4.0", _float, "toy_regression input range, upper end"),
         "csv_path": ("", str, "input file for generator = csv"),
@@ -195,7 +195,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "subset": _choice("last_layer", SUBSETS, "parameters under the posterior"),
         "prior_precision": (
             "tune",
-            _or_none("tune", _precision),
+            _or_none("tune", _nonnegative),
             "a nonnegative float, or 'tune' to search the grid",
         ),
         "tune_objective": _choice(
@@ -253,7 +253,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "report_std": _choice(
             "epistemic", ("epistemic", "total"), "regression std to report"
         ),
-        "grid_size": ("60", _int, "demo lattice resolution per axis"),
+        "grid_size": ("60", _int_at_least(1), "demo lattice resolution per axis"),
         "grid_extent": ("12.0", _float, "demo lattice half width"),
         "ring_inner": (
             "8.0", _float, "far-field ring inner radius (classification demo)"
@@ -264,12 +264,12 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "demo": {
         "moons_size": ("600", _int_at_least(3), "two-moons dataset size"),
-        "moons_noise": ("0.15", _float, "two-moons noise std"),
+        "moons_noise": ("0.15", _nonnegative, "two-moons noise std"),
         "moons_train_epochs": ("200", _count, "MAP epochs for the two-moons net"),
         "moons_lula_units": ("32", _count, "added units for the two-moons stage"),
         "moons_lula_epochs": ("100", _count, "uncertainty-training epochs, two-moons"),
         "reg_size": ("400", _int_at_least(3), "toy regression dataset size"),
-        "reg_noise": ("0.15", _float, "toy regression noise std"),
+        "reg_noise": ("0.15", _nonnegative, "toy regression noise std"),
         "reg_train_epochs": ("2000", _count, "MAP epochs for the regression net"),
         "reg_lula_units": ("50", _count, "added units for the regression stage"),
         "reg_lula_epochs": ("40", _count, "uncertainty-training epochs, regression"),
@@ -310,6 +310,12 @@ def _convert(raw: dict) -> ExperimentConfig:
                   for key, (_, parse, _) in keys.items()}
         for section, keys in SCHEMA.items()
     }
+    for section, low, high in (
+        ("data", "x_low", "x_high"),
+        ("lula", "ood_low", "ood_high"),
+    ):
+        if not values[section][low] < values[section][high]:
+            raise ConfigError(f"[{section}] {low} must be below {high}")
     data = values["data"]
     if data["generator"] == "csv":
         for key in ("csv_path", "target_column"):

@@ -6,7 +6,7 @@ class LulaLabError(Exception):
 
 
 class NotPositiveDefinite(LulaLabError):
-    """Raised when a matrix fails Cholesky factorization even after jitter."""
+    """Raised when a precision's spectrum stays non-positive after jitter."""
 
 
 class ModelFormatError(LulaLabError):

@@ -37,8 +37,8 @@ diagonal in that basis and no d x d precision is ever factored:
 
 Both sides run the jitter ladder over the whole spectrum of the precision
 (e plus lambda, and in data space lambda alone for each complement
-direction), so its base is mean(diag(precision)) as for a Cholesky
-factorization, and both draw with the symmetric square root of Sigma.
+direction), so its base is the mean eigenvalue, mean(diag(precision)), and
+both draw with the symmetric square root of Sigma.
 
 For the Kronecker-factored kind, the stored factors follow the convention
 output_factor = sum over data of Lambda_x (k x k) and input_factor = average
@@ -49,9 +49,13 @@ every prior precision. Variance queries are exact: with G = Q_G diag(g) Q_G^T
 and A = Q_A diag(a) Q_A^T, the posterior covariance is
 (Q_G kron Q_A) diag(1 / (g_p a_q + lambda)) (Q_G kron Q_A)^T
 (Ritter, Botev & Barber 2018; Daxberger et al. 2021), so no kF x kF matrix is
-ever formed. Sampling uses the standard per-factor damped approximation
-(G + sqrt(lambda) I) kron (A + sqrt(lambda) I), which is documented as an
-approximation.
+ever formed. Sampling uses the standard per-factor damped approximation,
+covariance (G + sqrt(lambda) I)^-1 kron (A + sqrt(lambda) I)^-1, which is
+documented as an approximation. Its damped factors are diagonal in the same
+eigenbases, so the draw is M_G Z M_A^T with
+M_G = Q_G diag(g + sqrt(lambda))^-1/2 and M_A = Q_A diag(a + sqrt(lambda))^-1/2,
+each spectrum through the jitter ladder; nothing is factored per prior
+precision.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ from .network import (
     forward_stacked,
     output_jacobian,
 )
-from .numerics import Rng, add_to_diagonal, inverse_cholesky_factor, positive_diagonal
+from .numerics import Rng, positive_diagonal
 from .training import (
     LossKind,
     output_hessian_roots,
@@ -367,11 +371,12 @@ class LaplacePosterior:
             a, q_feat = curvature.input_eigh
             self._basis = (q_out, q_feat)
             self._var_diag = 1.0 / positive_diagonal(np.outer(g, a).ravel() + lam)
+            # Sampling: the per-factor damped precisions F + sqrt(lambda) I are
+            # diagonal in the same bases, so M = Q_F diag(f + sqrt(lambda))^-1/2
+            # has M M^T = (F + sqrt(lambda) I)^-1.
             damp = np.sqrt(lam)
-            g_damped = add_to_diagonal(curvature.output_factor, damp)
-            a_damped = add_to_diagonal(curvature.input_factor, damp)
-            self._out_sample_factor = inverse_cholesky_factor(g_damped)
-            self._feat_sample_factor = inverse_cholesky_factor(a_damped)
+            self._out_sample_factor = q_out / np.sqrt(positive_diagonal(g + damp))
+            self._feat_sample_factor = q_feat / np.sqrt(positive_diagonal(a + damp))
 
     @property
     def dim(self) -> int:
@@ -538,9 +543,10 @@ def _sampled_logits(
     Last layer: one GEMM per chunk, the chunk's (c k, F) weight rows times
     the transposed features. All layers: :func:`forward_stacked` on the
     chunk's rows. The chunk size c depends only on the network and on the
-    point count m, so a set's outputs do not depend on any other set.
+    point count m, so a set's outputs do not depend on any other set. An
+    empty set is sized as one point and yields (c, k, 0) outputs.
     """
-    m = x.shape[0]
+    m = max(x.shape[0], 1)
     if post.subset == "last_layer":
         k, feat = post.num_outputs, post.feature_dim
         hbar_t = _last_layer_feature_batch(net, x).T
@@ -695,9 +701,10 @@ def tune_prior_precision(
     given validation data. ``ood_mmc`` minimizes
     |1 - MMC_in| + |1/k - MMC_out|, both from one posterior draw per
     candidate, and additionally needs ``out_features`` and
-    ``num_classes``. Candidates whose posterior cannot be factored are
-    skipped; returns (best, [(lambda, score), ...]) with score in the
-    objective's native orientation.
+    ``num_classes``. Candidates whose precision spectrum the jitter ladder
+    cannot make positive are skipped; returns
+    (best, [(lambda, score), ...]) with score in the objective's native
+    orientation.
     """
     from .metrics import mmc  # local import to avoid a cycle
 

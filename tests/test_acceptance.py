@@ -204,12 +204,11 @@ def test_criterion_4_predictive_consistency():
 
 
 def test_criterion_5_kfl_fidelity():
-    # Sampling uses the per-factor damped approximation; the dense damped
-    # inverse is the oracle. Output factors must be nonsingular for the
-    # oracle to stay finite (categorical factors have a softmax-shift null
-    # direction), so the instances use Gaussian and binary likelihoods.
-    from lula_lab.numerics import kron
-
+    # Draws use the per-factor damped approximation, whose damped factors
+    # are diagonal in the stored factor eigenbases; the dense damped inverse
+    # is the oracle. Output factors must be nonsingular for the oracle to
+    # stay finite (categorical factors have a softmax-shift null direction),
+    # so the instances use Gaussian and binary likelihoods.
     worst = 0.0
     for dims, loss, seed, lam in [
         ([3, 5, 4], LossKind("gaussian_nll", 1.0), 21, 1e-9),
@@ -223,7 +222,7 @@ def test_criterion_5_kfl_fidelity():
         post = build_posterior(curv, lam)
         samples = post.sample(Rng(2), 50000)
         emp = np.cov(samples.T, bias=True)
-        dense = kron(curv.output_factor, curv.input_factor) + lam * np.eye(post.dim)
+        dense = np.kron(curv.output_factor, curv.input_factor) + lam * np.eye(post.dim)
         oracle = np.linalg.inv(dense)
         rel = float(np.linalg.norm(emp - oracle) / np.linalg.norm(oracle))
         worst = max(worst, rel)

@@ -75,6 +75,15 @@ MALFORMED = [
     ("demo", "moons_size", "2"),
     ("demo", "moons_train_epochs", "-1"),
     ("lula", "ood_size", "0"),
+    ("lula", "ood_low", "20"),
+    ("lula", "ood_high", "-10"),
+    ("data", "x_low", "4"),
+    ("data", "x_high", "nan"),
+    ("data", "noise_std", "-0.1"),
+    ("demo", "moons_noise", "-1"),
+    ("demo", "reg_noise", "-0.5"),
+    ("eval", "grid_size", "0"),
+    ("eval", "grid_size", "-2"),
 ]
 
 
