@@ -159,31 +159,16 @@ def _ood_training_features(cfg: ExperimentConfig, num_features: int) -> np.ndarr
 # augmentation sidecar file
 
 
-def _save_augmentation(
-    path: str, net: net_mod.Network, units: int, init_std: float | None
-) -> None:
-    """Format v1: per-hidden-layer counts and the free mask of every layer.
+def _save_augmentation(path: str, units: int, init_std: float | None) -> None:
+    """Format v2: the units added to the final hidden layer and their init scale.
 
-    Only the final hidden layer carries added units; its last ``units`` rows
-    are free across every column, since the layer below has none.
+    With the model file these fix the free block: the last ``units`` rows of
+    that layer's weights and biases.
     """
-    top = net.num_layers - 2
-    lines = ["lula-lab-augmentation v1"]
-    lines.append(
-        "counts " + " ".join(str(units if i == top else 0) for i in range(top + 1))
+    std = "default" if init_std is None else format(init_std, ".17g")
+    _write_lines(
+        path, ["lula-lab-augmentation v2", f"units {units}", f"init_std {std}"]
     )
-    lines.append(
-        "init_std "
-        + ("default" if init_std is None else format(init_std, ".17g"))
-    )
-    for i, spec in enumerate(net.specs):
-        free = units if i == top else 0
-        flags = ["0"] * (spec.out_dim - free) + ["1"] * free
-        lines.append(f"layer {i} mask_w {spec.out_dim} {spec.in_dim}")
-        lines.extend(" ".join([flag] * spec.in_dim) for flag in flags)
-        lines.append(f"mask_b {spec.out_dim}")
-        lines.append(" ".join(flags))
-    _write_lines(path, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +280,7 @@ def cmd_lula(
         return 1
     net_mod.save(tuned, out_path)
     base = os.path.splitext(out_path)[0]
-    _save_augmentation(base + "_augmentation.txt", tuned, count, lu["init_std"])
+    _save_augmentation(base + "_augmentation.txt", count, lu["init_std"])
     _write_csv(
         base + "_history.csv",
         ["epoch", "objective"],

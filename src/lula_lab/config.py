@@ -74,6 +74,14 @@ def _nonnegative(raw: str) -> float:
     return value
 
 
+def _positive(raw: str) -> float:
+    """A positive float: a likelihood precision or a length."""
+    value = _float(raw)
+    if not value > 0.0:
+        raise ValueError(f"expected a positive float, got {raw!r}")
+    return value
+
+
 def _one_of(choices: tuple[str, ...]):
     def parse(raw: str) -> str:
         value = raw.strip()
@@ -155,7 +163,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "generator": _choice(
             "two_moons", ("two_moons", "toy_regression", "csv"), "data source"
         ),
-        "size": ("500", _int, "number of generated points"),
+        "size": ("500", _int_at_least(2), "number of generated points"),
         "noise_std": ("0.1", _nonnegative, "generator noise standard deviation"),
         "x_low": ("-4.0", _float, "toy_regression input range, lower end"),
         "x_high": ("4.0", _float, "toy_regression input range, upper end"),
@@ -174,7 +182,11 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "seed": ("0", _int, "generation and split seed"),
     },
     "model": {
-        "dims": ("2,64,64,2", _list(_int, 2), "layer sizes, input first, output last"),
+        "dims": (
+            "2,64,64,2",
+            _list(_int_at_least(1), 2),
+            "layer sizes, input first, output last",
+        ),
         "activation": _choice("relu", ACTIVATIONS, "hidden activation"),
     },
     "train": {
@@ -187,7 +199,9 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "loss": _choice(
             "auto", ("auto",) + LOSS_KINDS, "likelihood, auto picks from the task"
         ),
-        "noise_precision": ("25.0", _float, "Gaussian likelihood precision (beta)"),
+        "noise_precision": (
+            "25.0", _positive, "Gaussian likelihood precision (beta)"
+        ),
         "seed": ("1", _int, "shuffling and initialization seed"),
     },
     "laplace": {
@@ -227,8 +241,8 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "sample_count": (
             "30", _int, "posterior samples for the counts = grid score"
         ),
-        "in_batch": ("128", _int, "inlier batch size per epoch"),
-        "out_batch": ("128", _int, "outlier batch size per epoch"),
+        "in_batch": ("128", _int_at_least(1), "inlier batch size per epoch"),
+        "out_batch": ("128", _int_at_least(1), "outlier batch size per epoch"),
         "init_std": (
             "default",
             _or_none("default", _float),
@@ -254,7 +268,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
             "epistemic", ("epistemic", "total"), "regression std to report"
         ),
         "grid_size": ("60", _int_at_least(1), "demo lattice resolution per axis"),
-        "grid_extent": ("12.0", _float, "demo lattice half width"),
+        "grid_extent": ("12.0", _positive, "demo lattice half width"),
         "ring_inner": (
             "8.0", _float, "far-field ring inner radius (classification demo)"
         ),
@@ -313,6 +327,7 @@ def _convert(raw: dict) -> ExperimentConfig:
     for section, low, high in (
         ("data", "x_low", "x_high"),
         ("lula", "ood_low", "ood_high"),
+        ("eval", "ring_inner", "ring_outer"),
     ):
         if not values[section][low] < values[section][high]:
             raise ConfigError(f"[{section}] {low} must be below {high}")

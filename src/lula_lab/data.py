@@ -53,15 +53,13 @@ class Dataset:
     """Feature matrix plus targets with a role tag.
 
     Classification targets are an integer label vector; regression targets a
-    float column matrix. ``stats`` is set on standardized data and holds the
-    train-split statistics used for the transform.
+    float column matrix.
     """
 
     features: np.ndarray
     targets: np.ndarray
     task: str  # classification | regression
     role: str = "unsplit"
-    stats: Stats | None = None
 
     def __post_init__(self):
         if self.task not in ("classification", "regression"):
@@ -216,13 +214,9 @@ def standardize(
         targets = ds.targets
         if include_targets:
             targets = (ds.targets - t_mean) / t_std
-        return replace(ds, features=feats, targets=targets, stats=stats)
+        return replace(ds, features=feats, targets=targets)
 
     return transform(train), [transform(d) for d in others], stats
-
-
-def unstandardize_features(features: np.ndarray, stats: Stats) -> np.ndarray:
-    return features * stats.std + stats.mean
 
 
 def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:

@@ -56,6 +56,16 @@ eigenbases, so the draw is M_G Z M_A^T with
 M_G = Q_G diag(g + sqrt(lambda))^-1/2 and M_A = Q_A diag(a + sqrt(lambda))^-1/2,
 each spectrum through the jitter ladder; nothing is factored per prior
 precision.
+
+Both predictives use the network linearized at its parameters theta*,
+f(x; theta*) + J(x) (theta - theta*), because the GGN posterior is the exact
+Laplace posterior of that model; pushing its draws through the nonlinear
+network instead underfits (Immer, Korzepa & Bauer 2021). The
+probit_linearized method integrates it in closed form from the variances
+J Sigma J^T; the mc method samples it. For the last layer the outputs are
+linear in the weights, so the sampled outputs are W_s hbar(x); for all
+layers they are f(x; theta*) + J(x) (theta_s - theta*), one batched
+Jacobian per chunk of points.
 """
 
 from __future__ import annotations
@@ -70,7 +80,6 @@ from .network import (
     augment_ones,
     forward,
     forward_output,
-    forward_stacked,
     output_jacobian,
 )
 from .numerics import Rng, positive_diagonal
@@ -111,12 +120,12 @@ TUNE_OBJECTIVES = ("val_log_likelihood", "ood_mmc")
 FULL_GGN_CAP = 5000
 DEFAULT_LAMBDA_GRID = tuple(np.logspace(-4.0, 4.0, 17))
 # Bytes of stacked (m, k, d) output Jacobians held at once by the all-layers
-# curvature fit and variance; bounds memory for long datasets and large d.
+# curvature fit, variance and MC predictive; bounds memory for long datasets
+# and large d.
 _JACOBIAN_CHUNK_BYTES = 8 * 2**20
 # Columns of R turned into W = U^T R per product in the data-space fit.
 _EIGH_COLUMN_BLOCK = 256
-# Bytes of sampled (c, width, m) logits or hidden activations held at once
-# by the MC predictive.
+# Bytes of sampled (c, k, m) logits held at once by the MC predictive.
 _MC_CHUNK_BYTES = 2 * 2**20
 
 
@@ -131,9 +140,13 @@ def _check_full_ggn_cap(num_rows: int, dim: int) -> None:
         )
 
 
-def _chunk_rows(num_outputs: int, dim: int) -> int:
-    """Examples per chunk of stacked output Jacobians."""
-    return max(1, _JACOBIAN_CHUNK_BYTES // (8 * num_outputs * dim))
+def _jacobian_chunks(net: Network, x: np.ndarray):
+    """Yield (slice, output_jacobian(net, x[slice])) over consecutive rows of
+    ``x``, each (m, k, d) Jacobian within _JACOBIAN_CHUNK_BYTES."""
+    rows = max(1, _JACOBIAN_CHUNK_BYTES // (8 * net.output_dim * net.num_params))
+    for start in range(0, x.shape[0], rows):
+        chunk = slice(start, start + rows)
+        yield chunk, output_jacobian(net, x[chunk])
 
 
 @dataclass
@@ -274,10 +287,7 @@ def fit_curvature(
     root = np.empty((n, k, dim)) if kind == "full_ggn" and n * k < dim else None
     full = np.zeros((dim, dim)) if kind == "full_ggn" and root is None else None
     diag = np.zeros(dim) if kind == "diag_ggn" else None
-    rows = _chunk_rows(k, dim)
-    for start in range(0, n, rows):
-        chunk = slice(start, start + rows)
-        jac = output_jacobian(net, features[chunk])
+    for chunk, jac in _jacobian_chunks(net, features):
         out = None if root is None else root[chunk]
         r = np.matmul(roots_t[chunk], jac, out=out).reshape(-1, dim)
         if full is not None:
@@ -479,11 +489,8 @@ def linearized_variance_batch(
         return ((hbar @ blocks) * hbar).sum(axis=2).T
     k = post.num_outputs
     out = np.empty((x.shape[0], k))
-    rows = _chunk_rows(k, post.dim)
-    for start in range(0, x.shape[0], rows):
-        chunk = slice(start, start + rows)
-        jac = output_jacobian(net, x[chunk]).reshape(-1, post.dim)
-        out[chunk] = post.quad_forms(jac).reshape(-1, k)
+    for chunk, jac in _jacobian_chunks(net, x):
+        out[chunk] = post.quad_forms(jac.reshape(-1, post.dim)).reshape(-1, k)
     return out
 
 
@@ -538,27 +545,39 @@ class Predictive:
 def _sampled_logits(
     net: Network, post: LaplacePosterior, x: np.ndarray, samples: np.ndarray
 ):
-    """Yield the outputs of consecutive samples at ``x``, shape (c, k, m).
+    """Yield (points, z): the outputs z, shape (c, k, len(points)), of
+    consecutive samples at the rows ``points`` of ``x``.
 
-    Last layer: one GEMM per chunk, the chunk's (c k, F) weight rows times
-    the transposed features. All layers: :func:`forward_stacked` on the
-    chunk's rows. The chunk size c depends only on the network and on the
-    point count m, so a set's outputs do not depend on any other set. An
-    empty set is sized as one point and yields (c, k, 0) outputs.
+    Both subsets sample the network linearized at its parameters theta*,
+    z_s(x) = f(x; theta*) + J(x) (theta_s - theta*). Last layer: the outputs
+    are linear in those weights, so this is one GEMM per chunk of samples,
+    the chunk's (c k, F) weight rows times the transposed features of every
+    point. All layers: each chunk of points takes one batched output
+    Jacobian and one forward pass, then one GEMM per chunk of samples, the
+    centred draws times the transposed (k m, d) Jacobian. The sample chunk
+    size c depends only on k and on the point count m of the chunk, so a
+    set's outputs do not depend on any other set. An empty set is sized as
+    one point (last layer) or yields nothing (all layers).
     """
-    m = max(x.shape[0], 1)
+    k = post.num_outputs
     if post.subset == "last_layer":
-        k, feat = post.num_outputs, post.feature_dim
+        m = max(x.shape[0], 1)
         hbar_t = _last_layer_feature_batch(net, x).T
         rows = max(1, _MC_CHUNK_BYTES // (8 * k * m))
         for start in range(0, samples.shape[0], rows):
-            chunk = samples[start : start + rows]
-            yield (chunk.reshape(-1, feat) @ hbar_t).reshape(-1, k, m)
-    else:
-        width = max(net.layer_dims()[1:])
-        rows = max(1, _MC_CHUNK_BYTES // (8 * width * m))
+            chunk = samples[start : start + rows].reshape(-1, post.feature_dim)
+            yield slice(None), (chunk @ hbar_t).reshape(-1, k, m)
+        return
+    theta = net.flatten_params()
+    for points, jac in _jacobian_chunks(net, x):
+        m = jac.shape[0]
+        f_map = forward_output(net, x[points]).T
+        jac_t = jac.transpose(1, 0, 2).reshape(k * m, post.dim).T
+        rows = max(1, _MC_CHUNK_BYTES // (8 * k * m))
         for start in range(0, samples.shape[0], rows):
-            yield forward_stacked(net, samples[start : start + rows], x)
+            z = ((samples[start : start + rows] - theta) @ jac_t).reshape(-1, k, m)
+            z += f_map
+            yield points, z
 
 
 def _points_major(acc: np.ndarray, n: int) -> np.ndarray:
@@ -598,12 +617,14 @@ def mc_predict_sets(
     The mc method draws ``cfg.sample_count`` parameter samples once from
     ``Rng(cfg.seed)`` and scores every batch against that same draw, so each
     result is bit-identical to scoring its batch alone with the same
-    posterior and seed. Classification returns the sample average of
-    softmax (or sigmoid) outputs; regression returns the MC moments of the
-    sampled outputs. The sampled outputs come in (samples, k, points)
-    chunks, so the softmax reduces across k contiguous point vectors; each
-    chunk's sum over samples goes into (k, points) accumulators, transposed
-    once at the end. The probit_linearized method is the closed-form
+    posterior and seed. Each sample's outputs are those of the network
+    linearized at its parameters, the model of the probit_linearized
+    method too. Classification returns the sample average of softmax (or
+    sigmoid) outputs; regression returns the MC moments of the sampled
+    outputs. The sampled outputs come in (samples, k, points) chunks, so the
+    softmax reduces across k contiguous point vectors; each chunk's sum over
+    samples goes into its points' columns of (k, points) accumulators,
+    transposed once at the end. The probit_linearized method is the closed-form
     alternative, computed per batch: exact linearization for regression,
     the probit approximation for single-logit binary classification (no
     multi-class closed form is provided).
@@ -618,25 +639,25 @@ def mc_predict_sets(
     for x in xs:
         if loss.kind == "categorical_ce":
             acc = np.zeros((k, x.shape[0]))
-            for z in _sampled_logits(net, post, x, samples):
+            for points, z in _sampled_logits(net, post, x, samples):
                 z -= z.max(axis=1, keepdims=True)
                 np.exp(z, out=z)
                 z /= z.sum(axis=1, keepdims=True)
-                acc += z.sum(axis=0)
+                acc[:, points] += z.sum(axis=0)
             preds.append(Predictive(probabilities=_points_major(acc, n)))
         elif loss.kind == "binary_ce":
             acc = np.zeros((2, x.shape[0]))
-            for z in _sampled_logits(net, post, x, samples):
+            for points, z in _sampled_logits(net, post, x, samples):
                 p1 = sigmoid(z[:, 0, :])
-                acc[0] += (1.0 - p1).sum(axis=0)
-                acc[1] += p1.sum(axis=0)
+                acc[0, points] += (1.0 - p1).sum(axis=0)
+                acc[1, points] += p1.sum(axis=0)
             preds.append(Predictive(probabilities=_points_major(acc, n)))
         else:
             total = np.zeros((k, x.shape[0]))
             total_sq = np.zeros_like(total)
-            for z in _sampled_logits(net, post, x, samples):
-                total += z.sum(axis=0)
-                total_sq += (z * z).sum(axis=0)
+            for points, z in _sampled_logits(net, post, x, samples):
+                total[:, points] += z.sum(axis=0)
+                total_sq[:, points] += (z * z).sum(axis=0)
             mean = _points_major(total, n)
             var = np.maximum(_points_major(total_sq, n) - mean * mean, 0.0)
             preds.append(

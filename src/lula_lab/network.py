@@ -24,7 +24,6 @@ __all__ = [
     "ParamGrads",
     "forward",
     "forward_output",
-    "forward_stacked",
     "backward",
     "output_jacobian",
     "save",
@@ -151,9 +150,6 @@ class Network:
     @property
     def num_params(self) -> int:
         return sum(s.out_dim * (s.in_dim + 1) for s in self.specs)
-
-    def layer_dims(self) -> tuple[int, ...]:
-        return (self.input_dim,) + tuple(s.out_dim for s in self.specs)
 
     @staticmethod
     def init_random(
@@ -287,36 +283,6 @@ def forward_output(net: Network, x: np.ndarray, depth: int | None = None) -> np.
     h = _as_batch(x, net.input_dim)
     for spec, w, b in zip(net.specs[:depth], net.weights, net.biases):
         h = apply_activation(spec.activation, _pre_activation(h, w, b))
-    return h
-
-
-def forward_stacked(net: Network, thetas: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Outputs of many parameter vectors on one batch, shape (c, k, m).
-
-    Row j of ``thetas`` (c, d) is a flattened parameter vector in the frozen
-    ordering. Each layer's weights (c, out, in) and biases (c, out, 1) are
-    views into those rows, and the pass runs in transposed orientation,
-    act(W @ H + b) with H of shape (c, in, m), one batched matmul per layer:
-    no network is built per vector. Entry [j, :, i] equals
-    ``forward(net.with_flat_params(thetas[j]), x).output[i]`` up to the
-    summation order of the products.
-    """
-    thetas = np.asarray(thetas, dtype=np.float64)
-    if thetas.ndim != 2 or thetas.shape[1] != net.num_params:
-        raise ValueError(
-            f"expected rows of {net.num_params} parameters, got {thetas.shape}"
-        )
-    h = _as_batch(x, net.input_dim).T
-    c, offset = thetas.shape[0], 0
-    for spec in net.specs:
-        n_w = spec.out_dim * spec.in_dim
-        w = thetas[:, offset : offset + n_w].reshape(c, spec.out_dim, spec.in_dim)
-        offset += n_w
-        b = thetas[:, offset : offset + spec.out_dim].reshape(c, spec.out_dim, 1)
-        offset += spec.out_dim
-        a = w @ h
-        a += b
-        h = apply_activation(spec.activation, a)
     return h
 
 

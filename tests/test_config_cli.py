@@ -84,6 +84,13 @@ MALFORMED = [
     ("demo", "reg_noise", "-0.5"),
     ("eval", "grid_size", "0"),
     ("eval", "grid_size", "-2"),
+    ("train", "noise_precision", "0"),
+    ("lula", "in_batch", "0"),
+    ("lula", "out_batch", "-3"),
+    ("data", "size", "1"),
+    ("model", "dims", "2,0,2"),
+    ("eval", "ring_inner", "20"),
+    ("eval", "grid_extent", "-1"),
 ]
 
 
@@ -412,7 +419,7 @@ sample_count = 40
         "init_std,std_line",
         [(None, "init_std default"), ("0.2", "init_std 0.20000000000000001")],
     )
-    def test_augmentation_file_v1_bytes(self, init_std, std_line, tmp_path):
+    def test_augmentation_file_v2_bytes(self, init_std, std_line, tmp_path):
         ini = TINY_INI.replace("dims = 2,16,16,2", "dims = 2,3,3,2").replace(
             "counts = 6", "counts = 2"
         )
@@ -426,17 +433,7 @@ sample_count = 40
         assert cli.main(
             ["lula", "--config", str(config), "--model", model, "--out", tuned]
         ) == 0
-        expected = (
-            "lula-lab-augmentation v1\n"
-            "counts 0 2\n"
-            f"{std_line}\n"
-            "layer 0 mask_w 3 2\n0 0\n0 0\n0 0\n"
-            "mask_b 3\n0 0 0\n"
-            "layer 1 mask_w 5 3\n0 0 0\n0 0 0\n0 0 0\n1 1 1\n1 1 1\n"
-            "mask_b 5\n0 0 0 1 1\n"
-            "layer 2 mask_w 2 5\n0 0 0 0 0\n0 0 0 0 0\n"
-            "mask_b 2\n0 0\n"
-        )
+        expected = f"lula-lab-augmentation v2\nunits 2\n{std_line}\n"
         written = (tmp_path / "tuned_augmentation.txt").read_bytes()
         assert written == expected.encode("ascii")
 

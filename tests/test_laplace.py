@@ -211,11 +211,16 @@ class TestAllLayersGGN:
         net = Network.init_random([3, 6, 5, 3], "tanh", rng)
         x = rng.standard_normal((n, 3))
         loss = LossKind("categorical_ce")
-        dim = net.num_params
-        assert laplace._chunk_rows(3, dim) >= n
+
+        def chunk_rows():
+            return [jac.shape[0] for _, jac in laplace._jacobian_chunks(net, x)]
+
+        assert chunk_rows() == [n]
         whole = fit_curvature(net, x, loss, kind, "all_layers")
-        monkeypatch.setattr(laplace, "_JACOBIAN_CHUNK_BYTES", 7 * 8 * 3 * dim)
-        assert laplace._chunk_rows(3, dim) == 7  # chunks of 7, the last shorter
+        monkeypatch.setattr(
+            laplace, "_JACOBIAN_CHUNK_BYTES", 7 * 8 * 3 * net.num_params
+        )
+        assert chunk_rows() == [7] * (n // 7) + [n % 7]  # the last one shorter
         chunked = fit_curvature(net, x, loss, kind, "all_layers")
         if kind == "full_ggn":
             ggn = dense_ggn(chunked)
@@ -689,12 +694,17 @@ class TestMcPredict:
         assert np.all(pred.probabilities >= 0.0)
         assert np.max(np.abs(pred.probabilities.sum(axis=1) - 1.0)) <= 1e-12
 
-    def test_binary_mc_close_to_probit(self):
+    @pytest.mark.parametrize("kind, subset", [
+        ("full_ggn", "last_layer"),
+        ("full_ggn", "all_layers"),
+        ("diag_ggn", "all_layers"),
+    ])
+    def test_binary_mc_close_to_probit(self, kind, subset):
         rng = Rng(13)
         net = Network.init_random([2, 6, 1], "tanh", rng)
         x = rng.standard_normal((60, 2))
         loss = LossKind("binary_ce")
-        curv = fit_curvature(net, x, loss, "full_ggn", "last_layer")
+        curv = fit_curvature(net, x, loss, kind, subset)
         post = build_posterior(curv, 0.5)
         test_points = rng.standard_normal((50, 2))
         mc = mc_predict(net, post, test_points, PredictConfig("mc", 10000, 2), loss)
@@ -723,13 +733,24 @@ class TestMcPredict:
 
 
 def reference_mc_predict(net, post, x, cfg, loss):
-    """Loop oracle: one fresh draw for one set, accumulated sample by sample."""
+    """Loop oracle: one fresh draw for one set, accumulated sample by sample.
+
+    All-layers outputs are those of the network linearized at its
+    parameters, one point and one sample at a time.
+    """
     samples = post.sample(Rng(cfg.seed), cfg.sample_count)
-    hbar = augment_ones(forward(net, x).activations[-2])
+    trace = forward(net, x)
+    hbar = augment_ones(trace.activations[-2])
+    theta = net.flatten_params()
+    jacobians = [loop_output_jacobian(net, p) for p in x]
+
+    def linearized(s):
+        return trace.output + np.stack([jac @ (s - theta) for jac in jacobians])
+
     outputs = [
         hbar @ s.reshape(post.num_outputs, post.feature_dim).T
         if post.subset == "last_layer"
-        else forward(net.with_flat_params(s), x).output
+        else linearized(s)
         for s in samples
     ]
     n = cfg.sample_count
@@ -840,19 +861,33 @@ class TestMcPredictSets:
         original = laplace._sampled_logits
 
         def recording(*args):
-            for logits in original(*args):
+            for points, logits in original(*args):
                 sizes.append(logits.shape[0])
-                yield logits
+                yield points, logits
 
         monkeypatch.setattr(laplace, "_sampled_logits", recording)
         whole = mc_predict(net, post, x, cfg, loss)
         assert sizes == [16]
-        # the budget of three samples' widest (width, m) array
-        width = k if subset == "last_layer" else max(net.layer_dims()[1:])
-        monkeypatch.setattr(laplace, "_MC_CHUNK_BYTES", 3 * 8 * width * x.shape[0])
+        # the budget of three samples' (k, m) logits
+        monkeypatch.setattr(laplace, "_MC_CHUNK_BYTES", 3 * 8 * k * x.shape[0])
         sizes.clear()
         chunked = mc_predict(net, post, x, cfg, loss)
         assert sizes == [3, 3, 3, 3, 3, 1]
+        for name in PREDICT_FIELDS:
+            if getattr(whole, name) is not None:
+                np.testing.assert_allclose(
+                    getattr(chunked, name), getattr(whole, name), rtol=1e-14, atol=0.0
+                )
+
+    @pytest.mark.parametrize("kind", ["full_ggn", "diag_ggn"])
+    @pytest.mark.parametrize("loss, k", LOSS_CASES)
+    def test_point_chunks_match_one_chunk(self, kind, loss, k, monkeypatch):
+        net, post, sets = self._instance(kind, "all_layers", loss, k)
+        x, cfg = sets[0], PredictConfig("mc", 16, 3)
+        whole = mc_predict(net, post, x, cfg, loss)
+        # Jacobians of three points at a time: the 7 points in chunks of 3, 3, 1
+        monkeypatch.setattr(laplace, "_JACOBIAN_CHUNK_BYTES", 3 * 8 * k * post.dim)
+        chunked = mc_predict(net, post, x, cfg, loss)
         for name in PREDICT_FIELDS:
             if getattr(whole, name) is not None:
                 np.testing.assert_allclose(

@@ -15,7 +15,6 @@ from lula_lab.network import (
     backward,
     forward,
     forward_output,
-    forward_stacked,
     load,
     output_jacobian,
     save,
@@ -125,25 +124,6 @@ class TestForwardOutput:
         net = random_network(rng, input_dim=3)
         with pytest.raises(ValueError):
             forward_output(net, np.ones((2, 4)))
-
-
-class TestForwardStacked:
-    @pytest.mark.parametrize("activation", ACTIVATIONS)
-    def test_matches_forward_per_parameter_vector(self, activation):
-        rng = Rng(61)
-        net = Network.init_random([3, 7, 5, 2], activation, rng)
-        thetas = net.flatten_params() + 0.3 * rng.standard_normal((6, net.num_params))
-        x = rng.standard_normal((9, 3))
-        stacked = forward_stacked(net, thetas, x)
-        assert stacked.shape == (6, 2, 9)
-        for theta, outputs in zip(thetas, stacked):
-            expected = forward(net.with_flat_params(theta), x).output
-            np.testing.assert_allclose(outputs.T, expected, rtol=1e-13, atol=1e-15)
-
-    def test_rejects_wrong_parameter_count(self, rng):
-        net = random_network(rng, input_dim=2)
-        with pytest.raises(ValueError):
-            forward_stacked(net, np.zeros((3, net.num_params + 1)), np.ones((4, 2)))
 
 
 class TestBackward:
