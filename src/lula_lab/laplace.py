@@ -21,17 +21,19 @@ Parameter subsets:
   augmented matrix [W | b], i.e. index (i, c) -> i * F + c with F the
   augmented feature count.
 
-The full GGN is R^T R with R the (n k, d) stack of every example's rows
-L_x^T J_x, and it is eigendecomposed once per curvature, in the smaller of
-the two spaces, so that the posterior of every prior precision is a
-diagonal in that basis and no d x d precision is ever factored:
+The full GGN is R^T R with R the (n r, d) stack of every example's rows
+L_x^T J_x, r the root width (the rank of Lambda_x: k - 1 for the
+categorical likelihood, 1 for the binary one, k for the Gaussian), and it
+is eigendecomposed once per curvature, in the smaller of the two spaces, so
+that the posterior of every prior precision is a diagonal in that basis and
+no d x d precision is ever factored:
 
-* data space, n k < d (Khan et al. 2019; Immer, Korzepa & Bauer 2021):
+* data space, n r < d (Khan et al. 2019; Immer, Korzepa & Bauer 2021):
   eigh(R R^T) = U diag(e) U^T and W = U^T R, so GGN = W^T W and
   W W^T = diag(e). Then Sigma = (I - W^T diag(1 / (e + lambda)) W) / lambda,
-  with no division by e; the d - n k directions outside the rows of W carry
+  with no division by e; the d - n r directions outside the rows of W carry
   the prior alone.
-* parameter space, n k >= d: the d x d GGN is formed and eigh(GGN) =
+* parameter space, n r >= d: the d x d GGN is formed and eigh(GGN) =
   Q diag(e) Q^T gives Sigma = Q diag(1 / (e + lambda)) Q^T, exact at
   lambda = 0 as well.
 
@@ -114,9 +116,10 @@ SUBSETS = ("all_layers", "last_layer")
 PREDICT_METHODS = ("mc", "probit_linearized")
 TUNE_OBJECTIVES = ("val_log_likelihood", "ood_mmc")
 
-# A full GGN stores a min(n k, dim) x dim array (in parameter space the
-# dim x dim matrix, in data space the n k stacked rows when n k < dim); it is
-# built only when that array holds at most FULL_GGN_CAP**2 floats.
+# A full GGN stores a min(n r, dim) x dim array, r the root width (in
+# parameter space the dim x dim matrix, in data space the n r stacked rows
+# when n r < dim); it is built only when that array holds at most
+# FULL_GGN_CAP**2 floats.
 FULL_GGN_CAP = 5000
 DEFAULT_LAMBDA_GRID = tuple(np.logspace(-4.0, 4.0, 17))
 # Bytes of stacked (m, k, d) output Jacobians held at once by the all-layers
@@ -130,8 +133,9 @@ _MC_CHUNK_BYTES = 2 * 2**20
 
 
 def _check_full_ggn_cap(num_rows: int, dim: int) -> None:
-    """Refuse a full GGN over ``num_rows`` (n k) stacked rows and ``dim``
-    parameters whose stored array would exceed FULL_GGN_CAP**2 floats."""
+    """Refuse a full GGN over ``num_rows`` (n r, r the root width) stacked
+    rows and ``dim`` parameters whose stored array would exceed
+    FULL_GGN_CAP**2 floats."""
     stored = min(num_rows, dim)
     if stored * dim > FULL_GGN_CAP**2:
         raise ValueError(
@@ -154,9 +158,10 @@ class Curvature:
     """Data-term GGN over a parameter subset (prior term not included).
 
     The full kind stores only ``full_eigh = (e, rows)``, one
-    eigendecomposition: with fewer rows than parameters (data space),
-    GGN = rows^T rows and rows rows^T = diag(e); otherwise rows holds the
-    orthonormal eigenvectors as rows and GGN = rows^T diag(e) rows.
+    eigendecomposition: with fewer stacked rows (n r, r the root width)
+    than parameters (data space), rows is (n r, d), GGN = rows^T rows and
+    rows rows^T = diag(e); otherwise rows holds the orthonormal
+    eigenvectors as rows and GGN = rows^T diag(e) rows.
     """
 
     kind: str
@@ -180,8 +185,8 @@ class Curvature:
 def _data_space_eigh(root: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(e, W = U^T R) from eigh(R R^T) = U diag(e) U^T, so GGN = W^T W.
 
-    W overwrites R one block of columns at a time, so only one (n k, d)
-    array is ever held.
+    R is the (n r, d) stack, r the root width. W overwrites R one block of
+    columns at a time, so only one (n r, d) array is ever held.
     """
     e, u = np.linalg.eigh(root @ root.T)
     u_t = u.T
@@ -219,12 +224,14 @@ def fit_curvature(
     the two factors instead of assembling them. For all layers, each chunk
     of examples contributes its rows of R, the stacked L_x^T J_x of the
     batched output Jacobians with L_x L_x^T = Lambda_x, or the column sums
-    of R * R (diagonal). The full kind is eigendecomposed once, in data
-    space from the whole R when it has fewer rows (n k) than parameters,
-    otherwise in parameter space from the summed R^T R (last layer: the
+    of R * R (diagonal). L_x is (k, r), r the root width of
+    :func:`lula_lab.training.output_hessian_roots`, so each example adds r
+    rows. The full kind is eigendecomposed once, in data space from the
+    whole R when it has fewer rows (n r) than parameters, otherwise in
+    parameter space from the summed R^T R (last layer: the
     Kronecker-structured einsum). A full kind whose stored array,
-    min(n k, d) x d, would exceed FULL_GGN_CAP**2 floats raises
-    ``ValueError`` before any work.
+    min(n r, d) x d, would exceed FULL_GGN_CAP**2 floats raises
+    ``ValueError`` before any Jacobian is formed.
     """
     if kind not in CURVATURE_KINDS:
         raise ValueError(f"unknown curvature kind {kind!r}")
@@ -259,10 +266,11 @@ def fit_curvature(
                 input_eigh=np.linalg.eigh(input_factor),
             )
         if kind == "full_ggn":
-            _check_full_ggn_cap(features.shape[0] * k, dim)
-            if features.shape[0] * k < dim:
+            roots = output_hessian_roots(loss, trace.output)
+            num_rows = features.shape[0] * roots.shape[2]
+            _check_full_ggn_cap(num_rows, dim)
+            if num_rows < dim:
                 # row a of L_x^T J_x is sum_i L_x[i, a] (e_i kron hbar_x)
-                roots = output_hessian_roots(loss, trace.output)
                 root = np.einsum("mia,mc->maic", roots, hbar).reshape(-1, dim)
                 full_eigh = _data_space_eigh(root)
             else:
@@ -280,23 +288,24 @@ def fit_curvature(
     # R * R (diagonal)
     dim = net.num_params
     n = features.shape[0]
-    if kind == "full_ggn":
-        _check_full_ggn_cap(n * k, dim)
     roots = output_hessian_roots(loss, forward_output(net, features))
+    r = roots.shape[2]
+    if kind == "full_ggn":
+        _check_full_ggn_cap(n * r, dim)
     roots_t = roots.transpose(0, 2, 1)
-    root = np.empty((n, k, dim)) if kind == "full_ggn" and n * k < dim else None
+    root = np.empty((n, r, dim)) if kind == "full_ggn" and n * r < dim else None
     full = np.zeros((dim, dim)) if kind == "full_ggn" and root is None else None
     diag = np.zeros(dim) if kind == "diag_ggn" else None
     for chunk, jac in _jacobian_chunks(net, features):
         out = None if root is None else root[chunk]
-        r = np.matmul(roots_t[chunk], jac, out=out).reshape(-1, dim)
+        rows = np.matmul(roots_t[chunk], jac, out=out).reshape(-1, dim)
         if full is not None:
-            full += r.T @ r  # numpy's syrk path: exactly symmetric
+            full += rows.T @ rows  # numpy's syrk path: exactly symmetric
         elif diag is not None:
-            diag += (r * r).sum(axis=0)
+            diag += (rows * rows).sum(axis=0)
     full_eigh = None
     if root is not None:
-        full_eigh = _data_space_eigh(root.reshape(n * k, dim))
+        full_eigh = _data_space_eigh(root.reshape(n * r, dim))
     elif full is not None:
         full_eigh = _parameter_space_eigh(full)
     return Curvature(

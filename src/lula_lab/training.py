@@ -134,10 +134,15 @@ def output_hessians(loss: LossKind, outputs: np.ndarray) -> np.ndarray:
 def output_hessian_roots(loss: LossKind, outputs: np.ndarray) -> np.ndarray:
     """Per-example roots L with L L^T = Lambda of :func:`output_hessians`.
 
-    Closed forms, shape (m, k, k): sqrt(beta) * I for the Gaussian,
-    sqrt(sigma * (1 - sigma)) for the binary case, and diag(sqrt(p)) -
-    p sqrt(p)^T for the categorical, whose product with its transpose is
-    diag(p) - p p^T because the probabilities sum to one.
+    Closed forms, shape (m, k, r) with r the root width, the rank of
+    Lambda: sqrt(beta) * I for the Gaussian (r = k) and
+    sqrt(sigma * (1 - sigma)) for the binary case (r = 1). The categorical
+    Lambda = diag(s) (I - s s^T) diag(s), s = sqrt(p), has rank k - 1: the
+    softmax shift direction carries no curvature. With the Householder
+    reflection H = I - v v^T / (1 + s_{k-1}), v = s + e_{k-1}, which maps s
+    to -e_{k-1}, I - s s^T = H[:, :k-1] H[:, :k-1]^T, so the root is
+    L = diag(s) H[:, :k-1], r = k - 1, and L^T 1 = 0. The divisor
+    1 + s_{k-1} is at least one, so the form is stable for any p.
     """
     m, k = outputs.shape
     if loss.kind == "gaussian_nll":
@@ -145,12 +150,14 @@ def output_hessian_roots(loss: LossKind, outputs: np.ndarray) -> np.ndarray:
             np.sqrt(loss.noise_precision) * np.eye(k), (m, k, k)
         ).copy()
     if loss.kind == "categorical_ce":
-        p = softmax(outputs)
-        root_p = np.sqrt(p)
-        r = -p[:, :, None] * root_p[:, None, :]
-        rows = np.arange(k)
-        r[:, rows, rows] += root_p
-        return r
+        s = np.sqrt(softmax(outputs))
+        v = s.copy()
+        v[:, -1] += 1.0
+        # s_i H[i, j] for j < k - 1, where v_j = s_j
+        h = -(s * v)[:, :, None] * (s[:, :-1] / v[:, -1:])[:, None, :]
+        cols = np.arange(k - 1)
+        h[:, cols, cols] += s[:, :-1]
+        return h
     s = sigmoid(outputs[:, 0])
     return np.sqrt(s * (1.0 - s)).reshape(m, 1, 1)
 

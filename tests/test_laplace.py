@@ -76,6 +76,12 @@ def loop_ggn(net, x, loss):
     return acc
 
 
+def root_width(loss, k):
+    """Rows per example of the stacked GGN root R: the rank of Lambda_x,
+    whose softmax shift direction carries no curvature."""
+    return {"categorical_ce": k - 1, "binary_ce": 1, "gaussian_nll": k}[loss.kind]
+
+
 # (loss, number of outputs) for each likelihood
 LOSS_CASES = [
     pytest.param(LossKind("categorical_ce"), 3, id="categorical"),
@@ -153,21 +159,42 @@ class TestFitCurvature:
                           "kfac_last_layer", "all_layers")
 
     def test_dimension_cap(self):
-        # the cap bounds the stored min(n k, d) x d array, not d alone
+        # the cap bounds the stored min(n r, d) x d array, not d alone; a
+        # categorical point adds r = k - 1 rows
         net = Network.init_random([50, 60, 60, 2], "relu", Rng(0))
         loss = LossKind("categorical_ce")
-        assert net.num_params > FULL_GGN_CAP
-        # parameter space (n k >= d): a d x d array over the cap is refused
-        n = net.num_params // 2 + 1
+        d = net.num_params
+        assert d > FULL_GGN_CAP
+        # parameter space (n r >= d): a d x d array over the cap is refused
         with pytest.raises(ValueError, match="exceeds cap"):
-            fit_curvature(net, np.ones((n, 50)), loss, "full_ggn", "all_layers")
-        # data space with one point: 2 rows of d floats fit
+            fit_curvature(net, np.ones((d, 50)), loss, "full_ggn", "all_layers")
+        # data space (n r < d): d - 1 rows of d floats are over the cap too
+        with pytest.raises(ValueError, match="exceeds cap"):
+            fit_curvature(net, np.ones((d - 1, 50)), loss, "full_ggn", "all_layers")
+        # data space with one point: 1 row of d floats fits
         curv = fit_curvature(net, np.ones((1, 50)), loss, "full_ggn", "all_layers")
-        assert curv.full_eigh[1].shape == (2, net.num_params)
+        assert curv.full_eigh[1].shape == (1, d)
         post = build_posterior(curv, 1.0)
         draws = post.sample(Rng(1), 3)
-        assert draws.shape == (3, net.num_params)
+        assert draws.shape == (3, d)
         assert np.all(np.isfinite(draws))
+
+    @pytest.mark.parametrize("subset", ["last_layer", "all_layers"])
+    def test_dimension_cap_counts_root_rows(self, monkeypatch, subset):
+        # a 3-class [2, 4, 3] net: d = 15 (last layer) or 27 (all layers)
+        # and 2 rows per point; the cap admits 2 n d <= cap**2 exactly
+        net = Network.init_random([2, 4, 3], "tanh", Rng(1))
+        x = Rng(2).standard_normal((7, 2))
+        loss = LossKind("categorical_ce")
+        d = 15 if subset == "last_layer" else net.num_params
+        n = 5 if subset == "last_layer" else 6
+        cap = int(np.ceil(np.sqrt(2 * n * d)))
+        assert 2 * n * d <= cap**2 < 2 * (n + 1) * d
+        monkeypatch.setattr(laplace, "FULL_GGN_CAP", cap)
+        curv = fit_curvature(net, x[:n], loss, "full_ggn", subset)
+        assert curv.full_eigh[1].shape == (2 * n, d)
+        with pytest.raises(ValueError, match="exceeds cap"):
+            fit_curvature(net, x[: n + 1], loss, "full_ggn", subset)
 
     def test_kfac_exact_for_gaussian(self):
         # constant output factor makes the Kronecker split exact
@@ -182,8 +209,8 @@ class TestFitCurvature:
 
 
 # The [3, 6, 5, k] nets of TestAllLayersGGN have d = 59 + 6 k parameters, so
-# 20 curvature points hold the full GGN in data space (n k < d) and 80 hold
-# it in parameter space.
+# 20 curvature points hold the full GGN in data space (n r < d, r the root
+# width) and 80 hold it in parameter space.
 class TestAllLayersGGN:
     @pytest.mark.parametrize("loss, k, n", [
         *[pytest.param(*case.values, 20, id=case.id) for case in LOSS_CASES],
@@ -234,7 +261,45 @@ class TestAllLayersGGN:
         outputs = 3.0 * Rng(23).standard_normal((50, k))
         roots = output_hessian_roots(loss, outputs)
         lambdas = output_hessians(loss, outputs)
+        assert roots.shape == (50, k, root_width(loss, k))
         assert np.max(np.abs(roots @ roots.transpose(0, 2, 1) - lambdas)) <= 1e-15
+        if loss.kind == "categorical_ce":
+            # no column has a component along the softmax shift: L^T 1 = 0
+            assert np.max(np.abs(roots.sum(axis=1))) <= 1e-15
+
+    def test_two_class_data_space_stores_one_row_per_point(self):
+        # a [2, 6, 5, 2] net has d = 65 parameters; 30 points give 30 rows
+        # (r = 1), not 60
+        rng = Rng(25)
+        net = Network.init_random([2, 6, 5, 2], "tanh", rng)
+        x = 2.0 * rng.standard_normal((30, 2))
+        loss = LossKind("categorical_ce")
+        curv = fit_curvature(net, x, loss, "full_ggn", "all_layers")
+        assert curv.full_eigh[1].shape == (30, net.num_params)
+        expected = oracle_ggn(net, x, loss, "all_layers")
+        assert relative_error(dense_ggn(curv), expected) <= 1e-12
+
+    @pytest.mark.parametrize("kind, subset", [
+        ("full_ggn", "last_layer"), ("full_ggn", "all_layers"),
+        ("diag_ggn", "last_layer"), ("diag_ggn", "all_layers"),
+        ("kfac_last_layer", "last_layer"),
+    ])
+    def test_one_class_gives_the_prior_only_posterior(self, kind, subset):
+        # a one-class softmax is constant, so its roots have width 0 and
+        # the posterior is the prior N(theta*, I / lambda)
+        rng = Rng(26)
+        net = Network.init_random([2, 5, 1], "tanh", rng)
+        x = rng.standard_normal((8, 2))
+        loss = LossKind("categorical_ce")
+        assert output_hessian_roots(loss, forward(net, x).output).shape == (8, 1, 0)
+        curv = fit_curvature(net, x, loss, kind, subset)
+        post = build_posterior(curv, 4.0)
+        assert np.allclose(marginal_variances(post), 0.25, rtol=1e-14, atol=0.0)
+        samples = post.sample(Rng(27), 5)
+        assert samples.shape == (5, post.dim) and np.all(np.isfinite(samples))
+        if kind != "kfac_last_layer":  # the Kronecker draw damps per factor
+            z = Rng(27).standard_normal((5, post.dim))
+            assert np.allclose(samples, curv.mean + 0.5 * z, rtol=0.0, atol=1e-15)
 
 
 class TestBuildPosterior:
@@ -336,31 +401,43 @@ def oracle_ggn(net, x, loss, subset):
     return (loop_ggn if subset == "all_layers" else loop_last_layer_ggn)(net, x, loss)
 
 
-# (subset, curvature points, data space) around n k = d for the [2, 5, 4, k]
-# nets of TestFullGGNEigenbasis: d = 5 k for the last layer, 39 + 5 k for
-# all layers; n k = d itself is held in parameter space
+# (subset, curvature points) around n r = d for the [2, 5, 4, k] nets of
+# TestFullGGNEigenbasis: d = 5 k for the last layer, 39 + 5 k for all
+# layers, and r the root width (k - 1 categorical, 1 binary, k Gaussian).
+# The fit is in data space when n r < d; n r = d itself is held in parameter
+# space. None stands for n = d / r, the all-layers boundary of every
+# likelihood; five last-layer points are that boundary for the binary and
+# Gaussian likelihoods and data space for the categorical one.
 SIDE_CASES = [
-    pytest.param("last_layer", 3, True, id="last-data"),
-    pytest.param("last_layer", 5, False, id="last-boundary"),
-    pytest.param("last_layer", 60, False, id="last-parameter"),
-    pytest.param("all_layers", 6, True, id="all-data"),
-    pytest.param("all_layers", 60, False, id="all-parameter"),
+    pytest.param("last_layer", 3, id="last-data"),
+    pytest.param("last_layer", 5, id="last-boundary"),
+    pytest.param("last_layer", 60, id="last-parameter"),
+    pytest.param("all_layers", 6, id="all-data"),
+    pytest.param("all_layers", None, id="all-boundary"),
+    pytest.param("all_layers", 60, id="all-parameter"),
 ]
 
 
 class TestFullGGNEigenbasis:
-    def _instance(self, subset, n, data_space, loss, k=3, seed=31):
+    def _instance(self, subset, n, loss, k=3, seed=31):
+        """(net, x, curvature, data space) for one SIDE_CASES entry."""
         rng = Rng(seed)
         net = Network.init_random([2, 5, 4, k], "tanh", rng)
+        dim = net.num_params if subset == "all_layers" else 5 * k
+        r = root_width(loss, k)
+        if n is None:
+            n = dim // r
+            assert n * r == dim
         x = 2.0 * rng.standard_normal((n, 2))
         curv = fit_curvature(net, x, loss, "full_ggn", subset)
+        data_space = n * r < dim
         assert (curv.full_eigh[1].shape[0] < curv.dim) == data_space
-        return net, x, curv
+        return net, x, curv, data_space
 
-    @pytest.mark.parametrize("subset, n, data_space", SIDE_CASES)
+    @pytest.mark.parametrize("subset, n", SIDE_CASES)
     @pytest.mark.parametrize("loss, k", LOSS_CASES)
-    def test_matches_dense_inverse_over_grid(self, subset, n, data_space, loss, k):
-        net, x, curv = self._instance(subset, n, data_space, loss, k)
+    def test_matches_dense_inverse_over_grid(self, subset, n, loss, k):
+        net, x, curv, _ = self._instance(subset, n, loss, k)
         ggn, dim, feat = oracle_ggn(net, x, loss, subset), curv.dim, curv.feature_dim
         vectors = Rng(32).standard_normal((6, dim))
         for lam in DEFAULT_LAMBDA_GRID:
@@ -400,11 +477,11 @@ class TestFullGGNEigenbasis:
         expected = np.einsum("ij,jk,ik->i", vectors, oracle, vectors)
         assert np.max(np.abs(post.quad_forms(vectors) - expected)) <= 1e-9 * np.max(expected)
 
-    @pytest.mark.parametrize("subset, n, data_space", SIDE_CASES)
-    def test_zero_prior_precision_rank_deficient(self, subset, n, data_space):
+    @pytest.mark.parametrize("subset, n", SIDE_CASES)
+    def test_zero_prior_precision_rank_deficient(self, subset, n):
         # categorical GGNs are singular (the softmax shift direction); data
-        # space adds d - n k null directions
-        net, x, curv = self._instance(subset, n, data_space, LossKind("categorical_ce"))
+        # space adds d - n r null directions
+        net, x, curv, data_space = self._instance(subset, n, LossKind("categorical_ce"))
         post = build_posterior(curv, 0.0)
         var = marginal_variances(post)
         v = linearized_variance_batch(net, post, Rng(34).standard_normal((8, 2)))
@@ -417,22 +494,22 @@ class TestFullGGNEigenbasis:
             rung = marginal_variances(build_posterior(curv, jitter))
             assert relative_error(var, rung) <= 1e-10
 
-    @pytest.mark.parametrize("subset, n, data_space", SIDE_CASES)
-    def test_empirical_covariance(self, subset, n, data_space):
+    @pytest.mark.parametrize("subset, n", SIDE_CASES)
+    def test_empirical_covariance(self, subset, n):
         loss = LossKind("categorical_ce")
-        net, x, curv = self._instance(subset, n, data_space, loss)
+        net, x, curv, _ = self._instance(subset, n, loss)
         post = build_posterior(curv, 0.5)
         samples = post.sample(Rng(35), 10000)
         emp = np.cov(samples.T, bias=True)
         oracle = np.linalg.inv(oracle_ggn(net, x, loss, subset) + 0.5 * np.eye(post.dim))
         assert np.linalg.norm(emp - oracle) / np.linalg.norm(oracle) <= 0.10
 
-    @pytest.mark.parametrize("subset, n, data_space", SIDE_CASES)
-    def test_draws_are_the_symmetric_square_root(self, subset, n, data_space):
+    @pytest.mark.parametrize("subset, n", SIDE_CASES)
+    def test_draws_are_the_symmetric_square_root(self, subset, n):
         # both sides map the same z = standard_normal((count, d)) through the
         # symmetric root of Sigma, so they draw the same samples
         loss = LossKind("categorical_ce")
-        net, x, curv = self._instance(subset, n, data_space, loss)
+        net, x, curv, _ = self._instance(subset, n, loss)
         ggn = oracle_ggn(net, x, loss, subset)
         for lam in (1e-2, 1.0, 1e2):
             w, v = np.linalg.eigh(ggn + lam * np.eye(curv.dim))
@@ -441,8 +518,8 @@ class TestFullGGNEigenbasis:
             samples = build_posterior(curv, lam).sample(Rng(36), 5)
             assert relative_error(samples - curv.mean, z @ root) <= 1e-9, lam
 
-    @pytest.mark.parametrize("subset, n, data_space", SIDE_CASES)
-    def test_tuning_makes_no_cholesky_calls(self, monkeypatch, subset, n, data_space):
+    @pytest.mark.parametrize("subset, n", SIDE_CASES)
+    def test_tuning_makes_no_cholesky_calls(self, monkeypatch, subset, n):
         # every kind holds its precision as a spectrum, so neither the lambda
         # sweep nor a Kronecker build and draw factors a matrix
         def refuse(*args, **kwargs):
@@ -450,8 +527,8 @@ class TestFullGGNEigenbasis:
 
         monkeypatch.setattr(np.linalg, "cholesky", refuse)
         loss = LossKind("categorical_ce")
-        net, x, curv = self._instance(subset, n, data_space, loss)
-        labels = np.arange(n) % 3
+        net, x, curv, _ = self._instance(subset, n, loss)
+        labels = np.arange(x.shape[0]) % 3
         _, scores = tune_prior_precision(
             net, curv, x, labels, loss, predict_cfg=PredictConfig("mc", 8, 0)
         )
@@ -460,7 +537,7 @@ class TestFullGGNEigenbasis:
         assert np.all(np.isfinite(post.sample(Rng(0), 4)))
 
     def test_default_dims_stay_below_one_dense_matrix(self):
-        # 2,64,64,2 with 360 points: d = 4482 and n k = 720, so the fit and
+        # 2,64,64,2 with 360 points: d = 4482 and n r = 360, so the fit and
         # posterior stay in data space and never hold a d x d array
         rng = Rng(37)
         net = Network.init_random([2, 64, 64, 2], "relu", rng)
