@@ -110,10 +110,12 @@ def _init_network(cfg: ExperimentConfig, input_dim: int) -> net_mod.Network:
     )
 
 
-def _fit_posterior(cfg: ExperimentConfig, predict_cfg, net, train, val, loss):
-    """Curvature on the train split, prior precision fixed or tuned on val."""
+def _fit_posterior(
+    cfg: ExperimentConfig, predict_cfg, net, train, val, loss, lam: float | None
+):
+    """Curvature on the train split; the prior precision ``lam``, or searched
+    on val when it is None. Returns (posterior, lam, [(candidate, score)])."""
     la = cfg["laplace"]
-    lam = la["prior_precision"]
     curv = fit_curvature(net, train.features, loss, la["curvature"], la["subset"])
     if lam is None:
         out_features = None
@@ -139,9 +141,10 @@ def _fit_posterior(cfg: ExperimentConfig, predict_cfg, net, train, val, loss):
             out_features=out_features,
             num_classes=num_classes,
         )
+        print(f"searched {len(scores)} prior precisions on val: picked {_fmt(lam)}")
     else:
         scores = [(lam, float("nan"))]
-    return build_posterior(curv, lam), curv, lam, scores
+    return build_posterior(curv, lam), lam, scores
 
 
 def _ood_training_features(cfg: ExperimentConfig, num_features: int) -> np.ndarray:
@@ -156,7 +159,106 @@ def _ood_training_features(cfg: ExperimentConfig, num_features: int) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# augmentation sidecar file
+# sidecar files
+
+POSTERIOR_HEADER = "lula-lab-posterior v2"
+
+
+def _posterior_path(model_path: str) -> str:
+    """``<model>_laplace.txt``: the prior precision that belongs to a model file."""
+    return os.path.splitext(model_path)[0] + "_laplace.txt"
+
+
+def _sha256(path: str) -> str:
+    # imported here: hashlib loads OpenSSL, which commands that never read
+    # or write a posterior file (train, demo-toy, fixed-λ eval) need not pay
+    import hashlib
+
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
+
+
+def _write_posterior(
+    path: str, model_path: str, cfg: ExperimentConfig, lam: float, scores
+) -> None:
+    """Format v2: the prior precision of the model file ``model_path``.
+
+    ``model_sha256`` ties it to that file's bytes; ``curvature``, ``subset``
+    and ``objective`` to the ``[laplace]`` settings it was picked under. The
+    precision is written at 17 significant digits, so it reads back exactly;
+    each ``grid_point`` is a searched candidate and its score.
+    """
+    la = cfg["laplace"]
+    lines = [
+        POSTERIOR_HEADER,
+        f"model_sha256 {_sha256(model_path)}",
+        f"curvature {la['curvature']}",
+        f"subset {la['subset']}",
+        f"prior_precision {format(lam, '.17g')}",
+        f"objective {la['tune_objective']}",
+    ]
+    lines += [f"grid_point {_fmt(cand)} {_fmt(score)}" for cand, score in scores]
+    _write_lines(path, lines)
+
+
+def _read_posterior(path: str, model_path: str, cfg: ExperimentConfig) -> float:
+    """The prior precision of a v2 file written for ``model_path``.
+
+    A file of another version, for other model bytes, or picked under other
+    ``[laplace]`` settings is a config error naming the file and the key.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    header = lines[0] if lines else ""
+    if header != POSTERIOR_HEADER:
+        raise ConfigError(
+            f"{path}: header {header!r} is not {POSTERIOR_HEADER!r}; rerun "
+            "laplace or delete the file"
+        )
+    values = dict(line.split(" ", 1) for line in lines[1:] if " " in line)
+    if values.get("model_sha256") != _sha256(model_path):
+        raise ConfigError(
+            f"{path}: model_sha256 does not match {model_path}, which changed "
+            "after this prior precision was picked; rerun laplace"
+        )
+    for key, config_key in (
+        ("curvature", "curvature"),
+        ("subset", "subset"),
+        ("objective", "tune_objective"),
+    ):
+        want = cfg["laplace"][config_key]
+        if values.get(key) != want:
+            raise ConfigError(
+                f"{path}: {key} {values.get(key)!r} differs from [laplace] "
+                f"{config_key} = {want}; rerun laplace"
+            )
+    text = values.get("prior_precision", "")
+    try:
+        lam = float(text)
+    except ValueError:
+        lam = float("nan")
+    if not lam >= 0.0:
+        raise ConfigError(
+            f"{path}: prior_precision {text!r} is not a nonnegative float"
+        )
+    return lam
+
+
+def _base_prior_precision(cfg: ExperimentConfig, model_path: str) -> float | None:
+    """The prior precision set by ``[laplace] prior_precision`` or read from
+    the model's posterior file; None when neither holds one and the command
+    must search. Says which on standard output."""
+    lam = cfg["laplace"]["prior_precision"]
+    if lam is not None:
+        print(f"prior precision {_fmt(lam)} from [laplace] prior_precision")
+        return lam
+    path = _posterior_path(model_path)
+    if not os.path.exists(path):
+        print(f"no {path}: searching the prior precision")
+        return None
+    lam = _read_posterior(path, model_path, cfg)
+    print(f"prior precision {_fmt(lam)} from {path}")
+    return lam
 
 
 def _save_augmentation(path: str, units: int, init_std: float | None) -> None:
@@ -199,18 +301,11 @@ def cmd_laplace(
     cfg, _, _, laplace_cfg, _ = _load(config_path, seed)
     train, val, test, loss = _build_data(cfg)
     net = net_mod.load(model_path)
-    post, curv, lam, scores = _fit_posterior(cfg, laplace_cfg, net, train, val, loss)
-    out_path = out_path or os.path.splitext(model_path)[0] + "_laplace.txt"
-    lines = [
-        "lula-lab-posterior v1",
-        f"curvature {curv.kind}",
-        f"subset {curv.subset}",
-        f"prior_precision {_fmt(lam)}",
-        f"objective {cfg['laplace']['tune_objective']}",
-    ]
-    for cand, score in scores:
-        lines.append(f"grid_point {_fmt(cand)} {_fmt(score)}")
-    _write_lines(out_path, lines)
+    _, lam, scores = _fit_posterior(
+        cfg, laplace_cfg, net, train, val, loss, cfg["laplace"]["prior_precision"]
+    )
+    out_path = out_path or _posterior_path(model_path)
+    _write_posterior(out_path, model_path, cfg, lam, scores)
     print(f"wrote {out_path} (prior precision {_fmt(lam)})")
     return 0
 
@@ -230,6 +325,7 @@ def cmd_lula(
 ) -> int:
     cfg, _, lcfg, laplace_cfg, _ = _load(config_path, seed)
     lu = cfg["lula"]
+    lam = _base_prior_precision(cfg, model_path)
     train, val, test, loss = _build_data(cfg)
     count = lu["counts"]
     if count is None and loss.kind == "gaussian_nll":
@@ -242,9 +338,11 @@ def cmd_lula(
         raise ConfigError(
             f"{model_path} has no hidden layer to add uncertainty units to"
         )
-    lam = cfg["laplace"]["prior_precision"]
+    lam_scores = []  # grid points, when this command searched
     if lam is None:
-        _, _, lam, _ = _fit_posterior(cfg, laplace_cfg, net, train, val, loss)
+        _, lam, lam_scores = _fit_posterior(
+            cfg, laplace_cfg, net, train, val, loss, None
+        )
     in_features = val.features if val.num_rows else train.features
     out_features = _ood_training_features(cfg, train.num_features)
     if count is None:
@@ -286,7 +384,11 @@ def cmd_lula(
         ["epoch", "objective"],
         [(i, float(v)) for i, v in enumerate(history)],
     )
-    print(f"wrote {out_path}, {base}_augmentation.txt, {base}_history.csv")
+    _write_posterior(_posterior_path(out_path), out_path, cfg, lam, lam_scores)
+    print(
+        f"wrote {out_path}, {base}_augmentation.txt, {base}_history.csv, "
+        f"{_posterior_path(out_path)} (prior precision {_fmt(lam)})"
+    )
     return 0
 
 
@@ -312,10 +414,11 @@ def cmd_eval(
     config_path: str, model_path: str, out_dir: str, seed: int | None = None
 ) -> int:
     cfg, _, _, laplace_cfg, eval_cfg = _load(config_path, seed)
+    lam = _base_prior_precision(cfg, model_path)
     train, val, test, loss = _build_data(cfg)
     net = net_mod.load(model_path)
     ood_sets = _eval_ood_sets(cfg, test)
-    post, curv, lam, _ = _fit_posterior(cfg, laplace_cfg, net, train, val, loss)
+    post, lam, _ = _fit_posterior(cfg, laplace_cfg, net, train, val, loss, lam)
     runs = cfg["eval"]["runs"]
     report_total = cfg["eval"]["report_std"] == "total"
     classification = loss.kind in ("categorical_ce", "binary_ce")

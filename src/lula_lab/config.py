@@ -343,6 +343,18 @@ def _convert(raw: dict) -> ExperimentConfig:
     laplace = values["laplace"]
     if laplace["curvature"] == "kfac_last_layer" and laplace["subset"] != "last_layer":
         raise ConfigError("[laplace] curvature = kfac_last_layer needs subset = last_layer")
+    # The likelihood is known here when it is named, or when auto meets the
+    # classification generator; a csv target under auto is only seen at run time.
+    loss = values["train"]["loss"]
+    if loss == "auto" and data["generator"] == "two_moons":
+        loss = "categorical_ce"
+    for section in ("laplace", "eval"):
+        if loss == "categorical_ce" and values[section]["method"] == "probit_linearized":
+            raise ConfigError(
+                f"[{section}] method = probit_linearized supports binary "
+                "(single-logit) or regression models only, and this config's "
+                "likelihood is categorical_ce; use mc"
+            )
     return ExperimentConfig(values)
 
 

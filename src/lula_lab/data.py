@@ -9,6 +9,7 @@ input clusters); their exact constants live here and nowhere else.
 from __future__ import annotations
 
 import csv as _csv
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -245,7 +246,45 @@ def load_csv(path: str, target_column, header: bool = True) -> Dataset:
     index. Features keep the remaining columns in file order. Parse failures
     report the offending 1-based row and column. Classification use casts
     the target column to labels downstream.
+
+    The body is parsed in bulk by ``np.loadtxt``; any file it rejects, or
+    whose width disagrees with the header, goes through the cell-by-cell
+    reader instead, which gives the same values and reports the error.
     """
+    bulk = _load_csv_bulk(path, header)
+    if bulk is None:
+        return _load_csv_cells(path, target_column, header)
+    names, parsed = bulk
+    return _csv_dataset(parsed, _target_index(names, parsed.shape[1], target_column))
+
+
+def _load_csv_bulk(path: str, header: bool):
+    """(header names or None, values), or None where the cell reader must decide.
+
+    Only the header line goes through ``csv.reader``. A body that does not
+    parse, has no rows, or is not as wide as the header is left to the cell
+    reader; so is a blank first line, whose empty header fits no width.
+    """
+    names = None
+    try:
+        if header:
+            with open(path, "r", encoding="utf-8", newline="") as handle:
+                names = [c.strip() for c in next(_csv.reader(handle), [])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on an empty body
+            parsed = np.loadtxt(
+                path, delimiter=",", skiprows=int(header), ndmin=2,
+                comments=None, encoding="utf-8",
+            )
+    except (ValueError, OSError, _csv.Error):
+        return None
+    if parsed.shape[0] == 0 or (names is not None and len(names) != parsed.shape[1]):
+        return None
+    return names, parsed
+
+
+def _load_csv_cells(path: str, target_column, header: bool) -> Dataset:
+    """The cell-by-cell reader: every row and column error names its place."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         rows = list(_csv.reader(handle))
     rows = [r for r in rows if r]
@@ -258,16 +297,7 @@ def load_csv(path: str, target_column, header: bool = True) -> Dataset:
         if not rows:
             raise ValueError(f"{path}: no data rows")
     width = len(rows[0])
-    if isinstance(target_column, str):
-        if names is None:
-            raise ValueError("column names require header=True")
-        if target_column not in names:
-            raise ValueError(f"target column {target_column!r} not found")
-        target_idx = names.index(target_column)
-    else:
-        target_idx = int(target_column)
-        if not 0 <= target_idx < width:
-            raise ValueError(f"target column index {target_idx} out of range")
+    target_idx = _target_index(names, width, target_column)
 
     parsed = np.empty((len(rows), width))
     for i, row in enumerate(rows):
@@ -284,7 +314,24 @@ def load_csv(path: str, target_column, header: bool = True) -> Dataset:
                     f"{path}: cannot parse {cell!r} at row "
                     f"{i + 1 + int(header)}, column {j + 1}"
                 ) from None
-    feature_cols = [j for j in range(width) if j != target_idx]
+    return _csv_dataset(parsed, target_idx)
+
+
+def _target_index(names: list[str] | None, width: int, target_column) -> int:
+    if isinstance(target_column, str):
+        if names is None:
+            raise ValueError("column names require header=True")
+        if target_column not in names:
+            raise ValueError(f"target column {target_column!r} not found")
+        return names.index(target_column)
+    target_idx = int(target_column)
+    if not 0 <= target_idx < width:
+        raise ValueError(f"target column index {target_idx} out of range")
+    return target_idx
+
+
+def _csv_dataset(parsed: np.ndarray, target_idx: int) -> Dataset:
+    feature_cols = [j for j in range(parsed.shape[1]) if j != target_idx]
     return Dataset(
         parsed[:, feature_cols],
         parsed[:, [target_idx]],

@@ -372,8 +372,10 @@ _MAGIC = "lula-lab-model"
 _VERSION = "v1"
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _row_format(width: int) -> str:
+    """``%`` format of one row: ``width`` values at 17 significant digits,
+    which is what ``format(v, ".17g")`` prints for each, space separated."""
+    return " ".join(["%.17g"] * width)
 
 
 def save(net: Network, path: str) -> None:
@@ -384,10 +386,10 @@ def save(net: Network, path: str) -> None:
             f"activation {spec.activation}"
         )
         lines.append(f"W {spec.out_dim} {spec.in_dim}")
-        for row in net.weights[i]:
-            lines.append(" ".join(_fmt(v) for v in row))
+        row_fmt = _row_format(spec.in_dim)
+        lines.extend(row_fmt % tuple(row) for row in net.weights[i].tolist())
         lines.append(f"b {spec.out_dim}")
-        lines.append(" ".join(_fmt(v) for v in net.biases[i]))
+        lines.append(_row_format(spec.out_dim) % tuple(net.biases[i].tolist()))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -414,7 +416,7 @@ def _parse_floats(line: str, count: int, what: str) -> np.ndarray:
             f"{what}: expected {count} values, found {len(parts)}"
         )
     try:
-        return np.array([float(p) for p in parts], dtype=np.float64)
+        return np.array(list(map(float, parts)), dtype=np.float64)
     except ValueError as exc:
         raise ModelFormatError(f"{what}: {exc}") from exc
 

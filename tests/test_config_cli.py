@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -91,6 +92,9 @@ MALFORMED = [
     ("model", "dims", "2,0,2"),
     ("eval", "ring_inner", "20"),
     ("eval", "grid_extent", "-1"),
+    # the default likelihood is categorical: two_moons under loss = auto
+    ("laplace", "method", "probit_linearized"),
+    ("eval", "method", "probit_linearized"),
 ]
 
 
@@ -167,6 +171,30 @@ class TestConfig:
             for key, (default, _, _) in keys.items():
                 assert f"{key} = {default}" in text
         assert " | ".join(ACTIVATIONS) in text
+
+    @pytest.mark.parametrize(
+        "body,rejected",
+        [
+            ("[train]\nloss = binary_ce\n", False),
+            ("[data]\ngenerator = toy_regression\n", False),
+            # a csv target under loss = auto is only known at run time
+            ("[data]\ngenerator = csv\ncsv_path = d.csv\ntarget_column = y\n", False),
+            ("[data]\ngenerator = csv\ncsv_path = d.csv\ntarget_column = y\n"
+             "[train]\nloss = categorical_ce\n", True),
+            ("[data]\ngenerator = toy_regression\n[train]\nloss = categorical_ce\n", True),
+        ],
+    )
+    @pytest.mark.parametrize("section", ["laplace", "eval"])
+    def test_probit_needs_a_non_categorical_likelihood(
+        self, tmp_path, body, rejected, section
+    ):
+        path = tmp_path / "c.ini"
+        path.write_text(body + f"[{section}]\nmethod = probit_linearized\n")
+        if rejected:
+            with pytest.raises(ConfigError, match=rf"\[{section}\] method"):
+                load_config(str(path))
+        else:
+            assert load_config(str(path))[section]["method"] == "probit_linearized"
 
     def test_master_seed_override(self):
         cfg = default_config()
@@ -436,6 +464,181 @@ sample_count = 40
         expected = f"lula-lab-augmentation v2\nunits 2\n{std_line}\n"
         written = (tmp_path / "tuned_augmentation.txt").read_bytes()
         assert written == expected.encode("ascii")
+
+
+TUNE_INI = TINY_INI.replace(
+    "prior_precision = 1.0",
+    # no candidate prints exactly at 10 significant digits
+    "prior_precision = tune\nlambda_grid = logspace:-1.5:2.5:5",
+)
+
+
+@pytest.fixture
+def tune_calls(monkeypatch):
+    """Every prior-precision search the CLI starts, as a list of grids."""
+    calls = []
+    original = cli.tune_prior_precision
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["grid"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "tune_prior_precision", counting)
+    return calls
+
+
+@pytest.fixture
+def base_model(tmp_path):
+    """(config, model) after ``laplace`` has written ``model_laplace.txt``."""
+    config = tmp_path / "cfg.ini"
+    config.write_text(TUNE_INI)
+    model = tmp_path / "model.txt"
+    save(Network.init_random([2, 16, 16, 2], "relu", Rng(0)), str(model))
+    assert cli.main(["laplace", "--config", str(config), "--model", str(model)]) == 0
+    return str(config), str(model)
+
+
+def _kv(path) -> dict:
+    return dict(line.split(" ", 1) for line in Path(path).read_text().splitlines()[1:])
+
+
+class TestPosteriorSidecar:
+    """``laplace`` picks the prior precision once; ``lula`` and ``eval`` read it."""
+
+    def test_v2_format_reads_back_exactly(self, base_model, tmp_path, capsys):
+        config, model = base_model
+        assert cli.main(["laplace", "--config", config, "--model", model]) == 0
+        text = (tmp_path / "model_laplace.txt").read_text().splitlines()
+        assert text[0] == "lula-lab-posterior v2"
+        values = _kv(tmp_path / "model_laplace.txt")
+        digest = hashlib.sha256(Path(model).read_bytes()).hexdigest()
+        assert values["model_sha256"] == digest
+        assert (values["curvature"], values["subset"], values["objective"]) == (
+            "kfac_last_layer", "last_layer", "val_log_likelihood"
+        )
+        lam = float(values["prior_precision"])
+        assert values["prior_precision"] == format(lam, ".17g")
+        assert lam in list(np.logspace(-1.5, 2.5, 5))  # the grid value, bit for bit
+        assert sum(line.startswith("grid_point ") for line in text) == 5
+        out = capsys.readouterr().out
+        assert "searched 5 prior precisions" in out
+        assert f"model_laplace.txt (prior precision {cli._fmt(lam)})" in out
+
+    def test_lula_reading_the_file_matches_lula_searching(
+        self, base_model, tmp_path, capsys, tune_calls
+    ):
+        config, model = base_model
+        outputs = ("{}.txt", "{}_augmentation.txt", "{}_history.csv", "{}_laplace.txt")
+        for name in ("read", "searched"):
+            if name == "searched":
+                os.remove(tmp_path / "model_laplace.txt")
+            assert cli.main(
+                ["lula", "--config", config, "--model", model,
+                 "--out", str(tmp_path / f"{name}.txt")]
+            ) == 0
+            out = capsys.readouterr().out
+            if name == "read":
+                assert f"from {tmp_path / 'model_laplace.txt'}" in out
+                assert tune_calls == []
+            else:
+                assert "searching the prior precision" in out
+                assert len(tune_calls) == 1
+        for pattern in outputs[:3]:
+            assert (tmp_path / pattern.format("read")).read_bytes() == (
+                tmp_path / pattern.format("searched")
+            ).read_bytes()
+        read, searched = (
+            _kv(tmp_path / outputs[3].format(n)) for n in ("read", "searched")
+        )
+        assert read["prior_precision"] == searched["prior_precision"]
+        assert read["model_sha256"] == searched["model_sha256"]
+
+    def test_map_eval_same_with_and_without_the_file(
+        self, base_model, tmp_path, tune_calls
+    ):
+        config, model = base_model
+        for name in ("read", "searched"):
+            if name == "searched":
+                os.remove(tmp_path / "model_laplace.txt")
+            assert cli.main(
+                ["eval", "--config", config, "--model", model,
+                 "--out", str(tmp_path / name)]
+            ) == 0
+        assert len(tune_calls) == 1
+        for file in ("eval_report.csv", "eval_summary.txt", "eval_confidences.csv"):
+            assert (tmp_path / "read" / file).read_bytes() == (
+                tmp_path / "searched" / file
+            ).read_bytes()
+
+    def test_lula_model_eval_reports_the_base_precision(
+        self, base_model, tmp_path, capsys, tune_calls
+    ):
+        config, model = base_model
+        tuned = str(tmp_path / "tuned.txt")
+        assert cli.main(
+            ["lula", "--config", config, "--model", model, "--out", tuned]
+        ) == 0
+        assert cli.main(
+            ["eval", "--config", config, "--model", tuned, "--out", str(tmp_path / "e")]
+        ) == 0
+        assert tune_calls == []  # one search per base model, made by laplace
+        base = _kv(tmp_path / "model_laplace.txt")
+        tuned_lam = _kv(tmp_path / "tuned_laplace.txt")["prior_precision"]
+        assert tuned_lam == base["prior_precision"]
+        lam = cli._fmt(float(base["prior_precision"]))
+        assert _kv(tmp_path / "e" / "eval_summary.txt")["prior_precision"] == lam
+        assert f"prior precision {lam} from {tmp_path / 'tuned_laplace.txt'}" in (
+            capsys.readouterr().out
+        )
+
+    @pytest.mark.parametrize("command", ["lula", "eval"])
+    @pytest.mark.parametrize(
+        "key,old,new",
+        [
+            ("header", "lula-lab-posterior v2", "lula-lab-posterior v1"),
+            ("model_sha256", None, None),
+            ("curvature", "curvature kfac_last_layer", "curvature diagonal"),
+            ("subset", "subset last_layer", "subset all_layers"),
+            ("objective", "objective val_log_likelihood", "objective ood_mmc"),
+        ],
+    )
+    def test_stale_file_exits_2_before_work(
+        self, base_model, tmp_path, capsys, monkeypatch, command, key, old, new
+    ):
+        config, model = base_model
+        sidecar = tmp_path / "model_laplace.txt"
+        if old is None:  # the model was retrained after laplace ran
+            save(Network.init_random([2, 16, 16, 2], "relu", Rng(1)), model)
+        else:
+            sidecar.write_text(sidecar.read_text().replace(old, new))
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the file was checked")
+
+        for name in ("_build_data", "fit_curvature", "tune_prior_precision"):
+            monkeypatch.setattr(cli, name, no_work)
+        monkeypatch.setattr(cli.lula_mod, "train_lula", no_work)
+        out = str(tmp_path / "out")
+        assert cli.main(
+            [command, "--config", config, "--model", model, "--out", out]
+        ) == 2
+        err = capsys.readouterr().err
+        assert str(sidecar) in err and key in err
+        assert not os.path.exists(out)
+
+    def test_fixed_prior_precision_wins_over_the_file(self, base_model, tmp_path, capsys):
+        config, model = base_model
+        sidecar = tmp_path / "model_laplace.txt"
+        sidecar.write_text("lula-lab-posterior v1\nprior_precision 5\n")
+        fixed = tmp_path / "fixed.ini"
+        fixed.write_text(TINY_INI)
+        evaldir = tmp_path / "eval"
+        assert cli.main(
+            ["eval", "--config", str(fixed), "--model", model, "--out", str(evaldir)]
+        ) == 0
+        assert _kv(evaldir / "eval_summary.txt")["prior_precision"] == "1"
+        out = capsys.readouterr().out
+        assert "prior precision 1 from [laplace] prior_precision" in out
 
 
 DEMO_INI = """

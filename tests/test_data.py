@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lula_lab import data as data_mod
 from lula_lab.data import (
     Dataset,
     SplitSpec,
@@ -271,3 +272,62 @@ class TestLoadCsv:
         path.write_text("a,b\n1,2\n3\n")
         with pytest.raises(ValueError, match="row 3"):
             load_csv(str(path), "b")
+
+    def test_bulk_parse_matches_cell_loop_bitwise(self, tmp_path):
+        rng = Rng(11)
+        values = rng.standard_normal((200, 6)) * np.exp(
+            rng.uniform(-40.0, 40.0, (200, 6))
+        )
+        values[0, :] = [-0.0, 5e-324, -1e300, 2.2250738585072014e-308, 1.0 / 3.0, -7.0]
+        lines = ["a,b,c,d,e,target"] + [
+            ",".join(format(float(v), ".17g") for v in row) for row in values
+        ]
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert data_mod._load_csv_bulk(str(path), True) is not None
+        bulk = load_csv(str(path), "target")
+        cells = data_mod._load_csv_cells(str(path), "target", True)
+        assert bulk.features.tobytes() == cells.features.tobytes()
+        assert bulk.targets.tobytes() == cells.targets.tobytes()
+        assert bulk.features.tobytes() == np.ascontiguousarray(values[:, :5]).tobytes()
+
+    @pytest.mark.parametrize(
+        "text,header,target,features,targets",
+        [
+            # csv.reader strips the quotes; the bulk parse cannot
+            ('a,b,c\n"1.5",2,3\n4,"5e-1",6\n', True, "c",
+             [[1.5, 2.0], [4.0, 0.5]], [3.0, 6.0]),
+            # blank lines are skipped by both readers
+            ("a,b\n1,2\n\n3,4\n\n", True, "b", [[1.0], [3.0]], [2.0, 4.0]),
+            ("\na,b\n1,2\n", True, "a", [[2.0]], [1.0]),
+            ("1,2,3\n4,5,6\n", False, 0, [[2.0, 3.0], [5.0, 6.0]], [1.0, 4.0]),
+        ],
+    )
+    def test_fallback_and_edge_values(
+        self, tmp_path, text, header, target, features, targets
+    ):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        data = load_csv(str(path), target, header=header)
+        assert np.array_equal(data.features, np.array(features))
+        assert np.array_equal(data.targets, np.array(targets)[:, None])
+
+    @pytest.mark.parametrize(
+        "text,header,target,message",
+        [
+            ("a,b\n1#2,3\n", True, "b", r"cannot parse '1#2' at row 2, column 1"),
+            ("a,b\n1,2\n# note\n", True, "b", r"row 3 has 1 cells, expected 2"),
+            ("a,b\n1,2\n3\n", True, "b", r"row 3 has 1 cells, expected 2"),
+            ("a,b,c\n1,2,3\n4,5,oops\n", True, "c",
+             r"cannot parse 'oops' at row 3, column 3"),
+            ("a,b\n1,2\n  \n", True, "b", r"row 3 has 1 cells, expected 2"),
+            ("1,2\n3,x\n", False, 1, r"cannot parse 'x' at row 2, column 2"),
+            ("1,2\n3,4\n", False, 2, r"target column index 2 out of range"),
+            ("a,b\n", True, "b", r"no data rows"),
+        ],
+    )
+    def test_errors_name_row_and_column(self, tmp_path, text, header, target, message):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_csv(str(path), target, header=header)

@@ -283,6 +283,35 @@ class TestSaveLoad:
         assert np.array_equal(forward(net, x).output, forward(loaded, x).output)
         assert np.array_equal(net.flatten_params(), loaded.flatten_params())
 
+    def test_row_format_matches_per_value_formatting(self, tmp_path):
+        net = random_network(Rng(7), max_layers=4, max_units=12, min_hidden=2)
+        # specials in one row: signed zeros, subnormals, extremes, non-finite
+        weights = [w.copy() for w in net.weights]
+        specials = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e300,
+                    -1.5e-7, 1.0 / 3.0, np.inf, -np.inf, np.nan]
+        weights[0] = np.resize(np.array(specials), weights[0].shape)
+        net = Network(net.specs, weights, net.biases)
+        path = tmp_path / "model.txt"
+        save(net, str(path))
+        # the per-value formatter the row format replaced
+        expected = ["lula-lab-model v1", f"num_layers {net.num_layers}"]
+        for i, spec in enumerate(net.specs):
+            expected.append(
+                f"layer {i} in {spec.in_dim} out {spec.out_dim} "
+                f"activation {spec.activation}"
+            )
+            expected.append(f"W {spec.out_dim} {spec.in_dim}")
+            for row in net.weights[i]:
+                expected.append(" ".join(format(float(v), ".17g") for v in row))
+            expected.append(f"b {spec.out_dim}")
+            expected.append(" ".join(format(float(v), ".17g") for v in net.biases[i]))
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode("ascii")
+        loaded = load(str(path))
+        for mine, theirs in zip(
+            net.weights + net.biases, loaded.weights + loaded.biases
+        ):
+            assert mine.tobytes() == theirs.tobytes()  # bitwise, NaN included
+
     def test_truncated_file(self, rng, tmp_path):
         net = random_network(rng)
         path = tmp_path / "model.txt"
