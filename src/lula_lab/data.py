@@ -297,6 +297,11 @@ def _load_csv_cells(path: str, target_column, header: bool) -> Dataset:
         if not rows:
             raise ValueError(f"{path}: no data rows")
     width = len(rows[0])
+    if names is not None and len(names) != width:
+        raise ValueError(
+            f"{path}: header has {len(names)} columns, "
+            f"first data row has {width} cells"
+        )
     target_idx = _target_index(names, width, target_column)
 
     parsed = np.empty((len(rows), width))

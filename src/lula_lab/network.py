@@ -37,29 +37,66 @@ SELU_ALPHA = 1.6732632423543772848170429916717
 SELU_SCALE = 1.0507009873554804934193349852946
 
 
-def apply_activation(name: str, a: np.ndarray) -> np.ndarray:
+def apply_activation(
+    name: str, a: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The activation of pre-activation ``a``, a new array unless ``out``.
+
+    ``out``, an array apart from ``a`` (or ``a`` itself for the identity),
+    receives the same bits through in-place operations.
+    """
     if name == "relu":
-        return np.maximum(a, 0.0)
-    if name == "selu":
-        return SELU_SCALE * np.where(a > 0.0, a, SELU_ALPHA * np.expm1(a))
+        return np.maximum(a, 0.0, out=out)
     if name == "tanh":
-        return np.tanh(a)
+        return np.tanh(a, out=out)
+    if name == "selu":
+        if out is None:
+            return SELU_SCALE * np.where(a > 0.0, a, SELU_ALPHA * np.expm1(a))
+        positive = a > 0.0
+        np.expm1(a, out=out)
+        out *= SELU_ALPHA
+        np.copyto(out, a, where=positive)
+        out *= SELU_SCALE
+        return out
     if name == "identity":
-        return a
+        if out is None or out is a:
+            return a
+        np.copyto(out, a)
+        return out
     raise ValueError(f"unknown activation {name!r}")
 
 
-def activation_derivative(name: str, a: np.ndarray) -> np.ndarray:
-    # Derivative as a function of the pre-activation; relu'(0) is taken as 0.
+def activation_derivative(
+    name: str, a: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Derivative as a function of the pre-activation; relu'(0) is taken as 0.
+
+    A new array unless ``out`` is given, which then receives the same bits.
+    """
     if name == "relu":
-        return (a > 0.0).astype(np.float64)
+        if out is None:
+            return (a > 0.0).astype(np.float64)
+        return np.greater(a, 0.0, out=out)
     if name == "selu":
-        return SELU_SCALE * np.where(a > 0.0, 1.0, SELU_ALPHA * np.exp(a))
+        if out is None:
+            return SELU_SCALE * np.where(a > 0.0, 1.0, SELU_ALPHA * np.exp(a))
+        np.exp(a, out=out)
+        out *= SELU_ALPHA
+        np.copyto(out, 1.0, where=a > 0.0)
+        out *= SELU_SCALE
+        return out
     if name == "tanh":
-        t = np.tanh(a)
-        return 1.0 - t * t
+        if out is None:
+            t = np.tanh(a)
+            return 1.0 - t * t
+        np.tanh(a, out=out)
+        np.multiply(out, out, out=out)
+        return np.subtract(1.0, out, out=out)
     if name == "identity":
-        return np.ones_like(a)
+        if out is None:
+            return np.ones_like(a)
+        out.fill(1.0)
+        return out
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -214,6 +251,19 @@ class ForwardTrace:
     def output(self) -> np.ndarray:
         return self.activations[-1]
 
+    @classmethod
+    def empty(cls, net: Network, rows: int) -> "ForwardTrace":
+        """Unfilled trace of ``net`` for batches of ``rows`` rows.
+
+        For :func:`forward`'s ``out``. An identity layer's activation is its
+        pre-activation array, as in the traces :func:`forward` allocates.
+        """
+        pre = tuple(np.empty((rows, spec.out_dim)) for spec in net.specs)
+        acts = [np.empty((rows, net.input_dim))]
+        for spec, a in zip(net.specs, pre):
+            acts.append(a if spec.activation == "identity" else np.empty_like(a))
+        return cls(pre, tuple(acts))
+
 
 @dataclass
 class ParamGrads:
@@ -257,21 +307,51 @@ def _as_batch(x: np.ndarray, input_dim: int) -> np.ndarray:
     return x
 
 
-def _pre_activation(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = _product(h, w.T)
+def _pre_activation(
+    h: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    a = _product(h, w.T, out)
     a += b
     return a
 
 
-def forward(net: Network, x: np.ndarray) -> ForwardTrace:
-    """Run the network on a batch (rows are samples) and record the trace."""
+def forward(
+    net: Network, x: np.ndarray, out: ForwardTrace | None = None
+) -> ForwardTrace:
+    """Run the network on a batch (rows are samples) and record the trace.
+
+    Without ``out`` every array of the trace is new. ``out`` is a trace the
+    caller owns and may reuse across calls, such as one from
+    :meth:`ForwardTrace.empty` with the batch's row count: the batch is
+    copied into its ``activations[0]`` (no copy when ``x`` is that array),
+    every other array is overwritten, and ``out`` is returned. Its values
+    are bitwise those of the allocating path. A trace of another depth or
+    row count raises ``ValueError``, and so does one of another width:
+    ``np.dot`` accepts only an ``out`` of the product's exact shape.
+    """
     h = _as_batch(x, net.input_dim)
+    if out is None:
+        pre_out = act_out = (None,) * net.num_layers
+    else:
+        first = out.activations[0]
+        if len(out.pre_activations) != net.num_layers or (
+            first.shape != h.shape or first.dtype != h.dtype
+        ):
+            raise ValueError(
+                f"trace buffer with input {first.dtype} {first.shape} and "
+                f"{len(out.pre_activations)} layers does not fit a {h.shape} "
+                f"batch of a {net.num_layers}-layer network"
+            )
+        if h is not out.activations[0]:
+            np.copyto(out.activations[0], h)
+        h = out.activations[0]
+        pre_out, act_out = out.pre_activations, out.activations[1:]
     pre, acts = [], [h]
-    for spec, w, b in zip(net.specs, net.weights, net.biases):
-        a = _pre_activation(acts[-1], w, b)
+    for spec, w, b, p, q in zip(net.specs, net.weights, net.biases, pre_out, act_out):
+        a = _pre_activation(acts[-1], w, b, p)
         pre.append(a)
-        acts.append(apply_activation(spec.activation, a))
-    return ForwardTrace(tuple(pre), tuple(acts))
+        acts.append(apply_activation(spec.activation, a, q))
+    return ForwardTrace(tuple(pre), tuple(acts)) if out is None else out
 
 
 def forward_output(net: Network, x: np.ndarray, depth: int | None = None) -> np.ndarray:
@@ -291,12 +371,22 @@ def backward(
     trace: ForwardTrace,
     output_grad: np.ndarray,
     out: ParamGrads | None = None,
+    deltas: Sequence[np.ndarray] | None = None,
+    masks: Sequence[np.ndarray] | None = None,
 ) -> ParamGrads:
     """Gradients of sum(output_grad * output) w.r.t. the parameters.
 
     ``output_grad`` must match the traced output batch shape. The per-layer
     gradients (summed over the batch) are written into ``out`` when given,
     else into a new :class:`ParamGrads`, which is returned.
+
+    ``deltas`` and ``masks`` are per-hidden-layer arrays the caller owns,
+    entry l shaped like ``trace.pre_activations[l]``. When given, they
+    receive the gradients with respect to the hidden pre-activations and
+    the activation derivatives, in place of new arrays; the gradients are
+    bitwise those of the allocating path. A list of the wrong length, or
+    an array of the wrong shape (through ``np.dot`` and the ufuncs'
+    ``out``), raises ``ValueError``.
     """
     g = np.asarray(output_grad, dtype=np.float64)
     if g.shape != trace.output.shape:
@@ -305,15 +395,23 @@ def backward(
             f"{trace.output.shape}"
         )
     grads = ParamGrads.for_network(net) if out is None else out
+    n_hidden = net.num_layers - 1
+    deltas = [None] * n_hidden if deltas is None else deltas
+    masks = [None] * n_hidden if masks is None else masks
+    if len(deltas) != n_hidden or len(masks) != n_hidden:
+        raise ValueError(
+            f"{len(deltas)} deltas and {len(masks)} masks for {n_hidden} hidden layers"
+        )
     delta = g  # output layer is linear
     for i in range(net.num_layers - 1, -1, -1):
         _product(delta.T, trace.activations[i], out=grads.weights[i])
         delta.sum(axis=0, out=grads.biases[i])
         if i > 0:
             phi_grad = activation_derivative(
-                net.specs[i - 1].activation, trace.pre_activations[i - 1]
+                net.specs[i - 1].activation, trace.pre_activations[i - 1], masks[i - 1]
             )
-            delta = _product(delta, net.weights[i]) * phi_grad
+            d = _product(delta, net.weights[i], deltas[i - 1])
+            delta = np.multiply(d, phi_grad, out=deltas[i - 1])
     return grads
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .network import Network, ParamGrads, backward, forward, forward_output
+from .network import ForwardTrace, Network, ParamGrads, backward, forward
 from .numerics import Rng
 
 __all__ = [
@@ -271,6 +271,19 @@ class _Adam:
         theta -= delta
 
 
+class _StepBuffers:
+    """Arrays one minibatch step of ``rows`` rows writes: the gathered
+    targets, the forward trace (its ``activations[0]`` the gathered
+    features) and the backward pass's per-hidden-layer deltas and masks."""
+
+    def __init__(self, net: Network, rows: int, targets: np.ndarray):
+        self.trace = ForwardTrace.empty(net, rows)
+        self.targets = np.empty((rows,) + targets.shape[1:], dtype=targets.dtype)
+        hidden = self.trace.pre_activations[:-1]
+        self.deltas = [np.empty_like(a) for a in hidden]
+        self.masks = [np.empty_like(a) for a in hidden]
+
+
 def train_map(
     net: Network,
     features: np.ndarray,
@@ -287,12 +300,20 @@ def train_map(
 
     The optimizer steps one flat parameter buffer in place, and the loop
     differentiates a network whose weights are views of that buffer, so a
-    step allocates no network and no parameter-sized temporary.
+    step allocates no network and no parameter-sized temporary. The
+    per-layer arrays of ``forward`` and ``backward`` are buffers this
+    function allocates once, one set per batch row count (full batches,
+    the ragged last batch, and the full split the history is computed on),
+    and every epoch re-keys one Philox generator for its order; the
+    results are bitwise those of fresh arrays and ``rng.derive(epoch)``.
     """
     features = np.asarray(features, dtype=np.float64)
+    targets = np.asarray(targets)
     m = features.shape[0]
     if m == 0:
         raise ValueError("training data must be nonempty")
+    if targets.shape[:1] != (m,):
+        raise ValueError(f"{m} feature rows but targets of shape {targets.shape}")
     theta = net.flatten_params()
     current = Network._on_buffer(net.specs, theta)
     grads = ParamGrads.for_network(net)
@@ -301,16 +322,26 @@ def train_map(
         opt = _Adam(theta.size, config.learning_rate)
     else:
         opt = _Sgd(theta.size, config.learning_rate, config.momentum)
-    rng = Rng(config.seed)
-    batch = config.batch_size or m
+    rng, epoch_rng = Rng(config.seed), None
+    batch = min(config.batch_size or m, m)
+    steps = {
+        rows: _StepBuffers(net, rows, targets) for rows in {batch, m % batch or batch}
+    }
+    full = steps[m].trace if batch == m else ForwardTrace.empty(net, m)
     history: list[float] = []
     for epoch in range(config.epochs):
-        order = rng.derive(epoch).permutation(m)
+        epoch_rng = rng.derive(epoch, out=epoch_rng)
+        order = epoch_rng.permutation(m)
         for start in range(0, m, batch):
             idx = order[start : start + batch]
-            trace = forward(current, features[idx])
-            out_grad = nll_output_grad(loss, trace.output, targets[idx])
-            backward(current, trace, out_grad, grads)
+            buf = steps[idx.size]
+            # idx is part of a permutation of range(m), so "clip" clips
+            # nothing; the default "raise" gathers through a temporary
+            np.take(features, idx, axis=0, out=buf.trace.activations[0], mode="clip")
+            np.take(targets, idx, axis=0, out=buf.targets, mode="clip")
+            trace = forward(current, buf.trace.activations[0], buf.trace)
+            out_grad = nll_output_grad(loss, trace.output, buf.targets)
+            backward(current, trace, out_grad, grads, buf.deltas, buf.masks)
             # g = grads / batch size + (weight_decay / m) * theta
             np.divide(grads.flat, idx.size, out=g)
             np.multiply(theta, config.weight_decay / m, out=decay)
@@ -318,6 +349,6 @@ def train_map(
             if not np.all(np.isfinite(g)):
                 raise DivergenceError(f"non-finite gradient at epoch {epoch}")
             opt.step(theta, g)
-        outputs = forward_output(current, features)
+        outputs = forward(current, features, full).output
         history.append(_map_value(current, outputs, targets, loss, config.weight_decay))
     return net.with_flat_params(theta), history

@@ -343,6 +343,18 @@ class TestCliCommands:
         )
         assert code == 1
 
+    def test_csv_header_wider_than_rows_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("a,b,c\n1,0\n2,1\n3,0\n")
+        config = tmp_path / "c.ini"
+        config.write_text(
+            f"[data]\ngenerator = csv\ncsv_path = {data}\ntarget_column = c\n"
+        )
+        out = str(tmp_path / "m.txt")
+        assert cli.main(["train", "--config", str(config), "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "header has 3 columns, first data row has 2 cells" in err
+
     def test_tuned_prior_precision_path(self, tmp_path, capsys):
         ini = TINY_INI.replace(
             "prior_precision = 1.0",

@@ -324,6 +324,10 @@ class TestLoadCsv:
             ("1,2\n3,x\n", False, 1, r"cannot parse 'x' at row 2, column 2"),
             ("1,2\n3,4\n", False, 2, r"target column index 2 out of range"),
             ("a,b\n", True, "b", r"no data rows"),
+            ("a,b,c\n1,2\n3,4\n", True, "c",
+             r"header has 3 columns, first data row has 2 cells"),
+            ("a,b\n1,2,3\n4,5,6\n", True, "b",
+             r"header has 2 columns, first data row has 3 cells"),
         ],
     )
     def test_errors_name_row_and_column(self, tmp_path, text, header, target, message):

@@ -10,6 +10,7 @@ from conftest import (
 from lula_lab.errors import ModelFormatError
 from lula_lab.network import (
     ACTIVATIONS,
+    ForwardTrace,
     LayerSpec,
     Network,
     backward,
@@ -20,6 +21,17 @@ from lula_lab.network import (
     save,
 )
 from lula_lab.numerics import Rng
+
+
+def biased_network(dims, activation, rng):
+    """Random net with nonzero biases, so every activation branch is hit."""
+    net = Network.init_random(dims, activation, rng)
+    biases = [b + 0.1 * rng.standard_normal(b.shape) for b in net.biases]
+    return Network(net.specs, net.weights, biases)
+
+
+def trace_bytes(trace):
+    return [a.tobytes() for a in trace.pre_activations + trace.activations]
 
 
 def single_layer(weight, bias):
@@ -109,9 +121,7 @@ class TestForwardOutput:
     @pytest.mark.parametrize("dims", [[1, 5, 1], [3, 6, 4, 2], [2, 1, 3]])
     def test_bitwise_equal_to_forward_trace(self, activation, dims):
         rng = Rng(83)
-        net = Network.init_random(dims, activation, rng)
-        biases = [b + 0.1 * rng.standard_normal(b.shape) for b in net.biases]
-        net = Network(net.specs, net.weights, biases)
+        net = biased_network(dims, activation, rng)
         x = rng.standard_normal((7, dims[0]))
         trace = forward(net, x)
         assert np.array_equal(forward_output(net, x), trace.output)
@@ -124,6 +134,46 @@ class TestForwardOutput:
         net = random_network(rng, input_dim=3)
         with pytest.raises(ValueError):
             forward_output(net, np.ones((2, 4)))
+
+
+class TestForwardBuffer:
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("dims", [[1, 5, 1], [3, 6, 4, 2], [2, 1, 3]])
+    def test_bitwise_equal_to_allocating_forward(self, activation, dims):
+        rng = Rng(89)
+        net = biased_network(dims, activation, rng)
+        x = rng.standard_normal((7, dims[0]))
+        buffer = ForwardTrace.empty(net, 7)
+        assert forward(net, x, buffer) is buffer
+        assert trace_bytes(buffer) == trace_bytes(forward(net, x))
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_refill_leaves_no_stale_rows(self, activation):
+        rng = Rng(97)
+        net = biased_network([3, 6, 4, 2], activation, rng)
+        buffer = ForwardTrace.empty(net, 5)
+        first = 10.0 * rng.standard_normal((5, 3))
+        second = rng.standard_normal((5, 3))
+        forward(net, first, buffer)
+        forward(net, second, buffer)
+        assert trace_bytes(buffer) == trace_bytes(forward(net, second))
+        # a batch already in the buffer's input slot is used in place
+        buffer.activations[0][:] = first
+        forward(net, buffer.activations[0], buffer)
+        assert trace_bytes(buffer) == trace_bytes(forward(net, first))
+
+    def test_wrong_rows_or_width_raise(self):
+        rng = Rng(101)
+        net = biased_network([3, 6, 2], "relu", rng)
+        x = rng.standard_normal((4, 3))
+        for wrong in (
+            ForwardTrace.empty(net, 5),
+            ForwardTrace.empty(net, 3),
+            ForwardTrace.empty(biased_network([3, 7, 2], "relu", rng), 4),
+            ForwardTrace.empty(biased_network([3, 6, 6, 2], "relu", rng), 4),
+        ):
+            with pytest.raises(ValueError):
+                forward(net, x, wrong)
 
 
 class TestBackward:
@@ -190,6 +240,40 @@ class TestBackward:
         trace = forward(net, rng.standard_normal((3, net.input_dim)))
         with pytest.raises(ValueError):
             backward(net, trace, np.zeros((3, net.output_dim + 1)))
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("dims", [[1, 5, 1], [3, 6, 4, 2], [2, 1, 3]])
+    def test_buffers_give_the_allocating_gradients(self, activation, dims):
+        rng = Rng(103)
+        net = biased_network(dims, activation, rng)
+        if net.num_layers > 1:
+            # a first hidden unit with pre-activation exactly 0, where
+            # relu' and selu' take their left-hand value
+            theta = net.flatten_params()
+            theta[: dims[0]] = 0.0
+            theta[dims[0] * dims[1]] = 0.0
+            net = net.with_flat_params(theta)
+        x = rng.standard_normal((6, dims[0]))
+        trace = forward(net, x)
+        g = rng.standard_normal(trace.output.shape)
+        fresh = backward(net, trace, g)
+        hidden = trace.pre_activations[:-1]
+        # stale values in every buffer, from another batch
+        out = backward(net, forward(net, 3.0 * x), -g)
+        deltas = [np.full_like(a, 7.0) for a in hidden]
+        masks = [np.full_like(a, -7.0) for a in hidden]
+        backward(net, trace, g, out, deltas, masks)
+        assert out.flat.tobytes() == fresh.flat.tobytes()
+
+    def test_wrong_delta_or_mask_shape_raises(self, rng):
+        net = Network.init_random([2, 4, 3, 2], "relu", rng)
+        trace = forward(net, rng.standard_normal((5, 2)))
+        g = np.ones((5, 2))
+        good = [np.empty_like(a) for a in trace.pre_activations[:-1]]
+        bad = [np.empty((4, 4)), np.empty((5, 3))]
+        for deltas, masks in ((bad, good), (good, bad), (good, good[:1])):
+            with pytest.raises(ValueError):
+                backward(net, trace, g, None, deltas, masks)
 
 
 class TestOutputJacobian:

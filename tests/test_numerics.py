@@ -47,3 +47,23 @@ class TestRng:
         again = Rng(2024).standard_normal(2)
         assert np.array_equal(first_two, again)
         assert np.all(np.isfinite(first_two))
+
+    @pytest.mark.parametrize("m", [1, 7, 240])
+    def test_derive_into_owned_rng_draws_the_new_child(self, m):
+        base, child = Rng(2**64 - 3), None
+        for epoch in range(50):
+            child = base.derive(epoch, out=child)
+            expected = Rng(2**64 - 3).derive(epoch)
+            assert child.seed == expected.seed
+            assert np.array_equal(child.permutation(m), expected.permutation(m))
+
+    def test_derive_into_restarts_a_used_stream(self):
+        base = Rng(5)
+        used = Rng(8)
+        used.standard_normal(3)
+        # leaves a part-used Philox block and a buffered 32-bit half-word
+        used.integers(0, 7, 5)
+        assert base.derive(4, out=used) is used
+        fresh = base.derive(4)
+        assert np.array_equal(used.integers(0, 7, 9), fresh.integers(0, 7, 9))
+        assert np.array_equal(used.standard_normal(5), fresh.standard_normal(5))

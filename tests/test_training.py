@@ -148,6 +148,13 @@ class TestTrainMap:
         assert history == []
         assert np.array_equal(trained.flatten_params(), net.flatten_params())
 
+    @pytest.mark.parametrize("rows", [9, 11])
+    def test_target_rows_must_match_features(self, rows):
+        net = identity_net([[1.0]], [0.0])
+        x = np.ones((10, 1))
+        with pytest.raises(ValueError, match="10 feature rows"):
+            train_map(net, x, np.ones((rows, 1)), LossKind("gaussian_nll"), TrainConfig())
+
     def test_history_is_map_loss_without_backward_passes(self, monkeypatch):
         rng = Rng(31)
         x = rng.standard_normal((20, 2))
@@ -270,12 +277,17 @@ class TestTrainMapMatchesReference:
         "regression_1_50_1": ([1, 50, 1], "tanh", LossKind("gaussian_nll", 4.0)),
         "categorical_2_8_6_3": ([2, 8, 6, 3], "relu", LossKind("categorical_ce")),
         "binary_3_7_1": ([3, 7, 1], "selu", LossKind("binary_ce")),
+        # hidden layers whose activation is their pre-activation array
+        "identity_2_5_4_3": ([2, 5, 4, 3], "identity", LossKind("categorical_ce")),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-    @pytest.mark.parametrize("batch_size", [None, 7])
-    def test_bitwise_equal(self, case, optimizer, batch_size):
+    # of the 30 rows: full batch, a ragged last batch of 2 rows, a last
+    # batch of one row, and a batch larger than the data
+    @pytest.mark.parametrize("batch_size", [None, 7, 29, 45])
+    @pytest.mark.parametrize("weight_decay", [0.2, 0.0])
+    def test_bitwise_equal(self, case, optimizer, batch_size, weight_decay):
         dims, activation, loss = self.CASES[case]
         rng = Rng(37)
         x = rng.standard_normal((30, dims[0]))
@@ -289,7 +301,7 @@ class TestTrainMapMatchesReference:
             learning_rate=0.01,
             epochs=6,
             batch_size=batch_size,
-            weight_decay=0.2,
+            weight_decay=weight_decay,
             seed=4,
         )
         trained, history = train_map(net, x, y, loss, cfg)
