@@ -95,7 +95,9 @@ def _pipeline(
         optimizer="adam", learning_rate=lr, epochs=train_epochs,
         batch_size=batch_size, weight_decay=WEIGHT_DECAY, seed=seeds.train,
     )
-    net, _ = train_map(net0, train.features, train.targets, loss, tcfg)
+    net, _ = train_map(
+        net0, train.features, train.targets, loss, tcfg, history=False
+    )
 
     def posterior(network):
         curv = fit_curvature(

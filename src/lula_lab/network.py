@@ -40,28 +40,27 @@ SELU_SCALE = 1.0507009873554804934193349852946
 def apply_activation(
     name: str, a: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """The activation of pre-activation ``a``, a new array unless ``out``.
+    """The activation of pre-activation ``a``, written into ``out`` if given.
 
-    ``out``, an array apart from ``a`` (or ``a`` itself for the identity),
-    receives the same bits through in-place operations.
+    The identity returns ``a`` itself, so its ``out`` may only be ``a``;
+    selu reads ``a`` after writing ``out``, so its ``out`` may not be ``a``.
     """
+    if name == "identity":
+        if out is not None and out is not a:
+            raise ValueError("the identity activation is its pre-activation array")
+        return a
     if name == "relu":
         return np.maximum(a, 0.0, out=out)
     if name == "tanh":
         return np.tanh(a, out=out)
     if name == "selu":
-        if out is None:
-            return SELU_SCALE * np.where(a > 0.0, a, SELU_ALPHA * np.expm1(a))
+        if out is a:
+            raise ValueError("selu cannot overwrite its pre-activation")
         positive = a > 0.0
-        np.expm1(a, out=out)
+        out = np.expm1(a, out=out)
         out *= SELU_ALPHA
         np.copyto(out, a, where=positive)
         out *= SELU_SCALE
-        return out
-    if name == "identity":
-        if out is None or out is a:
-            return a
-        np.copyto(out, a)
         return out
     raise ValueError(f"unknown activation {name!r}")
 
@@ -71,30 +70,23 @@ def activation_derivative(
 ) -> np.ndarray:
     """Derivative as a function of the pre-activation; relu'(0) is taken as 0.
 
-    A new array unless ``out`` is given, which then receives the same bits.
+    Written into ``out`` if given, else into a new array.
     """
     if name == "relu":
-        if out is None:
-            return (a > 0.0).astype(np.float64)
-        return np.greater(a, 0.0, out=out)
+        return np.greater(a, 0.0, out=np.empty_like(a) if out is None else out)
     if name == "selu":
-        if out is None:
-            return SELU_SCALE * np.where(a > 0.0, 1.0, SELU_ALPHA * np.exp(a))
-        np.exp(a, out=out)
+        positive = a > 0.0
+        out = np.exp(a, out=out)
         out *= SELU_ALPHA
-        np.copyto(out, 1.0, where=a > 0.0)
+        np.copyto(out, 1.0, where=positive)
         out *= SELU_SCALE
         return out
     if name == "tanh":
-        if out is None:
-            t = np.tanh(a)
-            return 1.0 - t * t
-        np.tanh(a, out=out)
+        out = np.tanh(a, out=out)
         np.multiply(out, out, out=out)
         return np.subtract(1.0, out, out=out)
     if name == "identity":
-        if out is None:
-            return np.ones_like(a)
+        out = np.empty_like(a) if out is None else out
         out.fill(1.0)
         return out
     raise ValueError(f"unknown activation {name!r}")

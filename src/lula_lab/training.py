@@ -12,7 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .network import ForwardTrace, Network, ParamGrads, backward, forward
+from .network import (
+    ForwardTrace,
+    Network,
+    ParamGrads,
+    backward,
+    forward,
+    forward_output,
+)
 from .numerics import Rng
 
 __all__ = [
@@ -290,22 +297,26 @@ def train_map(
     targets: np.ndarray,
     loss: LossKind,
     config: TrainConfig,
+    history: bool = True,
 ) -> tuple[Network, list[float]]:
     """Minimize the MAP objective; returns the trained net and loss history.
 
     Minibatch gradients are averaged over the batch with the weight-decay
     term scaled by 1/m, so the optimized objective is the full MAP loss
     divided by the dataset size (identical minimizer). The history records
-    the full summed MAP loss once per epoch. Deterministic given the seed.
+    the full summed MAP loss once per epoch, a pass over the whole split
+    each epoch; ``history=False`` skips those passes and returns an empty
+    history with the same trained net. Deterministic given the seed.
 
     The optimizer steps one flat parameter buffer in place, and the loop
     differentiates a network whose weights are views of that buffer, so a
     step allocates no network and no parameter-sized temporary. The
-    per-layer arrays of ``forward`` and ``backward`` are buffers this
-    function allocates once, one set per batch row count (full batches,
-    the ragged last batch, and the full split the history is computed on),
-    and every epoch re-keys one Philox generator for its order; the
-    results are bitwise those of fresh arrays and ``rng.derive(epoch)``.
+    per-layer arrays a step's ``forward`` and ``backward`` write are
+    buffers this function owns, allocated once per call for each batch row
+    count (full batches and the ragged last batch), and every epoch
+    re-keys one Philox generator for its order; the results are bitwise
+    those of fresh arrays and ``rng.derive(epoch)``. The history's pass
+    over the full split keeps no trace (``forward_output``).
     """
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets)
@@ -327,8 +338,7 @@ def train_map(
     steps = {
         rows: _StepBuffers(net, rows, targets) for rows in {batch, m % batch or batch}
     }
-    full = steps[m].trace if batch == m else ForwardTrace.empty(net, m)
-    history: list[float] = []
+    losses: list[float] = []
     for epoch in range(config.epochs):
         epoch_rng = rng.derive(epoch, out=epoch_rng)
         order = epoch_rng.permutation(m)
@@ -349,6 +359,9 @@ def train_map(
             if not np.all(np.isfinite(g)):
                 raise DivergenceError(f"non-finite gradient at epoch {epoch}")
             opt.step(theta, g)
-        outputs = forward(current, features, full).output
-        history.append(_map_value(current, outputs, targets, loss, config.weight_decay))
-    return net.with_flat_params(theta), history
+        if history:
+            outputs = forward_output(current, features)
+            losses.append(
+                _map_value(current, outputs, targets, loss, config.weight_decay)
+            )
+    return net.with_flat_params(theta), losses

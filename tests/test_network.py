@@ -10,9 +10,13 @@ from conftest import (
 from lula_lab.errors import ModelFormatError
 from lula_lab.network import (
     ACTIVATIONS,
+    SELU_ALPHA,
+    SELU_SCALE,
     ForwardTrace,
     LayerSpec,
     Network,
+    activation_derivative,
+    apply_activation,
     backward,
     forward,
     forward_output,
@@ -39,6 +43,51 @@ def single_layer(weight, bias):
     b = np.asarray(bias, dtype=float).ravel()
     spec = LayerSpec(w.shape[1], w.shape[0], "identity")
     return Network([spec], [w], [b])
+
+
+CLOSED_FORMS = {
+    "relu": (lambda a: np.maximum(a, 0.0), lambda a: (a > 0.0).astype(np.float64)),
+    "selu": (
+        lambda a: SELU_SCALE * np.where(a > 0.0, a, SELU_ALPHA * np.expm1(a)),
+        lambda a: SELU_SCALE * np.where(a > 0.0, 1.0, SELU_ALPHA * np.exp(a)),
+    ),
+    "tanh": (np.tanh, lambda a: 1.0 - np.tanh(a) * np.tanh(a)),
+    "identity": (lambda a: a, np.ones_like),
+}
+
+
+class TestActivations:
+    a = np.array([[-30.0, -1.5, -1e-300, -0.0], [0.0, 5e-324, 0.7, 40.0]])
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_bitwise_equal_to_closed_forms(self, activation):
+        value, derivative = CLOSED_FORMS[activation]
+        for got, want in (
+            (apply_activation(activation, self.a), value(self.a)),
+            (activation_derivative(activation, self.a), derivative(self.a)),
+            (activation_derivative(activation, self.a, np.full_like(self.a, 9.0)),
+             derivative(self.a)),
+        ):
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        if activation != "identity":
+            out = np.full_like(self.a, 9.0)
+            assert apply_activation(activation, self.a, out) is out
+            assert out.tobytes() == value(self.a).tobytes()
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_in_place_on_the_pre_activation(self, activation):
+        a = self.a.copy()
+        assert apply_activation(activation, a, a) is a
+        assert a.tobytes() == CLOSED_FORMS[activation][0](self.a).tobytes()
+
+    def test_rejected_out_arrays(self):
+        a = self.a.copy()
+        with pytest.raises(ValueError):
+            apply_activation("selu", a, a)
+        with pytest.raises(ValueError):
+            apply_activation("identity", a, np.empty_like(a))
+        assert np.array_equal(a, self.a)
+        assert apply_activation("identity", a, a) is a
 
 
 class TestForward:

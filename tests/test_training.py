@@ -181,6 +181,28 @@ class TestTrainMap:
             trained, _ = train_map(net, x, y, loss, config(epoch))
             assert value == map_loss(trained, x, y, loss, 0.3)[0]
 
+    def test_without_history_same_net_and_no_full_split_passes(self, monkeypatch):
+        rng = Rng(37)
+        x = rng.standard_normal((21, 2))
+        y = rng.integers(0, 3, 21)
+        loss = LossKind("categorical_ce")
+        net = Network.init_random([2, 6, 3], "relu", Rng(5))
+        cfg = TrainConfig(epochs=4, batch_size=8, weight_decay=0.3, seed=2)
+        with_history, history = train_map(net, x, y, loss, cfg)
+        passes = []
+        original = training.forward_output
+
+        def counting(*args):
+            passes.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(training, "forward_output", counting)
+        trained, skipped = train_map(net, x, y, loss, cfg, history=False)
+        assert len(history) == 4 and skipped == [] and passes == []
+        assert trained.flatten_params().tobytes() == (
+            with_history.flatten_params().tobytes()
+        )
+
     def test_seed_determinism(self):
         rng = Rng(13)
         x = rng.standard_normal((30, 2))
