@@ -24,6 +24,7 @@ from .errors import ConfigError, LulaLabError
 from .laplace import (
     PredictConfig,
     build_posterior,
+    check_curvature_fit,
     fit_curvature,
     mc_predict_sets,
     predictive_log_likelihood,
@@ -110,11 +111,11 @@ def _init_network(cfg: ExperimentConfig, input_dim: int) -> net_mod.Network:
     )
 
 
-def _fit_posterior(
+def _fit_laplace(
     cfg: ExperimentConfig, predict_cfg, net, train, val, loss, lam: float | None
 ):
     """Curvature on the train split; the prior precision ``lam``, or searched
-    on val when it is None. Returns (posterior, lam, [(candidate, score)])."""
+    on val when it is None. Returns (curvature, lam, [(candidate, score)])."""
     la = cfg["laplace"]
     curv = fit_curvature(net, train.features, loss, la["curvature"], la["subset"])
     if lam is None:
@@ -144,7 +145,7 @@ def _fit_posterior(
         print(f"searched {len(scores)} prior precisions on val: picked {_fmt(lam)}")
     else:
         scores = [(lam, float("nan"))]
-    return build_posterior(curv, lam), lam, scores
+    return curv, lam, scores
 
 
 def _ood_training_features(cfg: ExperimentConfig, num_features: int) -> np.ndarray:
@@ -301,9 +302,15 @@ def cmd_laplace(
     cfg, _, _, laplace_cfg, _ = _load(config_path, seed)
     train, val, test, loss = _build_data(cfg)
     net = net_mod.load(model_path)
-    _, lam, scores = _fit_posterior(
-        cfg, laplace_cfg, net, train, val, loss, cfg["laplace"]["prior_precision"]
-    )
+    la = cfg["laplace"]
+    lam = la["prior_precision"]
+    if lam is None:
+        _, lam, scores = _fit_laplace(cfg, laplace_cfg, net, train, val, loss, None)
+    else:
+        # the file holds only the given lam: refuse what the fit would, from
+        # shapes, but fit nothing
+        check_curvature_fit(net, train.features, loss, la["curvature"], la["subset"])
+        scores = [(lam, float("nan"))]
     out_path = out_path or _posterior_path(model_path)
     _write_posterior(out_path, model_path, cfg, lam, scores)
     print(f"wrote {out_path} (prior precision {_fmt(lam)})")
@@ -340,7 +347,7 @@ def cmd_lula(
         )
     lam_scores = []  # grid points, when this command searched
     if lam is None:
-        _, lam, lam_scores = _fit_posterior(
+        _, lam, lam_scores = _fit_laplace(
             cfg, laplace_cfg, net, train, val, loss, None
         )
     in_features = val.features if val.num_rows else train.features
@@ -418,7 +425,8 @@ def cmd_eval(
     train, val, test, loss = _build_data(cfg)
     net = net_mod.load(model_path)
     ood_sets = _eval_ood_sets(cfg, test)
-    post, lam, _ = _fit_posterior(cfg, laplace_cfg, net, train, val, loss, lam)
+    curv, lam, _ = _fit_laplace(cfg, laplace_cfg, net, train, val, loss, lam)
+    post = build_posterior(curv, lam)
     runs = cfg["eval"]["runs"]
     report_total = cfg["eval"]["report_std"] == "total"
     classification = loss.kind in ("categorical_ce", "binary_ce")

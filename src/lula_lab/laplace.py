@@ -10,11 +10,12 @@ Parameter subsets:
 * ``all_layers``: the full flattened parameter vector (frozen layer-major
   ordering from :mod:`lula_lab.network`). The GGN is accumulated over
   chunks of examples: with Lambda_x = L_x L_x^T in closed form
-  (:func:`lula_lab.training.output_hessian_roots`) and R the stacked rows
-  L_x^T J_x of a chunk's batched output Jacobians, the chunk adds its rows
-  to the full GGN (below) or the column sums of R * R to the diagonal. A
-  fixed byte budget for the stacked Jacobians bounds the chunk, so the
-  diagonal's memory stays flat however long the data, and the full GGN
+  (:func:`lula_lab.training.output_hessian_roots`), one backward sweep
+  seeded with L_x writes the rows L_x^T J_x of R directly (Dangel,
+  Kunstner & Hennig 2020), never the Jacobian J_x, and the chunk adds its
+  rows to the full GGN (below) or the column sums of R * R to the
+  diagonal. A fixed byte budget for a chunk's rows bounds the chunk, so
+  the diagonal's memory stays flat however long the data, and the full GGN
   never holds more than one d x d array.
 * ``last_layer``: only the output layer, with biases folded into the weight
   matrix through a constant-1 feature. Ordering is row-major over the
@@ -87,6 +88,7 @@ from .network import (
 from .numerics import Rng, positive_diagonal
 from .training import (
     LossKind,
+    hessian_root_width,
     output_hessian_roots,
     output_hessians,
     sigmoid,
@@ -101,6 +103,7 @@ __all__ = [
     "LaplacePosterior",
     "PredictConfig",
     "Predictive",
+    "check_curvature_fit",
     "fit_curvature",
     "build_posterior",
     "linearized_variance",
@@ -122,9 +125,10 @@ TUNE_OBJECTIVES = ("val_log_likelihood", "ood_mmc")
 # FULL_GGN_CAP**2 floats.
 FULL_GGN_CAP = 5000
 DEFAULT_LAMBDA_GRID = tuple(np.logspace(-4.0, 4.0, 17))
-# Bytes of stacked (m, k, d) output Jacobians held at once by the all-layers
-# curvature fit, variance and MC predictive; bounds memory for long datasets
-# and large d.
+# Bytes of the (m, w, d) Jacobian rows of one chunk of m points, w rows of
+# width d per point (w = r for the all-layers curvature fit, k for the
+# variances and the MC predictive); bounds memory for long datasets and
+# large d.
 _JACOBIAN_CHUNK_BYTES = 8 * 2**20
 # Columns of R turned into W = U^T R per product in the data-space fit.
 _EIGH_COLUMN_BLOCK = 256
@@ -132,11 +136,37 @@ _EIGH_COLUMN_BLOCK = 256
 _MC_CHUNK_BYTES = 2 * 2**20
 
 
-def _check_full_ggn_cap(num_rows: int, dim: int) -> None:
-    """Refuse a full GGN over ``num_rows`` (n r, r the root width) stacked
-    rows and ``dim`` parameters whose stored array would exceed
-    FULL_GGN_CAP**2 floats."""
-    stored = min(num_rows, dim)
+def check_curvature_fit(
+    net: Network, features: np.ndarray, loss: LossKind, kind: str, subset: str
+) -> None:
+    """Raise ``ValueError`` for a fit that :func:`fit_curvature` refuses,
+    from shapes alone: an unknown kind or subset, the Kronecker kind off
+    the last layer, no data, features that are not a batch of the
+    network's input width, or a full kind whose stored array,
+    min(n r, d) x d with r the root width, would exceed FULL_GGN_CAP**2
+    floats."""
+    if kind not in CURVATURE_KINDS:
+        raise ValueError(f"unknown curvature kind {kind!r}")
+    if subset not in SUBSETS:
+        raise ValueError(f"unknown subset {subset!r}")
+    if kind == "kfac_last_layer" and subset != "last_layer":
+        raise ValueError("kfac_last_layer requires the last_layer subset")
+    features = np.asarray(features)
+    if features.shape[0] == 0:
+        raise ValueError("curvature data must be nonempty")
+    if features.ndim != 2 or features.shape[1] != net.input_dim:
+        raise ValueError(
+            f"input batch must have {net.input_dim} columns, got shape "
+            f"{features.shape}"
+        )
+    if kind != "full_ggn":
+        return
+    k = net.output_dim
+    if subset == "all_layers":
+        dim = net.num_params
+    else:
+        dim = k * (net.specs[-1].in_dim + 1)
+    stored = min(features.shape[0] * hessian_root_width(loss, k), dim)
     if stored * dim > FULL_GGN_CAP**2:
         raise ValueError(
             f"full_ggn array of {stored} x {dim} floats exceeds cap "
@@ -144,13 +174,31 @@ def _check_full_ggn_cap(num_rows: int, dim: int) -> None:
         )
 
 
-def _jacobian_chunks(net: Network, x: np.ndarray):
-    """Yield (slice, output_jacobian(net, x[slice])) over consecutive rows of
-    ``x``, each (m, k, d) Jacobian within _JACOBIAN_CHUNK_BYTES."""
-    rows = max(1, _JACOBIAN_CHUNK_BYTES // (8 * net.output_dim * net.num_params))
-    for start in range(0, x.shape[0], rows):
-        chunk = slice(start, start + rows)
-        yield chunk, output_jacobian(net, x[chunk])
+def _jacobian_chunks(
+    num_points: int, width: int, dim: int, out: np.ndarray | None = None
+):
+    """Yield (points, buffer) over consecutive slices of ``num_points``
+    points, each holding at most _JACOBIAN_CHUNK_BYTES of Jacobian rows,
+    ``width`` rows of ``dim`` floats per point.
+
+    ``buffer`` is a flat, contiguous array of len(points) * width * dim
+    floats for :func:`output_jacobian`'s ``out``, reshaped by the caller
+    as (m, width, dim) or (width, m, dim). With ``out``, a flat array of
+    num_points * width * dim floats, the buffers are its consecutive
+    pieces, so the rows land in place; otherwise they are the leading part
+    of one scratch array of the first (largest) chunk's size.
+    """
+    size = width * dim
+    rows = max(1, _JACOBIAN_CHUNK_BYTES // (8 * max(size, 1)))
+    if out is None:
+        out = np.empty(min(rows, num_points) * size)
+        step = 0
+    else:
+        step = size
+    for start in range(0, num_points, rows):
+        stop = min(start + rows, num_points)
+        base = start * step
+        yield slice(start, stop), out[base : base + (stop - start) * size]
 
 
 @dataclass
@@ -222,26 +270,22 @@ def fit_curvature(
     last-layer subset the exact per-example structure
     Lambda_x kron (hbar hbar^T) is used directly; the Kronecker kind stores
     the two factors instead of assembling them. For all layers, each chunk
-    of examples contributes its rows of R, the stacked L_x^T J_x of the
-    batched output Jacobians with L_x L_x^T = Lambda_x, or the column sums
-    of R * R (diagonal). L_x is (k, r), r the root width of
+    of examples contributes its rows of R, the stacked L_x^T J_x with
+    L_x L_x^T = Lambda_x, or the column sums of R * R (diagonal). L_x is
+    (k, r), r the root width of
     :func:`lula_lab.training.output_hessian_roots`, so each example adds r
-    rows. The full kind is eigendecomposed once, in data space from the
-    whole R when it has fewer rows (n r) than parameters, otherwise in
-    parameter space from the summed R^T R (last layer: the
-    Kronecker-structured einsum). A full kind whose stored array,
-    min(n r, d) x d, would exceed FULL_GGN_CAP**2 floats raises
-    ``ValueError`` before any Jacobian is formed.
+    rows; one backward sweep seeded with the roots
+    (:func:`lula_lab.network.output_jacobian`'s ``seeds``) writes them, and
+    no (k, d) Jacobian is formed. The full kind is eigendecomposed once, in
+    data space from the whole R when it has fewer rows (n r) than
+    parameters, otherwise in parameter space from the summed R^T R (last
+    layer: the Kronecker-structured einsum). Every refusal of
+    :func:`check_curvature_fit`, a full kind whose stored array,
+    min(n r, d) x d, would exceed FULL_GGN_CAP**2 floats among them, raises
+    ``ValueError`` before any forward pass.
     """
-    if kind not in CURVATURE_KINDS:
-        raise ValueError(f"unknown curvature kind {kind!r}")
-    if subset not in SUBSETS:
-        raise ValueError(f"unknown subset {subset!r}")
-    if kind == "kfac_last_layer" and subset != "last_layer":
-        raise ValueError("kfac_last_layer requires the last_layer subset")
     features = np.asarray(features, dtype=np.float64)
-    if features.shape[0] == 0:
-        raise ValueError("curvature data must be nonempty")
+    check_curvature_fit(net, features, loss, kind, subset)
     k = net.output_dim
 
     if subset == "last_layer":
@@ -267,9 +311,7 @@ def fit_curvature(
             )
         if kind == "full_ggn":
             roots = output_hessian_roots(loss, trace.output)
-            num_rows = features.shape[0] * roots.shape[2]
-            _check_full_ggn_cap(num_rows, dim)
-            if num_rows < dim:
+            if features.shape[0] * roots.shape[2] < dim:
                 # row a of L_x^T J_x is sum_i L_x[i, a] (e_i kron hbar_x)
                 root = np.einsum("mia,mc->maic", roots, hbar).reshape(-1, dim)
                 full_eigh = _data_space_eigh(root)
@@ -283,29 +325,31 @@ def fit_curvature(
         diag = np.einsum("mi,mc->ic", lam_diag, hbar * hbar).ravel(order="C")
         return Curvature(kind, subset, mean, k, feature_dim=feat, diag=diag)
 
-    # all_layers: stacked L_x^T J_x rows over chunks of examples, kept whole
-    # (data space), summed as R^T R (parameter space) or as column sums of
-    # R * R (diagonal)
+    # all_layers: stacked L_x^T J_x rows over chunks of examples, swept
+    # straight from the roots into R itself (data space) or into one chunk
+    # buffer summed as R^T R (parameter space) or as column sums of R * R
+    # (diagonal)
     dim = net.num_params
     n = features.shape[0]
     roots = output_hessian_roots(loss, forward_output(net, features))
     r = roots.shape[2]
-    if kind == "full_ggn":
-        _check_full_ggn_cap(n * r, dim)
-    roots_t = roots.transpose(0, 2, 1)
-    root = np.empty((n, r, dim)) if kind == "full_ggn" and n * r < dim else None
+    root = np.empty((n * r, dim)) if kind == "full_ggn" and n * r < dim else None
     full = np.zeros((dim, dim)) if kind == "full_ggn" and root is None else None
     diag = np.zeros(dim) if kind == "diag_ggn" else None
-    for chunk, jac in _jacobian_chunks(net, features):
-        out = None if root is None else root[chunk]
-        rows = np.matmul(roots_t[chunk], jac, out=out).reshape(-1, dim)
+    flat = None if root is None else root.reshape(-1)
+    for chunk, buf in _jacobian_chunks(n, r, dim, flat):
+        m = chunk.stop - chunk.start
+        output_jacobian(
+            net, features[chunk], seeds=roots[chunk], out=buf.reshape(m, r, dim)
+        )
+        rows = buf.reshape(m * r, dim)
         if full is not None:
             full += rows.T @ rows  # numpy's syrk path: exactly symmetric
         elif diag is not None:
-            diag += (rows * rows).sum(axis=0)
+            diag += np.multiply(rows, rows, out=rows).sum(axis=0)
     full_eigh = None
     if root is not None:
-        full_eigh = _data_space_eigh(root.reshape(n * r, dim))
+        full_eigh = _data_space_eigh(root)
     elif full is not None:
         full_eigh = _parameter_space_eigh(full)
     return Curvature(
@@ -414,12 +458,14 @@ class LaplacePosterior:
         z = rng.standard_normal((count, self.dim))
         if self._var_diag is not None:
             return self.mean[None, :] + z * np.sqrt(self._var_diag)[None, :]
+        # each draw mean + iso_root z + ((z rows^T) row_root) rows, built in z
         rows = self._rows
-        return (
-            self.mean[None, :]
-            + self._iso_root * z
-            + ((z @ rows.T) * self._row_root) @ rows
-        )
+        proj = z @ rows.T
+        proj *= self._row_root
+        z *= self._iso_root
+        z += self.mean
+        z += proj @ rows
+        return z
 
     def quad_forms(self, vectors: np.ndarray) -> np.ndarray:
         """g^T Sigma g for each row g of ``vectors``."""
@@ -496,10 +542,12 @@ def linearized_variance_batch(
         hbar = _last_layer_feature_batch(net, x)
         blocks = post.output_block_cov()
         return ((hbar @ blocks) * hbar).sum(axis=2).T
-    k = post.num_outputs
+    k, dim = post.num_outputs, post.dim
     out = np.empty((x.shape[0], k))
-    for chunk, jac in _jacobian_chunks(net, x):
-        out[chunk] = post.quad_forms(jac.reshape(-1, post.dim)).reshape(-1, k)
+    for points, buf in _jacobian_chunks(x.shape[0], k, dim):
+        m = points.stop - points.start
+        output_jacobian(net, x[points], out=buf.reshape(m, k, dim))
+        out[points] = post.quad_forms(buf.reshape(m * k, dim)).reshape(m, k)
     return out
 
 
@@ -562,8 +610,9 @@ def _sampled_logits(
     are linear in those weights, so this is one GEMM per chunk of samples,
     the chunk's (c k, F) weight rows times the transposed features of every
     point. All layers: each chunk of points takes one batched output
-    Jacobian and one forward pass, then one GEMM per chunk of samples, the
-    centred draws times the transposed (k m, d) Jacobian. The sample chunk
+    Jacobian, which the sweep writes in (k, m, d) order so that its
+    (d, k m) transpose is a view, and one forward pass, then one GEMM per
+    chunk of samples, the centred draws times that transpose. The sample chunk
     size c depends only on k and on the point count m of the chunk, so a
     set's outputs do not depend on any other set. An empty set is sized as
     one point (last layer) or yields nothing (all layers).
@@ -578,10 +627,12 @@ def _sampled_logits(
             yield slice(None), (chunk @ hbar_t).reshape(-1, k, m)
         return
     theta = net.flatten_params()
-    for points, jac in _jacobian_chunks(net, x):
-        m = jac.shape[0]
+    for points, buf in _jacobian_chunks(x.shape[0], k, post.dim):
+        m = points.stop - points.start
+        jac = buf.reshape(k, m, post.dim)
+        output_jacobian(net, x[points], out=jac.transpose(1, 0, 2))
         f_map = forward_output(net, x[points]).T
-        jac_t = jac.transpose(1, 0, 2).reshape(k * m, post.dim).T
+        jac_t = jac.reshape(k * m, post.dim).T
         rows = max(1, _MC_CHUNK_BYTES // (8 * k * m))
         for start in range(0, samples.shape[0], rows):
             z = ((samples[start : start + rows] - theta) @ jac_t).reshape(-1, k, m)

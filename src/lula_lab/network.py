@@ -407,35 +407,70 @@ def backward(
     return grads
 
 
-def output_jacobian(net: Network, x: np.ndarray) -> np.ndarray:
-    """Jacobian of the outputs w.r.t. the flattened parameters.
+def output_jacobian(
+    net: Network,
+    x: np.ndarray,
+    *,
+    seeds: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Seed-weighted rows S^T J of the output Jacobian J w.r.t. the
+    flattened parameters.
 
-    A single input vector gives shape (k, d); a batch of m rows gives
-    (m, k, d), one (k, d) Jacobian per example. Row i of each holds the
-    gradient of output i in the frozen flattening order (layer-major,
-    weights row-major, then bias).
+    Without ``seeds`` these are the Jacobians themselves: a single input
+    vector gives shape (k, d), a batch of m rows (m, k, d), one (k, d)
+    Jacobian per example, whose row i holds the gradient of output i in the
+    frozen flattening order (layer-major, weights row-major, then bias).
+    ``seeds`` of shape (m, k, r) ((k, r) for a vector) give the r rows
+    S_x^T J_x per example instead, shape (m, r, d) ((r, d)), such as the
+    GGN rows L_x^T J_x of a loss-Hessian root L_x, without forming J_x.
+    ``out``, an array of the result's shape the caller owns (any strides,
+    such as a transposed view), receives the rows and is returned.
 
-    One backward sweep carries, for every example and every output, the
-    gradient delta_l of that output w.r.t. layer l's pre-activations; the
-    layer's weight block is then the outer product delta_l(x) h_{l-1}(x)^T
-    and its bias block delta_l(x) itself.
+    One backward sweep carries, for every example and every seed column a,
+    the gradient delta_l of the output sum_i S_x[i, a] f_i w.r.t. layer l's
+    pre-activations, starting from S_x^T at the linear output layer; the
+    layer's weight block is then the outer product delta_l(x) h_{l-1}(x)^T,
+    multiplied straight into its place in the result, and its bias block
+    delta_l(x) itself. Without seeds the sweep starts from the identity, so
+    the values are bitwise those of the seedless call with or without
+    ``out``. Seeds or an ``out`` of the wrong shape raise ``ValueError``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise ValueError("output_jacobian expects an input vector or a batch")
     trace = forward(net, x)
     m, k = trace.output.shape
-    jac = np.empty((m, k, net.num_params))
-    delta = np.broadcast_to(np.eye(k), (m, k, k))  # output layer is linear
-    stop = net.num_params
+    if seeds is None:
+        delta = np.broadcast_to(np.eye(k), (m, k, k))  # output layer is linear
+    else:
+        seeds = np.asarray(seeds, dtype=np.float64)
+        batch = seeds if x.ndim == 2 else seeds[None]
+        if batch.ndim != 3 or batch.shape[:2] != (m, k):
+            raise ValueError(
+                f"seeds of shape {seeds.shape} do not fit {m} examples of "
+                f"{k} outputs"
+            )
+        delta = batch.transpose(0, 2, 1)
+    r, d = delta.shape[1], net.num_params
+    if out is None:
+        jac = np.empty((m, r, d))
+    else:
+        jac = out if x.ndim == 2 else out[None]
+        if jac.shape != (m, r, d) or jac.dtype != np.float64:
+            raise ValueError(
+                f"out of {out.dtype} {out.shape} does not hold {m} x {r} "
+                f"rows of {d} float64 parameters"
+            )
+    stop = d
     for i in range(net.num_layers - 1, -1, -1):
         h = trace.activations[i]
         spec = net.specs[i]
         bias_start = stop - spec.out_dim
         start = bias_start - spec.out_dim * spec.in_dim
-        jac[:, :, start:bias_start] = (
-            delta[:, :, :, None] * h[:, None, None, :]
-        ).reshape(m, k, bias_start - start)
+        # splitting the last axis is always a view, whatever jac's strides
+        block = jac[:, :, start:bias_start].reshape(m, r, spec.out_dim, spec.in_dim)
+        np.multiply(delta[:, :, :, None], h[:, None, None, :], out=block)
         jac[:, :, bias_start:stop] = delta
         if i > 0:
             phi_grad = activation_derivative(
@@ -443,6 +478,8 @@ def output_jacobian(net: Network, x: np.ndarray) -> np.ndarray:
             )
             delta = (delta @ net.weights[i]) * phi_grad[:, None, :]
         stop = start
+    if out is not None:
+        return out
     return jac[0] if x.ndim == 1 else jac
 
 

@@ -138,6 +138,12 @@ def output_hessians(loss: LossKind, outputs: np.ndarray) -> np.ndarray:
     return (s * (1.0 - s)).reshape(m, 1, 1)
 
 
+def hessian_root_width(loss: LossKind, k: int) -> int:
+    """Columns r of :func:`output_hessian_roots` for k outputs, the rank of
+    Lambda: k (Gaussian), k - 1 (categorical), 1 (binary)."""
+    return {"gaussian_nll": k, "categorical_ce": k - 1}.get(loss.kind, 1)
+
+
 def output_hessian_roots(loss: LossKind, outputs: np.ndarray) -> np.ndarray:
     """Per-example roots L with L L^T = Lambda of :func:`output_hessians`.
 

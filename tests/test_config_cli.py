@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from lula_lab import cli, demo
+from lula_lab import laplace as laplace_mod
 from lula_lab.config import default_config, load_config, reference_text, SCHEMA
 from lula_lab.errors import ConfigError
 from lula_lab.metrics import mmc
@@ -282,6 +283,54 @@ class TestCliCommands:
         assert abs(summary["test.mmc.mean"] - map_mmc) <= 1e-3
         # one draw per run, shared by the test split and both OOD sets
         assert sample_calls == [50, 50]
+
+    @pytest.fixture
+    def no_fit(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fit_curvature was called")
+
+        monkeypatch.setattr(cli, "fit_curvature", refuse)
+
+    def test_fixed_prior_precision_laplace_fits_nothing(self, tmp_path, no_fit):
+        # the file holds only the given prior precision, so no curvature is fit
+        config = tmp_path / "cfg.ini"
+        config.write_text(TINY_INI)
+        model = tmp_path / "model.txt"
+        save(Network.init_random([2, 16, 16, 2], "relu", Rng(0)), str(model))
+        assert cli.main(["laplace", "--config", str(config), "--model", str(model)]) == 0
+        digest = hashlib.sha256(model.read_bytes()).hexdigest()
+        assert (tmp_path / "model_laplace.txt").read_text() == "\n".join([
+            "lula-lab-posterior v2",
+            f"model_sha256 {digest}",
+            "curvature kfac_last_layer",
+            "subset last_layer",
+            "prior_precision 1",
+            "objective val_log_likelihood",
+            "grid_point 1 nan",
+        ]) + "\n"
+
+    def test_fixed_prior_precision_laplace_keeps_fit_refusals(
+        self, tmp_path, capsys, monkeypatch, no_fit
+    ):
+        # a model of another input width, and a full GGN over the cap (from
+        # the shapes: 72 train rows of one row each, 354 parameters), still
+        # exit 1 without a fit
+        config = tmp_path / "cfg.ini"
+        config.write_text(TINY_INI.replace(
+            "prior_precision = 1.0",
+            "prior_precision = 1.0\ncurvature = full_ggn\nsubset = all_layers",
+        ))
+        model = tmp_path / "model.txt"
+        save(Network.init_random([3, 16, 16, 2], "relu", Rng(0)), str(model))
+        argv = ["laplace", "--config", str(config), "--model", str(model)]
+        assert cli.main(argv) == 1
+        assert "input batch must have 3 columns" in capsys.readouterr().err
+        save(Network.init_random([2, 16, 16, 2], "relu", Rng(0)), str(model))
+        monkeypatch.setattr(laplace_mod, "FULL_GGN_CAP", 159)  # 159**2 < 72 * 354
+        assert cli.main(argv) == 1
+        assert "full_ggn array of 72 x 354 floats exceeds cap" in capsys.readouterr().err
+        monkeypatch.setattr(laplace_mod, "FULL_GGN_CAP", 160)
+        assert cli.main(argv) == 0
 
     def test_invalid_config_key_exits_2(self, tmp_path, capsys):
         config = tmp_path / "bad.ini"

@@ -238,14 +238,16 @@ class TestAllLayersGGN:
         net = Network.init_random([3, 6, 5, 3], "tanh", rng)
         x = rng.standard_normal((n, 3))
         loss = LossKind("categorical_ce")
+        r = 2  # the fit's rows per point: the root width of three classes
 
         def chunk_rows():
-            return [jac.shape[0] for _, jac in laplace._jacobian_chunks(net, x)]
+            chunks = laplace._jacobian_chunks(n, r, net.num_params)
+            return [points.stop - points.start for points, _ in chunks]
 
         assert chunk_rows() == [n]
         whole = fit_curvature(net, x, loss, kind, "all_layers")
         monkeypatch.setattr(
-            laplace, "_JACOBIAN_CHUNK_BYTES", 7 * 8 * 3 * net.num_params
+            laplace, "_JACOBIAN_CHUNK_BYTES", 7 * 8 * r * net.num_params
         )
         assert chunk_rows() == [7] * (n // 7) + [n % 7]  # the last one shorter
         chunked = fit_curvature(net, x, loss, kind, "all_layers")
@@ -255,6 +257,28 @@ class TestAllLayersGGN:
             assert np.array_equal(ggn, ggn.T)
         else:
             assert relative_error(chunked.diag, whole.diag) <= 1e-12
+
+    @pytest.mark.parametrize("loss, k", LOSS_CASES)
+    def test_data_space_fit_holds_little_beside_r(self, loss, k):
+        # the root-seeded sweep writes R in place: besides R's n r x d floats
+        # the fit holds eigh's R R^T and U, 2 (n r)^2 floats, and at most
+        # 1 MiB more (the trace, the sweep's deltas, one column block). An
+        # (m, k, d) Jacobian chunk with a broadcast temporary per weight
+        # block would add 9 to 18 MB on these nets.
+        rng = Rng(38)
+        net = Network.init_random([2, 40, 40, k], "relu", rng)
+        x = 2.0 * rng.standard_normal((300, 2))
+        rows = 300 * root_width(loss, k)
+        assert rows < net.num_params  # data space
+        tracemalloc.start()
+        try:
+            curv = fit_curvature(net, x, loss, "full_ggn", "all_layers")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        r_bytes = curv.full_eigh[1].nbytes
+        assert r_bytes == 8 * rows * net.num_params
+        assert peak <= r_bytes + 2 * 8 * rows**2 + 2**20
 
     @pytest.mark.parametrize("loss, k", LOSS_CASES)
     def test_output_hessian_roots(self, loss, k):
@@ -368,6 +392,12 @@ class TestBuildPosterior:
         assert np.all(np.isfinite(v)) and np.all(v >= 0.0)
         var = marginal_variances(post)
         assert np.all(np.isfinite(var)) and np.all(var >= 0.0)
+        # the null eigenvalue of G comes out of eigh as 8.1e-17 > 0; as
+        # round-off it takes the first jitter rung, which bounds the damped
+        # draws along the softmax shift (an untouched 8.1e-17 gave 4e9)
+        assert curv.output_eigh[0][0] <= 1e-15
+        draws = post.sample(Rng(0), 100)
+        assert np.max(np.abs(draws - post.mean)) <= 1e6
 
     def test_negative_curvature_fails(self):
         curv = curvature_from_matrix(np.array([[-10.0]]))
@@ -576,6 +606,25 @@ class TestSampling:
         emp = np.cov(samples.T, bias=True)
         target = np.linalg.inv(dense_ggn(curv) + 0.8 * np.eye(post.dim))
         assert np.linalg.norm(emp - target) / np.linalg.norm(target) <= 0.10
+
+    @pytest.mark.parametrize("n", [8, 40], ids=["data", "parameter"])
+    def test_rows_draw_built_in_place_is_bitwise_the_formula(self, n):
+        # the draw is built inside its normal draws z, in the order
+        # mean + c' z + ((z rows^T) c) rows of the stored coefficients
+        rng = Rng(8)
+        net = Network.init_random([2, 4, 3], "tanh", rng)
+        x = rng.standard_normal((n, 2))
+        curv = fit_curvature(net, x, LossKind("categorical_ce"), "full_ggn",
+                             "all_layers")
+        post = build_posterior(curv, 0.3)
+        assert (post._rows.shape[0] < post.dim) == (n == 8)
+        z = Rng(9).standard_normal((6, post.dim))
+        expected = (
+            post.mean[None, :]
+            + post._iso_root * z
+            + ((z @ post._rows.T) * post._row_root) @ post._rows
+        )
+        assert np.array_equal(post.sample(Rng(9), 6), expected)
 
     def test_seed_reproducibility(self):
         post = self._posterior()

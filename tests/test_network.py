@@ -25,6 +25,7 @@ from lula_lab.network import (
     save,
 )
 from lula_lab.numerics import Rng
+from lula_lab.training import LossKind, output_hessian_roots
 
 
 def biased_network(dims, activation, rng):
@@ -368,6 +369,75 @@ class TestOutputJacobian:
             expected = loop_output_jacobian(net, x[j])
             assert relative_error(jac[j], expected) <= 1e-14
             assert relative_error(output_jacobian(net, x[j]), expected) <= 1e-14
+
+    # (loss, k): the root widths r are 1, 2 and 2
+    SEEDED_CASES = [
+        pytest.param(LossKind("binary_ce"), 1, id="binary"),
+        pytest.param(LossKind("categorical_ce"), 3, id="categorical"),
+        pytest.param(LossKind("gaussian_nll", 2.5), 2, id="gaussian"),
+    ]
+
+    @pytest.mark.parametrize("loss, k", SEEDED_CASES)
+    def test_seeded_rows_match_loop_oracle(self, loss, k):
+        # seeded with the loss-Hessian roots L_x, the sweep gives the GGN
+        # rows L_x^T J_x: for a batch, a single vector, an empty batch, and
+        # into a transposed view of an (r, m, d) buffer
+        rng = Rng(43)
+        net = biased_network([3, 6, 5, k], "tanh", rng)
+        x = rng.standard_normal((7, 3))
+        seeds = output_hessian_roots(loss, forward(net, x).output)
+        r, d = seeds.shape[2], net.num_params
+        rows = output_jacobian(net, x, seeds=seeds)
+        assert rows.shape == (7, r, d)
+        for j in range(x.shape[0]):
+            expected = seeds[j].T @ loop_output_jacobian(net, x[j])
+            assert relative_error(rows[j], expected) <= 1e-14
+            one = output_jacobian(net, x[j], seeds=seeds[j])
+            assert one.shape == (r, d)
+            assert relative_error(one, expected) <= 1e-14
+        empty = output_jacobian(net, x[:0], seeds=seeds[:0])
+        assert empty.shape == (0, r, d)
+        buffer = np.full((r, 7, d), np.nan)
+        view = buffer.transpose(1, 0, 2)
+        assert output_jacobian(net, x, seeds=seeds, out=view) is view
+        assert np.array_equal(view, rows)
+        single = np.full((r, d), np.nan)
+        assert output_jacobian(net, x[2], seeds=seeds[2], out=single) is single
+        assert np.array_equal(single, output_jacobian(net, x[2], seeds=seeds[2]))
+
+    def test_out_without_seeds_is_bitwise_the_allocating_call(self):
+        rng = Rng(44)
+        net = biased_network([2, 7, 4, 3], "selu", rng)
+        x = rng.standard_normal((6, 2))
+        for batch in (x, x[:0], x[4]):
+            expected = output_jacobian(net, batch)
+            out = np.full(expected.shape, np.nan)
+            assert output_jacobian(net, batch, out=out) is out
+            assert np.array_equal(out, expected)
+        # a (k, m, d) buffer written through its transposed (m, k, d) view
+        buffer = np.full((3, 6, net.num_params), np.nan)
+        output_jacobian(net, x, out=buffer.transpose(1, 0, 2))
+        assert np.array_equal(buffer, output_jacobian(net, x).transpose(1, 0, 2))
+        # identity seeds take the seeded path to the same bits
+        eye = np.broadcast_to(np.eye(3), (6, 3, 3))
+        assert np.array_equal(output_jacobian(net, x, seeds=eye), output_jacobian(net, x))
+
+    @pytest.mark.parametrize("seeds_shape, out_shape", [
+        ((5, 3, 2), None),  # seeds for another batch size
+        ((4, 2, 2), None),  # seeds for another output count
+        ((4, 3), None),  # not one seed matrix per example
+        (None, (4, 3, 50)),  # out of another width
+        ((4, 3, 2), (4, 3, 39)),  # out of the unseeded row count
+        ((4, 3, 2), (2, 4, 39)),  # out not in (m, r, d) order
+    ])
+    def test_rejects_misshapen_seeds_and_out(self, seeds_shape, out_shape):
+        net = Network.init_random([2, 6, 3], "tanh", Rng(45))
+        assert net.num_params == 39
+        x = Rng(46).standard_normal((4, 2))
+        seeds = None if seeds_shape is None else np.ones(seeds_shape)
+        out = None if out_shape is None else np.empty(out_shape)
+        with pytest.raises(ValueError):
+            output_jacobian(net, x, seeds=seeds, out=out)
 
     def test_matches_finite_differences(self):
         rng = Rng(31)
