@@ -32,7 +32,6 @@ from .laplace import (
     Predictive,
     build_posterior,
     fit_curvature,
-    linearized_variance,
     mc_predict,
     mc_predict_sets,
     probit_predict_binary,
@@ -41,9 +40,7 @@ from .laplace import (
 from .lula import (
     LulaTrainConfig,
     augment,
-    grid_search_units,
     lula_objective,
-    total_variance,
     train_lula,
 )
 from .data import (

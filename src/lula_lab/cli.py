@@ -117,6 +117,11 @@ def _fit_laplace(
     """Curvature on the train split; the prior precision ``lam``, or searched
     on val when it is None. Returns (curvature, lam, [(candidate, score)])."""
     la = cfg["laplace"]
+    if lam is None and val.num_rows == 0:
+        raise ConfigError(
+            "[data] split leaves no val rows, and [laplace] prior_precision = "
+            "tune searches on val; give val a fraction or fix prior_precision"
+        )
     curv = fit_curvature(net, train.features, loss, la["curvature"], la["subset"])
     if lam is None:
         out_features = None
@@ -335,11 +340,6 @@ def cmd_lula(
     lam = _base_prior_precision(cfg, model_path)
     train, val, test, loss = _build_data(cfg)
     count = lu["counts"]
-    if count is None and loss.kind == "gaussian_nll":
-        raise ConfigError(
-            "[lula] counts = grid needs a classification model (the score "
-            "uses class confidences)"
-        )
     net = net_mod.load(model_path)
     if net.num_layers < 2:
         raise ConfigError(
@@ -352,28 +352,10 @@ def cmd_lula(
         )
     in_features = val.features if val.num_rows else train.features
     out_features = _ood_training_features(cfg, train.num_features)
-    if count is None:
-        num_classes = 2 if loss.kind == "binary_ce" else net.output_dim
-        count, scores = lula_mod.grid_search_units(
-            net,
-            lu["grid"],
-            in_features,
-            out_features,
-            loss,
-            lam,
-            lcfg,
-            num_classes,
-            lu["init_std"],
-        )
-        print(
-            "grid search: "
-            + ", ".join(f"{c}:{_fmt(s)}" for c, s in sorted(scores.items()))
-            + f" -> {count}"
-        )
     aug_net = lula_mod.augment(
         net, count, Rng(_mix64(lu["seed"], 23)), lu["init_std"]
     )
-    tuned, history, _ = lula_mod.train_lula(
+    tuned, history = lula_mod.train_lula(
         aug_net, count, in_features, out_features, loss, lam, lcfg
     )
     rel = _prop1_check(
@@ -423,6 +405,8 @@ def cmd_eval(
     cfg, _, _, laplace_cfg, eval_cfg = _load(config_path, seed)
     lam = _base_prior_precision(cfg, model_path)
     train, val, test, loss = _build_data(cfg)
+    if test.num_rows == 0:
+        raise ConfigError("[data] split leaves no test rows for eval to score")
     net = net_mod.load(model_path)
     ood_sets = _eval_ood_sets(cfg, test)
     curv, lam, _ = _fit_laplace(cfg, laplace_cfg, net, train, val, loss, lam)
@@ -658,11 +642,11 @@ def cmd_demo_toy(config_path: str | None, out_dir: str, seed: int | None = None)
 
 
 def _stage(cls, cfg: ExperimentConfig, section: str):
-    """``cls`` built from the keys of ``[section]`` named like its fields."""
+    """``cls`` built from the keys of ``[section]`` named like its fields;
+    every field has a key."""
     values = cfg[section]
-    names = [f.name for f in fields(cls) if f.name in values]
     try:
-        return cls(**{name: values[name] for name in names})
+        return cls(**{f.name: values[f.name] for f in fields(cls)})
     except ValueError as exc:
         raise ConfigError(f"[{section}] {exc}") from None
 

@@ -124,13 +124,11 @@ def _batch_size(raw: str) -> int | None:
     return value if value > 0 else None
 
 
-def _unit_count(raw: str) -> int | None:
-    if raw.strip() == "grid":
-        return None
+def _unit_count(raw: str) -> int:
     if "," in raw:
         raise ValueError(
-            "takes one count or 'grid', not a per-layer list: under the "
-            "last-layer posterior only final-hidden-layer units train"
+            "takes one count, not a per-layer list: under the last-layer "
+            "posterior only final-hidden-layer units train"
         )
     return _count(raw)
 
@@ -225,22 +223,9 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "seed": ("2", _int, "sampling seed"),
     },
     "lula": {
-        "counts": (
-            "32",
-            _unit_count,
-            "units added to the final hidden layer: an int, or 'grid' for a "
-            "search",
-        ),
-        "grid": (
-            "32,64,128,256,512",
-            _list(_count, 1),
-            "candidate counts for counts = grid",
-        ),
+        "counts": ("32", _unit_count, "units added to the final hidden layer"),
         "learning_rate": ("0.05", _float, "uncertainty-training step size"),
         "epochs": ("20", _int, "uncertainty-training epochs"),
-        "sample_count": (
-            "30", _int, "posterior samples for the counts = grid score"
-        ),
         "in_batch": ("128", _int_at_least(1), "inlier batch size per epoch"),
         "out_batch": ("128", _int_at_least(1), "outlier batch size per epoch"),
         "init_std": (

@@ -113,7 +113,7 @@ def _pipeline(
     out_train = data_mod.gen_uniform_noise(
         ood_size, dims[0], *OOD_BOX, seeds.ood
     ).features
-    tuned, _, _ = train_lula(
+    tuned, _ = train_lula(
         aug_net, units, val.features, out_train, loss, WEIGHT_DECAY, lcfg
     )
     return Pipeline(net, tuned, posterior(net), posterior(tuned), test, loss)

@@ -106,7 +106,6 @@ __all__ = [
     "check_curvature_fit",
     "fit_curvature",
     "build_posterior",
-    "linearized_variance",
     "probit_predict_binary",
     "mc_predict",
     "mc_predict_sets",
@@ -551,16 +550,6 @@ def linearized_variance_batch(
     return out
 
 
-def linearized_variance(
-    net: Network, post: LaplacePosterior, x: np.ndarray
-) -> np.ndarray:
-    """Variance vector v(x) for a single input."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("linearized_variance expects a single input vector")
-    return linearized_variance_batch(net, post, x[None, :])[0]
-
-
 def probit_predict_binary(f_map, v):
     """Binary predictive sigma(f / sqrt(1 + pi/8 * v)); v may be an array."""
     f_map = np.asarray(f_map, dtype=np.float64)
@@ -791,6 +780,8 @@ def tune_prior_precision(
 
     if objective not in TUNE_OBJECTIVES:
         raise ValueError(f"unknown tuning objective {objective!r}")
+    if len(features) == 0:
+        raise ValueError("features must be nonempty")
     cand = list(DEFAULT_LAMBDA_GRID if grid is None else grid)
     if not cand:
         raise ValueError("candidate grid must be nonempty")

@@ -1,4 +1,4 @@
-"""Uncertainty units: construction, free-block training, and unit-count search.
+"""Uncertainty units: construction and free-block training.
 
 An augmentation adds inactive units to the final hidden layer of a trained
 network. Each added unit has trainable incoming weights and bias (the free
@@ -10,19 +10,16 @@ inliers minus the variance on outliers and steps only the free block.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, NotPositiveDefinite
+from .errors import DivergenceError
 from .laplace import (
     LaplacePosterior,
-    PredictConfig,
     _last_layer_feature_batch,
     build_posterior,
     fit_curvature,
-    mc_predict_sets,
 )
 from .network import (
     LayerSpec,
@@ -37,15 +34,11 @@ from .training import LossKind, _Adam
 __all__ = [
     "LulaTrainConfig",
     "augment",
-    "total_variance",
     "total_variance_batch",
     "lula_objective",
     "objective_gradient",
     "train_lula",
-    "grid_search_units",
 ]
-
-DEFAULT_UNIT_GRID = (32, 64, 128, 256, 512)
 
 
 @dataclass(frozen=True)
@@ -55,14 +48,11 @@ class LulaTrainConfig:
     The free-block update is Adam: the gradient spans several orders of
     magnitude across free coordinates (fresh units start with near-zero
     curvature, so their posterior variance is about 1/prior_precision), and
-    a plain step either stalls or overshoots. ``sample_count`` and ``seed``
-    also set the Monte-Carlo predictive that scores each candidate of
-    :func:`grid_search_units`.
+    a plain step either stalls or overshoots.
     """
 
     learning_rate: float = 0.1
     epochs: int = 20
-    sample_count: int = 30
     in_batch: int = 128
     out_batch: int = 128
     seed: int = 0
@@ -72,8 +62,6 @@ class LulaTrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be at least 1")
 
 
 def augment(
@@ -145,13 +133,6 @@ def total_variance_batch(
     return ((hbar @ block_sum) * hbar).sum(axis=1)
 
 
-def total_variance(net: Network, post: LaplacePosterior, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("total_variance expects a single input vector")
-    return float(total_variance_batch(net, post, x[None, :])[0])
-
-
 def lula_objective(
     net: Network,
     post: LaplacePosterior,
@@ -221,7 +202,7 @@ def train_lula(
     loss: LossKind,
     prior_precision: float,
     cfg: LulaTrainConfig,
-) -> tuple[Network, list[float], LaplacePosterior]:
+) -> tuple[Network, list[float]]:
     """Tune the free block of a network augmented with ``units`` units.
 
     Per epoch: refit a diagonal last-layer posterior of the current network
@@ -231,8 +212,8 @@ def train_lula(
     other parameter is copied unchanged, so original parameters and
     structural zeros are preserved bitwise. Raises ``ValueError`` unless
     the last ``units`` units of the final hidden layer have exactly zero
-    outgoing weights. Returns the tuned network, the per-epoch objective
-    history, and a final refit posterior.
+    outgoing weights. Returns the tuned network and the per-epoch objective
+    history.
     """
     in_features = np.atleast_2d(np.asarray(in_features, dtype=np.float64))
     out_features = np.atleast_2d(np.asarray(out_features, dtype=np.float64))
@@ -261,59 +242,4 @@ def train_lula(
         )
         biases[top] = np.concatenate([net.biases[top][:first], theta[w_free.size :]])
         current = Network(net.specs, weights, biases)
-    curv = fit_curvature(current, in_features, loss, "diag_ggn", "last_layer")
-    return current, history, build_posterior(curv, prior_precision)
-
-
-def grid_search_units(
-    net: Network,
-    candidate_counts,
-    in_val: np.ndarray,
-    out_val: np.ndarray,
-    loss: LossKind,
-    prior_precision: float,
-    cfg: LulaTrainConfig,
-    num_classes: int,
-    init_std: float | None = None,
-) -> tuple[int, dict[int, float]]:
-    """Pick the added-unit count minimizing the confidence-distance score.
-
-    Each candidate count (added on the final hidden layer) is trained with
-    :func:`train_lula`; the score is |1 - MMC_in| + |1/k - MMC_out| on the
-    validation sets using the refit posterior. Ties break toward the smaller
-    count; candidates whose posterior fails to factor are skipped with a
-    warning. ``candidate_counts=None`` selects :data:`DEFAULT_UNIT_GRID`.
-    """
-    from .metrics import mmc
-
-    if candidate_counts is None:
-        candidate_counts = DEFAULT_UNIT_GRID
-    candidates = sorted(set(int(c) for c in candidate_counts))
-    if not candidates:
-        raise ValueError("candidate set must be nonempty")
-    predict_cfg = PredictConfig(
-        method="mc", sample_count=cfg.sample_count, seed=cfg.seed
-    )
-    scores: dict[int, float] = {}
-    best_count, best_score = None, np.inf
-    for count in candidates:
-        rng = Rng(cfg.seed).derive(10_000 + count)
-        try:
-            aug_net = augment(net, count, rng, init_std)
-            trained, _, post = train_lula(
-                aug_net, count, in_val, out_val, loss, prior_precision, cfg
-            )
-            pred_in, pred_out = mc_predict_sets(
-                trained, post, [in_val, out_val], predict_cfg, loss
-            )
-        except NotPositiveDefinite as exc:
-            warnings.warn(f"skipping count {count}: {exc}")
-            continue
-        mmc_in, mmc_out = mmc(pred_in.probabilities), mmc(pred_out.probabilities)
-        score = abs(1.0 - mmc_in) + abs(1.0 / num_classes - mmc_out)
-        scores[count] = float(score)
-        if score < best_score:
-            best_score, best_count = score, count
-    if best_count is None:
-        raise NotPositiveDefinite("every candidate count failed to factor")
-    return best_count, scores
+    return current, history

@@ -57,6 +57,8 @@ MALFORMED = [
     ("lula", "counts", "0,32"),
     ("lula", "epochs", "-1"),
     ("lula", "grid", "a,b"),
+    ("lula", "counts", "grid"),
+    ("lula", "sample_count", "30"),
     ("laplace", "sample_count", "0"),
     ("laplace", "tune_objective", "foo"),
     ("laplace", "lambda_grid", "logspace:1:2"),
@@ -122,15 +124,13 @@ class TestConfig:
             "[data]\ntarget_column = 3\nheader = false\n"
             "[train]\nbatch_size = 0\n"
             "[laplace]\nprior_precision = 0.5\n"
-            "[lula]\ncounts = grid\ninit_std = 0.2\ngrid = 4, 8\n"
+            "[lula]\ninit_std = 0.2\n"
         )
         cfg = load_config(str(path))
         assert cfg["data"]["target_column"] == 3
         assert cfg["train"]["batch_size"] is None
         assert cfg["laplace"]["prior_precision"] == 0.5
-        assert cfg["lula"]["counts"] is None
         assert cfg["lula"]["init_std"] == 0.2
-        assert cfg["lula"]["grid"] == (4, 8)
         defaults = default_config()
         assert defaults["laplace"]["prior_precision"] is None
         assert defaults["lula"]["init_std"] is None
@@ -332,6 +332,42 @@ class TestCliCommands:
         monkeypatch.setattr(laplace_mod, "FULL_GGN_CAP", 160)
         assert cli.main(argv) == 0
 
+    @pytest.mark.parametrize("command", ["laplace", "lula", "eval"])
+    def test_tuning_on_an_empty_val_split_exits_2_before_the_fit(
+        self, command, tmp_path, capsys, no_fit
+    ):
+        # every candidate would score an empty sum, so the search would pick
+        # the grid's first value
+        config = tmp_path / "cfg.ini"
+        config.write_text(TINY_INI.replace(
+            "prior_precision = 1.0", "prior_precision = tune"
+        ).replace("noise_std = 0.12", "noise_std = 0.12\nsplit = 0.8,0.0,0.2"))
+        model = tmp_path / "model.txt"
+        save(Network.init_random([2, 16, 16, 2], "relu", Rng(0)), str(model))
+        before = sorted(os.listdir(tmp_path))
+        argv = [command, "--config", str(config), "--model", str(model),
+                "--out", str(tmp_path / "out.txt")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "[data] split" in err and "[laplace] prior_precision" in err
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_eval_on_an_empty_test_split_exits_2_before_the_fit(
+        self, tmp_path, capsys, no_fit
+    ):
+        config = tmp_path / "cfg.ini"
+        config.write_text(TINY_INI.replace(
+            "noise_std = 0.12", "noise_std = 0.12\nsplit = 0.8,0.2,0.0"
+        ))
+        model = tmp_path / "model.txt"
+        save(Network.init_random([2, 16, 16, 2], "relu", Rng(0)), str(model))
+        out = tmp_path / "eval"
+        argv = ["eval", "--config", str(config), "--model", str(model),
+                "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "[data] split" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_config_key_exits_2(self, tmp_path, capsys):
         config = tmp_path / "bad.ini"
         config.write_text("[train]\nbogus_key = 1\n")
@@ -458,27 +494,6 @@ sample_count = 40
         assert "mean_std" in report and "log_likelihood" in report
         # one draw per run: the test split's log-likelihood reuses its predictive
         assert sample_calls == [40, 40]
-
-    def test_grid_counts_requires_classification(self, tmp_path, capsys):
-        ini = TINY_INI.replace("counts = 6", "counts = grid").replace(
-            "generator = two_moons", "generator = toy_regression"
-        ).replace("dims = 2,16,16,2", "dims = 1,16,1")
-        config = tmp_path / "cfg.ini"
-        config.write_text(ini)
-        model = str(tmp_path / "model.txt")
-        assert cli.main(["train", "--config", str(config), "--out", model]) == 0
-        code = cli.main(
-            [
-                "lula",
-                "--config",
-                str(config),
-                "--model",
-                model,
-                "--out",
-                str(tmp_path / "t.txt"),
-            ]
-        )
-        assert code == 2
 
     def test_lula_without_hidden_layer_exits_2_before_work(
         self, tmp_path, capsys, monkeypatch

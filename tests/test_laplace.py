@@ -20,7 +20,6 @@ from lula_lab.laplace import (
     build_posterior,
     fit_curvature,
     last_layer_mean,
-    linearized_variance,
     linearized_variance_batch,
     mc_predict,
     mc_predict_sets,
@@ -687,7 +686,7 @@ class TestLinearizedVariance:
         curv = fit_curvature(net, x, LossKind("categorical_ce"), "full_ggn",
                              "last_layer")
         post = build_posterior(curv, 1e12)
-        v = linearized_variance(net, post, x[0])
+        v = linearized_variance_batch(net, post, x[:1])[0]
         assert np.all(v >= 0.0) and np.all(v <= 1e-8)
 
     def test_diagonal_hand_case(self):
@@ -705,7 +704,7 @@ class TestLinearizedVariance:
         curv = fit_curvature(net, x, loss, "full_ggn", "all_layers")
         post = build_posterior(curv, 0.5)
         point = rng.standard_normal(2)
-        v = linearized_variance(net, post, point)
+        v = linearized_variance_batch(net, post, point[None])[0]
         from lula_lab.network import output_jacobian
 
         jac = output_jacobian(net, point)
@@ -760,7 +759,7 @@ class TestLinearizedVariance:
                              "last_layer")
         post = build_posterior(curv, 0.2)
         point = rng.standard_normal(2)
-        v = linearized_variance(net, post, point)[0]
+        v = linearized_variance_batch(net, post, point[None])[0, 0]
         hbar = np.concatenate([forward(net, point[None]).activations[-2][0], [1.0]])
         samples = post.sample(Rng(11), 50000)
         outputs = samples.reshape(50000, -1) @ hbar
@@ -1099,6 +1098,12 @@ class TestTunePriorPrecision:
         first = tune_prior_precision(net, curv, x, y, loss, **kwargs)
         second = tune_prior_precision(net, curv, x, y, loss, **kwargs)
         assert first == second
+
+    def test_empty_features_raise(self):
+        # an empty sum scores every candidate 0, which would pick the first
+        net, curv, x, y, loss = self._instance()
+        with pytest.raises(ValueError, match="features must be nonempty"):
+            tune_prior_precision(net, curv, x[:0], y[:0], loss, grid=[0.1, 1.0])
 
     def test_all_candidates_failing_raises(self):
         curv = curvature_from_matrix(np.array([[-100.0]]))
