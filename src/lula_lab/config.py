@@ -328,8 +328,9 @@ def _convert(raw: dict) -> ExperimentConfig:
     laplace = values["laplace"]
     if laplace["curvature"] == "kfac_last_layer" and laplace["subset"] != "last_layer":
         raise ConfigError("[laplace] curvature = kfac_last_layer needs subset = last_layer")
-    # The likelihood is known here when it is named, or when auto meets the
-    # classification generator; a csv target under auto is only seen at run time.
+    # The likelihood is known here when it is named, or under auto from the
+    # generator: two_moons is categorical, and load_csv reads a csv target as
+    # a regression target, so auto resolves to gaussian_nll there.
     loss = values["train"]["loss"]
     if loss == "auto" and data["generator"] == "two_moons":
         loss = "categorical_ce"

@@ -22,43 +22,48 @@ Parameter subsets:
   augmented matrix [W | b], i.e. index (i, c) -> i * F + c with F the
   augmented feature count.
 
-The full GGN is R^T R with R the (n r, d) stack of every example's rows
-L_x^T J_x, r the root width (the rank of Lambda_x: k - 1 for the
-categorical likelihood, 1 for the binary one, k for the Gaussian), and it
-is eigendecomposed once per curvature, in the smaller of the two spaces, so
-that the posterior of every prior precision is a diagonal in that basis and
-no d x d precision is ever factored:
+Every curvature kind is a spectrum s in a basis B fixed at fit time, so the
+posterior of every prior precision lambda has one covariance form,
 
-* data space, n r < d (Khan et al. 2019; Immer, Korzepa & Bauer 2021):
-  eigh(R R^T) = U diag(e) U^T and W = U^T R, so GGN = W^T W and
-  W W^T = diag(e). Then Sigma = (I - W^T diag(1 / (e + lambda)) W) / lambda,
-  with no division by e; the d - n r directions outside the rows of W carry
-  the prior alone.
-* parameter space, n r >= d: the d x d GGN is formed and eigh(GGN) =
-  Q diag(e) Q^T gives Sigma = Q diag(1 / (e + lambda)) Q^T, exact at
-  lambda = 0 as well.
+    Sigma = c I + B^T diag(t) B,  with symmetric root  c' I + B^T diag(t') B,
 
-Both sides run the jitter ladder over the whole spectrum of the precision
-(e plus lambda, and in data space lambda alone for each complement
-direction), so its base is the mean eigenvalue, mean(diag(precision)), and
-both draw with the symmetric square root of Sigma.
+and no d x d precision is ever factored. The kinds differ only in B:
 
-For the Kronecker-factored kind, the stored factors follow the convention
-output_factor = sum over data of Lambda_x (k x k) and input_factor = average
-over data of the augmented feature outer products (F x F), so that
-kron(output_factor, input_factor) targets the data-term GGN; their
-eigendecompositions are stored with them and shared by the posterior of
-every prior precision. Variance queries are exact: with G = Q_G diag(g) Q_G^T
-and A = Q_A diag(a) Q_A^T, the posterior covariance is
-(Q_G kron Q_A) diag(1 / (g_p a_q + lambda)) (Q_G kron Q_A)^T
-(Ritter, Botev & Barber 2018; Daxberger et al. 2021), so no kF x kF matrix is
-ever formed. Sampling uses the standard per-factor damped approximation,
-covariance (G + sqrt(lambda) I)^-1 kron (A + sqrt(lambda) I)^-1, which is
-documented as an approximation. Its damped factors are diagonal in the same
-eigenbases, so the draw is M_G Z M_A^T with
-M_G = Q_G diag(g + sqrt(lambda))^-1/2 and M_A = Q_A diag(a + sqrt(lambda))^-1/2,
-each spectrum through the jitter ladder; nothing is factored per prior
-precision.
+* full: the full GGN is R^T R with R the (n r, d) stack of every example's
+  rows L_x^T J_x, r the root width (the rank of Lambda_x: k - 1 for the
+  categorical likelihood, 1 for the binary one, k for the Gaussian). It is
+  eigendecomposed once per curvature, in the smaller of its two spaces.
+  In data space, n r < d (Khan et al. 2019; Immer, Korzepa & Bauer 2021),
+  eigh(R R^T) = U diag(e) U^T and B = W = U^T R, so GGN = W^T W and
+  W W^T = diag(e). In parameter space, n r >= d, the d x d GGN is formed
+  and eigh(GGN) = Q diag(e) Q^T gives B = Q^T.
+* diagonal: B = I and s the GGN's diagonal.
+* Kronecker (last layer only): G = sum over data of Lambda_x (k x k) and
+  A = average over data of the augmented feature outer products (F x F),
+  so that kron(G, A) targets the data-term GGN. The fit keeps only their
+  eigendecompositions G = Q_G diag(g) Q_G^T and A = Q_A diag(a) Q_A^T:
+  B = (Q_G kron Q_A)^T and s = g_p a_q (Ritter, Botev & Barber 2018;
+  Daxberger et al. 2021). B maps the row-major (k, F) view V of a vector
+  to Q_G^T V Q_A, so no kF x kF matrix is ever formed.
+
+Data space is exactly a spectrum shorter than d. There c = 1 / lambda and
+t = -1 / (lambda (e + lambda)), that is
+Sigma = (I - W^T diag(1 / (e + lambda)) W) / lambda with no division by e:
+the d - n r directions outside the rows of W carry the prior alone. Every
+other case has c = 0, t = 1 / (s + lambda) and t' = sqrt(t), exact at
+lambda = 0 as well. The jitter ladder runs over the whole spectrum of the
+precision (s plus lambda, and in data space lambda alone for each
+complement direction), so its base is the mean eigenvalue,
+mean(diag(precision)). A variance is g^T Sigma g = c |g|^2 + (B g)^2 . t and
+a draw is mean + c' z + B^T (t' * B z).
+
+The one exception is the Kronecker draw, which uses the standard per-factor
+damped approximation, covariance
+(G + sqrt(lambda) I)^-1 kron (A + sqrt(lambda) I)^-1, documented as an
+approximation. Its damped factors are diagonal in the same eigenbases, so
+the draw is M_G Z M_A^T with M_G = Q_G diag(g + sqrt(lambda))^-1/2 and
+M_A = Q_A diag(a + sqrt(lambda))^-1/2, each factor spectrum through the
+jitter ladder; nothing is factored per prior precision.
 
 Both predictives use the network linearized at its parameters theta*,
 f(x; theta*) + J(x) (theta - theta*), because the GGN posterior is the exact
@@ -202,27 +207,26 @@ def _jacobian_chunks(
 
 @dataclass
 class Curvature:
-    """Data-term GGN over a parameter subset (prior term not included).
+    """Data-term GGN over a parameter subset (prior term not included), as
+    a ``spectrum`` in a ``basis`` fixed at fit time.
 
-    The full kind stores only ``full_eigh = (e, rows)``, one
-    eigendecomposition: with fewer stacked rows (n r, r the root width)
-    than parameters (data space), rows is (n r, d), GGN = rows^T rows and
-    rows rows^T = diag(e); otherwise rows holds the orthonormal
-    eigenvectors as rows and GGN = rows^T diag(e) rows.
+    ``basis`` is the full kind's rows, ``None`` for the diagonal kind
+    (B = I), or ``(Q_G, Q_A)`` for the Kronecker kind, whose spectrum is
+    ``np.outer(g, a).ravel()``. With one spectrum entry per parameter, B
+    is orthonormal and GGN = B^T diag(spectrum) B. A shorter spectrum is
+    data space: the n r rows W (r the root width) have
+    W W^T = diag(spectrum) and GGN = W^T W. ``factor_spectra = (g, a)``,
+    the Kronecker factors' own eigenvalues, serve only the damped draw.
     """
 
     kind: str
     subset: str
     mean: np.ndarray
     num_outputs: int
+    spectrum: np.ndarray
+    basis: np.ndarray | tuple[np.ndarray, np.ndarray] | None = None
     feature_dim: int | None = None
-    full_eigh: tuple[np.ndarray, np.ndarray] | None = None
-    diag: np.ndarray | None = None
-    output_factor: np.ndarray | None = None
-    input_factor: np.ndarray | None = None
-    # (eigenvalues, eigenvectors) of output_factor and input_factor
-    output_eigh: tuple[np.ndarray, np.ndarray] | None = None
-    input_eigh: tuple[np.ndarray, np.ndarray] | None = None
+    factor_spectra: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def dim(self) -> int:
@@ -267,9 +271,9 @@ def fit_curvature(
     Targets are not needed: the inner factor is the output-space Hessian of
     the negative log-likelihood, a function of the outputs alone. For the
     last-layer subset the exact per-example structure
-    Lambda_x kron (hbar hbar^T) is used directly; the Kronecker kind stores
-    the two factors instead of assembling them. For all layers, each chunk
-    of examples contributes its rows of R, the stacked L_x^T J_x with
+    Lambda_x kron (hbar hbar^T) is used directly; the Kronecker kind keeps
+    only the eigendecompositions of its two factors. For all layers, each
+    chunk of examples contributes its rows of R, the stacked L_x^T J_x with
     L_x L_x^T = Lambda_x, or the column sums of R * R (diagonal). L_x is
     (k, r), r the root width of
     :func:`lula_lab.training.output_hessian_roots`, so each example adds r
@@ -295,34 +299,31 @@ def fit_curvature(
         dim = k * feat
         mean = last_layer_mean(net)
         if kind == "kfac_last_layer":
-            output_factor = lambdas.sum(axis=0)
-            input_factor = (hbar.T @ hbar) / features.shape[0]
+            g, q_out = np.linalg.eigh(lambdas.sum(axis=0))
+            a, q_feat = np.linalg.eigh((hbar.T @ hbar) / features.shape[0])
             return Curvature(
                 kind,
                 subset,
                 mean,
                 k,
+                np.outer(g, a).ravel(),
+                (q_out, q_feat),
                 feature_dim=feat,
-                output_factor=output_factor,
-                input_factor=input_factor,
-                output_eigh=np.linalg.eigh(output_factor),
-                input_eigh=np.linalg.eigh(input_factor),
+                factor_spectra=(g, a),
             )
         if kind == "full_ggn":
             roots = output_hessian_roots(loss, trace.output)
             if features.shape[0] * roots.shape[2] < dim:
                 # row a of L_x^T J_x is sum_i L_x[i, a] (e_i kron hbar_x)
                 root = np.einsum("mia,mc->maic", roots, hbar).reshape(-1, dim)
-                full_eigh = _data_space_eigh(root)
+                e, rows = _data_space_eigh(root)
             else:
                 h = np.einsum("mij,mc,md->icjd", lambdas, hbar, hbar, optimize=True)
-                full_eigh = _parameter_space_eigh(h.reshape(dim, dim))
-            return Curvature(
-                kind, subset, mean, k, feature_dim=feat, full_eigh=full_eigh
-            )
+                e, rows = _parameter_space_eigh(h.reshape(dim, dim))
+            return Curvature(kind, subset, mean, k, e, rows, feature_dim=feat)
         lam_diag = np.einsum("mii->mi", lambdas)
         diag = np.einsum("mi,mc->ic", lam_diag, hbar * hbar).ravel(order="C")
-        return Curvature(kind, subset, mean, k, feature_dim=feat, diag=diag)
+        return Curvature(kind, subset, mean, k, diag, feature_dim=feat)
 
     # all_layers: stacked L_x^T J_x rows over chunks of examples, swept
     # straight from the roots into R itself (data space) or into one chunk
@@ -346,142 +347,126 @@ def fit_curvature(
             full += rows.T @ rows  # numpy's syrk path: exactly symmetric
         elif diag is not None:
             diag += np.multiply(rows, rows, out=rows).sum(axis=0)
-    full_eigh = None
-    if root is not None:
-        full_eigh = _data_space_eigh(root)
-    elif full is not None:
-        full_eigh = _parameter_space_eigh(full)
-    return Curvature(
-        kind, subset, net.flatten_params(), k, full_eigh=full_eigh, diag=diag
-    )
+    mean = net.flatten_params()
+    if diag is not None:
+        return Curvature(kind, subset, mean, k, diag)
+    e, rows = _parameter_space_eigh(full) if root is None else _data_space_eigh(root)
+    return Curvature(kind, subset, mean, k, e, rows)
 
 
 class LaplacePosterior:
     """Gaussian over a parameter subset with precision H_data + lambda * I.
 
     Construction computes everything needed for sampling and variance
-    queries; instances are immutable afterwards. The covariance is held in
-    each curvature kind's own exact form: for the full kind,
-    Sigma = c I + rows^T diag(t) rows over the rows of the curvature's one
-    eigendecomposition (data space: c = 1 / lambda,
-    t = -1 / (lambda (e + lambda)); parameter space: c = 0,
-    t = 1 / (e + lambda)); a vector of variances (diagonal); or variances in
-    the eigenbasis of the two factors (Kronecker). Raises
+    queries; instances are immutable afterwards. Every kind holds
+    Sigma = c I + B^T diag(t) B and its symmetric square root
+    c' I + B^T diag(t') B, with B the curvature's basis: c = 1 / lambda and
+    t = -1 / (lambda (e + lambda)) in data space (a spectrum shorter than
+    the dimension), otherwise c = 0, t = 1 / (s + lambda) and t' = sqrt(t).
+    The Kronecker kind also holds its damped per-factor draw. Raises
+    ``ValueError`` for a prior precision that is negative or NaN, and
     :class:`NotPositiveDefinite` when the jitter ladder cannot make the
     precision's spectrum positive.
     """
 
-    def __init__(
-        self,
-        curvature: Curvature,
-        prior_precision: float,
-        mean: np.ndarray | None = None,
-    ):
-        if prior_precision < 0.0:
-            raise ValueError("prior_precision must be nonnegative")
+    def __init__(self, curvature: Curvature, prior_precision: float):
+        if not prior_precision >= 0.0:
+            raise ValueError(
+                f"prior_precision must be a nonnegative number, got {prior_precision!r}"
+            )
         self.kind = curvature.kind
         self.subset = curvature.subset
         self.prior_precision = float(prior_precision)
         self.num_outputs = curvature.num_outputs
         self.feature_dim = curvature.feature_dim
-        self.mean = np.array(
-            curvature.mean if mean is None else mean, dtype=np.float64
-        )
-        if self.mean.shape != (curvature.dim,):
-            raise ValueError("mean does not match curvature dimension")
-        # full kind: Sigma = iso I + rows^T diag(row_var) rows, and
-        # iso_root I + rows^T diag(row_root) rows is its symmetric square root
-        self._rows: np.ndarray | None = None
-        self._iso = self._iso_root = 0.0
-        self._row_var: np.ndarray | None = None
-        self._row_root: np.ndarray | None = None
-        self._var_diag: np.ndarray | None = None
-        self._basis: tuple[np.ndarray, np.ndarray] | None = None
-        self._out_sample_factor: np.ndarray | None = None
-        self._feat_sample_factor: np.ndarray | None = None
-
-        lam = self.prior_precision
-        if curvature.full_eigh is not None:
-            e, self._rows = curvature.full_eigh
-            if self._rows.shape[0] < self.dim:
-                # data space: the complement of the rows has eigenvalue 0, so
-                # the ladder runs over e padded with zeros, and its one shift
-                # lam (lambda plus any jitter) applies in every direction
-                spectrum = positive_diagonal(
-                    np.concatenate([e, np.zeros(self.dim - e.size)]) + lam
-                )
-                shifted, lam = spectrum[: e.size], spectrum[-1]
-                root_lam, root_shifted = np.sqrt(lam), np.sqrt(shifted)
-                self._iso, self._iso_root = 1.0 / lam, 1.0 / root_lam
-                # row j of W has squared norm e_j, so these are
-                # (1/s - 1/lam) / e and (1/sqrt(s) - 1/sqrt(lam)) / e with
-                # s = e + lam, written without dividing by e
-                self._row_var = -1.0 / (lam * shifted)
-                self._row_root = -1.0 / (
-                    root_lam * root_shifted * (root_shifted + root_lam)
-                )
-            else:
-                shifted = positive_diagonal(e + lam)
-                self._row_var = 1.0 / shifted
-                self._row_root = np.sqrt(self._row_var)
-        elif curvature.diag is not None:
-            self._var_diag = 1.0 / positive_diagonal(curvature.diag + lam)
+        self.mean = np.array(curvature.mean, dtype=np.float64)
+        self._basis = curvature.basis
+        self._c = self._c_root = 0.0
+        lam, s = self.prior_precision, curvature.spectrum
+        if s.size < self.dim:
+            # data space: the complement of the rows has eigenvalue 0, so
+            # the ladder runs over s padded with zeros, and its one shift
+            # lam (lambda plus any jitter) applies in every direction
+            spectrum = positive_diagonal(
+                np.concatenate([s, np.zeros(self.dim - s.size)]) + lam
+            )
+            shifted, lam = spectrum[: s.size], spectrum[-1]
+            root_lam, root_shifted = np.sqrt(lam), np.sqrt(shifted)
+            self._c, self._c_root = 1.0 / lam, 1.0 / root_lam
+            # row j of W has squared norm s_j, so these are
+            # (1/u - 1/lam) / s and (1/sqrt(u) - 1/sqrt(lam)) / s with
+            # u = s + lam, written without dividing by s
+            self._t = -1.0 / (lam * shifted)
+            self._t_root = -1.0 / (root_lam * root_shifted * (root_shifted + root_lam))
         else:
-            # Exact: the precision is diagonal, g_p a_q + lambda, in the
-            # basis Q_G kron Q_A; _var_diag holds its inverse in that basis.
-            g, q_out = curvature.output_eigh
-            a, q_feat = curvature.input_eigh
-            self._basis = (q_out, q_feat)
-            self._var_diag = 1.0 / positive_diagonal(np.outer(g, a).ravel() + lam)
-            # Sampling: the per-factor damped precisions F + sqrt(lambda) I are
-            # diagonal in the same bases, so M = Q_F diag(f + sqrt(lambda))^-1/2
-            # has M M^T = (F + sqrt(lambda) I)^-1.
-            damp = np.sqrt(lam)
-            self._out_sample_factor = q_out / np.sqrt(positive_diagonal(g + damp))
-            self._feat_sample_factor = q_feat / np.sqrt(positive_diagonal(a + damp))
+            self._t = 1.0 / positive_diagonal(s + lam)
+            self._t_root = np.sqrt(self._t)
+        self._damped = None
+        if curvature.factor_spectra is not None:
+            # the per-factor damped precisions F + sqrt(lambda) I are diagonal
+            # in the factor bases, so M = Q_F diag(f + sqrt(lambda))^-1/2 has
+            # M M^T = (F + sqrt(lambda) I)^-1
+            damp = np.sqrt(self.prior_precision)
+            self._damped = tuple(
+                q / np.sqrt(positive_diagonal(f + damp))
+                for f, q in zip(curvature.factor_spectra, self._basis)
+            )
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
 
+    def _project(self, vectors: np.ndarray, back: bool = False) -> np.ndarray:
+        """B v for each row v of ``vectors``, or B^T v with ``back``; the
+        identity basis returns ``vectors`` itself."""
+        basis = self._basis
+        if basis is None:
+            return vectors
+        if isinstance(basis, tuple):
+            # B v is the flattened Q_G^T V Q_A of the row-major (k, F) view V
+            # of v, and B^T v is Q_G V Q_A^T
+            q_out, q_feat = basis
+            if back:
+                q_out, q_feat = q_out.T, q_feat.T
+            mats = vectors.reshape(-1, self.num_outputs, self.feature_dim)
+            return (q_out.T @ mats @ q_feat).reshape(vectors.shape)
+        return vectors @ basis if back else vectors @ basis.T
+
     def sample(self, rng: Rng, count: int) -> np.ndarray:
-        """Draw parameter vectors, shape (count, dim), around the mean."""
+        """Draw parameter vectors, shape (count, dim), around the mean:
+        mean + c' z + B^T (t' * B z) for standard normal z (the Kronecker
+        kind: its damped per-factor draw)."""
         count = int(count)
-        if self.kind == "kfac_last_layer":
+        if self._damped is not None:
             # Matrix-normal draw S = M_G Z M_A^T; row-major flattening makes
             # the flat covariance the Kronecker product of the factor inverses.
-            k, feat = self.num_outputs, self.feature_dim
-            z = rng.standard_normal((count, k, feat))
-            mats = self._out_sample_factor @ z @ self._feat_sample_factor.T
-            return self.mean[None, :] + mats.reshape(count, self.dim)
+            m_out, m_feat = self._damped
+            z = rng.standard_normal((count, self.num_outputs, self.feature_dim))
+            return self.mean[None, :] + (m_out @ z @ m_feat.T).reshape(count, self.dim)
         z = rng.standard_normal((count, self.dim))
-        if self._var_diag is not None:
-            return self.mean[None, :] + z * np.sqrt(self._var_diag)[None, :]
-        # each draw mean + iso_root z + ((z rows^T) row_root) rows, built in z
-        rows = self._rows
-        proj = z @ rows.T
-        proj *= self._row_root
-        z *= self._iso_root
+        proj = self._project(z)
+        proj *= self._t_root
+        if not self._c_root:  # z is not zeroed: for the identity basis it is proj
+            draws = self._project(proj, back=True)
+            draws += self.mean
+            return draws
+        # the mean goes in before B^T proj exists: numpy's broadcast add
+        # takes a scratch buffer, which would raise the peak beside it
+        z *= self._c_root
         z += self.mean
-        z += proj @ rows
+        z += self._project(proj, back=True)
         return z
 
     def quad_forms(self, vectors: np.ndarray) -> np.ndarray:
-        """g^T Sigma g for each row g of ``vectors``."""
+        """g^T Sigma g = c |g|^2 + (B g)^2 . t for each row g of ``vectors``."""
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
         if vectors.shape[1] != self.dim:
             raise ValueError("vector dimension does not match posterior")
-        if self._rows is not None:
-            proj = vectors @ self._rows.T
-            squares = np.einsum("ij,ij->i", vectors, vectors)
-            return self._iso * squares + (proj * proj) @ self._row_var
-        if self._basis is not None:
-            # with M the row-major (k, F) view of g, (Q_G kron Q_A)^T g is
-            # the flattened Q_G^T M Q_A
-            q_out, q_feat = self._basis
-            mats = vectors.reshape(-1, self.num_outputs, self.feature_dim)
-            vectors = (q_out.T @ mats @ q_feat).reshape(vectors.shape)
-        return (vectors * vectors) @ self._var_diag
+        proj = self._project(vectors)
+        forms = (proj * proj) @ self._t
+        if self._c:
+            forms += self._c * np.einsum("ij,ij->i", vectors, vectors)
+        return forms
 
     def output_block_cov(self) -> np.ndarray:
         """Per-output diagonal covariance blocks, shape (k, F, F).
@@ -492,28 +477,24 @@ class LaplacePosterior:
         if self.subset != "last_layer":
             raise ValueError("output blocks only defined for last_layer subset")
         k, feat = self.num_outputs, self.feature_dim
-        if self._rows is not None:
-            # block i = iso I + B_i^T diag(row_var) B_i, with B_i the columns
-            # of the rows that belong to output i
-            cols = self._rows.reshape(-1, k, feat).transpose(1, 0, 2)
-            blocks = (cols.transpose(0, 2, 1) * self._row_var) @ cols
-            return blocks + self._iso * np.eye(feat)
-        var = self._var_diag.reshape(k, feat)
-        if self._basis is None:
-            return var[:, :, None] * np.eye(feat)
-        # block i = Q_A diag(sum_p Q_G[i, p]^2 var[p, :]) Q_A^T
-        q_out, q_feat = self._basis
-        weights = (q_out * q_out) @ var
-        return (q_feat * weights[:, None, :]) @ q_feat.T
+        basis = self._basis
+        if basis is None:
+            return self._t.reshape(k, feat)[:, :, None] * np.eye(feat)
+        if isinstance(basis, tuple):
+            # block i = Q_A diag(sum_p Q_G[i, p]^2 t[p, :]) Q_A^T
+            q_out, q_feat = basis
+            weights = (q_out * q_out) @ self._t.reshape(k, feat)
+            return (q_feat * weights[:, None, :]) @ q_feat.T
+        # block i = c I + B_i^T diag(t) B_i, with B_i the columns of the
+        # rows that belong to output i
+        cols = basis.reshape(-1, k, feat).transpose(1, 0, 2)
+        blocks = (cols.transpose(0, 2, 1) * self._t) @ cols
+        return blocks + self._c * np.eye(feat)
 
 
-def build_posterior(
-    curvature: Curvature,
-    prior_precision: float,
-    mean: np.ndarray | None = None,
-) -> LaplacePosterior:
+def build_posterior(curvature: Curvature, prior_precision: float) -> LaplacePosterior:
     """Gaussian posterior with covariance (H_data + prior_precision I)^-1."""
-    return LaplacePosterior(curvature, prior_precision, mean)
+    return LaplacePosterior(curvature, prior_precision)
 
 
 def _as_batch(x: np.ndarray) -> np.ndarray:

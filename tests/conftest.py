@@ -5,8 +5,9 @@ import pytest
 
 from lula_lab.laplace import Curvature, LaplacePosterior
 from lula_lab.lula import lula_objective
-from lula_lab.network import Network, backward, forward
+from lula_lab.network import Network, augment_ones, backward, forward
 from lula_lab.numerics import Rng
+from lula_lab.training import output_hessians
 
 
 def random_network(rng: Rng, max_layers=3, max_units=10, input_dim=None,
@@ -74,19 +75,31 @@ def fd_free_gradient(net, units, post, in_batch, out_batch) -> np.ndarray:
 def curvature_from_matrix(matrix) -> Curvature:
     """Single-output last-layer full GGN equal to a given symmetric matrix."""
     e, q = np.linalg.eigh(np.asarray(matrix, dtype=np.float64))
-    return Curvature("full_ggn", "last_layer", np.zeros(e.size), 1, e.size,
-                     full_eigh=(e, q.T))
+    return Curvature("full_ggn", "last_layer", np.zeros(e.size), 1, e, q.T,
+                     feature_dim=e.size)
 
 
 def dense_ggn(curv: Curvature) -> np.ndarray:
-    """The d x d GGN rebuilt from a full curvature's one eigendecomposition."""
-    e, rows = curv.full_eigh
-    if rows.shape[0] < curv.dim:  # data space: GGN = W^T W
-        return rows.T @ rows
-    # Q diag(e) Q^T is symmetric; averaging with the transpose removes the
+    """The d x d GGN rebuilt from a curvature's spectrum and basis."""
+    spectrum, basis = curv.spectrum, curv.basis
+    if basis is None:  # diagonal kind
+        return np.diag(spectrum)
+    if isinstance(basis, tuple):  # Kronecker kind: B^T = kron(Q_G, Q_A)
+        basis = np.kron(*basis).T
+    if basis.shape[0] < curv.dim:  # data space: GGN = W^T W
+        return basis.T @ basis
+    # B^T diag(s) B is symmetric; averaging with the transpose removes the
     # rounding of the product so exact-symmetry checks see the matrix itself
-    ggn = (rows.T * e) @ rows
+    ggn = (basis.T * spectrum) @ basis
     return 0.5 * (ggn + ggn.T)
+
+
+def kron_factors(net: Network, x: np.ndarray, loss) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle Kronecker factors of a last-layer GGN from the net and the data:
+    G = sum_x Lambda_x and A = mean_x hbar hbar^T."""
+    trace = forward(net, np.asarray(x, dtype=np.float64))
+    hbar = augment_ones(trace.activations[-2])
+    return output_hessians(loss, trace.output).sum(axis=0), hbar.T @ hbar / x.shape[0]
 
 
 def relative_error(actual: np.ndarray, expected: np.ndarray) -> float:

@@ -13,6 +13,7 @@ import pytest
 from conftest import (
     fd_free_gradient,
     fd_param_gradient,
+    kron_factors,
     random_network,
     relative_error,
 )
@@ -205,8 +206,9 @@ def test_criterion_4_predictive_consistency():
 
 def test_criterion_5_kfl_fidelity():
     # Draws use the per-factor damped approximation, whose damped factors
-    # are diagonal in the stored factor eigenbases; the dense damped inverse
-    # is the oracle. Output factors must be nonsingular for the oracle to
+    # are diagonal in the factor eigenbases; the dense inverse of
+    # kron(G, A) + lambda I, with G and A computed from the net and the
+    # data, is the oracle. Output factors must be nonsingular for the oracle to
     # stay finite (categorical factors have a softmax-shift null direction),
     # so the instances use Gaussian and binary likelihoods.
     worst = 0.0
@@ -222,7 +224,7 @@ def test_criterion_5_kfl_fidelity():
         post = build_posterior(curv, lam)
         samples = post.sample(Rng(2), 50000)
         emp = np.cov(samples.T, bias=True)
-        dense = np.kron(curv.output_factor, curv.input_factor) + lam * np.eye(post.dim)
+        dense = np.kron(*kron_factors(net, x, loss)) + lam * np.eye(post.dim)
         oracle = np.linalg.inv(dense)
         rel = float(np.linalg.norm(emp - oracle) / np.linalg.norm(oracle))
         worst = max(worst, rel)

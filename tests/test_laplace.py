@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     curvature_from_matrix,
     dense_ggn,
+    kron_factors,
     loop_output_jacobian,
     relative_error,
 )
@@ -116,7 +117,7 @@ class TestFitCurvature:
         hbar = np.array([2.0, -1.0, 1.0])
         assert np.allclose(dense_ggn(curv), 0.25 * np.outer(hbar, hbar), atol=1e-12)
         kf = fit_curvature(net, x, LossKind("binary_ce"), "kfac_last_layer")
-        assert kf.output_factor[0, 0] == pytest.approx(0.25, abs=1e-15)
+        assert kf.factor_spectra[0][0] == pytest.approx(0.25, abs=1e-15)
 
     def test_zero_feature_gives_zero_rows(self):
         net = linear_net([[0.3, 0.4]], [0.0])
@@ -134,7 +135,7 @@ class TestFitCurvature:
         for subset in ("last_layer", "all_layers"):
             full = fit_curvature(net, x, loss, "full_ggn", subset)
             diag = fit_curvature(net, x, loss, "diag_ggn", subset)
-            assert np.allclose(diag.diag, np.diag(dense_ggn(full)), atol=1e-10)
+            assert np.allclose(diag.spectrum, np.diag(dense_ggn(full)), atol=1e-10)
 
     def test_all_layers_matches_fd_hessian_linear_model(self):
         # multi-output linear model: GGN == exact Hessian over all params
@@ -172,7 +173,7 @@ class TestFitCurvature:
             fit_curvature(net, np.ones((d - 1, 50)), loss, "full_ggn", "all_layers")
         # data space with one point: 1 row of d floats fits
         curv = fit_curvature(net, np.ones((1, 50)), loss, "full_ggn", "all_layers")
-        assert curv.full_eigh[1].shape == (1, d)
+        assert curv.basis.shape == (1, d)
         post = build_posterior(curv, 1.0)
         draws = post.sample(Rng(1), 3)
         assert draws.shape == (3, d)
@@ -191,7 +192,7 @@ class TestFitCurvature:
         assert 2 * n * d <= cap**2 < 2 * (n + 1) * d
         monkeypatch.setattr(laplace, "FULL_GGN_CAP", cap)
         curv = fit_curvature(net, x[:n], loss, "full_ggn", subset)
-        assert curv.full_eigh[1].shape == (2 * n, d)
+        assert curv.basis.shape == (2 * n, d)
         with pytest.raises(ValueError, match="exceeds cap"):
             fit_curvature(net, x[: n + 1], loss, "full_ggn", subset)
 
@@ -203,7 +204,8 @@ class TestFitCurvature:
         loss = LossKind("gaussian_nll", 2.0)
         full = fit_curvature(net, x, loss, "full_ggn", "last_layer")
         kf = fit_curvature(net, x, loss, "kfac_last_layer")
-        assert np.allclose(np.kron(kf.output_factor, kf.input_factor), dense_ggn(full),
+        assert np.allclose(dense_ggn(kf), dense_ggn(full), atol=1e-10)
+        assert np.allclose(dense_ggn(kf), np.kron(*kron_factors(net, x, loss)),
                            atol=1e-10)
 
 
@@ -222,7 +224,7 @@ class TestAllLayersGGN:
         x = 2.0 * rng.standard_normal((n, 3))
         expected = loop_ggn(net, x, loss)
         full = dense_ggn(fit_curvature(net, x, loss, "full_ggn", "all_layers"))
-        diag = fit_curvature(net, x, loss, "diag_ggn", "all_layers").diag
+        diag = fit_curvature(net, x, loss, "diag_ggn", "all_layers").spectrum
         assert relative_error(full, expected) <= 1e-10
         assert relative_error(diag, np.diag(expected)) <= 1e-10
         assert np.array_equal(full, full.T)
@@ -255,7 +257,7 @@ class TestAllLayersGGN:
             assert relative_error(ggn, dense_ggn(whole)) <= 1e-12
             assert np.array_equal(ggn, ggn.T)
         else:
-            assert relative_error(chunked.diag, whole.diag) <= 1e-12
+            assert relative_error(chunked.spectrum, whole.spectrum) <= 1e-12
 
     @pytest.mark.parametrize("loss, k", LOSS_CASES)
     def test_data_space_fit_holds_little_beside_r(self, loss, k):
@@ -275,7 +277,7 @@ class TestAllLayersGGN:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        r_bytes = curv.full_eigh[1].nbytes
+        r_bytes = curv.basis.nbytes
         assert r_bytes == 8 * rows * net.num_params
         assert peak <= r_bytes + 2 * 8 * rows**2 + 2**20
 
@@ -298,7 +300,7 @@ class TestAllLayersGGN:
         x = 2.0 * rng.standard_normal((30, 2))
         loss = LossKind("categorical_ce")
         curv = fit_curvature(net, x, loss, "full_ggn", "all_layers")
-        assert curv.full_eigh[1].shape == (30, net.num_params)
+        assert curv.basis.shape == (30, net.num_params)
         expected = oracle_ggn(net, x, loss, "all_layers")
         assert relative_error(dense_ggn(curv), expected) <= 1e-12
 
@@ -346,9 +348,9 @@ class TestBuildPosterior:
         loss = LossKind("binary_ce" if k == 1 else "categorical_ce")
         curv = fit_curvature(net, x, loss, "kfac_last_layer")
         feat = curv.feature_dim
+        dense = np.kron(*kron_factors(net, x, loss))
         for lam in (0.37,) + DEFAULT_LAMBDA_GRID[4::4]:
             post = build_posterior(curv, lam)
-            dense = np.kron(curv.output_factor, curv.input_factor)
             oracle = np.linalg.inv(dense + lam * np.eye(post.dim))
             oracle_blocks = np.stack(
                 [oracle[i * feat:(i + 1) * feat, i * feat:(i + 1) * feat]
@@ -384,8 +386,9 @@ class TestBuildPosterior:
         rng = Rng(22)
         net = Network.init_random([2, 5, 3], "tanh", rng)
         x = rng.standard_normal((20, 2))
-        curv = fit_curvature(net, x, LossKind("categorical_ce"), "kfac_last_layer")
-        assert np.min(np.linalg.eigvalsh(curv.output_factor)) <= 1e-12
+        loss = LossKind("categorical_ce")
+        curv = fit_curvature(net, x, loss, "kfac_last_layer")
+        assert np.min(np.linalg.eigvalsh(kron_factors(net, x, loss)[0])) <= 1e-12
         post = build_posterior(curv, 0.0)
         v = linearized_variance_batch(net, post, rng.standard_normal((8, 2)))
         assert np.all(np.isfinite(v)) and np.all(v >= 0.0)
@@ -394,7 +397,7 @@ class TestBuildPosterior:
         # the null eigenvalue of G comes out of eigh as 8.1e-17 > 0; as
         # round-off it takes the first jitter rung, which bounds the damped
         # draws along the softmax shift (an untouched 8.1e-17 gave 4e9)
-        assert curv.output_eigh[0][0] <= 1e-15
+        assert curv.factor_spectra[0][0] <= 1e-15
         draws = post.sample(Rng(0), 100)
         assert np.max(np.abs(draws - post.mean)) <= 1e6
 
@@ -402,6 +405,15 @@ class TestBuildPosterior:
         curv = curvature_from_matrix(np.array([[-10.0]]))
         with pytest.raises(NotPositiveDefinite):
             build_posterior(curv, 0.1)
+
+    @pytest.mark.parametrize("lam", [np.nan, -1.0], ids=["nan", "negative"])
+    def test_invalid_prior_precision_raises_value_error(self, lam):
+        # NaN fails every comparison, so the check is `not lam >= 0`, and a
+        # refusal is not the NotPositiveDefinite of a spectrum the jitter
+        # ladder cannot mend
+        with pytest.raises(ValueError, match="must be a nonnegative number") as caught:
+            build_posterior(curvature_from_matrix(np.eye(2)), lam)
+        assert not isinstance(caught.value, NotPositiveDefinite)
 
     def test_variance_monotone_in_prior_precision(self):
         rng = Rng(5)
@@ -460,7 +472,7 @@ class TestFullGGNEigenbasis:
         x = 2.0 * rng.standard_normal((n, 2))
         curv = fit_curvature(net, x, loss, "full_ggn", subset)
         data_space = n * r < dim
-        assert (curv.full_eigh[1].shape[0] < curv.dim) == data_space
+        assert (curv.spectrum.size < curv.dim) == data_space
         return net, x, curv, data_space
 
     @pytest.mark.parametrize("subset, n", SIDE_CASES)
@@ -606,24 +618,50 @@ class TestSampling:
         target = np.linalg.inv(dense_ggn(curv) + 0.8 * np.eye(post.dim))
         assert np.linalg.norm(emp - target) / np.linalg.norm(target) <= 0.10
 
-    @pytest.mark.parametrize("n", [8, 40], ids=["data", "parameter"])
-    def test_rows_draw_built_in_place_is_bitwise_the_formula(self, n):
-        # the draw is built inside its normal draws z, in the order
-        # mean + c' z + ((z rows^T) c) rows of the stored coefficients
+    @pytest.mark.parametrize("kind, n", [
+        pytest.param("full_ggn", 8, id="data"),
+        pytest.param("full_ggn", 40, id="parameter"),
+        pytest.param("diag_ggn", 8, id="diagonal"),
+    ])
+    def test_rows_draw_built_in_place_is_bitwise_the_formula(self, kind, n):
+        # the draw is mean + c' z + ((z B^T) t') B of the stored
+        # coefficients, summed in that order (inside z when c' != 0), with
+        # B z = z for the identity basis of the diagonal kind
         rng = Rng(8)
         net = Network.init_random([2, 4, 3], "tanh", rng)
         x = rng.standard_normal((n, 2))
-        curv = fit_curvature(net, x, LossKind("categorical_ce"), "full_ggn",
-                             "all_layers")
+        curv = fit_curvature(net, x, LossKind("categorical_ce"), kind, "all_layers")
         post = build_posterior(curv, 0.3)
-        assert (post._rows.shape[0] < post.dim) == (n == 8)
+        assert (curv.spectrum.size < post.dim) == (n == 8 and kind == "full_ggn")
+        assert (post._basis is None) == (kind == "diag_ggn")
         z = Rng(9).standard_normal((6, post.dim))
-        expected = (
-            post.mean[None, :]
-            + post._iso_root * z
-            + ((z @ post._rows.T) * post._row_root) @ post._rows
-        )
+        if post._basis is None:
+            back = z * post._t_root
+        else:
+            back = ((z @ post._basis.T) * post._t_root) @ post._basis
+        expected = post.mean[None, :] + post._c_root * z + back
         assert np.array_equal(post.sample(Rng(9), 6), expected)
+
+    @pytest.mark.parametrize("kind, n", [
+        pytest.param("full_ggn", 4, id="data"),
+        pytest.param("full_ggn", 60, id="parameter"),
+        pytest.param("diag_ggn", 4, id="diagonal"),
+        pytest.param("kfac_last_layer", 4, id="kfac"),
+    ])
+    def test_back_projection_is_the_transpose(self, kind, n):
+        # (B u) . v = u . (B^T v) for every basis, so each draw's B^T is the
+        # adjoint of the B its variances use
+        rng = Rng(10)
+        net = Network.init_random([2, 4, 3], "tanh", rng)
+        x = rng.standard_normal((n, 2))
+        curv = fit_curvature(net, x, LossKind("categorical_ce"), kind, "last_layer")
+        assert (curv.spectrum.size < curv.dim) == (n == 4 and kind == "full_ggn")
+        post = build_posterior(curv, 0.3)
+        u = rng.standard_normal((4, post.dim))
+        v = rng.standard_normal((4, curv.spectrum.size))
+        lhs = np.einsum("ij,ij->i", post._project(u), v)
+        rhs = np.einsum("ij,ij->i", u, post._project(v, back=True))
+        assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     def test_seed_reproducibility(self):
         post = self._posterior()
@@ -633,7 +671,7 @@ class TestSampling:
 
     def test_kfac_sampling_matches_dense_oracle(self):
         # Draws use the per-factor damped approximation, whose factors
-        # G + sqrt(lambda) I and A + sqrt(lambda) I are diagonal in the stored
+        # G + sqrt(lambda) I and A + sqrt(lambda) I are diagonal in the
         # factor eigenbases. With a prior precision small against the factor
         # spectra it stays within 10 percent of the exact damped inverse. The
         # output factor must be nonsingular for the dense oracle to be finite
@@ -642,19 +680,20 @@ class TestSampling:
         rng = Rng(7)
         net = Network.init_random([3, 5, 3], "tanh", rng)
         x = rng.standard_normal((40, 3))
-        curv = fit_curvature(net, x, LossKind("gaussian_nll", 1.0), "kfac_last_layer")
+        loss = LossKind("gaussian_nll", 1.0)
+        curv = fit_curvature(net, x, loss, "kfac_last_layer")
+        factors = kron_factors(net, x, loss)
         lam = 1e-9
         post = build_posterior(curv, lam)
         samples = post.sample(Rng(2), 50000)
         emp = np.cov(samples.T, bias=True)
-        dense = np.kron(curv.output_factor, curv.input_factor) + lam * np.eye(post.dim)
+        dense = np.kron(*factors) + lam * np.eye(post.dim)
         oracle = np.linalg.inv(dense)
         assert np.linalg.norm(emp - oracle) / np.linalg.norm(oracle) <= 0.10
         # Each sample factor M has M M^T equal to its damped factor's inverse.
         for lam in (1e-9, 1e-2, 1.0, 1e2):
             post = build_posterior(curv, lam)
-            for factor, m in [(curv.output_factor, post._out_sample_factor),
-                              (curv.input_factor, post._feat_sample_factor)]:
+            for factor, m in zip(factors, post._damped):
                 damped = factor + np.sqrt(lam) * np.eye(factor.shape[0])
                 assert relative_error(m @ m.T, np.linalg.inv(damped)) <= 1e-10, lam
 
@@ -663,10 +702,10 @@ class TestSampling:
         # whose null eigenvalue comes out as exactly 0, so lambda = 0 puts
         # the draw on the first rung, 1e-8 times the mean eigenvalue
         curv = self._curvature("kfac_last_layer")
-        g = curv.output_eigh[0]
+        g = curv.factor_spectra[0]
         assert np.min(g) <= 0.0
         post = build_posterior(curv, 0.0)
-        m = post._out_sample_factor
+        m = post._damped[0]
         expected = 1.0 / (g + 1e-8 * np.mean(g))
         np.testing.assert_allclose(np.sum(m * m, axis=0), expected, rtol=1e-12, atol=0.0)
         assert np.all(np.isfinite(post.sample(Rng(4), 100)))
@@ -691,8 +730,8 @@ class TestLinearizedVariance:
 
     def test_diagonal_hand_case(self):
         # v = sum_i g_i^2 sigma_i with g = (1, 2), sigma = (0.5, 0.25) -> 1.5
-        curv = Curvature("diag_ggn", "last_layer", np.zeros(2), 1, 2,
-                         diag=np.array([1.0, 3.0]))
+        curv = Curvature("diag_ggn", "last_layer", np.zeros(2), 1,
+                         np.array([1.0, 3.0]), feature_dim=2)
         post = build_posterior(curv, 1.0)  # variances (0.5, 0.25)
         assert post.quad_forms(np.array([[1.0, 2.0]]))[0] == pytest.approx(1.5, abs=1e-12)
 
@@ -1104,6 +1143,13 @@ class TestTunePriorPrecision:
         net, curv, x, y, loss = self._instance()
         with pytest.raises(ValueError, match="features must be nonempty"):
             tune_prior_precision(net, curv, x[:0], y[:0], loss, grid=[0.1, 1.0])
+
+    def test_nan_candidate_raises(self):
+        # the search skips candidates that raise NotPositiveDefinite; a NaN
+        # candidate is a bad grid and must stop it
+        net, curv, x, y, loss = self._instance()
+        with pytest.raises(ValueError, match="must be a nonnegative number"):
+            tune_prior_precision(net, curv, x, y, loss, grid=[np.nan, 1.0])
 
     def test_all_candidates_failing_raises(self):
         curv = curvature_from_matrix(np.array([[-100.0]]))
