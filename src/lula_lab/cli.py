@@ -26,7 +26,9 @@ from .laplace import (
     build_posterior,
     check_curvature_fit,
     fit_curvature,
+    linearize,
     mc_predict_sets,
+    predict_linearized,
     predictive_log_likelihood,
     tune_prior_precision,
 )
@@ -305,8 +307,8 @@ def cmd_laplace(
     config_path: str, model_path: str, out_path: str | None, seed: int | None = None
 ) -> int:
     cfg, _, _, laplace_cfg, _ = _load(config_path, seed)
-    train, val, test, loss = _build_data(cfg)
     net = net_mod.load(model_path)
+    train, val, test, loss = _build_data(cfg)
     la = cfg["laplace"]
     lam = la["prior_precision"]
     if lam is None:
@@ -338,9 +340,9 @@ def cmd_lula(
     cfg, _, lcfg, laplace_cfg, _ = _load(config_path, seed)
     lu = cfg["lula"]
     lam = _base_prior_precision(cfg, model_path)
+    net = net_mod.load(model_path)
     train, val, test, loss = _build_data(cfg)
     count = lu["counts"]
-    net = net_mod.load(model_path)
     if net.num_layers < 2:
         raise ConfigError(
             f"{model_path} has no hidden layer to add uncertainty units to"
@@ -404,10 +406,10 @@ def cmd_eval(
 ) -> int:
     cfg, _, _, laplace_cfg, eval_cfg = _load(config_path, seed)
     lam = _base_prior_precision(cfg, model_path)
+    net = net_mod.load(model_path)
     train, val, test, loss = _build_data(cfg)
     if test.num_rows == 0:
         raise ConfigError("[data] split leaves no test rows for eval to score")
-    net = net_mod.load(model_path)
     ood_sets = _eval_ood_sets(cfg, test)
     curv, lam, _ = _fit_laplace(cfg, laplace_cfg, net, train, val, loss, lam)
     post = build_posterior(curv, lam)
@@ -415,14 +417,14 @@ def cmd_eval(
     report_total = cfg["eval"]["report_std"] == "total"
     classification = loss.kind in ("categorical_ce", "binary_ce")
 
+    # every run reads the same linearized point sets: one Jacobian sweep each
+    sets = [linearize(net, curv, x) for x in (test.features, *ood_sets.values())]
     per_metric: dict[str, list[float]] = {}
     first_run_reports: list[metrics_mod.EvalReport] = []
     for r in range(runs):
         pcfg = replace(eval_cfg, seed=_mix64(eval_cfg.seed, 1000 + r))
         reports = []
-        pred_test, *pred_ood = mc_predict_sets(
-            net, post, [test.features, *ood_sets.values()], pcfg, loss
-        )
+        pred_test, *pred_ood = predict_linearized(post, sets, pcfg, loss)
         if classification:
             conf_test = pred_test.probabilities.max(axis=1)
             reports.append(

@@ -38,10 +38,14 @@ def _int(raw: str) -> int:
 
 
 def _float(raw: str) -> float:
+    """A finite float: nan and +-inf are rejected."""
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ValueError(f"expected a float, got {raw!r}") from None
+    if not np.isfinite(value):
+        raise ValueError(f"expected a finite float, got {raw!r}")
+    return value
 
 
 def _bool(raw: str) -> bool:
@@ -79,6 +83,14 @@ def _positive(raw: str) -> float:
     value = _float(raw)
     if not value > 0.0:
         raise ValueError(f"expected a positive float, got {raw!r}")
+    return value
+
+
+def _momentum(raw: str) -> float:
+    """A float in [0, 1)."""
+    value = _float(raw)
+    if not 0.0 <= value < 1.0:
+        raise ValueError(f"expected a float in [0, 1), got {raw!r}")
     return value
 
 
@@ -190,7 +202,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     "train": {
         "optimizer": _choice("adam", OPTIMIZERS, "MAP optimizer"),
         "learning_rate": ("0.001", _float, "step size"),
-        "momentum": ("0.9", _float, "sgd momentum"),
+        "momentum": ("0.9", _momentum, "sgd momentum, in [0, 1)"),
         "epochs": ("200", _int, "passes over the training split"),
         "batch_size": ("64", _batch_size, "minibatch size; 0 for full batch"),
         "weight_decay": ("0.001", _float, "prior precision used during training"),
@@ -219,7 +231,9 @@ SCHEMA: dict[str, dict[str, tuple]] = {
             "logspace:lo:hi:count (base 10) or a comma list of nonnegative values",
         ),
         "method": _choice("mc", PREDICT_METHODS, "predictive used for tuning"),
-        "sample_count": ("100", _int, "posterior samples for the mc predictive"),
+        "sample_count": (
+            "100", _int, "output draws of the mc predictive (classification)"
+        ),
         "seed": ("2", _int, "sampling seed"),
     },
     "lula": {
@@ -230,8 +244,8 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "out_batch": ("128", _int_at_least(1), "outlier batch size per epoch"),
         "init_std": (
             "default",
-            _or_none("default", _float),
-            "'default' (0.1 sqrt(2/fan_in)) or a float",
+            _or_none("default", _positive),
+            "'default' (0.1 sqrt(2/fan_in)) or a positive float",
         ),
         "ood_low": ("-10.0", _float, "outlier box lower bound"),
         "ood_high": ("10.0", _float, "outlier box upper bound"),
@@ -244,9 +258,13 @@ SCHEMA: dict[str, dict[str, tuple]] = {
             _list(_one_of(OOD_KINDS), 0),
             f"comma list from {', '.join(OOD_KINDS)}",
         ),
-        "sample_count": ("100", _int, "posterior samples per prediction run"),
+        "sample_count": (
+            "100", _int, "output draws per mc prediction run (classification)"
+        ),
         "runs": (
-            "10", _int_at_least(1), "prediction repetitions (mean and std reported)"
+            "10",
+            _int_at_least(1),
+            "prediction repetitions (mean and std reported; regression is exact)",
         ),
         "method": _choice("mc", PREDICT_METHODS, "predictive"),
         "report_std": _choice(
@@ -258,7 +276,9 @@ SCHEMA: dict[str, dict[str, tuple]] = {
             "8.0", _float, "far-field ring inner radius (classification demo)"
         ),
         "ring_outer": ("12.0", _float, "far-field ring outer radius"),
-        "far_field": ("6.0", _float, "|x| above this is far field (regression demo)"),
+        "far_field": (
+            "6.0", _positive, "|x| above this is far field (regression demo)"
+        ),
         "seed": ("4", _int, "evaluation seed"),
     },
     "demo": {

@@ -67,13 +67,29 @@ jitter ladder; nothing is factored per prior precision.
 
 Both predictives use the network linearized at its parameters theta*,
 f(x; theta*) + J(x) (theta - theta*), because the GGN posterior is the exact
-Laplace posterior of that model; pushing its draws through the nonlinear
-network instead underfits (Immer, Korzepa & Bauer 2021). The
-probit_linearized method integrates it in closed form from the variances
-J Sigma J^T; the mc method samples it. For the last layer the outputs are
-linear in the weights, so the sampled outputs are W_s hbar(x); for all
-layers they are f(x; theta*) + J(x) (theta_s - theta*), one batched
-Jacobian per chunk of points.
+Laplace posterior of that model; pushing parameter draws through the
+nonlinear network instead underfits (Immer, Korzepa & Bauer 2021). Under
+that model the outputs at a point are exactly Gaussian,
+N(f(x), Sigma_f(x)) with Sigma_f = J Sigma J^T (k x k), so no parameter
+vector is ever drawn to predict. :func:`linearize` computes the lambda-free
+pieces of a point set once per curvature: f, the projections P = B J^T of
+each point's Jacobian rows (one batched Jacobian per chunk of points, never
+a whole set's J) and, in data space, the Gram J J^T; for the Kronecker kind
+only u = (Q_A^T hbar)^2. Each prior precision then reads
+Sigma_f = c J J^T + P diag(t) P^T, for the Kronecker kind
+Q_G diag(u t^T) Q_G^T with t as its (k, F) grid.
+
+* probit_linearized integrates the Gaussian in closed form from the
+  diagonal of Sigma_f (binary and regression).
+* mc, classification: each point's logits are f + R eps_s, with R R^T the
+  output covariance (a batched k x k eigh clipped at 0) and one standard
+  normal block eps of shape (count, k) shared by every point and set.
+* mc, regression: exact, mean f and variance diag(Sigma_f) + 1 / beta; no
+  draws, so repeated runs give the same numbers.
+
+The Kronecker mc predictive keeps the damped covariance of the parameter
+draw above: its output root is M_G |M_A^T hbar|, and its regression
+variance that root's diagonal.
 """
 
 from __future__ import annotations
@@ -85,6 +101,8 @@ import numpy as np
 from .errors import NotPositiveDefinite
 from .network import (
     Network,
+    _pre_activation,
+    apply_activation,
     augment_ones,
     forward,
     forward_output,
@@ -106,12 +124,16 @@ __all__ = [
     "TUNE_OBJECTIVES",
     "Curvature",
     "LaplacePosterior",
+    "Linearization",
     "PredictConfig",
     "Predictive",
     "check_curvature_fit",
     "fit_curvature",
     "build_posterior",
+    "linearize",
+    "linearized_variance_batch",
     "probit_predict_binary",
+    "predict_linearized",
     "mc_predict",
     "mc_predict_sets",
     "predictive_log_likelihood",
@@ -130,13 +152,13 @@ TUNE_OBJECTIVES = ("val_log_likelihood", "ood_mmc")
 FULL_GGN_CAP = 5000
 DEFAULT_LAMBDA_GRID = tuple(np.logspace(-4.0, 4.0, 17))
 # Bytes of the (m, w, d) Jacobian rows of one chunk of m points, w rows of
-# width d per point (w = r for the all-layers curvature fit, k for the
-# variances and the MC predictive); bounds memory for long datasets and
-# large d.
+# width d per point (w = r for the all-layers curvature fit, k for
+# linearize); bounds memory for long datasets and large d.
 _JACOBIAN_CHUNK_BYTES = 8 * 2**20
 # Columns of R turned into W = U^T R per product in the data-space fit.
 _EIGH_COLUMN_BLOCK = 256
-# Bytes of sampled (c, k, m) logits held at once by the MC predictive.
+# Bytes of sampled (samples, k, c) logits of c points held at once by the MC
+# predictive.
 _MC_CHUNK_BYTES = 2 * 2**20
 
 
@@ -354,6 +376,22 @@ def fit_curvature(
     return Curvature(kind, subset, mean, k, e, rows)
 
 
+def _project(basis, vectors: np.ndarray, back: bool = False) -> np.ndarray:
+    """B v for each row v of ``vectors``, or B^T v with ``back``, for a
+    curvature's ``basis``; the identity basis returns ``vectors`` itself."""
+    if basis is None:
+        return vectors
+    if isinstance(basis, tuple):
+        # B v is the flattened Q_G^T V Q_A of the row-major (k, F) view V
+        # of v, and B^T v is Q_G V Q_A^T
+        q_out, q_feat = basis
+        mats = vectors.reshape(-1, q_out.shape[0], q_feat.shape[0])
+        if back:
+            return (q_out @ mats @ q_feat.T).reshape(vectors.shape)
+        return (q_out.T @ mats @ q_feat).reshape(vectors.shape)
+    return vectors @ basis if back else vectors @ basis.T
+
+
 class LaplacePosterior:
     """Gaussian over a parameter subset with precision H_data + lambda * I.
 
@@ -363,7 +401,8 @@ class LaplacePosterior:
     c' I + B^T diag(t') B, with B the curvature's basis: c = 1 / lambda and
     t = -1 / (lambda (e + lambda)) in data space (a spectrum shorter than
     the dimension), otherwise c = 0, t = 1 / (s + lambda) and t' = sqrt(t).
-    The Kronecker kind also holds its damped per-factor draw. Raises
+    The Kronecker kind also holds its damped per-factor draw.
+    ``curvature`` is the curvature it was built from. Raises
     ``ValueError`` for a prior precision that is negative or NaN, and
     :class:`NotPositiveDefinite` when the jitter ladder cannot make the
     precision's spectrum positive.
@@ -374,6 +413,7 @@ class LaplacePosterior:
             raise ValueError(
                 f"prior_precision must be a nonnegative number, got {prior_precision!r}"
             )
+        self.curvature = curvature
         self.kind = curvature.kind
         self.subset = curvature.subset
         self.prior_precision = float(prior_precision)
@@ -401,36 +441,19 @@ class LaplacePosterior:
         else:
             self._t = 1.0 / positive_diagonal(s + lam)
             self._t_root = np.sqrt(self._t)
-        self._damped = None
+        self._damped = self._damped_feat = None
         if curvature.factor_spectra is not None:
             # the per-factor damped precisions F + sqrt(lambda) I are diagonal
             # in the factor bases, so M = Q_F diag(f + sqrt(lambda))^-1/2 has
             # M M^T = (F + sqrt(lambda) I)^-1
             damp = np.sqrt(self.prior_precision)
-            self._damped = tuple(
-                q / np.sqrt(positive_diagonal(f + damp))
-                for f, q in zip(curvature.factor_spectra, self._basis)
-            )
+            spectra = [positive_diagonal(f + damp) for f in curvature.factor_spectra]
+            self._damped = tuple(q / np.sqrt(f) for f, q in zip(spectra, self._basis))
+            self._damped_feat = spectra[1]
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
-
-    def _project(self, vectors: np.ndarray, back: bool = False) -> np.ndarray:
-        """B v for each row v of ``vectors``, or B^T v with ``back``; the
-        identity basis returns ``vectors`` itself."""
-        basis = self._basis
-        if basis is None:
-            return vectors
-        if isinstance(basis, tuple):
-            # B v is the flattened Q_G^T V Q_A of the row-major (k, F) view V
-            # of v, and B^T v is Q_G V Q_A^T
-            q_out, q_feat = basis
-            if back:
-                q_out, q_feat = q_out.T, q_feat.T
-            mats = vectors.reshape(-1, self.num_outputs, self.feature_dim)
-            return (q_out.T @ mats @ q_feat).reshape(vectors.shape)
-        return vectors @ basis if back else vectors @ basis.T
 
     def sample(self, rng: Rng, count: int) -> np.ndarray:
         """Draw parameter vectors, shape (count, dim), around the mean:
@@ -444,17 +467,17 @@ class LaplacePosterior:
             z = rng.standard_normal((count, self.num_outputs, self.feature_dim))
             return self.mean[None, :] + (m_out @ z @ m_feat.T).reshape(count, self.dim)
         z = rng.standard_normal((count, self.dim))
-        proj = self._project(z)
+        proj = _project(self._basis, z)
         proj *= self._t_root
         if not self._c_root:  # z is not zeroed: for the identity basis it is proj
-            draws = self._project(proj, back=True)
+            draws = _project(self._basis, proj, back=True)
             draws += self.mean
             return draws
         # the mean goes in before B^T proj exists: numpy's broadcast add
         # takes a scratch buffer, which would raise the peak beside it
         z *= self._c_root
         z += self.mean
-        z += self._project(proj, back=True)
+        z += _project(self._basis, proj, back=True)
         return z
 
     def quad_forms(self, vectors: np.ndarray) -> np.ndarray:
@@ -462,11 +485,36 @@ class LaplacePosterior:
         vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
         if vectors.shape[1] != self.dim:
             raise ValueError("vector dimension does not match posterior")
-        proj = self._project(vectors)
+        proj = _project(self._basis, vectors)
         forms = (proj * proj) @ self._t
         if self._c:
             forms += self._c * np.einsum("ij,ij->i", vectors, vectors)
         return forms
+
+    def output_cov(self, lin: Linearization) -> np.ndarray:
+        """Sigma_f = J Sigma J^T at each point of ``lin``, shape (m, k, k):
+        c J J^T + P diag(t) P^T, for the Kronecker kind Q_G diag(u t^T) Q_G^T
+        with t as its (k, F) grid."""
+        if isinstance(self._basis, tuple):
+            # B g_i is Q_G[i, :] kron Q_A^T hbar for output i's gradient g_i
+            q_out = self._basis[0]
+            spread = lin.proj @ self._t.reshape(self.num_outputs, -1).T
+            return (q_out * spread[:, None, :]) @ q_out.T
+        cov = (lin.proj * self._t) @ lin.proj.transpose(0, 2, 1)
+        if self._c:
+            cov += self._c * lin.gram
+        return cov
+
+    def output_root(self, lin: Linearization) -> np.ndarray:
+        """R, shape (m, k, k), whose R R^T is the covariance the mc predictive
+        draws at each point of ``lin``: Sigma_f through a batched eigh
+        clipped at 0, or for the Kronecker kind the damped draw's
+        M_G |M_A^T hbar|."""
+        if self._damped is not None:
+            scale = np.sqrt(lin.proj @ (1.0 / self._damped_feat))
+            return self._damped[0] * scale[:, None, None]
+        e, v = np.linalg.eigh(self.output_cov(lin))
+        return v * np.sqrt(np.maximum(e, 0.0))[:, None, :]
 
     def output_block_cov(self) -> np.ndarray:
         """Per-output diagonal covariance blocks, shape (k, F, F).
@@ -507,28 +555,72 @@ def _last_layer_feature_batch(net: Network, x: np.ndarray) -> np.ndarray:
     return augment_ones(forward_output(net, x, net.num_layers - 1))
 
 
+@dataclass
+class Linearization:
+    """The prior-precision-free pieces of the output Gaussian at m points.
+
+    ``mean`` is f (m, k). ``proj`` is P = B J^T per point (m, k, S), S the
+    curvature's spectrum length, or for the Kronecker kind
+    u = (Q_A^T hbar)^2 (m, F). ``gram`` is J J^T (m, k, k), held in data
+    space only (a spectrum shorter than the dimension), where c != 0.
+    """
+
+    mean: np.ndarray
+    proj: np.ndarray
+    gram: np.ndarray | None = None
+
+
+def linearize(net: Network, curvature: Curvature, x: np.ndarray) -> Linearization:
+    """The pieces of :class:`Linearization` for the points ``x``.
+
+    Each chunk of points takes one batched output Jacobian (all layers) or
+    the Jacobian e_i kron hbar of the linear last layer, which one
+    projection onto the curvature's basis turns into P; no whole set's J
+    is held. The Kronecker kind needs only hbar.
+    """
+    x = _as_batch(x)
+    k, basis = curvature.num_outputs, curvature.basis
+    if curvature.subset == "last_layer":
+        # the output layer on the final hidden features: forward's output
+        h = forward_output(net, x, net.num_layers - 1)
+        top, w, b = net.specs[-1], net.weights[-1], net.biases[-1]
+        mean = apply_activation(top.activation, _pre_activation(h, w, b))
+        hbar = augment_ones(h)
+        if isinstance(basis, tuple):
+            u = hbar @ basis[1]
+            return Linearization(mean, np.square(u, out=u))
+    else:
+        mean = forward_output(net, x)
+    m, dim, width = x.shape[0], curvature.dim, curvature.spectrum.size
+    proj = np.empty((m, k, width))
+    gram = np.empty((m, k, k)) if width < dim else None
+    diag = np.arange(k)
+    for points, buf in _jacobian_chunks(m, k, dim):
+        n = points.stop - points.start
+        jac = buf.reshape(n, k, dim)
+        if curvature.subset == "last_layer":
+            jac.fill(0.0)
+            jac.reshape(n, k, k, -1)[:, diag, diag] = hbar[points, None, :]
+        else:
+            output_jacobian(net, x[points], out=jac)
+        proj[points] = _project(basis, buf.reshape(n * k, dim)).reshape(n, k, width)
+        if gram is not None:
+            np.matmul(jac, jac.transpose(0, 2, 1), out=gram[points])
+    return Linearization(mean, proj, gram)
+
+
+def _diagonals(cov: np.ndarray) -> np.ndarray:
+    """The (m, k) diagonals of a stack of (m, k, k) matrices, as a new array."""
+    return cov.diagonal(axis1=1, axis2=2).copy()
+
+
 def linearized_variance_batch(
     net: Network, post: LaplacePosterior, x: np.ndarray
 ) -> np.ndarray:
-    """Per-output linearized predictive variances, shape (m, k).
-
-    v_i(x) = g_i^T Sigma g_i with g_i the output-i gradient restricted to the
-    posterior subset, evaluated at the network's current parameters. For
-    all layers, the stacked output Jacobians of each chunk of points go
-    through one ``quad_forms`` call.
-    """
-    x = _as_batch(x)
-    if post.subset == "last_layer":
-        hbar = _last_layer_feature_batch(net, x)
-        blocks = post.output_block_cov()
-        return ((hbar @ blocks) * hbar).sum(axis=2).T
-    k, dim = post.num_outputs, post.dim
-    out = np.empty((x.shape[0], k))
-    for points, buf in _jacobian_chunks(x.shape[0], k, dim):
-        m = points.stop - points.start
-        output_jacobian(net, x[points], out=buf.reshape(m, k, dim))
-        out[points] = post.quad_forms(buf.reshape(m * k, dim)).reshape(m, k)
-    return out
+    """Per-output linearized predictive variances, shape (m, k): the
+    diagonal of Sigma_f = J Sigma J^T, J the output Jacobian restricted to
+    the posterior subset at the network's current parameters."""
+    return _diagonals(post.output_cov(linearize(net, post.curvature, x)))
 
 
 def probit_predict_binary(f_map, v):
@@ -569,70 +661,89 @@ class Predictive:
     var_total: np.ndarray | None = None
 
 
-def _sampled_logits(
-    net: Network, post: LaplacePosterior, x: np.ndarray, samples: np.ndarray
-):
-    """Yield (points, z): the outputs z, shape (c, k, len(points)), of
-    consecutive samples at the rows ``points`` of ``x``.
-
-    Both subsets sample the network linearized at its parameters theta*,
-    z_s(x) = f(x; theta*) + J(x) (theta_s - theta*). Last layer: the outputs
-    are linear in those weights, so this is one GEMM per chunk of samples,
-    the chunk's (c k, F) weight rows times the transposed features of every
-    point. All layers: each chunk of points takes one batched output
-    Jacobian, which the sweep writes in (k, m, d) order so that its
-    (d, k m) transpose is a view, and one forward pass, then one GEMM per
-    chunk of samples, the centred draws times that transpose. The sample chunk
-    size c depends only on k and on the point count m of the chunk, so a
-    set's outputs do not depend on any other set. An empty set is sized as
-    one point (last layer) or yields nothing (all layers).
-    """
-    k = post.num_outputs
-    if post.subset == "last_layer":
-        m = max(x.shape[0], 1)
-        hbar_t = _last_layer_feature_batch(net, x).T
-        rows = max(1, _MC_CHUNK_BYTES // (8 * k * m))
-        for start in range(0, samples.shape[0], rows):
-            chunk = samples[start : start + rows].reshape(-1, post.feature_dim)
-            yield slice(None), (chunk @ hbar_t).reshape(-1, k, m)
-        return
-    theta = net.flatten_params()
-    for points, buf in _jacobian_chunks(x.shape[0], k, post.dim):
-        m = points.stop - points.start
-        jac = buf.reshape(k, m, post.dim)
-        output_jacobian(net, x[points], out=jac.transpose(1, 0, 2))
-        f_map = forward_output(net, x[points]).T
-        jac_t = jac.reshape(k * m, post.dim).T
-        rows = max(1, _MC_CHUNK_BYTES // (8 * k * m))
-        for start in range(0, samples.shape[0], rows):
-            z = ((samples[start : start + rows] - theta) @ jac_t).reshape(-1, k, m)
-            z += f_map
-            yield points, z
-
-
 def _points_major(acc: np.ndarray, n: int) -> np.ndarray:
     """A (r, m) sum over n samples as a C-ordered (m, r) mean."""
     return np.ascontiguousarray(acc.T) / n
 
 
-def _probit_predict(
-    net: Network, post: LaplacePosterior, x: np.ndarray, loss: LossKind
+def _sampled_probabilities(
+    post: LaplacePosterior, lin: Linearization, eps: np.ndarray, loss: LossKind
 ) -> Predictive:
+    """Sample-average softmax (or sigmoid) of the logits f + R eps_s.
+
+    The logits come as (samples, k, points) chunks of at most
+    _MC_CHUNK_BYTES, so the softmax reduces across k contiguous point
+    vectors; each chunk's sum over samples fills its points' columns of a
+    (k, points) accumulator, transposed once at the end.
+    """
+    n, k = eps.shape
+    root = post.output_root(lin)
+    acc = np.zeros((2 if loss.kind == "binary_ce" else k, root.shape[0]))
+    step = max(1, _MC_CHUNK_BYTES // (8 * k * n))
+    for start in range(0, root.shape[0], step):
+        points = slice(start, start + step)
+        chunk = root[points]
+        # z[s, i, p] = f[p, i] + sum_j R[p, i, j] eps[s, j], as one GEMM
+        z = eps @ chunk.transpose(2, 1, 0).reshape(k, -1)
+        z = z.reshape(n, k, -1)
+        z += lin.mean[points].T
+        if loss.kind == "binary_ce":
+            p1 = sigmoid(z[:, 0, :])
+            acc[0, points] = (1.0 - p1).sum(axis=0)
+            acc[1, points] = p1.sum(axis=0)
+        else:
+            z -= z.max(axis=1, keepdims=True)
+            np.exp(z, out=z)
+            z /= z.sum(axis=1, keepdims=True)
+            acc[:, points] = z.sum(axis=0)
+    return Predictive(probabilities=_points_major(acc, n))
+
+
+def predict_linearized(
+    post: LaplacePosterior,
+    sets: list[Linearization],
+    cfg: PredictConfig,
+    loss: LossKind,
+) -> list[Predictive]:
+    """Posterior predictive of each linearized point set in ``sets``.
+
+    probit_linearized: the closed form from diag(Sigma_f), exact for
+    regression, the probit approximation for single-logit binary
+    classification (no multi-class closed form is provided). mc,
+    classification: ``cfg.sample_count`` logit draws f + R eps_s per point,
+    R from :meth:`LaplacePosterior.output_root`, with one standard normal
+    block eps (sample_count, k) drawn from ``Rng(cfg.seed)`` and shared by
+    every point and set, so each result is bit-identical to scoring its set
+    alone. mc, regression: the exact moments of the same output Gaussian,
+    mean f and variance diag(R R^T) (diag(Sigma_f) but for the Kronecker
+    kind's damped draw), with no draws. Regression variance is reported
+    without and with the aleatoric 1 / beta.
+    """
+    if cfg.method == "mc" and loss.kind != "gaussian_nll":
+        eps = Rng(cfg.seed).standard_normal((cfg.sample_count, post.num_outputs))
+        return [_sampled_probabilities(post, lin, eps, loss) for lin in sets]
     if loss.kind == "categorical_ce":
         raise ValueError(
             "probit_linearized supports binary (single-logit) or regression "
             "models only"
         )
-    f_map = forward_output(net, x)
-    v = linearized_variance_batch(net, post, x)
-    if loss.kind == "binary_ce":
-        p1 = probit_predict_binary(f_map[:, 0], v[:, 0])
-        return Predictive(probabilities=np.stack([1.0 - p1, p1], axis=1))
-    return Predictive(
-        mean=f_map,
-        var_epistemic=v,
-        var_total=v + 1.0 / loss.noise_precision,
-    )
+    preds = []
+    for lin in sets:
+        if cfg.method == "mc" and post._damped is not None:
+            root = post.output_root(lin)
+            v = np.einsum("mij,mij->mi", root, root)
+        else:
+            v = _diagonals(post.output_cov(lin))
+        if loss.kind == "binary_ce":
+            p1 = probit_predict_binary(lin.mean[:, 0], v[:, 0])
+            preds.append(Predictive(probabilities=np.stack([1.0 - p1, p1], axis=1)))
+        else:
+            preds.append(
+                Predictive(
+                    mean=lin.mean, var_epistemic=v, var_total=v + 1.0 / loss.noise_precision
+                )
+            )
+    return preds
 
 
 def mc_predict_sets(
@@ -642,62 +753,10 @@ def mc_predict_sets(
     cfg: PredictConfig,
     loss: LossKind,
 ) -> list[Predictive]:
-    """Posterior predictive for each batch in ``xs``, from one posterior draw.
-
-    The mc method draws ``cfg.sample_count`` parameter samples once from
-    ``Rng(cfg.seed)`` and scores every batch against that same draw, so each
-    result is bit-identical to scoring its batch alone with the same
-    posterior and seed. Each sample's outputs are those of the network
-    linearized at its parameters, the model of the probit_linearized
-    method too. Classification returns the sample average of softmax (or
-    sigmoid) outputs; regression returns the MC moments of the sampled
-    outputs. The sampled outputs come in (samples, k, points) chunks, so the
-    softmax reduces across k contiguous point vectors; each chunk's sum over
-    samples goes into its points' columns of (k, points) accumulators,
-    transposed once at the end. The probit_linearized method is the closed-form
-    alternative, computed per batch: exact linearization for regression,
-    the probit approximation for single-logit binary classification (no
-    multi-class closed form is provided).
-    """
-    xs = [_as_batch(x) for x in xs]
-    if cfg.method == "probit_linearized":
-        return [_probit_predict(net, post, x, loss) for x in xs]
-
-    k, n = net.output_dim, cfg.sample_count
-    samples = post.sample(Rng(cfg.seed), n)
-    preds = []
-    for x in xs:
-        if loss.kind == "categorical_ce":
-            acc = np.zeros((k, x.shape[0]))
-            for points, z in _sampled_logits(net, post, x, samples):
-                z -= z.max(axis=1, keepdims=True)
-                np.exp(z, out=z)
-                z /= z.sum(axis=1, keepdims=True)
-                acc[:, points] += z.sum(axis=0)
-            preds.append(Predictive(probabilities=_points_major(acc, n)))
-        elif loss.kind == "binary_ce":
-            acc = np.zeros((2, x.shape[0]))
-            for points, z in _sampled_logits(net, post, x, samples):
-                p1 = sigmoid(z[:, 0, :])
-                acc[0, points] += (1.0 - p1).sum(axis=0)
-                acc[1, points] += p1.sum(axis=0)
-            preds.append(Predictive(probabilities=_points_major(acc, n)))
-        else:
-            total = np.zeros((k, x.shape[0]))
-            total_sq = np.zeros_like(total)
-            for points, z in _sampled_logits(net, post, x, samples):
-                total[:, points] += z.sum(axis=0)
-                total_sq[:, points] += (z * z).sum(axis=0)
-            mean = _points_major(total, n)
-            var = np.maximum(_points_major(total_sq, n) - mean * mean, 0.0)
-            preds.append(
-                Predictive(
-                    mean=mean,
-                    var_epistemic=var,
-                    var_total=var + 1.0 / loss.noise_precision,
-                )
-            )
-    return preds
+    """Posterior predictive for each batch in ``xs``:
+    :func:`predict_linearized` on each batch's :func:`linearize`."""
+    sets = [linearize(net, post.curvature, x) for x in xs]
+    return predict_linearized(post, sets, cfg, loss)
 
 
 def mc_predict(
@@ -707,11 +766,7 @@ def mc_predict(
     cfg: PredictConfig,
     loss: LossKind,
 ) -> Predictive:
-    """Posterior predictive for one batch: :func:`mc_predict_sets` on ``[x]``.
-
-    Scoring several batches with the same posterior and seed through
-    :func:`mc_predict_sets` draws the samples once instead of once per batch.
-    """
+    """Posterior predictive for one batch: :func:`mc_predict_sets` on ``[x]``."""
     return mc_predict_sets(net, post, [x], cfg, loss)[0]
 
 
@@ -750,9 +805,11 @@ def tune_prior_precision(
 
     ``val_log_likelihood`` maximizes the predictive log-likelihood on the
     given validation data. ``ood_mmc`` minimizes
-    |1 - MMC_in| + |1/k - MMC_out|, both from one posterior draw per
+    |1 - MMC_in| + |1/k - MMC_out|, both from one shared draw per
     candidate, and additionally needs ``out_features`` and
-    ``num_classes``. Candidates whose precision spectrum the jitter ladder
+    ``num_classes``. Each point set is linearized once, at the first
+    candidate whose posterior builds, and every candidate reads those
+    pieces. Candidates whose precision spectrum the jitter ladder
     cannot make positive are skipped; returns
     (best, [(lambda, score), ...]) with score in the objective's native
     orientation.
@@ -770,25 +827,24 @@ def tune_prior_precision(
     if objective == "ood_mmc" and (out_features is None or num_classes is None):
         raise ValueError("ood_mmc needs out_features and num_classes")
 
+    points = [features] if objective == "val_log_likelihood" else [features, out_features]
+    sets = None
     scores: list[tuple[float, float]] = []
     best_lam, best_key = None, -np.inf
     for lam in cand:
         try:
             post = build_posterior(curvature, lam)
-            if objective == "val_log_likelihood":
-                pred = mc_predict(net, post, features, cfg, loss)
-                score = predictive_log_likelihood(pred, targets)
-                key = score
-            else:
-                pred_in, pred_out = mc_predict_sets(
-                    net, post, [features, out_features], cfg, loss
-                )
-                mmc_in = mmc(pred_in.probabilities)
-                mmc_out = mmc(pred_out.probabilities)
-                score = abs(1.0 - mmc_in) + abs(1.0 / num_classes - mmc_out)
-                key = -score
         except NotPositiveDefinite:
             continue
+        if sets is None:  # at the first candidate that builds
+            sets = [linearize(net, curvature, x) for x in points]
+        preds = predict_linearized(post, sets, cfg, loss)
+        if objective == "val_log_likelihood":
+            score = key = predictive_log_likelihood(preds[0], targets)
+        else:
+            mmc_in, mmc_out = (mmc(pred.probabilities) for pred in preds)
+            score = abs(1.0 - mmc_in) + abs(1.0 / num_classes - mmc_out)
+            key = -score
         scores.append((float(lam), float(score)))
         if key > best_key:
             best_key, best_lam = key, float(lam)

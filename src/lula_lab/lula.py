@@ -133,6 +133,14 @@ def total_variance_batch(
     return ((hbar @ block_sum) * hbar).sum(axis=1)
 
 
+def _as_batches(in_batch, out_batch) -> tuple[np.ndarray, np.ndarray]:
+    in_batch = np.atleast_2d(np.asarray(in_batch, dtype=np.float64))
+    out_batch = np.atleast_2d(np.asarray(out_batch, dtype=np.float64))
+    if in_batch.shape[0] == 0 or out_batch.shape[0] == 0:
+        raise ValueError("both batches must be nonempty")
+    return in_batch, out_batch
+
+
 def lula_objective(
     net: Network,
     post: LaplacePosterior,
@@ -140,13 +148,42 @@ def lula_objective(
     out_batch: np.ndarray,
 ) -> float:
     """Mean total variance over inliers minus mean over outliers."""
-    in_batch = np.atleast_2d(np.asarray(in_batch, dtype=np.float64))
-    out_batch = np.atleast_2d(np.asarray(out_batch, dtype=np.float64))
-    if in_batch.shape[0] == 0 or out_batch.shape[0] == 0:
-        raise ValueError("both batches must be nonempty")
+    in_batch, out_batch = _as_batches(in_batch, out_batch)
     v_in = total_variance_batch(net, post, in_batch)
     v_out = total_variance_batch(net, post, out_batch)
     return float(np.mean(v_in) - np.mean(v_out))
+
+
+def _objective_and_gradient(
+    net: Network,
+    units: int,
+    post: LaplacePosterior,
+    in_batch: np.ndarray,
+    out_batch: np.ndarray,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """:func:`lula_objective` and :func:`objective_gradient` from one forward
+    pass per batch and one block sum: both read hbar B, bitwise as each
+    computes it alone (2 (hbar B) is exactly (2 hbar) B)."""
+    block_sum = post.output_block_cov().sum(axis=0)
+    in_batch, out_batch = _as_batches(in_batch, out_batch)
+    top = net.num_layers - 2
+    first = _first_free_row(net, units)
+    grad_w = np.zeros((units, net.specs[top].in_dim))
+    grad_b = np.zeros(units)
+    means = []
+    for batch, sign in ((in_batch, 1.0), (out_batch, -1.0)):
+        trace = forward(net, batch)
+        hbar = augment_ones(trace.activations[-2])
+        hbar_b = hbar @ block_sum
+        means.append(np.mean((hbar_b * hbar).sum(axis=1)))
+        dnu_dadded = 2.0 * hbar_b[:, first : first + units]
+        delta = dnu_dadded * activation_derivative(
+            net.specs[top].activation, trace.pre_activations[top][:, first:]
+        )
+        weight = sign / batch.shape[0]
+        grad_w += weight * (delta.T @ trace.activations[top])
+        grad_b += weight * delta.sum(axis=0)
+    return float(means[0] - means[1]), grad_w, grad_b
 
 
 def objective_gradient(
@@ -166,25 +203,7 @@ def objective_gradient(
     (units,). Requires a last-layer posterior; any other subset raises
     ``ValueError``.
     """
-    block_sum = post.output_block_cov().sum(axis=0)
-    in_batch = np.atleast_2d(np.asarray(in_batch, dtype=np.float64))
-    out_batch = np.atleast_2d(np.asarray(out_batch, dtype=np.float64))
-    top = net.num_layers - 2
-    first = _first_free_row(net, units)
-    grad_w = np.zeros((units, net.specs[top].in_dim))
-    grad_b = np.zeros(units)
-    for batch, sign in ((in_batch, 1.0), (out_batch, -1.0)):
-        trace = forward(net, batch)
-        hbar = augment_ones(trace.activations[-2])
-        dnu_dhbar = 2.0 * hbar @ block_sum
-        dnu_dadded = dnu_dhbar[:, first : first + units]
-        delta = dnu_dadded * activation_derivative(
-            net.specs[top].activation, trace.pre_activations[top][:, first:]
-        )
-        weight = sign / batch.shape[0]
-        grad_w += weight * (delta.T @ trace.activations[top])
-        grad_b += weight * delta.sum(axis=0)
-    return grad_w, grad_b
+    return _objective_and_gradient(net, units, post, in_batch, out_batch)[1:]
 
 
 def _draw_batch(features: np.ndarray, size: int, rng: Rng) -> np.ndarray:
@@ -208,7 +227,8 @@ def train_lula(
     Per epoch: refit a diagonal last-layer posterior of the current network
     on the inlier features, evaluate the variance objective on fresh seeded
     batches, and step the flattened (W_free, b_free) pair along the
-    closed-form gradient of :func:`objective_gradient` with Adam. Every
+    closed-form gradient of :func:`objective_gradient` with Adam; the
+    objective and its gradient share one forward pass per batch. Every
     other parameter is copied unchanged, so original parameters and
     structural zeros are preserved bitwise. Raises ``ValueError`` unless
     the last ``units`` units of the final hidden layer have exactly zero
@@ -230,11 +250,12 @@ def train_lula(
         post = build_posterior(curv, prior_precision)
         in_batch = _draw_batch(in_features, cfg.in_batch, rng.derive(2 * epoch))
         out_batch = _draw_batch(out_features, cfg.out_batch, rng.derive(2 * epoch + 1))
-        value = lula_objective(current, post, in_batch, out_batch)
+        value, grad_w, grad_b = _objective_and_gradient(
+            current, units, post, in_batch, out_batch
+        )
         if not np.isfinite(value):
             raise DivergenceError(f"non-finite objective at epoch {epoch}")
         history.append(value)
-        grad_w, grad_b = objective_gradient(current, units, post, in_batch, out_batch)
         adam.step(theta, np.concatenate([grad_w.ravel(), grad_b]))
         weights, biases = list(current.weights), list(current.biases)
         weights[top] = np.vstack(

@@ -525,6 +525,7 @@ class _LineReader:
     def __init__(self, path: str):
         with open(path, "r", encoding="utf-8") as handle:
             self.lines = handle.read().splitlines()
+        self.path = path
         self.pos = 0
 
     def next(self, what: str) -> str:
@@ -536,20 +537,30 @@ class _LineReader:
         raise ModelFormatError(f"unexpected end of file while reading {what}")
 
 
-def _parse_floats(line: str, count: int, what: str) -> np.ndarray:
-    parts = line.split()
-    if len(parts) != count:
-        raise ModelFormatError(
-            f"{what}: expected {count} values, found {len(parts)}"
-        )
-    try:
-        return np.array(list(map(float, parts)), dtype=np.float64)
-    except ValueError as exc:
-        raise ModelFormatError(f"{what}: {exc}") from exc
+    def floats(self, count: int, what: str) -> np.ndarray:
+        """The next nonblank line as ``count`` finite floats."""
+        parts = self.next(what).split()
+        if len(parts) != count:
+            raise ModelFormatError(
+                f"{what}: expected {count} values, found {len(parts)}"
+            )
+        try:
+            values = np.array(list(map(float, parts)), dtype=np.float64)
+        except ValueError as exc:
+            raise ModelFormatError(f"{what}: {exc}") from exc
+        if not np.all(np.isfinite(values)):
+            raise ModelFormatError(
+                f"{self.path}, line {self.pos}: {what} holds a non-finite value"
+            )
+        return values
 
 
 def load(path: str) -> Network:
-    """Read a model file written by :func:`save`."""
+    """Read a model file written by :func:`save`.
+
+    Raises :class:`ModelFormatError` for a malformed file, and for a NaN or
+    infinite weight or bias, naming the file and the line.
+    """
     reader = _LineReader(path)
     header = reader.next("header").split()
     if len(header) != 2 or header[0] != _MAGIC:
@@ -585,14 +596,11 @@ def load(path: str) -> Network:
         w_header = reader.next(f"W header, layer {i}").split()
         if w_header != ["W", str(out_dim), str(in_dim)]:
             raise ModelFormatError(f"malformed W header at layer {i}")
-        rows = [
-            _parse_floats(reader.next(f"W row, layer {i}"), in_dim, f"layer {i} W")
-            for _ in range(out_dim)
-        ]
+        rows = [reader.floats(in_dim, f"layer {i} W") for _ in range(out_dim)]
         b_header = reader.next(f"b header, layer {i}").split()
         if b_header != ["b", str(out_dim)]:
             raise ModelFormatError(f"malformed b header at layer {i}")
-        bias = _parse_floats(reader.next(f"b values, layer {i}"), out_dim, f"layer {i} b")
+        bias = reader.floats(out_dim, f"layer {i} b")
         specs.append(LayerSpec(in_dim, out_dim, act))
         weights.append(np.stack(rows, axis=0))
         biases.append(bias)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lula_lab import laplace
 from lula_lab.laplace import Curvature, LaplacePosterior
 from lula_lab.lula import lula_objective
 from lula_lab.network import Network, augment_ones, backward, forward
@@ -124,3 +125,18 @@ def sample_calls(monkeypatch):
 
     monkeypatch.setattr(LaplacePosterior, "sample", counting)
     return calls
+
+
+@pytest.fixture
+def predictive_draws(monkeypatch):
+    """Shapes of the standard normal blocks the predictive draws (every
+    ``Rng`` that :mod:`lula_lab.laplace` builds), in call order."""
+    shapes = []
+
+    class Recording(Rng):
+        def standard_normal(self, shape):
+            shapes.append(tuple(shape))
+            return super().standard_normal(shape)
+
+    monkeypatch.setattr(laplace, "Rng", Recording)
+    return shapes

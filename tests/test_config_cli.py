@@ -95,6 +95,18 @@ MALFORMED = [
     ("model", "dims", "2,0,2"),
     ("eval", "ring_inner", "20"),
     ("eval", "grid_extent", "-1"),
+    # non-finite floats and the ranges of momentum, init_std and far_field
+    ("train", "learning_rate", "nan"),
+    ("train", "weight_decay", "nan"),
+    ("train", "momentum", "1.5"),
+    ("train", "momentum", "-1"),
+    ("lula", "learning_rate", "inf"),
+    ("lula", "init_std", "-1"),
+    ("lula", "init_std", "0"),
+    ("eval", "far_field", "nan"),
+    ("eval", "far_field", "0"),
+    ("laplace", "prior_precision", "inf"),
+    ("laplace", "lambda_grid", "1,inf"),
     # the default likelihood is categorical: two_moons under loss = auto
     ("laplace", "method", "probit_linearized"),
     ("eval", "method", "probit_linearized"),
@@ -259,7 +271,9 @@ class TestCliCommands:
         assert confs[0] == "dataset,index,confidence"
         assert len(confs) > 10
 
-    def test_eval_collapsed_posterior_matches_map(self, tmp_path, capsys, sample_calls):
+    def test_eval_collapsed_posterior_matches_map(
+        self, tmp_path, capsys, sample_calls, predictive_draws
+    ):
         ini = TINY_INI.replace("prior_precision = 1.0", "prior_precision = 1e12")
         config = tmp_path / "cfg.ini"
         config.write_text(ini)
@@ -282,7 +296,32 @@ class TestCliCommands:
         map_mmc = mmc(softmax(forward(net, test.features).output))
         assert abs(summary["test.mmc.mean"] - map_mmc) <= 1e-3
         # one draw per run, shared by the test split and both OOD sets
-        assert sample_calls == [50, 50]
+        assert predictive_draws == [(50, 2), (50, 2)]
+        assert sample_calls == []
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_all_layers_eval_sweeps_each_set_once(self, runs, tmp_path, monkeypatch):
+        # one Jacobian sweep for the fit and one per point set (test and two
+        # OOD sets), whatever the number of runs
+        config = tmp_path / "cfg.ini"
+        config.write_text(TINY_INI.replace(
+            "prior_precision = 1.0",
+            "prior_precision = 1.0\ncurvature = full_ggn\nsubset = all_layers",
+        ).replace("runs = 2", f"runs = {runs}"))
+        model = str(tmp_path / "model.txt")
+        assert cli.main(["train", "--config", str(config), "--out", model]) == 0
+        calls = []
+        original = laplace_mod.output_jacobian
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(laplace_mod, "output_jacobian", counting)
+        argv = ["eval", "--config", str(config), "--model", model,
+                "--out", str(tmp_path / "eval")]
+        assert cli.main(argv) == 0
+        assert len(calls) == 1 + 3
 
     @pytest.fixture
     def no_fit(self, monkeypatch):
@@ -411,6 +450,29 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert f"[{section}]" in err and key in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["laplace", "lula", "eval"])
+    def test_non_finite_model_value_exits_1_at_load(
+        self, command, value, tiny_config, tmp_path, capsys, monkeypatch
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the model was read")
+
+        model = tmp_path / "model.txt"
+        save(Network.init_random([2, 16, 16, 2], "relu", Rng(0)), str(model))
+        lines = model.read_text().splitlines()
+        row = lines.index("W 2 16") + 2  # the second output row, 1-based
+        cells = lines[row - 1].split()
+        cells[3] = value
+        lines[row - 1] = " ".join(cells)
+        model.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(cli, "_build_data", no_work)
+        argv = [command, "--config", tiny_config, "--model", str(model),
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{model}, line {row}: layer 2 W holds a non-finite value" in err
+
     def test_train_reruns_byte_identical(self, tiny_config, tmp_path):
         a = str(tmp_path / "a.txt")
         b = str(tmp_path / "b.txt")
@@ -453,7 +515,7 @@ class TestCliCommands:
         meta = (tmp_path / "model_laplace.txt").read_text()
         assert meta.count("grid_point") == 3
 
-    def test_regression_eval_reports_stds(self, tmp_path, sample_calls):
+    def test_regression_eval_reports_stds(self, tmp_path, sample_calls, predictive_draws):
         ini = """
 [data]
 generator = toy_regression
@@ -492,8 +554,10 @@ sample_count = 40
         ) == 0
         report = (tmp_path / "eval" / "eval_report.csv").read_text()
         assert "mean_std" in report and "log_likelihood" in report
-        # one draw per run: the test split's log-likelihood reuses its predictive
-        assert sample_calls == [40, 40]
+        # regression is exact: no draws, and every run gives the same numbers
+        assert predictive_draws == [] and sample_calls == []
+        rows = report.splitlines()[1:]
+        assert rows and all(row.endswith(",0") for row in rows)
 
     def test_lula_without_hidden_layer_exits_2_before_work(
         self, tmp_path, capsys, monkeypatch
@@ -738,7 +802,9 @@ sample_count = 20
 
 
 class TestDemoToy:
-    def test_file_count_contract_and_determinism(self, tmp_path, capsys, sample_calls):
+    def test_file_count_contract_and_determinism(
+        self, tmp_path, capsys, sample_calls, predictive_draws
+    ):
         config = tmp_path / "demo.ini"
         config.write_text(DEMO_INI)
         out1 = tmp_path / "run1"
@@ -756,8 +822,9 @@ class TestDemoToy:
             a = (out1 / name).read_bytes()
             b = (out2 / name).read_bytes()
             assert a == b, f"{name} differs between runs"
-        # per run, one draw for each of the four posteriors
-        assert sample_calls == [20] * 8
+        # per run, one draw for each two-moons posterior; regression is exact
+        assert predictive_draws == [(20, 2)] * 4
+        assert sample_calls == []
 
     def test_runs_with_scipy_import_blocked(self, tmp_path):
         # numpy is the only runtime dependency: a fresh interpreter in which

@@ -16,6 +16,7 @@ from lula_lab.laplace import (
     DEFAULT_LAMBDA_GRID,
     FULL_GGN_CAP,
     Curvature,
+    TUNE_OBJECTIVES,
     PredictConfig,
     Predictive,
     build_posterior,
@@ -659,8 +660,8 @@ class TestSampling:
         post = build_posterior(curv, 0.3)
         u = rng.standard_normal((4, post.dim))
         v = rng.standard_normal((4, curv.spectrum.size))
-        lhs = np.einsum("ij,ij->i", post._project(u), v)
-        rhs = np.einsum("ij,ij->i", u, post._project(v, back=True))
+        lhs = np.einsum("ij,ij->i", laplace._project(curv.basis, u), v)
+        rhs = np.einsum("ij,ij->i", u, laplace._project(curv.basis, v, back=True))
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     def test_seed_reproducibility(self):
@@ -896,52 +897,58 @@ class TestMcPredict:
             mc_predict(net, post, x, PredictConfig("probit_linearized", 1, 0), loss)
 
 
-def reference_mc_predict(net, post, x, cfg, loss):
-    """Loop oracle: one fresh draw for one set, accumulated sample by sample.
+def reference_predict(post, lin, cfg, loss):
+    """Loop oracle of the mc predictive from a linearization: each point's
+    logits f + R eps_s, one point and one sample at a time, R the
+    posterior's own output root; regression reads R's diagonal moments."""
+    root = post.output_root(lin)
+    if loss.kind == "gaussian_nll":
+        var = np.stack([np.diag(r @ r.T) for r in root]).reshape(lin.mean.shape)
+        return {
+            "mean": lin.mean,
+            "var_epistemic": var,
+            "var_total": var + 1.0 / loss.noise_precision,
+        }
+    eps = Rng(cfg.seed).standard_normal((cfg.sample_count, post.num_outputs))
+    probs = []
+    for f, r in zip(lin.mean, root):
+        acc = 0.0
+        for e in eps:
+            z = f + r @ e
+            if loss.kind == "binary_ce":
+                p1 = sigmoid(z)[0]
+                acc = acc + np.array([1.0 - p1, p1])
+            else:
+                acc = acc + softmax(z[None, :])[0]
+        probs.append(acc / cfg.sample_count)
+    width = 2 if loss.kind == "binary_ce" else post.num_outputs
+    return {"probabilities": np.array(probs).reshape(-1, width)}
 
-    All-layers outputs are those of the network linearized at its
-    parameters, one point and one sample at a time.
-    """
-    samples = post.sample(Rng(cfg.seed), cfg.sample_count)
-    trace = forward(net, x)
-    hbar = augment_ones(trace.activations[-2])
-    theta = net.flatten_params()
-    jacobians = [loop_output_jacobian(net, p) for p in x]
 
-    def linearized(s):
-        return trace.output + np.stack([jac @ (s - theta) for jac in jacobians])
+def dense_jacobians(net, subset, k, x):
+    """Per-point (k, d) Jacobians over the subset: a loop of one-hot
+    backward passes (all layers), or e_i kron hbar (last layer)."""
+    if subset == "all_layers":
+        return np.stack([loop_output_jacobian(net, p) for p in x])
+    hbar = augment_ones(forward(net, x).activations[-2])
+    return np.stack([np.kron(np.eye(k), h[None, :]) for h in hbar])
 
-    outputs = [
-        hbar @ s.reshape(post.num_outputs, post.feature_dim).T
-        if post.subset == "last_layer"
-        else linearized(s)
-        for s in samples
-    ]
-    n = cfg.sample_count
-    if loss.kind == "categorical_ce":
-        acc = np.zeros((x.shape[0], net.output_dim))
-        for out in outputs:
-            acc += softmax(out)
-        return {"probabilities": acc / n}
-    if loss.kind == "binary_ce":
-        acc = np.zeros((x.shape[0], 2))
-        for out in outputs:
-            p1 = sigmoid(out[:, 0])
-            acc[:, 0] += 1.0 - p1
-            acc[:, 1] += p1
-        return {"probabilities": acc / n}
-    total = np.zeros((x.shape[0], net.output_dim))
-    total_sq = np.zeros_like(total)
-    for out in outputs:
-        total += out
-        total_sq += out * out
-    mean = total / n
-    var = np.maximum(total_sq / n - mean * mean, 0.0)
-    return {
-        "mean": mean,
-        "var_epistemic": var,
-        "var_total": var + 1.0 / loss.noise_precision,
-    }
+
+def dense_output_covs(net, post, x, damped=False):
+    """J Sigma J^T per point from the dense covariance: the inverse of the
+    rebuilt GGN plus lambda I, or with ``damped`` the Kronecker kind's
+    inv(G + sqrt(lambda) I) kron inv(A + sqrt(lambda) I)."""
+    curv, lam = post.curvature, post.prior_precision
+    if damped:
+        factors = [
+            np.linalg.inv((q * f) @ q.T + np.sqrt(lam) * np.eye(f.size))
+            for q, f in zip(curv.basis, curv.factor_spectra)
+        ]
+        cov = np.kron(*factors)
+    else:
+        cov = np.linalg.inv(dense_ggn(curv) + lam * np.eye(post.dim))
+    jacs = dense_jacobians(net, post.subset, post.num_outputs, x)
+    return jacs @ cov @ jacs.transpose(0, 2, 1)
 
 
 def reference_log_likelihood(pred, targets):
@@ -976,6 +983,84 @@ class TestLastLayerFeatures:
         assert np.array_equal(laplace._last_layer_feature_batch(net, x), expected)
 
 
+SPACE_CASES = [
+    pytest.param("kfac_last_layer", "last_layer", 12, id="kfac-last"),
+    pytest.param("diag_ggn", "last_layer", 12, id="diag-last"),
+    pytest.param("full_ggn", "last_layer", 3, id="full-last-data"),
+    pytest.param("full_ggn", "last_layer", 60, id="full-last-parameter"),
+    pytest.param("full_ggn", "all_layers", 3, id="full-all-data"),
+    pytest.param("full_ggn", "all_layers", 60, id="full-all-parameter"),
+    pytest.param("diag_ggn", "all_layers", 12, id="diag-all"),
+]
+
+OUTPUT_CASES = [
+    pytest.param(LossKind("binary_ce"), 1, id="k1"),
+    pytest.param(LossKind("categorical_ce"), 2, id="k2"),
+    pytest.param(LossKind("categorical_ce"), 10, id="k10"),
+]
+
+
+class TestOutputCovariance:
+    def _instance(self, kind, subset, n, loss, k, seed=51):
+        rng = Rng(seed)
+        net = Network.init_random([2, 4, k], "tanh", rng)
+        x = rng.standard_normal((n, 2))
+        post = build_posterior(fit_curvature(net, x, loss, kind, subset), 0.7)
+        points = rng.standard_normal((6, 2))
+        return net, post, points, laplace.linearize(net, post.curvature, points)
+
+    @pytest.mark.parametrize("loss, k", OUTPUT_CASES)
+    @pytest.mark.parametrize("kind, subset, n", SPACE_CASES)
+    def test_matches_dense_jacobian_covariance(self, kind, subset, n, loss, k):
+        net, post, points, lin = self._instance(kind, subset, n, loss, k)
+        data_space = post.curvature.spectrum.size < post.dim
+        assert data_space == (n == 3)
+        assert (lin.gram is not None) == data_space
+        expected = dense_output_covs(net, post, points)
+        cov = post.output_cov(lin)
+        assert cov.shape == (6, k, k)
+        assert relative_error(cov, expected) <= 1e-10
+        np.testing.assert_array_equal(lin.mean, forward(net, points).output)
+        root = post.output_root(lin)
+        damped = kind == "kfac_last_layer"
+        if damped:  # the mc draw keeps the damped per-factor covariance
+            expected = dense_output_covs(net, post, points, damped=True)
+        assert relative_error(root @ root.transpose(0, 2, 1), expected) <= 1e-10
+
+    @pytest.mark.parametrize("kind, subset, n", SPACE_CASES)
+    def test_variance_batch_is_the_diagonal(self, kind, subset, n):
+        loss, k = LossKind("categorical_ce"), 3
+        net, post, points, lin = self._instance(kind, subset, n, loss, k)
+        v = linearized_variance_batch(net, post, points)
+        expected = dense_output_covs(net, post, points).diagonal(axis1=1, axis2=2)
+        assert v.shape == (6, k)
+        assert relative_error(v, expected) <= 1e-10
+
+    def test_zero_jacobian_row_gives_a_finite_root(self):
+        # output 0 of point 0 has a zero Jacobian row: Sigma_f is singular
+        # there, and its data-space form c J J^T + P diag(t) P^T can round
+        # to a slightly negative eigenvalue, which the root clips at 0
+        loss = LossKind("categorical_ce")
+        net, post, points, lin = self._instance("full_ggn", "all_layers", 3, loss, 3)
+        lin.proj[0, 0] = 0.0
+        lin.gram[0, 0, :] = lin.gram[0, :, 0] = 0.0
+        root = post.output_root(lin)
+        assert np.all(np.isfinite(root))
+        assert np.all(root[0, 0] == 0.0)
+        cov = post.output_cov(lin)
+        np.testing.assert_allclose(
+            root @ root.transpose(0, 2, 1), cov, rtol=0.0,
+            atol=1e-12 * np.abs(cov).max(),
+        )
+
+    def test_zero_covariance_gives_a_zero_root(self):
+        loss = LossKind("categorical_ce")
+        net, post, points, lin = self._instance("diag_ggn", "all_layers", 12, loss, 3)
+        lin.proj[:] = 0.0
+        root = post.output_root(lin)
+        assert np.array_equal(root, np.zeros_like(root))
+
+
 class TestMcPredictSets:
     def _instance(self, kind, subset, loss, k, seed=41):
         rng = Rng(seed)
@@ -994,17 +1079,35 @@ class TestMcPredictSets:
         assert len(shared) == len(sets)
         for x, pred in zip(sets, shared):
             single = mc_predict(net, post, x, cfg, loss)
-            oracle = reference_mc_predict(net, post, x, cfg, loss)
+            lin = laplace.linearize(net, post.curvature, x)
+            oracle = reference_predict(post, lin, cfg, loss)
             for name in PREDICT_FIELDS:
                 value = getattr(pred, name)
                 assert (value is None) == (name not in oracle)
                 if value is not None:
                     assert np.array_equal(value, getattr(single, name))
-                    # chunked sums and GEMMs differ from the per-sample loop
-                    # by round-off only
+                    # the chunked GEMM and sums differ from the per-sample
+                    # loop by round-off only
                     np.testing.assert_allclose(
                         value, oracle[name], rtol=1e-14, atol=0.0
                     )
+
+    @pytest.mark.parametrize("kind, subset", POSTERIOR_CASES)
+    def test_regression_is_exact(self, kind, subset):
+        # mean f and variance diag(Sigma_f), the damped one for the
+        # Kronecker kind, whatever the seed and sample count
+        loss = LossKind("gaussian_nll", 2.5)
+        net, post, sets = self._instance(kind, subset, loss, 3)
+        x = sets[0]
+        pred = mc_predict(net, post, x, PredictConfig("mc", 16, 3), loss)
+        other = mc_predict(net, post, x, PredictConfig("mc", 5, 8), loss)
+        damped = kind == "kfac_last_layer"
+        expected = dense_output_covs(net, post, x, damped).diagonal(axis1=1, axis2=2)
+        np.testing.assert_array_equal(pred.mean, forward(net, x).output)
+        assert relative_error(pred.var_epistemic, expected) <= 1e-10
+        assert np.array_equal(pred.var_total, pred.var_epistemic + 1.0 / 2.5)
+        for name in PREDICT_FIELDS[1:]:
+            assert np.array_equal(getattr(pred, name), getattr(other, name))
 
     @pytest.mark.parametrize("loss, k", LOSS_CASES[1:])
     def test_probit_sets_equal_single_sets(self, loss, k):
@@ -1017,31 +1120,18 @@ class TestMcPredictSets:
                     assert np.array_equal(getattr(pred, name), getattr(single, name))
 
     @pytest.mark.parametrize("kind, subset", POSTERIOR_CASES)
-    @pytest.mark.parametrize("loss, k", LOSS_CASES)
-    def test_chunked_samples_match_one_chunk(self, kind, subset, loss, k, monkeypatch):
+    @pytest.mark.parametrize("loss, k", LOSS_CASES[:2])
+    def test_chunked_points_match_one_chunk(self, kind, subset, loss, k, monkeypatch):
         net, post, sets = self._instance(kind, subset, loss, k)
         x, cfg = sets[0], PredictConfig("mc", 16, 3)
-        sizes = []
-        original = laplace._sampled_logits
-
-        def recording(*args):
-            for points, logits in original(*args):
-                sizes.append(logits.shape[0])
-                yield points, logits
-
-        monkeypatch.setattr(laplace, "_sampled_logits", recording)
         whole = mc_predict(net, post, x, cfg, loss)
-        assert sizes == [16]
-        # the budget of three samples' (k, m) logits
-        monkeypatch.setattr(laplace, "_MC_CHUNK_BYTES", 3 * 8 * k * x.shape[0])
-        sizes.clear()
+        # the budget of three points' (16, k) logits: the 7 points in
+        # chunks of 3, 3, 1
+        monkeypatch.setattr(laplace, "_MC_CHUNK_BYTES", 3 * 8 * k * 16)
         chunked = mc_predict(net, post, x, cfg, loss)
-        assert sizes == [3, 3, 3, 3, 3, 1]
-        for name in PREDICT_FIELDS:
-            if getattr(whole, name) is not None:
-                np.testing.assert_allclose(
-                    getattr(chunked, name), getattr(whole, name), rtol=1e-14, atol=0.0
-                )
+        np.testing.assert_allclose(
+            chunked.probabilities, whole.probabilities, rtol=1e-14, atol=0.0
+        )
 
     @pytest.mark.parametrize("kind", ["full_ggn", "diag_ggn"])
     @pytest.mark.parametrize("loss, k", LOSS_CASES)
@@ -1089,11 +1179,12 @@ class TestMcPredictSets:
 
         assert peak(1000) - peak(100) <= laplace._MC_CHUNK_BYTES
 
-    def test_one_draw_for_all_sets(self, sample_calls):
+    def test_one_draw_for_all_sets(self, sample_calls, predictive_draws):
         loss = LossKind("categorical_ce")
         net, post, sets = self._instance("kfac_last_layer", "last_layer", loss, 3)
         mc_predict_sets(net, post, sets, PredictConfig("mc", 16, 3), loss)
-        assert sample_calls == [16]
+        assert predictive_draws == [(16, 3)]
+        assert sample_calls == []
 
     def test_regression_log_likelihood_scores_the_shared_predictive(self):
         loss = LossKind("gaussian_nll", 2.5)
@@ -1101,9 +1192,12 @@ class TestMcPredictSets:
         targets = Rng(42).standard_normal((7, 2))
         cfg = PredictConfig("mc", 16, 3)
         pred = mc_predict_sets(net, post, sets, cfg, loss)[0]
-        oracle = reference_mc_predict(net, post, sets[0], cfg, loss)
+        lin = laplace.linearize(net, post.curvature, sets[0])
+        oracle = reference_predict(post, lin, cfg, loss)
         expected = reference_log_likelihood(Predictive(**oracle), targets)
-        assert predictive_log_likelihood(pred, targets) == expected
+        assert predictive_log_likelihood(pred, targets) == pytest.approx(
+            expected, rel=1e-14, abs=0.0
+        )
 
 
 class TestTunePriorPrecision:
@@ -1161,7 +1255,7 @@ class TestTunePriorPrecision:
                 predict_cfg=PredictConfig("probit_linearized", 1, 0),
             )
 
-    def test_ood_mmc_objective(self, sample_calls):
+    def test_ood_mmc_objective(self, sample_calls, predictive_draws):
         net, curv, x, y, loss = self._instance()
         out = Rng(1).uniform(-8.0, 8.0, (30, 2))
         lam, scores = tune_prior_precision(
@@ -1172,7 +1266,44 @@ class TestTunePriorPrecision:
         best = min(scores, key=lambda pair: pair[1])
         assert lam == best[0]
         # in and out of distribution share one draw per candidate
-        assert sample_calls == [64, 64, 64]
+        assert predictive_draws == [(64, 2)] * 3
+        assert sample_calls == []
+
+    @pytest.mark.parametrize("objective", TUNE_OBJECTIVES)
+    @pytest.mark.parametrize("kind, subset", POSTERIOR_CASES)
+    def test_projects_each_point_once(self, kind, subset, objective, monkeypatch):
+        # every candidate reads the same linearized points, so the search
+        # projects each point's k Jacobian rows once, not once per candidate
+        rng = Rng(16)
+        net = Network.init_random([2, 6, 2], "relu", rng)
+        x = rng.standard_normal((40, 2))
+        labels = (x[:, 0] > 0).astype(np.int64)
+        loss = LossKind("categorical_ce")
+        curv = fit_curvature(net, x, loss, kind, subset)
+        out = Rng(1).uniform(-8.0, 8.0, (30, 2))
+        rows, linearized = [], []
+        project, linearize = laplace._project, laplace.linearize
+
+        def counting_project(basis, vectors, back=False):
+            rows.append(vectors.shape[0])
+            return project(basis, vectors, back)
+
+        def counting_linearize(net, curvature, points):
+            linearized.append(points.shape[0])
+            return linearize(net, curvature, points)
+
+        monkeypatch.setattr(laplace, "_project", counting_project)
+        monkeypatch.setattr(laplace, "linearize", counting_linearize)
+        _, scores = tune_prior_precision(
+            net, curv, x, labels, loss, objective=objective, grid=[0.1, 1.0, 10.0],
+            predict_cfg=PredictConfig("mc", 8, 3), out_features=out, num_classes=2,
+        )
+        assert len(scores) == 3
+        points = [40] if objective == "val_log_likelihood" else [40, 30]
+        assert linearized == points
+        # the Kronecker kind projects nothing: it reads (Q_A^T hbar)^2
+        projected = 0 if kind == "kfac_last_layer" else 2 * sum(points)
+        assert sum(rows) == projected
 
     def test_last_layer_mean_roundtrip(self):
         net = linear_net([[1.0, 2.0], [3.0, 4.0]], [5.0, 6.0])

@@ -5,20 +5,59 @@ from conftest import fd_free_gradient, random_network, relative_error
 from lula_lab.laplace import build_posterior, fit_curvature
 from lula_lab.lula import (
     LulaTrainConfig,
+    _draw_batch,
     augment,
     lula_objective,
     objective_gradient,
     total_variance_batch,
     train_lula,
 )
-from lula_lab.network import Network, forward
+from lula_lab.network import Network, activation_derivative, augment_ones, forward
 from lula_lab.numerics import Rng
-from lula_lab.training import LossKind
+from lula_lab.training import LossKind, _Adam
 
 
 def diag_last_layer_posterior(net, x, loss, lam=0.5):
     curv = fit_curvature(net, x, loss, "diag_ggn", "last_layer")
     return build_posterior(curv, lam)
+
+
+def two_call_train_lula(net, units, in_features, out_features, loss, lam, cfg):
+    """train_lula's loop with the objective from :func:`lula_objective` and
+    the gradient from its own forward pass, (2 hbar) B chained by hand."""
+    top = net.num_layers - 2
+    first = net.specs[top].out_dim - units
+    rng = Rng(cfg.seed)
+    current = net
+    w_free = net.weights[top][first:]
+    theta = np.concatenate([w_free.ravel(), net.biases[top][first:]])
+    adam = _Adam(theta.size, cfg.learning_rate)
+    history = []
+    for epoch in range(cfg.epochs):
+        post = diag_last_layer_posterior(current, in_features, loss, lam)
+        in_batch = _draw_batch(in_features, cfg.in_batch, rng.derive(2 * epoch))
+        out_batch = _draw_batch(out_features, cfg.out_batch, rng.derive(2 * epoch + 1))
+        history.append(lula_objective(current, post, in_batch, out_batch))
+        block_sum = post.output_block_cov().sum(axis=0)
+        grad_w = np.zeros((units, net.specs[top].in_dim))
+        grad_b = np.zeros(units)
+        for batch, sign in ((in_batch, 1.0), (out_batch, -1.0)):
+            trace = forward(current, batch)
+            hbar = augment_ones(trace.activations[-2])
+            delta = ((2.0 * hbar) @ block_sum)[:, first:-1] * activation_derivative(
+                net.specs[top].activation, trace.pre_activations[top][:, first:]
+            )
+            weight = sign / batch.shape[0]
+            grad_w += weight * (delta.T @ trace.activations[top])
+            grad_b += weight * delta.sum(axis=0)
+        adam.step(theta, np.concatenate([grad_w.ravel(), grad_b]))
+        weights, biases = list(current.weights), list(current.biases)
+        weights[top] = np.vstack(
+            [net.weights[top][:first], theta[: w_free.size].reshape(w_free.shape)]
+        )
+        biases[top] = np.concatenate([net.biases[top][:first], theta[w_free.size :]])
+        current = Network(net.specs, weights, biases)
+    return current, history
 
 
 class TestAugment:
@@ -274,6 +313,27 @@ class TestTrainLula:
         ]
         assert np.array_equal(runs[0][0].flatten_params(), runs[1][0].flatten_params())
         assert runs[0][1] == runs[1][1]
+
+    @pytest.mark.parametrize("loss", [
+        LossKind("categorical_ce"), LossKind("gaussian_nll", 4.0),
+    ], ids=["categorical", "gaussian"])
+    def test_fused_loop_is_bitwise_the_two_call_loop(self, loss):
+        # one forward pass per batch feeds both the objective and its
+        # gradient; the history and the tuned net are bitwise unchanged
+        rng = Rng(17)
+        k = 3 if loss.kind == "categorical_ce" else 1
+        net = Network.init_random([2, 6, 6, k], "relu", rng)
+        aug_net = augment(net, 4, rng)
+        data = rng.standard_normal((40, 2))
+        out = rng.uniform(-6, 6, (30, 2))
+        cfg = LulaTrainConfig(epochs=5, learning_rate=0.1, in_batch=16, out_batch=16,
+                              seed=8)
+        tuned, history = train_lula(aug_net, 4, data, out, loss, 0.5, cfg)
+        expected, expected_history = two_call_train_lula(
+            aug_net, 4, data, out, loss, 0.5, cfg
+        )
+        assert history == expected_history
+        assert np.array_equal(tuned.flatten_params(), expected.flatten_params())
 
     def test_rejects_units_that_are_not_added(self):
         rng = Rng(21)

@@ -509,11 +509,18 @@ class TestSaveLoad:
             expected.append(f"b {spec.out_dim}")
             expected.append(" ".join(format(float(v), ".17g") for v in net.biases[i]))
         assert path.read_bytes() == ("\n".join(expected) + "\n").encode("ascii")
+        # save writes non-finite values, and load refuses them by file and line
+        line = 5 + 7 // net.specs[0].in_dim  # the row that holds inf
+        with pytest.raises(ModelFormatError, match=f"model.txt, line {line}: layer 0 W"):
+            load(str(path))
+        weights[0] = np.resize(np.array(specials[:7]), weights[0].shape)
+        net = Network(net.specs, weights, net.biases)
+        save(net, str(path))
         loaded = load(str(path))
         for mine, theirs in zip(
             net.weights + net.biases, loaded.weights + loaded.biases
         ):
-            assert mine.tobytes() == theirs.tobytes()  # bitwise, NaN included
+            assert mine.tobytes() == theirs.tobytes()  # bitwise, signed zeros included
 
     def test_truncated_file(self, rng, tmp_path):
         net = random_network(rng)
