@@ -419,12 +419,15 @@ def cmd_eval(
 
     # every run reads the same linearized point sets: one Jacobian sweep each
     sets = [linearize(net, curv, x) for x in (test.features, *ood_sets.values())]
+    # the regression predictive is exact and draws nothing, so every run
+    # reads the one computed here
+    exact = None if classification else predict_linearized(post, sets, eval_cfg, loss)
     per_metric: dict[str, list[float]] = {}
     first_run_reports: list[metrics_mod.EvalReport] = []
     for r in range(runs):
         pcfg = replace(eval_cfg, seed=_mix64(eval_cfg.seed, 1000 + r))
         reports = []
-        pred_test, *pred_ood = predict_linearized(post, sets, pcfg, loss)
+        pred_test, *pred_ood = exact or predict_linearized(post, sets, pcfg, loss)
         if classification:
             conf_test = pred_test.probabilities.max(axis=1)
             reports.append(

@@ -8,15 +8,17 @@ posterior precision is the data-term curvature plus prior_precision * I.
 Parameter subsets:
 
 * ``all_layers``: the full flattened parameter vector (frozen layer-major
-  ordering from :mod:`lula_lab.network`). The GGN is accumulated over
-  chunks of examples: with Lambda_x = L_x L_x^T in closed form
-  (:func:`lula_lab.training.output_hessian_roots`), one backward sweep
-  seeded with L_x writes the rows L_x^T J_x of R directly (Dangel,
-  Kunstner & Hennig 2020), never the Jacobian J_x, and the chunk adds its
-  rows to the full GGN (below) or the column sums of R * R to the
-  diagonal. A fixed byte budget for a chunk's rows bounds the chunk, so
-  the diagonal's memory stays flat however long the data, and the full GGN
-  never holds more than one d x d array.
+  ordering from :mod:`lula_lab.network`). With Lambda_x = L_x L_x^T in
+  closed form (:func:`lula_lab.training.output_hessian_roots`), one
+  backward sweep seeded with L_x gives the rows L_x^T J_x of R (Dangel,
+  Kunstner & Hennig 2020), never the Jacobian J_x. In parameter space and
+  for the diagonal the GGN is accumulated over chunks of examples: the
+  sweep writes each chunk's rows, which add R^T R to the full GGN (below)
+  or the column sums of R * R to the diagonal. A fixed byte budget for a
+  chunk's rows bounds the chunk, so the diagonal's memory stays flat
+  however long the data, and the full GGN never holds more than one
+  d x d array. In data space the sweep's per-layer factors are kept
+  instead of the rows (below).
 * ``last_layer``: only the output layer, with biases folded into the weight
   matrix through a constant-1 feature. Ordering is row-major over the
   augmented matrix [W | b], i.e. index (i, c) -> i * F + c with F the
@@ -37,6 +39,19 @@ and no d x d precision is ever factored. The kinds differ only in B:
   eigh(R R^T) = U diag(e) U^T and B = W = U^T R, so GGN = W^T W and
   W W^T = diag(e). In parameter space, n r >= d, the d x d GGN is formed
   and eigh(GGN) = Q diag(e) Q^T gives B = Q^T.
+
+  Data space holds R in kernel form: a linear layer's rows are outer
+  products delta kron h, so with Delta_l (n, r, out_l) the pre-activation
+  gradients of the sweep seeded with L_x and H_l (n, in_l) the layer
+  inputs, K = R R^T = sum_l (Delta_l Delta_l^T) o (H_l H_l^T + 1), the
+  H-Gram repeated over each point's r rows (Delta = L_x^T and H = hbar
+  for the last layer, whose bias column is in hbar). The basis
+  (:class:`DataBasis`) keeps only these factors and U, never R or W: B v
+  is U^T sum_l rowsum(Delta_l o (H_l V_l^T + b_l)) for the layer's weight
+  view V_l and bias b_l of v, and B^T w has weight blocks (Delta_l . y)^T H_l
+  and bias blocks (Delta_l . y)^T 1 for y = U w. FULL_GGN_CAP still
+  counts min(n r, d) * d floats there, the rows the form no longer holds,
+  so that the fits it admits do not depend on the form.
 * diagonal: B = I and s the GGN's diagonal.
 * Kronecker (last layer only): G = sum over data of Lambda_x (k x k) and
   A = average over data of the augmented feature outer products (F x F),
@@ -75,7 +90,11 @@ vector is ever drawn to predict. :func:`linearize` computes the lambda-free
 pieces of a point set once per curvature: f, the projections P = B J^T of
 each point's Jacobian rows (one batched Jacobian per chunk of points, never
 a whole set's J) and, in data space, the Gram J J^T; for the Kronecker kind
-only u = (Q_A^T hbar)^2. Each prior precision then reads
+only u = (Q_A^T hbar)^2. In data space no Jacobian row is formed either:
+the same factor sweep, seeded with I_k, gives the points' Delta_l(X) and
+H_l(X), so that P = (sum_l (Delta_l(X) Delta_l^T) o (H_l(X) H_l^T + 1)) U
+and J J^T = sum_l delta delta^T (|h|^2 + 1) per point. Each prior precision
+then reads
 Sigma_f = c J J^T + P diag(t) P^T, for the Kronecker kind
 Q_G diag(u t^T) Q_G^T with t as its (k, F) grid.
 
@@ -95,6 +114,7 @@ variance that root's diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,6 +126,7 @@ from .network import (
     augment_ones,
     forward,
     forward_output,
+    jacobian_factors,
     output_jacobian,
 )
 from .numerics import Rng, positive_diagonal
@@ -123,6 +144,7 @@ __all__ = [
     "PREDICT_METHODS",
     "TUNE_OBJECTIVES",
     "Curvature",
+    "DataBasis",
     "LaplacePosterior",
     "Linearization",
     "PredictConfig",
@@ -145,18 +167,18 @@ SUBSETS = ("all_layers", "last_layer")
 PREDICT_METHODS = ("mc", "probit_linearized")
 TUNE_OBJECTIVES = ("val_log_likelihood", "ood_mmc")
 
-# A full GGN stores a min(n r, dim) x dim array, r the root width (in
-# parameter space the dim x dim matrix, in data space the n r stacked rows
-# when n r < dim); it is built only when that array holds at most
-# FULL_GGN_CAP**2 floats.
+# A full GGN is built only when min(n r, dim) * dim, r the root width, is at
+# most FULL_GGN_CAP**2 floats: the dim x dim matrix in parameter space, and
+# in data space (n r < dim) the size the n r stacked rows would have. Data
+# space holds only their per-layer factors and (n r)^2 floats, but keeps the
+# same cap so that the fits a config admits do not depend on the form.
 FULL_GGN_CAP = 5000
 DEFAULT_LAMBDA_GRID = tuple(np.logspace(-4.0, 4.0, 17))
-# Bytes of the (m, w, d) Jacobian rows of one chunk of m points, w rows of
-# width d per point (w = r for the all-layers curvature fit, k for
-# linearize); bounds memory for long datasets and large d.
+# Bytes of the per-point rows of one chunk of m points: (m, w, d) Jacobian
+# rows of width d (w = r for the all-layers curvature fit, k for
+# linearize), or in data space linearize's (m, k, n r) kernel rows; bounds
+# memory for long datasets and large d.
 _JACOBIAN_CHUNK_BYTES = 8 * 2**20
-# Columns of R turned into W = U^T R per product in the data-space fit.
-_EIGH_COLUMN_BLOCK = 256
 # Bytes of sampled (samples, k, c) logits of c points held at once by the MC
 # predictive.
 _MC_CHUNK_BYTES = 2 * 2**20
@@ -168,9 +190,10 @@ def check_curvature_fit(
     """Raise ``ValueError`` for a fit that :func:`fit_curvature` refuses,
     from shapes alone: an unknown kind or subset, the Kronecker kind off
     the last layer, no data, features that are not a batch of the
-    network's input width, or a full kind whose stored array,
-    min(n r, d) x d with r the root width, would exceed FULL_GGN_CAP**2
-    floats."""
+    network's input width, or a full kind for which min(n r, d) x d
+    floats, r the root width, would exceed FULL_GGN_CAP**2: the
+    parameter-space matrix, or in data space the rows R that the factored
+    form never holds, counted alike on purpose."""
     if kind not in CURVATURE_KINDS:
         raise ValueError(f"unknown curvature kind {kind!r}")
     if subset not in SUBSETS:
@@ -200,31 +223,154 @@ def check_curvature_fit(
         )
 
 
-def _jacobian_chunks(
-    num_points: int, width: int, dim: int, out: np.ndarray | None = None
-):
-    """Yield (points, buffer) over consecutive slices of ``num_points``
-    points, each holding at most _JACOBIAN_CHUNK_BYTES of Jacobian rows,
-    ``width`` rows of ``dim`` floats per point.
+def _point_chunks(num_points: int, width: int):
+    """Consecutive slices of ``num_points`` points, ``width`` floats per
+    point, each holding at most _JACOBIAN_CHUNK_BYTES."""
+    step = max(1, _JACOBIAN_CHUNK_BYTES // (8 * max(width, 1)))
+    for start in range(0, num_points, step):
+        yield slice(start, min(start + step, num_points))
+
+
+def _jacobian_chunks(num_points: int, width: int, dim: int):
+    """Yield (points, buffer) over :func:`_point_chunks` of ``num_points``
+    points, ``width`` Jacobian rows of ``dim`` floats per point.
 
     ``buffer`` is a flat, contiguous array of len(points) * width * dim
-    floats for :func:`output_jacobian`'s ``out``, reshaped by the caller
-    as (m, width, dim) or (width, m, dim). With ``out``, a flat array of
-    num_points * width * dim floats, the buffers are its consecutive
-    pieces, so the rows land in place; otherwise they are the leading part
-    of one scratch array of the first (largest) chunk's size.
+    floats for :func:`output_jacobian`'s ``out``, reshaped by the caller as
+    (m, width, dim): the leading part of one scratch array of the first
+    (largest) chunk's size. Only parameter-space and diagonal fits, and
+    linearize outside data space, take Jacobian rows; data space reads the
+    factors of :func:`lula_lab.network.jacobian_factors` instead.
     """
     size = width * dim
-    rows = max(1, _JACOBIAN_CHUNK_BYTES // (8 * max(size, 1)))
-    if out is None:
-        out = np.empty(min(rows, num_points) * size)
-        step = 0
-    else:
-        step = size
-    for start in range(0, num_points, rows):
-        stop = min(start + rows, num_points)
-        base = start * step
-        yield slice(start, stop), out[base : base + (stop - start) * size]
+    scratch = None
+    for points in _point_chunks(num_points, size):
+        rows = (points.stop - points.start) * size
+        if scratch is None:
+            scratch = np.empty(rows)
+        yield points, scratch[:rows]
+
+
+class _Block(NamedTuple):
+    """One layer's factors of a stack of rows over the flat parameters.
+
+    Row a of point x, restricted to the layer, is the weight block
+    delta[x, a] kron feat[x] from flat index ``start`` on, followed by the
+    bias block delta[x, a] when ``bias`` (the last layer's augmented
+    features carry their bias column in ``feat`` instead). ``delta`` is
+    (n, r, out), ``feat`` (n, in).
+    """
+
+    delta: np.ndarray
+    feat: np.ndarray
+    start: int
+    bias: bool
+
+
+def _layer_blocks(net: Network, x: np.ndarray, seeds=None) -> list[_Block]:
+    """The rows S^T J of the batch ``x`` over all layers, as per-layer
+    factors from one sweep of :func:`jacobian_factors` (copies, so the
+    blocks hold no caller's array)."""
+    blocks, start = [], 0
+    for spec, (delta, h) in zip(net.specs, jacobian_factors(net, x, seeds)):
+        blocks.append(_Block(np.array(delta), np.array(h), start, True))
+        start += spec.out_dim * (spec.in_dim + 1)
+    return blocks
+
+
+def _gram(rows: list[_Block], cols: list[_Block]) -> np.ndarray:
+    """R_rows R_cols^T of two stacks held as factors, shape (n r, n' r'):
+    the sum over layers of (Delta Delta'^T) o (H H'^T + 1), the feature
+    Gram repeated over each point's rows (no + 1 where the bias is in H)."""
+    (n, r), (n2, r2) = rows[0].delta.shape[:2], cols[0].delta.shape[:2]
+    total = np.zeros((n * r, n2 * r2))
+    prod = np.empty_like(total)  # one buffer for every layer's product
+    for a, b in zip(rows, cols):
+        width = a.delta.shape[2]
+        feat = a.feat @ b.feat.T
+        if a.bias:
+            feat += 1.0
+        np.matmul(
+            a.delta.reshape(n * r, width), b.delta.reshape(n2 * r2, width).T, out=prod
+        )
+        per_point = prod.reshape(n, r, n2, r2)
+        per_point *= feat[:, None, :, None]
+        total += prod
+    return total
+
+
+@dataclass
+class DataBasis:
+    """The data-space basis B = W = U^T R of a full GGN, with R the
+    (n r, d) stack of every curvature point's rows L_x^T J_x, r the root
+    width, held as per-layer factors and never formed.
+
+    ``blocks`` are R's :class:`_Block` factors: one per layer for all
+    layers, one with delta = L_x^T and the augmented features for the last
+    layer. ``u`` holds the eigenvectors U of the Gram
+    K = R R^T = U diag(e) U^T, (n r, n r), so that GGN = W^T W and
+    W W^T = diag(e). B v and B^T w read the factors layer by layer.
+    """
+
+    blocks: list[_Block]
+    u: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        top = self.blocks[-1]
+        out, inn = top.delta.shape[2], top.feat.shape[1]
+        return top.start + out * (inn + top.bias)
+
+    def _vector_chunks(self, count: int):
+        """Slices of ``count`` vectors for :meth:`project` and :meth:`back`,
+        whose per-layer intermediates of n out_l floats per vector fit one
+        chunk."""
+        widest = max(blk.delta.shape[2] for blk in self.blocks)
+        return _point_chunks(count, self.blocks[0].delta.shape[0] * widest)
+
+    def project(self, vectors: np.ndarray) -> np.ndarray:
+        """B v = U^T R v for each row v of ``vectors``: layer by layer,
+        R v is the row sum of Delta o (H V^T + b) for the layer's weight
+        view V and bias b of v."""
+        p = vectors.shape[0]
+        n, r = self.blocks[0].delta.shape[:2]
+        rows = np.zeros((n, p, r))
+        for chunk in self._vector_chunks(p):
+            for blk in self.blocks:
+                out, inn = blk.delta.shape[2], blk.feat.shape[1]
+                stop = blk.start + out * inn
+                weights = vectors[chunk, blk.start : stop].reshape(-1, inn)
+                acts = (blk.feat @ weights.T).reshape(n, -1, out)  # H V^T per point
+                if blk.bias:
+                    acts += vectors[chunk, stop : stop + out]
+                rows[:, chunk] += np.einsum("xpo,xao->xpa", acts, blk.delta)
+        return rows.transpose(1, 0, 2).reshape(p, n * r) @ self.u
+
+    def back(self, coeffs: np.ndarray) -> np.ndarray:
+        """B^T w = R^T U w for each row w of ``coeffs``: with y = U w, the
+        weight block of each layer is (Delta . y)^T H, its bias block
+        (Delta . y)^T 1."""
+        p = coeffs.shape[0]
+        n, r = self.blocks[0].delta.shape[:2]
+        y = (coeffs @ self.u.T).reshape(p, n, r).transpose(1, 0, 2)
+        result = np.empty((p, self.dim))
+        for chunk in self._vector_chunks(p):
+            for blk in self.blocks:
+                out, inn = blk.delta.shape[2], blk.feat.shape[1]
+                stop = blk.start + out * inn
+                grads = np.einsum("xpa,xao->xpo", y[:, chunk], blk.delta)
+                weights = grads.reshape(n, -1).T @ blk.feat  # (vectors out, in)
+                result[chunk, blk.start : stop] = weights.reshape(-1, out * inn)
+                if blk.bias:
+                    result[chunk, stop : stop + out] = grads.sum(axis=0)
+        return result
+
+
+def _data_basis(blocks: list[_Block]) -> tuple[np.ndarray, DataBasis]:
+    """(e, B) from eigh(K) = U diag(e) U^T of the Gram K = R R^T of the
+    rows held as ``blocks``."""
+    e, u = np.linalg.eigh(_gram(blocks, blocks))
+    return e, DataBasis(blocks, u)
 
 
 @dataclass
@@ -232,12 +378,14 @@ class Curvature:
     """Data-term GGN over a parameter subset (prior term not included), as
     a ``spectrum`` in a ``basis`` fixed at fit time.
 
-    ``basis`` is the full kind's rows, ``None`` for the diagonal kind
+    ``basis`` is the full kind's Q^T (parameter space) or
+    :class:`DataBasis` (data space), ``None`` for the diagonal kind
     (B = I), or ``(Q_G, Q_A)`` for the Kronecker kind, whose spectrum is
     ``np.outer(g, a).ravel()``. With one spectrum entry per parameter, B
     is orthonormal and GGN = B^T diag(spectrum) B. A shorter spectrum is
-    data space: the n r rows W (r the root width) have
-    W W^T = diag(spectrum) and GGN = W^T W. ``factor_spectra = (g, a)``,
+    data space: the n r rows of W = U^T R (r the root width) have
+    W W^T = diag(spectrum) and GGN = W^T W, and the basis holds only R's
+    per-layer factors and U, no d-wide row. ``factor_spectra = (g, a)``,
     the Kronecker factors' own eigenvalues, serve only the damped draw.
     """
 
@@ -246,27 +394,13 @@ class Curvature:
     mean: np.ndarray
     num_outputs: int
     spectrum: np.ndarray
-    basis: np.ndarray | tuple[np.ndarray, np.ndarray] | None = None
+    basis: np.ndarray | DataBasis | tuple[np.ndarray, np.ndarray] | None = None
     feature_dim: int | None = None
     factor_spectra: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
-
-
-def _data_space_eigh(root: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(e, W = U^T R) from eigh(R R^T) = U diag(e) U^T, so GGN = W^T W.
-
-    R is the (n r, d) stack, r the root width. W overwrites R one block of
-    columns at a time, so only one (n r, d) array is ever held.
-    """
-    e, u = np.linalg.eigh(root @ root.T)
-    u_t = u.T
-    for start in range(0, root.shape[1], _EIGH_COLUMN_BLOCK):
-        cols = root[:, start : start + _EIGH_COLUMN_BLOCK]
-        cols[...] = u_t @ cols
-    return e, root
 
 
 def _parameter_space_eigh(ggn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,19 +428,22 @@ def fit_curvature(
     the negative log-likelihood, a function of the outputs alone. For the
     last-layer subset the exact per-example structure
     Lambda_x kron (hbar hbar^T) is used directly; the Kronecker kind keeps
-    only the eigendecompositions of its two factors. For all layers, each
-    chunk of examples contributes its rows of R, the stacked L_x^T J_x with
-    L_x L_x^T = Lambda_x, or the column sums of R * R (diagonal). L_x is
-    (k, r), r the root width of
+    only the eigendecompositions of its two factors. R is the stack of
+    L_x^T J_x with L_x L_x^T = Lambda_x; L_x is (k, r), r the root width of
     :func:`lula_lab.training.output_hessian_roots`, so each example adds r
-    rows; one backward sweep seeded with the roots
-    (:func:`lula_lab.network.output_jacobian`'s ``seeds``) writes them, and
-    no (k, d) Jacobian is formed. The full kind is eigendecomposed once, in
-    data space from the whole R when it has fewer rows (n r) than
-    parameters, otherwise in parameter space from the summed R^T R (last
-    layer: the Kronecker-structured einsum). Every refusal of
-    :func:`check_curvature_fit`, a full kind whose stored array,
-    min(n r, d) x d, would exceed FULL_GGN_CAP**2 floats among them, raises
+    rows, and no (k, d) Jacobian is formed. The full kind is
+    eigendecomposed once. In data space, fewer rows (n r) than parameters,
+    it is eigh of the Gram K = R R^T built from R's per-layer factors
+    (:func:`lula_lab.network.jacobian_factors` seeded with the roots; for
+    the last layer L_x^T and hbar), and the :class:`DataBasis` keeps those
+    factors and U, no d-wide row. Otherwise, in parameter space, each
+    chunk of examples has its rows written by one backward sweep
+    (:func:`lula_lab.network.output_jacobian`'s ``seeds``) and summed as
+    R^T R (last layer: the Kronecker-structured einsum); the diagonal kind
+    sums the column sums of R * R. Every refusal of
+    :func:`check_curvature_fit`, a full kind for which min(n r, d) x d
+    floats would exceed FULL_GGN_CAP**2 among them (in data space too,
+    though it holds only the factors and (n r)^2 floats), raises
     ``ValueError`` before any forward pass.
     """
     features = np.asarray(features, dtype=np.float64)
@@ -337,8 +474,8 @@ def fit_curvature(
             roots = output_hessian_roots(loss, trace.output)
             if features.shape[0] * roots.shape[2] < dim:
                 # row a of L_x^T J_x is sum_i L_x[i, a] (e_i kron hbar_x)
-                root = np.einsum("mia,mc->maic", roots, hbar).reshape(-1, dim)
-                e, rows = _data_space_eigh(root)
+                delta = np.ascontiguousarray(roots.transpose(0, 2, 1))
+                e, rows = _data_basis([_Block(delta, hbar, 0, False)])
             else:
                 h = np.einsum("mij,mc,md->icjd", lambdas, hbar, hbar, optimize=True)
                 e, rows = _parameter_space_eigh(h.reshape(dim, dim))
@@ -347,19 +484,21 @@ def fit_curvature(
         diag = np.einsum("mi,mc->ic", lam_diag, hbar * hbar).ravel(order="C")
         return Curvature(kind, subset, mean, k, diag, feature_dim=feat)
 
-    # all_layers: stacked L_x^T J_x rows over chunks of examples, swept
-    # straight from the roots into R itself (data space) or into one chunk
-    # buffer summed as R^T R (parameter space) or as column sums of R * R
-    # (diagonal)
+    # all_layers: in data space one sweep seeded with the roots gives R's
+    # per-layer factors; otherwise the stacked L_x^T J_x rows are swept
+    # over chunks of examples into one buffer, summed as R^T R (parameter
+    # space) or as column sums of R * R (diagonal)
     dim = net.num_params
     n = features.shape[0]
     roots = output_hessian_roots(loss, forward_output(net, features))
     r = roots.shape[2]
-    root = np.empty((n * r, dim)) if kind == "full_ggn" and n * r < dim else None
-    full = np.zeros((dim, dim)) if kind == "full_ggn" and root is None else None
+    mean = net.flatten_params()
+    if kind == "full_ggn" and n * r < dim:
+        e, basis = _data_basis(_layer_blocks(net, features, roots))
+        return Curvature(kind, subset, mean, k, e, basis)
+    full = np.zeros((dim, dim)) if kind == "full_ggn" else None
     diag = np.zeros(dim) if kind == "diag_ggn" else None
-    flat = None if root is None else root.reshape(-1)
-    for chunk, buf in _jacobian_chunks(n, r, dim, flat):
+    for chunk, buf in _jacobian_chunks(n, r, dim):
         m = chunk.stop - chunk.start
         output_jacobian(
             net, features[chunk], seeds=roots[chunk], out=buf.reshape(m, r, dim)
@@ -367,12 +506,11 @@ def fit_curvature(
         rows = buf.reshape(m * r, dim)
         if full is not None:
             full += rows.T @ rows  # numpy's syrk path: exactly symmetric
-        elif diag is not None:
+        else:
             diag += np.multiply(rows, rows, out=rows).sum(axis=0)
-    mean = net.flatten_params()
     if diag is not None:
         return Curvature(kind, subset, mean, k, diag)
-    e, rows = _parameter_space_eigh(full) if root is None else _data_space_eigh(root)
+    e, rows = _parameter_space_eigh(full)
     return Curvature(kind, subset, mean, k, e, rows)
 
 
@@ -381,6 +519,8 @@ def _project(basis, vectors: np.ndarray, back: bool = False) -> np.ndarray:
     curvature's ``basis``; the identity basis returns ``vectors`` itself."""
     if basis is None:
         return vectors
+    if isinstance(basis, DataBasis):
+        return basis.back(vectors) if back else basis.project(vectors)
     if isinstance(basis, tuple):
         # B v is the flattened Q_G^T V Q_A of the row-major (k, F) view V
         # of v, and B^T v is Q_G V Q_A^T
@@ -533,11 +673,20 @@ class LaplacePosterior:
             q_out, q_feat = basis
             weights = (q_out * q_out) @ self._t.reshape(k, feat)
             return (q_feat * weights[:, None, :]) @ q_feat.T
-        # block i = c I + B_i^T diag(t) B_i, with B_i the columns of the
-        # rows that belong to output i
+        if isinstance(basis, DataBasis):
+            # output i's columns of W are U^T (Delta_i kron hbar), so block
+            # i = c I + hbar^T Z_i hbar with
+            # Z_i[x, y] = sum_ab Delta[x, a, i] (U diag(t) U^T)[xa, yb] Delta[y, b, i]
+            (blk,) = basis.blocks
+            n, r = blk.delta.shape[:2]
+            spread = ((basis.u * self._t) @ basis.u.T).reshape(n, r, n, r)
+            z = np.einsum("xai,xayb,ybi->ixy", blk.delta, spread, blk.delta,
+                          optimize=True)
+            return blk.feat.T @ z @ blk.feat + self._c * np.eye(feat)
+        # parameter space: block i = B_i^T diag(t) B_i, with B_i the columns
+        # of Q^T that belong to output i
         cols = basis.reshape(-1, k, feat).transpose(1, 0, 2)
-        blocks = (cols.transpose(0, 2, 1) * self._t) @ cols
-        return blocks + self._c * np.eye(feat)
+        return (cols.transpose(0, 2, 1) * self._t) @ cols
 
 
 def build_posterior(curvature: Curvature, prior_precision: float) -> LaplacePosterior:
@@ -573,10 +722,15 @@ class Linearization:
 def linearize(net: Network, curvature: Curvature, x: np.ndarray) -> Linearization:
     """The pieces of :class:`Linearization` for the points ``x``.
 
-    Each chunk of points takes one batched output Jacobian (all layers) or
-    the Jacobian e_i kron hbar of the linear last layer, which one
-    projection onto the curvature's basis turns into P; no whole set's J
-    is held. The Kronecker kind needs only hbar.
+    In data space (:class:`DataBasis`) each chunk of points takes one
+    factor sweep seeded with I_k (:func:`lula_lab.network.jacobian_factors`;
+    for the last layer delta = I_k and hbar), so the kernel rows
+    J R^T = sum_l (Delta_l(X) Delta_l^T) o (H_l(X) H_l^T + 1) give
+    P = (J R^T) U and J J^T = sum_l delta delta^T (|h|^2 + 1) per point,
+    with no Jacobian row. Otherwise each chunk takes one batched output
+    Jacobian (all layers) or the Jacobian e_i kron hbar of the linear last
+    layer, which one projection onto the curvature's basis turns into P.
+    No whole set's J is held. The Kronecker kind needs only hbar.
     """
     x = _as_batch(x)
     k, basis = curvature.num_outputs, curvature.basis
@@ -593,7 +747,24 @@ def linearize(net: Network, curvature: Curvature, x: np.ndarray) -> Linearizatio
         mean = forward_output(net, x)
     m, dim, width = x.shape[0], curvature.dim, curvature.spectrum.size
     proj = np.empty((m, k, width))
-    gram = np.empty((m, k, k)) if width < dim else None
+    if isinstance(basis, DataBasis):
+        # J R^T from the factors of both stacks, so P = (J R^T) U and
+        # J J^T = sum over layers of delta delta^T (|h|^2 + 1)
+        gram = np.zeros((m, k, k))
+        for points in _point_chunks(m, k * width):
+            if curvature.subset == "last_layer":
+                n = points.stop - points.start
+                eye = np.broadcast_to(np.eye(k), (n, k, k))
+                blocks = [_Block(eye, hbar[points], 0, False)]
+            else:
+                blocks = _layer_blocks(net, x[points])
+            cross = _gram(blocks, basis.blocks)
+            np.matmul(cross, basis.u, out=proj[points].reshape(cross.shape))
+            for blk in blocks:
+                norms = np.einsum("mc,mc->m", blk.feat, blk.feat) + blk.bias
+                grams = blk.delta @ blk.delta.transpose(0, 2, 1)
+                gram[points] += grams * norms[:, None, None]
+        return Linearization(mean, proj, gram)
     diag = np.arange(k)
     for points, buf in _jacobian_chunks(m, k, dim):
         n = points.stop - points.start
@@ -604,9 +775,7 @@ def linearize(net: Network, curvature: Curvature, x: np.ndarray) -> Linearizatio
         else:
             output_jacobian(net, x[points], out=jac)
         proj[points] = _project(basis, buf.reshape(n * k, dim)).reshape(n, k, width)
-        if gram is not None:
-            np.matmul(jac, jac.transpose(0, 2, 1), out=gram[points])
-    return Linearization(mean, proj, gram)
+    return Linearization(mean, proj)
 
 
 def _diagonals(cov: np.ndarray) -> np.ndarray:

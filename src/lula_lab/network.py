@@ -25,6 +25,7 @@ __all__ = [
     "forward",
     "forward_output",
     "backward",
+    "jacobian_factors",
     "output_jacobian",
     "save",
     "load",
@@ -407,6 +408,45 @@ def backward(
     return grads
 
 
+def jacobian_factors(
+    net: Network, x: np.ndarray, seeds: np.ndarray | None = None
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer factors of the seed-weighted output Jacobian rows S^T J.
+
+    A linear layer's gradient is an outer product, so row a of example x's
+    S_x^T J_x restricted to layer l is the weight block
+    delta_l[x, a] h_{l-1}[x]^T followed by the bias block delta_l[x, a].
+    One backward sweep of the batch ``x`` (m rows) returns, for every layer
+    in order, the pair (delta_l, h_{l-1}): delta_l, shape (m, r, out_l), the
+    gradients of the outputs sum_i S_x[i, a] f_i w.r.t. the layer's
+    pre-activations, and h_{l-1}, shape (m, in_l), the layer's input. The
+    sweep starts from S_x^T at the linear output layer, from the identity
+    (r = k) without ``seeds``, which are (m, k, r). Seeds of the wrong
+    shape raise ``ValueError``.
+    """
+    trace = forward(net, x)
+    m, k = trace.output.shape
+    if seeds is None:
+        delta = np.broadcast_to(np.eye(k), (m, k, k))  # output layer is linear
+    else:
+        seeds = np.asarray(seeds, dtype=np.float64)
+        if seeds.ndim != 3 or seeds.shape[:2] != (m, k):
+            raise ValueError(
+                f"seeds of shape {seeds.shape} do not fit {m} examples of "
+                f"{k} outputs"
+            )
+        delta = seeds.transpose(0, 2, 1)
+    factors = []
+    for i in range(net.num_layers - 1, -1, -1):
+        factors.append((delta, trace.activations[i]))
+        if i > 0:
+            phi_grad = activation_derivative(
+                net.specs[i - 1].activation, trace.pre_activations[i - 1]
+            )
+            delta = (delta @ net.weights[i]) * phi_grad[:, None, :]
+    return factors[::-1]
+
+
 def output_jacobian(
     net: Network,
     x: np.ndarray,
@@ -427,10 +467,8 @@ def output_jacobian(
     ``out``, an array of the result's shape the caller owns (any strides,
     such as a transposed view), receives the rows and is returned.
 
-    One backward sweep carries, for every example and every seed column a,
-    the gradient delta_l of the output sum_i S_x[i, a] f_i w.r.t. layer l's
-    pre-activations, starting from S_x^T at the linear output layer; the
-    layer's weight block is then the outer product delta_l(x) h_{l-1}(x)^T,
+    The rows are written from the one sweep of :func:`jacobian_factors`:
+    each layer's weight block is the outer product delta_l(x) h_{l-1}(x)^T,
     multiplied straight into its place in the result, and its bias block
     delta_l(x) itself. Without seeds the sweep starts from the identity, so
     the values are bitwise those of the seedless call with or without
@@ -439,20 +477,11 @@ def output_jacobian(
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise ValueError("output_jacobian expects an input vector or a batch")
-    trace = forward(net, x)
-    m, k = trace.output.shape
-    if seeds is None:
-        delta = np.broadcast_to(np.eye(k), (m, k, k))  # output layer is linear
-    else:
-        seeds = np.asarray(seeds, dtype=np.float64)
-        batch = seeds if x.ndim == 2 else seeds[None]
-        if batch.ndim != 3 or batch.shape[:2] != (m, k):
-            raise ValueError(
-                f"seeds of shape {seeds.shape} do not fit {m} examples of "
-                f"{k} outputs"
-            )
-        delta = batch.transpose(0, 2, 1)
-    r, d = delta.shape[1], net.num_params
+    if seeds is not None and x.ndim == 1:
+        seeds = np.asarray(seeds, dtype=np.float64)[None]
+    factors = jacobian_factors(net, _as_batch(x, net.input_dim), seeds)
+    m, r = factors[-1][0].shape[:2]
+    d = net.num_params
     if out is None:
         jac = np.empty((m, r, d))
     else:
@@ -462,22 +491,15 @@ def output_jacobian(
                 f"out of {out.dtype} {out.shape} does not hold {m} x {r} "
                 f"rows of {d} float64 parameters"
             )
-    stop = d
-    for i in range(net.num_layers - 1, -1, -1):
-        h = trace.activations[i]
-        spec = net.specs[i]
-        bias_start = stop - spec.out_dim
-        start = bias_start - spec.out_dim * spec.in_dim
+    start = 0
+    for spec, (delta, h) in zip(net.specs, factors):
+        bias_start = start + spec.out_dim * spec.in_dim
+        stop = bias_start + spec.out_dim
         # splitting the last axis is always a view, whatever jac's strides
         block = jac[:, :, start:bias_start].reshape(m, r, spec.out_dim, spec.in_dim)
         np.multiply(delta[:, :, :, None], h[:, None, None, :], out=block)
         jac[:, :, bias_start:stop] = delta
-        if i > 0:
-            phi_grad = activation_derivative(
-                net.specs[i - 1].activation, trace.pre_activations[i - 1]
-            )
-            delta = (delta @ net.weights[i]) * phi_grad[:, None, :]
-        stop = start
+        start = stop
     if out is not None:
         return out
     return jac[0] if x.ndim == 1 else jac
@@ -506,6 +528,16 @@ def _row_format(width: int) -> str:
 
 
 def save(net: Network, path: str) -> None:
+    """Write ``net`` as a model file that :func:`load` reads back bitwise.
+
+    Raises ``ValueError``, naming the layer and W or b, for a NaN or
+    infinite weight or bias, before the file is opened: :func:`load`
+    refuses such a file.
+    """
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        for part, values in (("W", w), ("b", b)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"layer {i} {part} holds a non-finite value")
     lines = [f"{_MAGIC} {_VERSION}", f"num_layers {net.num_layers}"]
     for i, spec in enumerate(net.specs):
         lines.append(

@@ -85,10 +85,11 @@ def dense_ggn(curv: Curvature) -> np.ndarray:
     spectrum, basis = curv.spectrum, curv.basis
     if basis is None:  # diagonal kind
         return np.diag(spectrum)
+    if spectrum.size < curv.dim:  # data space: GGN = W^T W, W = B
+        columns = laplace._project(basis, np.eye(curv.dim))  # row j: B e_j
+        return columns @ columns.T
     if isinstance(basis, tuple):  # Kronecker kind: B^T = kron(Q_G, Q_A)
         basis = np.kron(*basis).T
-    if basis.shape[0] < curv.dim:  # data space: GGN = W^T W
-        return basis.T @ basis
     # B^T diag(s) B is symmetric; averaging with the transpose removes the
     # rounding of the product so exact-symmetry checks see the matrix itself
     ggn = (basis.T * spectrum) @ basis

@@ -51,6 +51,37 @@ sample_count = 50
 """
 
 
+# A small regression model for eval: toy data, a 1,12,1 net and two runs.
+REGRESSION_INI = """
+[data]
+generator = toy_regression
+size = 100
+noise_std = 0.15
+standardize = true
+standardize_targets = true
+seed = 3
+
+[model]
+dims = 1,12,1
+
+[train]
+epochs = 120
+batch_size = 0
+learning_rate = 0.01
+weight_decay = 0.001
+noise_precision = 25.0
+seed = 4
+
+[laplace]
+prior_precision = 0.001
+
+[eval]
+ood_kinds = uniform
+runs = 2
+sample_count = 40
+"""
+
+
 # (section, key, value) triples that each make a config invalid.
 MALFORMED = [
     ("lula", "counts", "abc"),
@@ -301,8 +332,9 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("runs", [1, 3])
     def test_all_layers_eval_sweeps_each_set_once(self, runs, tmp_path, monkeypatch):
-        # one Jacobian sweep for the fit and one per point set (test and two
-        # OOD sets), whatever the number of runs
+        # the fit is in data space (n r < d = 354), so one factor sweep for
+        # the fit and one per point set (test and two OOD sets), whatever
+        # the number of runs, and no Jacobian rows at all
         config = tmp_path / "cfg.ini"
         config.write_text(TINY_INI.replace(
             "prior_precision = 1.0",
@@ -310,18 +342,20 @@ class TestCliCommands:
         ).replace("runs = 2", f"runs = {runs}"))
         model = str(tmp_path / "model.txt")
         assert cli.main(["train", "--config", str(config), "--out", model]) == 0
-        calls = []
-        original = laplace_mod.output_jacobian
+        calls = {"jacobian_factors": [], "output_jacobian": []}
+        for name, found in calls.items():
+            original = getattr(laplace_mod, name)
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+            def counting(*args, _found=found, _original=original, **kwargs):
+                _found.append(1)
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(laplace_mod, "output_jacobian", counting)
+            monkeypatch.setattr(laplace_mod, name, counting)
         argv = ["eval", "--config", str(config), "--model", model,
                 "--out", str(tmp_path / "eval")]
         assert cli.main(argv) == 0
-        assert len(calls) == 1 + 3
+        assert len(calls["jacobian_factors"]) == 1 + 3
+        assert calls["output_jacobian"] == []
 
     @pytest.fixture
     def no_fit(self, monkeypatch):
@@ -516,34 +550,7 @@ class TestCliCommands:
         assert meta.count("grid_point") == 3
 
     def test_regression_eval_reports_stds(self, tmp_path, sample_calls, predictive_draws):
-        ini = """
-[data]
-generator = toy_regression
-size = 100
-noise_std = 0.15
-standardize = true
-standardize_targets = true
-seed = 3
-
-[model]
-dims = 1,12,1
-
-[train]
-epochs = 120
-batch_size = 0
-learning_rate = 0.01
-weight_decay = 0.001
-noise_precision = 25.0
-seed = 4
-
-[laplace]
-prior_precision = 0.001
-
-[eval]
-ood_kinds = uniform
-runs = 2
-sample_count = 40
-"""
+        ini = REGRESSION_INI
         config = tmp_path / "cfg.ini"
         config.write_text(ini)
         model = str(tmp_path / "model.txt")
@@ -558,6 +565,30 @@ sample_count = 40
         assert predictive_draws == [] and sample_calls == []
         rows = report.splitlines()[1:]
         assert rows and all(row.endswith(",0") for row in rows)
+
+    def test_regression_eval_predicts_once(self, tmp_path, monkeypatch):
+        # the exact regression predictive is the same in every run, so eval
+        # computes it once for all three
+        config = tmp_path / "cfg.ini"
+        config.write_text(REGRESSION_INI.replace("runs = 2", "runs = 3"))
+        model = str(tmp_path / "model.txt")
+        assert cli.main(["train", "--config", str(config), "--out", model]) == 0
+        calls = []
+        original = cli.predict_linearized
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "predict_linearized", counting)
+        evaldir = tmp_path / "eval"
+        argv = ["eval", "--config", str(config), "--model", model, "--out", str(evaldir)]
+        assert cli.main(argv) == 0
+        assert len(calls) == 1
+        summary = (evaldir / "eval_summary.txt").read_text()
+        assert "runs 3" in summary
+        stds = [line for line in summary.splitlines() if ".std " in line]
+        assert stds and all(line.endswith(" 0") for line in stds)
 
     def test_lula_without_hidden_layer_exits_2_before_work(
         self, tmp_path, capsys, monkeypatch

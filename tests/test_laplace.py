@@ -29,7 +29,14 @@ from lula_lab.laplace import (
     probit_predict_binary,
     tune_prior_precision,
 )
-from lula_lab.network import ACTIVATIONS, LayerSpec, Network, augment_ones, forward
+from lula_lab.network import (
+    ACTIVATIONS,
+    LayerSpec,
+    Network,
+    augment_ones,
+    forward,
+    output_jacobian,
+)
 from lula_lab.numerics import Rng
 from lula_lab.training import (
     LossKind,
@@ -174,7 +181,7 @@ class TestFitCurvature:
             fit_curvature(net, np.ones((d - 1, 50)), loss, "full_ggn", "all_layers")
         # data space with one point: 1 row of d floats fits
         curv = fit_curvature(net, np.ones((1, 50)), loss, "full_ggn", "all_layers")
-        assert curv.basis.shape == (1, d)
+        assert curv.spectrum.shape == (1,) and curv.basis.u.shape == (1, 1)
         post = build_posterior(curv, 1.0)
         draws = post.sample(Rng(1), 3)
         assert draws.shape == (3, d)
@@ -193,7 +200,8 @@ class TestFitCurvature:
         assert 2 * n * d <= cap**2 < 2 * (n + 1) * d
         monkeypatch.setattr(laplace, "FULL_GGN_CAP", cap)
         curv = fit_curvature(net, x[:n], loss, "full_ggn", subset)
-        assert curv.basis.shape == (2 * n, d)
+        assert curv.dim == d and curv.spectrum.size == 2 * n
+        assert curv.basis.u.shape == (2 * n, 2 * n)
         with pytest.raises(ValueError, match="exceeds cap"):
             fit_curvature(net, x[: n + 1], loss, "full_ggn", subset)
 
@@ -261,26 +269,37 @@ class TestAllLayersGGN:
             assert relative_error(chunked.spectrum, whole.spectrum) <= 1e-12
 
     @pytest.mark.parametrize("loss, k", LOSS_CASES)
-    def test_data_space_fit_holds_little_beside_r(self, loss, k):
-        # the root-seeded sweep writes R in place: besides R's n r x d floats
-        # the fit holds eigh's R R^T and U, 2 (n r)^2 floats, and at most
-        # 1 MiB more (the trace, the sweep's deltas, one column block). An
-        # (m, k, d) Jacobian chunk with a broadcast temporary per weight
-        # block would add 9 to 18 MB on these nets.
+    def test_data_space_holds_no_d_wide_row(self, loss, k):
+        # data space holds R's per-layer factors, the Gram K and U: the fit
+        # peaks at 4 (n r)^2 floats (K, one layer product, eigh's U and
+        # workspace) beside the factors, and linearize at 4 m k n r (the
+        # kernel rows, one layer product, P and its product) beside the
+        # points' factors. On these nets (d > 10^4) either bound is below
+        # one (n r, d) R or one (m, k, d) Jacobian of the points.
         rng = Rng(38)
-        net = Network.init_random([2, 40, 40, k], "relu", rng)
-        x = 2.0 * rng.standard_normal((300, 2))
-        rows = 300 * root_width(loss, k)
-        assert rows < net.num_params  # data space
+        net = Network.init_random([2, 100, 100, k], "relu", rng)
+        n = m = 200
+        x = 2.0 * rng.standard_normal((n, 2))
+        points = rng.standard_normal((m, 2))
+        rows, d = n * root_width(loss, k), net.num_params
+        outs = sum(spec.out_dim for spec in net.specs)
+        ins = sum(spec.in_dim for spec in net.specs)
         tracemalloc.start()
         try:
             curv = fit_curvature(net, x, loss, "full_ggn", "all_layers")
-            _, peak = tracemalloc.get_traced_memory()
+            held, fit_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            laplace.linearize(net, curv, points)
+            _, linearize_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        r_bytes = curv.basis.nbytes
-        assert r_bytes == 8 * rows * net.num_params
-        assert peak <= r_bytes + 2 * 8 * rows**2 + 2**20
+        assert curv.spectrum.size == rows < d  # data space
+        fit_bound = 8 * (4 * rows**2 + rows * outs + n * ins) + 2**20
+        assert fit_bound < 8 * rows * d
+        assert fit_peak <= fit_bound
+        linearize_bound = 8 * (4 * m * k * rows + m * k * outs + m * ins) + 2**20
+        assert linearize_bound < 8 * m * k * d
+        assert linearize_peak - held <= linearize_bound
 
     @pytest.mark.parametrize("loss, k", LOSS_CASES)
     def test_output_hessian_roots(self, loss, k):
@@ -301,7 +320,7 @@ class TestAllLayersGGN:
         x = 2.0 * rng.standard_normal((30, 2))
         loss = LossKind("categorical_ce")
         curv = fit_curvature(net, x, loss, "full_ggn", "all_layers")
-        assert curv.basis.shape == (30, net.num_params)
+        assert curv.spectrum.size == 30 and curv.basis.u.shape == (30, 30)
         expected = oracle_ggn(net, x, loss, "all_layers")
         assert relative_error(dense_ggn(curv), expected) <= 1e-12
 
@@ -596,6 +615,96 @@ class TestFullGGNEigenbasis:
         assert peak < 8 * net.num_params ** 2
 
 
+def stacked_rows(net, x, loss, subset):
+    """R, the materialized (n r, d) stack of every point's rows L_x^T J_x:
+    the root-seeded output Jacobian (all layers) or L_x[:, a] kron hbar_x
+    (last layer)."""
+    trace = forward(net, x)
+    roots = output_hessian_roots(loss, trace.output)
+    if subset == "all_layers":
+        return output_jacobian(net, x, seeds=roots).reshape(-1, net.num_params)
+    hbar = augment_ones(trace.activations[-2])
+    return np.einsum("mia,mc->maic", roots, hbar).reshape(x.shape[0] * roots.shape[2], -1)
+
+
+# (subset, curvature points) in data space for the [2, 5, 4, k] nets of
+# TestDataBasis with every likelihood of LOSS_CASES: d = 5 k (last layer)
+# or 39 + 5 k (all layers) against n r <= 3 k or 6 k rows.
+DATA_CASES = [
+    pytest.param("last_layer", 3, id="last"),
+    pytest.param("all_layers", 6, id="all"),
+]
+
+
+class TestDataBasis:
+    def _instance(self, subset, n, loss, k, seed=81):
+        rng = Rng(seed)
+        net = Network.init_random([2, 5, 4, k], "tanh", rng)
+        x = 2.0 * rng.standard_normal((n, 2))
+        curv = fit_curvature(net, x, loss, "full_ggn", subset)
+        assert isinstance(curv.basis, laplace.DataBasis)
+        return net, x, curv
+
+    @pytest.mark.parametrize("subset, n", DATA_CASES)
+    @pytest.mark.parametrize("loss, k", LOSS_CASES)
+    def test_project_matches_materialized_rows(self, subset, n, loss, k):
+        # B v and B^T w from the factors against W = U^T R with R built
+        # from the seeded output Jacobian, and against each other
+        net, x, curv = self._instance(subset, n, loss, k)
+        w = curv.basis.u.T @ stacked_rows(net, x, loss, subset)
+        assert w.shape == (curv.spectrum.size, curv.dim) == (n * root_width(loss, k), curv.dim)
+        assert relative_error(w @ w.T, np.diag(curv.spectrum)) <= 1e-12
+        rng = Rng(82)
+        vectors = rng.standard_normal((5, curv.dim))
+        coeffs = rng.standard_normal((5, curv.spectrum.size))
+        projected = laplace._project(curv.basis, vectors)
+        back = laplace._project(curv.basis, coeffs, back=True)
+        assert relative_error(projected, vectors @ w.T) <= 1e-12
+        assert relative_error(back, coeffs @ w) <= 1e-12
+        # the adjoint identity <B v, w> = <v, B^T w>
+        lhs = np.einsum("ij,ij->i", projected, coeffs)
+        rhs = np.einsum("ij,ij->i", vectors, back)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs))
+
+    @pytest.mark.parametrize("subset", ["last_layer", "all_layers"])
+    def test_zero_root_width(self, subset):
+        # a one-class softmax has roots of width 0: no rows, an empty
+        # spectrum, and every projection is empty or zero
+        rng = Rng(84)
+        net = Network.init_random([2, 5, 1], "tanh", rng)
+        x = rng.standard_normal((6, 2))
+        curv = fit_curvature(net, x, LossKind("categorical_ce"), "full_ggn", subset)
+        assert curv.spectrum.shape == (0,) and curv.basis.u.shape == (0, 0)
+        vectors = rng.standard_normal((3, curv.dim))
+        assert laplace._project(curv.basis, vectors).shape == (3, 0)
+        back = laplace._project(curv.basis, np.empty((3, 0)), back=True)
+        assert back.shape == (3, curv.dim) and not np.any(back)
+        points = rng.standard_normal((4, 2))
+        lin = laplace.linearize(net, curv, points)
+        assert lin.proj.shape == (4, 1, 0)
+        jacs = dense_jacobians(net, subset, 1, points)
+        expected = jacs @ jacs.transpose(0, 2, 1)
+        assert relative_error(lin.gram, expected) <= 1e-12
+        post = build_posterior(curv, 2.0)
+        assert relative_error(post.output_cov(lin), expected / 2.0) <= 1e-12
+
+    @pytest.mark.parametrize("subset, n", DATA_CASES)
+    def test_empty_point_set(self, subset, n):
+        loss = LossKind("categorical_ce")
+        net, _, curv = self._instance(subset, n, loss, 3)
+        lin = laplace.linearize(net, curv, np.empty((0, 2)))
+        assert lin.mean.shape == (0, 3)
+        assert lin.proj.shape == (0, 3, curv.spectrum.size)
+        assert lin.gram.shape == (0, 3, 3)
+        post = build_posterior(curv, 1.0)
+        assert post.output_cov(lin).shape == (0, 3, 3)
+        assert laplace._project(curv.basis, np.empty((0, curv.dim))).shape == (
+            0, curv.spectrum.size)
+        empty = np.empty((0, curv.spectrum.size))
+        assert laplace._project(curv.basis, empty, back=True).shape == (0, curv.dim)
+        assert post.sample(Rng(0), 0).shape == (0, curv.dim)
+
+
 class TestSampling:
     def _curvature(self, kind="full_ggn", seed=6):
         rng = Rng(seed)
@@ -625,9 +734,9 @@ class TestSampling:
         pytest.param("diag_ggn", 8, id="diagonal"),
     ])
     def test_rows_draw_built_in_place_is_bitwise_the_formula(self, kind, n):
-        # the draw is mean + c' z + ((z B^T) t') B of the stored
+        # the draw is mean + c' z + B^T (t' * B z) of the stored
         # coefficients, summed in that order (inside z when c' != 0), with
-        # B z = z for the identity basis of the diagonal kind
+        # B and B^T from _project (B z = z for the diagonal kind's identity)
         rng = Rng(8)
         net = Network.init_random([2, 4, 3], "tanh", rng)
         x = rng.standard_normal((n, 2))
@@ -636,10 +745,9 @@ class TestSampling:
         assert (curv.spectrum.size < post.dim) == (n == 8 and kind == "full_ggn")
         assert (post._basis is None) == (kind == "diag_ggn")
         z = Rng(9).standard_normal((6, post.dim))
-        if post._basis is None:
-            back = z * post._t_root
-        else:
-            back = ((z @ post._basis.T) * post._t_root) @ post._basis
+        back = laplace._project(
+            post._basis, laplace._project(post._basis, z) * post._t_root, back=True
+        )
         expected = post.mean[None, :] + post._c_root * z + back
         assert np.array_equal(post.sample(Rng(9), 6), expected)
 
@@ -745,8 +853,6 @@ class TestLinearizedVariance:
         post = build_posterior(curv, 0.5)
         point = rng.standard_normal(2)
         v = linearized_variance_batch(net, post, point[None])[0]
-        from lula_lab.network import output_jacobian
-
         jac = output_jacobian(net, point)
         cov = np.linalg.inv(dense_ggn(curv) + 0.5 * np.eye(post.dim))
         expected = np.einsum("ij,jk,ik->i", jac, cov, jac)

@@ -488,10 +488,10 @@ class TestSaveLoad:
 
     def test_row_format_matches_per_value_formatting(self, tmp_path):
         net = random_network(Rng(7), max_layers=4, max_units=12, min_hidden=2)
-        # specials in one row: signed zeros, subnormals, extremes, non-finite
+        # finite specials in one row: signed zeros, subnormals, extremes
         weights = [w.copy() for w in net.weights]
         specials = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e300,
-                    -1.5e-7, 1.0 / 3.0, np.inf, -np.inf, np.nan]
+                    -1.5e-7, 1.0 / 3.0]
         weights[0] = np.resize(np.array(specials), weights[0].shape)
         net = Network(net.specs, weights, net.biases)
         path = tmp_path / "model.txt"
@@ -509,18 +509,25 @@ class TestSaveLoad:
             expected.append(f"b {spec.out_dim}")
             expected.append(" ".join(format(float(v), ".17g") for v in net.biases[i]))
         assert path.read_bytes() == ("\n".join(expected) + "\n").encode("ascii")
-        # save writes non-finite values, and load refuses them by file and line
-        line = 5 + 7 // net.specs[0].in_dim  # the row that holds inf
-        with pytest.raises(ModelFormatError, match=f"model.txt, line {line}: layer 0 W"):
-            load(str(path))
-        weights[0] = np.resize(np.array(specials[:7]), weights[0].shape)
-        net = Network(net.specs, weights, net.biases)
-        save(net, str(path))
         loaded = load(str(path))
         for mine, theirs in zip(
             net.weights + net.biases, loaded.weights + loaded.biases
         ):
             assert mine.tobytes() == theirs.tobytes()  # bitwise, signed zeros included
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("layer, part", [(0, "W"), (0, "b"), (2, "W"), (2, "b")])
+    def test_save_refuses_non_finite_values(self, tmp_path, layer, part, value):
+        # load refuses a NaN or infinite value, so save never writes one
+        net = random_network(Rng(7), max_layers=4, max_units=12, min_hidden=2)
+        weights = [w.copy() for w in net.weights]
+        biases = [b.copy() for b in net.biases]
+        (weights if part == "W" else biases)[layer].flat[-1] = value
+        net = Network(net.specs, weights, biases)
+        path = tmp_path / "model.txt"
+        with pytest.raises(ValueError, match=f"layer {layer} {part} holds a non-finite"):
+            save(net, str(path))
+        assert not path.exists()
 
     def test_truncated_file(self, rng, tmp_path):
         net = random_network(rng)
