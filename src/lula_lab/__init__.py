@@ -11,7 +11,6 @@ from .errors import (
     DivergenceError,
     LulaLabError,
     ModelFormatError,
-    NotPositiveDefinite,
 )
 from .numerics import Rng
 from .network import (

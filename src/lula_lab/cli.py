@@ -212,8 +212,9 @@ def _write_posterior(
 def _read_posterior(path: str, model_path: str, cfg: ExperimentConfig) -> float:
     """The prior precision of a v2 file written for ``model_path``.
 
-    A file of another version, for other model bytes, or picked under other
-    ``[laplace]`` settings is a config error naming the file and the key.
+    A file of another version, for other model bytes, picked under other
+    ``[laplace]`` settings, or whose prior precision is not a finite
+    positive float is a config error naming the file and the key.
     """
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
@@ -245,9 +246,10 @@ def _read_posterior(path: str, model_path: str, cfg: ExperimentConfig) -> float:
         lam = float(text)
     except ValueError:
         lam = float("nan")
-    if not lam >= 0.0:
+    if not 0.0 < lam < np.inf:
         raise ConfigError(
-            f"{path}: prior_precision {text!r} is not a nonnegative float"
+            f"{path}: prior_precision {text!r} is not a finite positive float; "
+            "rerun laplace"
         )
     return lam
 

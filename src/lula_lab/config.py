@@ -71,7 +71,7 @@ _count = _int_at_least(0)
 
 
 def _nonnegative(raw: str) -> float:
-    """A nonnegative float: a prior precision or a noise scale."""
+    """A nonnegative float: a noise scale or a radius."""
     value = _float(raw)
     if not value >= 0.0:
         raise ValueError(f"expected a nonnegative float, got {raw!r}")
@@ -79,7 +79,7 @@ def _nonnegative(raw: str) -> float:
 
 
 def _positive(raw: str) -> float:
-    """A positive float: a likelihood precision or a length."""
+    """A positive float: a precision or a length."""
     value = _float(raw)
     if not value > 0.0:
         raise ValueError(f"expected a positive float, got {raw!r}")
@@ -146,16 +146,27 @@ def _unit_count(raw: str) -> int:
 
 
 def _lambda_grid(raw: str) -> tuple[float, ...]:
+    """Finite positive prior precisions: a comma list, or
+    logspace:lo:hi:count, whose every entry 10**x must stay finite and
+    positive in float64."""
     raw = raw.strip()
     if not raw.startswith("logspace:"):
-        return _list(_nonnegative, 1)(raw)
+        return _list(_positive, 1)(raw)
     parts = raw.split(":")
     if len(parts) != 4:
         raise ValueError("logspace form is logspace:lo:hi:count")
     count = _int(parts[3])
     if count < 1:
         raise ValueError("logspace count must be positive")
-    return tuple(np.logspace(_float(parts[1]), _float(parts[2]), count))
+    # the checks below reject what the float64 power overflows or underflows
+    with np.errstate(over="ignore", under="ignore"):
+        grid = np.logspace(_float(parts[1]), _float(parts[2]), count)
+    if not np.all((grid > 0.0) & (grid < np.inf)):
+        raise ValueError(
+            f"{raw!r} yields entries that are not finite positive floats "
+            f"(from {grid.min():g} to {grid.max():g})"
+        )
+    return tuple(grid)
 
 
 def _split(raw: str) -> tuple[float, float, float]:
@@ -219,8 +230,8 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "subset": _choice("last_layer", SUBSETS, "parameters under the posterior"),
         "prior_precision": (
             "tune",
-            _or_none("tune", _nonnegative),
-            "a nonnegative float, or 'tune' to search the grid",
+            _or_none("tune", _positive),
+            "a positive float, or 'tune' to search the grid",
         ),
         "tune_objective": _choice(
             "val_log_likelihood", TUNE_OBJECTIVES, "prior-precision tuning score"
@@ -228,7 +239,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "lambda_grid": (
             "logspace:-4:4:17",
             _lambda_grid,
-            "logspace:lo:hi:count (base 10) or a comma list of nonnegative values",
+            "logspace:lo:hi:count (base 10) or a comma list of positive values",
         ),
         "method": _choice("mc", PREDICT_METHODS, "predictive used for tuning"),
         "sample_count": (
@@ -273,11 +284,15 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "grid_size": ("60", _int_at_least(1), "demo lattice resolution per axis"),
         "grid_extent": ("12.0", _positive, "demo lattice half width"),
         "ring_inner": (
-            "8.0", _float, "far-field ring inner radius (classification demo)"
+            "8.0",
+            _nonnegative,
+            "far-field ring inner radius (classification demo), >= 0",
         ),
         "ring_outer": ("12.0", _float, "far-field ring outer radius"),
         "far_field": (
-            "6.0", _positive, "|x| above this is far field (regression demo)"
+            "6.0",
+            _positive,
+            "|x| at or above this is far field (regression demo), below grid_extent",
         ),
         "seed": ("4", _int, "evaluation seed"),
     },
@@ -333,6 +348,7 @@ def _convert(raw: dict) -> ExperimentConfig:
         ("data", "x_low", "x_high"),
         ("lula", "ood_low", "ood_high"),
         ("eval", "ring_inner", "ring_outer"),
+        ("eval", "far_field", "grid_extent"),
     ):
         if not values[section][low] < values[section][high]:
             raise ConfigError(f"[{section}] {low} must be below {high}")

@@ -5,10 +5,6 @@ class LulaLabError(Exception):
     """Base class for all package errors."""
 
 
-class NotPositiveDefinite(LulaLabError):
-    """Raised when a precision's spectrum stays non-positive after jitter."""
-
-
 class ModelFormatError(LulaLabError):
     """Raised when a model file is malformed, truncated, or has an unknown version."""
 

@@ -3,7 +3,9 @@
 Curvature is always the generalized Gauss-Newton (GGN): the indefinite exact
 Hessian is replaced by sum_x J_x^T Lambda_x J_x with J_x the output Jacobian
 and Lambda_x the output-space Hessian of the negative log-likelihood. The
-posterior precision is the data-term curvature plus prior_precision * I.
+posterior precision is the data-term curvature plus prior_precision * I,
+and the prior precision lambda must be finite and positive, so that the
+prior N(0, I / lambda) is proper and every precision is positive definite.
 
 Parameter subsets:
 
@@ -24,8 +26,10 @@ Parameter subsets:
   augmented matrix [W | b], i.e. index (i, c) -> i * F + c with F the
   augmented feature count.
 
-Every curvature kind is a spectrum s in a basis B fixed at fit time, so the
-posterior of every prior precision lambda has one covariance form,
+Every curvature kind is a spectrum s in a basis B fixed at fit time. A GGN
+is positive semidefinite, so the fit clips every eigenvalue at 0 (a
+negative one is round-off) and s >= 0. The posterior of every prior
+precision lambda > 0 then has one covariance form,
 
     Sigma = c I + B^T diag(t) B,  with symmetric root  c' I + B^T diag(t') B,
 
@@ -65,20 +69,18 @@ Data space is exactly a spectrum shorter than d. There c = 1 / lambda and
 t = -1 / (lambda (e + lambda)), that is
 Sigma = (I - W^T diag(1 / (e + lambda)) W) / lambda with no division by e:
 the d - n r directions outside the rows of W carry the prior alone. Every
-other case has c = 0, t = 1 / (s + lambda) and t' = sqrt(t), exact at
-lambda = 0 as well. The jitter ladder runs over the whole spectrum of the
-precision (s plus lambda, and in data space lambda alone for each
-complement direction), so its base is the mean eigenvalue,
-mean(diag(precision)). A variance is g^T Sigma g = c |g|^2 + (B g)^2 . t and
-a draw is mean + c' z + B^T (t' * B z).
+other case has c = 0, t = 1 / (s + lambda) and t' = sqrt(t). Every
+eigenvalue s + lambda of the precision is at least lambda, so these are read
+directly. A variance is g^T Sigma g = c |g|^2 + (B g)^2 . t and a draw is
+mean + c' z + B^T (t' * B z).
 
 The one exception is the Kronecker draw, which uses the standard per-factor
 damped approximation, covariance
 (G + sqrt(lambda) I)^-1 kron (A + sqrt(lambda) I)^-1, documented as an
 approximation. Its damped factors are diagonal in the same eigenbases, so
 the draw is M_G Z M_A^T with M_G = Q_G diag(g + sqrt(lambda))^-1/2 and
-M_A = Q_A diag(a + sqrt(lambda))^-1/2, each factor spectrum through the
-jitter ladder; nothing is factored per prior precision.
+M_A = Q_A diag(a + sqrt(lambda))^-1/2, with g and a clipped at 0 like s;
+nothing is factored per prior precision.
 
 Both predictives use the network linearized at its parameters theta*,
 f(x; theta*) + J(x) (theta - theta*), because the GGN posterior is the exact
@@ -118,7 +120,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotPositiveDefinite
 from .network import (
     Network,
     _pre_activation,
@@ -129,7 +130,7 @@ from .network import (
     jacobian_factors,
     output_jacobian,
 )
-from .numerics import Rng, positive_diagonal
+from .numerics import Rng
 from .training import (
     LossKind,
     hessian_root_width,
@@ -366,17 +367,25 @@ class DataBasis:
         return result
 
 
+def _psd_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(e, Q) from eigh(matrix) = Q diag(e) Q^T of a positive semidefinite
+    matrix, with e clipped at 0: a negative eigenvalue is round-off."""
+    e, q = np.linalg.eigh(matrix)
+    return np.maximum(e, 0.0, out=e), q
+
+
 def _data_basis(blocks: list[_Block]) -> tuple[np.ndarray, DataBasis]:
     """(e, B) from eigh(K) = U diag(e) U^T of the Gram K = R R^T of the
-    rows held as ``blocks``."""
-    e, u = np.linalg.eigh(_gram(blocks, blocks))
+    rows held as ``blocks``, e clipped at 0."""
+    e, u = _psd_eigh(_gram(blocks, blocks))
     return e, DataBasis(blocks, u)
 
 
 @dataclass
 class Curvature:
     """Data-term GGN over a parameter subset (prior term not included), as
-    a ``spectrum`` in a ``basis`` fixed at fit time.
+    a ``spectrum`` in a ``basis`` fixed at fit time. A fitted spectrum has
+    no negative entry: the fit clips round-off at 0.
 
     ``basis`` is the full kind's Q^T (parameter space) or
     :class:`DataBasis` (data space), ``None`` for the diagonal kind
@@ -404,8 +413,8 @@ class Curvature:
 
 
 def _parameter_space_eigh(ggn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(e, Q^T) from eigh(GGN) = Q diag(e) Q^T."""
-    e, q = np.linalg.eigh(ggn)
+    """(e, Q^T) from eigh(GGN) = Q diag(e) Q^T, e clipped at 0."""
+    e, q = _psd_eigh(ggn)
     return e, q.T
 
 
@@ -432,7 +441,9 @@ def fit_curvature(
     L_x^T J_x with L_x L_x^T = Lambda_x; L_x is (k, r), r the root width of
     :func:`lula_lab.training.output_hessian_roots`, so each example adds r
     rows, and no (k, d) Jacobian is formed. The full kind is
-    eigendecomposed once. In data space, fewer rows (n r) than parameters,
+    eigendecomposed once, and every eigenvalue, the Kronecker factors' too,
+    is clipped at 0: a GGN is positive semidefinite, so a negative one is
+    round-off. In data space, fewer rows (n r) than parameters,
     it is eigh of the Gram K = R R^T built from R's per-layer factors
     (:func:`lula_lab.network.jacobian_factors` seeded with the roots; for
     the last layer L_x^T and hbar), and the :class:`DataBasis` keeps those
@@ -458,8 +469,8 @@ def fit_curvature(
         dim = k * feat
         mean = last_layer_mean(net)
         if kind == "kfac_last_layer":
-            g, q_out = np.linalg.eigh(lambdas.sum(axis=0))
-            a, q_feat = np.linalg.eigh((hbar.T @ hbar) / features.shape[0])
+            g, q_out = _psd_eigh(lambdas.sum(axis=0))
+            a, q_feat = _psd_eigh((hbar.T @ hbar) / features.shape[0])
             return Curvature(
                 kind,
                 subset,
@@ -543,16 +554,21 @@ class LaplacePosterior:
     the dimension), otherwise c = 0, t = 1 / (s + lambda) and t' = sqrt(t).
     The Kronecker kind also holds its damped per-factor draw.
     ``curvature`` is the curvature it was built from. Raises
-    ``ValueError`` for a prior precision that is negative or NaN, and
-    :class:`NotPositiveDefinite` when the jitter ladder cannot make the
-    precision's spectrum positive.
+    ``ValueError`` for a prior precision that is not finite and positive,
+    and for a curvature whose spectrum (or Kronecker factor spectrum) has a
+    negative or NaN entry, so every precision eigenvalue s + lambda is at
+    least lambda.
     """
 
     def __init__(self, curvature: Curvature, prior_precision: float):
-        if not prior_precision >= 0.0:
+        if not 0.0 < prior_precision < np.inf:
             raise ValueError(
-                f"prior_precision must be a nonnegative number, got {prior_precision!r}"
+                "prior_precision must be a finite positive number, got "
+                f"{prior_precision!r}"
             )
+        spectra = (curvature.spectrum,) + tuple(curvature.factor_spectra or ())
+        if not all(np.all(f >= 0.0) for f in spectra):
+            raise ValueError("curvature spectrum has a negative or NaN entry")
         self.curvature = curvature
         self.kind = curvature.kind
         self.subset = curvature.subset
@@ -565,12 +581,8 @@ class LaplacePosterior:
         lam, s = self.prior_precision, curvature.spectrum
         if s.size < self.dim:
             # data space: the complement of the rows has eigenvalue 0, so
-            # the ladder runs over s padded with zeros, and its one shift
-            # lam (lambda plus any jitter) applies in every direction
-            spectrum = positive_diagonal(
-                np.concatenate([s, np.zeros(self.dim - s.size)]) + lam
-            )
-            shifted, lam = spectrum[: s.size], spectrum[-1]
+            # the precision there is lam alone
+            shifted = s + lam
             root_lam, root_shifted = np.sqrt(lam), np.sqrt(shifted)
             self._c, self._c_root = 1.0 / lam, 1.0 / root_lam
             # row j of W has squared norm s_j, so these are
@@ -579,7 +591,7 @@ class LaplacePosterior:
             self._t = -1.0 / (lam * shifted)
             self._t_root = -1.0 / (root_lam * root_shifted * (root_shifted + root_lam))
         else:
-            self._t = 1.0 / positive_diagonal(s + lam)
+            self._t = 1.0 / (s + lam)
             self._t_root = np.sqrt(self._t)
         self._damped = self._damped_feat = None
         if curvature.factor_spectra is not None:
@@ -587,7 +599,7 @@ class LaplacePosterior:
             # in the factor bases, so M = Q_F diag(f + sqrt(lambda))^-1/2 has
             # M M^T = (F + sqrt(lambda) I)^-1
             damp = np.sqrt(self.prior_precision)
-            spectra = [positive_diagonal(f + damp) for f in curvature.factor_spectra]
+            spectra = [f + damp for f in curvature.factor_spectra]
             self._damped = tuple(q / np.sqrt(f) for f, q in zip(spectra, self._basis))
             self._damped_feat = spectra[1]
 
@@ -976,12 +988,11 @@ def tune_prior_precision(
     given validation data. ``ood_mmc`` minimizes
     |1 - MMC_in| + |1/k - MMC_out|, both from one shared draw per
     candidate, and additionally needs ``out_features`` and
-    ``num_classes``. Each point set is linearized once, at the first
-    candidate whose posterior builds, and every candidate reads those
-    pieces. Candidates whose precision spectrum the jitter ladder
-    cannot make positive are skipped; returns
-    (best, [(lambda, score), ...]) with score in the objective's native
-    orientation.
+    ``num_classes``. Each point set is linearized once, and every
+    candidate reads those pieces. Every candidate must be a finite
+    positive number (``ValueError`` from :func:`build_posterior`
+    otherwise). Returns (best, [(lambda, score), ...]) with score in the
+    objective's native orientation; the first of equal best scores wins.
     """
     from .metrics import mmc  # local import to avoid a cycle
 
@@ -997,16 +1008,11 @@ def tune_prior_precision(
         raise ValueError("ood_mmc needs out_features and num_classes")
 
     points = [features] if objective == "val_log_likelihood" else [features, out_features]
-    sets = None
+    sets = [linearize(net, curvature, x) for x in points]
     scores: list[tuple[float, float]] = []
-    best_lam, best_key = None, -np.inf
+    best_lam = best_key = None
     for lam in cand:
-        try:
-            post = build_posterior(curvature, lam)
-        except NotPositiveDefinite:
-            continue
-        if sets is None:  # at the first candidate that builds
-            sets = [linearize(net, curvature, x) for x in points]
+        post = build_posterior(curvature, lam)
         preds = predict_linearized(post, sets, cfg, loss)
         if objective == "val_log_likelihood":
             score = key = predictive_log_likelihood(preds[0], targets)
@@ -1015,10 +1021,6 @@ def tune_prior_precision(
             score = abs(1.0 - mmc_in) + abs(1.0 / num_classes - mmc_out)
             key = -score
         scores.append((float(lam), float(score)))
-        if key > best_key:
+        if best_key is None or key > best_key:
             best_key, best_lam = key, float(lam)
-    if best_lam is None:
-        raise NotPositiveDefinite(
-            "no prior-precision candidate produced a positive-definite posterior"
-        )
     return best_lam, scores

@@ -1,26 +1,16 @@
-"""Seeded random sampling and the jitter ladder for a precision's spectrum.
+"""Seeded random sampling.
 
 Randomness goes through :class:`Rng`, a thin wrapper around NumPy's Philox
 counter-based bit generator, so that a given seed produces the identical
 stream on every platform and run. No operation here touches a global random
-state. Every posterior precision is held as a spectrum, its eigenvalues in a
-basis fixed at fit time (a plain diagonal for the diagonal kind), so making
-it positive definite is :func:`positive_diagonal` on that spectrum.
+state.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotPositiveDefinite
-
-__all__ = ["Rng", "positive_diagonal"]
-
-# Escalating jitter for a precision's spectrum: keep it as it is when every
-# entry is positive beyond round-off (exact cases stay exact), else add 1e-8,
-# then 1e-6, times the mean entry to every entry. The mean entry is the mean of the
-# precision's diagonal in any basis, its trace over its order.
-JITTER_SCALES = (0.0, 1e-8, 1e-6)
+__all__ = ["Rng"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -91,29 +81,3 @@ class Rng:
     def __repr__(self) -> str:  # pragma: no cover
         return f"Rng(seed={self.seed})"
 
-
-def positive_diagonal(entries: np.ndarray) -> np.ndarray:
-    """A precision's spectrum made positive by the jitter ladder.
-
-    An entry s with |s| <= size * eps * max|s| (eps the float64 machine
-    epsilon) is taken as a zero, so round-off of either sign around a null
-    direction fails the first rung, which keeps the entries as they are.
-    Each later rung of :data:`JITTER_SCALES` adds ``scale * mean(entries)``
-    to every entry (``scale * 1`` when that mean is not a finite positive
-    number) and is taken when every entry is then positive. Raises
-    :class:`NotPositiveDefinite` when all rungs fail.
-    """
-    if not entries.size:
-        return entries
-    base = float(np.mean(entries))
-    base = base if np.isfinite(base) and base > 0.0 else 1.0
-    tol = entries.size * np.finfo(np.float64).eps * float(np.max(np.abs(entries)))
-    for jitter in JITTER_SCALES:
-        if not jitter:
-            if np.all(entries > tol):
-                return entries
-            continue
-        candidate = entries + jitter * base
-        if np.all(candidate > 0.0):
-            return candidate
-    raise NotPositiveDefinite("diagonal precision has non-positive entries")

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -138,9 +139,41 @@ MALFORMED = [
     ("eval", "far_field", "0"),
     ("laplace", "prior_precision", "inf"),
     ("laplace", "lambda_grid", "1,inf"),
+    # the prior N(0, I / lambda) is proper only for a positive lambda
+    ("laplace", "prior_precision", "0"),
+    ("laplace", "lambda_grid", "0,1"),
+    ("laplace", "lambda_grid", "logspace:0:400:3"),
+    ("laplace", "lambda_grid", "logspace:-400:0:3"),
+    # the regression demo's far field must hold grid points, and the
+    # classification demo's ring is a set of radii
+    ("eval", "far_field", "20"),
+    ("eval", "ring_inner", "-5"),
     # the default likelihood is categorical: two_moons under loss = auto
     ("laplace", "method", "probit_linearized"),
     ("eval", "method", "probit_linearized"),
+]
+
+
+def _float_keys() -> list[tuple[str, str]]:
+    """(section, key) of every key whose parser reads "0.5" as a float."""
+    keys = []
+    for section, entries in SCHEMA.items():
+        for key, (_, parse, _) in entries.items():
+            try:
+                value = parse("0.5")
+            except ValueError:
+                continue
+            if isinstance(value, float):
+                keys.append((section, key))
+    return keys
+
+
+# nan and inf for every float key, beside the hand-written rows above
+NON_FINITE = [
+    (section, key, value)
+    for section, key in _float_keys()
+    for value in ("nan", "inf")
+    if (section, key, value) not in MALFORMED
 ]
 
 
@@ -207,6 +240,25 @@ class TestConfig:
         path.write_text("[laplace]\nlambda_grid = logspace:1:2\n")
         with pytest.raises(ConfigError, match=r"\[laplace\] lambda_grid"):
             load_config(str(path))
+
+    @pytest.mark.parametrize("grid", ["logspace:0:400:3", "logspace:-400:0:3"])
+    def test_lambda_grid_logspace_beyond_float64_is_refused_quietly(
+        self, tmp_path, grid
+    ):
+        # 10**400 overflows to inf and 10**-400 underflows to 0: both are
+        # refused by name, with no numpy floating-point warning
+        path = tmp_path / "c.ini"
+        path.write_text(f"[laplace]\nlambda_grid = {grid}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=r"\[laplace\] lambda_grid.*finite"):
+                load_config(str(path))
+
+    def test_float_keys_cover_every_float_parser(self):
+        # the generated non-finite rows reach each float-valued key
+        keys = _float_keys()
+        assert ("laplace", "prior_precision") in keys and ("lula", "init_std") in keys
+        assert ("laplace", "lambda_grid") not in keys and ("data", "size") not in keys
 
     def test_reference_text_lists_every_key(self):
         text = reference_text()
@@ -465,7 +517,7 @@ class TestCliCommands:
         assert "prior_precision" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["train", "laplace", "lula", "eval", "demo-toy"])
-    @pytest.mark.parametrize("section,key,value", MALFORMED)
+    @pytest.mark.parametrize("section,key,value", MALFORMED + NON_FINITE)
     def test_malformed_key_exits_2_before_work(
         self, section, key, value, command, tmp_path, capsys, monkeypatch
     ):
@@ -795,6 +847,32 @@ class TestPosteriorSidecar:
         ) == 2
         err = capsys.readouterr().err
         assert str(sidecar) in err and key in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["lula", "eval"])
+    @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
+    def test_non_positive_prior_precision_in_the_file_exits_2_before_work(
+        self, base_model, tmp_path, capsys, monkeypatch, command, value
+    ):
+        config, model = base_model
+        sidecar = tmp_path / "model_laplace.txt"
+        lines = sidecar.read_text().splitlines()
+        row = next(i for i, x in enumerate(lines) if x.startswith("prior_precision "))
+        lines[row] = f"prior_precision {value}"
+        sidecar.write_text("\n".join(lines) + "\n")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the file was checked")
+
+        for name in ("_build_data", "fit_curvature", "tune_prior_precision"):
+            monkeypatch.setattr(cli, name, no_work)
+        out = str(tmp_path / "out")
+        assert cli.main(
+            [command, "--config", config, "--model", model, "--out", out]
+        ) == 2
+        err = capsys.readouterr().err
+        assert str(sidecar) in err
+        assert f"prior_precision {value!r} is not a finite positive float" in err
         assert not os.path.exists(out)
 
     def test_fixed_prior_precision_wins_over_the_file(self, base_model, tmp_path, capsys):

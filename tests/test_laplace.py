@@ -11,7 +11,6 @@ from conftest import (
     relative_error,
 )
 from lula_lab import laplace
-from lula_lab.errors import NotPositiveDefinite
 from lula_lab.laplace import (
     DEFAULT_LAMBDA_GRID,
     FULL_GGN_CAP,
@@ -400,40 +399,49 @@ class TestBuildPosterior:
         assert v.shape == (5, 10)
         assert np.allclose(v[:, 3], expected, rtol=1e-10, atol=0.0)
 
-    def test_kfac_zero_prior_precision_singular_factor(self):
+    def test_kfac_small_prior_precision_singular_factor(self):
         # categorical output factors are singular (the softmax shift
-        # direction), so lambda = 0 leaves zero eigenvalues in the precision
+        # direction), so a small lambda alone holds the precision up there
         rng = Rng(22)
         net = Network.init_random([2, 5, 3], "tanh", rng)
         x = rng.standard_normal((20, 2))
         loss = LossKind("categorical_ce")
         curv = fit_curvature(net, x, loss, "kfac_last_layer")
         assert np.min(np.linalg.eigvalsh(kron_factors(net, x, loss)[0])) <= 1e-12
-        post = build_posterior(curv, 0.0)
+        lam = 1e-6
+        post = build_posterior(curv, lam)
         v = linearized_variance_batch(net, post, rng.standard_normal((8, 2)))
         assert np.all(np.isfinite(v)) and np.all(v >= 0.0)
-        var = marginal_variances(post)
-        assert np.all(np.isfinite(var)) and np.all(var >= 0.0)
-        # the null eigenvalue of G comes out of eigh as 8.1e-17 > 0; as
-        # round-off it takes the first jitter rung, which bounds the damped
-        # draws along the softmax shift (an untouched 8.1e-17 gave 4e9)
+        oracle = np.linalg.inv(dense_ggn(curv) + lam * np.eye(curv.dim))
+        assert relative_error(marginal_variances(post), np.diag(oracle)) <= 1e-8
+        # the null eigenvalue of G is round-off, and the damped draws along
+        # the softmax shift are bounded by lam**-1/4 per factor
         assert curv.factor_spectra[0][0] <= 1e-15
         draws = post.sample(Rng(0), 100)
         assert np.max(np.abs(draws - post.mean)) <= 1e6
 
-    def test_negative_curvature_fails(self):
-        curv = curvature_from_matrix(np.array([[-10.0]]))
-        with pytest.raises(NotPositiveDefinite):
+    @pytest.mark.parametrize("matrix", [[[-10.0]], [[1.0, 0.0], [0.0, -1e-12]]],
+                             ids=["negative", "round-off"])
+    def test_negative_curvature_fails(self, matrix):
+        # fit_curvature clips round-off at 0, so a negative entry is a
+        # curvature built by hand, and no prior precision mends it
+        curv = curvature_from_matrix(np.array(matrix))
+        with pytest.raises(ValueError, match="negative or NaN entry"):
             build_posterior(curv, 0.1)
 
-    @pytest.mark.parametrize("lam", [np.nan, -1.0], ids=["nan", "negative"])
+    def test_negative_kronecker_factor_fails(self):
+        curv = TestSampling()._curvature("kfac_last_layer")
+        g, a = curv.factor_spectra
+        curv.factor_spectra = (g, np.concatenate([[-1e-12], a[1:]]))
+        with pytest.raises(ValueError, match="negative or NaN entry"):
+            build_posterior(curv, 0.1)
+
+    @pytest.mark.parametrize("lam", [np.nan, -1.0, 0.0, np.inf],
+                             ids=["nan", "negative", "zero", "inf"])
     def test_invalid_prior_precision_raises_value_error(self, lam):
-        # NaN fails every comparison, so the check is `not lam >= 0`, and a
-        # refusal is not the NotPositiveDefinite of a spectrum the jitter
-        # ladder cannot mend
-        with pytest.raises(ValueError, match="must be a nonnegative number") as caught:
+        # NaN fails every comparison, so the check is `not 0 < lam < inf`
+        with pytest.raises(ValueError, match="must be a finite positive number"):
             build_posterior(curvature_from_matrix(np.eye(2)), lam)
-        assert not isinstance(caught.value, NotPositiveDefinite)
 
     def test_variance_monotone_in_prior_precision(self):
         rng = Rng(5)
@@ -522,16 +530,18 @@ class TestFullGGNEigenbasis:
         pytest.param([2, 5, 4, 3], "last_layer", id="last"),
         pytest.param([2, 3], "all_layers", id="all-linear"),
     ])
-    def test_zero_prior_precision_full_rank(self, dims, subset):
+    def test_small_prior_precision_full_rank(self, dims, subset):
         # Gaussian likelihood and more rows than parameters: the GGN is
-        # nonsingular, so lambda = 0 is its plain inverse
+        # nonsingular, so a small lambda leaves it well conditioned
         rng = Rng(33)
         net = Network.init_random(dims, "tanh", rng)
         x = 2.0 * rng.standard_normal((60, 2))
         loss = LossKind("gaussian_nll", 2.5)
         curv = fit_curvature(net, x, loss, "full_ggn", subset)
-        oracle = np.linalg.inv(oracle_ggn(net, x, loss, subset))
-        post = build_posterior(curv, 0.0)
+        lam = 1e-6
+        ggn = oracle_ggn(net, x, loss, subset)
+        oracle = np.linalg.inv(ggn + lam * np.eye(curv.dim))
+        post = build_posterior(curv, lam)
         scale = np.max(np.abs(oracle))
         assert np.max(np.abs(marginal_variances(post) - np.diag(oracle))) <= 1e-9 * scale
         vectors = rng.standard_normal((5, post.dim))
@@ -539,21 +549,29 @@ class TestFullGGNEigenbasis:
         assert np.max(np.abs(post.quad_forms(vectors) - expected)) <= 1e-9 * np.max(expected)
 
     @pytest.mark.parametrize("subset, n", SIDE_CASES)
-    def test_zero_prior_precision_rank_deficient(self, subset, n):
+    def test_fit_clips_round_off_at_zero(self, subset, n):
+        # eigh gives the null directions of a categorical GGN round-off of
+        # either sign (down to -2.3e-15 in parameter space here); a GGN is
+        # positive semidefinite, so the fit holds them as 0
+        net, x, curv, _ = self._instance(subset, n, LossKind("categorical_ce"))
+        assert np.all(curv.spectrum >= 0.0)
+        ggn = oracle_ggn(net, x, LossKind("categorical_ce"), subset)
+        assert relative_error(dense_ggn(curv), ggn) <= 1e-12
+
+    @pytest.mark.parametrize("subset, n", SIDE_CASES)
+    def test_small_prior_precision_rank_deficient(self, subset, n):
         # categorical GGNs are singular (the softmax shift direction); data
-        # space adds d - n r null directions
-        net, x, curv, data_space = self._instance(subset, n, LossKind("categorical_ce"))
-        post = build_posterior(curv, 0.0)
+        # space adds d - n r null directions; each carries 1 / lambda
+        loss = LossKind("categorical_ce")
+        net, x, curv, _ = self._instance(subset, n, loss)
+        lam = 1e-6
+        post = build_posterior(curv, lam)
+        ggn = oracle_ggn(net, x, loss, subset)
+        oracle = np.linalg.inv(ggn + lam * np.eye(curv.dim))
         var = marginal_variances(post)
+        assert relative_error(var, np.diag(oracle)) <= 1e-8
         v = linearized_variance_batch(net, post, Rng(34).standard_normal((8, 2)))
-        for values in (var, v):
-            assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
-        if data_space:
-            # the zero eigenvalues land on the first jitter rung, whose shift
-            # is 1e-8 times the mean diagonal of the precision
-            jitter = 1e-8 * np.mean(np.diag(dense_ggn(curv)))
-            rung = marginal_variances(build_posterior(curv, jitter))
-            assert relative_error(var, rung) <= 1e-10
+        assert np.all(np.isfinite(v)) and np.all(v >= 0.0)
 
     @pytest.mark.parametrize("subset, n", SIDE_CASES)
     def test_empirical_covariance(self, subset, n):
@@ -806,16 +824,29 @@ class TestSampling:
                 damped = factor + np.sqrt(lam) * np.eye(factor.shape[0])
                 assert relative_error(m @ m.T, np.linalg.inv(damped)) <= 1e-10, lam
 
-    def test_kfac_zero_prior_precision_takes_a_jitter_rung(self):
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_kfac_factor_spectra_clipped_at_zero(self, seed):
+        # at these seeds eigh gives the softmax-shift eigenvalue of G as
+        # -1.2e-15 and -1.3e-15; the fit clips it, and so the spectrum
+        rng = Rng(seed)
+        net = Network.init_random([2, 5, 3], "tanh", rng)
+        x = rng.standard_normal((20, 2))
+        curv = fit_curvature(net, x, LossKind("categorical_ce"), "kfac_last_layer")
+        g, a = curv.factor_spectra
+        assert g[0] == 0.0 and np.all(g >= 0.0) and np.all(a >= 0.0)
+        assert np.array_equal(curv.spectrum, np.outer(g, a).ravel())
+
+    def test_kfac_null_factor_eigenvalue_takes_the_damping_alone(self):
         # two-class categorical: the output factor is s [[1, -1], [-1, 1]],
-        # whose null eigenvalue comes out as exactly 0, so lambda = 0 puts
-        # the draw on the first rung, 1e-8 times the mean eigenvalue
+        # whose null eigenvalue the fit clips to exactly 0, so the damped
+        # draw along it has variance 1 / sqrt(lambda)
         curv = self._curvature("kfac_last_layer")
         g = curv.factor_spectra[0]
-        assert np.min(g) <= 0.0
-        post = build_posterior(curv, 0.0)
+        assert np.min(g) == 0.0
+        lam = 1e-8
+        post = build_posterior(curv, lam)
         m = post._damped[0]
-        expected = 1.0 / (g + 1e-8 * np.mean(g))
+        expected = 1.0 / (g + np.sqrt(lam))
         np.testing.assert_allclose(np.sum(m * m, axis=0), expected, rtol=1e-12, atol=0.0)
         assert np.all(np.isfinite(post.sample(Rng(4), 100)))
 
@@ -1344,17 +1375,20 @@ class TestTunePriorPrecision:
         with pytest.raises(ValueError, match="features must be nonempty"):
             tune_prior_precision(net, curv, x[:0], y[:0], loss, grid=[0.1, 1.0])
 
-    def test_nan_candidate_raises(self):
-        # the search skips candidates that raise NotPositiveDefinite; a NaN
-        # candidate is a bad grid and must stop it
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, np.inf],
+                             ids=["nan", "zero", "negative", "inf"])
+    def test_invalid_candidate_raises(self, bad):
+        # no candidate is skipped: one that is not a finite positive number
+        # is a bad grid and stops the search
         net, curv, x, y, loss = self._instance()
-        with pytest.raises(ValueError, match="must be a nonnegative number"):
-            tune_prior_precision(net, curv, x, y, loss, grid=[np.nan, 1.0])
+        with pytest.raises(ValueError, match="must be a finite positive number"):
+            tune_prior_precision(net, curv, x, y, loss, grid=[1.0, bad])
 
-    def test_all_candidates_failing_raises(self):
-        curv = curvature_from_matrix(np.array([[-100.0]]))
+    def test_negative_curvature_raises(self):
+        # the one-input linear net's last layer has a weight and a bias
+        curv = curvature_from_matrix(np.diag([-100.0, 1.0]))
         net = linear_net([[1.0]], [0.0])
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(ValueError, match="negative or NaN entry"):
             tune_prior_precision(
                 net, curv, np.ones((2, 1)), np.zeros((2, 1)),
                 LossKind("gaussian_nll"), grid=[0.1, 1.0],
