@@ -30,6 +30,7 @@ from .laplace import (
     mc_predict_sets,
     predict_linearized,
     predictive_log_likelihood,
+    proper_prior_precision,
     tune_prior_precision,
 )
 from .numerics import Rng, _mix64
@@ -214,7 +215,8 @@ def _read_posterior(path: str, model_path: str, cfg: ExperimentConfig) -> float:
 
     A file of another version, for other model bytes, picked under other
     ``[laplace]`` settings, or whose prior precision is not a finite
-    positive float is a config error naming the file and the key.
+    positive float with a finite reciprocal is a config error naming the
+    file and the key.
     """
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
@@ -246,10 +248,10 @@ def _read_posterior(path: str, model_path: str, cfg: ExperimentConfig) -> float:
         lam = float(text)
     except ValueError:
         lam = float("nan")
-    if not 0.0 < lam < np.inf:
+    if not proper_prior_precision(lam):
         raise ConfigError(
-            f"{path}: prior_precision {text!r} is not a finite positive float; "
-            "rerun laplace"
+            f"{path}: prior_precision {text!r} is not a finite positive float "
+            "with a finite reciprocal; rerun laplace"
         )
     return lam
 

@@ -18,7 +18,13 @@ import numpy as np
 
 from .data import OOD_KINDS, SplitSpec
 from .errors import ConfigError
-from .laplace import CURVATURE_KINDS, PREDICT_METHODS, SUBSETS, TUNE_OBJECTIVES
+from .laplace import (
+    CURVATURE_KINDS,
+    PREDICT_METHODS,
+    SUBSETS,
+    TUNE_OBJECTIVES,
+    proper_prior_precision,
+)
 from .network import ACTIVATIONS
 from .numerics import _mix64
 from .training import LOSS_KINDS, OPTIMIZERS
@@ -86,6 +92,14 @@ def _positive(raw: str) -> float:
     return value
 
 
+def _prior_precision(raw: str) -> float:
+    """A positive float whose reciprocal, the prior variance, is finite."""
+    value = _float(raw)
+    if not proper_prior_precision(value):
+        raise ValueError(f"expected a positive float with a finite reciprocal, got {raw!r}")
+    return value
+
+
 def _momentum(raw: str) -> float:
     """A float in [0, 1)."""
     value = _float(raw)
@@ -146,12 +160,12 @@ def _unit_count(raw: str) -> int:
 
 
 def _lambda_grid(raw: str) -> tuple[float, ...]:
-    """Finite positive prior precisions: a comma list, or
+    """Prior precisions of :func:`_prior_precision`: a comma list, or
     logspace:lo:hi:count, whose every entry 10**x must stay finite and
-    positive in float64."""
+    positive in float64 with a finite reciprocal."""
     raw = raw.strip()
     if not raw.startswith("logspace:"):
-        return _list(_positive, 1)(raw)
+        return _list(_prior_precision, 1)(raw)
     parts = raw.split(":")
     if len(parts) != 4:
         raise ValueError("logspace form is logspace:lo:hi:count")
@@ -161,10 +175,10 @@ def _lambda_grid(raw: str) -> tuple[float, ...]:
     # the checks below reject what the float64 power overflows or underflows
     with np.errstate(over="ignore", under="ignore"):
         grid = np.logspace(_float(parts[1]), _float(parts[2]), count)
-    if not np.all((grid > 0.0) & (grid < np.inf)):
+    if not proper_prior_precision(grid):
         raise ValueError(
             f"{raw!r} yields entries that are not finite positive floats "
-            f"(from {grid.min():g} to {grid.max():g})"
+            f"with finite reciprocals (from {grid.min():g} to {grid.max():g})"
         )
     return tuple(grid)
 
@@ -230,7 +244,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "subset": _choice("last_layer", SUBSETS, "parameters under the posterior"),
         "prior_precision": (
             "tune",
-            _or_none("tune", _positive),
+            _or_none("tune", _prior_precision),
             "a positive float, or 'tune' to search the grid",
         ),
         "tune_objective": _choice(

@@ -4,8 +4,9 @@ Curvature is always the generalized Gauss-Newton (GGN): the indefinite exact
 Hessian is replaced by sum_x J_x^T Lambda_x J_x with J_x the output Jacobian
 and Lambda_x the output-space Hessian of the negative log-likelihood. The
 posterior precision is the data-term curvature plus prior_precision * I,
-and the prior precision lambda must be finite and positive, so that the
-prior N(0, I / lambda) is proper and every precision is positive definite.
+and the prior precision lambda must be finite and positive with a finite
+reciprocal, so that the prior N(0, I / lambda) is proper with a finite
+variance and every precision is positive definite.
 
 Parameter subsets:
 
@@ -51,11 +52,11 @@ and no d x d precision is ever factored. The kinds differ only in B:
   H-Gram repeated over each point's r rows (Delta = L_x^T and H = hbar
   for the last layer, whose bias column is in hbar). The basis
   (:class:`DataBasis`) keeps only these factors and U, never R or W: B v
-  is U^T sum_l rowsum(Delta_l o (H_l V_l^T + b_l)) for the layer's weight
-  view V_l and bias b_l of v, and B^T w has weight blocks (Delta_l . y)^T H_l
-  and bias blocks (Delta_l . y)^T 1 for y = U w. FULL_GGN_CAP still
-  counts min(n r, d) * d floats there, the rows the form no longer holds,
-  so that the fits it admits do not depend on the form.
+  = U^T (R v) and B^T w = R^T (U w) write R's rows from the factors one
+  chunk of curvature points at a time, by the same row writer as every
+  other Jacobian row, so no whole R is held. FULL_GGN_CAP still counts
+  min(n r, d) * d floats there, the rows the form no longer holds, so
+  that the fits it admits do not depend on the form.
 * diagonal: B = I and s the GGN's diagonal.
 * Kronecker (last layer only): G = sum over data of Lambda_x (k x k) and
   A = average over data of the augmented feature outer products (F x F),
@@ -116,19 +117,19 @@ variance that root's diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .network import (
     Network,
+    _Block,
     _pre_activation,
+    _write_rows,
     apply_activation,
     augment_ones,
     forward,
     forward_output,
     jacobian_factors,
-    output_jacobian,
 )
 from .numerics import Rng
 from .training import (
@@ -151,6 +152,7 @@ __all__ = [
     "PredictConfig",
     "Predictive",
     "check_curvature_fit",
+    "proper_prior_precision",
     "fit_curvature",
     "build_posterior",
     "linearize",
@@ -185,6 +187,24 @@ _JACOBIAN_CHUNK_BYTES = 8 * 2**20
 _MC_CHUNK_BYTES = 2 * 2**20
 
 
+def proper_prior_precision(lam) -> bool:
+    """Whether each prior precision lambda in ``lam`` (a number or an
+    array) and its reciprocal, the variance of the prior N(0, I / lambda),
+    are finite and positive: a subnormal such as 1e-310 is not."""
+    lam = np.asarray(lam, dtype=np.float64)
+    with np.errstate(divide="ignore", over="ignore"):
+        recip = 1.0 / lam
+    return bool(np.all((lam > 0.0) & (lam < np.inf) & (recip < np.inf)))
+
+
+def _subset_dim(net: Network, subset: str) -> int:
+    """The parameter count of ``net``'s ``subset``: every parameter, or the
+    last layer's k (F + 1) augmented weights."""
+    if subset == "all_layers":
+        return net.num_params
+    return net.output_dim * (net.specs[-1].in_dim + 1)
+
+
 def check_curvature_fit(
     net: Network, features: np.ndarray, loss: LossKind, kind: str, subset: str
 ) -> None:
@@ -211,12 +231,8 @@ def check_curvature_fit(
         )
     if kind != "full_ggn":
         return
-    k = net.output_dim
-    if subset == "all_layers":
-        dim = net.num_params
-    else:
-        dim = k * (net.specs[-1].in_dim + 1)
-    stored = min(features.shape[0] * hessian_root_width(loss, k), dim)
+    dim = _subset_dim(net, subset)
+    stored = min(features.shape[0] * hessian_root_width(loss, net.output_dim), dim)
     if stored * dim > FULL_GGN_CAP**2:
         raise ValueError(
             f"full_ggn array of {stored} x {dim} floats exceeds cap "
@@ -237,11 +253,12 @@ def _jacobian_chunks(num_points: int, width: int, dim: int):
     points, ``width`` Jacobian rows of ``dim`` floats per point.
 
     ``buffer`` is a flat, contiguous array of len(points) * width * dim
-    floats for :func:`output_jacobian`'s ``out``, reshaped by the caller as
-    (m, width, dim): the leading part of one scratch array of the first
-    (largest) chunk's size. Only parameter-space and diagonal fits, and
-    linearize outside data space, take Jacobian rows; data space reads the
-    factors of :func:`lula_lab.network.jacobian_factors` instead.
+    floats, reshaped by the caller as (m, width, dim) for the row writer
+    :func:`lula_lab.network._write_rows`: the leading part of one scratch
+    array of the first (largest) chunk's size. Parameter-space and
+    diagonal fits, linearize outside data space, and B v and B^T w of a
+    :class:`DataBasis` take Jacobian rows this way; the data-space fit and
+    linearize read the factors alone.
     """
     size = width * dim
     scratch = None
@@ -250,33 +267,6 @@ def _jacobian_chunks(num_points: int, width: int, dim: int):
         if scratch is None:
             scratch = np.empty(rows)
         yield points, scratch[:rows]
-
-
-class _Block(NamedTuple):
-    """One layer's factors of a stack of rows over the flat parameters.
-
-    Row a of point x, restricted to the layer, is the weight block
-    delta[x, a] kron feat[x] from flat index ``start`` on, followed by the
-    bias block delta[x, a] when ``bias`` (the last layer's augmented
-    features carry their bias column in ``feat`` instead). ``delta`` is
-    (n, r, out), ``feat`` (n, in).
-    """
-
-    delta: np.ndarray
-    feat: np.ndarray
-    start: int
-    bias: bool
-
-
-def _layer_blocks(net: Network, x: np.ndarray, seeds=None) -> list[_Block]:
-    """The rows S^T J of the batch ``x`` over all layers, as per-layer
-    factors from one sweep of :func:`jacobian_factors` (copies, so the
-    blocks hold no caller's array)."""
-    blocks, start = [], 0
-    for spec, (delta, h) in zip(net.specs, jacobian_factors(net, x, seeds)):
-        blocks.append(_Block(np.array(delta), np.array(h), start, True))
-        start += spec.out_dim * (spec.in_dim + 1)
-    return blocks
 
 
 def _gram(rows: list[_Block], cols: list[_Block]) -> np.ndarray:
@@ -304,13 +294,14 @@ def _gram(rows: list[_Block], cols: list[_Block]) -> np.ndarray:
 class DataBasis:
     """The data-space basis B = W = U^T R of a full GGN, with R the
     (n r, d) stack of every curvature point's rows L_x^T J_x, r the root
-    width, held as per-layer factors and never formed.
+    width, held as per-layer factors and never formed whole.
 
-    ``blocks`` are R's :class:`_Block` factors: one per layer for all
-    layers, one with delta = L_x^T and the augmented features for the last
-    layer. ``u`` holds the eigenvectors U of the Gram
+    ``blocks`` are R's :class:`lula_lab.network._Block` factors: one per
+    layer for all layers, one with delta = L_x^T and the augmented features
+    for the last layer. ``u`` holds the eigenvectors U of the Gram
     K = R R^T = U diag(e) U^T, (n r, n r), so that GGN = W^T W and
-    W W^T = diag(e). B v and B^T w read the factors layer by layer.
+    W W^T = diag(e). B v and B^T w write R's rows one
+    :func:`_jacobian_chunks` chunk of curvature points at a time.
     """
 
     blocks: list[_Block]
@@ -322,48 +313,31 @@ class DataBasis:
         out, inn = top.delta.shape[2], top.feat.shape[1]
         return top.start + out * (inn + top.bias)
 
-    def _vector_chunks(self, count: int):
-        """Slices of ``count`` vectors for :meth:`project` and :meth:`back`,
-        whose per-layer intermediates of n out_l floats per vector fit one
-        chunk."""
-        widest = max(blk.delta.shape[2] for blk in self.blocks)
-        return _point_chunks(count, self.blocks[0].delta.shape[0] * widest)
+    def _row_chunks(self):
+        """Yield (rows, R[rows]) over chunks of curvature points: the slice
+        of R's n r rows and those rows, (len, d), written from the factors
+        into one reused buffer."""
+        n, r = self.blocks[0].delta.shape[:2]
+        for points, buf in _jacobian_chunks(n, r, self.dim):
+            m = points.stop - points.start
+            part = [b._replace(delta=b.delta[points], feat=b.feat[points])
+                    for b in self.blocks]
+            _write_rows(part, buf.reshape(m, r, self.dim))
+            yield slice(points.start * r, points.stop * r), buf.reshape(m * r, self.dim)
 
     def project(self, vectors: np.ndarray) -> np.ndarray:
-        """B v = U^T R v for each row v of ``vectors``: layer by layer,
-        R v is the row sum of Delta o (H V^T + b) for the layer's weight
-        view V and bias b of v."""
-        p = vectors.shape[0]
-        n, r = self.blocks[0].delta.shape[:2]
-        rows = np.zeros((n, p, r))
-        for chunk in self._vector_chunks(p):
-            for blk in self.blocks:
-                out, inn = blk.delta.shape[2], blk.feat.shape[1]
-                stop = blk.start + out * inn
-                weights = vectors[chunk, blk.start : stop].reshape(-1, inn)
-                acts = (blk.feat @ weights.T).reshape(n, -1, out)  # H V^T per point
-                if blk.bias:
-                    acts += vectors[chunk, stop : stop + out]
-                rows[:, chunk] += np.einsum("xpo,xao->xpa", acts, blk.delta)
-        return rows.transpose(1, 0, 2).reshape(p, n * r) @ self.u
+        """B v = U^T (R v) for each row v of ``vectors``."""
+        cols = np.empty((vectors.shape[0], self.u.shape[0]))
+        for rows, chunk in self._row_chunks():
+            cols[:, rows] = vectors @ chunk.T
+        return cols @ self.u
 
     def back(self, coeffs: np.ndarray) -> np.ndarray:
-        """B^T w = R^T U w for each row w of ``coeffs``: with y = U w, the
-        weight block of each layer is (Delta . y)^T H, its bias block
-        (Delta . y)^T 1."""
-        p = coeffs.shape[0]
-        n, r = self.blocks[0].delta.shape[:2]
-        y = (coeffs @ self.u.T).reshape(p, n, r).transpose(1, 0, 2)
-        result = np.empty((p, self.dim))
-        for chunk in self._vector_chunks(p):
-            for blk in self.blocks:
-                out, inn = blk.delta.shape[2], blk.feat.shape[1]
-                stop = blk.start + out * inn
-                grads = np.einsum("xpa,xao->xpo", y[:, chunk], blk.delta)
-                weights = grads.reshape(n, -1).T @ blk.feat  # (vectors out, in)
-                result[chunk, blk.start : stop] = weights.reshape(-1, out * inn)
-                if blk.bias:
-                    result[chunk, stop : stop + out] = grads.sum(axis=0)
+        """B^T w = R^T (U w) for each row w of ``coeffs``."""
+        y = coeffs @ self.u.T
+        result = np.zeros((coeffs.shape[0], self.dim))
+        for rows, chunk in self._row_chunks():
+            result += y[:, rows] @ chunk
         return result
 
 
@@ -448,10 +422,10 @@ def fit_curvature(
     (:func:`lula_lab.network.jacobian_factors` seeded with the roots; for
     the last layer L_x^T and hbar), and the :class:`DataBasis` keeps those
     factors and U, no d-wide row. Otherwise, in parameter space, each
-    chunk of examples has its rows written by one backward sweep
-    (:func:`lula_lab.network.output_jacobian`'s ``seeds``) and summed as
-    R^T R (last layer: the Kronecker-structured einsum); the diagonal kind
-    sums the column sums of R * R. Every refusal of
+    chunk of examples has its rows written from one backward sweep seeded
+    with the roots, by :func:`lula_lab.network.output_jacobian`'s row
+    writer, and summed as R^T R (last layer: the Kronecker-structured
+    einsum); the diagonal kind sums the column sums of R * R. Every refusal of
     :func:`check_curvature_fit`, a full kind for which min(n r, d) x d
     floats would exceed FULL_GGN_CAP**2 among them (in data space too,
     though it holds only the factors and (n r)^2 floats), raises
@@ -505,16 +479,18 @@ def fit_curvature(
     r = roots.shape[2]
     mean = net.flatten_params()
     if kind == "full_ggn" and n * r < dim:
-        e, basis = _data_basis(_layer_blocks(net, features, roots))
+        # copies, so that the basis holds no caller's array
+        factors = jacobian_factors(net, features, roots)
+        e, basis = _data_basis(
+            [b._replace(delta=np.array(b.delta), feat=np.array(b.feat)) for b in factors]
+        )
         return Curvature(kind, subset, mean, k, e, basis)
     full = np.zeros((dim, dim)) if kind == "full_ggn" else None
     diag = np.zeros(dim) if kind == "diag_ggn" else None
     for chunk, buf in _jacobian_chunks(n, r, dim):
         m = chunk.stop - chunk.start
-        output_jacobian(
-            net, features[chunk], seeds=roots[chunk], out=buf.reshape(m, r, dim)
-        )
-        rows = buf.reshape(m * r, dim)
+        blocks = jacobian_factors(net, features[chunk], roots[chunk])
+        rows = _write_rows(blocks, buf.reshape(m, r, dim)).reshape(m * r, dim)
         if full is not None:
             full += rows.T @ rows  # numpy's syrk path: exactly symmetric
         else:
@@ -554,17 +530,17 @@ class LaplacePosterior:
     the dimension), otherwise c = 0, t = 1 / (s + lambda) and t' = sqrt(t).
     The Kronecker kind also holds its damped per-factor draw.
     ``curvature`` is the curvature it was built from. Raises
-    ``ValueError`` for a prior precision that is not finite and positive,
-    and for a curvature whose spectrum (or Kronecker factor spectrum) has a
-    negative or NaN entry, so every precision eigenvalue s + lambda is at
-    least lambda.
+    ``ValueError`` for a prior precision that is not finite and positive or
+    whose reciprocal, the prior variance, overflows, and for a curvature
+    whose spectrum (or Kronecker factor spectrum) has a negative or NaN
+    entry, so every precision eigenvalue s + lambda is at least lambda.
     """
 
     def __init__(self, curvature: Curvature, prior_precision: float):
-        if not 0.0 < prior_precision < np.inf:
+        if not proper_prior_precision(prior_precision):
             raise ValueError(
-                "prior_precision must be a finite positive number, got "
-                f"{prior_precision!r}"
+                "prior_precision must be a finite positive number with a "
+                f"finite reciprocal, got {prior_precision!r}"
             )
         spectra = (curvature.spectrum,) + tuple(curvature.factor_spectra or ())
         if not all(np.all(f >= 0.0) for f in spectra):
@@ -741,11 +717,20 @@ def linearize(net: Network, curvature: Curvature, x: np.ndarray) -> Linearizatio
     P = (J R^T) U and J J^T = sum_l delta delta^T (|h|^2 + 1) per point,
     with no Jacobian row. Otherwise each chunk takes one batched output
     Jacobian (all layers) or the Jacobian e_i kron hbar of the linear last
-    layer, which one projection onto the curvature's basis turns into P.
-    No whole set's J is held. The Kronecker kind needs only hbar.
+    layer (the same row writer with delta = I_k), which one projection onto
+    the curvature's basis turns into P. No whole set's J is held. The
+    Kronecker kind needs only hbar. A curvature of another output count or
+    subset size than the network's raises ``ValueError``.
     """
     x = _as_batch(x)
     k, basis = curvature.num_outputs, curvature.basis
+    dim = _subset_dim(net, curvature.subset)
+    if (k, curvature.dim) != (net.output_dim, dim):
+        raise ValueError(
+            f"curvature of {k} outputs and {curvature.dim} {curvature.subset} "
+            f"parameters does not fit the network's {net.output_dim} outputs "
+            f"and {dim} {curvature.subset} parameters"
+        )
     if curvature.subset == "last_layer":
         # the output layer on the final hidden features: forward's output
         h = forward_output(net, x, net.num_layers - 1)
@@ -757,19 +742,23 @@ def linearize(net: Network, curvature: Curvature, x: np.ndarray) -> Linearizatio
             return Linearization(mean, np.square(u, out=u))
     else:
         mean = forward_output(net, x)
-    m, dim, width = x.shape[0], curvature.dim, curvature.spectrum.size
+    m, width = x.shape[0], curvature.spectrum.size
     proj = np.empty((m, k, width))
+
+    def point_blocks(points: slice) -> list[_Block]:
+        """The Jacobian rows of ``points`` as factors: every layer's from
+        one sweep, or the last layer's e_i kron hbar with delta = I_k."""
+        if curvature.subset == "all_layers":
+            return jacobian_factors(net, x[points])
+        eye = np.broadcast_to(np.eye(k), (points.stop - points.start, k, k))
+        return [_Block(eye, hbar[points], 0, False)]
+
     if isinstance(basis, DataBasis):
         # J R^T from the factors of both stacks, so P = (J R^T) U and
         # J J^T = sum over layers of delta delta^T (|h|^2 + 1)
         gram = np.zeros((m, k, k))
         for points in _point_chunks(m, k * width):
-            if curvature.subset == "last_layer":
-                n = points.stop - points.start
-                eye = np.broadcast_to(np.eye(k), (n, k, k))
-                blocks = [_Block(eye, hbar[points], 0, False)]
-            else:
-                blocks = _layer_blocks(net, x[points])
+            blocks = point_blocks(points)
             cross = _gram(blocks, basis.blocks)
             np.matmul(cross, basis.u, out=proj[points].reshape(cross.shape))
             for blk in blocks:
@@ -777,15 +766,9 @@ def linearize(net: Network, curvature: Curvature, x: np.ndarray) -> Linearizatio
                 grams = blk.delta @ blk.delta.transpose(0, 2, 1)
                 gram[points] += grams * norms[:, None, None]
         return Linearization(mean, proj, gram)
-    diag = np.arange(k)
     for points, buf in _jacobian_chunks(m, k, dim):
         n = points.stop - points.start
-        jac = buf.reshape(n, k, dim)
-        if curvature.subset == "last_layer":
-            jac.fill(0.0)
-            jac.reshape(n, k, k, -1)[:, diag, diag] = hbar[points, None, :]
-        else:
-            output_jacobian(net, x[points], out=jac)
+        _write_rows(point_blocks(points), buf.reshape(n, k, dim))
         proj[points] = _project(basis, buf.reshape(n * k, dim)).reshape(n, k, width)
     return Linearization(mean, proj)
 

@@ -9,7 +9,7 @@ set use this ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -408,21 +408,38 @@ def backward(
     return grads
 
 
+class _Block(NamedTuple):
+    """One layer's factors of a stack of rows over the flat parameters.
+
+    Row a of point x, restricted to the layer, is the weight block
+    delta[x, a] kron feat[x] from flat index ``start`` on, followed by the
+    bias block delta[x, a] when ``bias`` (the last layer's augmented
+    features carry their bias column in ``feat`` instead). ``delta`` is
+    (m, r, out), ``feat`` (m, in).
+    """
+
+    delta: np.ndarray
+    feat: np.ndarray
+    start: int
+    bias: bool
+
+
 def jacobian_factors(
     net: Network, x: np.ndarray, seeds: np.ndarray | None = None
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> list[_Block]:
     """Per-layer factors of the seed-weighted output Jacobian rows S^T J.
 
     A linear layer's gradient is an outer product, so row a of example x's
     S_x^T J_x restricted to layer l is the weight block
     delta_l[x, a] h_{l-1}[x]^T followed by the bias block delta_l[x, a].
     One backward sweep of the batch ``x`` (m rows) returns, for every layer
-    in order, the pair (delta_l, h_{l-1}): delta_l, shape (m, r, out_l), the
+    in order, the :class:`_Block` of delta_l, shape (m, r, out_l), the
     gradients of the outputs sum_i S_x[i, a] f_i w.r.t. the layer's
-    pre-activations, and h_{l-1}, shape (m, in_l), the layer's input. The
-    sweep starts from S_x^T at the linear output layer, from the identity
-    (r = k) without ``seeds``, which are (m, k, r). Seeds of the wrong
-    shape raise ``ValueError``.
+    pre-activations, h_{l-1}, shape (m, in_l), the layer's input, and the
+    layer's flat start (views of the sweep's arrays). The sweep starts from
+    S_x^T at the linear output layer, from the identity (r = k) without
+    ``seeds``, which are (m, k, r). Seeds of the wrong shape raise
+    ``ValueError``.
     """
     trace = forward(net, x)
     m, k = trace.output.shape
@@ -436,9 +453,10 @@ def jacobian_factors(
                 f"{k} outputs"
             )
         delta = seeds.transpose(0, 2, 1)
-    factors = []
+    factors, start = [], net.num_params
     for i in range(net.num_layers - 1, -1, -1):
-        factors.append((delta, trace.activations[i]))
+        start -= net.specs[i].out_dim * (net.specs[i].in_dim + 1)
+        factors.append(_Block(delta, trace.activations[i], start, True))
         if i > 0:
             phi_grad = activation_derivative(
                 net.specs[i - 1].activation, trace.pre_activations[i - 1]
@@ -447,12 +465,25 @@ def jacobian_factors(
     return factors[::-1]
 
 
+def _write_rows(blocks: list[_Block], out: np.ndarray) -> np.ndarray:
+    """Write the rows held as ``blocks`` into ``out``, the caller's
+    (m, r, d) array, and return it: each weight block is the outer product
+    delta kron feat, multiplied straight into its place, and each bias
+    block delta itself."""
+    m, r = out.shape[:2]
+    for blk in blocks:
+        width, inn = blk.delta.shape[2], blk.feat.shape[1]
+        stop = blk.start + width * inn
+        # splitting the last axis is always a view, whatever out's strides
+        weights = out[:, :, blk.start : stop].reshape(m, r, width, inn)
+        np.multiply(blk.delta[:, :, :, None], blk.feat[:, None, None, :], out=weights)
+        if blk.bias:
+            out[:, :, stop : stop + width] = blk.delta
+    return out
+
+
 def output_jacobian(
-    net: Network,
-    x: np.ndarray,
-    *,
-    seeds: np.ndarray | None = None,
-    out: np.ndarray | None = None,
+    net: Network, x: np.ndarray, *, seeds: np.ndarray | None = None
 ) -> np.ndarray:
     """Seed-weighted rows S^T J of the output Jacobian J w.r.t. the
     flattened parameters.
@@ -464,44 +495,20 @@ def output_jacobian(
     ``seeds`` of shape (m, k, r) ((k, r) for a vector) give the r rows
     S_x^T J_x per example instead, shape (m, r, d) ((r, d)), such as the
     GGN rows L_x^T J_x of a loss-Hessian root L_x, without forming J_x.
-    ``out``, an array of the result's shape the caller owns (any strides,
-    such as a transposed view), receives the rows and is returned.
 
-    The rows are written from the one sweep of :func:`jacobian_factors`:
-    each layer's weight block is the outer product delta_l(x) h_{l-1}(x)^T,
-    multiplied straight into its place in the result, and its bias block
-    delta_l(x) itself. Without seeds the sweep starts from the identity, so
-    the values are bitwise those of the seedless call with or without
-    ``out``. Seeds or an ``out`` of the wrong shape raise ``ValueError``.
+    :func:`_write_rows`, which writes every Jacobian row of the package,
+    writes the rows from the factors of one :func:`jacobian_factors` sweep.
+    Without seeds the sweep starts from the identity, so identity seeds give
+    the same bits. Seeds of the wrong shape raise ``ValueError``.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise ValueError("output_jacobian expects an input vector or a batch")
     if seeds is not None and x.ndim == 1:
         seeds = np.asarray(seeds, dtype=np.float64)[None]
-    factors = jacobian_factors(net, _as_batch(x, net.input_dim), seeds)
-    m, r = factors[-1][0].shape[:2]
-    d = net.num_params
-    if out is None:
-        jac = np.empty((m, r, d))
-    else:
-        jac = out if x.ndim == 2 else out[None]
-        if jac.shape != (m, r, d) or jac.dtype != np.float64:
-            raise ValueError(
-                f"out of {out.dtype} {out.shape} does not hold {m} x {r} "
-                f"rows of {d} float64 parameters"
-            )
-    start = 0
-    for spec, (delta, h) in zip(net.specs, factors):
-        bias_start = start + spec.out_dim * spec.in_dim
-        stop = bias_start + spec.out_dim
-        # splitting the last axis is always a view, whatever jac's strides
-        block = jac[:, :, start:bias_start].reshape(m, r, spec.out_dim, spec.in_dim)
-        np.multiply(delta[:, :, :, None], h[:, None, None, :], out=block)
-        jac[:, :, bias_start:stop] = delta
-        start = stop
-    if out is not None:
-        return out
+    blocks = jacobian_factors(net, _as_batch(x, net.input_dim), seeds)
+    m, r = blocks[0].delta.shape[:2]
+    jac = _write_rows(blocks, np.empty((m, r, net.num_params)))
     return jac[0] if x.ndim == 1 else jac
 
 

@@ -144,6 +144,11 @@ MALFORMED = [
     ("laplace", "lambda_grid", "0,1"),
     ("laplace", "lambda_grid", "logspace:0:400:3"),
     ("laplace", "lambda_grid", "logspace:-400:0:3"),
+    # ... and has a finite variance 1 / lambda: 1e-310 is positive but
+    # subnormal, and its reciprocal overflows
+    ("laplace", "prior_precision", "1e-310"),
+    ("laplace", "lambda_grid", "1e-310,1"),
+    ("laplace", "lambda_grid", "logspace:-309:0:3"),
     # the regression demo's far field must hold grid points, and the
     # classification demo's ring is a set of radii
     ("eval", "far_field", "20"),
@@ -174,6 +179,31 @@ NON_FINITE = [
     for section, key in _float_keys()
     for value in ("nan", "inf")
     if (section, key, value) not in MALFORMED
+]
+
+
+UNKNOWN_WORD = "no_such_word"
+
+
+def _word_keys() -> list[tuple[str, str]]:
+    """(section, key) of every key whose parser reads words of a fixed set
+    and refuses ``UNKNOWN_WORD`` as none of them."""
+    keys = []
+    for section, entries in SCHEMA.items():
+        for key, (_, parse, _) in entries.items():
+            try:
+                parse(UNKNOWN_WORD)
+            except ValueError as exc:
+                if "is not one of" in str(exc):
+                    keys.append((section, key))
+    return keys
+
+
+# an unknown word for every such key, beside the hand-written rows above
+UNKNOWN_WORDS = [
+    (section, key, UNKNOWN_WORD)
+    for section, key in _word_keys()
+    if (section, key, UNKNOWN_WORD) not in MALFORMED
 ]
 
 
@@ -241,12 +271,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"\[laplace\] lambda_grid"):
             load_config(str(path))
 
-    @pytest.mark.parametrize("grid", ["logspace:0:400:3", "logspace:-400:0:3"])
+    @pytest.mark.parametrize(
+        "grid", ["logspace:0:400:3", "logspace:-400:0:3", "logspace:-309:0:3"]
+    )
     def test_lambda_grid_logspace_beyond_float64_is_refused_quietly(
         self, tmp_path, grid
     ):
-        # 10**400 overflows to inf and 10**-400 underflows to 0: both are
-        # refused by name, with no numpy floating-point warning
+        # 10**400 overflows to inf, 10**-400 underflows to 0, and 1 / 10**-309
+        # overflows to inf: each is refused by name, with no numpy
+        # floating-point warning
         path = tmp_path / "c.ini"
         path.write_text(f"[laplace]\nlambda_grid = {grid}\n")
         with warnings.catch_warnings():
@@ -259,6 +292,18 @@ class TestConfig:
         keys = _float_keys()
         assert ("laplace", "prior_precision") in keys and ("lula", "init_std") in keys
         assert ("laplace", "lambda_grid") not in keys and ("data", "size") not in keys
+
+    def test_word_keys_cover_every_choice(self):
+        # the generated unknown-word rows reach each key of config._choice,
+        # whose comment lists the choices as "a | b", and [eval] ood_kinds
+        choices = {
+            (section, key)
+            for section, entries in SCHEMA.items()
+            for key, (_, _, comment) in entries.items()
+            if " | " in comment
+        }
+        assert len(choices) == 10
+        assert set(_word_keys()) == choices | {("eval", "ood_kinds")}
 
     def test_reference_text_lists_every_key(self):
         text = reference_text()
@@ -394,7 +439,7 @@ class TestCliCommands:
         ).replace("runs = 2", f"runs = {runs}"))
         model = str(tmp_path / "model.txt")
         assert cli.main(["train", "--config", str(config), "--out", model]) == 0
-        calls = {"jacobian_factors": [], "output_jacobian": []}
+        calls = {"jacobian_factors": [], "_write_rows": []}
         for name, found in calls.items():
             original = getattr(laplace_mod, name)
 
@@ -407,7 +452,7 @@ class TestCliCommands:
                 "--out", str(tmp_path / "eval")]
         assert cli.main(argv) == 0
         assert len(calls["jacobian_factors"]) == 1 + 3
-        assert calls["output_jacobian"] == []
+        assert calls["_write_rows"] == []
 
     @pytest.fixture
     def no_fit(self, monkeypatch):
@@ -517,7 +562,7 @@ class TestCliCommands:
         assert "prior_precision" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["train", "laplace", "lula", "eval", "demo-toy"])
-    @pytest.mark.parametrize("section,key,value", MALFORMED + NON_FINITE)
+    @pytest.mark.parametrize("section,key,value", MALFORMED + NON_FINITE + UNKNOWN_WORDS)
     def test_malformed_key_exits_2_before_work(
         self, section, key, value, command, tmp_path, capsys, monkeypatch
     ):
@@ -850,7 +895,7 @@ class TestPosteriorSidecar:
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("command", ["lula", "eval"])
-    @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
+    @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan", "1e-310"])
     def test_non_positive_prior_precision_in_the_file_exits_2_before_work(
         self, base_model, tmp_path, capsys, monkeypatch, command, value
     ):

@@ -436,10 +436,11 @@ class TestBuildPosterior:
         with pytest.raises(ValueError, match="negative or NaN entry"):
             build_posterior(curv, 0.1)
 
-    @pytest.mark.parametrize("lam", [np.nan, -1.0, 0.0, np.inf],
-                             ids=["nan", "negative", "zero", "inf"])
+    @pytest.mark.parametrize("lam", [np.nan, -1.0, 0.0, np.inf, 1e-310],
+                             ids=["nan", "negative", "zero", "inf", "subnormal"])
     def test_invalid_prior_precision_raises_value_error(self, lam):
-        # NaN fails every comparison, so the check is `not 0 < lam < inf`
+        # NaN fails every comparison; 1e-310 is positive, but its prior
+        # variance 1 / lambda overflows to inf
         with pytest.raises(ValueError, match="must be a finite positive number"):
             build_posterior(curvature_from_matrix(np.eye(2)), lam)
 
@@ -635,12 +636,14 @@ class TestFullGGNEigenbasis:
 
 def stacked_rows(net, x, loss, subset):
     """R, the materialized (n r, d) stack of every point's rows L_x^T J_x:
-    the root-seeded output Jacobian (all layers) or L_x[:, a] kron hbar_x
-    (last layer)."""
+    L_x^T times the loop oracle's Jacobian (all layers) or
+    L_x[:, a] kron hbar_x (last layer)."""
     trace = forward(net, x)
     roots = output_hessian_roots(loss, trace.output)
     if subset == "all_layers":
-        return output_jacobian(net, x, seeds=roots).reshape(-1, net.num_params)
+        return np.concatenate(
+            [root.T @ loop_output_jacobian(net, p) for root, p in zip(roots, x)]
+        )
     hbar = augment_ones(trace.activations[-2])
     return np.einsum("mia,mc->maic", roots, hbar).reshape(x.shape[0] * roots.shape[2], -1)
 
@@ -721,6 +724,27 @@ class TestDataBasis:
         empty = np.empty((0, curv.spectrum.size))
         assert laplace._project(curv.basis, empty, back=True).shape == (0, curv.dim)
         assert post.sample(Rng(0), 0).shape == (0, curv.dim)
+
+    @pytest.mark.parametrize("subset", ["last_layer", "all_layers"])
+    @pytest.mark.parametrize("loss, k", LOSS_CASES)
+    def test_row_chunks_match_one_chunk(self, subset, loss, k, monkeypatch):
+        # B v and B^T w write R's rows three curvature points at a time:
+        # the 7 points in chunks of 3, 3, 1
+        rng = Rng(85)
+        net = Network.init_random([2, 5, 12, k], "tanh", rng)
+        x = 2.0 * rng.standard_normal((7, 2))
+        curv = fit_curvature(net, x, loss, "full_ggn", subset)
+        basis, r = curv.basis, root_width(loss, k)
+        assert isinstance(basis, laplace.DataBasis)
+        vectors = rng.standard_normal((4, curv.dim))
+        coeffs = rng.standard_normal((4, 7 * r))
+        whole = basis.project(vectors), basis.back(coeffs)
+        monkeypatch.setattr(laplace, "_JACOBIAN_CHUNK_BYTES", 3 * 8 * r * curv.dim)
+        chunks = laplace._jacobian_chunks(7, r, curv.dim)
+        assert [p.stop - p.start for p, _ in chunks] == [3, 3, 1]
+        chunked = basis.project(vectors), basis.back(coeffs)
+        for part, one in zip(chunked, whole):
+            assert relative_error(part, one) <= 1e-12
 
 
 class TestSampling:
@@ -1173,6 +1197,43 @@ class TestOutputCovariance:
         assert v.shape == (6, k)
         assert relative_error(v, expected) <= 1e-10
 
+    @pytest.mark.parametrize("kind, subset, n", [
+        case for case in SPACE_CASES
+        if case.id in ("diag-last", "full-last-parameter", "full-all-parameter", "diag-all")
+    ])
+    def test_chunked_jacobian_rows_match_one_chunk(self, kind, subset, n, monkeypatch):
+        # outside data space linearize writes three points' Jacobian rows
+        # at a time: the 7 points in chunks of 3, 3, 1
+        loss, k = LossKind("categorical_ce"), 3
+        net, post, _, _ = self._instance(kind, subset, n, loss, k)
+        points = Rng(52).standard_normal((7, 2))
+        whole = laplace.linearize(net, post.curvature, points)
+        monkeypatch.setattr(laplace, "_JACOBIAN_CHUNK_BYTES", 3 * 8 * k * post.dim)
+        chunks = laplace._jacobian_chunks(7, k, post.dim)
+        assert [p.stop - p.start for p, _ in chunks] == [3, 3, 1]
+        chunked = laplace.linearize(net, post.curvature, points)
+        assert relative_error(chunked.proj, whole.proj) <= 1e-12
+        assert np.array_equal(chunked.mean, whole.mean)
+
+    @pytest.mark.parametrize("kind, subset, n", SPACE_CASES)
+    @pytest.mark.parametrize("dims", [[2, 6, 3], [2, 2, 5]], ids=["size", "outputs"])
+    def test_curvature_of_another_network_raises(self, kind, subset, n, dims):
+        # a curvature fitted on a 2,4,3 net against a 2,6,3 net, whose
+        # subset is larger, or a 2,2,5 net, whose last layer has as many
+        # parameters (5 x 3 = 3 x 5) but other outputs
+        loss = LossKind("categorical_ce")
+        _, post, points, _ = self._instance(kind, subset, n, loss, 3)
+        other = Network.init_random(dims, "tanh", Rng(53))
+        dim = other.num_params if subset == "all_layers" else dims[2] * (dims[1] + 1)
+        message = (
+            f"curvature of 3 outputs and {post.dim} {subset} parameters does not "
+            f"fit the network's {dims[2]} outputs and {dim} {subset} parameters"
+        )
+        with pytest.raises(ValueError, match=message):
+            laplace.linearize(other, post.curvature, points)
+        with pytest.raises(ValueError, match=message):
+            linearized_variance_batch(other, post, points)
+
     def test_zero_jacobian_row_gives_a_finite_root(self):
         # output 0 of point 0 has a zero Jacobian row: Sigma_f is singular
         # there, and its data-space form c J J^T + P diag(t) P^T can round
@@ -1375,8 +1436,8 @@ class TestTunePriorPrecision:
         with pytest.raises(ValueError, match="features must be nonempty"):
             tune_prior_precision(net, curv, x[:0], y[:0], loss, grid=[0.1, 1.0])
 
-    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, np.inf],
-                             ids=["nan", "zero", "negative", "inf"])
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, np.inf, 1e-310],
+                             ids=["nan", "zero", "negative", "inf", "subnormal"])
     def test_invalid_candidate_raises(self, bad):
         # no candidate is skipped: one that is not a finite positive number
         # is a bad grid and stops the search

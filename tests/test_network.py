@@ -7,6 +7,7 @@ from conftest import (
     random_network,
     relative_error,
 )
+from lula_lab import network
 from lula_lab.errors import ModelFormatError
 from lula_lab.network import (
     ACTIVATIONS,
@@ -380,8 +381,7 @@ class TestOutputJacobian:
     @pytest.mark.parametrize("loss, k", SEEDED_CASES)
     def test_seeded_rows_match_loop_oracle(self, loss, k):
         # seeded with the loss-Hessian roots L_x, the sweep gives the GGN
-        # rows L_x^T J_x: for a batch, a single vector, an empty batch, and
-        # into a transposed view of an (r, m, d) buffer
+        # rows L_x^T J_x: for a batch, a single vector and an empty batch
         rng = Rng(43)
         net = biased_network([3, 6, 5, k], "tanh", rng)
         x = rng.standard_normal((7, 3))
@@ -397,47 +397,37 @@ class TestOutputJacobian:
             assert relative_error(one, expected) <= 1e-14
         empty = output_jacobian(net, x[:0], seeds=seeds[:0])
         assert empty.shape == (0, r, d)
-        buffer = np.full((r, 7, d), np.nan)
-        view = buffer.transpose(1, 0, 2)
-        assert output_jacobian(net, x, seeds=seeds, out=view) is view
-        assert np.array_equal(view, rows)
-        single = np.full((r, d), np.nan)
-        assert output_jacobian(net, x[2], seeds=seeds[2], out=single) is single
-        assert np.array_equal(single, output_jacobian(net, x[2], seeds=seeds[2]))
 
-    def test_out_without_seeds_is_bitwise_the_allocating_call(self):
+    def test_identity_seeds_are_bitwise_the_seedless_call(self):
         rng = Rng(44)
         net = biased_network([2, 7, 4, 3], "selu", rng)
         x = rng.standard_normal((6, 2))
-        for batch in (x, x[:0], x[4]):
-            expected = output_jacobian(net, batch)
-            out = np.full(expected.shape, np.nan)
-            assert output_jacobian(net, batch, out=out) is out
-            assert np.array_equal(out, expected)
-        # a (k, m, d) buffer written through its transposed (m, k, d) view
-        buffer = np.full((3, 6, net.num_params), np.nan)
-        output_jacobian(net, x, out=buffer.transpose(1, 0, 2))
-        assert np.array_equal(buffer, output_jacobian(net, x).transpose(1, 0, 2))
-        # identity seeds take the seeded path to the same bits
         eye = np.broadcast_to(np.eye(3), (6, 3, 3))
         assert np.array_equal(output_jacobian(net, x, seeds=eye), output_jacobian(net, x))
 
-    @pytest.mark.parametrize("seeds_shape, out_shape", [
-        ((5, 3, 2), None),  # seeds for another batch size
-        ((4, 2, 2), None),  # seeds for another output count
-        ((4, 3), None),  # not one seed matrix per example
-        (None, (4, 3, 50)),  # out of another width
-        ((4, 3, 2), (4, 3, 39)),  # out of the unseeded row count
-        ((4, 3, 2), (2, 4, 39)),  # out not in (m, r, d) order
+    def test_row_writer_is_bitwise_the_jacobian_in_any_buffer(self):
+        # the writer fills a caller's buffer, here a transposed (k, m, d)
+        # one, with the bits output_jacobian returns, whatever the buffer
+        # held before
+        rng = Rng(47)
+        net = biased_network([2, 7, 4, 3], "tanh", rng)
+        x = rng.standard_normal((6, 2))
+        buffer = np.full((3, 6, net.num_params), np.nan)
+        view = buffer.transpose(1, 0, 2)
+        blocks = network.jacobian_factors(net, x)
+        assert network._write_rows(blocks, view) is view
+        assert np.array_equal(view, output_jacobian(net, x))
+
+    @pytest.mark.parametrize("seeds_shape", [
+        (5, 3, 2),  # seeds for another batch size
+        (4, 2, 2),  # seeds for another output count
+        (4, 3),  # not one seed matrix per example
     ])
-    def test_rejects_misshapen_seeds_and_out(self, seeds_shape, out_shape):
+    def test_rejects_misshapen_seeds(self, seeds_shape):
         net = Network.init_random([2, 6, 3], "tanh", Rng(45))
-        assert net.num_params == 39
         x = Rng(46).standard_normal((4, 2))
-        seeds = None if seeds_shape is None else np.ones(seeds_shape)
-        out = None if out_shape is None else np.empty(out_shape)
         with pytest.raises(ValueError):
-            output_jacobian(net, x, seeds=seeds, out=out)
+            output_jacobian(net, x, seeds=np.ones(seeds_shape))
 
     def test_matches_finite_differences(self):
         rng = Rng(31)
