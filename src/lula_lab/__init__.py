@@ -53,6 +53,6 @@ from .data import (
     standardize,
     synthesize_ood,
 )
-from .metrics import EvalReport, auroc, brier, mmc
+from .metrics import auroc, brier, mmc
 
 __version__ = "0.1.0"

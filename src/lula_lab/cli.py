@@ -77,8 +77,26 @@ def _resolve_loss(cfg: ExperimentConfig, task: str) -> LossKind:
     return LossKind(choice)
 
 
-def _build_data(cfg: ExperimentConfig):
-    """Generate/ingest, split, and optionally standardize the dataset."""
+def _csv_labels(targets: np.ndarray, classes: int, path: str, header: bool):
+    """A csv target column as labels: each an integer in [0, classes), or a
+    ``ValueError`` naming the file, the first bad row and its value."""
+    y = targets.ravel()
+    bad = np.flatnonzero(~((y >= 0) & (y < classes) & (y == np.floor(y))))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"{path}: label {float(y[i])} at row {i + 1 + int(header)} is not "
+            f"an integer in [0, {classes})"
+        )
+    return y.astype(np.int64)
+
+
+def _build_data(cfg: ExperimentConfig, num_outputs: int):
+    """Generate/ingest, split, and optionally standardize the dataset.
+
+    A csv read under a classification loss must hold labels below
+    ``num_outputs``, the network's output count (below 2 for binary_ce).
+    """
     d = cfg["data"]
     if d["generator"] == "two_moons":
         full = data_mod.gen_two_moons(d["size"], d["noise_std"], d["seed"])
@@ -88,8 +106,10 @@ def _build_data(cfg: ExperimentConfig):
         )
     else:
         full = data_mod.load_csv(d["csv_path"], d["target_column"], d["header"])
-        if cfg["train"]["loss"] in ("categorical_ce", "binary_ce"):
-            labels = full.targets.ravel().astype(np.int64)
+        loss = cfg["train"]["loss"]
+        if loss in ("categorical_ce", "binary_ce"):
+            classes = 2 if loss == "binary_ce" else num_outputs
+            labels = _csv_labels(full.targets, classes, d["csv_path"], d["header"])
             full = data_mod.Dataset(full.features, labels, task="classification")
     spec = data_mod.SplitSpec(d["split"], seed=_mix64(d["seed"], 1))
     train, val, test = data_mod.split(full, spec)
@@ -128,7 +148,6 @@ def _fit_laplace(
     curv = fit_curvature(net, train.features, loss, la["curvature"], la["subset"])
     if lam is None:
         out_features = None
-        num_classes = None
         if la["tune_objective"] == "ood_mmc":
             out_features = data_mod.gen_uniform_noise(
                 val.num_rows,
@@ -137,7 +156,6 @@ def _fit_laplace(
                 cfg["lula"]["ood_high"],
                 _mix64(la["seed"], 7),
             ).features
-            num_classes = 2 if loss.kind == "binary_ce" else net.output_dim
         lam, scores = tune_prior_precision(
             net,
             curv,
@@ -148,7 +166,6 @@ def _fit_laplace(
             grid=la["lambda_grid"],
             predict_cfg=predict_cfg,
             out_features=out_features,
-            num_classes=num_classes,
         )
         print(f"searched {len(scores)} prior precisions on val: picked {_fmt(lam)}")
     else:
@@ -291,7 +308,7 @@ def _save_augmentation(path: str, units: int, init_std: float | None) -> None:
 
 def cmd_train(config_path: str, out_path: str, seed: int | None = None) -> int:
     cfg, train_cfg, *_ = _load(config_path, seed)
-    train, val, test, loss = _build_data(cfg)
+    train, val, test, loss = _build_data(cfg, cfg["model"]["dims"][-1])
     net = _init_network(cfg, train.num_features)
     trained, history = train_map(
         net, train.features, train.targets, loss, train_cfg
@@ -312,7 +329,7 @@ def cmd_laplace(
 ) -> int:
     cfg, _, _, laplace_cfg, _ = _load(config_path, seed)
     net = net_mod.load(model_path)
-    train, val, test, loss = _build_data(cfg)
+    train, val, test, loss = _build_data(cfg, net.output_dim)
     la = cfg["laplace"]
     lam = la["prior_precision"]
     if lam is None:
@@ -345,7 +362,7 @@ def cmd_lula(
     lu = cfg["lula"]
     lam = _base_prior_precision(cfg, model_path)
     net = net_mod.load(model_path)
-    train, val, test, loss = _build_data(cfg)
+    train, val, test, loss = _build_data(cfg, net.output_dim)
     count = lu["counts"]
     if net.num_layers < 2:
         raise ConfigError(
@@ -405,89 +422,79 @@ def _eval_ood_sets(cfg: ExperimentConfig, test):
     return sets
 
 
+def _score_run(preds, names, targets, classification: bool, report_total: bool):
+    """One eval run's metrics keyed ``<set>.<metric>``, and each set's
+    confidence vector (an empty list for regression).
+
+    ``preds`` are the predictives of the test split and then of the OOD
+    sets ``names``; ``targets`` are the test split's. Classification scores
+    test MMC and Brier, and each OOD set's MMC and its AUROC against the
+    test confidences. Regression scores each set's mean predictive std
+    (total or epistemic) and the test log-likelihood.
+    """
+    pred_test, *pred_ood = preds
+    if not classification:
+        scores = {"test.log_likelihood": predictive_log_likelihood(pred_test, targets)}
+        for name, pred in zip(("test", *names), preds):
+            var = pred.var_total if report_total else pred.var_epistemic
+            scores[f"{name}.mean_std"] = float(np.mean(np.sqrt(var)))
+        return scores, []
+    confidences = [pred.probabilities.max(axis=1) for pred in preds]
+    scores = {
+        "test.mmc": metrics_mod.mmc(pred_test.probabilities),
+        "test.brier": metrics_mod.brier(pred_test.probabilities, targets),
+    }
+    for name, pred, conf in zip(names, pred_ood, confidences[1:]):
+        scores[f"{name}.mmc"] = metrics_mod.mmc(pred.probabilities)
+        scores[f"{name}.auroc"] = metrics_mod.auroc(confidences[0], conf)
+    return scores, confidences
+
+
 def cmd_eval(
     config_path: str, model_path: str, out_dir: str, seed: int | None = None
 ) -> int:
     cfg, _, _, laplace_cfg, eval_cfg = _load(config_path, seed)
     lam = _base_prior_precision(cfg, model_path)
     net = net_mod.load(model_path)
-    train, val, test, loss = _build_data(cfg)
+    train, val, test, loss = _build_data(cfg, net.output_dim)
     if test.num_rows == 0:
         raise ConfigError("[data] split leaves no test rows for eval to score")
     ood_sets = _eval_ood_sets(cfg, test)
     curv, lam, _ = _fit_laplace(cfg, laplace_cfg, net, train, val, loss, lam)
     post = build_posterior(curv, lam)
     runs = cfg["eval"]["runs"]
-    report_total = cfg["eval"]["report_std"] == "total"
     classification = loss.kind in ("categorical_ce", "binary_ce")
 
     # every run reads the same linearized point sets: one Jacobian sweep each
     sets = [linearize(net, curv, x) for x in (test.features, *ood_sets.values())]
-    # the regression predictive is exact and draws nothing, so every run
-    # reads the one computed here
-    exact = None if classification else predict_linearized(post, sets, eval_cfg, loss)
-    per_metric: dict[str, list[float]] = {}
-    first_run_reports: list[metrics_mod.EvalReport] = []
-    for r in range(runs):
-        pcfg = replace(eval_cfg, seed=_mix64(eval_cfg.seed, 1000 + r))
-        reports = []
-        pred_test, *pred_ood = exact or predict_linearized(post, sets, pcfg, loss)
-        if classification:
-            conf_test = pred_test.probabilities.max(axis=1)
-            reports.append(
-                metrics_mod.EvalReport(
-                    name="test",
-                    mmc=metrics_mod.mmc(pred_test.probabilities),
-                    brier=metrics_mod.brier(pred_test.probabilities, test.targets),
-                    confidences=conf_test,
-                )
+    if classification:
+        run_preds = (
+            predict_linearized(
+                post, sets, replace(eval_cfg, seed=_mix64(eval_cfg.seed, 1000 + r)), loss
             )
-            for name, pred in zip(ood_sets, pred_ood):
-                conf = pred.probabilities.max(axis=1)
-                reports.append(
-                    metrics_mod.EvalReport(
-                        name=name,
-                        mmc=metrics_mod.mmc(pred.probabilities),
-                        auroc=metrics_mod.auroc(conf_test, conf),
-                        confidences=conf,
-                    )
-                )
-            for report in reports:
-                per_metric.setdefault(f"{report.name}.mmc", []).append(report.mmc)
-                if report.auroc is not None:
-                    per_metric.setdefault(f"{report.name}.auroc", []).append(
-                        report.auroc
-                    )
-                if report.brier is not None:
-                    per_metric.setdefault(f"{report.name}.brier", []).append(
-                        report.brier
-                    )
-        else:
-            def std_summary(pred):
-                var = pred.var_total if report_total else pred.var_epistemic
-                return float(np.mean(np.sqrt(var)))
-
-            per_metric.setdefault("test.mean_std", []).append(std_summary(pred_test))
-            per_metric.setdefault("test.log_likelihood", []).append(
-                predictive_log_likelihood(pred_test, test.targets)
-            )
-            for name, pred in zip(ood_sets, pred_ood):
-                per_metric.setdefault(f"{name}.mean_std", []).append(
-                    std_summary(pred)
-                )
-        if r == 0:
-            first_run_reports = reports
+            for r in range(runs)
+        )
+    else:
+        # the regression predictive is exact and draws nothing, so every run
+        # reads the one computed here
+        run_preds = [predict_linearized(post, sets, eval_cfg, loss)] * runs
+    names = list(ood_sets)
+    report_total = cfg["eval"]["report_std"] == "total"
+    scored = [
+        _score_run(preds, names, test.targets, classification, report_total)
+        for preds in run_preds
+    ]
 
     os.makedirs(out_dir, exist_ok=True)
-    if first_run_reports:
-        conf_rows = []
-        for report in first_run_reports:
-            for i, value in enumerate(report.confidences):
-                conf_rows.append((report.name, i, float(value)))
+    if classification:
         _write_csv(
             os.path.join(out_dir, "eval_confidences.csv"),
             ["dataset", "index", "confidence"],
-            conf_rows,
+            [
+                (name, i, value)
+                for name, conf in zip(("test", *names), scored[0][1])
+                for i, value in enumerate(conf.tolist())
+            ],
         )
     rows = []
     summary = [
@@ -496,8 +503,8 @@ def cmd_eval(
         f"prior_precision {_fmt(lam)}",
         f"runs {runs}",
     ]
-    for name in sorted(per_metric):
-        values = np.array(per_metric[name])
+    for name in sorted(scored[0][0]):
+        values = np.array([scores[name] for scores, _ in scored])
         dataset, metric = name.split(".", 1)
         rows.append((dataset, metric, float(values.mean()), float(values.std())))
         summary.append(f"{name}.mean {_fmt(values.mean())}")

@@ -382,8 +382,8 @@ def _convert(raw: dict) -> ExperimentConfig:
     # generator: two_moons is categorical, and load_csv reads a csv target as
     # a regression target, so auto resolves to gaussian_nll there.
     loss = values["train"]["loss"]
-    if loss == "auto" and data["generator"] == "two_moons":
-        loss = "categorical_ce"
+    if loss == "auto":
+        loss = "categorical_ce" if data["generator"] == "two_moons" else "gaussian_nll"
     for section in ("laplace", "eval"):
         if loss == "categorical_ce" and values[section]["method"] == "probit_linearized":
             raise ConfigError(
@@ -391,6 +391,12 @@ def _convert(raw: dict) -> ExperimentConfig:
                 "(single-logit) or regression models only, and this config's "
                 "likelihood is categorical_ce; use mc"
             )
+    if loss == "gaussian_nll" and laplace["tune_objective"] == "ood_mmc":
+        raise ConfigError(
+            "[laplace] tune_objective = ood_mmc scores class probabilities, and "
+            "this config's likelihood ([train] loss) is gaussian_nll; use "
+            "val_log_likelihood"
+        )
     return ExperimentConfig(values)
 
 

@@ -244,8 +244,9 @@ def load_csv(path: str, target_column, header: bool = True) -> Dataset:
 
     ``target_column`` is a column name (requires a header row) or a 0-based
     index. Features keep the remaining columns in file order. Parse failures
-    report the offending 1-based row and column. Classification use casts
-    the target column to labels downstream.
+    and non-finite cells (``nan``, ``inf``) report the offending 1-based row
+    and column, the header counted. Classification use casts the target
+    column to labels downstream.
 
     The body is parsed in bulk by ``np.loadtxt``; any file it rejects, or
     whose width disagrees with the header, goes through the cell-by-cell
@@ -255,7 +256,9 @@ def load_csv(path: str, target_column, header: bool = True) -> Dataset:
     if bulk is None:
         return _load_csv_cells(path, target_column, header)
     names, parsed = bulk
-    return _csv_dataset(parsed, _target_index(names, parsed.shape[1], target_column))
+    return _csv_dataset(
+        path, header, parsed, _target_index(names, parsed.shape[1], target_column)
+    )
 
 
 def _load_csv_bulk(path: str, header: bool):
@@ -319,7 +322,7 @@ def _load_csv_cells(path: str, target_column, header: bool) -> Dataset:
                     f"{path}: cannot parse {cell!r} at row "
                     f"{i + 1 + int(header)}, column {j + 1}"
                 ) from None
-    return _csv_dataset(parsed, target_idx)
+    return _csv_dataset(path, header, parsed, target_idx)
 
 
 def _target_index(names: list[str] | None, width: int, target_column) -> int:
@@ -335,7 +338,18 @@ def _target_index(names: list[str] | None, width: int, target_column) -> int:
     return target_idx
 
 
-def _csv_dataset(parsed: np.ndarray, target_idx: int) -> Dataset:
+def _csv_dataset(
+    path: str, header: bool, parsed: np.ndarray, target_idx: int
+) -> Dataset:
+    """The parsed cells as a regression dataset; a NaN or infinite cell is
+    a ``ValueError`` naming the first one's row and column."""
+    bad = np.argwhere(~np.isfinite(parsed))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(
+            f"{path}: non-finite value {parsed[i, j]} at row "
+            f"{i + 1 + int(header)}, column {j + 1}"
+        )
     feature_cols = [j for j in range(parsed.shape[1]) if j != target_idx]
     return Dataset(
         parsed[:, feature_cols],

@@ -963,15 +963,15 @@ def tune_prior_precision(
     grid=None,
     predict_cfg: PredictConfig | None = None,
     out_features: np.ndarray | None = None,
-    num_classes: int | None = None,
 ) -> tuple[float, list[tuple[float, float]]]:
     """Pick the prior precision over a candidate grid.
 
     ``val_log_likelihood`` maximizes the predictive log-likelihood on the
     given validation data. ``ood_mmc`` minimizes
     |1 - MMC_in| + |1/k - MMC_out|, both from one shared draw per
-    candidate, and additionally needs ``out_features`` and
-    ``num_classes``. Each point set is linearized once, and every
+    candidate, with k the class count (2 under binary_ce, else the
+    network's output count); it needs ``out_features`` and a
+    classification loss. Each point set is linearized once, and every
     candidate reads those pieces. Every candidate must be a finite
     positive number (``ValueError`` from :func:`build_posterior`
     otherwise). Returns (best, [(lambda, score), ...]) with score in the
@@ -987,8 +987,11 @@ def tune_prior_precision(
     if not cand:
         raise ValueError("candidate grid must be nonempty")
     cfg = predict_cfg or PredictConfig()
-    if objective == "ood_mmc" and (out_features is None or num_classes is None):
-        raise ValueError("ood_mmc needs out_features and num_classes")
+    if objective == "ood_mmc" and out_features is None:
+        raise ValueError("ood_mmc needs out_features")
+    if objective == "ood_mmc" and loss.kind == "gaussian_nll":
+        raise ValueError("ood_mmc scores class probabilities; gaussian_nll has none")
+    num_classes = 2 if loss.kind == "binary_ce" else net.output_dim
 
     points = [features] if objective == "val_log_likelihood" else [features, out_features]
     sets = [linearize(net, curvature, x) for x in points]

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-
 import numpy as np
 
-__all__ = ["EvalReport", "mmc", "auroc", "brier"]
+__all__ = ["mmc", "auroc", "brier"]
 
 
 def mmc(probabilities: np.ndarray) -> float:
@@ -28,22 +25,18 @@ def auroc(in_conf: np.ndarray, out_conf: np.ndarray) -> float:
     """Exact area under the ROC for separating in from out by confidence.
 
     Equals the Mann-Whitney statistic P(in > out) + 0.5 P(in = out), with
-    in-distribution as the positive class. Ties get half credit. The count
-    is exact (sums of halves are exact in binary floating point), so the
-    result matches brute-force pairwise counting bit for bit.
+    in-distribution as the positive class. Ties get half credit: the
+    count of out values below each in value plus the count not above it,
+    halved. Both counts are exact integers, so the result matches
+    brute-force pairwise counting bit for bit.
     """
     a = np.asarray(in_conf, dtype=np.float64).ravel()
-    b = np.asarray(out_conf, dtype=np.float64).ravel()
+    b = np.sort(np.asarray(out_conf, dtype=np.float64).ravel())
     if a.size == 0 or b.size == 0:
         raise ValueError("both confidence vectors must be nonempty")
-    b_sorted = np.sort(b)
-    total = 0.0
-    blist = b_sorted.tolist()
-    for v in a.tolist():
-        lo = bisect_left(blist, v)
-        hi = bisect_right(blist, v)
-        total += lo + 0.5 * (hi - lo)
-    return total / (a.size * b.size)
+    below = int(np.searchsorted(b, a, "left").sum())
+    not_above = int(np.searchsorted(b, a, "right").sum())
+    return (below + not_above) / (2 * a.size * b.size)
 
 
 def brier(probabilities: np.ndarray, labels: np.ndarray) -> float:
@@ -57,14 +50,3 @@ def brier(probabilities: np.ndarray, labels: np.ndarray) -> float:
     onehot = np.zeros_like(p)
     onehot[np.arange(y.shape[0]), y] = 1.0
     return float(np.mean(np.sum((p - onehot) ** 2, axis=1)))
-
-
-@dataclass
-class EvalReport:
-    """Per-dataset metric values plus the raw confidence vector."""
-
-    name: str
-    mmc: float
-    auroc: float | None = None
-    brier: float | None = None
-    confidences: np.ndarray = field(default_factory=lambda: np.empty(0))

@@ -562,10 +562,17 @@ def save(net: Network, path: str) -> None:
 
 class _LineReader:
     def __init__(self, path: str):
-        with open(path, "r", encoding="utf-8") as handle:
-            self.lines = handle.read().splitlines()
         self.path = path
         self.pos = 0
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                self.lines = handle.read().splitlines()
+        except UnicodeDecodeError:
+            raise ModelFormatError(f"{path}: not UTF-8 text") from None
+
+    def error(self, message: str) -> ModelFormatError:
+        """``message`` prefixed with the file and the line last read."""
+        return ModelFormatError(f"{self.path}, line {self.pos}: {message}")
 
     def next(self, what: str) -> str:
         while self.pos < len(self.lines):
@@ -573,24 +580,21 @@ class _LineReader:
             self.pos += 1
             if line:
                 return line
-        raise ModelFormatError(f"unexpected end of file while reading {what}")
-
+        raise ModelFormatError(
+            f"{self.path}: unexpected end of file while reading {what}"
+        )
 
     def floats(self, count: int, what: str) -> np.ndarray:
         """The next nonblank line as ``count`` finite floats."""
         parts = self.next(what).split()
         if len(parts) != count:
-            raise ModelFormatError(
-                f"{what}: expected {count} values, found {len(parts)}"
-            )
+            raise self.error(f"{what}: expected {count} values, found {len(parts)}")
         try:
             values = np.array(list(map(float, parts)), dtype=np.float64)
         except ValueError as exc:
-            raise ModelFormatError(f"{what}: {exc}") from exc
+            raise self.error(f"{what}: {exc}") from None
         if not np.all(np.isfinite(values)):
-            raise ModelFormatError(
-                f"{self.path}, line {self.pos}: {what} holds a non-finite value"
-            )
+            raise self.error(f"{what} holds a non-finite value")
         return values
 
 
@@ -603,18 +607,18 @@ def load(path: str) -> Network:
     reader = _LineReader(path)
     header = reader.next("header").split()
     if len(header) != 2 or header[0] != _MAGIC:
-        raise ModelFormatError("not a lula-lab model file")
+        raise reader.error("not a lula-lab model file")
     if header[1] != _VERSION:
-        raise ModelFormatError(f"unsupported model version {header[1]!r}")
+        raise reader.error(f"unsupported model version {header[1]!r}")
     fields = reader.next("num_layers").split()
     if len(fields) != 2 or fields[0] != "num_layers":
-        raise ModelFormatError("expected num_layers line")
+        raise reader.error("expected num_layers line")
     try:
         n_layers = int(fields[1])
-    except ValueError as exc:
-        raise ModelFormatError(f"bad num_layers: {fields[1]!r}") from exc
+    except ValueError:
+        raise reader.error(f"bad num_layers: {fields[1]!r}") from None
     if n_layers < 1:
-        raise ModelFormatError("num_layers must be at least 1")
+        raise reader.error("num_layers must be at least 1")
 
     specs, weights, biases = [], [], []
     for i in range(n_layers):
@@ -626,21 +630,37 @@ def load(path: str) -> Network:
             or fields[4] != "out"
             or fields[6] != "activation"
         ):
-            raise ModelFormatError(f"malformed layer header at layer {i}")
-        if int(fields[1]) != i:
-            raise ModelFormatError(f"layer index mismatch at layer {i}")
-        in_dim, out_dim, act = int(fields[3]), int(fields[5]), fields[7]
-        if act not in ACTIVATIONS:
-            raise ModelFormatError(f"unknown activation {act!r} at layer {i}")
+            raise reader.error(f"malformed layer header at layer {i}")
+        try:
+            index, in_dim, out_dim = int(fields[1]), int(fields[3]), int(fields[5])
+        except ValueError as exc:
+            raise reader.error(f"layer {i} header: {exc}") from None
+        if index != i:
+            raise reader.error(f"layer index mismatch at layer {i}")
+        act = fields[7]
+        if i == n_layers - 1 and act != "identity":
+            raise reader.error(
+                f"layer {i} is the output layer, whose activation must be "
+                f"identity, not {act!r}"
+            )
+        try:
+            spec = LayerSpec(in_dim, out_dim, act)
+        except ValueError as exc:
+            raise reader.error(f"layer {i}: {exc}") from None
+        if specs and in_dim != specs[-1].out_dim:
+            raise reader.error(
+                f"layer {i} reads {in_dim} inputs, but layer {i - 1} has "
+                f"{specs[-1].out_dim} outputs"
+            )
         w_header = reader.next(f"W header, layer {i}").split()
         if w_header != ["W", str(out_dim), str(in_dim)]:
-            raise ModelFormatError(f"malformed W header at layer {i}")
+            raise reader.error(f"malformed W header at layer {i}")
         rows = [reader.floats(in_dim, f"layer {i} W") for _ in range(out_dim)]
         b_header = reader.next(f"b header, layer {i}").split()
         if b_header != ["b", str(out_dim)]:
-            raise ModelFormatError(f"malformed b header at layer {i}")
+            raise reader.error(f"malformed b header at layer {i}")
         bias = reader.floats(out_dim, f"layer {i} b")
-        specs.append(LayerSpec(in_dim, out_dim, act))
+        specs.append(spec)
         weights.append(np.stack(rows, axis=0))
         biases.append(bias)
     return Network(specs, weights, biases)

@@ -11,10 +11,11 @@ import pytest
 from lula_lab import cli, demo
 from lula_lab import laplace as laplace_mod
 from lula_lab.config import default_config, load_config, reference_text, SCHEMA
+from lula_lab.data import Dataset, SplitSpec, split
 from lula_lab.errors import ConfigError
-from lula_lab.metrics import mmc
+from lula_lab.metrics import auroc, brier, mmc
 from lula_lab.network import ACTIVATIONS, Network, forward, load, save
-from lula_lab.numerics import Rng
+from lula_lab.numerics import Rng, _mix64
 from lula_lab.training import softmax
 
 
@@ -337,6 +338,30 @@ class TestConfig:
         else:
             assert load_config(str(path))[section]["method"] == "probit_linearized"
 
+    @pytest.mark.parametrize(
+        "body,rejected",
+        [
+            ("", False),
+            ("[train]\nloss = binary_ce\n", False),
+            ("[data]\ngenerator = csv\ncsv_path = d.csv\ntarget_column = y\n"
+             "[train]\nloss = categorical_ce\n", False),
+            ("[data]\ngenerator = toy_regression\n", True),
+            # load_csv reads a csv target as a regression target under auto
+            ("[data]\ngenerator = csv\ncsv_path = d.csv\ntarget_column = y\n", True),
+            ("[train]\nloss = gaussian_nll\n", True),
+        ],
+    )
+    def test_ood_mmc_needs_a_classification_likelihood(self, tmp_path, body, rejected):
+        path = tmp_path / "c.ini"
+        path.write_text(body + "[laplace]\ntune_objective = ood_mmc\n")
+        if rejected:
+            with pytest.raises(
+                ConfigError, match=r"\[laplace\] tune_objective = ood_mmc .*\[train\] loss"
+            ):
+                load_config(str(path))
+        else:
+            assert load_config(str(path))["laplace"]["tune_objective"] == "ood_mmc"
+
     def test_master_seed_override(self):
         cfg = default_config()
         derived = cfg.with_master_seed(42)
@@ -419,8 +444,8 @@ class TestCliCommands:
             ):
                 summary[parts[0]] = float(parts[1])
         cfg = load_config(str(config))
-        train, val, test, loss = cli._build_data(cfg)
         net = load(model)
+        train, val, test, loss = cli._build_data(cfg, net.output_dim)
         map_mmc = mmc(softmax(forward(net, test.features).output))
         assert abs(summary["test.mmc.mean"] - map_mmc) <= 1e-3
         # one draw per run, shared by the test split and both OOD sets
@@ -581,6 +606,28 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert f"[{section}]" in err and key in err
 
+    @pytest.mark.parametrize("command", ["train", "laplace", "lula", "eval", "demo-toy"])
+    def test_ood_mmc_under_regression_exits_2_before_work(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the config was validated")
+
+        monkeypatch.setattr(cli, "_build_data", no_work)
+        monkeypatch.setattr(cli, "train_map", no_work)
+        monkeypatch.setattr(demo, "train_map", no_work)
+        config = tmp_path / "bad.ini"
+        config.write_text(REGRESSION_INI.replace(
+            "[laplace]\n", "[laplace]\ntune_objective = ood_mmc\n"
+        ))
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+        if command in ("laplace", "lula", "eval"):
+            argv += ["--model", str(tmp_path / "model.txt")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "[laplace] tune_objective = ood_mmc" in err and "[train] loss" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("command", ["laplace", "lula", "eval"])
     def test_non_finite_model_value_exits_1_at_load(
@@ -732,6 +779,172 @@ class TestCliCommands:
         expected = f"lula-lab-augmentation v2\nunits 2\n{std_line}\n"
         written = (tmp_path / "tuned_augmentation.txt").read_bytes()
         assert written == expected.encode("ascii")
+
+
+def _eval_files(config_path: str, model_path: str):
+    """The texts of eval_report.csv, eval_summary.txt and eval_confidences.csv
+    (None for regression), rebuilt from library calls under a fixed prior
+    precision."""
+    cfg = load_config(config_path)
+    la, ev = cfg["laplace"], cfg["eval"]
+    net = load(model_path)
+    train, _, test, loss = cli._build_data(cfg, net.output_dim)
+    ood = cli._eval_ood_sets(cfg, test)
+    curv = laplace_mod.fit_curvature(
+        net, train.features, loss, la["curvature"], la["subset"]
+    )
+    post = laplace_mod.build_posterior(curv, la["prior_precision"])
+    sets = [laplace_mod.linearize(net, curv, x) for x in (test.features, *ood.values())]
+    values, confidences = {}, None
+    for r in range(ev["runs"]):
+        pcfg = laplace_mod.PredictConfig(
+            ev["method"], ev["sample_count"], _mix64(ev["seed"], 1000 + r)
+        )
+        preds = laplace_mod.predict_linearized(post, sets, pcfg, loss)
+        named = list(zip(["test", *ood], preds))
+        run = {}
+        if preds[0].probabilities is None:
+            run["test.log_likelihood"] = laplace_mod.predictive_log_likelihood(
+                preds[0], test.targets
+            )
+            for name, pred in named:
+                var = pred.var_total if ev["report_std"] == "total" else pred.var_epistemic
+                run[f"{name}.mean_std"] = np.mean(np.sqrt(var))
+        else:
+            conf = {name: pred.probabilities.max(axis=1) for name, pred in named}
+            run["test.mmc"] = mmc(preds[0].probabilities)
+            run["test.brier"] = brier(preds[0].probabilities, test.targets)
+            for name, pred in named[1:]:
+                run[f"{name}.mmc"] = mmc(pred.probabilities)
+                run[f"{name}.auroc"] = auroc(conf["test"], conf[name])
+            if r == 0:
+                confidences = ["dataset,index,confidence"] + [
+                    f"{name},{i},{v:.10g}" for name, c in conf.items() for i, v in enumerate(c)
+                ]
+        for key, value in run.items():
+            values.setdefault(key, []).append(value)
+    g = "{:.10g}".format
+    report = ["dataset,metric,mean,std"]
+    summary = [
+        "lula-lab-eval v1",
+        f"model {os.path.basename(model_path)}",
+        f"prior_precision {g(la['prior_precision'])}",
+        f"runs {ev['runs']}",
+    ]
+    for key in sorted(values):
+        mean, std = np.mean(values[key]), np.std(values[key])
+        report.append(f"{key.replace('.', ',', 1)},{g(mean)},{g(std)}")
+        summary += [f"{key}.mean {g(mean)}", f"{key}.std {g(std)}"]
+    texts = [report, summary, confidences]
+    return [None if t is None else "\n".join(t) + "\n" for t in texts]
+
+
+@pytest.mark.parametrize(
+    "ini,dims",
+    [(TINY_INI, [2, 16, 16, 2]), (REGRESSION_INI, [1, 12, 1])],
+    ids=["two-moons", "regression"],
+)
+def test_eval_files_match_the_library(ini, dims, tmp_path):
+    config = tmp_path / "cfg.ini"
+    config.write_text(ini)
+    model = tmp_path / "model.txt"
+    save(Network.init_random(dims, "relu", Rng(0)), str(model))
+    out = tmp_path / "eval"
+    argv = ["eval", "--config", str(config), "--model", str(model), "--out", str(out)]
+    assert cli.main(argv) == 0
+    report, summary, confidences = _eval_files(str(config), str(model))
+    assert (out / "eval_report.csv").read_bytes() == report.encode("ascii")
+    assert (out / "eval_summary.txt").read_bytes() == summary.encode("ascii")
+    if confidences is None:
+        assert not (out / "eval_confidences.csv").exists()
+    else:
+        assert (out / "eval_confidences.csv").read_bytes() == confidences.encode("ascii")
+
+
+CSV_INI = """
+[data]
+generator = csv
+csv_path = {csv}
+target_column = label
+
+[model]
+dims = 2,8,{outputs}
+
+[train]
+epochs = 2
+loss = {loss}
+"""
+
+
+def _csv_argv(command, tmp_path, labels, loss="categorical_ce", outputs=3, cell=None):
+    """(argv, csv path) for ``command`` on a 60-row csv of two features and
+    ``labels``; ``cell`` = (row, column, text), both 0-based and the header
+    not counted, overwrites one cell."""
+    features = Rng(5).standard_normal((60, 2)).tolist()
+    rows = [[repr(a), repr(b), str(y)] for (a, b), y in zip(features, labels)]
+    if cell is not None:
+        rows[cell[0]][cell[1]] = cell[2]
+    csv = tmp_path / "d.csv"
+    csv.write_text("x0,x1,label\n" + "\n".join(",".join(r) for r in rows) + "\n")
+    config = tmp_path / "c.ini"
+    config.write_text(CSV_INI.format(csv=csv, outputs=outputs, loss=loss))
+    model = tmp_path / "model.txt"
+    save(Network.init_random([2, 8, outputs], "relu", Rng(0)), str(model))
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+    if command != "train":
+        argv += ["--model", str(model)]
+    return argv, csv
+
+
+class TestCsvInput:
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the data was checked")
+
+        for name in ("train_map", "fit_curvature", "tune_prior_precision"):
+            monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(cli.lula_mod, "train_lula", refuse)
+
+    @pytest.mark.parametrize("command", ["train", "laplace", "lula", "eval"])
+    def test_non_finite_cell_exits_1_before_work(
+        self, command, tmp_path, capsys, no_work
+    ):
+        # a row that lands in val, where the prior-precision search reads it
+        rows = Dataset(np.arange(60.0)[:, None], np.zeros((60, 1)), "regression")
+        _, val, _ = split(rows, SplitSpec(seed=_mix64(0, 1)))
+        row = int(val.features[0, 0])
+        labels = [i % 3 for i in range(60)]
+        argv, csv = _csv_argv(command, tmp_path, labels, cell=(row, 1, "nan"))
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: {csv}: non-finite value nan at row {row + 2}, column 2" in err
+
+    @pytest.mark.parametrize("command", ["train", "laplace", "lula", "eval"])
+    @pytest.mark.parametrize(
+        "loss,outputs,label,message",
+        [
+            ("categorical_ce", 3, "-1", "label -1.0 at row 9 is not an integer in [0, 3)"),
+            ("categorical_ce", 3, "2.7", "label 2.7 at row 9 is not an integer in [0, 3)"),
+            ("categorical_ce", 3, "7", "label 7.0 at row 9 is not an integer in [0, 3)"),
+            ("categorical_ce", 3, "nan", "non-finite value nan at row 9, column 3"),
+            ("binary_ce", 1, "2", "label 2.0 at row 9 is not an integer in [0, 2)"),
+        ],
+    )
+    def test_bad_label_exits_1_before_work(
+        self, command, loss, outputs, label, message, tmp_path, capsys, no_work
+    ):
+        labels = [i % 2 for i in range(60)]
+        argv, csv = _csv_argv(command, tmp_path, labels, loss, outputs, cell=(7, 2, label))
+        assert cli.main(argv) == 1
+        assert f"error: {csv}: {message}" in capsys.readouterr().err
+
+    def test_integer_valued_labels_load_as_classes(self, tmp_path):
+        labels = [f"{i % 3}.0" for i in range(60)]
+        argv, _ = _csv_argv("train", tmp_path, labels)
+        train, val, test, _ = cli._build_data(load_config(argv[2]), 3)
+        targets = np.concatenate([train.targets, val.targets, test.targets])
+        assert targets.dtype == np.int64 and set(targets.tolist()) == {0, 1, 2}
 
 
 TUNE_INI = TINY_INI.replace(

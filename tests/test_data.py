@@ -335,3 +335,33 @@ class TestLoadCsv:
         path.write_text(text)
         with pytest.raises(ValueError, match=message):
             load_csv(str(path), target, header=header)
+
+    @pytest.mark.parametrize(
+        "text,header,target,bulk,message",
+        [
+            ("a,b,c\n1,2,3\n4,nan,6\n", True, "c", True,
+             "non-finite value nan at row 3, column 2"),
+            ("1,2\n-inf,4\n", False, 1, True,
+             "non-finite value -inf at row 2, column 1"),
+            # the target column is checked too
+            ("a,b\n1,inf\n", True, "b", True,
+             "non-finite value inf at row 2, column 2"),
+            # the first in file order wins
+            ("a,b\n1,2\n3,inf\nnan,4\n", True, "a", True,
+             "non-finite value inf at row 3, column 2"),
+            # quoted cells go through the cell reader
+            ('a,b\n"1",2\n3,"NaN"\n', True, "a", False,
+             "non-finite value nan at row 3, column 2"),
+            ('1,"2"\n\n"Infinity",4\n', False, 0, False,
+             "non-finite value inf at row 2, column 1"),
+        ],
+    )
+    def test_non_finite_cells_name_row_and_column(
+        self, tmp_path, text, header, target, bulk, message
+    ):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        assert (data_mod._load_csv_bulk(str(path), header) is not None) == bulk
+        with pytest.raises(ValueError) as caught:
+            load_csv(str(path), target, header=header)
+        assert str(caught.value) == f"{path}: {message}"

@@ -1462,13 +1462,29 @@ class TestTunePriorPrecision:
         lam, scores = tune_prior_precision(
             net, curv, x, y, loss, objective="ood_mmc",
             grid=[0.01, 1.0, 100.0], predict_cfg=PredictConfig("mc", 64, 3),
-            out_features=out, num_classes=2,
+            out_features=out,
         )
         best = min(scores, key=lambda pair: pair[1])
         assert lam == best[0]
         # in and out of distribution share one draw per candidate
         assert predictive_draws == [(64, 2)] * 3
         assert sample_calls == []
+
+    def test_ood_mmc_refuses_regression_before_linearizing(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a point set was linearized")
+
+        rng = Rng(17)
+        net = Network.init_random([1, 6, 1], "tanh", rng)
+        x = rng.standard_normal((20, 1))
+        loss = LossKind("gaussian_nll", 25.0)
+        curv = fit_curvature(net, x, loss, "kfac_last_layer")
+        monkeypatch.setattr(laplace, "linearize", no_work)
+        with pytest.raises(ValueError, match="ood_mmc scores class probabilities"):
+            tune_prior_precision(
+                net, curv, x, np.sin(x), loss, objective="ood_mmc",
+                grid=[0.1, 1.0], out_features=rng.uniform(-8.0, 8.0, (10, 1)),
+            )
 
     @pytest.mark.parametrize("objective", TUNE_OBJECTIVES)
     @pytest.mark.parametrize("kind, subset", POSTERIOR_CASES)
@@ -1497,7 +1513,7 @@ class TestTunePriorPrecision:
         monkeypatch.setattr(laplace, "linearize", counting_linearize)
         _, scores = tune_prior_precision(
             net, curv, x, labels, loss, objective=objective, grid=[0.1, 1.0, 10.0],
-            predict_cfg=PredictConfig("mc", 8, 3), out_features=out, num_classes=2,
+            predict_cfg=PredictConfig("mc", 8, 3), out_features=out,
         )
         assert len(scores) == 3
         points = [40] if objective == "val_log_likelihood" else [40, 30]

@@ -550,6 +550,38 @@ class TestSaveLoad:
         with pytest.raises(ModelFormatError):
             load(str(path))
 
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_bytes(b"lula-lab-model v1\n\xff\xfe\n")
+        with pytest.raises(ModelFormatError, match="not UTF-8 text"):
+            load(str(path))
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("layer 0 in 2 out 3", "layer 0 in x out 3",
+             "line 3: layer 0 header: invalid literal for int() with base 10: 'x'"),
+            ("layer 1 in 3 out 2 activation identity",
+             "layer 1 in 3 out 2 activation relu",
+             "line 10: layer 1 is the output layer, whose activation must be "
+             "identity, not 'relu'"),
+            ("layer 0 in 2 out 3", "layer 0 in 2 out 0",
+             "line 3: layer 0: layer dimensions must be positive"),
+            ("layer 1 in 3", "layer 1 in 4",
+             "line 10: layer 1 reads 4 inputs, but layer 0 has 3 outputs"),
+        ],
+        ids=["non-integer width", "non-identity output", "zero width", "broken chain"],
+    )
+    def test_malformed_layer_header_names_file_and_line(self, tmp_path, old, new, message):
+        path = tmp_path / "model.txt"
+        save(Network.init_random([2, 3, 2], "relu", Rng(0)), str(path))
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        with pytest.raises(ModelFormatError) as caught:
+            load(str(path))
+        assert str(caught.value) == f"{path}, {message}"
+
 
 class TestNetworkValidation:
     def test_last_layer_must_be_identity(self):
