@@ -131,6 +131,19 @@ def _list(item, min_len: int, max_len: int | None = None):
     return parse
 
 
+def _distinct(parse):
+    """``parse`` of a list, refusing a value that it holds twice."""
+
+    def parse_distinct(raw: str) -> tuple:
+        values = parse(raw)
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise ValueError(f"repeats {', '.join(map(repr, repeated))} in {raw!r}")
+        return values
+
+    return parse_distinct
+
+
 def _or_none(word: str, parse):
     """``parse``, or None for the literal ``word``."""
 
@@ -265,8 +278,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "counts": ("32", _unit_count, "units added to the final hidden layer"),
         "learning_rate": ("0.05", _float, "uncertainty-training step size"),
         "epochs": ("20", _int, "uncertainty-training epochs"),
-        "in_batch": ("128", _int_at_least(1), "inlier batch size per epoch"),
-        "out_batch": ("128", _int_at_least(1), "outlier batch size per epoch"),
         "init_std": (
             "default",
             _or_none("default", _positive),
@@ -275,13 +286,13 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "ood_low": ("-10.0", _float, "outlier box lower bound"),
         "ood_high": ("10.0", _float, "outlier box upper bound"),
         "ood_size": ("500", _int_at_least(1), "number of outlier training points"),
-        "seed": ("3", _int, "batching and initialization seed"),
+        "seed": ("3", _int, "unit initialization and output-preservation check seed"),
     },
     "eval": {
         "ood_kinds": (
             "uniform,asymptotic",
-            _list(_one_of(OOD_KINDS), 0),
-            f"comma list from {', '.join(OOD_KINDS)}",
+            _distinct(_list(_one_of(OOD_KINDS), 0)),
+            f"comma list of distinct kinds from {', '.join(OOD_KINDS)}",
         ),
         "sample_count": (
             "100", _int, "output draws per mc prediction run (classification)"
@@ -384,6 +395,14 @@ def _convert(raw: dict) -> ExperimentConfig:
     loss = values["train"]["loss"]
     if loss == "auto":
         loss = "categorical_ce" if data["generator"] == "two_moons" else "gaussian_nll"
+    # softmax over k classes needs k >= 2 logits; a sigmoid reads one
+    outputs = values["model"]["dims"][-1]
+    if (loss == "categorical_ce" and outputs < 2) or (loss == "binary_ce" and outputs != 1):
+        need = "at least 2" if loss == "categorical_ce" else "exactly 1"
+        raise ConfigError(
+            f"[model] dims ends in {outputs} outputs, and this config's likelihood "
+            f"([train] loss) is {loss}, which needs {need}"
+        )
     for section in ("laplace", "eval"):
         if loss == "categorical_ce" and values[section]["method"] == "probit_linearized":
             raise ConfigError(

@@ -3,8 +3,9 @@
 ``demo-toy`` and the acceptance criteria 7-8 run these functions with
 different seeds. Each trains a MAP net, fits an untuned Kronecker last-layer
 Laplace posterior whose prior precision is the training weight decay, adds
-LULA units to the final hidden layer, trains them on the val split against
-uniform outliers, and refits the posterior on the train split.
+LULA units to the final hidden layer, trains them on the whole val split
+against the whole set of uniform outliers, and refits the posterior on the
+train split.
 """
 
 from __future__ import annotations
@@ -27,20 +28,20 @@ MOONS_LR, REG_LR = 1e-3, 1e-2  # MAP Adam step sizes
 MOONS_BATCH, REG_BATCH = 64, None  # MAP minibatch; None is full batch
 MOONS_LULA_LR, REG_LULA_LR = 0.5, 1.0
 REG_X_RANGE = (-4.0, 4.0)
-LULA_BATCH = 512  # inlier and outlier batch per LULA epoch
 LULA_INIT_STD = 0.2
 OOD_BOX = (-10.0, 10.0)  # outlier training points, uniform per feature
 
 
 class Seeds(NamedTuple):
-    """One seed for each random draw of a pipeline."""
+    """One seed for each random draw of a pipeline: data, split, network
+    initialization, MAP minibatches, the added units and the outliers. LULA
+    training reads whole sets and draws nothing."""
 
     data: int
     split: int
     init: int
     train: int
     augment: int
-    lula: int
     ood: int
 
 
@@ -106,10 +107,7 @@ def _pipeline(
         return build_posterior(curv, WEIGHT_DECAY)
 
     aug_net = augment(net, units, Rng(seeds.augment), LULA_INIT_STD)
-    lcfg = LulaTrainConfig(
-        learning_rate=lula_lr, epochs=lula_epochs, in_batch=LULA_BATCH,
-        out_batch=LULA_BATCH, seed=seeds.lula,
-    )
+    lcfg = LulaTrainConfig(learning_rate=lula_lr, epochs=lula_epochs)
     out_train = data_mod.gen_uniform_noise(
         ood_size, dims[0], *OOD_BOX, seeds.ood
     ).features

@@ -4,8 +4,9 @@ An augmentation adds inactive units to the final hidden layer of a trained
 network. Each added unit has trainable incoming weights and bias (the free
 block) but structurally zero outgoing weights, so the network function is
 preserved exactly while the loss curvature, and hence the Laplace posterior,
-gains extra directions. Training minimizes the total output variance on
-inliers minus the variance on outliers and steps only the free block.
+gains extra directions. Training minimizes the mean total output variance
+over the whole inlier set minus the mean over the whole outlier set, and
+steps only the free block.
 """
 
 from __future__ import annotations
@@ -53,9 +54,6 @@ class LulaTrainConfig:
 
     learning_rate: float = 0.1
     epochs: int = 20
-    in_batch: int = 128
-    out_batch: int = 128
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0.0:
@@ -162,7 +160,7 @@ def _objective_and_gradient(
     out_batch: np.ndarray,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """:func:`lula_objective` and :func:`objective_gradient` from one forward
-    pass per batch and one block sum: both read hbar B, bitwise as each
+    pass per set and one block sum: both read hbar B, bitwise as each
     computes it alone (2 (hbar B) is exactly (2 hbar) B)."""
     block_sum = post.output_block_cov().sum(axis=0)
     in_batch, out_batch = _as_batches(in_batch, out_batch)
@@ -206,13 +204,6 @@ def objective_gradient(
     return _objective_and_gradient(net, units, post, in_batch, out_batch)[1:]
 
 
-def _draw_batch(features: np.ndarray, size: int, rng: Rng) -> np.ndarray:
-    if size >= features.shape[0]:
-        return features
-    idx = rng.permutation(features.shape[0])[:size]
-    return features[idx]
-
-
 def train_lula(
     net: Network,
     units: int,
@@ -225,10 +216,11 @@ def train_lula(
     """Tune the free block of a network augmented with ``units`` units.
 
     Per epoch: refit a diagonal last-layer posterior of the current network
-    on the inlier features, evaluate the variance objective on fresh seeded
-    batches, and step the flattened (W_free, b_free) pair along the
-    closed-form gradient of :func:`objective_gradient` with Adam; the
-    objective and its gradient share one forward pass per batch. Every
+    on the inlier features, evaluate the variance objective on the whole
+    inlier and outlier sets, and step the flattened (W_free, b_free) pair
+    along the closed-form gradient of :func:`objective_gradient` with Adam;
+    the objective and its gradient share one forward pass per set, so each
+    history entry is :func:`lula_objective` of that epoch's network. Every
     other parameter is copied unchanged, so original parameters and
     structural zeros are preserved bitwise. Raises ``ValueError`` unless
     the last ``units`` units of the final hidden layer have exactly zero
@@ -239,7 +231,6 @@ def train_lula(
     out_features = np.atleast_2d(np.asarray(out_features, dtype=np.float64))
     first = _first_free_row(net, units)
     top = net.num_layers - 2
-    rng = Rng(cfg.seed)
     current = net
     w_free = net.weights[top][first:]
     theta = np.concatenate([w_free.ravel(), net.biases[top][first:]])
@@ -248,10 +239,8 @@ def train_lula(
     for epoch in range(cfg.epochs):
         curv = fit_curvature(current, in_features, loss, "diag_ggn", "last_layer")
         post = build_posterior(curv, prior_precision)
-        in_batch = _draw_batch(in_features, cfg.in_batch, rng.derive(2 * epoch))
-        out_batch = _draw_batch(out_features, cfg.out_batch, rng.derive(2 * epoch + 1))
         value, grad_w, grad_b = _objective_and_gradient(
-            current, units, post, in_batch, out_batch
+            current, units, post, in_features, out_features
         )
         if not np.isfinite(value):
             raise DivergenceError(f"non-finite objective at epoch {epoch}")

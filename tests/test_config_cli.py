@@ -42,8 +42,6 @@ sample_count = 50
 [lula]
 counts = 6
 epochs = 3
-in_batch = 64
-out_batch = 64
 ood_size = 80
 
 [eval]
@@ -122,8 +120,6 @@ MALFORMED = [
     ("eval", "grid_size", "0"),
     ("eval", "grid_size", "-2"),
     ("train", "noise_precision", "0"),
-    ("lula", "in_batch", "0"),
-    ("lula", "out_batch", "-3"),
     ("data", "size", "1"),
     ("model", "dims", "2,0,2"),
     ("eval", "ring_inner", "20"),
@@ -157,6 +153,14 @@ MALFORMED = [
     # the default likelihood is categorical: two_moons under loss = auto
     ("laplace", "method", "probit_linearized"),
     ("eval", "method", "probit_linearized"),
+    # ... and needs k >= 2 outputs; binary_ce needs exactly 1, not the default 2
+    ("model", "dims", "2,8,1"),
+    ("train", "loss", "binary_ce"),
+    # each OOD kind names one scored set
+    ("eval", "ood_kinds", "uniform,uniform"),
+    # LULA reads whole sets: its batch sizes are unknown keys
+    ("lula", "in_batch", "0"),
+    ("lula", "out_batch", "-3"),
 ]
 
 
@@ -243,10 +247,15 @@ class TestConfig:
         assert defaults["lula"]["init_std"] is None
         assert defaults["data"]["target_column"] == ""
 
-    def test_unknown_key_rejected(self, tmp_path):
+    # LULA reads whole sets, so its former batch sizes are unknown keys
+    @pytest.mark.parametrize(
+        "section,key",
+        [("train", "lerning_rate"), ("lula", "in_batch"), ("lula", "out_batch")],
+    )
+    def test_unknown_key_rejected(self, tmp_path, section, key):
         path = tmp_path / "bad.ini"
-        path.write_text("[train]\nlerning_rate = 0.1\n")
-        with pytest.raises(ConfigError, match="lerning_rate"):
+        path.write_text(f"[{section}]\n{key} = 1\n")
+        with pytest.raises(ConfigError, match=rf"unknown key '{key}' in section \[{section}\]"):
             load_config(str(path))
 
     def test_unknown_section_rejected(self, tmp_path):
@@ -317,7 +326,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "body,rejected",
         [
-            ("[train]\nloss = binary_ce\n", False),
+            ("[model]\ndims = 2,8,1\n[train]\nloss = binary_ce\n", False),
             ("[data]\ngenerator = toy_regression\n", False),
             # a csv target under loss = auto is only known at run time
             ("[data]\ngenerator = csv\ncsv_path = d.csv\ntarget_column = y\n", False),
@@ -342,7 +351,7 @@ class TestConfig:
         "body,rejected",
         [
             ("", False),
-            ("[train]\nloss = binary_ce\n", False),
+            ("[model]\ndims = 2,8,1\n[train]\nloss = binary_ce\n", False),
             ("[data]\ngenerator = csv\ncsv_path = d.csv\ntarget_column = y\n"
              "[train]\nloss = categorical_ce\n", False),
             ("[data]\ngenerator = toy_regression\n", True),
@@ -361,6 +370,43 @@ class TestConfig:
                 load_config(str(path))
         else:
             assert load_config(str(path))["laplace"]["tune_objective"] == "ood_mmc"
+
+    @pytest.mark.parametrize(
+        "body,rejected",
+        [
+            ("[model]\ndims = 2,8,2\n", False),
+            ("[model]\ndims = 2,8,3\n", False),
+            ("[model]\ndims = 2,8,1\n", True),
+            ("[model]\ndims = 2,8,1\n[train]\nloss = categorical_ce\n", True),
+            ("[model]\ndims = 2,8,1\n[train]\nloss = binary_ce\n", False),
+            ("[model]\ndims = 2,8,2\n[train]\nloss = binary_ce\n", True),
+            ("[model]\ndims = 1,8,1\n[data]\ngenerator = toy_regression\n", False),
+            # load_csv reads a csv target as a regression target under auto
+            ("[model]\ndims = 2,8,1\n[data]\ngenerator = csv\ncsv_path = d.csv\n"
+             "target_column = y\n", False),
+        ],
+    )
+    def test_output_count_fits_the_likelihood(self, tmp_path, body, rejected):
+        path = tmp_path / "c.ini"
+        path.write_text(body)
+        if rejected:
+            with pytest.raises(
+                ConfigError, match=r"\[model\] dims ends in \d outputs.*\[train\] loss"
+            ):
+                load_config(str(path))
+        else:
+            load_config(str(path))
+
+    @pytest.mark.parametrize(
+        "kinds,repeated",
+        [("uniform,uniform", "'uniform'"),
+         ("blur,uniform,blur,permute,permute", "'blur', 'permute'")],
+    )
+    def test_repeated_ood_kind_is_named(self, tmp_path, kinds, repeated):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[eval]\nood_kinds = {kinds}\n")
+        with pytest.raises(ConfigError, match=rf"\[eval\] ood_kinds: repeats {repeated}"):
+            load_config(str(path))
 
     def test_master_seed_override(self):
         cfg = default_config()

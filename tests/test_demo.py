@@ -19,7 +19,7 @@ UNITS = 4
     ids=["moons", "regression"],
 )
 def test_seed_wiring(pipeline):
-    seeds = demo.Seeds(1, 2, 3, 4, 5, 6, 7)
+    seeds = demo.Seeds(1, 2, 3, 4, 5, 7)
     run = pipeline(seeds)
     x = Rng(0).uniform(-10.0, 10.0, (50, run.map_net.input_dim))
     a = forward_output(run.map_net, x)

@@ -5,7 +5,6 @@ from conftest import fd_free_gradient, random_network, relative_error
 from lula_lab.laplace import build_posterior, fit_curvature
 from lula_lab.lula import (
     LulaTrainConfig,
-    _draw_batch,
     augment,
     lula_objective,
     objective_gradient,
@@ -24,10 +23,10 @@ def diag_last_layer_posterior(net, x, loss, lam=0.5):
 
 def two_call_train_lula(net, units, in_features, out_features, loss, lam, cfg):
     """train_lula's loop with the objective from :func:`lula_objective` and
-    the gradient from its own forward pass, (2 hbar) B chained by hand."""
+    the gradient from its own forward pass, (2 hbar) B chained by hand, both
+    on the whole inlier and outlier sets."""
     top = net.num_layers - 2
     first = net.specs[top].out_dim - units
-    rng = Rng(cfg.seed)
     current = net
     w_free = net.weights[top][first:]
     theta = np.concatenate([w_free.ravel(), net.biases[top][first:]])
@@ -35,13 +34,11 @@ def two_call_train_lula(net, units, in_features, out_features, loss, lam, cfg):
     history = []
     for epoch in range(cfg.epochs):
         post = diag_last_layer_posterior(current, in_features, loss, lam)
-        in_batch = _draw_batch(in_features, cfg.in_batch, rng.derive(2 * epoch))
-        out_batch = _draw_batch(out_features, cfg.out_batch, rng.derive(2 * epoch + 1))
-        history.append(lula_objective(current, post, in_batch, out_batch))
+        history.append(lula_objective(current, post, in_features, out_features))
         block_sum = post.output_block_cov().sum(axis=0)
         grad_w = np.zeros((units, net.specs[top].in_dim))
         grad_b = np.zeros(units)
-        for batch, sign in ((in_batch, 1.0), (out_batch, -1.0)):
+        for batch, sign in ((in_features, 1.0), (out_features, -1.0)):
             trace = forward(current, batch)
             hbar = augment_ones(trace.activations[-2])
             delta = ((2.0 * hbar) @ block_sum)[:, first:-1] * activation_derivative(
@@ -249,9 +246,7 @@ class TestTrainLula:
         aug_net = augment(net, 6, rng)
         out = rng.uniform(-8.0, 8.0, (80, 2))
         loss = LossKind("categorical_ce")
-        cfg = LulaTrainConfig(
-            epochs=8, learning_rate=0.1, in_batch=64, out_batch=64, seed=3
-        )
+        cfg = LulaTrainConfig(epochs=8, learning_rate=0.1)
         eval_in, eval_out = moons.features[100:], out[60:]
         post0 = diag_last_layer_posterior(aug_net, moons.features[:100], loss, 0.5)
         before = lula_objective(aug_net, post0, eval_in, eval_out)
@@ -269,7 +264,7 @@ class TestTrainLula:
         aug_net = augment(net, 3, rng)
         data = rng.standard_normal((20, 2))
         out = rng.uniform(-6, 6, (20, 2))
-        cfg = LulaTrainConfig(epochs=2, learning_rate=0.05, seed=5)
+        cfg = LulaTrainConfig(epochs=2, learning_rate=0.05)
         tuned, _ = train_lula(
             aug_net, 3, data, out, LossKind("categorical_ce"), 0.5, cfg
         )
@@ -291,7 +286,7 @@ class TestTrainLula:
         aug_net = augment(net, 4, rng)
         data = rng.standard_normal((15, 2))
         out = rng.uniform(-6, 6, (15, 2))
-        cfg = LulaTrainConfig(epochs=3, learning_rate=0.05, seed=6)
+        cfg = LulaTrainConfig(epochs=3, learning_rate=0.05)
         tuned, _ = train_lula(
             aug_net, 4, data, out, LossKind("categorical_ce"), 0.5, cfg
         )
@@ -306,7 +301,7 @@ class TestTrainLula:
         aug_net = augment(net, 2, rng)
         data = Rng(1).standard_normal((12, 2))
         out = Rng(2).uniform(-5, 5, (12, 2))
-        cfg = LulaTrainConfig(epochs=3, seed=9)
+        cfg = LulaTrainConfig(epochs=3)
         runs = [
             train_lula(aug_net, 2, data, out, LossKind("categorical_ce"), 0.5, cfg)
             for _ in range(2)
@@ -318,7 +313,7 @@ class TestTrainLula:
         LossKind("categorical_ce"), LossKind("gaussian_nll", 4.0),
     ], ids=["categorical", "gaussian"])
     def test_fused_loop_is_bitwise_the_two_call_loop(self, loss):
-        # one forward pass per batch feeds both the objective and its
+        # one forward pass per set feeds both the objective and its
         # gradient; the history and the tuned net are bitwise unchanged
         rng = Rng(17)
         k = 3 if loss.kind == "categorical_ce" else 1
@@ -326,14 +321,32 @@ class TestTrainLula:
         aug_net = augment(net, 4, rng)
         data = rng.standard_normal((40, 2))
         out = rng.uniform(-6, 6, (30, 2))
-        cfg = LulaTrainConfig(epochs=5, learning_rate=0.1, in_batch=16, out_batch=16,
-                              seed=8)
+        cfg = LulaTrainConfig(epochs=5, learning_rate=0.1)
         tuned, history = train_lula(aug_net, 4, data, out, loss, 0.5, cfg)
         expected, expected_history = two_call_train_lula(
             aug_net, 4, data, out, loss, 0.5, cfg
         )
         assert history == expected_history
         assert np.array_equal(tuned.flatten_params(), expected.flatten_params())
+
+    def test_history_is_the_objective_on_the_whole_sets(self):
+        # every row of both sets counts, not a 128-row batch of each: entry e
+        # is lula_objective of the net after e steps, under the diagonal
+        # posterior refit on all inliers
+        rng = Rng(18)
+        net = Network.init_random([2, 8, 8, 2], "relu", rng)
+        aug_net = augment(net, 4, rng)
+        data = rng.standard_normal((200, 2))
+        out = rng.uniform(-8.0, 8.0, (500, 2))
+        loss = LossKind("categorical_ce")
+        _, history = train_lula(aug_net, 4, data, out, loss, 0.5, LulaTrainConfig(epochs=4))
+        assert len(history) == 4
+        for epoch, value in enumerate(history):
+            net_e, _ = train_lula(
+                aug_net, 4, data, out, loss, 0.5, LulaTrainConfig(epochs=epoch)
+            )
+            post_e = diag_last_layer_posterior(net_e, data, loss, 0.5)
+            assert value == lula_objective(net_e, post_e, data, out)
 
     def test_rejects_units_that_are_not_added(self):
         rng = Rng(21)
