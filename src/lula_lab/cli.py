@@ -19,7 +19,13 @@ from . import demo as demo_mod
 from . import lula as lula_mod
 from . import metrics as metrics_mod
 from . import network as net_mod
-from .config import ExperimentConfig, default_config, load_config
+from .config import (
+    ExperimentConfig,
+    default_config,
+    likelihood,
+    load_config,
+    output_count_need,
+)
 from .errors import ConfigError, LulaLabError
 from .laplace import (
     PredictConfig,
@@ -68,13 +74,25 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 # config -> pipeline pieces
 
 
-def _resolve_loss(cfg: ExperimentConfig, task: str) -> LossKind:
-    choice = cfg["train"]["loss"]
-    if choice == "auto":
-        choice = "gaussian_nll" if task == "regression" else "categorical_ce"
+def _resolve_loss(cfg: ExperimentConfig) -> LossKind:
+    choice = likelihood(cfg)
     if choice == "gaussian_nll":
         return LossKind("gaussian_nll", cfg["train"]["noise_precision"])
     return LossKind(choice)
+
+
+def _load_model(cfg: ExperimentConfig, model_path: str) -> net_mod.Network:
+    """The model file, refused with a config error when its output count
+    does not suit the config's likelihood, as ``[model] dims`` is."""
+    net = net_mod.load(model_path)
+    loss = likelihood(cfg)
+    need = output_count_need(loss, net.output_dim)
+    if need:
+        raise ConfigError(
+            f"{model_path} has {net.output_dim} outputs, and this config's "
+            f"likelihood ([train] loss) is {loss}, which needs {need}"
+        )
+    return net
 
 
 def _csv_labels(targets: np.ndarray, classes: int, path: str, header: bool):
@@ -118,7 +136,7 @@ def _build_data(cfg: ExperimentConfig, num_outputs: int):
         train, (val, test), _ = data_mod.standardize(
             train, [val, test], include_targets=include_targets
         )
-    return train, val, test, _resolve_loss(cfg, full.task)
+    return train, val, test, _resolve_loss(cfg)
 
 
 def _init_network(cfg: ExperimentConfig, input_dim: int) -> net_mod.Network:
@@ -328,7 +346,7 @@ def cmd_laplace(
     config_path: str, model_path: str, out_path: str | None, seed: int | None = None
 ) -> int:
     cfg, _, _, laplace_cfg, _ = _load(config_path, seed)
-    net = net_mod.load(model_path)
+    net = _load_model(cfg, model_path)
     train, val, test, loss = _build_data(cfg, net.output_dim)
     la = cfg["laplace"]
     lam = la["prior_precision"]
@@ -359,9 +377,15 @@ def cmd_lula(
     config_path: str, model_path: str, out_path: str, seed: int | None = None
 ) -> int:
     cfg, _, lcfg, laplace_cfg, _ = _load(config_path, seed)
-    lu = cfg["lula"]
+    lu, la = cfg["lula"], cfg["laplace"]
+    if (la["curvature"], la["subset"]) != ("kfac_last_layer", "last_layer"):
+        raise ConfigError(
+            f"[laplace] curvature = {la['curvature']} and subset = {la['subset']}: "
+            "lula trains its units through the kfac_last_layer posterior over "
+            "the last_layer subset only"
+        )
     lam = _base_prior_precision(cfg, model_path)
-    net = net_mod.load(model_path)
+    net = _load_model(cfg, model_path)
     train, val, test, loss = _build_data(cfg, net.output_dim)
     count = lu["counts"]
     if net.num_layers < 2:
@@ -378,8 +402,9 @@ def cmd_lula(
     aug_net = lula_mod.augment(
         net, count, Rng(_mix64(lu["seed"], 23)), lu["init_std"]
     )
+    # the curvature split of the posterior that eval builds for the tuned net
     tuned, history = lula_mod.train_lula(
-        aug_net, count, in_features, out_features, loss, lam, lcfg
+        aug_net, count, train.features, in_features, out_features, loss, lam, lcfg
     )
     rel = _prop1_check(
         net, tuned, cfg["eval"]["grid_extent"], _mix64(lu["seed"], 17)
@@ -455,7 +480,7 @@ def cmd_eval(
 ) -> int:
     cfg, _, _, laplace_cfg, eval_cfg = _load(config_path, seed)
     lam = _base_prior_precision(cfg, model_path)
-    net = net_mod.load(model_path)
+    net = _load_model(cfg, model_path)
     train, val, test, loss = _build_data(cfg, net.output_dim)
     if test.num_rows == 0:
         raise ConfigError("[data] split leaves no test rows for eval to score")

@@ -362,6 +362,28 @@ def _parse(section: str, key: str, parse, raw: str):
         raise ConfigError(f"[{section}] {key}: {exc}") from None
 
 
+def likelihood(cfg) -> str:
+    """The likelihood of a config (or of its section -> key -> value
+    mapping): ``[train] loss`` when it is named, or under auto the one its
+    generator implies. two_moons is categorical, and load_csv reads a csv
+    target as a regression target, so auto resolves to gaussian_nll there."""
+    loss = cfg["train"]["loss"]
+    if loss == "auto":
+        loss = "categorical_ce" if cfg["data"]["generator"] == "two_moons" else "gaussian_nll"
+    return loss
+
+
+def output_count_need(loss: str, outputs: int) -> str | None:
+    """What the likelihood ``loss`` needs of a network's output count, or
+    None when ``outputs`` meets it: a softmax over k classes needs k >= 2
+    logits, and a sigmoid reads one."""
+    if loss == "categorical_ce" and outputs < 2:
+        return "at least 2"
+    if loss == "binary_ce" and outputs != 1:
+        return "exactly 1"
+    return None
+
+
 def _convert(raw: dict) -> ExperimentConfig:
     """Typed config from section -> key -> string, with cross-key rules."""
     values = {
@@ -389,16 +411,10 @@ def _convert(raw: dict) -> ExperimentConfig:
     laplace = values["laplace"]
     if laplace["curvature"] == "kfac_last_layer" and laplace["subset"] != "last_layer":
         raise ConfigError("[laplace] curvature = kfac_last_layer needs subset = last_layer")
-    # The likelihood is known here when it is named, or under auto from the
-    # generator: two_moons is categorical, and load_csv reads a csv target as
-    # a regression target, so auto resolves to gaussian_nll there.
-    loss = values["train"]["loss"]
-    if loss == "auto":
-        loss = "categorical_ce" if data["generator"] == "two_moons" else "gaussian_nll"
-    # softmax over k classes needs k >= 2 logits; a sigmoid reads one
+    loss = likelihood(values)
     outputs = values["model"]["dims"][-1]
-    if (loss == "categorical_ce" and outputs < 2) or (loss == "binary_ce" and outputs != 1):
-        need = "at least 2" if loss == "categorical_ce" else "exactly 1"
+    need = output_count_need(loss, outputs)
+    if need:
         raise ConfigError(
             f"[model] dims ends in {outputs} outputs, and this config's likelihood "
             f"([train] loss) is {loss}, which needs {need}"

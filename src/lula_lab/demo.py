@@ -2,10 +2,10 @@
 
 ``demo-toy`` and the acceptance criteria 7-8 run these functions with
 different seeds. Each trains a MAP net, fits an untuned Kronecker last-layer
-Laplace posterior whose prior precision is the training weight decay, adds
-LULA units to the final hidden layer, trains them on the whole val split
-against the whole set of uniform outliers, and refits the posterior on the
-train split.
+Laplace posterior on the train split whose prior precision is the training
+weight decay, adds LULA units to the final hidden layer, and trains them on
+the whole val split against the whole set of uniform outliers, through that
+same posterior of the augmented net, which the tuned net then predicts with.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def _pipeline(
     splits, loss, dims, lr, batch_size, train_epochs, lula_lr, units,
     lula_epochs, ood_size, seeds,
 ) -> Pipeline:
-    """MAP net, LA, LULA units trained on val, and LA refit on train."""
+    """MAP net, LA, and LULA units trained on val through the LA of train."""
     train, val, test = splits
     net0 = Network.init_random(dims, "relu", Rng(seeds.init))
     tcfg = TrainConfig(
@@ -112,6 +112,7 @@ def _pipeline(
         ood_size, dims[0], *OOD_BOX, seeds.ood
     ).features
     tuned, _ = train_lula(
-        aug_net, units, val.features, out_train, loss, WEIGHT_DECAY, lcfg
+        aug_net, units, train.features, val.features, out_train, loss,
+        WEIGHT_DECAY, lcfg,
     )
     return Pipeline(net, tuned, posterior(net), posterior(tuned), test, loss)

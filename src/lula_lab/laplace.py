@@ -69,10 +69,13 @@ and no d x d precision is ever factored. The kinds differ only in B:
 Data space is exactly a spectrum shorter than d. There c = 1 / lambda and
 t = -1 / (lambda (e + lambda)), that is
 Sigma = (I - W^T diag(1 / (e + lambda)) W) / lambda with no division by e:
-the d - n r directions outside the rows of W carry the prior alone. Every
-other case has c = 0, t = 1 / (s + lambda) and t' = sqrt(t). Every
-eigenvalue s + lambda of the precision is at least lambda, so these are read
-directly. A variance is g^T Sigma g = c |g|^2 + (B g)^2 . t and a draw is
+the directions outside the rows of W carry the prior alone. The basis keeps
+only the Gram's range, the eigenpairs with e > n r eps max(e): a smaller e
+is round-off of a direction that R does not span, whose W row of round-off
+size, weighted by t = -1 / lambda^2, would blow up at a small lambda; the
+prior alone is its exact variance. Every other case has c = 0,
+t = 1 / (s + lambda) and t' = sqrt(t). Every eigenvalue s + lambda of the
+precision is at least lambda, so these are read directly. A variance is g^T Sigma g = c |g|^2 + (B g)^2 . t and a draw is
 mean + c' z + B^T (t' * B z).
 
 The one exception is the Kronecker draw, which uses the standard per-factor
@@ -197,6 +200,15 @@ def proper_prior_precision(lam) -> bool:
     return bool(np.all((lam > 0.0) & (lam < np.inf) & (recip < np.inf)))
 
 
+def _require_proper_prior_precision(lam) -> None:
+    """``ValueError`` unless :func:`proper_prior_precision` holds."""
+    if not proper_prior_precision(lam):
+        raise ValueError(
+            "prior_precision must be a finite positive number with a "
+            f"finite reciprocal, got {lam!r}"
+        )
+
+
 def _subset_dim(net: Network, subset: str) -> int:
     """The parameter count of ``net``'s ``subset``: every parameter, or the
     last layer's k (F + 1) augmented weights."""
@@ -299,8 +311,8 @@ class DataBasis:
     ``blocks`` are R's :class:`lula_lab.network._Block` factors: one per
     layer for all layers, one with delta = L_x^T and the augmented features
     for the last layer. ``u`` holds the eigenvectors U of the Gram
-    K = R R^T = U diag(e) U^T, (n r, n r), so that GGN = W^T W and
-    W W^T = diag(e). B v and B^T w write R's rows one
+    K = R R^T = U diag(e) U^T that span its range, (n r, S) with S <= n r,
+    so that GGN = W^T W and W W^T = diag(e). B v and B^T w write R's rows one
     :func:`_jacobian_chunks` chunk of curvature points at a time.
     """
 
@@ -350,9 +362,12 @@ def _psd_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _data_basis(blocks: list[_Block]) -> tuple[np.ndarray, DataBasis]:
     """(e, B) from eigh(K) = U diag(e) U^T of the Gram K = R R^T of the
-    rows held as ``blocks``, e clipped at 0."""
-    e, u = _psd_eigh(_gram(blocks, blocks))
-    return e, DataBasis(blocks, u)
+    rows held as ``blocks``, keeping only the eigenpairs of K's range,
+    e > n r eps max(e): a smaller e is round-off of a null direction."""
+    gram = _gram(blocks, blocks)
+    e, u = np.linalg.eigh(gram)
+    keep = e > gram.shape[0] * np.finfo(float).eps * e.max(initial=0.0)
+    return e[keep], DataBasis(blocks, u[:, keep])
 
 
 @dataclass
@@ -420,8 +435,9 @@ def fit_curvature(
     round-off. In data space, fewer rows (n r) than parameters,
     it is eigh of the Gram K = R R^T built from R's per-layer factors
     (:func:`lula_lab.network.jacobian_factors` seeded with the roots; for
-    the last layer L_x^T and hbar), and the :class:`DataBasis` keeps those
-    factors and U, no d-wide row. Otherwise, in parameter space, each
+    the last layer L_x^T and hbar), of which only K's range is kept
+    (:func:`_data_basis`), and the :class:`DataBasis` keeps those factors
+    and U, no d-wide row. Otherwise, in parameter space, each
     chunk of examples has its rows written from one backward sweep seeded
     with the roots, by :func:`lula_lab.network.output_jacobian`'s row
     writer, and summed as R^T R (last layer: the Kronecker-structured
@@ -537,11 +553,7 @@ class LaplacePosterior:
     """
 
     def __init__(self, curvature: Curvature, prior_precision: float):
-        if not proper_prior_precision(prior_precision):
-            raise ValueError(
-                "prior_precision must be a finite positive number with a "
-                f"finite reciprocal, got {prior_precision!r}"
-            )
+        _require_proper_prior_precision(prior_precision)
         spectra = (curvature.spectrum,) + tuple(curvature.factor_spectra or ())
         if not all(np.all(f >= 0.0) for f in spectra):
             raise ValueError("curvature spectrum has a negative or NaN entry")
@@ -644,38 +656,6 @@ class LaplacePosterior:
         e, v = np.linalg.eigh(self.output_cov(lin))
         return v * np.sqrt(np.maximum(e, 0.0))[:, None, :]
 
-    def output_block_cov(self) -> np.ndarray:
-        """Per-output diagonal covariance blocks, shape (k, F, F).
-
-        Only defined for last-layer posteriors; block i is the covariance of
-        the augmented weight row feeding output i.
-        """
-        if self.subset != "last_layer":
-            raise ValueError("output blocks only defined for last_layer subset")
-        k, feat = self.num_outputs, self.feature_dim
-        basis = self._basis
-        if basis is None:
-            return self._t.reshape(k, feat)[:, :, None] * np.eye(feat)
-        if isinstance(basis, tuple):
-            # block i = Q_A diag(sum_p Q_G[i, p]^2 t[p, :]) Q_A^T
-            q_out, q_feat = basis
-            weights = (q_out * q_out) @ self._t.reshape(k, feat)
-            return (q_feat * weights[:, None, :]) @ q_feat.T
-        if isinstance(basis, DataBasis):
-            # output i's columns of W are U^T (Delta_i kron hbar), so block
-            # i = c I + hbar^T Z_i hbar with
-            # Z_i[x, y] = sum_ab Delta[x, a, i] (U diag(t) U^T)[xa, yb] Delta[y, b, i]
-            (blk,) = basis.blocks
-            n, r = blk.delta.shape[:2]
-            spread = ((basis.u * self._t) @ basis.u.T).reshape(n, r, n, r)
-            z = np.einsum("xai,xayb,ybi->ixy", blk.delta, spread, blk.delta,
-                          optimize=True)
-            return blk.feat.T @ z @ blk.feat + self._c * np.eye(feat)
-        # parameter space: block i = B_i^T diag(t) B_i, with B_i the columns
-        # of Q^T that belong to output i
-        cols = basis.reshape(-1, k, feat).transpose(1, 0, 2)
-        return (cols.transpose(0, 2, 1) * self._t) @ cols
-
 
 def build_posterior(curvature: Curvature, prior_precision: float) -> LaplacePosterior:
     """Gaussian posterior with covariance (H_data + prior_precision I)^-1."""
@@ -685,11 +665,6 @@ def build_posterior(curvature: Curvature, prior_precision: float) -> LaplacePost
 def _as_batch(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     return x[None, :] if x.ndim == 1 else x
-
-
-def _last_layer_feature_batch(net: Network, x: np.ndarray) -> np.ndarray:
-    """Augmented final hidden features, bitwise those of :func:`forward`."""
-    return augment_ones(forward_output(net, x, net.num_layers - 1))
 
 
 @dataclass
@@ -757,10 +732,10 @@ def linearize(net: Network, curvature: Curvature, x: np.ndarray) -> Linearizatio
         # J R^T from the factors of both stacks, so P = (J R^T) U and
         # J J^T = sum over layers of delta delta^T (|h|^2 + 1)
         gram = np.zeros((m, k, k))
-        for points in _point_chunks(m, k * width):
+        for points in _point_chunks(m, k * basis.u.shape[0]):
             blocks = point_blocks(points)
             cross = _gram(blocks, basis.blocks)
-            np.matmul(cross, basis.u, out=proj[points].reshape(cross.shape))
+            np.matmul(cross, basis.u, out=proj[points].reshape(len(cross), width))
             for blk in blocks:
                 norms = np.einsum("mc,mc->m", blk.feat, blk.feat) + blk.bias
                 grams = blk.delta @ blk.delta.transpose(0, 2, 1)

@@ -4,9 +4,18 @@ An augmentation adds inactive units to the final hidden layer of a trained
 network. Each added unit has trainable incoming weights and bias (the free
 block) but structurally zero outgoing weights, so the network function is
 preserved exactly while the loss curvature, and hence the Laplace posterior,
-gains extra directions. Training minimizes the mean total output variance
-over the whole inlier set minus the mean over the whole outlier set, and
-steps only the free block.
+gains extra directions.
+
+Training steps only the free block, against the posterior that predicts:
+the Kronecker last-layer posterior (kron(G, A) + lambda I)^-1 of the
+current network, fit on the curvature set (the train split in the CLI and
+the demo pipelines). It minimizes the mean of v(x) = tr(K Sigma_f(x)) over
+the whole inlier set minus its mean over the whole outlier set, with
+Sigma_f the output covariance that prediction reads. K = I - 1 1^T / k
+under the categorical likelihood with k > 1 classes and K = I otherwise:
+the softmax is blind to a shift of every logit, a direction G cannot see,
+so its prior-only variance is left out. The gradient runs through Sigma
+(Kristiadi, Hein & Hennig, UAI 2021).
 """
 
 from __future__ import annotations
@@ -18,19 +27,24 @@ import numpy as np
 from .errors import DivergenceError
 from .laplace import (
     LaplacePosterior,
-    _last_layer_feature_batch,
+    _psd_eigh,
+    _require_proper_prior_precision,
     build_posterior,
+    check_curvature_fit,
     fit_curvature,
+    linearize,
 )
 from .network import (
     LayerSpec,
     Network,
+    _pre_activation,
     activation_derivative,
+    apply_activation,
     augment_ones,
     forward,
 )
 from .numerics import Rng
-from .training import LossKind, _Adam
+from .training import LossKind, _Adam, output_hessians
 
 __all__ = [
     "LulaTrainConfig",
@@ -116,19 +130,22 @@ def _first_free_row(net: Network, units: int) -> int:
     return first
 
 
-def total_variance_batch(
-    net: Network, post: LaplacePosterior, x: np.ndarray
-) -> np.ndarray:
-    """Total linearized output variance per input row, shape (m,).
+def _centring(loss: LossKind, k: int) -> np.ndarray:
+    """K = I - 1 1^T / k under the categorical likelihood with k > 1, else I."""
+    centring = np.eye(k)
+    if loss.kind == "categorical_ce" and k > 1:
+        centring -= 1.0 / k
+    return centring
 
-    The sum over outputs of the exact per-output variances, i.e. the
-    quadratic form hbar^T B hbar in the final hidden features, with B the
-    sum of the posterior's output covariance blocks. Requires a last-layer
-    posterior; any other subset raises ``ValueError``.
-    """
-    block_sum = post.output_block_cov().sum(axis=0)
-    hbar = _last_layer_feature_batch(net, x)
-    return ((hbar @ block_sum) * hbar).sum(axis=1)
+
+def total_variance_batch(
+    net: Network, post: LaplacePosterior, x: np.ndarray, loss: LossKind
+) -> np.ndarray:
+    """v(x) = tr(K Sigma_f(x)) per input row, shape (m,), with Sigma_f the
+    posterior's :meth:`LaplacePosterior.output_cov`, the one prediction
+    reads, and K the centring of the module docstring."""
+    cov = post.output_cov(linearize(net, post.curvature, x))
+    return np.einsum("ij,mji->m", _centring(loss, net.output_dim), cov)
 
 
 def _as_batches(in_batch, out_batch) -> tuple[np.ndarray, np.ndarray]:
@@ -141,72 +158,138 @@ def _as_batches(in_batch, out_batch) -> tuple[np.ndarray, np.ndarray]:
 
 def lula_objective(
     net: Network,
-    post: LaplacePosterior,
+    curv_features: np.ndarray,
     in_batch: np.ndarray,
     out_batch: np.ndarray,
+    loss: LossKind,
+    prior_precision: float,
 ) -> float:
-    """Mean total variance over inliers minus mean over outliers."""
+    """Mean v over ``in_batch`` minus mean v over ``out_batch``, v from
+    :func:`total_variance_batch` under the Kronecker last-layer posterior of
+    ``net`` fit on ``curv_features``."""
     in_batch, out_batch = _as_batches(in_batch, out_batch)
-    v_in = total_variance_batch(net, post, in_batch)
-    v_out = total_variance_batch(net, post, out_batch)
+    curv = fit_curvature(net, curv_features, loss, "kfac_last_layer", "last_layer")
+    post = build_posterior(curv, prior_precision)
+    v_in = total_variance_batch(net, post, in_batch, loss)
+    v_out = total_variance_batch(net, post, out_batch, loss)
     return float(np.mean(v_in) - np.mean(v_out))
 
 
-def _objective_and_gradient(
-    net: Network,
-    units: int,
-    post: LaplacePosterior,
-    in_batch: np.ndarray,
-    out_batch: np.ndarray,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """:func:`lula_objective` and :func:`objective_gradient` from one forward
-    pass per set and one block sum: both read hbar B, bitwise as each
-    computes it alone (2 (hbar B) is exactly (2 hbar) B)."""
-    block_sum = post.output_block_cov().sum(axis=0)
-    in_batch, out_batch = _as_batches(in_batch, out_batch)
-    top = net.num_layers - 2
-    first = _first_free_row(net, units)
-    grad_w = np.zeros((units, net.specs[top].in_dim))
-    grad_b = np.zeros(units)
-    means = []
-    for batch, sign in ((in_batch, 1.0), (out_batch, -1.0)):
-        trace = forward(net, batch)
-        hbar = augment_ones(trace.activations[-2])
-        hbar_b = hbar @ block_sum
-        means.append(np.mean((hbar_b * hbar).sum(axis=1)))
-        dnu_dadded = 2.0 * hbar_b[:, first : first + units]
-        delta = dnu_dadded * activation_derivative(
-            net.specs[top].activation, trace.pre_activations[top][:, first:]
-        )
-        weight = sign / batch.shape[0]
-        grad_w += weight * (delta.T @ trace.activations[top])
-        grad_b += weight * delta.sum(axis=0)
-    return float(means[0] - means[1]), grad_w, grad_b
+class _Objective:
+    """:func:`lula_objective` of an augmented network and its gradient, as
+    functions of the flat free block theta = (W_free, b_free).
+
+    Only the free block moves, so the layer below the added units and the
+    original final hidden features of the curvature, inlier and outlier
+    sets are computed once, and so is G = Q_G diag(g) Q_G^T: the outputs do
+    not move. Each call forwards the added units alone, rewrites their rows
+    and columns of A = mean_z hbar_z hbar_z^T over the curvature set, and
+    takes A = Q_A diag(a) Q_A^T. With d_pq = 1 / (g_p a_q + lambda) and
+    kappa_p = (Q_G^T K Q_G)_pp, v(x) = sum_q w_q (Q_A^T hbar)_q^2 with
+    w = kappa^T d, and with W = mean_in hbar hbar^T - mean_out hbar hbar^T
+    the objective is J = tr(Sigma (K kron W)), so
+    dJ/dA = -Q_A [(sum_p g_p kappa_p d_p d_p^T) o (Q_A^T W Q_A)] Q_A^T.
+    dJ/dhbar is then 2 Q_A (w * Q_A^T hbar) times +-1 / n_rows for each
+    inlier or outlier row, plus 2 (dJ/dA) hbar_z / n_curv for each
+    curvature point z, chained through the added units' pre-activations.
+    """
+
+    def __init__(self, net, units, curv_features, in_features, out_features,
+                 loss, prior_precision):
+        curv_features = np.atleast_2d(np.asarray(curv_features, dtype=np.float64))
+        in_features, out_features = _as_batches(in_features, out_features)
+        check_curvature_fit(net, curv_features, loss, "kfac_last_layer", "last_layer")
+        _require_proper_prior_precision(prior_precision)
+        self.first = _first_free_row(net, units)
+        self.units = units
+        self.free = slice(self.first, self.first + units)
+        self.top = net.num_layers - 2
+        self.fan_in = net.specs[self.top].in_dim
+        self.activation = net.specs[self.top].activation
+        self.lam = float(prior_precision)
+        # (input of the final hidden layer, hbar whose added columns each
+        # call rewrites) for the curvature, inlier and outlier sets
+        self.sets = []
+        for x in (curv_features, in_features, out_features):
+            trace = forward(net, x)
+            self.sets.append(
+                (trace.activations[self.top], augment_ones(trace.activations[-2]))
+            )
+            if len(self.sets) == 1:
+                lambdas = output_hessians(loss, trace.output)
+                self.g, q_out = _psd_eigh(lambdas.sum(axis=0))
+                centring = _centring(loss, net.output_dim)
+                self.kappa = np.einsum("ip,ij,jp->p", q_out, centring, q_out)
+        hbar = self.sets[0][1]
+        self.gram = hbar.T @ hbar  # the added rows and columns are rewritten
+
+    def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        """(J, dJ/dtheta) at the free block ``theta``."""
+        free, units = self.free, self.units
+        w_free = theta[: units * self.fan_in].reshape(units, self.fan_in)
+        b_free = theta[units * self.fan_in :]
+        pre = []
+        for below, hbar in self.sets:
+            pre.append(_pre_activation(below, w_free, b_free))
+            hbar[:, free] = apply_activation(self.activation, pre[-1])
+        hbar = self.sets[0][1]
+        cols = hbar.T @ hbar[:, free]
+        self.gram[:, free] = cols
+        self.gram[free, :] = cols.T
+        a, q_a = _psd_eigh(self.gram / hbar.shape[0])
+        d = 1.0 / (np.outer(self.g, a) + self.lam)
+        w = self.kappa @ d
+        value = 0.0
+        projected_w = np.zeros_like(self.gram)  # Q_A^T W Q_A
+        grads = []
+        for (_, hbar_x), sign in zip(self.sets[1:], (1.0, -1.0)):
+            c = hbar_x @ q_a
+            cw = c * w
+            value += sign * np.mean(np.einsum("ij,ij->i", c, cw))
+            scale = sign / hbar_x.shape[0]
+            projected_w += scale * (c.T @ c)
+            grads.append((2.0 * scale) * (cw @ q_a[free].T))
+        m = (d.T * (self.g * self.kappa)) @ d
+        dj_da = -(q_a @ ((m * projected_w) @ q_a[free].T))
+        grads.insert(0, (2.0 / hbar.shape[0]) * (hbar @ dj_da))
+        grad_w = np.zeros((units, self.fan_in))
+        grad_b = np.zeros(units)
+        for (below, _), z, grad in zip(self.sets, pre, grads):
+            delta = grad * activation_derivative(self.activation, z)
+            grad_w += delta.T @ below
+            grad_b += delta.sum(axis=0)
+        return float(value), np.concatenate([grad_w.ravel(), grad_b])
+
+
+def _free_block(net: Network, units: int) -> np.ndarray:
+    """The flat free block (W_free row-major, then b_free) of ``net``."""
+    top, first = net.num_layers - 2, _first_free_row(net, units)
+    return np.concatenate([net.weights[top][first:].ravel(), net.biases[top][first:]])
 
 
 def objective_gradient(
     net: Network,
     units: int,
-    post: LaplacePosterior,
+    curv_features: np.ndarray,
     in_batch: np.ndarray,
     out_batch: np.ndarray,
+    loss: LossKind,
+    prior_precision: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form gradient of the variance objective over the free block.
-
-    The posterior is held fixed (the training loop refits it once per
-    epoch), so each row's total variance is the quadratic form
-    hbar^T B hbar of :func:`total_variance_batch`, and its gradient in hbar
-    is 2 B hbar, chained through the added units' pre-activations. Returns
-    the gradients of the free weights (units x fan_in) and free biases
-    (units,). Requires a last-layer posterior; any other subset raises
-    ``ValueError``.
-    """
-    return _objective_and_gradient(net, units, post, in_batch, out_batch)[1:]
+    """Closed-form gradient of :func:`lula_objective` over the free block,
+    through the posterior (:class:`_Objective`). Returns the gradients of
+    the free weights (units x fan_in) and free biases (units,)."""
+    objective = _Objective(net, units, curv_features, in_batch, out_batch, loss,
+                           prior_precision)
+    grad = objective(_free_block(net, units))[1]
+    w_size = units * objective.fan_in
+    return grad[:w_size].reshape(units, objective.fan_in), grad[w_size:]
 
 
 def train_lula(
     net: Network,
     units: int,
+    curv_features: np.ndarray,
     in_features: np.ndarray,
     out_features: np.ndarray,
     loss: LossKind,
@@ -215,41 +298,33 @@ def train_lula(
 ) -> tuple[Network, list[float]]:
     """Tune the free block of a network augmented with ``units`` units.
 
-    Per epoch: refit a diagonal last-layer posterior of the current network
-    on the inlier features, evaluate the variance objective on the whole
-    inlier and outlier sets, and step the flattened (W_free, b_free) pair
-    along the closed-form gradient of :func:`objective_gradient` with Adam;
-    the objective and its gradient share one forward pass per set, so each
-    history entry is :func:`lula_objective` of that epoch's network. Every
-    other parameter is copied unchanged, so original parameters and
-    structural zeros are preserved bitwise. Raises ``ValueError`` unless
-    the last ``units`` units of the final hidden layer have exactly zero
-    outgoing weights. Returns the tuned network and the per-epoch objective
-    history.
+    Per epoch: evaluate :func:`lula_objective` of the current network, with
+    its Kronecker last-layer posterior fit on ``curv_features``, on the
+    whole inlier and outlier sets, and step the flattened (W_free, b_free)
+    pair along its gradient through that posterior with Adam
+    (:class:`_Objective`), so each history entry is the objective of that
+    epoch's network up to round-off. Every other parameter is copied
+    unchanged, so original parameters and structural zeros are preserved
+    bitwise. Raises ``ValueError`` unless the last ``units`` units of the
+    final hidden layer have exactly zero outgoing weights. Returns the
+    tuned network and the per-epoch objective history.
     """
-    in_features = np.atleast_2d(np.asarray(in_features, dtype=np.float64))
-    out_features = np.atleast_2d(np.asarray(out_features, dtype=np.float64))
-    first = _first_free_row(net, units)
-    top = net.num_layers - 2
-    current = net
-    w_free = net.weights[top][first:]
-    theta = np.concatenate([w_free.ravel(), net.biases[top][first:]])
+    objective = _Objective(net, units, curv_features, in_features, out_features,
+                           loss, prior_precision)
+    theta = _free_block(net, units)
     adam = _Adam(theta.size, cfg.learning_rate)
     history: list[float] = []
     for epoch in range(cfg.epochs):
-        curv = fit_curvature(current, in_features, loss, "diag_ggn", "last_layer")
-        post = build_posterior(curv, prior_precision)
-        value, grad_w, grad_b = _objective_and_gradient(
-            current, units, post, in_features, out_features
-        )
+        value, grad = objective(theta)
         if not np.isfinite(value):
             raise DivergenceError(f"non-finite objective at epoch {epoch}")
         history.append(value)
-        adam.step(theta, np.concatenate([grad_w.ravel(), grad_b]))
-        weights, biases = list(current.weights), list(current.biases)
-        weights[top] = np.vstack(
-            [net.weights[top][:first], theta[: w_free.size].reshape(w_free.shape)]
-        )
-        biases[top] = np.concatenate([net.biases[top][:first], theta[w_free.size :]])
-        current = Network(net.specs, weights, biases)
-    return current, history
+        adam.step(theta, grad)
+    top, first = objective.top, objective.first
+    weights, biases = list(net.weights), list(net.biases)
+    w_size = units * objective.fan_in
+    weights[top] = np.vstack(
+        [net.weights[top][:first], theta[:w_size].reshape(units, objective.fan_in)]
+    )
+    biases[top] = np.concatenate([net.biases[top][:first], theta[w_size:]])
+    return Network(net.specs, weights, biases), history

@@ -51,12 +51,15 @@ def fd_param_gradient(f, theta: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     return grad
 
 
-def fd_free_gradient(net, units, post, in_batch, out_batch) -> np.ndarray:
+def fd_free_gradient(net, units, curv_features, in_batch, out_batch, loss,
+                     prior_precision) -> np.ndarray:
     """Finite-difference oracle of ``lula_objective`` over the free block.
 
     The free block is the last ``units`` rows of the final hidden layer's
-    weights and biases. The posterior is held fixed. Returns the flat
-    gradient: the free weights in row-major order, then the free biases.
+    weights and biases. ``lula_objective`` refits the Kronecker posterior
+    on ``curv_features`` at every perturbed net, so the oracle runs through
+    the posterior. Returns the flat gradient: the free weights in row-major
+    order, then the free biases.
     """
     top = net.num_layers - 2
     first = net.specs[top].out_dim - units
@@ -68,7 +71,8 @@ def fd_free_gradient(net, units, post, in_batch, out_batch) -> np.ndarray:
         weights[top] = np.vstack([w[:first], values[:n_w].reshape(units, -1)])
         biases[top] = np.concatenate([b[:first], values[n_w:]])
         moved = Network(net.specs, weights, biases)
-        return lula_objective(moved, post, in_batch, out_batch)
+        return lula_objective(moved, curv_features, in_batch, out_batch, loss,
+                              prior_precision)
 
     return fd_param_gradient(objective, np.concatenate([w[first:].ravel(), b[first:]]))
 

@@ -1277,3 +1277,93 @@ class TestDemoToy:
         parser_args = ["demo-toy", "--out", "somewhere"]
         args = cli._build_parser().parse_args(parser_args)
         assert args.config is None
+
+
+class TestModelFileAgainstTheConfig:
+    """A model file is checked against ``[train] loss`` as ``[model] dims``
+    is, and ``lula`` trains only through the Kronecker last-layer posterior."""
+
+    @pytest.fixture
+    def binary_model(self, tmp_path):
+        """A 2,8,1 model trained under binary_ce."""
+        config = tmp_path / "binary.ini"
+        config.write_text(
+            TINY_INI.replace("dims = 2,16,16,2", "dims = 2,8,1").replace(
+                "weight_decay = 0.001\n", "weight_decay = 0.001\nloss = binary_ce\n"
+            )
+        )
+        model = str(tmp_path / "binary.txt")
+        assert cli.main(["train", "--config", str(config), "--out", model]) == 0
+        return model
+
+    @pytest.mark.parametrize("prior", ["tune", "0.5"])
+    @pytest.mark.parametrize("command", ["laplace", "lula", "eval"])
+    def test_output_count_the_likelihood_refuses_exits_2_before_data(
+        self, binary_model, command, prior, tmp_path, capsys, monkeypatch
+    ):
+        # two_moons with loss = auto is categorical, which needs 2 outputs
+        config = tmp_path / "auto.ini"
+        config.write_text(
+            TINY_INI.replace("prior_precision = 1.0", f"prior_precision = {prior}")
+        )
+
+        def no_data(*args, **kwargs):
+            raise AssertionError("data was built before the model was checked")
+
+        monkeypatch.setattr(cli, "_build_data", no_data)
+        out = str(tmp_path / "out")
+        argv = [command, "--config", str(config), "--model", binary_model, "--out", out]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert binary_model in err and "1 outputs" in err and "[train] loss" in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("kind, subset", [
+        ("full_ggn", "last_layer"), ("full_ggn", "all_layers"),
+        ("diag_ggn", "last_layer"), ("diag_ggn", "all_layers"),
+        ("kfac_last_layer", "all_layers"),
+    ])
+    def test_lula_under_another_posterior_exits_2_before_work(
+        self, kind, subset, tmp_path, capsys, monkeypatch
+    ):
+        config = tmp_path / "cfg.ini"
+        config.write_text(TINY_INI.replace(
+            "[laplace]\n", f"[laplace]\ncurvature = {kind}\nsubset = {subset}\n"
+        ))
+        model = str(tmp_path / "model.txt")
+        save(Network.init_random([2, 16, 16, 2], "relu", Rng(0)), model)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before [laplace] was checked")
+
+        for name in ("_base_prior_precision", "_load_model", "_build_data",
+                     "fit_curvature", "tune_prior_precision"):
+            monkeypatch.setattr(cli, name, no_work)
+        monkeypatch.setattr(cli.lula_mod, "train_lula", no_work)
+        out = tmp_path / "tuned.txt"
+        argv = ["lula", "--config", str(config), "--model", model, "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "[laplace] curvature" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_lula_trains_through_the_curvature_of_the_train_split(
+        self, tmp_path, monkeypatch
+    ):
+        # the split eval fits the tuned net's posterior on
+        config = tmp_path / "cfg.ini"
+        config.write_text(TINY_INI)
+        model = str(tmp_path / "model.txt")
+        save(Network.init_random([2, 16, 16, 2], "relu", Rng(0)), model)
+        calls = []
+        original = cli.lula_mod.train_lula
+
+        def recording(net, units, curv_features, *rest):
+            calls.append(curv_features)
+            return original(net, units, curv_features, *rest)
+
+        monkeypatch.setattr(cli.lula_mod, "train_lula", recording)
+        out = str(tmp_path / "tuned.txt")
+        assert cli.main(["lula", "--config", str(config), "--model", model,
+                         "--out", out]) == 0
+        train = cli._build_data(load_config(str(config)), 2)[0]
+        assert len(calls) == 1 and np.array_equal(calls[0], train.features)

@@ -29,7 +29,6 @@ from lula_lab.laplace import (
     tune_prior_precision,
 )
 from lula_lab.network import (
-    ACTIVATIONS,
     LayerSpec,
     Network,
     augment_ones,
@@ -292,7 +291,8 @@ class TestAllLayersGGN:
             _, linearize_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert curv.spectrum.size == rows < d  # data space
+        # data space; the basis keeps only the Gram's range, at most n r
+        assert curv.spectrum.size <= rows < d
         fit_bound = 8 * (4 * rows**2 + rows * outs + n * ins) + 2**20
         assert fit_bound < 8 * rows * d
         assert fit_peak <= fit_bound
@@ -360,24 +360,22 @@ class TestBuildPosterior:
     @pytest.mark.parametrize("k", [1, 3, 10])
     def test_kfac_marginals_match_dense_inverse(self, k):
         # the eigenbasis covariance against the explicit dense inverse of
-        # kron(G, A) + lambda I: marginals and every output block
+        # kron(G, A) + lambda I: marginals and every point's output covariance
         rng = Rng(4)
         net = Network.init_random([2, 4, k], "tanh", rng)
         x = rng.standard_normal((25, 2))
         loss = LossKind("binary_ce" if k == 1 else "categorical_ce")
         curv = fit_curvature(net, x, loss, "kfac_last_layer")
-        feat = curv.feature_dim
         dense = np.kron(*kron_factors(net, x, loss))
+        points = rng.standard_normal((5, 2))
+        lin = laplace.linearize(net, curv, points)
+        jacs = dense_jacobians(net, "last_layer", k, points)
         for lam in (0.37,) + DEFAULT_LAMBDA_GRID[4::4]:
             post = build_posterior(curv, lam)
             oracle = np.linalg.inv(dense + lam * np.eye(post.dim))
-            oracle_blocks = np.stack(
-                [oracle[i * feat:(i + 1) * feat, i * feat:(i + 1) * feat]
-                 for i in range(k)]
-            )
             scale = np.max(np.abs(oracle))
-            blocks = post.output_block_cov()
-            assert np.max(np.abs(blocks - oracle_blocks)) <= 1e-10 * scale, lam
+            expected = jacs @ oracle @ jacs.transpose(0, 2, 1)
+            assert relative_error(post.output_cov(lin), expected) <= 1e-10, lam
             marginals = marginal_variances(post)
             assert np.max(np.abs(marginals - np.diag(oracle))) <= 1e-10 * scale
 
@@ -508,8 +506,11 @@ class TestFullGGNEigenbasis:
     @pytest.mark.parametrize("loss, k", LOSS_CASES)
     def test_matches_dense_inverse_over_grid(self, subset, n, loss, k):
         net, x, curv, _ = self._instance(subset, n, loss, k)
-        ggn, dim, feat = oracle_ggn(net, x, loss, subset), curv.dim, curv.feature_dim
+        ggn, dim = oracle_ggn(net, x, loss, subset), curv.dim
         vectors = Rng(32).standard_normal((6, dim))
+        points = Rng(33).standard_normal((5, 2))
+        lin = laplace.linearize(net, curv, points)
+        jacs = dense_jacobians(net, subset, k, points)
         for lam in DEFAULT_LAMBDA_GRID:
             post = build_posterior(curv, lam)
             oracle = np.linalg.inv(ggn + lam * np.eye(dim))
@@ -519,13 +520,9 @@ class TestFullGGNEigenbasis:
             expected = np.einsum("ij,jk,ik->i", vectors, oracle, vectors)
             quad = post.quad_forms(vectors)
             assert np.max(np.abs(quad - expected)) <= 1e-9 * np.max(expected), lam
-            if subset == "last_layer":
-                blocks = np.stack(
-                    [oracle[i * feat:(i + 1) * feat, i * feat:(i + 1) * feat]
-                     for i in range(k)]
-                )
-                error = np.max(np.abs(post.output_block_cov() - blocks))
-                assert error <= 1e-9 * scale, lam
+            covs = jacs @ oracle @ jacs.transpose(0, 2, 1)
+            error = np.max(np.abs(post.output_cov(lin) - covs))
+            assert error <= 1e-9 * np.max(np.abs(covs)), lam
 
     @pytest.mark.parametrize("dims, subset", [
         pytest.param([2, 5, 4, 3], "last_layer", id="last"),
@@ -655,6 +652,34 @@ DATA_CASES = [
     pytest.param("last_layer", 3, id="last"),
     pytest.param("all_layers", 6, id="all"),
 ]
+
+
+class TestDataBasisRange:
+    @pytest.mark.parametrize("lam", [1e-150, 1e-50, 1e-8, 1.0])
+    def test_duplicated_points_match_the_null_space_oracle(self, lam):
+        # 3 points each given twice: R has 12 rows but rank 6, so half of
+        # the Gram's spectrum is round-off. The basis keeps the 6 of its
+        # range; the oracle is V diag(1 / (e + lam)) V^T + N N^T / lam from
+        # a full SVD of R, with N the null space of R.
+        rng = Rng(91)
+        net = Network.init_random([2, 8, 3], "tanh", rng)
+        x = np.repeat(rng.standard_normal((3, 2)), 2, axis=0)
+        loss = LossKind("categorical_ce")
+        curv = fit_curvature(net, x, loss, "full_ggn", "all_layers")
+        assert curv.spectrum.size == 6 and curv.basis.u.shape == (12, 6)
+        rows = stacked_rows(net, x, loss, "all_layers")
+        _, sv, vt = np.linalg.svd(rows)
+        rank = int(np.sum(sv > 1e-8 * sv[0]))
+        assert rank == 6
+        v, null = vt[:rank].T, vt[rank:].T
+        sigma = (v / (sv[:rank] ** 2 + lam)) @ v.T + null @ null.T / lam
+        post = build_posterior(curv, lam)
+        for points in (rng.standard_normal((200, 2)), x):
+            jacs = dense_jacobians(net, "all_layers", 3, points)
+            expected = jacs @ sigma @ jacs.transpose(0, 2, 1)
+            cov = post.output_cov(laplace.linearize(net, curv, points))
+            assert relative_error(cov, expected) <= 1e-12, lam
+            assert np.all(cov.diagonal(axis1=1, axis2=2) >= 0.0), lam
 
 
 class TestDataBasis:
@@ -1129,19 +1154,6 @@ POSTERIOR_CASES = [
     pytest.param("full_ggn", "all_layers", id="full-all"),
     pytest.param("diag_ggn", "all_layers", id="diag-all"),
 ]
-
-
-class TestLastLayerFeatures:
-    @pytest.mark.parametrize("activation", ACTIVATIONS)
-    @pytest.mark.parametrize("hidden", [1, 3])
-    def test_bitwise_equal_to_forward_trace(self, activation, hidden):
-        rng = Rng(71)
-        net = Network.init_random([3] + [6] * hidden + [2], activation, rng)
-        biases = [b + 0.1 * rng.standard_normal(b.shape) for b in net.biases]
-        net = Network(net.specs, net.weights, biases)
-        x = rng.standard_normal((11, 3))
-        expected = augment_ones(forward(net, x).activations[-2])
-        assert np.array_equal(laplace._last_layer_feature_batch(net, x), expected)
 
 
 SPACE_CASES = [

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import fd_free_gradient, random_network, relative_error
+from conftest import fd_free_gradient, kron_factors, random_network, relative_error
+from lula_lab import lula
 from lula_lab.laplace import build_posterior, fit_curvature
 from lula_lab.lula import (
     LulaTrainConfig,
@@ -11,7 +12,7 @@ from lula_lab.lula import (
     total_variance_batch,
     train_lula,
 )
-from lula_lab.network import Network, activation_derivative, augment_ones, forward
+from lula_lab.network import Network, augment_ones, forward
 from lula_lab.numerics import Rng
 from lula_lab.training import LossKind, _Adam
 
@@ -21,40 +22,39 @@ def diag_last_layer_posterior(net, x, loss, lam=0.5):
     return build_posterior(curv, lam)
 
 
-def two_call_train_lula(net, units, in_features, out_features, loss, lam, cfg):
-    """train_lula's loop with the objective from :func:`lula_objective` and
-    the gradient from its own forward pass, (2 hbar) B chained by hand, both
-    on the whole inlier and outlier sets."""
+def kron_posterior(net, x, loss, lam=0.5):
+    return build_posterior(fit_curvature(net, x, loss, "kfac_last_layer"), lam)
+
+
+def with_free_block(net, units, theta):
+    """``net`` with its free block replaced by the flat ``theta``."""
     top = net.num_layers - 2
     first = net.specs[top].out_dim - units
-    current = net
-    w_free = net.weights[top][first:]
-    theta = np.concatenate([w_free.ravel(), net.biases[top][first:]])
+    n_w = units * net.specs[top].in_dim
+    weights, biases = list(net.weights), list(net.biases)
+    weights[top] = np.vstack([net.weights[top][:first], theta[:n_w].reshape(units, -1)])
+    biases[top] = np.concatenate([net.biases[top][:first], theta[n_w:]])
+    return Network(net.specs, weights, biases)
+
+
+def two_call_train_lula(net, units, curv, in_features, out_features, loss, lam, cfg):
+    """train_lula's loop from the public pieces: each epoch the objective
+    from :func:`lula_objective` and the gradient from
+    :func:`objective_gradient` of a freshly built network, with nothing
+    cached between epochs."""
+    top = net.num_layers - 2
+    first = net.specs[top].out_dim - units
+    theta = np.concatenate([net.weights[top][first:].ravel(), net.biases[top][first:]])
     adam = _Adam(theta.size, cfg.learning_rate)
     history = []
-    for epoch in range(cfg.epochs):
-        post = diag_last_layer_posterior(current, in_features, loss, lam)
-        history.append(lula_objective(current, post, in_features, out_features))
-        block_sum = post.output_block_cov().sum(axis=0)
-        grad_w = np.zeros((units, net.specs[top].in_dim))
-        grad_b = np.zeros(units)
-        for batch, sign in ((in_features, 1.0), (out_features, -1.0)):
-            trace = forward(current, batch)
-            hbar = augment_ones(trace.activations[-2])
-            delta = ((2.0 * hbar) @ block_sum)[:, first:-1] * activation_derivative(
-                net.specs[top].activation, trace.pre_activations[top][:, first:]
-            )
-            weight = sign / batch.shape[0]
-            grad_w += weight * (delta.T @ trace.activations[top])
-            grad_b += weight * delta.sum(axis=0)
-        adam.step(theta, np.concatenate([grad_w.ravel(), grad_b]))
-        weights, biases = list(current.weights), list(current.biases)
-        weights[top] = np.vstack(
-            [net.weights[top][:first], theta[: w_free.size].reshape(w_free.shape)]
+    for _ in range(cfg.epochs):
+        current = with_free_block(net, units, theta)
+        history.append(lula_objective(current, curv, in_features, out_features, loss, lam))
+        grad_w, grad_b = objective_gradient(
+            current, units, curv, in_features, out_features, loss, lam
         )
-        biases[top] = np.concatenate([net.biases[top][:first], theta[w_free.size :]])
-        current = Network(net.specs, weights, biases)
-    return current, history
+        adam.step(theta, np.concatenate([grad_w.ravel(), grad_b]))
+    return with_free_block(net, units, theta), history
 
 
 class TestAugment:
@@ -121,8 +121,9 @@ class TestTotalVariance:
     def test_point_posterior_gives_zero(self, rng):
         net = Network.init_random([2, 5, 2], "tanh", rng)
         x = rng.standard_normal((10, 2))
-        post = diag_last_layer_posterior(net, x, LossKind("categorical_ce"), 1e12)
-        assert total_variance_batch(net, post, x[:1])[0] <= 1e-8
+        loss = LossKind("categorical_ce")
+        post = kron_posterior(net, x, loss, 1e12)
+        assert total_variance_batch(net, post, x[:1], loss)[0] <= 1e-8
 
     def test_augmentation_never_reduces_variance(self):
         # diagonal last-layer posterior, real-valued output: the added
@@ -135,19 +136,33 @@ class TestTotalVariance:
         post = diag_last_layer_posterior(net, data, loss, 0.5)
         post_aug = diag_last_layer_posterior(aug_net, data, loss, 0.5)
         xs = rng.uniform(-5.0, 5.0, (200, 2))
-        v = total_variance_batch(net, post, xs)
-        v_aug = total_variance_batch(aug_net, post_aug, xs)
+        v = total_variance_batch(net, post, xs, loss)
+        v_aug = total_variance_batch(aug_net, post_aug, xs, loss)
         assert np.all(v_aug >= v - 1e-12)
 
-    def test_rejects_all_layers_posterior(self):
-        rng = Rng(20)
-        net = Network.init_random([2, 5, 3], "tanh", rng)
-        x = rng.standard_normal((9, 2))
-        curv = fit_curvature(net, x, LossKind("categorical_ce"), "diag_ggn",
-                             "all_layers")
-        post = build_posterior(curv, 0.7)
-        with pytest.raises(ValueError, match="last_layer"):
-            total_variance_batch(net, post, x)
+    @pytest.mark.parametrize("loss, k", [
+        (LossKind("categorical_ce"), 3), (LossKind("gaussian_nll", 2.0), 2),
+        (LossKind("binary_ce"), 1),
+    ], ids=["categorical", "gaussian", "binary"])
+    def test_centred_trace_matches_dense_oracle(self, loss, k):
+        # v(x) = tr(K J Sigma J^T) with Sigma the dense inverse of
+        # kron(G, A) + lambda I, J = I_k kron hbar^T, and K = I - 1 1^T / k
+        # for the categorical likelihood, I otherwise
+        rng = Rng(19)
+        net = Network.init_random([2, 5, k], "tanh", rng)
+        data = rng.standard_normal((25, 2))
+        xs = rng.uniform(-4.0, 4.0, (7, 2))
+        lam = 0.3
+        g, a = kron_factors(net, data, loss)
+        sigma = np.linalg.inv(np.kron(g, a) + lam * np.eye(k * a.shape[0]))
+        centring = np.eye(k) - (1.0 / k if loss.kind == "categorical_ce" else 0.0)
+        hbar = augment_ones(forward(net, xs).activations[-2])
+        expected = []
+        for h in hbar:
+            jac = np.kron(np.eye(k), h[None, :])
+            expected.append(np.trace(centring @ jac @ sigma @ jac.T))
+        actual = total_variance_batch(net, kron_posterior(net, data, loss, lam), xs, loss)
+        assert relative_error(actual, np.array(expected)) <= 1e-10
 
 
 class TestObjective:
@@ -156,71 +171,73 @@ class TestObjective:
         net = Network.init_random([2, 5, 2], "tanh", rng)
         aug_net = augment(net, 3, rng)
         data = rng.standard_normal((20, 2))
-        post = diag_last_layer_posterior(aug_net, data, LossKind("categorical_ce"), 0.4)
-        return aug_net, post, data
+        return aug_net, data[:8], data, (LossKind("categorical_ce"), 0.4)
 
     def test_identical_batches_cancel(self):
-        net, post, data = self._setup()
-        assert lula_objective(net, post, data, data) == 0.0
+        net, curv, data, args = self._setup()
+        assert lula_objective(net, curv, data, data, *args) == 0.0
 
     def test_difference_of_means(self):
-        net, post, data = self._setup()
+        net, curv, data, (loss, lam) = self._setup()
+        post = kron_posterior(net, curv, loss, lam)
         a, b = data[:4], data[4:10]
-        nu_a = total_variance_batch(net, post, a)
-        nu_b = total_variance_batch(net, post, b)
+        nu_a = total_variance_batch(net, post, a, loss)
+        nu_b = total_variance_batch(net, post, b, loss)
         expected = float(np.mean(nu_a) - np.mean(nu_b))
-        assert lula_objective(net, post, a, b) == pytest.approx(
+        assert lula_objective(net, curv, a, b, loss, lam) == pytest.approx(
             expected, abs=1e-12
         )
 
     def test_duplication_invariance(self):
-        net, post, data = self._setup()
+        net, curv, data, args = self._setup()
         a, b = data[:4], data[4:8]
-        base = lula_objective(net, post, a, b)
+        base = lula_objective(net, curv, a, b, *args)
         doubled = lula_objective(
-            net, post, np.concatenate([a, a]), np.concatenate([b, b])
+            net, curv, np.concatenate([a, a]), np.concatenate([b, b]), *args
         )
         assert doubled == pytest.approx(base, abs=1e-12)
 
     def test_empty_batch_rejected(self):
-        net, post, data = self._setup()
+        net, curv, data, args = self._setup()
         with pytest.raises(ValueError):
-            lula_objective(net, post, np.empty((0, 2)), data)
+            lula_objective(net, curv, np.empty((0, 2)), data, *args)
 
 
 class TestObjectiveGradient:
-    def test_analytic_matches_fd_across_configs(self):
+    @pytest.mark.parametrize("kind, k", [
+        ("categorical_ce", 4), ("gaussian_nll", 2), ("binary_ce", 1),
+    ])
+    def test_analytic_matches_fd_across_configs(self, kind, k):
+        # the oracle refits the Kronecker posterior at every perturbed net
         rng = Rng(9)
+        loss = LossKind(kind, 2.0 if kind == "gaussian_nll" else 1.0)
         worst = 0.0
-        for trial in range(20):
-            dims = [2, int(rng.integers(3, 7)), int(rng.integers(1, 4))]
-            net = Network.init_random(dims, "tanh", rng)
+        for trial in range(8):
+            act = ("relu", "selu", "tanh")[trial % 3]
+            net = Network.init_random([2, int(rng.integers(3, 7)), k], act, rng)
             units = int(rng.integers(1, 5))
-            aug_net = augment(net, units, rng)
+            aug_net = augment(net, units, rng, init_std=0.5)
             data = rng.standard_normal((12, 2))
             out = rng.uniform(-4.0, 4.0, (10, 2))
-            post = diag_last_layer_posterior(
-                aug_net, data, LossKind("gaussian_nll"), 0.3
-            )
-            fd = fd_free_gradient(aug_net, units, post, data[:6], out[:6])
-            grad_w, grad_b = objective_gradient(aug_net, units, post, data[:6], out[:6])
+            args = (aug_net, units, data, data[:6], out[:6], loss, 0.3)
+            grad_w, grad_b = objective_gradient(*args)
             assert grad_w.shape == (units, 2) and grad_b.shape == (units,)
-            err = relative_error(np.concatenate([grad_w.ravel(), grad_b]), fd)
+            err = relative_error(np.concatenate([grad_w.ravel(), grad_b]),
+                                 fd_free_gradient(*args))
             worst = max(worst, err)
-            assert err <= 1e-3, f"trial {trial}: {err}"
+            assert err <= 1e-6, f"trial {trial}: {err}"
         assert worst > 0.0  # gradients are nonzero somewhere
 
-    def test_rejects_all_layers_posterior(self):
+    def test_refuses_an_improper_prior_precision_or_no_curvature_data(self):
         rng = Rng(11)
-        net = Network.init_random([2, 3, 1], "tanh", rng)
-        aug_net = augment(net, 2, rng)
+        aug_net = augment(Network.init_random([2, 3, 1], "tanh", rng), 2, rng)
         data = rng.standard_normal((8, 2))
-        curv = fit_curvature(
-            aug_net, data, LossKind("gaussian_nll"), "diag_ggn", "all_layers"
-        )
-        post = build_posterior(curv, 0.5)
-        with pytest.raises(ValueError, match="last_layer"):
-            objective_gradient(aug_net, 2, post, data[:4], data[4:])
+        loss = LossKind("gaussian_nll")
+        for lam in (0.0, -1.0, np.inf, 1e-310):
+            with pytest.raises(ValueError, match="prior_precision"):
+                objective_gradient(aug_net, 2, data, data[:4], data[4:], loss, lam)
+        with pytest.raises(ValueError, match="nonempty"):
+            objective_gradient(aug_net, 2, data[:0], data[:4], data[4:], loss, 0.5)
 
 
 class TestTrainLula:
@@ -232,7 +249,7 @@ class TestTrainLula:
         out = rng.uniform(-5, 5, (10, 2))
         cfg = LulaTrainConfig(epochs=0)
         tuned, history = train_lula(
-            aug_net, 2, data, out, LossKind("categorical_ce"), 0.5, cfg
+            aug_net, 2, data, data, out, LossKind("categorical_ce"), 0.5, cfg
         )
         assert history == []
         assert np.array_equal(tuned.flatten_params(), aug_net.flatten_params())
@@ -247,14 +264,13 @@ class TestTrainLula:
         out = rng.uniform(-8.0, 8.0, (80, 2))
         loss = LossKind("categorical_ce")
         cfg = LulaTrainConfig(epochs=8, learning_rate=0.1)
+        curv, train_in = moons.features[:60], moons.features[60:100]
         eval_in, eval_out = moons.features[100:], out[60:]
-        post0 = diag_last_layer_posterior(aug_net, moons.features[:100], loss, 0.5)
-        before = lula_objective(aug_net, post0, eval_in, eval_out)
+        before = lula_objective(aug_net, curv, eval_in, eval_out, loss, 0.5)
         tuned, history = train_lula(
-            aug_net, 6, moons.features[:100], out[:60], loss, 0.5, cfg
+            aug_net, 6, curv, train_in, out[:60], loss, 0.5, cfg
         )
-        post1 = diag_last_layer_posterior(tuned, moons.features[:100], loss, 0.5)
-        after = lula_objective(tuned, post1, eval_in, eval_out)
+        after = lula_objective(tuned, curv, eval_in, eval_out, loss, 0.5)
         assert after < before
         assert len(history) == 8
 
@@ -266,7 +282,7 @@ class TestTrainLula:
         out = rng.uniform(-6, 6, (20, 2))
         cfg = LulaTrainConfig(epochs=2, learning_rate=0.05)
         tuned, _ = train_lula(
-            aug_net, 3, data, out, LossKind("categorical_ce"), 0.5, cfg
+            aug_net, 3, data, data, out, LossKind("categorical_ce"), 0.5, cfg
         )
         # every non-free entry is bitwise what augmentation produced
         assert tuned.specs == aug_net.specs
@@ -288,7 +304,7 @@ class TestTrainLula:
         out = rng.uniform(-6, 6, (15, 2))
         cfg = LulaTrainConfig(epochs=3, learning_rate=0.05)
         tuned, _ = train_lula(
-            aug_net, 4, data, out, LossKind("categorical_ce"), 0.5, cfg
+            aug_net, 4, data, data, out, LossKind("categorical_ce"), 0.5, cfg
         )
         x = rng.uniform(-10.0, 10.0, (100, 2))
         a = forward(net, x).output
@@ -303,7 +319,7 @@ class TestTrainLula:
         out = Rng(2).uniform(-5, 5, (12, 2))
         cfg = LulaTrainConfig(epochs=3)
         runs = [
-            train_lula(aug_net, 2, data, out, LossKind("categorical_ce"), 0.5, cfg)
+            train_lula(aug_net, 2, data, data, out, LossKind("categorical_ce"), 0.5, cfg)
             for _ in range(2)
         ]
         assert np.array_equal(runs[0][0].flatten_params(), runs[1][0].flatten_params())
@@ -312,41 +328,85 @@ class TestTrainLula:
     @pytest.mark.parametrize("loss", [
         LossKind("categorical_ce"), LossKind("gaussian_nll", 4.0),
     ], ids=["categorical", "gaussian"])
-    def test_fused_loop_is_bitwise_the_two_call_loop(self, loss):
-        # one forward pass per set feeds both the objective and its
-        # gradient; the history and the tuned net are bitwise unchanged
+    def test_cached_loop_is_the_loop_of_fresh_networks(self, loss):
+        # the loop caches the layer below the added units, G and the fixed
+        # block of A; the history and the tuned net are those of the public
+        # objective and gradient on each epoch's freshly built net
         rng = Rng(17)
         k = 3 if loss.kind == "categorical_ce" else 1
         net = Network.init_random([2, 6, 6, k], "relu", rng)
         aug_net = augment(net, 4, rng)
+        curv = rng.standard_normal((30, 2))
         data = rng.standard_normal((40, 2))
         out = rng.uniform(-6, 6, (30, 2))
         cfg = LulaTrainConfig(epochs=5, learning_rate=0.1)
-        tuned, history = train_lula(aug_net, 4, data, out, loss, 0.5, cfg)
+        tuned, history = train_lula(aug_net, 4, curv, data, out, loss, 0.5, cfg)
         expected, expected_history = two_call_train_lula(
-            aug_net, 4, data, out, loss, 0.5, cfg
+            aug_net, 4, curv, data, out, loss, 0.5, cfg
         )
-        assert history == expected_history
-        assert np.array_equal(tuned.flatten_params(), expected.flatten_params())
+        assert relative_error(np.array(history), np.array(expected_history)) <= 1e-10
+        assert relative_error(tuned.flatten_params(), expected.flatten_params()) <= 1e-10
 
     def test_history_is_the_objective_on_the_whole_sets(self):
-        # every row of both sets counts, not a 128-row batch of each: entry e
-        # is lula_objective of the net after e steps, under the diagonal
-        # posterior refit on all inliers
+        # every row of both sets counts: entry e is lula_objective of the net
+        # after e steps, under the Kronecker posterior refit on the
+        # curvature points
         rng = Rng(18)
         net = Network.init_random([2, 8, 8, 2], "relu", rng)
         aug_net = augment(net, 4, rng)
+        curv = rng.standard_normal((150, 2))
         data = rng.standard_normal((200, 2))
         out = rng.uniform(-8.0, 8.0, (500, 2))
         loss = LossKind("categorical_ce")
-        _, history = train_lula(aug_net, 4, data, out, loss, 0.5, LulaTrainConfig(epochs=4))
+        _, history = train_lula(
+            aug_net, 4, curv, data, out, loss, 0.5, LulaTrainConfig(epochs=4)
+        )
         assert len(history) == 4
         for epoch, value in enumerate(history):
             net_e, _ = train_lula(
-                aug_net, 4, data, out, loss, 0.5, LulaTrainConfig(epochs=epoch)
+                aug_net, 4, curv, data, out, loss, 0.5, LulaTrainConfig(epochs=epoch)
             )
-            post_e = diag_last_layer_posterior(net_e, data, loss, 0.5)
-            assert value == lula_objective(net_e, post_e, data, out)
+            expected = lula_objective(net_e, curv, data, out, loss, 0.5)
+            assert value == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("loss, k", [
+        (LossKind("categorical_ce"), 3), (LossKind("gaussian_nll", 2.0), 1),
+    ], ids=["categorical", "gaussian"])
+    def test_each_epoch_differentiates_the_posterior_that_predicts(
+        self, loss, k, monkeypatch
+    ):
+        # the G and A of every epoch are those of fit_curvature on that
+        # epoch's net and the curvature points, the posterior that eval
+        # builds; G is decomposed once
+        rng = Rng(22)
+        aug_net = augment(Network.init_random([2, 6, 5, k], "tanh", rng), 3, rng)
+        curv = rng.standard_normal((40, 2))
+        data = rng.standard_normal((20, 2))
+        out = rng.uniform(-6, 6, (25, 2))
+        factors = []
+        original = lula._psd_eigh
+
+        def recording(matrix):
+            factors.append(matrix.copy())
+            return original(matrix)
+
+        monkeypatch.setattr(lula, "_psd_eigh", recording)
+        epochs = 4
+        train_lula(aug_net, 3, curv, data, out, loss, 0.5, LulaTrainConfig(epochs=epochs))
+        monkeypatch.undo()
+        assert len(factors) == 1 + epochs
+        g, a_per_epoch = factors[0], factors[1:]
+        for epoch, a in enumerate(a_per_epoch):
+            net_e, _ = train_lula(
+                aug_net, 3, curv, data, out, loss, 0.5, LulaTrainConfig(epochs=epoch)
+            )
+            fit = fit_curvature(net_e, curv, loss, "kfac_last_layer")
+            q_g, q_a = fit.basis
+            g_fit, a_fit = (np.linalg.eigvalsh(m) for m in (g, a))
+            spectrum = np.outer(np.maximum(g_fit, 0.0), np.maximum(a_fit, 0.0))
+            assert relative_error(spectrum.ravel(), fit.spectrum) <= 1e-12
+            assert relative_error((q_a * np.maximum(a_fit, 0.0)) @ q_a.T, a) <= 1e-12
+            assert relative_error((q_g * np.maximum(g_fit, 0.0)) @ q_g.T, g) <= 1e-12
 
     def test_rejects_units_that_are_not_added(self):
         rng = Rng(21)
@@ -359,7 +419,7 @@ class TestTrainLula:
         # 3 would train an original unit; -1 and 7 leave [0, width]
         for units in (3, -1, 7):
             with pytest.raises(ValueError):
-                train_lula(aug_net, units, data, out, loss, 0.5, cfg)
+                train_lula(aug_net, units, data, data, out, loss, 0.5, cfg)
         with pytest.raises(ValueError, match="no hidden layer"):
-            train_lula(Network.init_random([2, 2], "relu", rng), 0, data, out,
+            train_lula(Network.init_random([2, 2], "relu", rng), 0, data, data, out,
                        loss, 0.5, cfg)
