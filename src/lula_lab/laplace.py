@@ -75,16 +75,10 @@ is round-off of a direction that R does not span, whose W row of round-off
 size, weighted by t = -1 / lambda^2, would blow up at a small lambda; the
 prior alone is its exact variance. Every other case has c = 0,
 t = 1 / (s + lambda) and t' = sqrt(t). Every eigenvalue s + lambda of the
-precision is at least lambda, so these are read directly. A variance is g^T Sigma g = c |g|^2 + (B g)^2 . t and a draw is
-mean + c' z + B^T (t' * B z).
-
-The one exception is the Kronecker draw, which uses the standard per-factor
-damped approximation, covariance
-(G + sqrt(lambda) I)^-1 kron (A + sqrt(lambda) I)^-1, documented as an
-approximation. Its damped factors are diagonal in the same eigenbases, so
-the draw is M_G Z M_A^T with M_G = Q_G diag(g + sqrt(lambda))^-1/2 and
-M_A = Q_A diag(a + sqrt(lambda))^-1/2, with g and a clipped at 0 like s;
-nothing is factored per prior precision.
+precision is at least lambda, so these are read directly. A variance is
+g^T Sigma g = c |g|^2 + (B g)^2 . t and a draw is
+mean + c' z + B^T (t' * B z), for the Kronecker kind too: its draw is the
+exact inverse of kron(G, A) + lambda I.
 
 Both predictives use the network linearized at its parameters theta*,
 f(x; theta*) + J(x) (theta - theta*), because the GGN posterior is the exact
@@ -107,14 +101,11 @@ Q_G diag(u t^T) Q_G^T with t as its (k, F) grid.
 * probit_linearized integrates the Gaussian in closed form from the
   diagonal of Sigma_f (binary and regression).
 * mc, classification: each point's logits are f + R eps_s, with R R^T the
-  output covariance (a batched k x k eigh clipped at 0) and one standard
-  normal block eps of shape (count, k) shared by every point and set.
+  output covariance (a batched k x k eigh clipped at 0; for the Kronecker
+  kind Q_G diag(sqrt(u t^T)) read from the basis) and one standard normal
+  block eps of shape (count, k) shared by every point and set.
 * mc, regression: exact, mean f and variance diag(Sigma_f) + 1 / beta; no
   draws, so repeated runs give the same numbers.
-
-The Kronecker mc predictive keeps the damped covariance of the parameter
-draw above: its output root is M_G |M_A^T hbar|, and its regression
-variance that root's diagonal.
 """
 
 from __future__ import annotations
@@ -383,8 +374,7 @@ class Curvature:
     is orthonormal and GGN = B^T diag(spectrum) B. A shorter spectrum is
     data space: the n r rows of W = U^T R (r the root width) have
     W W^T = diag(spectrum) and GGN = W^T W, and the basis holds only R's
-    per-layer factors and U, no d-wide row. ``factor_spectra = (g, a)``,
-    the Kronecker factors' own eigenvalues, serve only the damped draw.
+    per-layer factors and U, no d-wide row.
     """
 
     kind: str
@@ -393,8 +383,6 @@ class Curvature:
     num_outputs: int
     spectrum: np.ndarray
     basis: np.ndarray | DataBasis | tuple[np.ndarray, np.ndarray] | None = None
-    feature_dim: int | None = None
-    factor_spectra: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def dim(self) -> int:
@@ -411,6 +399,18 @@ def last_layer_mean(net: Network) -> np.ndarray:
     """Last-layer parameters in the augmented row-major ordering."""
     w, b = net.weights[-1], net.biases[-1]
     return np.concatenate([w, b[:, None]], axis=1).ravel(order="C")
+
+
+def _kfac_curvature(mean: np.ndarray, output_factor: np.ndarray,
+                    hbar: np.ndarray) -> Curvature:
+    """The Kronecker last-layer curvature around ``mean`` with G =
+    ``output_factor`` (k x k) and A = hbar^T hbar / n from the augmented
+    final hidden features ``hbar`` (n, F), each eigendecomposed and clipped
+    at 0."""
+    g, q_out = _psd_eigh(output_factor)
+    a, q_feat = _psd_eigh((hbar.T @ hbar) / hbar.shape[0])
+    return Curvature("kfac_last_layer", "last_layer", mean, g.size,
+                     np.outer(g, a).ravel(), (q_out, q_feat))
 
 
 def fit_curvature(
@@ -455,22 +455,10 @@ def fit_curvature(
         trace = forward(net, features)
         hbar = augment_ones(trace.activations[-2])
         lambdas = output_hessians(loss, trace.output)
-        feat = hbar.shape[1]
-        dim = k * feat
+        dim = k * hbar.shape[1]
         mean = last_layer_mean(net)
         if kind == "kfac_last_layer":
-            g, q_out = _psd_eigh(lambdas.sum(axis=0))
-            a, q_feat = _psd_eigh((hbar.T @ hbar) / features.shape[0])
-            return Curvature(
-                kind,
-                subset,
-                mean,
-                k,
-                np.outer(g, a).ravel(),
-                (q_out, q_feat),
-                feature_dim=feat,
-                factor_spectra=(g, a),
-            )
+            return _kfac_curvature(mean, lambdas.sum(axis=0), hbar)
         if kind == "full_ggn":
             roots = output_hessian_roots(loss, trace.output)
             if features.shape[0] * roots.shape[2] < dim:
@@ -480,10 +468,10 @@ def fit_curvature(
             else:
                 h = np.einsum("mij,mc,md->icjd", lambdas, hbar, hbar, optimize=True)
                 e, rows = _parameter_space_eigh(h.reshape(dim, dim))
-            return Curvature(kind, subset, mean, k, e, rows, feature_dim=feat)
+            return Curvature(kind, subset, mean, k, e, rows)
         lam_diag = np.einsum("mii->mi", lambdas)
         diag = np.einsum("mi,mc->ic", lam_diag, hbar * hbar).ravel(order="C")
-        return Curvature(kind, subset, mean, k, diag, feature_dim=feat)
+        return Curvature(kind, subset, mean, k, diag)
 
     # all_layers: in data space one sweep seeded with the roots gives R's
     # per-layer factors; otherwise the stacked L_x^T J_x rows are swept
@@ -544,25 +532,21 @@ class LaplacePosterior:
     c' I + B^T diag(t') B, with B the curvature's basis: c = 1 / lambda and
     t = -1 / (lambda (e + lambda)) in data space (a spectrum shorter than
     the dimension), otherwise c = 0, t = 1 / (s + lambda) and t' = sqrt(t).
-    The Kronecker kind also holds its damped per-factor draw.
     ``curvature`` is the curvature it was built from. Raises
     ``ValueError`` for a prior precision that is not finite and positive or
     whose reciprocal, the prior variance, overflows, and for a curvature
-    whose spectrum (or Kronecker factor spectrum) has a negative or NaN
-    entry, so every precision eigenvalue s + lambda is at least lambda.
+    whose spectrum has a negative or NaN entry, so every precision eigenvalue s + lambda is at least lambda.
     """
 
     def __init__(self, curvature: Curvature, prior_precision: float):
         _require_proper_prior_precision(prior_precision)
-        spectra = (curvature.spectrum,) + tuple(curvature.factor_spectra or ())
-        if not all(np.all(f >= 0.0) for f in spectra):
+        if not np.all(curvature.spectrum >= 0.0):
             raise ValueError("curvature spectrum has a negative or NaN entry")
         self.curvature = curvature
         self.kind = curvature.kind
         self.subset = curvature.subset
         self.prior_precision = float(prior_precision)
         self.num_outputs = curvature.num_outputs
-        self.feature_dim = curvature.feature_dim
         self.mean = np.array(curvature.mean, dtype=np.float64)
         self._basis = curvature.basis
         self._c = self._c_root = 0.0
@@ -581,15 +565,6 @@ class LaplacePosterior:
         else:
             self._t = 1.0 / (s + lam)
             self._t_root = np.sqrt(self._t)
-        self._damped = self._damped_feat = None
-        if curvature.factor_spectra is not None:
-            # the per-factor damped precisions F + sqrt(lambda) I are diagonal
-            # in the factor bases, so M = Q_F diag(f + sqrt(lambda))^-1/2 has
-            # M M^T = (F + sqrt(lambda) I)^-1
-            damp = np.sqrt(self.prior_precision)
-            spectra = [f + damp for f in curvature.factor_spectra]
-            self._damped = tuple(q / np.sqrt(f) for f, q in zip(spectra, self._basis))
-            self._damped_feat = spectra[1]
 
     @property
     def dim(self) -> int:
@@ -597,15 +572,8 @@ class LaplacePosterior:
 
     def sample(self, rng: Rng, count: int) -> np.ndarray:
         """Draw parameter vectors, shape (count, dim), around the mean:
-        mean + c' z + B^T (t' * B z) for standard normal z (the Kronecker
-        kind: its damped per-factor draw)."""
+        mean + c' z + B^T (t' * B z) for standard normal z."""
         count = int(count)
-        if self._damped is not None:
-            # Matrix-normal draw S = M_G Z M_A^T; row-major flattening makes
-            # the flat covariance the Kronecker product of the factor inverses.
-            m_out, m_feat = self._damped
-            z = rng.standard_normal((count, self.num_outputs, self.feature_dim))
-            return self.mean[None, :] + (m_out @ z @ m_feat.T).reshape(count, self.dim)
         z = rng.standard_normal((count, self.dim))
         proj = _project(self._basis, z)
         proj *= self._t_root
@@ -631,28 +599,30 @@ class LaplacePosterior:
             forms += self._c * np.einsum("ij,ij->i", vectors, vectors)
         return forms
 
+    def _kron_spread(self, lin: Linearization) -> np.ndarray:
+        """u t^T (m, k) of the Kronecker kind, with t as its (k, F) grid:
+        the eigenvalues of Sigma_f in Q_G, since B g_i is
+        Q_G[i, :] kron Q_A^T hbar for output i's gradient g_i."""
+        return lin.proj @ self._t.reshape(self.num_outputs, -1).T
+
     def output_cov(self, lin: Linearization) -> np.ndarray:
         """Sigma_f = J Sigma J^T at each point of ``lin``, shape (m, k, k):
-        c J J^T + P diag(t) P^T, for the Kronecker kind Q_G diag(u t^T) Q_G^T
-        with t as its (k, F) grid."""
+        c J J^T + P diag(t) P^T, for the Kronecker kind
+        Q_G diag(u t^T) Q_G^T."""
         if isinstance(self._basis, tuple):
-            # B g_i is Q_G[i, :] kron Q_A^T hbar for output i's gradient g_i
             q_out = self._basis[0]
-            spread = lin.proj @ self._t.reshape(self.num_outputs, -1).T
-            return (q_out * spread[:, None, :]) @ q_out.T
+            return (q_out * self._kron_spread(lin)[:, None, :]) @ q_out.T
         cov = (lin.proj * self._t) @ lin.proj.transpose(0, 2, 1)
         if self._c:
             cov += self._c * lin.gram
         return cov
 
     def output_root(self, lin: Linearization) -> np.ndarray:
-        """R, shape (m, k, k), whose R R^T is the covariance the mc predictive
-        draws at each point of ``lin``: Sigma_f through a batched eigh
-        clipped at 0, or for the Kronecker kind the damped draw's
-        M_G |M_A^T hbar|."""
-        if self._damped is not None:
-            scale = np.sqrt(lin.proj @ (1.0 / self._damped_feat))
-            return self._damped[0] * scale[:, None, None]
+        """R, shape (m, k, k), with R R^T = Sigma_f at each point of ``lin``:
+        through a batched eigh clipped at 0, or for the Kronecker kind
+        Q_G diag(sqrt(u t^T)) read from the basis."""
+        if isinstance(self._basis, tuple):
+            return self._basis[0] * np.sqrt(self._kron_spread(lin))[:, None, :]
         e, v = np.linalg.eigh(self.output_cov(lin))
         return v * np.sqrt(np.maximum(e, 0.0))[:, None, :]
 
@@ -854,8 +824,7 @@ def predict_linearized(
     block eps (sample_count, k) drawn from ``Rng(cfg.seed)`` and shared by
     every point and set, so each result is bit-identical to scoring its set
     alone. mc, regression: the exact moments of the same output Gaussian,
-    mean f and variance diag(R R^T) (diag(Sigma_f) but for the Kronecker
-    kind's damped draw), with no draws. Regression variance is reported
+    mean f and variance diag(Sigma_f), with no draws. Regression variance is reported
     without and with the aleatoric 1 / beta.
     """
     if cfg.method == "mc" and loss.kind != "gaussian_nll":
@@ -868,11 +837,7 @@ def predict_linearized(
         )
     preds = []
     for lin in sets:
-        if cfg.method == "mc" and post._damped is not None:
-            root = post.output_root(lin)
-            v = np.einsum("mij,mij->mi", root, root)
-        else:
-            v = _diagonals(post.output_cov(lin))
+        v = _diagonals(post.output_cov(lin))
         if loss.kind == "binary_ce":
             p1 = probit_predict_binary(lin.mean[:, 0], v[:, 0])
             preds.append(Predictive(probabilities=np.stack([1.0 - p1, p1], axis=1)))

@@ -9,12 +9,16 @@ gains extra directions.
 Training steps only the free block, against the posterior that predicts:
 the Kronecker last-layer posterior (kron(G, A) + lambda I)^-1 of the
 current network, fit on the curvature set (the train split in the CLI and
-the demo pipelines). It minimizes the mean of v(x) = tr(K Sigma_f(x)) over
-the whole inlier set minus its mean over the whole outlier set, with
-Sigma_f the output covariance that prediction reads. K = I - 1 1^T / k
-under the categorical likelihood with k > 1 classes and K = I otherwise:
-the softmax is blind to a shift of every logit, a direction G cannot see,
-so its prior-only variance is left out. The gradient runs through Sigma
+the demo pipelines), with exact draws. With v(x) = tr(K Sigma_f(x)) and
+Sigma_f the output covariance that prediction reads, it minimizes the mean
+of log v over the whole inlier set minus its mean over the whole outlier
+set. K = I - 1 1^T / k under the categorical likelihood with k > 1 classes
+and K = I otherwise: the softmax is blind to a shift of every logit, a
+direction G cannot see, so its prior-only variance is left out. The log
+weighs each point's relative change alike: in the plain variance
+difference the outliers' variances, up to 1 / lambda, outweigh the
+inliers' by orders of magnitude, so nothing holds the inlier predictive
+and the units leak onto held-out inliers. The gradient runs through Sigma
 (Kristiadi, Hein & Hennig, UAI 2021).
 """
 
@@ -27,11 +31,13 @@ import numpy as np
 from .errors import DivergenceError
 from .laplace import (
     LaplacePosterior,
+    _kfac_curvature,
     _psd_eigh,
     _require_proper_prior_precision,
     build_posterior,
     check_curvature_fit,
     fit_curvature,
+    last_layer_mean,
     linearize,
 )
 from .network import (
@@ -164,34 +170,35 @@ def lula_objective(
     loss: LossKind,
     prior_precision: float,
 ) -> float:
-    """Mean v over ``in_batch`` minus mean v over ``out_batch``, v from
-    :func:`total_variance_batch` under the Kronecker last-layer posterior of
-    ``net`` fit on ``curv_features``."""
+    """Mean log v over ``in_batch`` minus mean log v over ``out_batch``, v
+    from :func:`total_variance_batch` under the Kronecker last-layer
+    posterior of ``net`` fit on ``curv_features``."""
     in_batch, out_batch = _as_batches(in_batch, out_batch)
     curv = fit_curvature(net, curv_features, loss, "kfac_last_layer", "last_layer")
     post = build_posterior(curv, prior_precision)
     v_in = total_variance_batch(net, post, in_batch, loss)
     v_out = total_variance_batch(net, post, out_batch, loss)
-    return float(np.mean(v_in) - np.mean(v_out))
+    return float(np.mean(np.log(v_in)) - np.mean(np.log(v_out)))
 
 
 class _Objective:
     """:func:`lula_objective` of an augmented network and its gradient, as
     functions of the flat free block theta = (W_free, b_free).
 
-    Only the free block moves, so the layer below the added units and the
-    original final hidden features of the curvature, inlier and outlier
-    sets are computed once, and so is G = Q_G diag(g) Q_G^T: the outputs do
-    not move. Each call forwards the added units alone, rewrites their rows
-    and columns of A = mean_z hbar_z hbar_z^T over the curvature set, and
-    takes A = Q_A diag(a) Q_A^T. With d_pq = 1 / (g_p a_q + lambda) and
-    kappa_p = (Q_G^T K Q_G)_pp, v(x) = sum_q w_q (Q_A^T hbar)_q^2 with
-    w = kappa^T d, and with W = mean_in hbar hbar^T - mean_out hbar hbar^T
-    the objective is J = tr(Sigma (K kron W)), so
+    Only the free block moves, so each set's input to the final hidden
+    layer is computed once, and so are the output layer (the posterior
+    mean) and G = sum_z Lambda_z = Q_G diag(g) Q_G^T, because the outputs
+    do not move. Each call forwards the added units alone and builds the
+    posterior from the curvature set's features with the Kronecker fit's
+    own code. With A = Q_A diag(a) Q_A^T, d_pq = 1 / (g_p a_q + lambda)
+    and kappa_p = (Q_G^T K Q_G)_pp, v(x) = sum_q w_q (Q_A^T hbar)_q^2 with
+    w = kappa^T d. Row x of the inlier or outlier set enters J with the
+    weight s_x = +-1 / (n_rows v(x)), so with W = sum_x s_x hbar hbar^T
+    the objective moves with Sigma as tr(Sigma (K kron W)), and
     dJ/dA = -Q_A [(sum_p g_p kappa_p d_p d_p^T) o (Q_A^T W Q_A)] Q_A^T.
-    dJ/dhbar is then 2 Q_A (w * Q_A^T hbar) times +-1 / n_rows for each
-    inlier or outlier row, plus 2 (dJ/dA) hbar_z / n_curv for each
-    curvature point z, chained through the added units' pre-activations.
+    dJ/dhbar is then 2 s_x Q_A (w * Q_A^T hbar) for each inlier or outlier
+    row, plus 2 (dJ/dA) hbar_z / n_curv for each curvature point z, chained
+    through the added units' pre-activations.
     """
 
     def __init__(self, net, units, curv_features, in_features, out_features,
@@ -207,6 +214,7 @@ class _Objective:
         self.fan_in = net.specs[self.top].in_dim
         self.activation = net.specs[self.top].activation
         self.lam = float(prior_precision)
+        self.mean = last_layer_mean(net)
         # (input of the final hidden layer, hbar whose added columns each
         # call rewrites) for the curvature, inlier and outlier sets
         self.sets = []
@@ -216,12 +224,10 @@ class _Objective:
                 (trace.activations[self.top], augment_ones(trace.activations[-2]))
             )
             if len(self.sets) == 1:
-                lambdas = output_hessians(loss, trace.output)
-                self.g, q_out = _psd_eigh(lambdas.sum(axis=0))
-                centring = _centring(loss, net.output_dim)
-                self.kappa = np.einsum("ip,ij,jp->p", q_out, centring, q_out)
-        hbar = self.sets[0][1]
-        self.gram = hbar.T @ hbar  # the added rows and columns are rewritten
+                self.output_factor = output_hessians(loss, trace.output).sum(axis=0)
+        self.g, q_out = _psd_eigh(self.output_factor)
+        centring = _centring(loss, net.output_dim)
+        self.kappa = np.einsum("ip,ij,jp->p", q_out, centring, q_out)
 
     def __call__(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """(J, dJ/dtheta) at the free block ``theta``."""
@@ -233,22 +239,23 @@ class _Objective:
             pre.append(_pre_activation(below, w_free, b_free))
             hbar[:, free] = apply_activation(self.activation, pre[-1])
         hbar = self.sets[0][1]
-        cols = hbar.T @ hbar[:, free]
-        self.gram[:, free] = cols
-        self.gram[free, :] = cols.T
-        a, q_a = _psd_eigh(self.gram / hbar.shape[0])
-        d = 1.0 / (np.outer(self.g, a) + self.lam)
+        post = build_posterior(
+            _kfac_curvature(self.mean, self.output_factor, hbar), self.lam
+        )
+        q_a = post.curvature.basis[1]
+        d = post._t.reshape(self.g.size, -1)
         w = self.kappa @ d
         value = 0.0
-        projected_w = np.zeros_like(self.gram)  # Q_A^T W Q_A
+        projected_w = np.zeros((q_a.shape[0], q_a.shape[0]))  # Q_A^T W Q_A
         grads = []
         for (_, hbar_x), sign in zip(self.sets[1:], (1.0, -1.0)):
             c = hbar_x @ q_a
             cw = c * w
-            value += sign * np.mean(np.einsum("ij,ij->i", c, cw))
-            scale = sign / hbar_x.shape[0]
-            projected_w += scale * (c.T @ c)
-            grads.append((2.0 * scale) * (cw @ q_a[free].T))
+            v = np.einsum("ij,ij->i", c, cw)
+            value += sign * np.mean(np.log(v))
+            weight = sign / (hbar_x.shape[0] * v)
+            projected_w += (c.T * weight) @ c
+            grads.append((2.0 * weight[:, None]) * (cw @ q_a[free].T))
         m = (d.T * (self.g * self.kappa)) @ d
         dj_da = -(q_a @ ((m * projected_w) @ q_a[free].T))
         grads.insert(0, (2.0 / hbar.shape[0]) * (hbar @ dj_da))

@@ -80,8 +80,7 @@ def fd_free_gradient(net, units, curv_features, in_batch, out_batch, loss,
 def curvature_from_matrix(matrix) -> Curvature:
     """Single-output last-layer full GGN equal to a given symmetric matrix."""
     e, q = np.linalg.eigh(np.asarray(matrix, dtype=np.float64))
-    return Curvature("full_ggn", "last_layer", np.zeros(e.size), 1, e, q.T,
-                     feature_dim=e.size)
+    return Curvature("full_ggn", "last_layer", np.zeros(e.size), 1, e, q.T)
 
 
 def dense_ggn(curv: Curvature) -> np.ndarray:

@@ -123,7 +123,8 @@ class TestFitCurvature:
         hbar = np.array([2.0, -1.0, 1.0])
         assert np.allclose(dense_ggn(curv), 0.25 * np.outer(hbar, hbar), atol=1e-12)
         kf = fit_curvature(net, x, LossKind("binary_ce"), "kfac_last_layer")
-        assert kf.factor_spectra[0][0] == pytest.approx(0.25, abs=1e-15)
+        # one point: G = 0.25 and A = hbar hbar^T, so kron(G, A) is the GGN
+        assert np.allclose(dense_ggn(kf), 0.25 * np.outer(hbar, hbar), atol=1e-12)
 
     def test_zero_feature_gives_zero_rows(self):
         net = linear_net([[0.3, 0.4]], [0.0])
@@ -341,9 +342,8 @@ class TestAllLayersGGN:
         assert np.allclose(marginal_variances(post), 0.25, rtol=1e-14, atol=0.0)
         samples = post.sample(Rng(27), 5)
         assert samples.shape == (5, post.dim) and np.all(np.isfinite(samples))
-        if kind != "kfac_last_layer":  # the Kronecker draw damps per factor
-            z = Rng(27).standard_normal((5, post.dim))
-            assert np.allclose(samples, curv.mean + 0.5 * z, rtol=0.0, atol=1e-15)
+        z = Rng(27).standard_normal((5, post.dim))
+        assert np.allclose(samples, curv.mean + 0.5 * z, rtol=0.0, atol=1e-15)
 
 
 class TestBuildPosterior:
@@ -412,9 +412,9 @@ class TestBuildPosterior:
         assert np.all(np.isfinite(v)) and np.all(v >= 0.0)
         oracle = np.linalg.inv(dense_ggn(curv) + lam * np.eye(curv.dim))
         assert relative_error(marginal_variances(post), np.diag(oracle)) <= 1e-8
-        # the null eigenvalue of G is round-off, and the damped draws along
-        # the softmax shift are bounded by lam**-1/4 per factor
-        assert curv.factor_spectra[0][0] <= 1e-15
+        # the null eigenvalue of G is round-off, so the draws along the
+        # softmax shift have about the prior variance 1 / lam
+        assert np.max(curv.spectrum.reshape(3, -1)[0]) <= 1e-15
         draws = post.sample(Rng(0), 100)
         assert np.max(np.abs(draws - post.mean)) <= 1e6
 
@@ -429,8 +429,7 @@ class TestBuildPosterior:
 
     def test_negative_kronecker_factor_fails(self):
         curv = TestSampling()._curvature("kfac_last_layer")
-        g, a = curv.factor_spectra
-        curv.factor_spectra = (g, np.concatenate([[-1e-12], a[1:]]))
+        curv.spectrum = np.concatenate([[-1e-12], curv.spectrum[1:]])
         with pytest.raises(ValueError, match="negative or NaN entry"):
             build_posterior(curv, 0.1)
 
@@ -772,6 +771,14 @@ class TestDataBasis:
             assert relative_error(part, one) <= 1e-12
 
 
+class IdentityDraws:
+    """A generator whose standard normal block is the identity, so that a
+    posterior's draws are its mean plus the rows of its symmetric root."""
+
+    def standard_normal(self, shape):
+        return np.eye(*shape)
+
+
 class TestSampling:
     def _curvature(self, kind="full_ggn", seed=6):
         rng = Rng(seed)
@@ -846,13 +853,10 @@ class TestSampling:
         )
 
     def test_kfac_sampling_matches_dense_oracle(self):
-        # Draws use the per-factor damped approximation, whose factors
-        # G + sqrt(lambda) I and A + sqrt(lambda) I are diagonal in the
-        # factor eigenbases. With a prior precision small against the factor
-        # spectra it stays within 10 percent of the exact damped inverse. The
-        # output factor must be nonsingular for the dense oracle to be finite
-        # as lambda shrinks (categorical factors have a softmax-shift null
-        # direction), hence the Gaussian likelihood here.
+        # Draws are exact: their covariance is inv(kron(G, A) + lambda I).
+        # The output factor must be nonsingular for the dense oracle to be
+        # finite as lambda shrinks (categorical factors have a softmax-shift
+        # null direction), hence the Gaussian likelihood here.
         rng = Rng(7)
         net = Network.init_random([3, 5, 3], "tanh", rng)
         x = rng.standard_normal((40, 3))
@@ -866,37 +870,36 @@ class TestSampling:
         dense = np.kron(*factors) + lam * np.eye(post.dim)
         oracle = np.linalg.inv(dense)
         assert np.linalg.norm(emp - oracle) / np.linalg.norm(oracle) <= 0.10
-        # Each sample factor M has M M^T equal to its damped factor's inverse.
+        # The draw is mean + R z, and R R^T is the exact inverse.
+        eye = np.eye(post.dim)
         for lam in (1e-9, 1e-2, 1.0, 1e2):
             post = build_posterior(curv, lam)
-            for factor, m in zip(factors, post._damped):
-                damped = factor + np.sqrt(lam) * np.eye(factor.shape[0])
-                assert relative_error(m @ m.T, np.linalg.inv(damped)) <= 1e-10, lam
+            root = post.sample(IdentityDraws(), post.dim) - post.mean
+            exact = np.linalg.inv(np.kron(*factors) + lam * eye)
+            assert relative_error(root.T @ root, exact) <= 1e-8, lam
 
     @pytest.mark.parametrize("seed", [1, 3])
-    def test_kfac_factor_spectra_clipped_at_zero(self, seed):
+    def test_kfac_softmax_shift_row_clipped_at_zero(self, seed):
         # at these seeds eigh gives the softmax-shift eigenvalue of G as
-        # -1.2e-15 and -1.3e-15; the fit clips it, and so the spectrum
+        # -1.2e-15 and -1.3e-15; the fit clips it, and so its spectrum row
         rng = Rng(seed)
         net = Network.init_random([2, 5, 3], "tanh", rng)
         x = rng.standard_normal((20, 2))
         curv = fit_curvature(net, x, LossKind("categorical_ce"), "kfac_last_layer")
-        g, a = curv.factor_spectra
-        assert g[0] == 0.0 and np.all(g >= 0.0) and np.all(a >= 0.0)
-        assert np.array_equal(curv.spectrum, np.outer(g, a).ravel())
+        grid = curv.spectrum.reshape(3, -1)
+        assert np.all(grid[0] == 0.0) and np.all(grid >= 0.0)
+        assert np.all(grid[1:, -1] > 0.0)
 
-    def test_kfac_null_factor_eigenvalue_takes_the_damping_alone(self):
+    def test_kfac_null_factor_eigenvalue_takes_the_prior_alone(self):
         # two-class categorical: the output factor is s [[1, -1], [-1, 1]],
-        # whose null eigenvalue the fit clips to exactly 0, so the damped
-        # draw along it has variance 1 / sqrt(lambda)
+        # whose null eigenvalue the fit clips to exactly 0, so the draw
+        # along it has the prior variance 1 / lambda
         curv = self._curvature("kfac_last_layer")
-        g = curv.factor_spectra[0]
-        assert np.min(g) == 0.0
         lam = 1e-8
         post = build_posterior(curv, lam)
-        m = post._damped[0]
-        expected = 1.0 / (g + np.sqrt(lam))
-        np.testing.assert_allclose(np.sum(m * m, axis=0), expected, rtol=1e-12, atol=0.0)
+        null = curv.spectrum.reshape(2, -1)[0]
+        assert np.all(null == 0.0)
+        assert np.all(post._t.reshape(2, -1)[0] == 1.0 / lam)
         assert np.all(np.isfinite(post.sample(Rng(4), 100)))
 
     def test_diag_sampling_variances(self):
@@ -920,7 +923,7 @@ class TestLinearizedVariance:
     def test_diagonal_hand_case(self):
         # v = sum_i g_i^2 sigma_i with g = (1, 2), sigma = (0.5, 0.25) -> 1.5
         curv = Curvature("diag_ggn", "last_layer", np.zeros(2), 1,
-                         np.array([1.0, 3.0]), feature_dim=2)
+                         np.array([1.0, 3.0]))
         post = build_posterior(curv, 1.0)  # variances (0.5, 0.25)
         assert post.quad_forms(np.array([[1.0, 2.0]]))[0] == pytest.approx(1.5, abs=1e-12)
 
@@ -1120,19 +1123,11 @@ def dense_jacobians(net, subset, k, x):
     return np.stack([np.kron(np.eye(k), h[None, :]) for h in hbar])
 
 
-def dense_output_covs(net, post, x, damped=False):
+def dense_output_covs(net, post, x):
     """J Sigma J^T per point from the dense covariance: the inverse of the
-    rebuilt GGN plus lambda I, or with ``damped`` the Kronecker kind's
-    inv(G + sqrt(lambda) I) kron inv(A + sqrt(lambda) I)."""
+    rebuilt GGN plus lambda I."""
     curv, lam = post.curvature, post.prior_precision
-    if damped:
-        factors = [
-            np.linalg.inv((q * f) @ q.T + np.sqrt(lam) * np.eye(f.size))
-            for q, f in zip(curv.basis, curv.factor_spectra)
-        ]
-        cov = np.kron(*factors)
-    else:
-        cov = np.linalg.inv(dense_ggn(curv) + lam * np.eye(post.dim))
+    cov = np.linalg.inv(dense_ggn(curv) + lam * np.eye(post.dim))
     jacs = dense_jacobians(net, post.subset, post.num_outputs, x)
     return jacs @ cov @ jacs.transpose(0, 2, 1)
 
@@ -1195,9 +1190,6 @@ class TestOutputCovariance:
         assert relative_error(cov, expected) <= 1e-10
         np.testing.assert_array_equal(lin.mean, forward(net, points).output)
         root = post.output_root(lin)
-        damped = kind == "kfac_last_layer"
-        if damped:  # the mc draw keeps the damped per-factor covariance
-            expected = dense_output_covs(net, post, points, damped=True)
         assert relative_error(root @ root.transpose(0, 2, 1), expected) <= 1e-10
 
     @pytest.mark.parametrize("kind, subset, n", SPACE_CASES)
@@ -1304,15 +1296,14 @@ class TestMcPredictSets:
 
     @pytest.mark.parametrize("kind, subset", POSTERIOR_CASES)
     def test_regression_is_exact(self, kind, subset):
-        # mean f and variance diag(Sigma_f), the damped one for the
-        # Kronecker kind, whatever the seed and sample count
+        # mean f and variance diag(Sigma_f), whatever the seed and sample
+        # count
         loss = LossKind("gaussian_nll", 2.5)
         net, post, sets = self._instance(kind, subset, loss, 3)
         x = sets[0]
         pred = mc_predict(net, post, x, PredictConfig("mc", 16, 3), loss)
         other = mc_predict(net, post, x, PredictConfig("mc", 5, 8), loss)
-        damped = kind == "kfac_last_layer"
-        expected = dense_output_covs(net, post, x, damped).diagonal(axis1=1, axis2=2)
+        expected = dense_output_covs(net, post, x).diagonal(axis1=1, axis2=2)
         np.testing.assert_array_equal(pred.mean, forward(net, x).output)
         assert relative_error(pred.var_epistemic, expected) <= 1e-10
         assert np.array_equal(pred.var_total, pred.var_epistemic + 1.0 / 2.5)

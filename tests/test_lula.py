@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import fd_free_gradient, kron_factors, random_network, relative_error
+from conftest import (
+    dense_ggn,
+    fd_free_gradient,
+    kron_factors,
+    random_network,
+    relative_error,
+)
 from lula_lab import lula
 from lula_lab.laplace import build_posterior, fit_curvature
 from lula_lab.lula import (
@@ -183,7 +189,7 @@ class TestObjective:
         a, b = data[:4], data[4:10]
         nu_a = total_variance_batch(net, post, a, loss)
         nu_b = total_variance_batch(net, post, b, loss)
-        expected = float(np.mean(nu_a) - np.mean(nu_b))
+        expected = float(np.mean(np.log(nu_a)) - np.mean(np.log(nu_b)))
         assert lula_objective(net, curv, a, b, loss, lam) == pytest.approx(
             expected, abs=1e-12
         )
@@ -329,9 +335,9 @@ class TestTrainLula:
         LossKind("categorical_ce"), LossKind("gaussian_nll", 4.0),
     ], ids=["categorical", "gaussian"])
     def test_cached_loop_is_the_loop_of_fresh_networks(self, loss):
-        # the loop caches the layer below the added units, G and the fixed
-        # block of A; the history and the tuned net are those of the public
-        # objective and gradient on each epoch's freshly built net
+        # the loop caches the layer below the added units and G; the
+        # history and the tuned net are those of the public objective and
+        # gradient on each epoch's freshly built net
         rng = Rng(17)
         k = 3 if loss.kind == "categorical_ce" else 1
         net = Network.init_random([2, 6, 6, k], "relu", rng)
@@ -375,38 +381,37 @@ class TestTrainLula:
     def test_each_epoch_differentiates_the_posterior_that_predicts(
         self, loss, k, monkeypatch
     ):
-        # the G and A of every epoch are those of fit_curvature on that
-        # epoch's net and the curvature points, the posterior that eval
-        # builds; G is decomposed once
+        # the curvature of every epoch is fit_curvature of that epoch's net
+        # on the curvature points, the posterior that eval builds, and the
+        # G read once is that fit's output factor
         rng = Rng(22)
         aug_net = augment(Network.init_random([2, 6, 5, k], "tanh", rng), 3, rng)
         curv = rng.standard_normal((40, 2))
         data = rng.standard_normal((20, 2))
         out = rng.uniform(-6, 6, (25, 2))
-        factors = []
-        original = lula._psd_eigh
+        fits = []
+        original = lula._kfac_curvature
 
-        def recording(matrix):
-            factors.append(matrix.copy())
-            return original(matrix)
+        def recording(*args):
+            fits.append(original(*args))
+            return fits[-1]
 
-        monkeypatch.setattr(lula, "_psd_eigh", recording)
+        monkeypatch.setattr(lula, "_kfac_curvature", recording)
         epochs = 4
         train_lula(aug_net, 3, curv, data, out, loss, 0.5, LulaTrainConfig(epochs=epochs))
         monkeypatch.undo()
-        assert len(factors) == 1 + epochs
-        g, a_per_epoch = factors[0], factors[1:]
-        for epoch, a in enumerate(a_per_epoch):
+        assert len(fits) == epochs
+        g = lula._Objective(aug_net, 3, curv, data, out, loss, 0.5).g
+        for epoch, seen in enumerate(fits):
             net_e, _ = train_lula(
                 aug_net, 3, curv, data, out, loss, 0.5, LulaTrainConfig(epochs=epoch)
             )
             fit = fit_curvature(net_e, curv, loss, "kfac_last_layer")
-            q_g, q_a = fit.basis
-            g_fit, a_fit = (np.linalg.eigvalsh(m) for m in (g, a))
-            spectrum = np.outer(np.maximum(g_fit, 0.0), np.maximum(a_fit, 0.0))
-            assert relative_error(spectrum.ravel(), fit.spectrum) <= 1e-12
-            assert relative_error((q_a * np.maximum(a_fit, 0.0)) @ q_a.T, a) <= 1e-12
-            assert relative_error((q_g * np.maximum(g_fit, 0.0)) @ q_g.T, g) <= 1e-12
+            assert np.array_equal(seen.mean, fit.mean)
+            assert relative_error(seen.spectrum, fit.spectrum) <= 1e-12
+            assert relative_error(dense_ggn(seen), dense_ggn(fit)) <= 1e-12
+            g_oracle = np.maximum(np.linalg.eigvalsh(kron_factors(net_e, curv, loss)[0]), 0.0)
+            assert relative_error(g, g_oracle) <= 1e-12
 
     def test_rejects_units_that_are_not_added(self):
         rng = Rng(21)
