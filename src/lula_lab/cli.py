@@ -8,6 +8,7 @@ or numeric failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 from dataclasses import fields, replace
@@ -214,10 +215,6 @@ def _posterior_path(model_path: str) -> str:
 
 
 def _sha256(path: str) -> str:
-    # imported here: hashlib loads OpenSSL, which commands that never read
-    # or write a posterior file (train, demo-toy, fixed-λ eval) need not pay
-    import hashlib
-
     with open(path, "rb") as handle:
         return hashlib.sha256(handle.read()).hexdigest()
 
@@ -591,7 +588,7 @@ def _demo_moons(cfg: ExperimentConfig, out_dir: str, summary: list[str]) -> None
         _write_csv(
             os.path.join(out_dir, f"moons_{stage}.csv"),
             ["x1", "x2", "p0", "p1", "confidence"],
-            zip(lattice[:, 0], lattice[:, 1], probs[:, 0], probs[:, 1], probs.max(axis=1)),
+            np.column_stack((lattice, probs, probs.max(axis=1))).tolist(),
         )
         conf_ring = probs_ring.max(axis=1).mean()
         conf_test = probs_test.max(axis=1).mean()
@@ -647,14 +644,10 @@ def _demo_regression(cfg: ExperimentConfig, out_dir: str, summary: list[str]) ->
         (mean, std_e, std_t), (_, test_e, test_t) = stage_rows(
             network, post, [grid, test.features]
         )
-        rows = [
-            (grid[i, 0], mean[i, 0], std_e[i, 0], std_t[i, 0])
-            for i in range(grid.shape[0])
-        ]
         _write_csv(
             os.path.join(out_dir, f"regression_{stage}.csv"),
             ["x", "mean", "std_epistemic", "std_total"],
-            rows,
+            np.column_stack((grid, mean, std_e, std_t)).tolist(),
         )
         std_report = std_t if report_total else std_e
         far = np.abs(grid[:, 0]) >= cfg["eval"]["far_field"]

@@ -27,7 +27,7 @@ from .laplace import (
 )
 from .network import ACTIVATIONS
 from .numerics import _mix64
-from .training import LOSS_KINDS, OPTIMIZERS
+from .training import LOSS_KINDS
 
 __all__ = ["ExperimentConfig", "load_config", "default_config", "reference_text"]
 
@@ -97,14 +97,6 @@ def _prior_precision(raw: str) -> float:
     value = _float(raw)
     if not proper_prior_precision(value):
         raise ValueError(f"expected a positive float with a finite reciprocal, got {raw!r}")
-    return value
-
-
-def _momentum(raw: str) -> float:
-    """A float in [0, 1)."""
-    value = _float(raw)
-    if not 0.0 <= value < 1.0:
-        raise ValueError(f"expected a float in [0, 1), got {raw!r}")
     return value
 
 
@@ -238,9 +230,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "activation": _choice("relu", ACTIVATIONS, "hidden activation"),
     },
     "train": {
-        "optimizer": _choice("adam", OPTIMIZERS, "MAP optimizer"),
         "learning_rate": ("0.001", _float, "step size"),
-        "momentum": ("0.9", _momentum, "sgd momentum, in [0, 1)"),
         "epochs": ("200", _int, "passes over the training split"),
         "batch_size": ("64", _batch_size, "minibatch size; 0 for full batch"),
         "weight_decay": ("0.001", _float, "prior precision used during training"),

@@ -51,7 +51,7 @@ class Stats:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix plus targets with a role tag.
+    """Feature matrix plus targets.
 
     Classification targets are an integer label vector; regression targets a
     float column matrix.
@@ -60,7 +60,6 @@ class Dataset:
     features: np.ndarray
     targets: np.ndarray
     task: str  # classification | regression
-    role: str = "unsplit"
 
     def __post_init__(self):
         if self.task not in ("classification", "regression"):
@@ -171,7 +170,7 @@ def synthesize_ood(in_data: Dataset, kind: str, rng: Rng) -> Dataset:
         out = c * (x - row_mean) + row_mean
     else:
         raise ValueError(f"unknown ood kind {kind!r}")
-    return Dataset(out, in_data.targets.copy(), task=in_data.task, role="out")
+    return Dataset(out, in_data.targets.copy(), task=in_data.task)
 
 
 def gen_uniform_noise(
@@ -183,7 +182,7 @@ def gen_uniform_noise(
     rng = Rng(seed)
     x = rng.uniform(low, high, (m, n)) * scale
     targets = np.zeros(m, dtype=np.int64)
-    return Dataset(x, targets, task="classification", role="out")
+    return Dataset(x, targets, task="classification")
 
 
 def standardize(
@@ -231,12 +230,10 @@ def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
     idx_val = order[n_train : n_train + n_val]
     idx_test = order[n_train + n_val :]
 
-    def take(idx, role):
-        return replace(
-            data, features=data.features[idx], targets=data.targets[idx], role=role
-        )
+    def take(idx):
+        return replace(data, features=data.features[idx], targets=data.targets[idx])
 
-    return take(idx_train, "train"), take(idx_val, "val"), take(idx_test, "test")
+    return take(idx_train), take(idx_val), take(idx_test)
 
 
 def load_csv(path: str, target_column, header: bool = True) -> Dataset:

@@ -93,8 +93,8 @@ def _pipeline(
     train, val, test = splits
     net0 = Network.init_random(dims, "relu", Rng(seeds.init))
     tcfg = TrainConfig(
-        optimizer="adam", learning_rate=lr, epochs=train_epochs,
-        batch_size=batch_size, weight_decay=WEIGHT_DECAY, seed=seeds.train,
+        learning_rate=lr, epochs=train_epochs, batch_size=batch_size,
+        weight_decay=WEIGHT_DECAY, seed=seeds.train,
     )
     net, _ = train_map(
         net0, train.features, train.targets, loss, tcfg, history=False

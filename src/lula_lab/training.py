@@ -1,4 +1,4 @@
-"""MAP estimation: negative log-likelihood losses and first-order optimizers.
+"""MAP estimation: negative log-likelihood losses and the Adam fit.
 
 Additive normalization constants (the 0.5*log(2*pi) terms of the Gaussian)
 are dropped from every loss, so a perfect regression fit scores exactly zero.
@@ -30,7 +30,6 @@ __all__ = [
 ]
 
 LOSS_KINDS = ("gaussian_nll", "categorical_ce", "binary_ce")
-OPTIMIZERS = ("adam", "sgd")
 
 
 @dataclass(frozen=True)
@@ -212,40 +211,19 @@ def map_loss(
 
 @dataclass(frozen=True)
 class TrainConfig:
-    optimizer: str = "adam"
     learning_rate: float = 1e-3
-    momentum: float = 0.9
     epochs: int = 100
     batch_size: int | None = None
     weight_decay: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
         if self.weight_decay < 0.0:
             raise ValueError("weight_decay must be nonnegative")
-
-
-class _Sgd:
-    """Heavy-ball SGD; ``step`` updates theta and the velocity in place."""
-
-    def __init__(self, dim: int, lr: float, momentum: float):
-        self.lr = lr
-        self.momentum = momentum
-        self.velocity = np.zeros(dim)
-        self._delta = np.empty(dim)
-
-    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
-        # velocity = momentum * velocity + grad; theta -= lr * velocity
-        self.velocity *= self.momentum
-        self.velocity += grad
-        np.multiply(self.velocity, self.lr, out=self._delta)
-        theta -= self._delta
 
 
 class _Adam:
@@ -314,7 +292,7 @@ def train_map(
     each epoch; ``history=False`` skips those passes and returns an empty
     history with the same trained net. Deterministic given the seed.
 
-    The optimizer steps one flat parameter buffer in place, and the loop
+    Adam steps one flat parameter buffer in place, and the loop
     differentiates a network whose weights are views of that buffer, so a
     step allocates no network and no parameter-sized temporary. The
     per-layer arrays a step's ``forward`` and ``backward`` write are
@@ -335,10 +313,7 @@ def train_map(
     current = Network._on_buffer(net.specs, theta)
     grads = ParamGrads.for_network(net)
     g, decay = np.empty_like(theta), np.empty_like(theta)
-    if config.optimizer == "adam":
-        opt = _Adam(theta.size, config.learning_rate)
-    else:
-        opt = _Sgd(theta.size, config.learning_rate, config.momentum)
+    opt = _Adam(theta.size, config.learning_rate)
     rng, epoch_rng = Rng(config.seed), None
     batch = min(config.batch_size or m, m)
     steps = {

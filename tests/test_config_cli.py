@@ -82,6 +82,8 @@ sample_count = 40
 """
 
 
+UNKNOWN_WORD = "no_such_word"
+
 # (section, key, value) triples that each make a config invalid.
 MALFORMED = [
     ("lula", "counts", "abc"),
@@ -124,11 +126,9 @@ MALFORMED = [
     ("model", "dims", "2,0,2"),
     ("eval", "ring_inner", "20"),
     ("eval", "grid_extent", "-1"),
-    # non-finite floats and the ranges of momentum, init_std and far_field
+    # non-finite floats and the ranges of init_std and far_field
     ("train", "learning_rate", "nan"),
     ("train", "weight_decay", "nan"),
-    ("train", "momentum", "1.5"),
-    ("train", "momentum", "-1"),
     ("lula", "learning_rate", "inf"),
     ("lula", "init_std", "-1"),
     ("lula", "init_std", "0"),
@@ -161,6 +161,16 @@ MALFORMED = [
     # LULA reads whole sets: its batch sizes are unknown keys
     ("lula", "in_batch", "0"),
     ("lula", "out_batch", "-3"),
+    # every MAP fit steps with Adam: the optimizer and its momentum are
+    # unknown keys, refused whatever their value, including each value
+    # their former range and word checks refused
+    ("train", "optimizer", "adam"),
+    ("train", "optimizer", UNKNOWN_WORD),
+    ("train", "momentum", "0.9"),
+    ("train", "momentum", "1.5"),
+    ("train", "momentum", "-1"),
+    ("train", "momentum", "nan"),
+    ("train", "momentum", "inf"),
 ]
 
 
@@ -185,9 +195,6 @@ NON_FINITE = [
     for value in ("nan", "inf")
     if (section, key, value) not in MALFORMED
 ]
-
-
-UNKNOWN_WORD = "no_such_word"
 
 
 def _word_keys() -> list[tuple[str, str]]:
@@ -247,10 +254,17 @@ class TestConfig:
         assert defaults["lula"]["init_std"] is None
         assert defaults["data"]["target_column"] == ""
 
-    # LULA reads whole sets, so its former batch sizes are unknown keys
+    # LULA reads whole sets, and every MAP fit steps with Adam, so their
+    # former batch sizes, optimizer and momentum are unknown keys
     @pytest.mark.parametrize(
         "section,key",
-        [("train", "lerning_rate"), ("lula", "in_batch"), ("lula", "out_batch")],
+        [
+            ("train", "lerning_rate"),
+            ("lula", "in_batch"),
+            ("lula", "out_batch"),
+            ("train", "optimizer"),
+            ("train", "momentum"),
+        ],
     )
     def test_unknown_key_rejected(self, tmp_path, section, key):
         path = tmp_path / "bad.ini"
@@ -312,7 +326,7 @@ class TestConfig:
             for key, (_, _, comment) in entries.items()
             if " | " in comment
         }
-        assert len(choices) == 10
+        assert len(choices) == 9
         assert set(_word_keys()) == choices | {("eval", "ood_kinds")}
 
     def test_reference_text_lists_every_key(self):
@@ -651,6 +665,7 @@ class TestCliCommands:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert f"[{section}]" in err and key in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["train", "laplace", "lula", "eval", "demo-toy"])
     def test_ood_mmc_under_regression_exits_2_before_work(

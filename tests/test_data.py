@@ -230,9 +230,9 @@ class TestSplit:
         for left, right in zip(a, b):
             assert np.array_equal(left.features, right.features)
 
-    def test_roles(self):
+    def test_parts_keep_the_task(self):
         train, val, test = split(self._dataset(10), SplitSpec((0.6, 0.2, 0.2), 0))
-        assert (train.role, val.role, test.role) == ("train", "val", "test")
+        assert {train.task, val.task, test.task} == {"classification"}
 
     def test_bad_fractions(self):
         with pytest.raises(ValueError):
