@@ -427,7 +427,11 @@ def cmd_lula(
 
 
 def _eval_ood_sets(cfg: ExperimentConfig, test):
-    """Named OOD feature sets derived from the test split."""
+    """Named OOD feature sets derived from the test split, or a config error
+    for a kind its rows are too narrow for (a csv's width is known late)."""
+    need = data_mod.ood_width_need(cfg["eval"]["ood_kinds"], test.num_features)
+    if need:
+        raise ConfigError(f"[eval] ood_kinds: {need}, and the data has {test.num_features}")
     sets = {}
     for i, kind in enumerate(cfg["eval"]["ood_kinds"]):
         seed = _mix64(cfg["eval"]["seed"], 100 + i)

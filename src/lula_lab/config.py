@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import OOD_KINDS, SplitSpec
+from .data import (GENERATOR_FEATURES, OOD_KINDS, OOD_MIN_FEATURES, SplitSpec,
+                   ood_width_need)
 from .errors import ConfigError
 from .laplace import (
     CURVATURE_KINDS,
@@ -282,7 +283,8 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "ood_kinds": (
             "uniform,asymptotic",
             _distinct(_list(_one_of(OOD_KINDS), 0)),
-            f"comma list of distinct kinds from {', '.join(OOD_KINDS)}",
+            f"comma list of distinct kinds from {', '.join(OOD_KINDS)}; fewest "
+            "features: " + ", ".join(f"{k} {n}" for k, n in OOD_MIN_FEATURES.items()),
         ),
         "sample_count": (
             "100", _int, "output draws per mc prediction run (classification)"
@@ -398,6 +400,11 @@ def _convert(raw: dict) -> ExperimentConfig:
         data["target_column"] = _parse(
             "data", "target_column", _int, data["target_column"]
         )
+    width = GENERATOR_FEATURES.get(data["generator"])
+    need = width and ood_width_need(values["eval"]["ood_kinds"], width)
+    if need:
+        raise ConfigError(f"[eval] ood_kinds: {need}, and [data] generator = "
+                          f"{data['generator']} makes {width}")
     laplace = values["laplace"]
     if laplace["curvature"] == "kfac_last_layer" and laplace["subset"] != "last_layer":
         raise ConfigError("[laplace] curvature = kfac_last_layer needs subset = last_layer")

@@ -37,6 +37,10 @@ BLUR_PASSES = 2
 # Evaluation OOD sets: synthesize_ood builds the first three from the test
 # split; uniform and asymptotic are gen_uniform_noise draws.
 OOD_KINDS = ("permute", "blur", "contrast", "uniform", "asymptotic")
+# The fewest features synthesize_ood's kinds change a row on: blur filters
+# BLUR_WIDTH, and on one feature permute and contrast return the row itself.
+OOD_MIN_FEATURES = {"permute": 2, "blur": BLUR_WIDTH, "contrast": 2}
+GENERATOR_FEATURES = {"two_moons": 2, "toy_regression": 1}  # row widths
 
 
 @dataclass(frozen=True)
@@ -143,33 +147,44 @@ def _box_blur_rows(x: np.ndarray) -> np.ndarray:
     return (padded[:, :-2] + padded[:, 1:-1] + padded[:, 2:]) / 3.0
 
 
+def ood_width_need(kinds, num_features: int) -> str | None:
+    """"<kind> needs at least <n> features" for the first of the OOD
+    ``kinds`` that rows of ``num_features`` are too narrow for, or None."""
+    for kind in kinds:
+        if num_features < OOD_MIN_FEATURES.get(kind, 0):
+            return f"{kind} needs at least {OOD_MIN_FEATURES[kind]} features"
+    return None
+
+
 def synthesize_ood(in_data: Dataset, kind: str, rng: Rng) -> Dataset:
     """Uninformative outliers built from in-distribution rows.
 
     permute: an independent random permutation of each row's coordinates.
     blur: a width-3 box filter over the feature sequence, applied twice,
-    with replicated edges (requires at least 3 features). contrast: each row
-    is pulled toward its own mean by a factor drawn from CONTRAST_RANGE.
+    with replicated edges. contrast: each row is pulled toward its own mean
+    by a factor drawn from CONTRAST_RANGE. Rows narrower than the kind's
+    OOD_MIN_FEATURES raise ``ValueError``.
     """
     if in_data.num_rows == 0:
         raise ValueError("in_data must be nonempty")
+    if kind not in OOD_MIN_FEATURES:
+        raise ValueError(f"unknown ood kind {kind!r}")
     x = in_data.features
+    need = ood_width_need([kind], x.shape[1])
+    if need:
+        raise ValueError(f"{need}, got {x.shape[1]}")
     if kind == "permute":
         out = np.empty_like(x)
         for i in range(x.shape[0]):
             out[i] = x[i, rng.permutation(x.shape[1])]
     elif kind == "blur":
-        if x.shape[1] < BLUR_WIDTH:
-            raise ValueError("blur requires at least 3 features")
         out = x
         for _ in range(BLUR_PASSES):
             out = _box_blur_rows(out)
-    elif kind == "contrast":
+    else:
         c = rng.uniform(CONTRAST_RANGE[0], CONTRAST_RANGE[1], (x.shape[0], 1))
         row_mean = x.mean(axis=1, keepdims=True)
         out = c * (x - row_mean) + row_mean
-    else:
-        raise ValueError(f"unknown ood kind {kind!r}")
     return Dataset(out, in_data.targets.copy(), task=in_data.task)
 
 

@@ -11,21 +11,22 @@ variance and every precision is positive definite.
 Parameter subsets:
 
 * ``all_layers``: the full flattened parameter vector (frozen layer-major
-  ordering from :mod:`lula_lab.network`). With Lambda_x = L_x L_x^T in
-  closed form (:func:`lula_lab.training.output_hessian_roots`), one
-  backward sweep seeded with L_x gives the rows L_x^T J_x of R (Dangel,
-  Kunstner & Hennig 2020), never the Jacobian J_x. In parameter space and
-  for the diagonal the GGN is accumulated over chunks of examples: the
-  sweep writes each chunk's rows, which add R^T R to the full GGN (below)
-  or the column sums of R * R to the diagonal. A fixed byte budget for a
-  chunk's rows bounds the chunk, so the diagonal's memory stays flat
-  however long the data, and the full GGN never holds more than one
-  d x d array. In data space the sweep's per-layer factors are kept
-  instead of the rows (below).
+  ordering from :mod:`lula_lab.network`).
 * ``last_layer``: only the output layer, with biases folded into the weight
   matrix through a constant-1 feature. Ordering is row-major over the
   augmented matrix [W | b], i.e. index (i, c) -> i * F + c with F the
   augmented feature count.
+
+With Lambda_x = L_x L_x^T in closed form
+(:func:`lula_lab.training.output_hessian_roots`), both subsets hold the
+rows L_x^T J_x of R (Dangel, Kunstner & Hennig 2020) as per-layer factors,
+never the Jacobian J_x: all layers' from one backward sweep seeded with
+L_x, the linear last layer's as the one block L_x^T kron hbar_x
+(Daxberger et al. 2021). In parameter space and for the diagonal each
+chunk of examples has its rows written, which add R^T R to the full GGN
+(below) or the column sums of R * R to the diagonal. A fixed byte budget
+for a chunk's rows bounds the chunk, so the diagonal's memory stays flat
+however long the data. In data space the factors are kept (below).
 
 Every curvature kind is a spectrum s in a basis B fixed at fit time. A GGN
 is positive semidefinite, so the fit clips every eigenvalue at 0 (a
@@ -116,12 +117,12 @@ import numpy as np
 
 from .network import (
     Network,
+    _as_batch,
     _Block,
     _pre_activation,
     _write_rows,
     apply_activation,
     augment_ones,
-    forward,
     forward_output,
     jacobian_factors,
 )
@@ -389,12 +390,6 @@ class Curvature:
         return self.mean.shape[0]
 
 
-def _parameter_space_eigh(ggn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(e, Q^T) from eigh(GGN) = Q diag(e) Q^T, e clipped at 0."""
-    e, q = _psd_eigh(ggn)
-    return e, q.T
-
-
 def last_layer_mean(net: Network) -> np.ndarray:
     """Last-layer parameters in the augmented row-major ordering."""
     w, b = net.weights[-1], net.biases[-1]
@@ -413,6 +408,26 @@ def _kfac_curvature(mean: np.ndarray, output_factor: np.ndarray,
                      np.outer(g, a).ravel(), (q_out, q_feat))
 
 
+def _final_layer(net: Network, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f(x), hbar) for the batch ``x``: the network's outputs, bitwise
+    those of :func:`lula_lab.network.forward`, and the augmented final
+    hidden features (m, F) that the output layer reads."""
+    h = forward_output(net, x, net.num_layers - 1)
+    top, w, b = net.specs[-1], net.weights[-1], net.biases[-1]
+    return apply_activation(top.activation, _pre_activation(h, w, b)), augment_ones(h)
+
+
+def _row_factors(net: Network, subset: str, x: np.ndarray, hbar: np.ndarray,
+                 seeds: np.ndarray, points: slice) -> list[_Block]:
+    """The factors of the rows S_x^T J_x over ``subset`` of the examples
+    ``points``, S_x = ``seeds[x]`` (k, r): every layer's from one
+    :func:`lula_lab.network.jacobian_factors` sweep, or for the linear last
+    layer, whose row a is sum_i S_x[i, a] (e_i kron hbar_x), one block."""
+    if subset == "all_layers":
+        return jacobian_factors(net, x[points], seeds[points])
+    return [_Block(seeds[points].transpose(0, 2, 1), hbar[points], 0, False)]
+
+
 def fit_curvature(
     net: Network,
     features: np.ndarray,
@@ -423,26 +438,21 @@ def fit_curvature(
     """Accumulate the data-term GGN over the given dataset.
 
     Targets are not needed: the inner factor is the output-space Hessian of
-    the negative log-likelihood, a function of the outputs alone. For the
-    last-layer subset the exact per-example structure
-    Lambda_x kron (hbar hbar^T) is used directly; the Kronecker kind keeps
-    only the eigendecompositions of its two factors. R is the stack of
-    L_x^T J_x with L_x L_x^T = Lambda_x; L_x is (k, r), r the root width of
-    :func:`lula_lab.training.output_hessian_roots`, so each example adds r
-    rows, and no (k, d) Jacobian is formed. The full kind is
-    eigendecomposed once, and every eigenvalue, the Kronecker factors' too,
-    is clipped at 0: a GGN is positive semidefinite, so a negative one is
-    round-off. In data space, fewer rows (n r) than parameters,
-    it is eigh of the Gram K = R R^T built from R's per-layer factors
-    (:func:`lula_lab.network.jacobian_factors` seeded with the roots; for
-    the last layer L_x^T and hbar), of which only K's range is kept
-    (:func:`_data_basis`), and the :class:`DataBasis` keeps those factors
-    and U, no d-wide row. Otherwise, in parameter space, each
-    chunk of examples has its rows written from one backward sweep seeded
-    with the roots, by :func:`lula_lab.network.output_jacobian`'s row
-    writer, and summed as R^T R (last layer: the Kronecker-structured
-    einsum); the diagonal kind sums the column sums of R * R. Every refusal of
-    :func:`check_curvature_fit`, a full kind for which min(n r, d) x d
+    the negative log-likelihood, a function of the outputs alone. The
+    Kronecker kind keeps only the eigendecompositions of its two factors.
+    Every other fit, of either subset, reads R, the stack of L_x^T J_x with
+    L_x L_x^T = Lambda_x, as the factors of :func:`_row_factors` seeded
+    with the roots; L_x is (k, r), r the root width, so each example adds r
+    rows. The full kind is eigendecomposed once, and every eigenvalue, the
+    Kronecker factors' too, is clipped at 0: a GGN is positive
+    semidefinite, so a negative one is round-off. In data space, fewer rows
+    (n r) than parameters, it is eigh of the Gram K = R R^T of the factors,
+    of which only K's range is kept (:func:`_data_basis`), and the
+    :class:`DataBasis` keeps those factors and U, no d-wide row. Otherwise
+    each chunk of examples has its rows written by
+    :func:`lula_lab.network._write_rows` and summed as R^T R (parameter
+    space) or as the column sums of R * R (diagonal). Every refusal
+    of :func:`check_curvature_fit`, a full kind for which min(n r, d) x d
     floats would exceed FULL_GGN_CAP**2 among them (in data space too,
     though it holds only the factors and (n r)^2 floats), raises
     ``ValueError`` before any forward pass.
@@ -450,41 +460,16 @@ def fit_curvature(
     features = np.asarray(features, dtype=np.float64)
     check_curvature_fit(net, features, loss, kind, subset)
     k = net.output_dim
+    outputs, hbar = _final_layer(net, features)
+    mean = net.flatten_params() if subset == "all_layers" else last_layer_mean(net)
+    if kind == "kfac_last_layer":
+        return _kfac_curvature(mean, output_hessians(loss, outputs).sum(axis=0), hbar)
 
-    if subset == "last_layer":
-        trace = forward(net, features)
-        hbar = augment_ones(trace.activations[-2])
-        lambdas = output_hessians(loss, trace.output)
-        dim = k * hbar.shape[1]
-        mean = last_layer_mean(net)
-        if kind == "kfac_last_layer":
-            return _kfac_curvature(mean, lambdas.sum(axis=0), hbar)
-        if kind == "full_ggn":
-            roots = output_hessian_roots(loss, trace.output)
-            if features.shape[0] * roots.shape[2] < dim:
-                # row a of L_x^T J_x is sum_i L_x[i, a] (e_i kron hbar_x)
-                delta = np.ascontiguousarray(roots.transpose(0, 2, 1))
-                e, rows = _data_basis([_Block(delta, hbar, 0, False)])
-            else:
-                h = np.einsum("mij,mc,md->icjd", lambdas, hbar, hbar, optimize=True)
-                e, rows = _parameter_space_eigh(h.reshape(dim, dim))
-            return Curvature(kind, subset, mean, k, e, rows)
-        lam_diag = np.einsum("mii->mi", lambdas)
-        diag = np.einsum("mi,mc->ic", lam_diag, hbar * hbar).ravel(order="C")
-        return Curvature(kind, subset, mean, k, diag)
-
-    # all_layers: in data space one sweep seeded with the roots gives R's
-    # per-layer factors; otherwise the stacked L_x^T J_x rows are swept
-    # over chunks of examples into one buffer, summed as R^T R (parameter
-    # space) or as column sums of R * R (diagonal)
-    dim = net.num_params
-    n = features.shape[0]
-    roots = output_hessian_roots(loss, forward_output(net, features))
-    r = roots.shape[2]
-    mean = net.flatten_params()
+    roots = output_hessian_roots(loss, outputs)
+    (n, _, r), dim = roots.shape, mean.size
     if kind == "full_ggn" and n * r < dim:
         # copies, so that the basis holds no caller's array
-        factors = jacobian_factors(net, features, roots)
+        factors = _row_factors(net, subset, features, hbar, roots, slice(0, n))
         e, basis = _data_basis(
             [b._replace(delta=np.array(b.delta), feat=np.array(b.feat)) for b in factors]
         )
@@ -493,7 +478,7 @@ def fit_curvature(
     diag = np.zeros(dim) if kind == "diag_ggn" else None
     for chunk, buf in _jacobian_chunks(n, r, dim):
         m = chunk.stop - chunk.start
-        blocks = jacobian_factors(net, features[chunk], roots[chunk])
+        blocks = _row_factors(net, subset, features, hbar, roots, chunk)
         rows = _write_rows(blocks, buf.reshape(m, r, dim)).reshape(m * r, dim)
         if full is not None:
             full += rows.T @ rows  # numpy's syrk path: exactly symmetric
@@ -501,8 +486,8 @@ def fit_curvature(
             diag += np.multiply(rows, rows, out=rows).sum(axis=0)
     if diag is not None:
         return Curvature(kind, subset, mean, k, diag)
-    e, rows = _parameter_space_eigh(full)
-    return Curvature(kind, subset, mean, k, e, rows)
+    e, q = _psd_eigh(full)
+    return Curvature(kind, subset, mean, k, e, q.T)
 
 
 def _project(basis, vectors: np.ndarray, back: bool = False) -> np.ndarray:
@@ -632,11 +617,6 @@ def build_posterior(curvature: Curvature, prior_precision: float) -> LaplacePost
     return LaplacePosterior(curvature, prior_precision)
 
 
-def _as_batch(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    return x[None, :] if x.ndim == 1 else x
-
-
 @dataclass
 class Linearization:
     """The prior-precision-free pieces of the output Gaussian at m points.
@@ -655,19 +635,18 @@ class Linearization:
 def linearize(net: Network, curvature: Curvature, x: np.ndarray) -> Linearization:
     """The pieces of :class:`Linearization` for the points ``x``.
 
-    In data space (:class:`DataBasis`) each chunk of points takes one
-    factor sweep seeded with I_k (:func:`lula_lab.network.jacobian_factors`;
-    for the last layer delta = I_k and hbar), so the kernel rows
+    Each chunk of points takes the factors of its Jacobian rows from
+    :func:`_row_factors` seeded with I_k, as the fit takes R's with the
+    roots. In data space (:class:`DataBasis`) the kernel rows
     J R^T = sum_l (Delta_l(X) Delta_l^T) o (H_l(X) H_l^T + 1) give
     P = (J R^T) U and J J^T = sum_l delta delta^T (|h|^2 + 1) per point,
-    with no Jacobian row. Otherwise each chunk takes one batched output
-    Jacobian (all layers) or the Jacobian e_i kron hbar of the linear last
-    layer (the same row writer with delta = I_k), which one projection onto
-    the curvature's basis turns into P. No whole set's J is held. The
-    Kronecker kind needs only hbar. A curvature of another output count or
-    subset size than the network's raises ``ValueError``.
+    with no Jacobian row. Otherwise the row writer writes the chunk's
+    Jacobian rows, which one projection onto the curvature's basis turns
+    into P. No whole set's J is held. The Kronecker kind needs only hbar.
+    A curvature of another output count or subset size than the network's
+    raises ``ValueError``.
     """
-    x = _as_batch(x)
+    x = _as_batch(x, net.input_dim)
     k, basis = curvature.num_outputs, curvature.basis
     dim = _subset_dim(net, curvature.subset)
     if (k, curvature.dim) != (net.output_dim, dim):
@@ -676,34 +655,19 @@ def linearize(net: Network, curvature: Curvature, x: np.ndarray) -> Linearizatio
             f"parameters does not fit the network's {net.output_dim} outputs "
             f"and {dim} {curvature.subset} parameters"
         )
-    if curvature.subset == "last_layer":
-        # the output layer on the final hidden features: forward's output
-        h = forward_output(net, x, net.num_layers - 1)
-        top, w, b = net.specs[-1], net.weights[-1], net.biases[-1]
-        mean = apply_activation(top.activation, _pre_activation(h, w, b))
-        hbar = augment_ones(h)
-        if isinstance(basis, tuple):
-            u = hbar @ basis[1]
-            return Linearization(mean, np.square(u, out=u))
-    else:
-        mean = forward_output(net, x)
+    mean, hbar = _final_layer(net, x)
+    if isinstance(basis, tuple):
+        u = hbar @ basis[1]
+        return Linearization(mean, np.square(u, out=u))
     m, width = x.shape[0], curvature.spectrum.size
     proj = np.empty((m, k, width))
-
-    def point_blocks(points: slice) -> list[_Block]:
-        """The Jacobian rows of ``points`` as factors: every layer's from
-        one sweep, or the last layer's e_i kron hbar with delta = I_k."""
-        if curvature.subset == "all_layers":
-            return jacobian_factors(net, x[points])
-        eye = np.broadcast_to(np.eye(k), (points.stop - points.start, k, k))
-        return [_Block(eye, hbar[points], 0, False)]
-
+    eye = np.broadcast_to(np.eye(k), (m, k, k))
     if isinstance(basis, DataBasis):
         # J R^T from the factors of both stacks, so P = (J R^T) U and
         # J J^T = sum over layers of delta delta^T (|h|^2 + 1)
         gram = np.zeros((m, k, k))
         for points in _point_chunks(m, k * basis.u.shape[0]):
-            blocks = point_blocks(points)
+            blocks = _row_factors(net, curvature.subset, x, hbar, eye, points)
             cross = _gram(blocks, basis.blocks)
             np.matmul(cross, basis.u, out=proj[points].reshape(len(cross), width))
             for blk in blocks:
@@ -713,7 +677,8 @@ def linearize(net: Network, curvature: Curvature, x: np.ndarray) -> Linearizatio
         return Linearization(mean, proj, gram)
     for points, buf in _jacobian_chunks(m, k, dim):
         n = points.stop - points.start
-        _write_rows(point_blocks(points), buf.reshape(n, k, dim))
+        blocks = _row_factors(net, curvature.subset, x, hbar, eye, points)
+        _write_rows(blocks, buf.reshape(n, k, dim))
         proj[points] = _project(basis, buf.reshape(n * k, dim)).reshape(n, k, width)
     return Linearization(mean, proj)
 

@@ -158,6 +158,9 @@ MALFORMED = [
     ("train", "loss", "binary_ce"),
     # each OOD kind names one scored set
     ("eval", "ood_kinds", "uniform,uniform"),
+    # ... and blur filters 3 features, where two_moons makes 2
+    ("eval", "ood_kinds", "blur"),
+    ("eval", "ood_kinds", "uniform,blur"),
     # LULA reads whole sets: its batch sizes are unknown keys
     ("lula", "in_batch", "0"),
     ("lula", "out_batch", "-3"),
@@ -689,6 +692,33 @@ class TestCliCommands:
         assert "[laplace] tune_objective = ood_mmc" in err and "[train] loss" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind", ["permute", "contrast"])
+    @pytest.mark.parametrize("command", ["train", "laplace", "lula", "eval", "demo-toy"])
+    def test_toy_regression_too_narrow_for_ood_kind_exits_2_before_work(
+        self, command, kind, tmp_path, capsys, monkeypatch
+    ):
+        # on toy_regression's one feature either kind would return the test
+        # split itself
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the config was validated")
+
+        monkeypatch.setattr(cli, "_build_data", no_work)
+        monkeypatch.setattr(cli, "train_map", no_work)
+        monkeypatch.setattr(demo, "train_map", no_work)
+        config = tmp_path / "bad.ini"
+        config.write_text(REGRESSION_INI.replace(
+            "ood_kinds = uniform", f"ood_kinds = uniform,{kind}"
+        ))
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+        if command in ("laplace", "lula", "eval"):
+            argv += ["--model", str(tmp_path / "model.txt")]
+        assert cli.main(argv) == 2
+        assert (
+            f"[eval] ood_kinds: {kind} needs at least 2 features, and [data] "
+            "generator = toy_regression makes 1"
+        ) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("command", ["laplace", "lula", "eval"])
     def test_non_finite_model_value_exits_1_at_load(
@@ -999,6 +1029,18 @@ class TestCsvInput:
         argv, csv = _csv_argv(command, tmp_path, labels, loss, outputs, cell=(7, 2, label))
         assert cli.main(argv) == 1
         assert f"error: {csv}: {message}" in capsys.readouterr().err
+
+    def test_csv_too_narrow_for_ood_kind_exits_2_before_the_fit(
+        self, tmp_path, capsys, no_work
+    ):
+        # a csv's width is known only once it is read
+        argv, _ = _csv_argv("eval", tmp_path, [i % 3 for i in range(60)])
+        config = Path(argv[2])
+        config.write_text(config.read_text() + "\n[eval]\nood_kinds = uniform,blur\n")
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "[eval] ood_kinds: blur needs at least 3 features, and the data has 2" in err
+        assert not (tmp_path / "out").exists()
 
     def test_integer_valued_labels_load_as_classes(self, tmp_path):
         labels = [f"{i % 3}.0" for i in range(60)]

@@ -65,6 +65,13 @@ class TestToyRegression:
         assert np.array_equal(a.targets, b.targets)
 
 
+def test_generator_features_match_the_generators():
+    assert data_mod.GENERATOR_FEATURES == {
+        "two_moons": gen_two_moons(10, 0.1, seed=0).num_features,
+        "toy_regression": gen_toy_regression(10, (-1.0, 1.0), 0.1, seed=0).num_features,
+    }
+
+
 class TestSynthesizeOod:
     def _dataset(self, n_features=5, rows=20, seed=4):
         rng = Rng(seed)
@@ -92,6 +99,25 @@ class TestSynthesizeOod:
         narrow = self._dataset(n_features=2)
         with pytest.raises(ValueError):
             synthesize_ood(narrow, "blur", Rng(0))
+
+    @pytest.mark.parametrize("kind", ["permute", "contrast"])
+    def test_one_feature_is_too_narrow(self, kind):
+        # a permutation of one coordinate, or a pull toward the row's own
+        # mean, would return the in-distribution row itself
+        narrow = self._dataset(n_features=1)
+        with pytest.raises(ValueError, match=f"{kind} needs at least 2 features, got 1"):
+            synthesize_ood(narrow, kind, Rng(0))
+
+    @pytest.mark.parametrize("kind", sorted(data_mod.OOD_MIN_FEATURES))
+    def test_each_kind_changes_rows_at_its_fewest_features(self, kind):
+        width = data_mod.OOD_MIN_FEATURES[kind]
+        data = self._dataset(n_features=width)
+        out = synthesize_ood(data, kind, Rng(7))
+        assert not np.array_equal(out.features, data.features)
+        assert data_mod.ood_width_need([kind], width) is None
+        assert data_mod.ood_width_need(["uniform", kind], width - 1) == (
+            f"{kind} needs at least {width} features"
+        )
 
     def test_blur_smooths(self):
         data = self._dataset(n_features=9)

@@ -237,29 +237,31 @@ class TestAllLayersGGN:
         assert relative_error(diag, np.diag(expected)) <= 1e-10
         assert np.array_equal(full, full.T)
 
+    @pytest.mark.parametrize("subset", laplace.SUBSETS)
     @pytest.mark.parametrize("kind, n", [
         pytest.param("full_ggn", 20, id="full_ggn"),
         pytest.param("diag_ggn", 20, id="diag_ggn"),
         pytest.param("full_ggn", 80, id="full_ggn-parameter"),
     ])
-    def test_chunk_invariance(self, monkeypatch, kind, n):
+    def test_chunk_invariance(self, monkeypatch, kind, n, subset):
+        # the last layer's 18 parameters put its full fits in parameter
+        # space, where its rows take the same chunked loop as all layers'
         rng = Rng(22)
         net = Network.init_random([3, 6, 5, 3], "tanh", rng)
         x = rng.standard_normal((n, 3))
         loss = LossKind("categorical_ce")
         r = 2  # the fit's rows per point: the root width of three classes
+        dim = laplace._subset_dim(net, subset)
 
         def chunk_rows():
-            chunks = laplace._jacobian_chunks(n, r, net.num_params)
+            chunks = laplace._jacobian_chunks(n, r, dim)
             return [points.stop - points.start for points, _ in chunks]
 
         assert chunk_rows() == [n]
-        whole = fit_curvature(net, x, loss, kind, "all_layers")
-        monkeypatch.setattr(
-            laplace, "_JACOBIAN_CHUNK_BYTES", 7 * 8 * r * net.num_params
-        )
+        whole = fit_curvature(net, x, loss, kind, subset)
+        monkeypatch.setattr(laplace, "_JACOBIAN_CHUNK_BYTES", 7 * 8 * r * dim)
         assert chunk_rows() == [7] * (n // 7) + [n % 7]  # the last one shorter
-        chunked = fit_curvature(net, x, loss, kind, "all_layers")
+        chunked = fit_curvature(net, x, loss, kind, subset)
         if kind == "full_ggn":
             ggn = dense_ggn(chunked)
             assert relative_error(ggn, dense_ggn(whole)) <= 1e-12
