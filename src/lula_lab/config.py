@@ -204,8 +204,8 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "generator": _choice(
             "two_moons", ("two_moons", "toy_regression", "csv"), "data source"
         ),
-        "size": ("500", _int_at_least(2), "number of generated points"),
-        "noise_std": ("0.1", _nonnegative, "generator noise standard deviation"),
+        "size": ("500", _int_at_least(2), "number of generated points, >= 2"),
+        "noise_std": ("0.1", _nonnegative, "generator noise standard deviation, >= 0"),
         "x_low": ("-4.0", _float, "toy_regression input range, lower end"),
         "x_high": ("4.0", _float, "toy_regression input range, upper end"),
         "csv_path": ("", str, "input file for generator = csv"),
@@ -226,20 +226,22 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "dims": (
             "2,64,64,2",
             _list(_int_at_least(1), 2),
-            "layer sizes, input first, output last",
+            "layer sizes, input first, output last, each >= 1",
         ),
         "activation": _choice("relu", ACTIVATIONS, "hidden activation"),
     },
     "train": {
-        "learning_rate": ("0.001", _float, "step size"),
-        "epochs": ("200", _int, "passes over the training split"),
-        "batch_size": ("64", _batch_size, "minibatch size; 0 for full batch"),
-        "weight_decay": ("0.001", _float, "prior precision used during training"),
+        "learning_rate": ("0.001", _positive, "step size, > 0"),
+        "epochs": ("200", _count, "passes over the training split, >= 0"),
+        "batch_size": ("64", _batch_size, "minibatch size, >= 0; 0 for full batch"),
+        "weight_decay": (
+            "0.001", _nonnegative, "prior precision used during training, >= 0"
+        ),
         "loss": _choice(
             "auto", ("auto",) + LOSS_KINDS, "likelihood, auto picks from the task"
         ),
         "noise_precision": (
-            "25.0", _positive, "Gaussian likelihood precision (beta)"
+            "25.0", _positive, "Gaussian likelihood precision (beta), > 0"
         ),
         "seed": ("1", _int, "shuffling and initialization seed"),
     },
@@ -261,14 +263,16 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         ),
         "method": _choice("mc", PREDICT_METHODS, "predictive used for tuning"),
         "sample_count": (
-            "100", _int, "output draws of the mc predictive (classification)"
+            "100",
+            _int_at_least(1),
+            "output draws of the mc predictive (classification), >= 1",
         ),
         "seed": ("2", _int, "sampling seed"),
     },
     "lula": {
-        "counts": ("32", _unit_count, "units added to the final hidden layer"),
-        "learning_rate": ("0.05", _float, "uncertainty-training step size"),
-        "epochs": ("20", _int, "uncertainty-training epochs"),
+        "counts": ("32", _unit_count, "units added to the final hidden layer, >= 0"),
+        "learning_rate": ("0.05", _positive, "uncertainty-training step size, > 0"),
+        "epochs": ("20", _count, "uncertainty-training epochs, >= 0"),
         "init_std": (
             "default",
             _or_none("default", _positive),
@@ -276,7 +280,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         ),
         "ood_low": ("-10.0", _float, "outlier box lower bound"),
         "ood_high": ("10.0", _float, "outlier box upper bound"),
-        "ood_size": ("500", _int_at_least(1), "number of outlier training points"),
+        "ood_size": ("500", _int_at_least(1), "number of outlier training points, >= 1"),
         "seed": ("3", _int, "unit initialization and output-preservation check seed"),
     },
     "eval": {
@@ -287,19 +291,21 @@ SCHEMA: dict[str, dict[str, tuple]] = {
             "features: " + ", ".join(f"{k} {n}" for k, n in OOD_MIN_FEATURES.items()),
         ),
         "sample_count": (
-            "100", _int, "output draws per mc prediction run (classification)"
+            "100",
+            _int_at_least(1),
+            "output draws per mc prediction run (classification), >= 1",
         ),
         "runs": (
             "10",
             _int_at_least(1),
-            "prediction repetitions (mean and std reported; regression is exact)",
+            "prediction repetitions, >= 1 (mean and std reported; regression is exact)",
         ),
         "method": _choice("mc", PREDICT_METHODS, "predictive"),
         "report_std": _choice(
             "epistemic", ("epistemic", "total"), "regression std to report"
         ),
-        "grid_size": ("60", _int_at_least(1), "demo lattice resolution per axis"),
-        "grid_extent": ("12.0", _positive, "demo lattice half width"),
+        "grid_size": ("60", _int_at_least(1), "demo lattice resolution per axis, >= 1"),
+        "grid_extent": ("12.0", _positive, "demo lattice half width, > 0"),
         "ring_inner": (
             "8.0",
             _nonnegative,
@@ -309,21 +315,24 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "far_field": (
             "6.0",
             _positive,
-            "|x| at or above this is far field (regression demo), below grid_extent",
+            "|x| at or above this is far field (regression demo), > 0 and "
+            "below grid_extent",
         ),
         "seed": ("4", _int, "evaluation seed"),
     },
     "demo": {
-        "moons_size": ("600", _int_at_least(3), "two-moons dataset size"),
-        "moons_noise": ("0.15", _nonnegative, "two-moons noise std"),
-        "moons_train_epochs": ("200", _count, "MAP epochs for the two-moons net"),
-        "moons_lula_units": ("32", _count, "added units for the two-moons stage"),
-        "moons_lula_epochs": ("100", _count, "uncertainty-training epochs, two-moons"),
-        "reg_size": ("400", _int_at_least(3), "toy regression dataset size"),
-        "reg_noise": ("0.15", _nonnegative, "toy regression noise std"),
-        "reg_train_epochs": ("2000", _count, "MAP epochs for the regression net"),
-        "reg_lula_units": ("50", _count, "added units for the regression stage"),
-        "reg_lula_epochs": ("40", _count, "uncertainty-training epochs, regression"),
+        "moons_size": ("600", _int_at_least(3), "two-moons dataset size, >= 3"),
+        "moons_noise": ("0.15", _nonnegative, "two-moons noise std, >= 0"),
+        "moons_train_epochs": ("200", _count, "MAP epochs for the two-moons net, >= 0"),
+        "moons_lula_units": ("32", _count, "added units for the two-moons stage, >= 0"),
+        "moons_lula_epochs": (
+            "100", _count, "uncertainty-training epochs, two-moons, >= 0"
+        ),
+        "reg_size": ("400", _int_at_least(3), "toy regression dataset size, >= 3"),
+        "reg_noise": ("0.15", _nonnegative, "toy regression noise std, >= 0"),
+        "reg_train_epochs": ("2000", _count, "MAP epochs for the regression net, >= 0"),
+        "reg_lula_units": ("50", _count, "added units for the regression stage, >= 0"),
+        "reg_lula_epochs": ("40", _count, "uncertainty-training epochs, regression, >= 0"),
         "seed": ("5", _int, "demo seed"),
     },
 }

@@ -22,11 +22,14 @@ With Lambda_x = L_x L_x^T in closed form
 rows L_x^T J_x of R (Dangel, Kunstner & Hennig 2020) as per-layer factors,
 never the Jacobian J_x: all layers' from one backward sweep seeded with
 L_x, the linear last layer's as the one block L_x^T kron hbar_x
-(Daxberger et al. 2021). In parameter space and for the diagonal each
-chunk of examples has its rows written, which add R^T R to the full GGN
-(below) or the column sums of R * R to the diagonal. A fixed byte budget
-for a chunk's rows bounds the chunk, so the diagonal's memory stays flat
-however long the data. In data space the factors are kept (below).
+(Daxberger et al. 2021). In parameter space each chunk of examples has
+its rows written, which add R^T R to the full GGN (below); a fixed byte
+budget for a chunk's rows bounds the chunk. The diagonal writes no row: a
+block's squared rows sum to (sum_a delta^2)^T feat^2 over its weights and
+sum_a delta^2 over its bias (BackPACK's DiagGGN), read one chunk of
+examples' factors at a time under the same budget, so it costs n r out_l +
+n out_l in_l per layer, not n r d. In data space the factors are kept
+(below).
 
 Every curvature kind is a spectrum s in a basis B fixed at fit time. A GGN
 is positive semidefinite, so the fit clips every eigenvalue at 0 (a
@@ -58,14 +61,17 @@ and no d x d precision is ever factored. The kinds differ only in B:
   other Jacobian row, so no whole R is held. FULL_GGN_CAP still counts
   min(n r, d) * d floats there, the rows the form no longer holds, so
   that the fits it admits do not depend on the form.
-* diagonal: B = I and s the GGN's diagonal.
+* diagonal: B = I and s the GGN's diagonal, the column sums of R * R
+  read from the factors.
 * Kronecker (last layer only): G = sum over data of Lambda_x (k x k) and
   A = average over data of the augmented feature outer products (F x F),
   so that kron(G, A) targets the data-term GGN. The fit keeps only their
-  eigendecompositions G = Q_G diag(g) Q_G^T and A = Q_A diag(a) Q_A^T:
-  B = (Q_G kron Q_A)^T and s = g_p a_q (Ritter, Botev & Barber 2018;
-  Daxberger et al. 2021). B maps the row-major (k, F) view V of a vector
-  to Q_G^T V Q_A, so no kF x kF matrix is ever formed.
+  eigendecompositions G = Q_G diag(g) Q_G^T, taken once per fit (and once
+  per LULA training run, whose outputs do not move), and
+  A = Q_A diag(a) Q_A^T: B = (Q_G kron Q_A)^T and s = g_p a_q (Ritter,
+  Botev & Barber 2018; Daxberger et al. 2021). B maps the row-major
+  (k, F) view V of a vector to Q_G^T V Q_A, so no kF x kF matrix is ever
+  formed.
 
 Data space is exactly a spectrum shorter than d. There c = 1 / lambda and
 t = -1 / (lambda (e + lambda)), that is
@@ -173,9 +179,10 @@ TUNE_OBJECTIVES = ("val_log_likelihood", "ood_mmc")
 FULL_GGN_CAP = 5000
 DEFAULT_LAMBDA_GRID = tuple(np.logspace(-4.0, 4.0, 17))
 # Bytes of the per-point rows of one chunk of m points: (m, w, d) Jacobian
-# rows of width d (w = r for the all-layers curvature fit, k for
-# linearize), or in data space linearize's (m, k, n r) kernel rows; bounds
-# memory for long datasets and large d.
+# rows of width d (w = r for the parameter-space full GGN, k for
+# linearize), in data space linearize's (m, k, n r) kernel rows, or for the
+# diagonal twice its row factors; bounds memory for long datasets and
+# large d.
 _JACOBIAN_CHUNK_BYTES = 8 * 2**20
 # Bytes of sampled (samples, k, c) logits of c points held at once by the MC
 # predictive.
@@ -259,10 +266,10 @@ def _jacobian_chunks(num_points: int, width: int, dim: int):
     ``buffer`` is a flat, contiguous array of len(points) * width * dim
     floats, reshaped by the caller as (m, width, dim) for the row writer
     :func:`lula_lab.network._write_rows`: the leading part of one scratch
-    array of the first (largest) chunk's size. Parameter-space and
-    diagonal fits, linearize outside data space, and B v and B^T w of a
-    :class:`DataBasis` take Jacobian rows this way; the data-space fit and
-    linearize read the factors alone.
+    array of the first (largest) chunk's size. The parameter-space full
+    GGN, linearize outside data space, and B v and B^T w of a
+    :class:`DataBasis` take Jacobian rows this way; the diagonal, the
+    data-space fit and linearize read the factors alone.
     """
     size = width * dim
     scratch = None
@@ -396,13 +403,21 @@ def last_layer_mean(net: Network) -> np.ndarray:
     return np.concatenate([w, b[:, None]], axis=1).ravel(order="C")
 
 
-def _kfac_curvature(mean: np.ndarray, output_factor: np.ndarray,
+def _output_factor_eigh(loss: LossKind, outputs: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """(g, Q_G) of the Kronecker output factor G = sum_x Lambda_x (k x k)
+    at the network ``outputs`` (n, k), eigendecomposed and clipped at 0."""
+    return _psd_eigh(output_hessians(loss, outputs).sum(axis=0))
+
+
+def _kfac_curvature(mean: np.ndarray, output_eigh: tuple[np.ndarray, np.ndarray],
                     hbar: np.ndarray) -> Curvature:
-    """The Kronecker last-layer curvature around ``mean`` with G =
-    ``output_factor`` (k x k) and A = hbar^T hbar / n from the augmented
-    final hidden features ``hbar`` (n, F), each eigendecomposed and clipped
+    """The Kronecker last-layer curvature around ``mean`` with G's
+    eigenpairs ``output_eigh`` = (g, Q_G) from :func:`_output_factor_eigh`,
+    taken once by the caller, and A = hbar^T hbar / n from the augmented
+    final hidden features ``hbar`` (n, F), eigendecomposed here and clipped
     at 0."""
-    g, q_out = _psd_eigh(output_factor)
+    g, q_out = output_eigh
     a, q_feat = _psd_eigh((hbar.T @ hbar) / hbar.shape[0])
     return Curvature("kfac_last_layer", "last_layer", mean, g.size,
                      np.outer(g, a).ravel(), (q_out, q_feat))
@@ -428,6 +443,33 @@ def _row_factors(net: Network, subset: str, x: np.ndarray, hbar: np.ndarray,
     return [_Block(seeds[points].transpose(0, 2, 1), hbar[points], 0, False)]
 
 
+def _factor_diagonal(net: Network, subset: str, x: np.ndarray, hbar: np.ndarray,
+                     roots: np.ndarray, dim: int) -> np.ndarray:
+    """The diagonal of R^T R over ``subset``, R the rows of the
+    :func:`_row_factors` seeded with ``roots`` (n, k, r), read from the
+    factors with no row written (BackPACK's DiagGGN; Dangel, Kunstner &
+    Hennig 2020): a block's weight entries add (sum_a delta^2)^T feat^2 and
+    its bias entries the sum over points of sum_a delta^2. The chunk of
+    points is budgeted on twice the factor floats per point, r out + in
+    summed over the blocks, for the sweep's forward pass and the squares
+    held beside the factors."""
+    n, _, r = roots.shape
+    if subset == "all_layers":
+        width = sum(r * spec.out_dim + spec.in_dim for spec in net.specs)
+    else:
+        width = r * net.output_dim + hbar.shape[1]
+    diag = np.zeros(dim)
+    for points in _point_chunks(n, 2 * width):
+        for blk in _row_factors(net, subset, x, hbar, roots, points):
+            out, inn = blk.delta.shape[2], blk.feat.shape[1]
+            stop = blk.start + out * inn
+            squares = np.einsum("mro,mro->mo", blk.delta, blk.delta)
+            diag[blk.start : stop] += (squares.T @ np.square(blk.feat)).ravel()
+            if blk.bias:
+                diag[stop : stop + out] += squares.sum(axis=0)
+    return diag
+
+
 def fit_curvature(
     net: Network,
     features: np.ndarray,
@@ -448,10 +490,11 @@ def fit_curvature(
     semidefinite, so a negative one is round-off. In data space, fewer rows
     (n r) than parameters, it is eigh of the Gram K = R R^T of the factors,
     of which only K's range is kept (:func:`_data_basis`), and the
-    :class:`DataBasis` keeps those factors and U, no d-wide row. Otherwise
-    each chunk of examples has its rows written by
-    :func:`lula_lab.network._write_rows` and summed as R^T R (parameter
-    space) or as the column sums of R * R (diagonal). Every refusal
+    :class:`DataBasis` keeps those factors and U, no d-wide row. In
+    parameter space each chunk of examples has its rows written by
+    :func:`lula_lab.network._write_rows` and summed as R^T R. The diagonal
+    writes no row: :func:`_factor_diagonal` sums R * R's columns from each
+    chunk's factors. Every refusal
     of :func:`check_curvature_fit`, a full kind for which min(n r, d) x d
     floats would exceed FULL_GGN_CAP**2 among them (in data space too,
     though it holds only the factors and (n r)^2 floats), raises
@@ -463,29 +506,26 @@ def fit_curvature(
     outputs, hbar = _final_layer(net, features)
     mean = net.flatten_params() if subset == "all_layers" else last_layer_mean(net)
     if kind == "kfac_last_layer":
-        return _kfac_curvature(mean, output_hessians(loss, outputs).sum(axis=0), hbar)
+        return _kfac_curvature(mean, _output_factor_eigh(loss, outputs), hbar)
 
     roots = output_hessian_roots(loss, outputs)
     (n, _, r), dim = roots.shape, mean.size
-    if kind == "full_ggn" and n * r < dim:
+    if kind == "diag_ggn":
+        return Curvature(kind, subset, mean, k,
+                         _factor_diagonal(net, subset, features, hbar, roots, dim))
+    if n * r < dim:
         # copies, so that the basis holds no caller's array
         factors = _row_factors(net, subset, features, hbar, roots, slice(0, n))
         e, basis = _data_basis(
             [b._replace(delta=np.array(b.delta), feat=np.array(b.feat)) for b in factors]
         )
         return Curvature(kind, subset, mean, k, e, basis)
-    full = np.zeros((dim, dim)) if kind == "full_ggn" else None
-    diag = np.zeros(dim) if kind == "diag_ggn" else None
+    full = np.zeros((dim, dim))
     for chunk, buf in _jacobian_chunks(n, r, dim):
         m = chunk.stop - chunk.start
         blocks = _row_factors(net, subset, features, hbar, roots, chunk)
         rows = _write_rows(blocks, buf.reshape(m, r, dim)).reshape(m * r, dim)
-        if full is not None:
-            full += rows.T @ rows  # numpy's syrk path: exactly symmetric
-        else:
-            diag += np.multiply(rows, rows, out=rows).sum(axis=0)
-    if diag is not None:
-        return Curvature(kind, subset, mean, k, diag)
+        full += rows.T @ rows  # numpy's syrk path: exactly symmetric
     e, q = _psd_eigh(full)
     return Curvature(kind, subset, mean, k, e, q.T)
 

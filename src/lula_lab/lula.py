@@ -32,7 +32,7 @@ from .errors import DivergenceError
 from .laplace import (
     LaplacePosterior,
     _kfac_curvature,
-    _psd_eigh,
+    _output_factor_eigh,
     _require_proper_prior_precision,
     build_posterior,
     check_curvature_fit,
@@ -50,7 +50,7 @@ from .network import (
     forward,
 )
 from .numerics import Rng
-from .training import LossKind, _Adam, output_hessians
+from .training import LossKind, _Adam
 
 __all__ = [
     "LulaTrainConfig",
@@ -187,10 +187,11 @@ class _Objective:
 
     Only the free block moves, so each set's input to the final hidden
     layer is computed once, and so are the output layer (the posterior
-    mean) and G = sum_z Lambda_z = Q_G diag(g) Q_G^T, because the outputs
-    do not move. Each call forwards the added units alone and builds the
-    posterior from the curvature set's features with the Kronecker fit's
-    own code. With A = Q_A diag(a) Q_A^T, d_pq = 1 / (g_p a_q + lambda)
+    mean) and the eigendecomposition G = sum_z Lambda_z = Q_G diag(g) Q_G^T,
+    taken here alone, because the outputs do not move. Each call forwards
+    the added units alone and builds the posterior from the curvature set's
+    features with the Kronecker fit's own code, which then eigendecomposes
+    only A. With A = Q_A diag(a) Q_A^T, d_pq = 1 / (g_p a_q + lambda)
     and kappa_p = (Q_G^T K Q_G)_pp, v(x) = sum_q w_q (Q_A^T hbar)_q^2 with
     w = kappa^T d. Row x of the inlier or outlier set enters J with the
     weight s_x = +-1 / (n_rows v(x)), so with W = sum_x s_x hbar hbar^T
@@ -224,8 +225,8 @@ class _Objective:
                 (trace.activations[self.top], augment_ones(trace.activations[-2]))
             )
             if len(self.sets) == 1:
-                self.output_factor = output_hessians(loss, trace.output).sum(axis=0)
-        self.g, q_out = _psd_eigh(self.output_factor)
+                self.output_eigh = _output_factor_eigh(loss, trace.output)
+        self.g, q_out = self.output_eigh
         centring = _centring(loss, net.output_dim)
         self.kappa = np.einsum("ip,ij,jp->p", q_out, centring, q_out)
 
@@ -239,9 +240,7 @@ class _Objective:
             pre.append(_pre_activation(below, w_free, b_free))
             hbar[:, free] = apply_activation(self.activation, pre[-1])
         hbar = self.sets[0][1]
-        post = build_posterior(
-            _kfac_curvature(self.mean, self.output_factor, hbar), self.lam
-        )
+        post = build_posterior(_kfac_curvature(self.mean, self.output_eigh, hbar), self.lam)
         q_a = post.curvature.basis[1]
         d = post._t.reshape(self.g.size, -1)
         w = self.kappa @ d

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -222,6 +223,32 @@ UNKNOWN_WORDS = [
 ]
 
 
+# a parser's message for a number outside its key's range
+RANGE_MESSAGE = re.compile(r"expected (an integer >=|a positive|a nonnegative)")
+
+
+def _range_rows() -> list[tuple[str, str, str]]:
+    """(section, key, value) for every key whose parser refuses a number as
+    outside its range, the value the largest of 2, 1, 0 and -1 it refuses
+    so: the number just below the range for every integer bound up to 3
+    and for a positive float, and -1 for a nonnegative one."""
+    rows = []
+    for section, entries in SCHEMA.items():
+        for key, (_, parse, _) in entries.items():
+            for value in ("2", "1", "0", "-1"):
+                try:
+                    parse(value)
+                except ValueError as exc:
+                    if RANGE_MESSAGE.search(str(exc)):
+                        rows.append((section, key, value))
+                        break
+    return rows
+
+
+# one out-of-range value for every ranged key, beside the hand-written rows
+OUT_OF_RANGE = [row for row in _range_rows() if row not in MALFORMED]
+
+
 @pytest.fixture
 def tiny_config(tmp_path):
     path = tmp_path / "tiny.ini"
@@ -331,6 +358,28 @@ class TestConfig:
         }
         assert len(choices) == 9
         assert set(_word_keys()) == choices | {("eval", "ood_kinds")}
+
+    def test_range_rows_cover_every_ranged_key(self):
+        # the stage settings that their dataclasses once checked alone are
+        # refused at load, each just outside its range
+        rows = _range_rows()
+        for row in [("train", "learning_rate", "0"), ("train", "epochs", "-1"),
+                    ("train", "weight_decay", "-1"), ("lula", "learning_rate", "0"),
+                    ("lula", "epochs", "-1"), ("data", "size", "1"),
+                    ("demo", "moons_size", "2"), ("model", "dims", "0"),
+                    ("eval", "sample_count", "0")]:
+            assert row in rows
+        assert not any(section == "data" and key in ("x_low", "seed")
+                       for section, key, _ in rows)
+        assert ("train", "weight_decay", "-1") in OUT_OF_RANGE
+        assert ("lula", "learning_rate", "0") in OUT_OF_RANGE
+
+    def test_reference_text_states_every_range(self):
+        # python -m lula_lab.config prints each ranged key's range
+        ranged = {(section, key) for section, key, _ in _range_rows()}
+        for section, key in ranged:
+            comment = SCHEMA[section][key][2]
+            assert re.search(r">=? -?\d|positive", comment), (section, key)
 
     def test_reference_text_lists_every_key(self):
         text = reference_text()
@@ -650,7 +699,9 @@ class TestCliCommands:
         assert "prior_precision" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["train", "laplace", "lula", "eval", "demo-toy"])
-    @pytest.mark.parametrize("section,key,value", MALFORMED + NON_FINITE + UNKNOWN_WORDS)
+    @pytest.mark.parametrize(
+        "section,key,value", MALFORMED + NON_FINITE + UNKNOWN_WORDS + OUT_OF_RANGE
+    )
     def test_malformed_key_exits_2_before_work(
         self, section, key, value, command, tmp_path, capsys, monkeypatch
     ):
@@ -668,6 +719,30 @@ class TestCliCommands:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert f"[{section}]" in err and key in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "laplace", "lula", "eval", "demo-toy"])
+    def test_zero_sample_count_under_probit_exits_2_before_work(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        # probit_linearized draws nothing, but demo-toy always predicts
+        # with mc draws of [eval] sample_count, so the range holds for every
+        # method
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the config was validated")
+
+        monkeypatch.setattr(cli, "_build_data", no_work)
+        monkeypatch.setattr(cli, "train_map", no_work)
+        monkeypatch.setattr(demo, "train_map", no_work)
+        config = tmp_path / "bad.ini"
+        config.write_text(REGRESSION_INI.replace(
+            "sample_count = 40", "method = probit_linearized\nsample_count = 0"
+        ))
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+        if command in ("laplace", "lula", "eval"):
+            argv += ["--model", str(tmp_path / "model.txt")]
+        assert cli.main(argv) == 2
+        assert "[eval] sample_count" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["train", "laplace", "lula", "eval", "demo-toy"])

@@ -348,6 +348,88 @@ class TestAllLayersGGN:
         assert np.allclose(samples, curv.mean + 0.5 * z, rtol=0.0, atol=1e-15)
 
 
+def factor_floats(net, subset, r):
+    """Floats per point of the row factors over ``subset``, r seed columns:
+    r out + in summed over the blocks (the last layer's in counts its bias
+    column)."""
+    if subset == "all_layers":
+        return sum(r * spec.out_dim + spec.in_dim for spec in net.specs)
+    return r * net.output_dim + net.specs[-1].in_dim + 1
+
+
+class TestDiagonalFromFactors:
+    @pytest.mark.parametrize("subset", laplace.SUBSETS)
+    @pytest.mark.parametrize("loss, k", LOSS_CASES)
+    def test_matches_the_row_oracle_in_chunks(self, monkeypatch, loss, k, subset):
+        # the column sums of the squared rows L_x^T J_x, written whole,
+        # against the diagonal read from the factors of 5-point chunks
+        rng = Rng(41)
+        net = Network.init_random([3, 6, 5, k], "tanh", rng)
+        n = 23
+        x = 2.0 * rng.standard_normal((n, 3))
+        roots = output_hessian_roots(loss, forward(net, x).output)
+        rows = output_jacobian(net, x, seeds=roots)
+        if subset == "last_layer":
+            # the output layer's columns, reordered as the augmented [W | b]
+            w_size = k * net.specs[-1].in_dim
+            top = rows[:, :, net.num_params - w_size - k :]
+            weights = top[:, :, :w_size].reshape(n, -1, k, w_size // k)
+            rows = np.concatenate([weights, top[:, :, w_size:, None]], axis=3)
+        expected = np.square(rows.reshape(-1, laplace._subset_dim(net, subset))).sum(axis=0)
+        chunks = []
+        original = laplace._row_factors
+
+        def recording(net, subset, x, hbar, seeds, points):
+            chunks.append(points.stop - points.start)
+            return original(net, subset, x, hbar, seeds, points)
+
+        monkeypatch.setattr(laplace, "_row_factors", recording)
+        budget = 8 * 2 * factor_floats(net, subset, root_width(loss, k))
+        monkeypatch.setattr(laplace, "_JACOBIAN_CHUNK_BYTES", 5 * budget)
+        diag = fit_curvature(net, x, loss, "diag_ggn", subset).spectrum
+        assert chunks == [5, 5, 5, 5, 3]
+        assert np.max(np.abs(diag - expected) / expected) <= 1e-13
+
+    @pytest.mark.parametrize("subset, loss, k", [
+        *[pytest.param("all_layers", *case.values, id=f"all-{case.id}")
+          for case in LOSS_CASES],
+        # a last-layer row has r k F floats against r k + F factor floats,
+        # so only many outputs set the two apart
+        pytest.param("last_layer", LossKind("categorical_ce"), 10, id="last-categorical"),
+        pytest.param("last_layer", LossKind("gaussian_nll", 2.5), 10, id="last-gaussian"),
+    ])
+    def test_holds_no_d_wide_row(self, monkeypatch, subset, loss, k):
+        # chunks of m = 40 points: the factor loop holds a chunk's factors,
+        # the sweep's forward pass and the squares beside the diagonal,
+        # within a small multiple of the chunk budget and below one
+        # (m, r, d) chunk of rows
+        rng = Rng(42)
+        net = Network.init_random([2, 100, 100, k], "relu", rng)
+        n, m = 210, 40
+        x = 2.0 * rng.standard_normal((n, 2))
+        r, d = root_width(loss, k), laplace._subset_dim(net, subset)
+        budget = m * 8 * 2 * factor_floats(net, subset, r)
+        monkeypatch.setattr(laplace, "_JACOBIAN_CHUNK_BYTES", budget)
+        original, peaks = laplace._factor_diagonal, []
+
+        def traced(*args):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            diag = original(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+            return diag
+
+        monkeypatch.setattr(laplace, "_factor_diagonal", traced)
+        tracemalloc.start()
+        try:
+            fit_curvature(net, x, loss, "diag_ggn", subset)
+        finally:
+            tracemalloc.stop()
+        bound = 2 * budget + 8 * d
+        assert bound < 8 * m * r * d
+        assert peaks[0] <= bound
+
+
 class TestBuildPosterior:
     def test_prior_only(self):
         curv = curvature_from_matrix(np.zeros((3, 3)))

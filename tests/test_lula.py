@@ -413,6 +413,30 @@ class TestTrainLula:
             g_oracle = np.maximum(np.linalg.eigvalsh(kron_factors(net_e, curv, loss)[0]), 0.0)
             assert relative_error(g, g_oracle) <= 1e-12
 
+    @pytest.mark.parametrize("loss, k", [
+        (LossKind("categorical_ce"), 3), (LossKind("gaussian_nll", 2.0), 2),
+    ], ids=["categorical", "gaussian"])
+    def test_output_factor_is_eigendecomposed_once(self, loss, k, monkeypatch):
+        # the outputs never move, so G (k x k) is eigendecomposed once per
+        # run and each epoch only A (F x F, here F = 9 != k)
+        rng = Rng(23)
+        aug_net = augment(Network.init_random([2, 6, 5, k], "tanh", rng), 3, rng)
+        curv = rng.standard_normal((30, 2))
+        data = rng.standard_normal((15, 2))
+        out = rng.uniform(-6, 6, (20, 2))
+        shapes = []
+        original = np.linalg.eigh
+
+        def counting(matrix, *args, **kwargs):
+            shapes.append(np.shape(matrix))
+            return original(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        epochs = 5
+        train_lula(aug_net, 3, curv, data, out, loss, 0.5, LulaTrainConfig(epochs=epochs))
+        assert shapes.count((k, k)) == 1
+        assert shapes.count((9, 9)) == epochs
+
     def test_rejects_units_that_are_not_added(self):
         rng = Rng(21)
         net = Network.init_random([2, 4, 2], "relu", rng)
