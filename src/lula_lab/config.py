@@ -385,6 +385,16 @@ def output_count_need(loss: str, outputs: int) -> str | None:
     return None
 
 
+# (section, low, high): the value of key low must be strictly below that of
+# key high in the same section
+ORDERED_PAIRS = (
+    ("data", "x_low", "x_high"),
+    ("lula", "ood_low", "ood_high"),
+    ("eval", "ring_inner", "ring_outer"),
+    ("eval", "far_field", "grid_extent"),
+)
+
+
 def _convert(raw: dict) -> ExperimentConfig:
     """Typed config from section -> key -> string, with cross-key rules."""
     values = {
@@ -392,12 +402,7 @@ def _convert(raw: dict) -> ExperimentConfig:
                   for key, (_, parse, _) in keys.items()}
         for section, keys in SCHEMA.items()
     }
-    for section, low, high in (
-        ("data", "x_low", "x_high"),
-        ("lula", "ood_low", "ood_high"),
-        ("eval", "ring_inner", "ring_outer"),
-        ("eval", "far_field", "grid_extent"),
-    ):
+    for section, low, high in ORDERED_PAIRS:
         if not values[section][low] < values[section][high]:
             raise ConfigError(f"[{section}] {low} must be below {high}")
     data = values["data"]

@@ -884,8 +884,14 @@ def predictive_log_likelihood(pred: Predictive, targets: np.ndarray) -> float:
 
     Classification scores log of the predictive probability of the true
     class; regression scores the full Gaussian density with the total
-    (epistemic plus aleatoric) predictive variance.
+    (epistemic plus aleatoric) predictive variance. Targets of another row
+    count than the predictions raise ``ValueError``.
     """
+    rows = (pred.mean if pred.probabilities is None else pred.probabilities).shape[0]
+    if np.shape(targets)[:1] != (rows,):
+        raise ValueError(
+            f"targets of shape {np.shape(targets)} do not fit {rows} predictions"
+        )
     if pred.probabilities is not None:
         labels = np.asarray(targets).astype(np.int64)
         p = pred.probabilities[np.arange(labels.shape[0]), labels]

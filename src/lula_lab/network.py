@@ -38,27 +38,17 @@ SELU_ALPHA = 1.6732632423543772848170429916717
 SELU_SCALE = 1.0507009873554804934193349852946
 
 
-def apply_activation(
-    name: str, a: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """The activation of pre-activation ``a``, written into ``out`` if given.
-
-    The identity returns ``a`` itself, so its ``out`` may only be ``a``;
-    selu reads ``a`` after writing ``out``, so its ``out`` may not be ``a``.
-    """
+def apply_activation(name: str, a: np.ndarray) -> np.ndarray:
+    """The activation of pre-activation ``a``; the identity returns ``a``."""
     if name == "identity":
-        if out is not None and out is not a:
-            raise ValueError("the identity activation is its pre-activation array")
         return a
     if name == "relu":
-        return np.maximum(a, 0.0, out=out)
+        return np.maximum(a, 0.0)
     if name == "tanh":
-        return np.tanh(a, out=out)
+        return np.tanh(a)
     if name == "selu":
-        if out is a:
-            raise ValueError("selu cannot overwrite its pre-activation")
         positive = a > 0.0
-        out = np.expm1(a, out=out)
+        out = np.expm1(a)
         out *= SELU_ALPHA
         np.copyto(out, a, where=positive)
         out *= SELU_SCALE
@@ -66,30 +56,23 @@ def apply_activation(
     raise ValueError(f"unknown activation {name!r}")
 
 
-def activation_derivative(
-    name: str, a: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Derivative as a function of the pre-activation; relu'(0) is taken as 0.
-
-    Written into ``out`` if given, else into a new array.
-    """
+def activation_derivative(name: str, a: np.ndarray) -> np.ndarray:
+    """Derivative as a function of the pre-activation; relu'(0) is taken as 0."""
     if name == "relu":
-        return np.greater(a, 0.0, out=np.empty_like(a) if out is None else out)
+        return np.greater(a, 0.0, out=np.empty_like(a))
     if name == "selu":
         positive = a > 0.0
-        out = np.exp(a, out=out)
+        out = np.exp(a)
         out *= SELU_ALPHA
         np.copyto(out, 1.0, where=positive)
         out *= SELU_SCALE
         return out
     if name == "tanh":
-        out = np.tanh(a, out=out)
+        out = np.tanh(a)
         np.multiply(out, out, out=out)
         return np.subtract(1.0, out, out=out)
     if name == "identity":
-        out = np.empty_like(a) if out is None else out
-        out.fill(1.0)
-        return out
+        return np.ones_like(a)
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -179,7 +162,7 @@ class Network:
 
     @property
     def num_params(self) -> int:
-        return sum(s.out_dim * (s.in_dim + 1) for s in self.specs)
+        return self._params.size
 
     @staticmethod
     def init_random(
@@ -244,19 +227,6 @@ class ForwardTrace:
     def output(self) -> np.ndarray:
         return self.activations[-1]
 
-    @classmethod
-    def empty(cls, net: Network, rows: int) -> "ForwardTrace":
-        """Unfilled trace of ``net`` for batches of ``rows`` rows.
-
-        For :func:`forward`'s ``out``. An identity layer's activation is its
-        pre-activation array, as in the traces :func:`forward` allocates.
-        """
-        pre = tuple(np.empty((rows, spec.out_dim)) for spec in net.specs)
-        acts = [np.empty((rows, net.input_dim))]
-        for spec, a in zip(net.specs, pre):
-            acts.append(a if spec.activation == "identity" else np.empty_like(a))
-        return cls(pre, tuple(acts))
-
 
 @dataclass
 class ParamGrads:
@@ -300,51 +270,21 @@ def _as_batch(x: np.ndarray, input_dim: int) -> np.ndarray:
     return x
 
 
-def _pre_activation(
-    h: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    a = _product(h, w.T, out)
+def _pre_activation(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    a = _product(h, w.T)
     a += b
     return a
 
 
-def forward(
-    net: Network, x: np.ndarray, out: ForwardTrace | None = None
-) -> ForwardTrace:
-    """Run the network on a batch (rows are samples) and record the trace.
-
-    Without ``out`` every array of the trace is new. ``out`` is a trace the
-    caller owns and may reuse across calls, such as one from
-    :meth:`ForwardTrace.empty` with the batch's row count: the batch is
-    copied into its ``activations[0]`` (no copy when ``x`` is that array),
-    every other array is overwritten, and ``out`` is returned. Its values
-    are bitwise those of the allocating path. A trace of another depth or
-    row count raises ``ValueError``, and so does one of another width:
-    ``np.dot`` accepts only an ``out`` of the product's exact shape.
-    """
-    h = _as_batch(x, net.input_dim)
-    if out is None:
-        pre_out = act_out = (None,) * net.num_layers
-    else:
-        first = out.activations[0]
-        if len(out.pre_activations) != net.num_layers or (
-            first.shape != h.shape or first.dtype != h.dtype
-        ):
-            raise ValueError(
-                f"trace buffer with input {first.dtype} {first.shape} and "
-                f"{len(out.pre_activations)} layers does not fit a {h.shape} "
-                f"batch of a {net.num_layers}-layer network"
-            )
-        if h is not out.activations[0]:
-            np.copyto(out.activations[0], h)
-        h = out.activations[0]
-        pre_out, act_out = out.pre_activations, out.activations[1:]
-    pre, acts = [], [h]
-    for spec, w, b, p, q in zip(net.specs, net.weights, net.biases, pre_out, act_out):
-        a = _pre_activation(acts[-1], w, b, p)
+def forward(net: Network, x: np.ndarray) -> ForwardTrace:
+    """Run the network on a batch (rows are samples) and record the trace,
+    every array of which is new apart from ``activations[0]``, the batch."""
+    pre, acts = [], [_as_batch(x, net.input_dim)]
+    for spec, w, b in zip(net.specs, net.weights, net.biases):
+        a = _pre_activation(acts[-1], w, b)
         pre.append(a)
-        acts.append(apply_activation(spec.activation, a, q))
-    return ForwardTrace(tuple(pre), tuple(acts)) if out is None else out
+        acts.append(apply_activation(spec.activation, a))
+    return ForwardTrace(tuple(pre), tuple(acts))
 
 
 def forward_output(net: Network, x: np.ndarray, depth: int | None = None) -> np.ndarray:
@@ -357,55 +297,6 @@ def forward_output(net: Network, x: np.ndarray, depth: int | None = None) -> np.
     for spec, w, b in zip(net.specs[:depth], net.weights, net.biases):
         h = apply_activation(spec.activation, _pre_activation(h, w, b))
     return h
-
-
-def backward(
-    net: Network,
-    trace: ForwardTrace,
-    output_grad: np.ndarray,
-    out: ParamGrads | None = None,
-    deltas: Sequence[np.ndarray] | None = None,
-    masks: Sequence[np.ndarray] | None = None,
-) -> ParamGrads:
-    """Gradients of sum(output_grad * output) w.r.t. the parameters.
-
-    ``output_grad`` must match the traced output batch shape. The per-layer
-    gradients (summed over the batch) are written into ``out`` when given,
-    else into a new :class:`ParamGrads`, which is returned.
-
-    ``deltas`` and ``masks`` are per-hidden-layer arrays the caller owns,
-    entry l shaped like ``trace.pre_activations[l]``. When given, they
-    receive the gradients with respect to the hidden pre-activations and
-    the activation derivatives, in place of new arrays; the gradients are
-    bitwise those of the allocating path. A list of the wrong length, or
-    an array of the wrong shape (through ``np.dot`` and the ufuncs'
-    ``out``), raises ``ValueError``.
-    """
-    g = np.asarray(output_grad, dtype=np.float64)
-    if g.shape != trace.output.shape:
-        raise ValueError(
-            f"output_grad shape {g.shape} does not match output "
-            f"{trace.output.shape}"
-        )
-    grads = ParamGrads.for_network(net) if out is None else out
-    n_hidden = net.num_layers - 1
-    deltas = [None] * n_hidden if deltas is None else deltas
-    masks = [None] * n_hidden if masks is None else masks
-    if len(deltas) != n_hidden or len(masks) != n_hidden:
-        raise ValueError(
-            f"{len(deltas)} deltas and {len(masks)} masks for {n_hidden} hidden layers"
-        )
-    delta = g  # output layer is linear
-    for i in range(net.num_layers - 1, -1, -1):
-        _product(delta.T, trace.activations[i], out=grads.weights[i])
-        delta.sum(axis=0, out=grads.biases[i])
-        if i > 0:
-            phi_grad = activation_derivative(
-                net.specs[i - 1].activation, trace.pre_activations[i - 1], masks[i - 1]
-            )
-            d = _product(delta, net.weights[i], deltas[i - 1])
-            delta = np.multiply(d, phi_grad, out=deltas[i - 1])
-    return grads
 
 
 class _Block(NamedTuple):
@@ -424,6 +315,65 @@ class _Block(NamedTuple):
     bias: bool
 
 
+def _sweep(net: Network, trace: ForwardTrace, delta: np.ndarray) -> list[np.ndarray]:
+    """The package's one reverse pass: every layer's deltas, in order, for
+    the r rows per example seeded with ``delta``.
+
+    ``delta`` (m, r, k) holds, for each of the m traced examples, the
+    gradients of r output combinations w.r.t. the outputs, which are the
+    linear output layer's pre-activations. Going down, each layer's
+    deltas, one (m r, out_l) array whose row x r + a is seed a of example
+    x, take one 2-d product with the layer's weights and are scaled by the
+    activation derivative of the layer below. Every reshape names its
+    widths, so an empty batch and r = 0 keep their shapes.
+    """
+    m, r, k = delta.shape
+    d = delta.reshape(m * r, k)
+    deltas = [d]
+    for i in range(net.num_layers - 1, 0, -1):
+        phi_grad = activation_derivative(
+            net.specs[i - 1].activation, trace.pre_activations[i - 1]
+        )
+        d = _product(d, net.weights[i])
+        if r == 1:  # one row per example, as in backward: no broadcast view
+            d *= phi_grad
+        else:
+            below = d.reshape(m, r, net.specs[i].in_dim)
+            below *= phi_grad[:, None, :]
+        deltas.append(d)
+    deltas.reverse()
+    return deltas
+
+
+def backward(
+    net: Network,
+    trace: ForwardTrace,
+    output_grad: np.ndarray,
+    out: ParamGrads | None = None,
+) -> ParamGrads:
+    """Gradients of sum(output_grad * output) w.r.t. the parameters.
+
+    ``output_grad`` must match the traced output batch shape. This is the
+    r = 1 case of the reverse sweep of :func:`jacobian_factors`, seeded
+    with ``output_grad[:, None, :]``: each layer's weight gradient is the
+    batch sum delta^T h of its deltas and inputs, and its bias gradient
+    the sum of delta. They are written into ``out`` when given, else into
+    a new :class:`ParamGrads`, which is returned.
+    """
+    g = np.asarray(output_grad, dtype=np.float64)
+    if g.shape != trace.output.shape:
+        raise ValueError(
+            f"output_grad shape {g.shape} does not match output "
+            f"{trace.output.shape}"
+        )
+    grads = ParamGrads.for_network(net) if out is None else out
+    deltas = _sweep(net, trace, g[:, None, :])
+    for d, h, w, b in zip(deltas, trace.activations, grads.weights, grads.biases):
+        _product(d.T, h, out=w)
+        d.sum(axis=0, out=b)
+    return grads
+
+
 def jacobian_factors(
     net: Network, x: np.ndarray, seeds: np.ndarray | None = None
 ) -> list[_Block]:
@@ -432,19 +382,19 @@ def jacobian_factors(
     A linear layer's gradient is an outer product, so row a of example x's
     S_x^T J_x restricted to layer l is the weight block
     delta_l[x, a] h_{l-1}[x]^T followed by the bias block delta_l[x, a].
-    One backward sweep of the batch ``x`` (m rows) returns, for every layer
-    in order, the :class:`_Block` of delta_l, shape (m, r, out_l), the
-    gradients of the outputs sum_i S_x[i, a] f_i w.r.t. the layer's
-    pre-activations, h_{l-1}, shape (m, in_l), the layer's input, and the
-    layer's flat start (views of the sweep's arrays). The sweep starts from
-    S_x^T at the linear output layer, from the identity (r = k) without
-    ``seeds``, which are (m, k, r). Seeds of the wrong shape raise
-    ``ValueError``.
+    The reverse sweep of the batch ``x`` (m rows), the one :func:`backward`
+    runs with r = 1, gives, for every layer in order, the :class:`_Block`
+    of delta_l, shape (m, r, out_l), the gradients of the outputs
+    sum_i S_x[i, a] f_i w.r.t. the layer's pre-activations, h_{l-1}, shape
+    (m, in_l), the layer's input, and the layer's flat start. The sweep
+    starts from S_x^T at the linear output layer, from the identity
+    (r = k) without ``seeds``, which are (m, k, r). Seeds of the wrong
+    shape raise ``ValueError``.
     """
     trace = forward(net, x)
     m, k = trace.output.shape
     if seeds is None:
-        delta = np.broadcast_to(np.eye(k), (m, k, k))  # output layer is linear
+        delta = np.broadcast_to(np.eye(k), (m, k, k))
     else:
         seeds = np.asarray(seeds, dtype=np.float64)
         if seeds.ndim != 3 or seeds.shape[:2] != (m, k):
@@ -453,16 +403,13 @@ def jacobian_factors(
                 f"{k} outputs"
             )
         delta = seeds.transpose(0, 2, 1)
-    factors, start = [], net.num_params
-    for i in range(net.num_layers - 1, -1, -1):
-        start -= net.specs[i].out_dim * (net.specs[i].in_dim + 1)
-        factors.append(_Block(delta, trace.activations[i], start, True))
-        if i > 0:
-            phi_grad = activation_derivative(
-                net.specs[i - 1].activation, trace.pre_activations[i - 1]
-            )
-            delta = (delta @ net.weights[i]) * phi_grad[:, None, :]
-    return factors[::-1]
+    r = delta.shape[1]
+    blocks, start = [], 0
+    for d, h in zip(_sweep(net, trace, delta), trace.activations):
+        out_dim, in_dim = d.shape[1], h.shape[1]
+        blocks.append(_Block(d.reshape(m, r, out_dim), h, start, True))
+        start += out_dim * (in_dim + 1)
+    return blocks
 
 
 def _write_rows(blocks: list[_Block], out: np.ndarray) -> np.ndarray:

@@ -12,14 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .network import (
-    ForwardTrace,
-    Network,
-    ParamGrads,
-    backward,
-    forward,
-    forward_output,
-)
+from .network import Network, ParamGrads, backward, forward, forward_output
 from .numerics import Rng
 
 __all__ = [
@@ -262,19 +255,6 @@ class _Adam:
         theta -= delta
 
 
-class _StepBuffers:
-    """Arrays one minibatch step of ``rows`` rows writes: the gathered
-    targets, the forward trace (its ``activations[0]`` the gathered
-    features) and the backward pass's per-hidden-layer deltas and masks."""
-
-    def __init__(self, net: Network, rows: int, targets: np.ndarray):
-        self.trace = ForwardTrace.empty(net, rows)
-        self.targets = np.empty((rows,) + targets.shape[1:], dtype=targets.dtype)
-        hidden = self.trace.pre_activations[:-1]
-        self.deltas = [np.empty_like(a) for a in hidden]
-        self.masks = [np.empty_like(a) for a in hidden]
-
-
 def train_map(
     net: Network,
     features: np.ndarray,
@@ -294,13 +274,11 @@ def train_map(
 
     Adam steps one flat parameter buffer in place, and the loop
     differentiates a network whose weights are views of that buffer, so a
-    step allocates no network and no parameter-sized temporary. The
-    per-layer arrays a step's ``forward`` and ``backward`` write are
-    buffers this function owns, allocated once per call for each batch row
-    count (full batches and the ragged last batch), and every epoch
-    re-keys one Philox generator for its order; the results are bitwise
-    those of fresh arrays and ``rng.derive(epoch)``. The history's pass
-    over the full split keeps no trace (``forward_output``).
+    step allocates no network and no parameter-sized temporary. Each step
+    gathers its minibatch rows, runs ``forward`` and ``backward`` (into
+    one gradient buffer), and every epoch re-keys one Philox generator for
+    its order, bitwise ``rng.derive(epoch)``. The history's pass over the
+    full split keeps no trace (``forward_output``).
     """
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets)
@@ -316,23 +294,15 @@ def train_map(
     opt = _Adam(theta.size, config.learning_rate)
     rng, epoch_rng = Rng(config.seed), None
     batch = min(config.batch_size or m, m)
-    steps = {
-        rows: _StepBuffers(net, rows, targets) for rows in {batch, m % batch or batch}
-    }
     losses: list[float] = []
     for epoch in range(config.epochs):
         epoch_rng = rng.derive(epoch, out=epoch_rng)
         order = epoch_rng.permutation(m)
         for start in range(0, m, batch):
             idx = order[start : start + batch]
-            buf = steps[idx.size]
-            # idx is part of a permutation of range(m), so "clip" clips
-            # nothing; the default "raise" gathers through a temporary
-            np.take(features, idx, axis=0, out=buf.trace.activations[0], mode="clip")
-            np.take(targets, idx, axis=0, out=buf.targets, mode="clip")
-            trace = forward(current, buf.trace.activations[0], buf.trace)
-            out_grad = nll_output_grad(loss, trace.output, buf.targets)
-            backward(current, trace, out_grad, grads, buf.deltas, buf.masks)
+            trace = forward(current, features[idx])
+            out_grad = nll_output_grad(loss, trace.output, targets[idx])
+            backward(current, trace, out_grad, grads)
             # g = grads / batch size + (weight_decay / m) * theta
             np.divide(grads.flat, idx.size, out=g)
             np.multiply(theta, config.weight_decay / m, out=decay)

@@ -6,6 +6,7 @@ lines. Every tolerance is fixed here, not calibrated elsewhere.
 
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,9 +357,7 @@ def test_criterion_9_demo_determinism(tmp_path):
     code2 = cli.main(["demo-toy", "--config", str(config), "--out", out2])
     names = sorted(os.listdir(out1))
     identical = sorted(os.listdir(out2)) == names and all(
-        open(os.path.join(out1, n), "rb").read()
-        == open(os.path.join(out2, n), "rb").read()
-        for n in names
+        Path(out1, n).read_bytes() == Path(out2, n).read_bytes() for n in names
     )
     grids = [n for n in names if n.endswith(".csv")]
     ok = code1 == 0 and code2 == 0 and identical and len(grids) == 6

@@ -11,7 +11,13 @@ import pytest
 
 from lula_lab import cli, demo
 from lula_lab import laplace as laplace_mod
-from lula_lab.config import default_config, load_config, reference_text, SCHEMA
+from lula_lab.config import (
+    ORDERED_PAIRS,
+    SCHEMA,
+    default_config,
+    load_config,
+    reference_text,
+)
 from lula_lab.data import Dataset, SplitSpec, split
 from lula_lab.errors import ConfigError
 from lula_lab.metrics import auroc, brier, mmc
@@ -249,6 +255,13 @@ def _range_rows() -> list[tuple[str, str, str]]:
 OUT_OF_RANGE = [row for row in _range_rows() if row not in MALFORMED]
 
 
+# for every ordered pair, its low key set to its high key's default: the
+# boundary of the strict < rule, which the hand-written rows only pass
+AT_BOUNDARY = [
+    (section, low, SCHEMA[section][high][0]) for section, low, high in ORDERED_PAIRS
+]
+
+
 @pytest.fixture
 def tiny_config(tmp_path):
     path = tmp_path / "tiny.ini"
@@ -373,6 +386,17 @@ class TestConfig:
                        for section, key, _ in rows)
         assert ("train", "weight_decay", "-1") in OUT_OF_RANGE
         assert ("lula", "learning_rate", "0") in OUT_OF_RANGE
+
+    def test_boundary_rows_cover_every_ordered_pair(self, tmp_path):
+        # one row per pair, each refused by the strict < rule and no other
+        assert len(ORDERED_PAIRS) == 4
+        assert [row[:2] for row in AT_BOUNDARY] == [pair[:2] for pair in ORDERED_PAIRS]
+        for (section, low, value), (_, _, high) in zip(AT_BOUNDARY, ORDERED_PAIRS):
+            config = tmp_path / "edge.ini"
+            config.write_text(f"[{section}]\n{low} = {value}\n")
+            message = rf"^\[{section}\] {low} must be below {high}$"
+            with pytest.raises(ConfigError, match=message):
+                load_config(str(config))
 
     def test_reference_text_states_every_range(self):
         # python -m lula_lab.config prints each ranged key's range
@@ -700,7 +724,8 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("command", ["train", "laplace", "lula", "eval", "demo-toy"])
     @pytest.mark.parametrize(
-        "section,key,value", MALFORMED + NON_FINITE + UNKNOWN_WORDS + OUT_OF_RANGE
+        "section,key,value",
+        MALFORMED + NON_FINITE + UNKNOWN_WORDS + OUT_OF_RANGE + AT_BOUNDARY,
     )
     def test_malformed_key_exits_2_before_work(
         self, section, key, value, command, tmp_path, capsys, monkeypatch
@@ -822,7 +847,7 @@ class TestCliCommands:
         b = str(tmp_path / "b.txt")
         assert cli.main(["train", "--config", tiny_config, "--out", a]) == 0
         assert cli.main(["train", "--config", tiny_config, "--out", b]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
         assert (
             (tmp_path / "a_history.csv").read_bytes()
             == (tmp_path / "b_history.csv").read_bytes()

@@ -1485,6 +1485,26 @@ class TestMcPredictSets:
         )
 
 
+class TestPredictiveLogLikelihood:
+    # a point with no target is not scored as nothing, and one target is
+    # not broadcast to every point
+
+    def test_classification_labels_must_cover_every_prediction(self):
+        pred = Predictive(probabilities=np.full((4, 2), 0.5))
+        with pytest.raises(ValueError, match="do not fit 4 predictions"):
+            predictive_log_likelihood(pred, np.array([0, 1]))
+        assert predictive_log_likelihood(pred, np.array([0, 1, 1, 0])) == 4 * np.log(0.5)
+
+    def test_regression_targets_must_cover_every_prediction(self):
+        ones = np.ones((4, 1))
+        pred = Predictive(mean=0.0 * ones, var_epistemic=ones, var_total=ones)
+        with pytest.raises(ValueError, match="do not fit 4 predictions"):
+            predictive_log_likelihood(pred, np.array([0.5]))
+        assert predictive_log_likelihood(pred, np.zeros(4)) == pytest.approx(
+            -2.0 * np.log(2.0 * np.pi), rel=1e-15
+        )
+
+
 class TestTunePriorPrecision:
     def _instance(self, seed=15):
         rng = Rng(seed)
@@ -1522,6 +1542,11 @@ class TestTunePriorPrecision:
         net, curv, x, y, loss = self._instance()
         with pytest.raises(ValueError, match="features must be nonempty"):
             tune_prior_precision(net, curv, x[:0], y[:0], loss, grid=[0.1, 1.0])
+
+    def test_fewer_targets_than_features_raise(self):
+        net, curv, x, y, loss = self._instance()
+        with pytest.raises(ValueError, match="do not fit 40 predictions"):
+            tune_prior_precision(net, curv, x, y[:20], loss, grid=[0.1, 1.0])
 
     @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, np.inf, 1e-310],
                              ids=["nan", "zero", "negative", "inf", "subnormal"])

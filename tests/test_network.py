@@ -13,7 +13,6 @@ from lula_lab.network import (
     ACTIVATIONS,
     SELU_ALPHA,
     SELU_SCALE,
-    ForwardTrace,
     LayerSpec,
     Network,
     activation_derivative,
@@ -34,10 +33,6 @@ def biased_network(dims, activation, rng):
     net = Network.init_random(dims, activation, rng)
     biases = [b + 0.1 * rng.standard_normal(b.shape) for b in net.biases]
     return Network(net.specs, net.weights, biases)
-
-
-def trace_bytes(trace):
-    return [a.tobytes() for a in trace.pre_activations + trace.activations]
 
 
 def single_layer(weight, bias):
@@ -67,29 +62,8 @@ class TestActivations:
         for got, want in (
             (apply_activation(activation, self.a), value(self.a)),
             (activation_derivative(activation, self.a), derivative(self.a)),
-            (activation_derivative(activation, self.a, np.full_like(self.a, 9.0)),
-             derivative(self.a)),
         ):
             assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
-        if activation != "identity":
-            out = np.full_like(self.a, 9.0)
-            assert apply_activation(activation, self.a, out) is out
-            assert out.tobytes() == value(self.a).tobytes()
-
-    @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_in_place_on_the_pre_activation(self, activation):
-        a = self.a.copy()
-        assert apply_activation(activation, a, a) is a
-        assert a.tobytes() == CLOSED_FORMS[activation][0](self.a).tobytes()
-
-    def test_rejected_out_arrays(self):
-        a = self.a.copy()
-        with pytest.raises(ValueError):
-            apply_activation("selu", a, a)
-        with pytest.raises(ValueError):
-            apply_activation("identity", a, np.empty_like(a))
-        assert np.array_equal(a, self.a)
-        assert apply_activation("identity", a, a) is a
 
 
 class TestForward:
@@ -187,46 +161,6 @@ class TestForwardOutput:
             forward_output(net, np.ones((2, 4)))
 
 
-class TestForwardBuffer:
-    @pytest.mark.parametrize("activation", ACTIVATIONS)
-    @pytest.mark.parametrize("dims", [[1, 5, 1], [3, 6, 4, 2], [2, 1, 3]])
-    def test_bitwise_equal_to_allocating_forward(self, activation, dims):
-        rng = Rng(89)
-        net = biased_network(dims, activation, rng)
-        x = rng.standard_normal((7, dims[0]))
-        buffer = ForwardTrace.empty(net, 7)
-        assert forward(net, x, buffer) is buffer
-        assert trace_bytes(buffer) == trace_bytes(forward(net, x))
-
-    @pytest.mark.parametrize("activation", ACTIVATIONS)
-    def test_refill_leaves_no_stale_rows(self, activation):
-        rng = Rng(97)
-        net = biased_network([3, 6, 4, 2], activation, rng)
-        buffer = ForwardTrace.empty(net, 5)
-        first = 10.0 * rng.standard_normal((5, 3))
-        second = rng.standard_normal((5, 3))
-        forward(net, first, buffer)
-        forward(net, second, buffer)
-        assert trace_bytes(buffer) == trace_bytes(forward(net, second))
-        # a batch already in the buffer's input slot is used in place
-        buffer.activations[0][:] = first
-        forward(net, buffer.activations[0], buffer)
-        assert trace_bytes(buffer) == trace_bytes(forward(net, first))
-
-    def test_wrong_rows_or_width_raise(self):
-        rng = Rng(101)
-        net = biased_network([3, 6, 2], "relu", rng)
-        x = rng.standard_normal((4, 3))
-        for wrong in (
-            ForwardTrace.empty(net, 5),
-            ForwardTrace.empty(net, 3),
-            ForwardTrace.empty(biased_network([3, 7, 2], "relu", rng), 4),
-            ForwardTrace.empty(biased_network([3, 6, 6, 2], "relu", rng), 4),
-        ):
-            with pytest.raises(ValueError):
-                forward(net, x, wrong)
-
-
 class TestBackward:
     def test_zero_output_grad(self, rng):
         net = random_network(rng)
@@ -293,38 +227,20 @@ class TestBackward:
             backward(net, trace, np.zeros((3, net.output_dim + 1)))
 
     @pytest.mark.parametrize("activation", ACTIVATIONS)
-    @pytest.mark.parametrize("dims", [[1, 5, 1], [3, 6, 4, 2], [2, 1, 3]])
-    def test_buffers_give_the_allocating_gradients(self, activation, dims):
-        rng = Rng(103)
-        net = biased_network(dims, activation, rng)
-        if net.num_layers > 1:
-            # a first hidden unit with pre-activation exactly 0, where
-            # relu' and selu' take their left-hand value
-            theta = net.flatten_params()
-            theta[: dims[0]] = 0.0
-            theta[dims[0] * dims[1]] = 0.0
-            net = net.with_flat_params(theta)
-        x = rng.standard_normal((6, dims[0]))
-        trace = forward(net, x)
-        g = rng.standard_normal(trace.output.shape)
-        fresh = backward(net, trace, g)
-        hidden = trace.pre_activations[:-1]
-        # stale values in every buffer, from another batch
-        out = backward(net, forward(net, 3.0 * x), -g)
-        deltas = [np.full_like(a, 7.0) for a in hidden]
-        masks = [np.full_like(a, -7.0) for a in hidden]
-        backward(net, trace, g, out, deltas, masks)
-        assert out.flat.tobytes() == fresh.flat.tobytes()
-
-    def test_wrong_delta_or_mask_shape_raises(self, rng):
-        net = Network.init_random([2, 4, 3, 2], "relu", rng)
-        trace = forward(net, rng.standard_normal((5, 2)))
-        g = np.ones((5, 2))
-        good = [np.empty_like(a) for a in trace.pre_activations[:-1]]
-        bad = [np.empty((4, 4)), np.empty((5, 3))]
-        for deltas, masks in ((bad, good), (good, bad), (good, good[:1])):
-            with pytest.raises(ValueError):
-                backward(net, trace, g, None, deltas, masks)
+    @pytest.mark.parametrize("rows", [6, 0])
+    def test_is_the_one_seed_case_of_the_jacobian_sweep(self, activation, rows):
+        # backward seeds the sweep with g_x as one row per example, so its
+        # gradient is the batch sum of the rows g_x^T J_x that
+        # output_jacobian writes from the same sweep's factors
+        rng = Rng(107)
+        net = biased_network([3, 6, 4, 2], activation, rng)
+        x = rng.standard_normal((rows, 3))
+        g = rng.standard_normal((rows, 2))
+        grads = backward(net, forward(net, x), g)
+        rows_sum = output_jacobian(net, x, seeds=g[:, :, None]).sum(axis=(0, 1))
+        assert relative_error(grads.flatten(), rows_sum) <= 1e-13
+        if not rows:
+            assert not grads.flat.any()
 
 
 class TestOutputJacobian:
