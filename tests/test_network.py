@@ -102,6 +102,22 @@ class TestForward:
         assert np.array_equal(trace.activations[0], x)
         assert trace.output.shape == (3, net.output_dim)
 
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_later_calls_leave_earlier_traces_unchanged(self, activation):
+        # every trace array but the input batch is new, so a second batch,
+        # or the caller writing to its batch, moves nothing already traced
+        rng = Rng(97)
+        net = biased_network([3, 6, 4, 2], activation, rng)
+        first = 10.0 * rng.standard_normal((5, 3))
+        trace = forward(net, first)
+        assert trace.activations[0] is first
+        want = [a.copy() for a in trace.pre_activations + trace.activations[1:]]
+        forward(net, rng.standard_normal((5, 3)))
+        first[:] = 0.0
+        for got, expected in zip(trace.pre_activations + trace.activations[1:], want):
+            assert not np.shares_memory(got, first)
+            assert got.tobytes() == expected.tobytes()
+
 
 class TestFlatParams:
     def test_weights_are_read_only(self, rng):
@@ -219,6 +235,32 @@ class TestBackward:
         assert np.array_equal(out.flat, fresh.flat)
         for w, b in zip(out.weights, out.biases):
             assert np.shares_memory(w, out.flat) and np.shares_memory(b, out.flat)
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("dims", [[1, 5, 1], [3, 6, 4, 2], [2, 1, 3]])
+    def test_buffers_give_the_allocating_gradients(self, activation, dims):
+        rng = Rng(103)
+        net = biased_network(dims, activation, rng)
+        if net.num_layers > 1:
+            # a first hidden unit with pre-activation exactly 0, where
+            # relu' and selu' take their left-hand value
+            theta = net.flatten_params()
+            theta[: dims[0]] = 0.0
+            theta[dims[0] * dims[1]] = 0.0
+            net = net.with_flat_params(theta)
+        x = rng.standard_normal((6, dims[0]))
+        trace = forward(net, x)
+        g = rng.standard_normal(trace.output.shape)
+        traced = [a.tobytes() for a in trace.pre_activations + trace.activations]
+        g_bytes = g.tobytes()
+        fresh = backward(net, trace, g)
+        # stale values in the out buffer, from another batch
+        out = backward(net, forward(net, 3.0 * x), -g)
+        assert backward(net, trace, g, out) is out
+        assert out.flat.tobytes() == fresh.flat.tobytes()
+        # the sweep writes its deltas to new arrays, never to its inputs
+        assert [a.tobytes() for a in trace.pre_activations + trace.activations] == traced
+        assert g.tobytes() == g_bytes
 
     def test_shape_mismatch(self, rng):
         net = random_network(rng)
