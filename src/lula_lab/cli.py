@@ -41,7 +41,7 @@ from .laplace import (
     tune_prior_precision,
 )
 from .numerics import Rng, _mix64
-from .training import LossKind, TrainConfig, softmax, train_map
+from .training import LossKind, TrainConfig, read_targets, softmax, train_map
 
 FLOAT_FMT = "{:.10g}"
 
@@ -99,15 +99,10 @@ def _load_model(cfg: ExperimentConfig, model_path: str) -> net_mod.Network:
 def _csv_labels(targets: np.ndarray, classes: int, path: str, header: bool):
     """A csv target column as labels: each an integer in [0, classes), or a
     ``ValueError`` naming the file, the first bad row and its value."""
-    y = targets.ravel()
-    bad = np.flatnonzero(~((y >= 0) & (y < classes) & (y == np.floor(y))))
-    if bad.size:
-        i = bad[0]
-        raise ValueError(
-            f"{path}: label {float(y[i])} at row {i + 1 + int(header)} is not "
-            f"an integer in [0, {classes})"
-        )
-    return y.astype(np.int64)
+    try:
+        return read_targets(targets.ravel(), targets.shape[:1], classes, 1 + int(header))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def _build_data(cfg: ExperimentConfig, num_outputs: int):
@@ -125,9 +120,8 @@ def _build_data(cfg: ExperimentConfig, num_outputs: int):
         )
     else:
         full = data_mod.load_csv(d["csv_path"], d["target_column"], d["header"])
-        loss = cfg["train"]["loss"]
-        if loss in ("categorical_ce", "binary_ce"):
-            classes = 2 if loss == "binary_ce" else num_outputs
+        classes = _resolve_loss(cfg).classes(num_outputs)
+        if classes is not None:
             labels = _csv_labels(full.targets, classes, d["csv_path"], d["header"])
             full = data_mod.Dataset(full.features, labels, task="classification")
     spec = data_mod.SplitSpec(d["split"], seed=_mix64(d["seed"], 1))

@@ -132,12 +132,14 @@ from .network import (
     forward_output,
     jacobian_factors,
 )
+from .metrics import mmc
 from .numerics import Rng
 from .training import (
     LossKind,
     hessian_root_width,
     output_hessian_roots,
     output_hessians,
+    read_targets,
     sigmoid,
 )
 
@@ -738,9 +740,15 @@ def linearized_variance_batch(
 
 
 def probit_predict_binary(f_map, v):
-    """Binary predictive sigma(f / sqrt(1 + pi/8 * v)); v may be an array."""
+    """Binary predictive sigma(f / sqrt(1 + pi/8 * v)); v may be an array.
+
+    A non-finite logit or variance, or a negative variance, raises
+    ``ValueError``.
+    """
     f_map = np.asarray(f_map, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
+    if not (np.all(np.isfinite(f_map)) and np.all(np.isfinite(v))):
+        raise ValueError("logits and variances must be finite")
     if np.any(v < 0.0):
         raise ValueError("variance must be nonnegative")
     scaled = f_map / np.sqrt(1.0 + (np.pi / 8.0) * v)
@@ -792,7 +800,7 @@ def _sampled_probabilities(
     """
     n, k = eps.shape
     root = post.output_root(lin)
-    acc = np.zeros((2 if loss.kind == "binary_ce" else k, root.shape[0]))
+    acc = np.zeros((loss.classes(k), root.shape[0]))
     step = max(1, _MC_CHUNK_BYTES // (8 * k * n))
     for start in range(0, root.shape[0], step):
         points = slice(start, start + step)
@@ -884,21 +892,16 @@ def predictive_log_likelihood(pred: Predictive, targets: np.ndarray) -> float:
 
     Classification scores log of the predictive probability of the true
     class; regression scores the full Gaussian density with the total
-    (epistemic plus aleatoric) predictive variance. Targets of another row
-    count than the predictions raise ``ValueError``.
+    (epistemic plus aleatoric) predictive variance. ``targets`` are read by
+    :func:`training.read_targets`: one label in [0, c) per row of the c
+    class probabilities, or regression targets of the mean's shape;
+    anything else raises ``ValueError``.
     """
-    rows = (pred.mean if pred.probabilities is None else pred.probabilities).shape[0]
-    if np.shape(targets)[:1] != (rows,):
-        raise ValueError(
-            f"targets of shape {np.shape(targets)} do not fit {rows} predictions"
-        )
     if pred.probabilities is not None:
-        labels = np.asarray(targets).astype(np.int64)
-        p = pred.probabilities[np.arange(labels.shape[0]), labels]
+        p = pred.probabilities
+        p = p[np.arange(p.shape[0]), read_targets(targets, p.shape, p.shape[1])]
         return float(np.sum(np.log(np.maximum(p, 1e-300))))
-    y = np.asarray(targets, dtype=np.float64)
-    if y.ndim == 1:
-        y = y[:, None]
+    y = read_targets(targets, pred.mean.shape)
     var = np.maximum(pred.var_total, 1e-300)
     dens = -0.5 * np.log(2.0 * np.pi * var) - (y - pred.mean) ** 2 / (2.0 * var)
     return float(np.sum(dens))
@@ -928,8 +931,6 @@ def tune_prior_precision(
     otherwise). Returns (best, [(lambda, score), ...]) with score in the
     objective's native orientation; the first of equal best scores wins.
     """
-    from .metrics import mmc  # local import to avoid a cycle
-
     if objective not in TUNE_OBJECTIVES:
         raise ValueError(f"unknown tuning objective {objective!r}")
     if len(features) == 0:
@@ -942,7 +943,7 @@ def tune_prior_precision(
         raise ValueError("ood_mmc needs out_features")
     if objective == "ood_mmc" and loss.kind == "gaussian_nll":
         raise ValueError("ood_mmc scores class probabilities; gaussian_nll has none")
-    num_classes = 2 if loss.kind == "binary_ce" else net.output_dim
+    num_classes = loss.classes(net.output_dim)
 
     points = [features] if objective == "val_log_likelihood" else [features, out_features]
     sets = [linearize(net, curvature, x) for x in points]

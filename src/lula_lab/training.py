@@ -42,6 +42,10 @@ class LossKind:
         if self.kind == "gaussian_nll" and self.noise_precision <= 0.0:
             raise ValueError("noise_precision must be positive")
 
+    def classes(self, outputs: int) -> int | None:
+        """Class count for ``outputs`` outputs; None for regression."""
+        return {"categorical_ce": outputs, "binary_ce": 2}.get(self.kind)
+
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -58,27 +62,46 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_targets(loss: LossKind, outputs: np.ndarray, targets: np.ndarray):
-    if loss.kind == "gaussian_nll":
-        y = np.asarray(targets, dtype=np.float64)
-        if y.ndim == 1:
-            y = y[:, None]
-        if y.shape != outputs.shape:
-            raise ValueError(
-                f"target shape {y.shape} does not match outputs {outputs.shape}"
-            )
+def read_targets(targets, shape, classes: int | None = None, first_row: int = 0):
+    """The package's one reader of targets, for predictions of ``shape``:
+    float64 of ``shape`` (a 1-d vector as one column) with ``classes``
+    None, else int64 labels, one per row, from integer values of any
+    numeric dtype in [0, classes). Anything else raises ``ValueError``; a
+    bad label is named by its row, counted from ``first_row``."""
+    y = np.asarray(targets, dtype=np.float64 if classes is None else None)
+    y = y[:, None] if classes is None and y.ndim == 1 else y
+    if y.shape != (tuple(shape) if classes is None else shape[:1]):
+        raise ValueError(
+            f"targets of shape {np.shape(targets)} do not fit {shape[0]} "
+            f"predictions (outputs {tuple(shape)})"
+        )
+    if classes is None:
         return y
-    y = np.asarray(targets)
-    if y.ndim != 1:
-        raise ValueError("classification targets must be a 1-d label vector")
+    if y.dtype.kind in "biu":
+        # no integrality test, and one reduction: read as unsigned, a
+        # negative label wraps past every class
+        labels = y.astype(np.int64, copy=False)
+        if np.maximum.reduce(labels.view(np.uint64), initial=0) < classes:
+            return labels
+    bad = np.flatnonzero(~((y >= 0) & (y < classes) & (y == np.floor(y))))
+    if bad.size:
+        raise ValueError(
+            f"label {y[bad[0]].item()} at row {first_row + bad[0]} is not an "
+            f"integer in [0, {classes})"
+        )
     return y.astype(np.int64)
 
 
 def pointwise_nll(
     loss: LossKind, outputs: np.ndarray, targets: np.ndarray
 ) -> np.ndarray:
-    """Per-example negative log-likelihood, constants dropped."""
-    y = _as_targets(loss, outputs, targets)
+    """Per-example negative log-likelihood, constants dropped.
+
+    ``targets`` are read by :func:`read_targets`: labels in [0, k) under
+    categorical_ce and in {0, 1} under binary_ce, regression targets of the
+    outputs' shape; anything else raises ``ValueError``.
+    """
+    y = read_targets(targets, outputs.shape, loss.classes(outputs.shape[1]))
     if loss.kind == "gaussian_nll":
         resid = outputs - y
         return 0.5 * loss.noise_precision * np.sum(resid * resid, axis=1)
@@ -95,8 +118,9 @@ def pointwise_nll(
 def nll_output_grad(
     loss: LossKind, outputs: np.ndarray, targets: np.ndarray
 ) -> np.ndarray:
-    """Gradient of the summed NLL with respect to the outputs."""
-    y = _as_targets(loss, outputs, targets)
+    """Gradient of the summed NLL with respect to the outputs; ``targets``
+    as in :func:`pointwise_nll`."""
+    y = read_targets(targets, outputs.shape, loss.classes(outputs.shape[1]))
     if loss.kind == "gaussian_nll":
         return loss.noise_precision * (outputs - y)
     if loss.kind == "categorical_ce":
@@ -279,14 +303,18 @@ def train_map(
     one gradient buffer), and every epoch re-keys one Philox generator for
     its order, bitwise ``rng.derive(epoch)``. The history's pass over the
     full split keeps no trace (``forward_output``).
+
+    The whole target vector is read by :func:`read_targets` once before
+    epoch 0, so a bad label raises ``ValueError`` before any step; each
+    step's batch is read again, one reduction for integer labels.
     """
     features = np.asarray(features, dtype=np.float64)
-    targets = np.asarray(targets)
     m = features.shape[0]
     if m == 0:
         raise ValueError("training data must be nonempty")
-    if targets.shape[:1] != (m,):
-        raise ValueError(f"{m} feature rows but targets of shape {targets.shape}")
+    if np.shape(targets)[:1] != (m,):
+        raise ValueError(f"{m} feature rows but targets of shape {np.shape(targets)}")
+    targets = read_targets(targets, (m, net.output_dim), loss.classes(net.output_dim))
     theta = net.flatten_params()
     current = Network._on_buffer(net.specs, theta)
     grads = ParamGrads.for_network(net)

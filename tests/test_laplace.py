@@ -1103,6 +1103,13 @@ class TestProbit:
         with pytest.raises(ValueError):
             probit_predict_binary(1.0, -0.1)
 
+    @pytest.mark.parametrize("f,v", [(1.0, np.nan), (np.nan, 1.0), (1.0, np.inf)],
+                             ids=["nan_variance", "nan_logit", "inf_variance"])
+    def test_non_finite_input_rejected(self, f, v):
+        # a NaN variance passes a test for v < 0 and gives a NaN probability
+        with pytest.raises(ValueError, match="must be finite"):
+            probit_predict_binary(np.array([0.5, f]), np.array([0.5, v]))
+
     def test_monotonicity_in_variance(self):
         vs = np.linspace(0.0, 20.0, 50)
         up = np.array([probit_predict_binary(2.0, v) for v in vs])
@@ -1501,6 +1508,17 @@ class TestPredictiveLogLikelihood:
         with pytest.raises(ValueError, match="do not fit 4 predictions"):
             predictive_log_likelihood(pred, np.array([0.5]))
         assert predictive_log_likelihood(pred, np.zeros(4)) == pytest.approx(
+            -2.0 * np.log(2.0 * np.pi), rel=1e-15
+        )
+
+
+    def test_one_dimensional_targets_against_two_outputs_raise(self):
+        # a 1-d vector is one column; it is not broadcast across outputs
+        ones = np.ones((2, 2))
+        pred = Predictive(mean=0.0 * ones, var_epistemic=ones, var_total=ones)
+        with pytest.raises(ValueError, match=r"do not fit 2 predictions \(outputs \(2, 2\)\)"):
+            predictive_log_likelihood(pred, np.array([1.0, 2.0]))
+        assert predictive_log_likelihood(pred, np.zeros((2, 2))) == pytest.approx(
             -2.0 * np.log(2.0 * np.pi), rel=1e-15
         )
 

@@ -39,6 +39,12 @@ class TestMmc:
         with pytest.raises(ValueError):
             mmc(np.array([[0.7, 0.7]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        # a NaN row sum fails no test for |sum - 1| > tol
+        with pytest.raises(ValueError, match="simplex"):
+            mmc(np.array([[0.5, 0.5], [bad, 0.5]]))
+
 
 class TestAuroc:
     def test_perfect_separation(self):
@@ -79,6 +85,16 @@ class TestAuroc:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             auroc([], [0.5])
+
+    @pytest.mark.parametrize("side", ["in", "out"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_confidence_rejected(self, side, bad):
+        # searchsorted sorts NaN last, so a NaN in-confidence ranked above
+        # every out value and scored 1.0
+        good, worse = [0.9, 0.8], [0.2, 0.1]
+        args = ([bad, *good], worse) if side == "in" else (good, [bad, *worse])
+        with pytest.raises(ValueError, match="confidences must be finite"):
+            auroc(*args)
 
 
 class TestBrier:

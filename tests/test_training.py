@@ -4,13 +4,32 @@ import pytest
 from conftest import fd_param_gradient, random_network, relative_error
 from lula_lab import training
 from lula_lab.data import gen_two_moons
-from lula_lab.network import LayerSpec, Network, backward, forward
+from lula_lab.laplace import (
+    PredictConfig,
+    Predictive,
+    fit_curvature,
+    predictive_log_likelihood,
+    tune_prior_precision,
+)
+from lula_lab.metrics import brier
+from lula_lab.network import (
+    LayerSpec,
+    Network,
+    ParamGrads,
+    backward,
+    forward,
+    forward_output,
+)
 from lula_lab.numerics import Rng
 from lula_lab.training import (
     LossKind,
     TrainConfig,
     map_loss,
+    nll_output_grad,
     pointwise_nll,
+    read_targets,
+    sigmoid,
+    softmax,
     train_map,
 )
 
@@ -311,3 +330,143 @@ def test_pointwise_nll_shapes():
     values = pointwise_nll(loss, outputs, np.array([0, 1]))
     assert values.shape == (2,)
     assert np.all(values > 0.0)
+
+
+# The target contract: every likelihood and score reads its targets through
+# read_targets, so each entry point below takes and refuses the same labels.
+
+CONTRACT_ENTRY_POINTS = [
+    "pointwise_nll",
+    "nll_output_grad",
+    "map_loss",
+    "train_map",
+    "predictive_log_likelihood",
+    "tune_prior_precision",
+    "brier",
+]
+
+
+def _contract_entry_points(kind):
+    """Each entry point as a function of the labels of 6 points, on a net
+    with 3 outputs (categorical_ce) or 1 (binary_ce) and its class
+    probabilities, 3 or 2 columns."""
+    loss = LossKind(kind)
+    rng = Rng(33)
+    net = Network.init_random([2, 5, 3 if kind == "categorical_ce" else 1], "tanh", rng)
+    x = rng.standard_normal((6, 2))
+    f = forward_output(net, x)
+    if kind == "categorical_ce":
+        probs = softmax(f)
+    else:
+        probs = np.column_stack([1.0 - sigmoid(f[:, 0]), sigmoid(f[:, 0])])
+    curv = fit_curvature(net, x, loss, "kfac_last_layer")
+    return {
+        "pointwise_nll": lambda y: pointwise_nll(loss, f, y),
+        "nll_output_grad": lambda y: nll_output_grad(loss, f, y),
+        "map_loss": lambda y: map_loss(net, x, y, loss, 0.1),
+        "train_map": lambda y: train_map(
+            net, x, y, loss, TrainConfig(learning_rate=0.01, epochs=2, batch_size=4)
+        ),
+        "predictive_log_likelihood": lambda y: predictive_log_likelihood(
+            Predictive(probabilities=probs), y
+        ),
+        "tune_prior_precision": lambda y: tune_prior_precision(
+            net, curv, x, y, loss, grid=[0.5, 2.0], predict_cfg=PredictConfig("mc", 8, 1)
+        ),
+        "brier": lambda y: brier(probs, y),
+    }
+
+
+def _bits(result) -> bytes:
+    """The float64 bytes of an entry point's result, nested tuples and
+    lists, networks and gradients included."""
+    if isinstance(result, tuple):
+        return b"".join(_bits(part) for part in result)
+    if isinstance(result, Network):
+        result = result.flatten_params()
+    if isinstance(result, ParamGrads):
+        result = result.flat
+    return np.asarray(result, dtype=np.float64).tobytes()
+
+
+LABELS = np.array([0, 1, 2, 0, 1, 2])
+
+
+def _with(value, dtype=np.int64):
+    y = LABELS.astype(dtype)
+    y[2] = value
+    return y
+
+
+class TestTargetContract:
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (_with(-1), r"label -1 at row 2 is not an integer in \[0, 3\)"),
+            (_with(3), r"label 3 at row 2 is not an integer in \[0, 3\)"),
+            (_with(0.5, np.float64), r"label 0.5 at row 2 is not an integer in \[0, 3\)"),
+            (LABELS[:, None], r"targets of shape \(6, 1\) do not fit 6 predictions"),
+        ],
+        ids=["minus_one", "equal_to_classes", "half", "two_d"],
+    )
+    @pytest.mark.parametrize("entry", CONTRACT_ENTRY_POINTS)
+    def test_bad_labels_raise(self, entry, bad, message):
+        call = _contract_entry_points("categorical_ce")[entry]
+        with pytest.raises(ValueError, match=message):
+            call(bad)
+
+    @pytest.mark.parametrize("entry", CONTRACT_ENTRY_POINTS)
+    def test_binary_label_three_raises(self, entry):
+        # read as an integer, label 3 gives softplus(f) - 3 f, a negative NLL
+        labels = LABELS % 2
+        labels[2] = 3
+        call = _contract_entry_points("binary_ce")[entry]
+        with pytest.raises(ValueError, match=r"label 3 at row 2 is not an integer in \[0, 2\)"):
+            call(labels)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int32, np.uint8])
+    @pytest.mark.parametrize("kind", ["categorical_ce", "binary_ce"])
+    @pytest.mark.parametrize("entry", CONTRACT_ENTRY_POINTS)
+    def test_integral_labels_of_any_dtype_give_the_int64_bits(self, entry, kind, dtype):
+        labels = LABELS % (3 if kind == "categorical_ce" else 2)
+        call = _contract_entry_points(kind)[entry]
+        assert _bits(call(labels.astype(dtype))) == _bits(call(labels))
+
+    def test_train_map_reads_every_label_before_epoch_zero(self):
+        # a run of no epochs takes no step, and still refuses a bad label
+        net = Network.init_random([2, 4, 3], "tanh", Rng(34))
+        with pytest.raises(ValueError, match="label 3 at row 2 "):
+            train_map(net, np.zeros((6, 2)), _with(3), LossKind("categorical_ce"),
+                      TrainConfig(epochs=0))
+
+    def test_labels_come_back_as_int64(self):
+        for y in (np.array([0.0, 1.0]), np.array([0, 1], dtype=np.uint8), [True, False]):
+            got = read_targets(y, (2, 2), 2)
+            assert got.dtype == np.int64 and got.tolist() == [int(v) for v in y]
+
+    def test_regression_targets_read_as_one_column(self):
+        got = read_targets(np.arange(3, dtype=np.int32), (3, 1))
+        assert got.dtype == np.float64 and got.shape == (3, 1)
+        with pytest.raises(ValueError, match=r"do not fit 3 predictions \(outputs \(3, 2\)\)"):
+            read_targets(np.arange(3.0), (3, 2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300], ids=["nan", "inf", "huge"])
+    def test_non_finite_and_huge_float_labels_raise(self, bad):
+        with pytest.raises(ValueError, match=r"at row 2 is not an integer"):
+            read_targets(_with(bad, np.float64), (6, 3), 3)
+
+    @pytest.mark.parametrize(
+        "dtype,bad,classes",
+        [(">i8", 2**56, 3), ("<i8", 2**56, 3), ("i1", -1, 3), ("u2", 300, 3), ("?", True, 1)],
+    )
+    def test_integer_dtypes_read_in_their_byte_order(self, dtype, bad, classes):
+        # big-endian 2**56 has the bytes of little-endian 1, and -1 those of
+        # the largest unsigned value
+        good = np.zeros(3, dtype=dtype)
+        assert read_targets(good, (3, 3), classes).tolist() == [0, 0, 0]
+        with pytest.raises(ValueError, match="at row 1 is not an integer"):
+            read_targets(np.array([0, bad, 0], dtype=dtype), (3, 3), classes)
+
+    def test_first_row_offsets_the_named_row(self):
+        with pytest.raises(ValueError, match="label 3 at row 4 "):
+            read_targets(_with(3), (6, 3), 3, first_row=2)
