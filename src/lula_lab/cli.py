@@ -112,6 +112,7 @@ def _build_data(cfg: ExperimentConfig, num_outputs: int):
     ``num_outputs``, the network's output count (below 2 for binary_ce).
     """
     d = cfg["data"]
+    loss = _resolve_loss(cfg)
     if d["generator"] == "two_moons":
         full = data_mod.gen_two_moons(d["size"], d["noise_std"], d["seed"])
     elif d["generator"] == "toy_regression":
@@ -120,18 +121,19 @@ def _build_data(cfg: ExperimentConfig, num_outputs: int):
         )
     else:
         full = data_mod.load_csv(d["csv_path"], d["target_column"], d["header"])
-        classes = _resolve_loss(cfg).classes(num_outputs)
+        classes = loss.classes(num_outputs)
         if classes is not None:
             labels = _csv_labels(full.targets, classes, d["csv_path"], d["header"])
-            full = data_mod.Dataset(full.features, labels, task="classification")
+            full = data_mod.Dataset(full.features, labels)
     spec = data_mod.SplitSpec(d["split"], seed=_mix64(d["seed"], 1))
     train, val, test = data_mod.split(full, spec)
     if d["standardize"]:
-        include_targets = d["standardize_targets"] and full.task == "regression"
-        train, (val, test), _ = data_mod.standardize(
+        # float targets are regression targets; labels are int64
+        include_targets = d["standardize_targets"] and full.targets.dtype.kind == "f"
+        train, (val, test) = data_mod.standardize(
             train, [val, test], include_targets=include_targets
         )
-    return train, val, test, _resolve_loss(cfg)
+    return train, val, test, loss
 
 
 def _init_network(cfg: ExperimentConfig, input_dim: int) -> net_mod.Network:
@@ -168,7 +170,7 @@ def _fit_laplace(
                 cfg["lula"]["ood_low"],
                 cfg["lula"]["ood_high"],
                 _mix64(la["seed"], 7),
-            ).features
+            )
         lam, scores = tune_prior_precision(
             net,
             curv,
@@ -194,7 +196,7 @@ def _ood_training_features(cfg: ExperimentConfig, num_features: int) -> np.ndarr
         lu["ood_low"],
         lu["ood_high"],
         _mix64(lu["seed"], 11),
-    ).features
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -421,25 +423,17 @@ def cmd_lula(
 
 
 def _eval_ood_sets(cfg: ExperimentConfig, test):
-    """Named OOD feature sets derived from the test split, or a config error
+    """Named OOD feature sets in the test split's shape, or a config error
     for a kind its rows are too narrow for (a csv's width is known late)."""
     need = data_mod.ood_width_need(cfg["eval"]["ood_kinds"], test.num_features)
     if need:
         raise ConfigError(f"[eval] ood_kinds: {need}, and the data has {test.num_features}")
-    sets = {}
-    for i, kind in enumerate(cfg["eval"]["ood_kinds"]):
-        seed = _mix64(cfg["eval"]["seed"], 100 + i)
-        if kind == "uniform":
-            sets[kind] = data_mod.gen_uniform_noise(
-                test.num_rows, test.num_features, -10.0, 10.0, seed
-            ).features
-        elif kind == "asymptotic":
-            sets[kind] = data_mod.gen_uniform_noise(
-                test.num_rows, test.num_features, 0.0, 1.0, seed, scale=5000.0
-            ).features
-        else:
-            sets[kind] = data_mod.synthesize_ood(test, kind, Rng(seed)).features
-    return sets
+    return {
+        kind: data_mod.synthesize_ood(
+            test.features, kind, Rng(_mix64(cfg["eval"]["seed"], 100 + i))
+        )
+        for i, kind in enumerate(cfg["eval"]["ood_kinds"])
+    }
 
 
 def _score_run(preds, names, targets, classification: bool, report_total: bool):

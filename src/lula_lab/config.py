@@ -377,10 +377,11 @@ def likelihood(cfg) -> str:
 def output_count_need(loss: str, outputs: int) -> str | None:
     """What the likelihood ``loss`` needs of a network's output count, or
     None when ``outputs`` meets it: a softmax over k classes needs k >= 2
-    logits, and a sigmoid reads one."""
+    logits, a sigmoid reads one, and a Gaussian one per target column, of
+    which every data source gives one."""
     if loss == "categorical_ce" and outputs < 2:
         return "at least 2"
-    if loss == "binary_ce" and outputs != 1:
+    if loss in ("binary_ce", "gaussian_nll") and outputs != 1:
         return "exactly 1"
     return None
 
@@ -423,6 +424,11 @@ def _convert(raw: dict) -> ExperimentConfig:
     if laplace["curvature"] == "kfac_last_layer" and laplace["subset"] != "last_layer":
         raise ConfigError("[laplace] curvature = kfac_last_layer needs subset = last_layer")
     loss = likelihood(values)
+    if data["generator"] == "toy_regression" and loss != "gaussian_nll":
+        raise ConfigError(
+            f"[data] generator = toy_regression makes regression targets, and "
+            f"[train] loss = {loss} reads class labels; use gaussian_nll or auto"
+        )
     outputs = values["model"]["dims"][-1]
     need = output_count_need(loss, outputs)
     if need:

@@ -3,14 +3,17 @@
 Every generator is a pure function of its parameters and seed. The toy
 generators are shape-matched stand-ins for the usual 1-d regression and
 two-moons demonstrations (the regression target is sin(2x) on two disjoint
-input clusters); their exact constants live here and nowhere else.
+input clusters); their exact constants live here and nowhere else. So do
+those of every outlier set: ``synthesize_ood`` builds each of ``OOD_KINDS``,
+and ``gen_uniform_noise`` the uniform outliers that LULA trains on. Both
+return bare feature arrays, since an outlier has no target.
 """
 
 from __future__ import annotations
 
 import csv as _csv
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,9 +37,13 @@ CONTRAST_RANGE = (0.05, 0.3)
 BLUR_WIDTH = 3
 BLUR_PASSES = 2
 
-# Evaluation OOD sets: synthesize_ood builds the first three from the test
-# split; uniform and asymptotic are gen_uniform_noise draws.
+# Evaluation OOD sets, all built by synthesize_ood in the shape of the
+# in-distribution rows: the first three from those rows, uniform from
+# UNIFORM_BOX, and asymptotic from the unit box scaled far out by
+# ASYMPTOTIC_SCALE.
 OOD_KINDS = ("permute", "blur", "contrast", "uniform", "asymptotic")
+UNIFORM_BOX = (-10.0, 10.0)
+ASYMPTOTIC_SCALE = 5000.0
 # The fewest features synthesize_ood's kinds change a row on: blur filters
 # BLUR_WIDTH, and on one feature permute and contrast return the row itself.
 OOD_MIN_FEATURES = {"permute": 2, "blur": BLUR_WIDTH, "contrast": 2}
@@ -44,30 +51,17 @@ GENERATOR_FEATURES = {"two_moons": 2, "toy_regression": 1}  # row widths
 
 
 @dataclass(frozen=True)
-class Stats:
-    """Per-column standardization statistics (train split only)."""
-
-    mean: np.ndarray
-    std: np.ndarray
-    target_mean: np.ndarray | None = None
-    target_std: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Feature matrix plus targets.
 
-    Classification targets are an integer label vector; regression targets a
-    float column matrix.
+    Classification targets are an int64 label vector; regression targets a
+    float column matrix. The dtype is the only record of which they are.
     """
 
     features: np.ndarray
     targets: np.ndarray
-    task: str  # classification | regression
 
     def __post_init__(self):
-        if self.task not in ("classification", "regression"):
-            raise ValueError(f"unknown task {self.task!r}")
         if self.features.shape[0] != self.targets.shape[0]:
             raise ValueError("feature and target row counts differ")
 
@@ -112,7 +106,7 @@ def gen_two_moons(m: int, noise_std: float, seed: int) -> Dataset:
     if noise_std > 0.0:
         x = x + rng.normal(0.0, noise_std, x.shape)
     order = rng.permutation(m)
-    return Dataset(x[order], y[order], task="classification")
+    return Dataset(x[order], y[order])
 
 
 def gen_toy_regression(
@@ -139,7 +133,7 @@ def gen_toy_regression(
     if noise_std > 0.0:
         y = y + rng.normal(0.0, noise_std, y.shape)
     order = rng.permutation(m)
-    return Dataset(x[order], y[order], task="regression")
+    return Dataset(x[order], y[order])
 
 
 def _box_blur_rows(x: np.ndarray) -> np.ndarray:
@@ -156,82 +150,79 @@ def ood_width_need(kinds, num_features: int) -> str | None:
     return None
 
 
-def synthesize_ood(in_data: Dataset, kind: str, rng: Rng) -> Dataset:
-    """Uninformative outliers built from in-distribution rows.
+def synthesize_ood(features: np.ndarray, kind: str, rng: Rng) -> np.ndarray:
+    """Uninformative outliers of the shape of the in-distribution ``features``.
 
-    permute: an independent random permutation of each row's coordinates.
-    blur: a width-3 box filter over the feature sequence, applied twice,
-    with replicated edges. contrast: each row is pulled toward its own mean
-    by a factor drawn from CONTRAST_RANGE. Rows narrower than the kind's
+    uniform: draws from UNIFORM_BOX. asymptotic: draws from the unit box
+    times ASYMPTOTIC_SCALE, far from any standardized data. permute: an
+    independent random permutation of each row's coordinates. blur: a
+    width-3 box filter over the feature sequence, applied twice, with
+    replicated edges. contrast: each row is pulled toward its own mean by a
+    factor drawn from CONTRAST_RANGE. Rows narrower than the kind's
     OOD_MIN_FEATURES raise ``ValueError``.
     """
-    if in_data.num_rows == 0:
-        raise ValueError("in_data must be nonempty")
-    if kind not in OOD_MIN_FEATURES:
+    x = features
+    if x.shape[0] == 0:
+        raise ValueError("features must be nonempty")
+    if kind not in OOD_KINDS:
         raise ValueError(f"unknown ood kind {kind!r}")
-    x = in_data.features
     need = ood_width_need([kind], x.shape[1])
     if need:
         raise ValueError(f"{need}, got {x.shape[1]}")
+    if kind == "uniform":
+        return rng.uniform(*UNIFORM_BOX, x.shape)
+    if kind == "asymptotic":
+        return rng.uniform(0.0, 1.0, x.shape) * ASYMPTOTIC_SCALE
     if kind == "permute":
         out = np.empty_like(x)
         for i in range(x.shape[0]):
             out[i] = x[i, rng.permutation(x.shape[1])]
-    elif kind == "blur":
+        return out
+    if kind == "blur":
         out = x
         for _ in range(BLUR_PASSES):
             out = _box_blur_rows(out)
-    else:
-        c = rng.uniform(CONTRAST_RANGE[0], CONTRAST_RANGE[1], (x.shape[0], 1))
-        row_mean = x.mean(axis=1, keepdims=True)
-        out = c * (x - row_mean) + row_mean
-    return Dataset(out, in_data.targets.copy(), task=in_data.task)
+        return out
+    c = rng.uniform(CONTRAST_RANGE[0], CONTRAST_RANGE[1], (x.shape[0], 1))
+    row_mean = x.mean(axis=1, keepdims=True)
+    return c * (x - row_mean) + row_mean
 
 
-def gen_uniform_noise(
-    m: int, n: int, low: float, high: float, seed: int, scale: float = 1.0
-) -> Dataset:
-    """Uniform noise inputs; scale large (e.g. 5000) for the asymptotic set."""
+def gen_uniform_noise(m: int, n: int, low: float, high: float, seed: int) -> np.ndarray:
+    """An (m, n) array of uniform draws from [low, high)."""
     if not low < high:
         raise ValueError("low must be below high")
-    rng = Rng(seed)
-    x = rng.uniform(low, high, (m, n)) * scale
-    targets = np.zeros(m, dtype=np.int64)
-    return Dataset(x, targets, task="classification")
+    return Rng(seed).uniform(low, high, (m, n))
 
 
 def standardize(
     train: Dataset, others: list[Dataset], include_targets: bool = False
-) -> tuple[Dataset, list[Dataset], Stats]:
+) -> tuple[Dataset, list[Dataset]]:
     """Zero-mean unit-variance features using train statistics only.
 
-    Constant columns get their std clamped to 1 so they map to zero. With
-    ``include_targets`` (regression only) targets are standardized the same
-    way. Every other dataset is transformed with the train stats, never its
-    own.
+    Returns the standardized train and ``others``. Constant columns get
+    their std clamped to 1 so they map to zero. With ``include_targets``
+    the float regression targets are standardized the same way; integer
+    labels raise ``ValueError``. Every other dataset is transformed with the
+    train stats, never its own.
     """
     if train.num_rows == 0:
         raise ValueError("train split must be nonempty")
-    mean = train.features.mean(axis=0)
-    std = train.features.std(axis=0)
-    std = np.where(std < 1e-12, 1.0, std)
-    t_mean = t_std = None
-    if include_targets:
-        if train.task != "regression":
-            raise ValueError("target standardization only applies to regression")
-        t_mean = train.targets.mean(axis=0)
-        t_std = train.targets.std(axis=0)
-        t_std = np.where(t_std < 1e-12, 1.0, t_std)
-    stats = Stats(mean, std, t_mean, t_std)
+    if include_targets and train.targets.dtype.kind != "f":
+        raise ValueError("target standardization only applies to float regression targets")
+
+    def scaler(values):
+        mean, std = values.mean(axis=0), values.std(axis=0)
+        std = np.where(std < 1e-12, 1.0, std)
+        return lambda v: (v - mean) / std
+
+    features = scaler(train.features)
+    targets = scaler(train.targets) if include_targets else (lambda t: t)
 
     def transform(ds: Dataset) -> Dataset:
-        feats = (ds.features - mean) / std
-        targets = ds.targets
-        if include_targets:
-            targets = (ds.targets - t_mean) / t_std
-        return replace(ds, features=feats, targets=targets)
+        return Dataset(features(ds.features), targets(ds.targets))
 
-    return transform(train), [transform(d) for d in others], stats
+    return transform(train), [transform(d) for d in others]
 
 
 def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
@@ -246,7 +237,7 @@ def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
     idx_test = order[n_train + n_val :]
 
     def take(idx):
-        return replace(data, features=data.features[idx], targets=data.targets[idx])
+        return Dataset(data.features[idx], data.targets[idx])
 
     return take(idx_train), take(idx_val), take(idx_test)
 
@@ -363,8 +354,4 @@ def _csv_dataset(
             f"{i + 1 + int(header)}, column {j + 1}"
         )
     feature_cols = [j for j in range(parsed.shape[1]) if j != target_idx]
-    return Dataset(
-        parsed[:, feature_cols],
-        parsed[:, [target_idx]],
-        task="regression",
-    )
+    return Dataset(parsed[:, feature_cols], parsed[:, [target_idx]])

@@ -75,7 +75,7 @@ def regression(size: int, noise: float, noise_precision: float,
     train, val, test = data_mod.split(
         full, data_mod.SplitSpec(SPLIT, seed=seeds.split)
     )
-    train, (val, test), _ = data_mod.standardize(
+    train, (val, test) = data_mod.standardize(
         train, [val, test], include_targets=True
     )
     return _pipeline(
@@ -108,9 +108,7 @@ def _pipeline(
 
     aug_net = augment(net, units, Rng(seeds.augment), LULA_INIT_STD)
     lcfg = LulaTrainConfig(learning_rate=lula_lr, epochs=lula_epochs)
-    out_train = data_mod.gen_uniform_noise(
-        ood_size, dims[0], *OOD_BOX, seeds.ood
-    ).features
+    out_train = data_mod.gen_uniform_noise(ood_size, dims[0], *OOD_BOX, seeds.ood)
     tuned, _ = train_lula(
         aug_net, units, train.features, val.features, out_train, loss,
         WEIGHT_DECAY, lcfg,

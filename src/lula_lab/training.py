@@ -64,10 +64,11 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def read_targets(targets, shape, classes: int | None = None, first_row: int = 0):
     """The package's one reader of targets, for predictions of ``shape``:
-    float64 of ``shape`` (a 1-d vector as one column) with ``classes``
-    None, else int64 labels, one per row, from integer values of any
-    numeric dtype in [0, classes). Anything else raises ``ValueError``; a
-    bad label is named by its row, counted from ``first_row``."""
+    finite float64 of ``shape`` (a 1-d vector as one column) with
+    ``classes`` None, else int64 labels, one per row, from integer values
+    of any numeric dtype in [0, classes). Anything else raises
+    ``ValueError``; a bad label or non-finite target is named by its row,
+    counted from ``first_row``."""
     y = np.asarray(targets, dtype=np.float64 if classes is None else None)
     y = y[:, None] if classes is None and y.ndim == 1 else y
     if y.shape != (tuple(shape) if classes is None else shape[:1]):
@@ -76,6 +77,12 @@ def read_targets(targets, shape, classes: int | None = None, first_row: int = 0)
             f"predictions (outputs {tuple(shape)})"
         )
     if classes is None:
+        finite = np.isfinite(y).all(axis=1)
+        if not finite.all():
+            row = np.flatnonzero(~finite)[0]
+            raise ValueError(
+                f"target {y[row].tolist()} at row {first_row + row} is not finite"
+            )
         return y
     if y.dtype.kind in "biu":
         # no integrality test, and one reduction: read as unsigned, a

@@ -163,6 +163,8 @@ MALFORMED = [
     # ... and needs k >= 2 outputs; binary_ce needs exactly 1, not the default 2
     ("model", "dims", "2,8,1"),
     ("train", "loss", "binary_ce"),
+    # ... and so does gaussian_nll: every data source gives one target column
+    ("train", "loss", "gaussian_nll"),
     # each OOD kind names one scored set
     ("eval", "ood_kinds", "uniform,uniform"),
     # ... and blur filters 3 features, where two_moons makes 2
@@ -417,12 +419,13 @@ class TestConfig:
         "body,rejected",
         [
             ("[model]\ndims = 2,8,1\n[train]\nloss = binary_ce\n", False),
-            ("[data]\ngenerator = toy_regression\n", False),
+            ("[model]\ndims = 1,8,1\n[data]\ngenerator = toy_regression\n", False),
             # a csv target under loss = auto is only known at run time
-            ("[data]\ngenerator = csv\ncsv_path = d.csv\ntarget_column = y\n", False),
+            ("[model]\ndims = 2,8,1\n"
+             "[data]\ngenerator = csv\ncsv_path = d.csv\ntarget_column = y\n", False),
             ("[data]\ngenerator = csv\ncsv_path = d.csv\ntarget_column = y\n"
              "[train]\nloss = categorical_ce\n", True),
-            ("[data]\ngenerator = toy_regression\n[train]\nloss = categorical_ce\n", True),
+            ("[train]\nloss = categorical_ce\n", True),
         ],
     )
     @pytest.mark.parametrize("section", ["laplace", "eval"])
@@ -444,10 +447,11 @@ class TestConfig:
             ("[model]\ndims = 2,8,1\n[train]\nloss = binary_ce\n", False),
             ("[data]\ngenerator = csv\ncsv_path = d.csv\ntarget_column = y\n"
              "[train]\nloss = categorical_ce\n", False),
-            ("[data]\ngenerator = toy_regression\n", True),
+            ("[model]\ndims = 1,8,1\n[data]\ngenerator = toy_regression\n", True),
             # load_csv reads a csv target as a regression target under auto
-            ("[data]\ngenerator = csv\ncsv_path = d.csv\ntarget_column = y\n", True),
-            ("[train]\nloss = gaussian_nll\n", True),
+            ("[model]\ndims = 2,8,1\n"
+             "[data]\ngenerator = csv\ncsv_path = d.csv\ntarget_column = y\n", True),
+            ("[model]\ndims = 2,8,1\n[train]\nloss = gaussian_nll\n", True),
         ],
     )
     def test_ood_mmc_needs_a_classification_likelihood(self, tmp_path, body, rejected):
@@ -474,6 +478,15 @@ class TestConfig:
             # load_csv reads a csv target as a regression target under auto
             ("[model]\ndims = 2,8,1\n[data]\ngenerator = csv\ncsv_path = d.csv\n"
              "target_column = y\n", False),
+            # every data source gives one target column, which a Gaussian
+            # likelihood reads through exactly one output
+            ("[train]\nloss = gaussian_nll\n", True),
+            ("[model]\ndims = 2,8,1\n[train]\nloss = gaussian_nll\n", False),
+            ("[model]\ndims = 1,8,2\n[data]\ngenerator = toy_regression\n", True),
+            ("[model]\ndims = 2,8,3\n[data]\ngenerator = csv\ncsv_path = d.csv\n"
+             "target_column = y\n", True),
+            ("[model]\ndims = 2,8,2\n[data]\ngenerator = csv\ncsv_path = d.csv\n"
+             "target_column = y\n[train]\nloss = gaussian_nll\n", True),
         ],
     )
     def test_output_count_fits_the_likelihood(self, tmp_path, body, rejected):
@@ -486,6 +499,32 @@ class TestConfig:
                 load_config(str(path))
         else:
             load_config(str(path))
+
+    @pytest.mark.parametrize(
+        "dims,loss,rejected",
+        [
+            ("1,8,1", "auto", False),
+            ("1,8,1", "gaussian_nll", False),
+            ("1,8,2", "categorical_ce", True),
+            ("1,8,1", "binary_ce", True),
+        ],
+    )
+    def test_toy_regression_needs_a_gaussian_likelihood(
+        self, tmp_path, dims, loss, rejected
+    ):
+        # its targets are sin(2x) plus noise, not class labels
+        path = tmp_path / "c.ini"
+        path.write_text(
+            f"[data]\ngenerator = toy_regression\n[model]\ndims = {dims}\n"
+            f"[train]\nloss = {loss}\n"
+        )
+        if rejected:
+            with pytest.raises(
+                ConfigError, match=rf"toy_regression .*\[train\] loss = {loss}"
+            ):
+                load_config(str(path))
+        else:
+            assert load_config(str(path))["data"]["generator"] == "toy_regression"
 
     @pytest.mark.parametrize(
         "kinds,repeated",
@@ -724,6 +763,33 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("command", ["train", "laplace", "lula", "eval", "demo-toy"])
     @pytest.mark.parametrize(
+        "body",
+        [
+            "[train]\nloss = gaussian_nll\n",
+            "[data]\ngenerator = toy_regression\n[model]\ndims = 1,8,2\n"
+            "[train]\nloss = categorical_ce\n",
+        ],
+    )
+    def test_likelihood_the_data_cannot_fit_exits_2_before_work(
+        self, body, command, tmp_path, capsys, monkeypatch
+    ):
+        # each loaded and then failed in train, where the targets did not fit
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the config was validated")
+
+        monkeypatch.setattr(cli, "_build_data", no_work)
+        monkeypatch.setattr(demo, "train_map", no_work)
+        config = tmp_path / "bad.ini"
+        config.write_text(body)
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+        if command in ("laplace", "lula", "eval"):
+            argv += ["--model", str(tmp_path / "model.txt")]
+        assert cli.main(argv) == 2
+        assert "[train] loss" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "laplace", "lula", "eval", "demo-toy"])
+    @pytest.mark.parametrize(
         "section,key,value",
         MALFORMED + NON_FINITE + UNKNOWN_WORDS + OUT_OF_RANGE + AT_BOUNDARY,
     )
@@ -865,6 +931,7 @@ class TestCliCommands:
         config = tmp_path / "c.ini"
         config.write_text(
             f"[data]\ngenerator = csv\ncsv_path = {data}\ntarget_column = c\n"
+            "[model]\ndims = 2,8,1\n"
         )
         out = str(tmp_path / "m.txt")
         assert cli.main(["train", "--config", str(config), "--out", out]) == 1
@@ -1102,7 +1169,7 @@ class TestCsvInput:
         self, command, tmp_path, capsys, no_work
     ):
         # a row that lands in val, where the prior-precision search reads it
-        rows = Dataset(np.arange(60.0)[:, None], np.zeros((60, 1)), "regression")
+        rows = Dataset(np.arange(60.0)[:, None], np.zeros((60, 1)))
         _, val, _ = split(rows, SplitSpec(seed=_mix64(0, 1)))
         row = int(val.features[0, 0])
         labels = [i % 3 for i in range(60)]
@@ -1473,6 +1540,31 @@ class TestModelFileAgainstTheConfig:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert binary_model in err and "1 outputs" in err and "[train] loss" in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["laplace", "lula", "eval"])
+    def test_gaussian_likelihood_refuses_a_two_output_model(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        # every data source gives one target column, which one output reads
+        config = tmp_path / "gauss.ini"
+        config.write_text(
+            TINY_INI.replace("dims = 2,16,16,2", "dims = 2,16,16,1").replace(
+                "weight_decay = 0.001\n", "weight_decay = 0.001\nloss = gaussian_nll\n"
+            )
+        )
+        model = str(tmp_path / "two.txt")
+        save(Network.init_random([2, 16, 16, 2], "relu", Rng(0)), model)
+
+        def no_data(*args, **kwargs):
+            raise AssertionError("data was built before the model was checked")
+
+        monkeypatch.setattr(cli, "_build_data", no_data)
+        out = str(tmp_path / "out")
+        argv = [command, "--config", str(config), "--model", model, "--out", out]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert model in err and "2 outputs" in err and "gaussian_nll" in err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("kind, subset", [

@@ -74,26 +74,16 @@ def test_generator_features_match_the_generators():
 
 class TestSynthesizeOod:
     def _dataset(self, n_features=5, rows=20, seed=4):
-        rng = Rng(seed)
-        return Dataset(
-            rng.standard_normal((rows, n_features)),
-            np.zeros(rows, dtype=np.int64),
-            task="classification",
-        )
+        return Rng(seed).standard_normal((rows, n_features))
 
     def test_permute_preserves_row_multisets(self):
         data = self._dataset()
         out = synthesize_ood(data, "permute", Rng(1))
-        assert np.array_equal(
-            np.sort(out.features, axis=1), np.sort(data.features, axis=1)
-        )
+        assert np.array_equal(np.sort(out, axis=1), np.sort(data, axis=1))
 
     def test_blur_preserves_constant_rows(self):
-        const = Dataset(
-            np.full((3, 6), 2.5), np.zeros(3, dtype=np.int64), task="classification"
-        )
-        out = synthesize_ood(const, "blur", Rng(2))
-        assert np.allclose(out.features, 2.5, atol=1e-12)
+        out = synthesize_ood(np.full((3, 6), 2.5), "blur", Rng(2))
+        assert np.allclose(out, 2.5, atol=1e-12)
 
     def test_blur_requires_three_features(self):
         narrow = self._dataset(n_features=2)
@@ -113,7 +103,7 @@ class TestSynthesizeOod:
         width = data_mod.OOD_MIN_FEATURES[kind]
         data = self._dataset(n_features=width)
         out = synthesize_ood(data, kind, Rng(7))
-        assert not np.array_equal(out.features, data.features)
+        assert not np.array_equal(out, data)
         assert data_mod.ood_width_need([kind], width) is None
         assert data_mod.ood_width_need(["uniform", kind], width - 1) == (
             f"{kind} needs at least {width} features"
@@ -122,16 +112,16 @@ class TestSynthesizeOod:
     def test_blur_smooths(self):
         data = self._dataset(n_features=9)
         out = synthesize_ood(data, "blur", Rng(3))
-        assert np.all(np.var(out.features, axis=1) <= np.var(data.features, axis=1))
+        assert np.all(np.var(out, axis=1) <= np.var(data, axis=1))
 
     def test_contrast_shrinks_toward_row_mean(self):
         data = self._dataset()
         out = synthesize_ood(data, "contrast", Rng(5))
-        row_mean = data.features.mean(axis=1, keepdims=True)
-        orig_dev = np.abs(data.features - row_mean)
-        new_dev = np.abs(out.features - row_mean)
+        row_mean = data.mean(axis=1, keepdims=True)
+        orig_dev = np.abs(data - row_mean)
+        new_dev = np.abs(out - row_mean)
         assert np.all(new_dev <= 0.3 * orig_dev + 1e-12)
-        assert out.features.shape == data.features.shape
+        assert out.shape == data.shape
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -141,26 +131,45 @@ class TestSynthesizeOod:
         data = self._dataset()
         for kind in ("permute", "blur", "contrast"):
             out = synthesize_ood(data, kind, Rng(6))
-            assert out.features.shape == data.features.shape
-            assert np.all(np.isfinite(out.features))
+            assert out.shape == data.shape
+            assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("kind", data_mod.OOD_KINDS)
+    def test_every_kind_has_the_input_shape(self, kind):
+        data = self._dataset(n_features=4, rows=7)
+        out = synthesize_ood(data, kind, Rng(8))
+        assert isinstance(out, np.ndarray)
+        assert out.shape == data.shape
+
+    def test_uniform_and_asymptotic_are_plain_uniform_draws(self):
+        data = self._dataset(n_features=3, rows=11)
+        assert np.array_equal(
+            synthesize_ood(data, "uniform", Rng(12)),
+            Rng(12).uniform(-10, 10, data.shape),
+        )
+        assert np.array_equal(
+            synthesize_ood(data, "asymptotic", Rng(13)),
+            Rng(13).uniform(0, 1, data.shape) * 5000,
+        )
 
 
 class TestUniformNoise:
     def test_asymptotic_scale(self):
-        data = gen_uniform_noise(100, 4, 0.0, 1.0, seed=1, scale=5000.0)
-        assert np.all(data.features >= 0.0)
-        assert np.all(data.features <= 5000.0)
-        assert data.features.max() > 4000.0
+        data = gen_uniform_noise(100, 4, 0.0, 5000.0, seed=1)
+        assert np.all(data >= 0.0)
+        assert np.all(data <= 5000.0)
+        assert data.max() > 4000.0
 
     def test_plain_range(self):
         data = gen_uniform_noise(100, 3, -10.0, 10.0, seed=2)
-        assert np.all(data.features >= -10.0)
-        assert np.all(data.features <= 10.0)
+        assert data.shape == (100, 3)
+        assert np.all(data >= -10.0)
+        assert np.all(data <= 10.0)
 
     def test_seed_determinism(self):
         a = gen_uniform_noise(20, 2, -1.0, 1.0, seed=3)
         b = gen_uniform_noise(20, 2, -1.0, 1.0, seed=3)
-        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(a, b)
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
@@ -171,11 +180,9 @@ class TestStandardize:
     def test_train_becomes_standard(self):
         rng = Rng(7)
         train = Dataset(
-            3.0 + 2.0 * rng.standard_normal((50, 4)),
-            np.zeros(50, dtype=np.int64),
-            task="classification",
+            3.0 + 2.0 * rng.standard_normal((50, 4)), np.zeros(50, dtype=np.int64)
         )
-        std_train, _, stats = standardize(train, [])
+        std_train, _ = standardize(train, [])
         assert np.all(np.abs(std_train.features.mean(axis=0)) <= 1e-10)
         assert np.all(np.abs(std_train.features.std(axis=0) - 1.0) <= 1e-10)
 
@@ -183,55 +190,51 @@ class TestStandardize:
         rng = Rng(8)
         x = rng.standard_normal((2000, 3))
         x = (x - x.mean(axis=0)) / x.std(axis=0)
-        train = Dataset(x, np.zeros(2000, dtype=np.int64), task="classification")
-        std_train, _, _ = standardize(train, [])
+        train = Dataset(x, np.zeros(2000, dtype=np.int64))
+        std_train, _ = standardize(train, [])
         assert np.allclose(std_train.features, x, atol=1e-10)
 
     def test_constant_column_clamped(self):
         x = np.ones((10, 2))
         x[:, 1] = np.arange(10)
-        train = Dataset(x, np.zeros(10, dtype=np.int64), task="classification")
-        std_train, _, stats = standardize(train, [])
+        train = Dataset(x, np.zeros(10, dtype=np.int64))
+        std_train, _ = standardize(train, [])
         assert np.array_equal(std_train.features[:, 0], np.zeros(10))
-        assert stats.std[0] == 1.0
+        assert np.allclose(std_train.features[:, 1], (x[:, 1] - 4.5) / x[:, 1].std())
 
     def test_others_use_train_stats(self):
         rng = Rng(9)
         train = Dataset(
-            rng.standard_normal((40, 2)) * 3.0,
-            np.zeros(40, dtype=np.int64),
-            task="classification",
+            rng.standard_normal((40, 2)) * 3.0, np.zeros(40, dtype=np.int64)
         )
         val = Dataset(
-            rng.standard_normal((10, 2)) + 100.0,
-            np.zeros(10, dtype=np.int64),
-            task="classification",
+            rng.standard_normal((10, 2)) + 100.0, np.zeros(10, dtype=np.int64)
         )
-        _, (std_val,), stats = standardize(train, [val])
-        assert np.allclose(
-            std_val.features, (val.features - stats.mean) / stats.std, atol=1e-12
-        )
+        _, (std_val,) = standardize(train, [val])
+        mean, std = train.features.mean(axis=0), train.features.std(axis=0)
+        assert np.allclose(std_val.features, (val.features - mean) / std, atol=1e-12)
         # val is nowhere near zero mean under train stats
         assert np.abs(std_val.features.mean()) > 5.0
 
+    def test_float_targets_use_train_stats(self):
+        rng = Rng(10)
+        train = Dataset(rng.standard_normal((30, 1)), 5.0 + 2.0 * rng.standard_normal((30, 1)))
+        val = Dataset(rng.standard_normal((6, 1)), rng.standard_normal((6, 1)))
+        std_train, (std_val,) = standardize(train, [val], include_targets=True)
+        mean, std = train.targets.mean(axis=0), train.targets.std(axis=0)
+        assert np.allclose(std_train.targets, (train.targets - mean) / std, atol=1e-12)
+        assert np.allclose(std_val.targets, (val.targets - mean) / std, atol=1e-12)
+
     def test_target_standardization_regression_only(self):
         rng = Rng(11)
-        train = Dataset(
-            rng.standard_normal((20, 1)),
-            np.zeros(20, dtype=np.int64),
-            task="classification",
-        )
+        train = Dataset(rng.standard_normal((20, 1)), np.zeros(20, dtype=np.int64))
         with pytest.raises(ValueError):
             standardize(train, [], include_targets=True)
 
 
 class TestSplit:
     def _dataset(self, m=10):
-        return Dataset(
-            np.arange(m, dtype=float)[:, None],
-            np.arange(m, dtype=np.int64),
-            task="classification",
-        )
+        return Dataset(np.arange(m, dtype=float)[:, None], np.arange(m, dtype=np.int64))
 
     def test_exact_division(self):
         train, val, test = split(self._dataset(10), SplitSpec((0.6, 0.2, 0.2), 0))
@@ -255,10 +258,6 @@ class TestSplit:
         b = split(data, SplitSpec((0.5, 0.25, 0.25), 5))
         for left, right in zip(a, b):
             assert np.array_equal(left.features, right.features)
-
-    def test_parts_keep_the_task(self):
-        train, val, test = split(self._dataset(10), SplitSpec((0.6, 0.2, 0.2), 0))
-        assert {train.task, val.task, test.task} == {"classification"}
 
     def test_bad_fractions(self):
         with pytest.raises(ValueError):

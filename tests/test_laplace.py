@@ -11,6 +11,7 @@ from conftest import (
     relative_error,
 )
 from lula_lab import laplace
+from lula_lab.data import gen_toy_regression
 from lula_lab.laplace import (
     DEFAULT_LAMBDA_GRID,
     FULL_GGN_CAP,
@@ -1547,6 +1548,20 @@ class TestTunePriorPrecision:
         )
         best = max(scores, key=lambda pair: pair[1])
         assert lam == best[0]
+
+    def test_non_finite_regression_target_raises(self):
+        # a NaN target once scored every candidate NaN, and the search
+        # returned the first of them
+        data = gen_toy_regression(20, (-4.0, 4.0), 0.1, seed=3)
+        y = data.targets.copy()
+        y[7, 0] = np.nan
+        net = Network.init_random([1, 5, 1], "tanh", Rng(16))
+        loss = LossKind("gaussian_nll", 4.0)
+        curv = fit_curvature(net, data.features, loss, "kfac_last_layer")
+        with pytest.raises(ValueError, match=r"target \[nan\] at row 7 is not finite"):
+            tune_prior_precision(
+                net, curv, data.features, y, loss, grid=[0.1, 1.0, 10.0]
+            )
 
     def test_determinism(self):
         net, curv, x, y, loss = self._instance()

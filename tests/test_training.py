@@ -450,6 +450,15 @@ class TestTargetContract:
         with pytest.raises(ValueError, match=r"do not fit 3 predictions \(outputs \(3, 2\)\)"):
             read_targets(np.arange(3.0), (3, 2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_regression_targets_raise(self, bad):
+        y = np.zeros((6, 2))
+        y[4, 1] = bad
+        with pytest.raises(ValueError, match=rf"target \[0.0, {bad}\] at row 5 is not finite"):
+            read_targets(y, (6, 2), first_row=1)
+        with pytest.raises(ValueError, match="at row 4 is not finite"):
+            pointwise_nll(LossKind("gaussian_nll"), np.zeros((6, 2)), y)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300], ids=["nan", "inf", "huge"])
     def test_non_finite_and_huge_float_labels_raise(self, bad):
         with pytest.raises(ValueError, match=r"at row 2 is not an integer"):
