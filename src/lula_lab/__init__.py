@@ -47,7 +47,6 @@ from .data import (
     SplitSpec,
     gen_toy_regression,
     gen_two_moons,
-    gen_uniform_noise,
     load_csv,
     split,
     standardize,

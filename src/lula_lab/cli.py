@@ -164,12 +164,8 @@ def _fit_laplace(
     if lam is None:
         out_features = None
         if la["tune_objective"] == "ood_mmc":
-            out_features = data_mod.gen_uniform_noise(
-                val.num_rows,
-                val.num_features,
-                cfg["lula"]["ood_low"],
-                cfg["lula"]["ood_high"],
-                _mix64(la["seed"], 7),
+            out_features = data_mod.synthesize_ood(
+                val.features, "uniform", Rng(_mix64(la["seed"], 7))
             )
         lam, scores = tune_prior_precision(
             net,
@@ -186,17 +182,6 @@ def _fit_laplace(
     else:
         scores = [(lam, float("nan"))]
     return curv, lam, scores
-
-
-def _ood_training_features(cfg: ExperimentConfig, num_features: int) -> np.ndarray:
-    lu = cfg["lula"]
-    return data_mod.gen_uniform_noise(
-        lu["ood_size"],
-        num_features,
-        lu["ood_low"],
-        lu["ood_high"],
-        _mix64(lu["seed"], 11),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -379,19 +364,21 @@ def cmd_lula(
         )
     lam = _base_prior_precision(cfg, model_path)
     net = _load_model(cfg, model_path)
-    train, val, test, loss = _build_data(cfg, net.output_dim)
-    count = lu["counts"]
     if net.num_layers < 2:
         raise ConfigError(
             f"{model_path} has no hidden layer to add uncertainty units to"
         )
+    train, val, test, loss = _build_data(cfg, net.output_dim)
+    count = lu["counts"]
     lam_scores = []  # grid points, when this command searched
     if lam is None:
         _, lam, lam_scores = _fit_laplace(
             cfg, laplace_cfg, net, train, val, loss, None
         )
     in_features = val.features if val.num_rows else train.features
-    out_features = _ood_training_features(cfg, train.num_features)
+    out_features = Rng(_mix64(lu["seed"], 11)).uniform(
+        *data_mod.UNIFORM_BOX, (lu["ood_size"], train.num_features)
+    )
     aug_net = lula_mod.augment(
         net, count, Rng(_mix64(lu["seed"], 23)), lu["init_std"]
     )

@@ -278,8 +278,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
             _or_none("default", _positive),
             "'default' (0.1 sqrt(2/fan_in)) or a positive float",
         ),
-        "ood_low": ("-10.0", _float, "outlier box lower bound"),
-        "ood_high": ("10.0", _float, "outlier box upper bound"),
         "ood_size": ("500", _int_at_least(1), "number of outlier training points, >= 1"),
         "seed": ("3", _int, "unit initialization and output-preservation check seed"),
     },
@@ -390,7 +388,6 @@ def output_count_need(loss: str, outputs: int) -> str | None:
 # key high in the same section
 ORDERED_PAIRS = (
     ("data", "x_low", "x_high"),
-    ("lula", "ood_low", "ood_high"),
     ("eval", "ring_inner", "ring_outer"),
     ("eval", "far_field", "grid_extent"),
 )

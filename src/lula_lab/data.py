@@ -4,9 +4,10 @@ Every generator is a pure function of its parameters and seed. The toy
 generators are shape-matched stand-ins for the usual 1-d regression and
 two-moons demonstrations (the regression target is sin(2x) on two disjoint
 input clusters); their exact constants live here and nowhere else. So do
-those of every outlier set: ``synthesize_ood`` builds each of ``OOD_KINDS``,
-and ``gen_uniform_noise`` the uniform outliers that LULA trains on. Both
-return bare feature arrays, since an outlier has no target.
+those of every outlier set: ``synthesize_ood`` builds each of ``OOD_KINDS``
+as a bare feature array, since an outlier has no target. Every uniform
+outlier set, LULA's training outliers among them, is drawn from
+``UNIFORM_BOX``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "gen_two_moons",
     "gen_toy_regression",
     "synthesize_ood",
-    "gen_uniform_noise",
     "standardize",
     "split",
     "load_csv",
@@ -186,13 +186,6 @@ def synthesize_ood(features: np.ndarray, kind: str, rng: Rng) -> np.ndarray:
     c = rng.uniform(CONTRAST_RANGE[0], CONTRAST_RANGE[1], (x.shape[0], 1))
     row_mean = x.mean(axis=1, keepdims=True)
     return c * (x - row_mean) + row_mean
-
-
-def gen_uniform_noise(m: int, n: int, low: float, high: float, seed: int) -> np.ndarray:
-    """An (m, n) array of uniform draws from [low, high)."""
-    if not low < high:
-        raise ValueError("low must be below high")
-    return Rng(seed).uniform(low, high, (m, n))
 
 
 def standardize(

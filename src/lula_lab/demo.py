@@ -4,8 +4,9 @@
 different seeds. Each trains a MAP net, fits an untuned Kronecker last-layer
 Laplace posterior on the train split whose prior precision is the training
 weight decay, adds LULA units to the final hidden layer, and trains them on
-the whole val split against the whole set of uniform outliers, through that
-same posterior of the augmented net, which the tuned net then predicts with.
+the whole val split against the whole set of uniform outliers from
+``data.UNIFORM_BOX``, through that same posterior of the augmented net,
+which the tuned net then predicts with.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ MOONS_BATCH, REG_BATCH = 64, None  # MAP minibatch; None is full batch
 MOONS_LULA_LR, REG_LULA_LR = 0.5, 1.0
 REG_X_RANGE = (-4.0, 4.0)
 LULA_INIT_STD = 0.2
-OOD_BOX = (-10.0, 10.0)  # outlier training points, uniform per feature
 
 
 class Seeds(NamedTuple):
@@ -108,7 +108,7 @@ def _pipeline(
 
     aug_net = augment(net, units, Rng(seeds.augment), LULA_INIT_STD)
     lcfg = LulaTrainConfig(learning_rate=lula_lr, epochs=lula_epochs)
-    out_train = data_mod.gen_uniform_noise(ood_size, dims[0], *OOD_BOX, seeds.ood)
+    out_train = Rng(seeds.ood).uniform(*data_mod.UNIFORM_BOX, (ood_size, dims[0]))
     tuned, _ = train_lula(
         aug_net, units, train.features, val.features, out_train, loss,
         WEIGHT_DECAY, lcfg,

@@ -109,6 +109,11 @@ def pointwise_nll(
     outputs' shape; anything else raises ``ValueError``.
     """
     y = read_targets(targets, outputs.shape, loss.classes(outputs.shape[1]))
+    return _pointwise_nll(loss, outputs, y)
+
+
+def _pointwise_nll(loss: LossKind, outputs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """:func:`pointwise_nll` of targets ``y`` already read."""
     if loss.kind == "gaussian_nll":
         resid = outputs - y
         return 0.5 * loss.noise_precision * np.sum(resid * resid, axis=1)
@@ -128,6 +133,11 @@ def nll_output_grad(
     """Gradient of the summed NLL with respect to the outputs; ``targets``
     as in :func:`pointwise_nll`."""
     y = read_targets(targets, outputs.shape, loss.classes(outputs.shape[1]))
+    return _nll_output_grad(loss, outputs, y)
+
+
+def _nll_output_grad(loss: LossKind, outputs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """:func:`nll_output_grad` of targets ``y`` already read."""
     if loss.kind == "gaussian_nll":
         return loss.noise_precision * (outputs - y)
     if loss.kind == "categorical_ce":
@@ -201,12 +211,13 @@ def output_hessian_roots(loss: LossKind, outputs: np.ndarray) -> np.ndarray:
 def _map_value(
     net: Network,
     outputs: np.ndarray,
-    targets: np.ndarray,
+    y: np.ndarray,
     loss: LossKind,
     weight_decay: float,
 ) -> float:
-    """Summed NLL of ``outputs`` plus (weight_decay / 2) * ||theta||^2."""
-    value = float(np.sum(pointwise_nll(loss, outputs, targets)))
+    """Summed NLL of ``outputs`` against targets ``y`` already read, plus
+    (weight_decay / 2) * ||theta||^2."""
+    value = float(np.sum(_pointwise_nll(loss, outputs, y)))
     if weight_decay != 0.0:
         theta = net.flatten_params()
         value += 0.5 * weight_decay * float(theta @ theta)
@@ -226,8 +237,9 @@ def map_loss(
     if features.shape[0] == 0:
         raise ValueError("batch must be nonempty")
     trace = forward(net, features)
-    value = _map_value(net, trace.output, targets, loss, weight_decay)
-    grads = backward(net, trace, nll_output_grad(loss, trace.output, targets))
+    y = read_targets(targets, trace.output.shape, loss.classes(net.output_dim))
+    value = _map_value(net, trace.output, y, loss, weight_decay)
+    grads = backward(net, trace, _nll_output_grad(loss, trace.output, y))
     if weight_decay != 0.0:
         grads.flat += weight_decay * net.flatten_params()
     return value, grads
@@ -312,8 +324,8 @@ def train_map(
     full split keeps no trace (``forward_output``).
 
     The whole target vector is read by :func:`read_targets` once before
-    epoch 0, so a bad label raises ``ValueError`` before any step; each
-    step's batch is read again, one reduction for integer labels.
+    epoch 0, so a bad label raises ``ValueError`` before any step, and
+    never again: the steps and history passes take rows of that read.
     """
     features = np.asarray(features, dtype=np.float64)
     m = features.shape[0]
@@ -336,7 +348,7 @@ def train_map(
         for start in range(0, m, batch):
             idx = order[start : start + batch]
             trace = forward(current, features[idx])
-            out_grad = nll_output_grad(loss, trace.output, targets[idx])
+            out_grad = _nll_output_grad(loss, trace.output, targets[idx])
             backward(current, trace, out_grad, grads)
             # g = grads / batch size + (weight_decay / m) * theta
             np.divide(grads.flat, idx.size, out=g)

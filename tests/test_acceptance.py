@@ -19,7 +19,7 @@ from conftest import (
     relative_error,
 )
 from lula_lab import cli, demo
-from lula_lab.data import gen_uniform_noise
+from lula_lab.data import UNIFORM_BOX
 from lula_lab.laplace import (
     PredictConfig,
     build_posterior,
@@ -307,7 +307,7 @@ def test_criterion_8_regression_pattern():
     net, tuned, post_la, post_lula, test, loss = demo.regression(
         400, 0.15, 25.0, 2000, 50, 100, 500, demo.Seeds(30, 31, 32, 33, 37, 36)
     )
-    outliers = gen_uniform_noise(300, 1, -10.0, 10.0, 34)
+    outliers = Rng(34).uniform(*UNIFORM_BOX, (300, 1))
     pcfg = PredictConfig("mc", 100, 35)
 
     def mean_std(network, post, x):

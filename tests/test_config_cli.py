@@ -18,7 +18,7 @@ from lula_lab.config import (
     load_config,
     reference_text,
 )
-from lula_lab.data import Dataset, SplitSpec, split
+from lula_lab.data import UNIFORM_BOX, Dataset, SplitSpec, split
 from lula_lab.errors import ConfigError
 from lula_lab.metrics import auroc, brier, mmc
 from lula_lab.network import ACTIVATIONS, Network, forward, load, save
@@ -264,6 +264,19 @@ AT_BOUNDARY = [
 ]
 
 
+# LULA reads whole sets, every MAP fit steps with Adam, and every uniform
+# outlier set is drawn from data.UNIFORM_BOX, so their former batch sizes,
+# optimizer, momentum and outlier box are unknown keys
+REMOVED_KEYS = [
+    ("lula", "in_batch"),
+    ("lula", "out_batch"),
+    ("train", "optimizer"),
+    ("train", "momentum"),
+    ("lula", "ood_low"),
+    ("lula", "ood_high"),
+]
+
+
 @pytest.fixture
 def tiny_config(tmp_path):
     path = tmp_path / "tiny.ini"
@@ -299,18 +312,7 @@ class TestConfig:
         assert defaults["lula"]["init_std"] is None
         assert defaults["data"]["target_column"] == ""
 
-    # LULA reads whole sets, and every MAP fit steps with Adam, so their
-    # former batch sizes, optimizer and momentum are unknown keys
-    @pytest.mark.parametrize(
-        "section,key",
-        [
-            ("train", "lerning_rate"),
-            ("lula", "in_batch"),
-            ("lula", "out_batch"),
-            ("train", "optimizer"),
-            ("train", "momentum"),
-        ],
-    )
+    @pytest.mark.parametrize("section,key", [("train", "lerning_rate")] + REMOVED_KEYS)
     def test_unknown_key_rejected(self, tmp_path, section, key):
         path = tmp_path / "bad.ini"
         path.write_text(f"[{section}]\n{key} = 1\n")
@@ -391,7 +393,7 @@ class TestConfig:
 
     def test_boundary_rows_cover_every_ordered_pair(self, tmp_path):
         # one row per pair, each refused by the strict < rule and no other
-        assert len(ORDERED_PAIRS) == 4
+        assert len(ORDERED_PAIRS) == 3
         assert [row[:2] for row in AT_BOUNDARY] == [pair[:2] for pair in ORDERED_PAIRS]
         for (section, low, value), (_, _, high) in zip(AT_BOUNDARY, ORDERED_PAIRS):
             config = tmp_path / "edge.ini"
@@ -810,6 +812,20 @@ class TestCliCommands:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert f"[{section}]" in err and key in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "laplace", "lula", "eval", "demo-toy"])
+    @pytest.mark.parametrize("section,key", REMOVED_KEYS)
+    def test_removed_key_exits_2_as_unknown(
+        self, section, key, command, tmp_path, capsys
+    ):
+        config = tmp_path / "old.ini"
+        config.write_text(f"[{section}]\n{key} = 1\n")
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+        if command in ("laplace", "lula", "eval"):
+            argv += ["--model", str(tmp_path / "model.txt")]
+        assert cli.main(argv) == 2
+        assert f"unknown key '{key}' in section [{section}]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["train", "laplace", "lula", "eval", "demo-toy"])
@@ -1616,3 +1632,52 @@ class TestModelFileAgainstTheConfig:
                          "--out", out]) == 0
         train = cli._build_data(load_config(str(config)), 2)[0]
         assert len(calls) == 1 and np.array_equal(calls[0], train.features)
+
+    def test_lula_trains_against_the_uniform_box(self, tmp_path, monkeypatch):
+        config = tmp_path / "cfg.ini"
+        config.write_text(TINY_INI)
+        model = str(tmp_path / "model.txt")
+        save(Network.init_random([2, 16, 16, 2], "relu", Rng(0)), model)
+        calls = []
+        original = cli.lula_mod.train_lula
+
+        def recording(net, units, curv_features, in_features, out_features, *rest):
+            calls.append(out_features)
+            return original(net, units, curv_features, in_features, out_features, *rest)
+
+        monkeypatch.setattr(cli.lula_mod, "train_lula", recording)
+        out = str(tmp_path / "tuned.txt")
+        assert cli.main(["lula", "--config", str(config), "--model", model,
+                         "--out", out]) == 0
+        lu = load_config(str(config))["lula"]
+        expected = Rng(_mix64(lu["seed"], 11)).uniform(
+            *UNIFORM_BOX, (lu["ood_size"], 2)
+        )
+        assert len(calls) == 1
+        assert calls[0].tobytes() == expected.tobytes()
+
+    def test_lula_without_hidden_layer_reads_no_data(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        config = tmp_path / "cfg.ini"
+        config.write_text(TINY_INI.replace("dims = 2,16,16,2", "dims = 2,2"))
+        model = str(tmp_path / "model.txt")
+        save(Network.init_random([2, 2], "relu", Rng(0)), model)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("data was built before the model was checked")
+
+        monkeypatch.setattr(cli, "_build_data", no_work)
+        out = tmp_path / "tuned.txt"
+        argv = ["lula", "--config", str(config), "--model", model, "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "no hidden layer" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_readme_names_only_schema_keys():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    named = re.findall(r"`\[(\w+)\] (\w+)", readme.read_text(encoding="utf-8"))
+    assert named
+    unknown = sorted({(s, k) for s, k in named if k not in SCHEMA.get(s, {})})
+    assert unknown == [], f"README.md names keys that are not in the schema: {unknown}"

@@ -7,7 +7,6 @@ from lula_lab.data import (
     SplitSpec,
     gen_toy_regression,
     gen_two_moons,
-    gen_uniform_noise,
     load_csv,
     split,
     standardize,
@@ -154,26 +153,25 @@ class TestSynthesizeOod:
 
 
 class TestUniformNoise:
+    """The uniform and asymptotic outliers, drawn by synthesize_ood."""
+
     def test_asymptotic_scale(self):
-        data = gen_uniform_noise(100, 4, 0.0, 5000.0, seed=1)
+        data = synthesize_ood(np.zeros((100, 4)), "asymptotic", Rng(1))
         assert np.all(data >= 0.0)
-        assert np.all(data <= 5000.0)
+        assert np.all(data <= data_mod.ASYMPTOTIC_SCALE)
         assert data.max() > 4000.0
 
     def test_plain_range(self):
-        data = gen_uniform_noise(100, 3, -10.0, 10.0, seed=2)
+        data = synthesize_ood(np.zeros((100, 3)), "uniform", Rng(2))
+        low, high = data_mod.UNIFORM_BOX
         assert data.shape == (100, 3)
-        assert np.all(data >= -10.0)
-        assert np.all(data <= 10.0)
+        assert np.all(data >= low)
+        assert np.all(data <= high)
 
     def test_seed_determinism(self):
-        a = gen_uniform_noise(20, 2, -1.0, 1.0, seed=3)
-        b = gen_uniform_noise(20, 2, -1.0, 1.0, seed=3)
+        a = synthesize_ood(np.zeros((20, 2)), "uniform", Rng(3))
+        b = synthesize_ood(np.zeros((20, 2)), "uniform", Rng(3))
         assert np.array_equal(a, b)
-
-    def test_bad_range(self):
-        with pytest.raises(ValueError):
-            gen_uniform_noise(10, 2, 1.0, 1.0, seed=0)
 
 
 class TestStandardize:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lula_lab import demo
+from lula_lab.data import UNIFORM_BOX
 from lula_lab.network import forward_output
 from lula_lab.numerics import Rng
 
@@ -38,3 +39,25 @@ def test_seed_wiring(pipeline):
     assert not np.array_equal(
         other.lula_net.weights[-2][-UNITS:], run.lula_net.weights[-2][-UNITS:]
     )
+
+
+@pytest.mark.parametrize(
+    "pipeline,width",
+    [
+        (lambda seeds: demo.moons(30, 0.1, 1, UNITS, 0, 20, seeds), 2),
+        (lambda seeds: demo.regression(30, 0.1, 25.0, 1, UNITS, 0, 20, seeds), 1),
+    ],
+    ids=["moons", "regression"],
+)
+def test_lula_trains_against_the_uniform_box(pipeline, width, monkeypatch):
+    calls = []
+    original = demo.train_lula
+
+    def recording(net, units, curv_features, in_features, out_features, *rest):
+        calls.append(out_features)
+        return original(net, units, curv_features, in_features, out_features, *rest)
+
+    monkeypatch.setattr(demo, "train_lula", recording)
+    pipeline(demo.Seeds(1, 2, 3, 4, 5, 7))
+    expected = Rng(7).uniform(*UNIFORM_BOX, (20, width))
+    assert len(calls) == 1 and calls[0].tobytes() == expected.tobytes()

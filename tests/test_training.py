@@ -324,6 +324,61 @@ class TestTrainMapMatchesReference:
         assert losses == (expected_history if history else [])
 
 
+@pytest.mark.parametrize("case", sorted(TestTrainMapMatchesReference.CASES))
+def test_train_map_reads_its_targets_once(case, monkeypatch):
+    # the read before epoch 0 is the only one: every step and history pass
+    # takes rows of it, with the plain loop's bits
+    dims, activation, loss = TestTrainMapMatchesReference.CASES[case]
+    rng = Rng(37)
+    x = rng.standard_normal((30, dims[0]))
+    if loss.kind == "gaussian_nll":
+        y = np.sin(2.0 * x[:, :1])
+    else:
+        y = rng.integers(0, max(dims[-1], 2), 30)
+    net = Network.init_random(dims, activation, Rng(8))
+    cfg = TrainConfig(
+        learning_rate=0.01, epochs=5, batch_size=7, weight_decay=0.2, seed=4
+    )
+    expected, expected_history = reference_train_map(net, x, y, loss, cfg)
+    calls = []
+    original = training.read_targets
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(training, "read_targets", counting)
+    trained, history = train_map(net, x, y, loss, cfg)
+    assert len(calls) == 1
+    assert trained.flatten_params().tobytes() == expected.flatten_params().tobytes()
+    assert history == expected_history
+
+
+@pytest.mark.parametrize("case", sorted(TestTrainMapMatchesReference.CASES))
+def test_map_loss_reads_its_targets_once(case, monkeypatch):
+    # one read serves both the value and the gradient
+    dims, activation, loss = TestTrainMapMatchesReference.CASES[case]
+    rng = Rng(38)
+    x = rng.standard_normal((9, dims[0]))
+    y = np.sin(x[:, :1]) if loss.kind == "gaussian_nll" else rng.integers(0, 2, 9)
+    net = Network.init_random(dims, activation, Rng(9))
+    trace = forward(net, x)
+    value = float(np.sum(pointwise_nll(loss, trace.output, y)))
+    grads = backward(net, trace, nll_output_grad(loss, trace.output, y))
+    calls = []
+    original = training.read_targets
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(training, "read_targets", counting)
+    got_value, got_grads = map_loss(net, x, y, loss, 0.0)
+    assert len(calls) == 1
+    assert got_value == value
+    assert got_grads.flat.tobytes() == grads.flat.tobytes()
+
+
 def test_pointwise_nll_shapes():
     loss = LossKind("categorical_ce")
     outputs = np.array([[1.0, 0.0], [0.0, 1.0]])
