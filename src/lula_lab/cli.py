@@ -3,45 +3,28 @@
 Every command is deterministic given the config seeds; outputs are CSV and
 key=value text so plotting stays external. Exit codes: 0 success, 1 runtime
 or numeric failure, 2 configuration error.
+
+At module level this file imports only the standard library and
+``errors``, so ``lula-lab --help`` loads no numpy. Each command and helper
+imports the package modules it uses when it runs: ``train``, ``laplace``
+and ``eval`` never load ``lula`` or ``demo``.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
-from dataclasses import fields, replace
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import data as data_mod
-from . import demo as demo_mod
-from . import lula as lula_mod
-from . import metrics as metrics_mod
-from . import network as net_mod
-from .config import (
-    ExperimentConfig,
-    default_config,
-    likelihood,
-    load_config,
-    output_count_need,
-)
 from .errors import ConfigError, LulaLabError
-from .laplace import (
-    PredictConfig,
-    build_posterior,
-    check_curvature_fit,
-    fit_curvature,
-    linearize,
-    mc_predict_sets,
-    predict_linearized,
-    predictive_log_likelihood,
-    proper_prior_precision,
-    tune_prior_precision,
-)
-from .numerics import Rng, _mix64
-from .training import LossKind, TrainConfig, read_targets, softmax, train_map
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .config import ExperimentConfig
+    from .network import Network
+    from .training import LossKind
 
 FLOAT_FMT = "{:.10g}"
 
@@ -76,16 +59,22 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _resolve_loss(cfg: ExperimentConfig) -> LossKind:
+    from .config import likelihood
+    from .training import LossKind
+
     choice = likelihood(cfg)
     if choice == "gaussian_nll":
         return LossKind("gaussian_nll", cfg["train"]["noise_precision"])
     return LossKind(choice)
 
 
-def _load_model(cfg: ExperimentConfig, model_path: str) -> net_mod.Network:
+def _load_model(cfg: ExperimentConfig, model_path: str) -> Network:
     """The model file, refused with a config error when its output count
     does not suit the config's likelihood, as ``[model] dims`` is."""
-    net = net_mod.load(model_path)
+    from .config import likelihood, output_count_need
+    from .network import load
+
+    net = load(model_path)
     loss = likelihood(cfg)
     need = output_count_need(loss, net.output_dim)
     if need:
@@ -99,6 +88,8 @@ def _load_model(cfg: ExperimentConfig, model_path: str) -> net_mod.Network:
 def _csv_labels(targets: np.ndarray, classes: int, path: str, header: bool):
     """A csv target column as labels: each an integer in [0, classes), or a
     ``ValueError`` naming the file, the first bad row and its value."""
+    from .training import read_targets
+
     try:
         return read_targets(targets.ravel(), targets.shape[:1], classes, 1 + int(header))
     except ValueError as err:
@@ -110,9 +101,15 @@ def _build_data(cfg: ExperimentConfig, num_outputs: int):
 
     A csv read under a classification loss must hold labels below
     ``num_outputs``, the network's output count (below 2 for binary_ce).
+    A csv that leaves train no rows is a config error, raised right after
+    the read (a generator's size is checked at load).
     """
+    from . import data as data_mod
+    from .numerics import _mix64
+
     d = cfg["data"]
     loss = _resolve_loss(cfg)
+    spec = data_mod.SplitSpec(d["split"], seed=_mix64(d["seed"], 1))
     if d["generator"] == "two_moons":
         full = data_mod.gen_two_moons(d["size"], d["noise_std"], d["seed"])
     elif d["generator"] == "toy_regression":
@@ -121,11 +118,15 @@ def _build_data(cfg: ExperimentConfig, num_outputs: int):
         )
     else:
         full = data_mod.load_csv(d["csv_path"], d["target_column"], d["header"])
+        if spec.counts(full.num_rows)[0] == 0:
+            raise ConfigError(
+                f"[data] split leaves no train rows of the {full.num_rows} in "
+                f"{d['csv_path']}; give train a larger fraction"
+            )
         classes = loss.classes(num_outputs)
         if classes is not None:
             labels = _csv_labels(full.targets, classes, d["csv_path"], d["header"])
             full = data_mod.Dataset(full.features, labels)
-    spec = data_mod.SplitSpec(d["split"], seed=_mix64(d["seed"], 1))
     train, val, test = data_mod.split(full, spec)
     if d["standardize"]:
         # float targets are regression targets; labels are int64
@@ -136,7 +137,10 @@ def _build_data(cfg: ExperimentConfig, num_outputs: int):
     return train, val, test, loss
 
 
-def _init_network(cfg: ExperimentConfig, input_dim: int) -> net_mod.Network:
+def _init_network(cfg: ExperimentConfig, input_dim: int) -> Network:
+    from .network import Network
+    from .numerics import Rng, _mix64
+
     dims = cfg["model"]["dims"]
     if dims[0] != input_dim:
         raise ConfigError(
@@ -144,7 +148,7 @@ def _init_network(cfg: ExperimentConfig, input_dim: int) -> net_mod.Network:
             f"{input_dim} features"
         )
     seed = _mix64(cfg["train"]["seed"], 99)
-    return net_mod.Network.init_random(
+    return Network.init_random(
         list(dims), cfg["model"]["activation"], Rng(seed)
     )
 
@@ -154,6 +158,10 @@ def _fit_laplace(
 ):
     """Curvature on the train split; the prior precision ``lam``, or searched
     on val when it is None. Returns (curvature, lam, [(candidate, score)])."""
+    from .data import synthesize_ood
+    from .laplace import fit_curvature, tune_prior_precision
+    from .numerics import Rng, _mix64
+
     la = cfg["laplace"]
     if lam is None and val.num_rows == 0:
         raise ConfigError(
@@ -164,7 +172,7 @@ def _fit_laplace(
     if lam is None:
         out_features = None
         if la["tune_objective"] == "ood_mmc":
-            out_features = data_mod.synthesize_ood(
+            out_features = synthesize_ood(
                 val.features, "uniform", Rng(_mix64(la["seed"], 7))
             )
         lam, scores = tune_prior_precision(
@@ -196,6 +204,8 @@ def _posterior_path(model_path: str) -> str:
 
 
 def _sha256(path: str) -> str:
+    import hashlib
+
     with open(path, "rb") as handle:
         return hashlib.sha256(handle.read()).hexdigest()
 
@@ -231,6 +241,8 @@ def _read_posterior(path: str, model_path: str, cfg: ExperimentConfig) -> float:
     positive float with a finite reciprocal is a config error naming the
     file and the key.
     """
+    from .laplace import proper_prior_precision
+
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     header = lines[0] if lines else ""
@@ -303,13 +315,17 @@ def _save_augmentation(path: str, units: int, init_std: float | None) -> None:
 
 
 def cmd_train(config_path: str, out_path: str, seed: int | None = None) -> int:
-    cfg, train_cfg, *_ = _load(config_path, seed)
+    from .network import save
+    from .training import TrainConfig, train_map
+
+    cfg = _load(config_path, seed)
+    train_cfg = _stage(TrainConfig, cfg, "train")
     train, val, test, loss = _build_data(cfg, cfg["model"]["dims"][-1])
     net = _init_network(cfg, train.num_features)
     trained, history = train_map(
         net, train.features, train.targets, loss, train_cfg
     )
-    net_mod.save(trained, out_path)
+    save(trained, out_path)
     base = os.path.splitext(out_path)[0]
     _write_csv(
         base + "_history.csv",
@@ -323,7 +339,10 @@ def cmd_train(config_path: str, out_path: str, seed: int | None = None) -> int:
 def cmd_laplace(
     config_path: str, model_path: str, out_path: str | None, seed: int | None = None
 ) -> int:
-    cfg, _, _, laplace_cfg, _ = _load(config_path, seed)
+    from .laplace import PredictConfig, check_curvature_fit
+
+    cfg = _load(config_path, seed)
+    laplace_cfg = _stage(PredictConfig, cfg, "laplace")
     net = _load_model(cfg, model_path)
     train, val, test, loss = _build_data(cfg, net.output_dim)
     la = cfg["laplace"]
@@ -343,10 +362,15 @@ def cmd_laplace(
 
 def _prop1_check(original, augmented, extent: float, seed: int) -> float:
     """Max relative output difference over 100 fresh random inputs."""
+    import numpy as np
+
+    from .network import forward_output
+    from .numerics import Rng
+
     rng = Rng(seed)
     x = rng.uniform(-extent, extent, (100, original.input_dim))
-    a = net_mod.forward_output(original, x)
-    b = net_mod.forward_output(augmented, x)
+    a = forward_output(original, x)
+    b = forward_output(augmented, x)
     scale = max(float(np.max(np.abs(a))), 1e-30)
     return float(np.max(np.abs(a - b)) / scale)
 
@@ -354,7 +378,15 @@ def _prop1_check(original, augmented, extent: float, seed: int) -> float:
 def cmd_lula(
     config_path: str, model_path: str, out_path: str, seed: int | None = None
 ) -> int:
-    cfg, _, lcfg, laplace_cfg, _ = _load(config_path, seed)
+    from .data import UNIFORM_BOX
+    from .laplace import PredictConfig
+    from .lula import LulaTrainConfig, augment, train_lula
+    from .network import save
+    from .numerics import Rng, _mix64
+
+    cfg = _load(config_path, seed)
+    lcfg = _stage(LulaTrainConfig, cfg, "lula")
+    laplace_cfg = _stage(PredictConfig, cfg, "laplace")
     lu, la = cfg["lula"], cfg["laplace"]
     if (la["curvature"], la["subset"]) != ("kfac_last_layer", "last_layer"):
         raise ConfigError(
@@ -377,13 +409,13 @@ def cmd_lula(
         )
     in_features = val.features if val.num_rows else train.features
     out_features = Rng(_mix64(lu["seed"], 11)).uniform(
-        *data_mod.UNIFORM_BOX, (lu["ood_size"], train.num_features)
+        *UNIFORM_BOX, (lu["ood_size"], train.num_features)
     )
-    aug_net = lula_mod.augment(
+    aug_net = augment(
         net, count, Rng(_mix64(lu["seed"], 23)), lu["init_std"]
     )
     # the curvature split of the posterior that eval builds for the tuned net
-    tuned, history = lula_mod.train_lula(
+    tuned, history = train_lula(
         aug_net, count, train.features, in_features, out_features, loss, lam, lcfg
     )
     rel = _prop1_check(
@@ -393,7 +425,7 @@ def cmd_lula(
     if rel > 1e-12:
         print("output-preservation check FAILED", file=sys.stderr)
         return 1
-    net_mod.save(tuned, out_path)
+    save(tuned, out_path)
     base = os.path.splitext(out_path)[0]
     _save_augmentation(base + "_augmentation.txt", count, lu["init_std"])
     _write_csv(
@@ -412,11 +444,14 @@ def cmd_lula(
 def _eval_ood_sets(cfg: ExperimentConfig, test):
     """Named OOD feature sets in the test split's shape, or a config error
     for a kind its rows are too narrow for (a csv's width is known late)."""
-    need = data_mod.ood_width_need(cfg["eval"]["ood_kinds"], test.num_features)
+    from .data import ood_width_need, synthesize_ood
+    from .numerics import Rng, _mix64
+
+    need = ood_width_need(cfg["eval"]["ood_kinds"], test.num_features)
     if need:
         raise ConfigError(f"[eval] ood_kinds: {need}, and the data has {test.num_features}")
     return {
-        kind: data_mod.synthesize_ood(
+        kind: synthesize_ood(
             test.features, kind, Rng(_mix64(cfg["eval"]["seed"], 100 + i))
         )
         for i, kind in enumerate(cfg["eval"]["ood_kinds"])
@@ -433,6 +468,11 @@ def _score_run(preds, names, targets, classification: bool, report_total: bool):
     test confidences. Regression scores each set's mean predictive std
     (total or epistemic) and the test log-likelihood.
     """
+    import numpy as np
+
+    from .laplace import predictive_log_likelihood
+    from .metrics import auroc, brier, mmc
+
     pred_test, *pred_ood = preds
     if not classification:
         scores = {"test.log_likelihood": predictive_log_likelihood(pred_test, targets)}
@@ -442,19 +482,28 @@ def _score_run(preds, names, targets, classification: bool, report_total: bool):
         return scores, []
     confidences = [pred.probabilities.max(axis=1) for pred in preds]
     scores = {
-        "test.mmc": metrics_mod.mmc(pred_test.probabilities),
-        "test.brier": metrics_mod.brier(pred_test.probabilities, targets),
+        "test.mmc": mmc(pred_test.probabilities),
+        "test.brier": brier(pred_test.probabilities, targets),
     }
     for name, pred, conf in zip(names, pred_ood, confidences[1:]):
-        scores[f"{name}.mmc"] = metrics_mod.mmc(pred.probabilities)
-        scores[f"{name}.auroc"] = metrics_mod.auroc(confidences[0], conf)
+        scores[f"{name}.mmc"] = mmc(pred.probabilities)
+        scores[f"{name}.auroc"] = auroc(confidences[0], conf)
     return scores, confidences
 
 
 def cmd_eval(
     config_path: str, model_path: str, out_dir: str, seed: int | None = None
 ) -> int:
-    cfg, _, _, laplace_cfg, eval_cfg = _load(config_path, seed)
+    from dataclasses import replace
+
+    import numpy as np
+
+    from .laplace import PredictConfig, build_posterior, linearize, predict_linearized
+    from .numerics import _mix64
+
+    cfg = _load(config_path, seed)
+    laplace_cfg = _stage(PredictConfig, cfg, "laplace")
+    eval_cfg = _stage(PredictConfig, cfg, "eval")
     lam = _base_prior_precision(cfg, model_path)
     net = _load_model(cfg, model_path)
     train, val, test, loss = _build_data(cfg, net.output_dim)
@@ -525,6 +574,14 @@ def cmd_eval(
 
 
 def _demo_moons(cfg: ExperimentConfig, out_dir: str, summary: list[str]) -> None:
+    import numpy as np
+
+    from . import demo as demo_mod
+    from .laplace import PredictConfig, mc_predict_sets
+    from .network import forward_output
+    from .numerics import Rng, _mix64
+    from .training import softmax
+
     demo = cfg["demo"]
     seed = demo["seed"]
     net, tuned, post_la, post_lula, test, loss = demo_mod.moons(
@@ -559,7 +616,7 @@ def _demo_moons(cfg: ExperimentConfig, out_dir: str, summary: list[str]) -> None
         return [pred.probabilities for pred in preds]
 
     stage_probs = {
-        "map": [softmax(net_mod.forward_output(net, x)) for x in point_sets],
+        "map": [softmax(forward_output(net, x)) for x in point_sets],
         "laplace": probabilities(net, post_la),
         "lula": probabilities(tuned, post_lula),
     }
@@ -573,8 +630,8 @@ def _demo_moons(cfg: ExperimentConfig, out_dir: str, summary: list[str]) -> None
         conf_test = probs_test.max(axis=1).mean()
         summary.append(f"moons.{stage}.ring_confidence {_fmt(conf_ring)}")
         summary.append(f"moons.{stage}.test_confidence {_fmt(conf_test)}")
-    map_labels = net_mod.forward_output(net, test.features).argmax(axis=1)
-    lula_labels = net_mod.forward_output(tuned, test.features).argmax(axis=1)
+    map_labels = forward_output(net, test.features).argmax(axis=1)
+    lula_labels = forward_output(tuned, test.features).argmax(axis=1)
     summary.append(
         f"moons.label_agreement {_fmt(float(np.mean(map_labels == lula_labels)))}"
     )
@@ -582,6 +639,13 @@ def _demo_moons(cfg: ExperimentConfig, out_dir: str, summary: list[str]) -> None
 
 
 def _demo_regression(cfg: ExperimentConfig, out_dir: str, summary: list[str]) -> None:
+    import numpy as np
+
+    from . import demo as demo_mod
+    from .laplace import PredictConfig, mc_predict_sets
+    from .network import forward_output
+    from .numerics import _mix64
+
     demo = cfg["demo"]
     seed = demo["seed"]
     net, tuned, post_la, post_lula, test, loss = demo_mod.regression(
@@ -605,7 +669,7 @@ def _demo_regression(cfg: ExperimentConfig, out_dir: str, summary: list[str]) ->
     def stage_rows(network, post, xs):
         """(mean, epistemic std, total std) for each point set in xs."""
         if post is None:
-            means = [net_mod.forward_output(network, x) for x in xs]
+            means = [forward_output(network, x) for x in xs]
             return [
                 (m, np.zeros_like(m), np.full_like(m, np.sqrt(aleatoric)))
                 for m in means
@@ -641,7 +705,7 @@ def _demo_regression(cfg: ExperimentConfig, out_dir: str, summary: list[str]) ->
 
 
 def cmd_demo_toy(config_path: str | None, out_dir: str, seed: int | None = None) -> int:
-    cfg = _load(config_path, seed)[0]
+    cfg = _load(config_path, seed)
     os.makedirs(out_dir, exist_ok=True)
     summary: list[str] = ["lula-lab-demo v1"]
     _demo_moons(cfg, out_dir, summary)
@@ -657,6 +721,8 @@ def cmd_demo_toy(config_path: str | None, out_dir: str, seed: int | None = None)
 def _stage(cls, cfg: ExperimentConfig, section: str):
     """``cls`` built from the keys of ``[section]`` named like its fields;
     every field has a key."""
+    from dataclasses import fields
+
     values = cfg[section]
     try:
         return cls(**{f.name: values[f.name] for f in fields(cls)})
@@ -664,23 +730,21 @@ def _stage(cls, cfg: ExperimentConfig, section: str):
         raise ConfigError(f"[{section}] {exc}") from None
 
 
-def _load(config_path: str | None, seed: int | None):
-    """The typed config and the stage settings built from it.
+def _load(config_path: str | None, seed: int | None) -> ExperimentConfig:
+    """The typed config of ``config_path`` (the defaults when None), its
+    section seeds derived from ``seed`` when one is given.
 
-    Returns (config, TrainConfig, LulaTrainConfig, [laplace] PredictConfig,
-    [eval] PredictConfig). Every command builds all four, so their range
-    rules reject a bad file with exit 2 before any data is built.
+    Loading checks every key of every section, so a bad file exits 2 in
+    every command before any data is built. Each command then builds only
+    the stage settings it uses (``_stage``); their range rules are ones
+    that ``config.SCHEMA`` already checks at load.
     """
+    from .config import default_config, load_config
+
     cfg = load_config(config_path) if config_path else default_config()
     if seed is not None:
         cfg = cfg.with_master_seed(seed)
-    return (
-        cfg,
-        _stage(TrainConfig, cfg, "train"),
-        _stage(lula_mod.LulaTrainConfig, cfg, "lula"),
-        _stage(PredictConfig, cfg, "laplace"),
-        _stage(PredictConfig, cfg, "eval"),
-    )
+    return cfg
 
 
 def _build_parser() -> argparse.ArgumentParser:

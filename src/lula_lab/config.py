@@ -412,6 +412,12 @@ def _convert(raw: dict) -> ExperimentConfig:
         data["target_column"] = _parse(
             "data", "target_column", _int, data["target_column"]
         )
+    size = data["size"]
+    if data["generator"] != "csv" and SplitSpec(data["split"]).counts(size)[0] == 0:
+        raise ConfigError(
+            f"[data] split leaves no train rows of [data] size = {size}; give "
+            "train a larger fraction"
+        )
     width = GENERATOR_FEATURES.get(data["generator"])
     need = width and ood_width_need(values["eval"]["ood_kinds"], width)
     if need:

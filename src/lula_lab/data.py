@@ -85,6 +85,13 @@ class SplitSpec:
         if abs(sum(self.fractions) - 1.0) > 1e-9:
             raise ValueError("fractions must sum to 1")
 
+    def counts(self, m: int) -> tuple[int, int, int]:
+        """The train, val and test row counts of a split of ``m`` rows."""
+        f_train, f_val, _ = self.fractions
+        n_train = int(m * f_train)
+        n_val = int(m * (f_train + f_val)) - n_train
+        return n_train, n_val, m - n_train - n_val
+
 
 def gen_two_moons(m: int, noise_std: float, seed: int) -> Dataset:
     """Two interleaved half circles with Gaussian noise, balanced labels.
@@ -222,9 +229,7 @@ def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
     """Seed-deterministic shuffle into disjoint train/val/test datasets."""
     m = data.num_rows
     order = Rng(spec.seed).permutation(m)
-    f_train, f_val, _ = spec.fractions
-    n_train = int(m * f_train)
-    n_val = int(m * (f_train + f_val)) - n_train
+    n_train, n_val, _ = spec.counts(m)
     idx_train = order[:n_train]
     idx_val = order[n_train : n_train + n_val]
     idx_test = order[n_train + n_val :]

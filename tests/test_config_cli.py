@@ -11,6 +11,8 @@ import pytest
 
 from lula_lab import cli, demo
 from lula_lab import laplace as laplace_mod
+from lula_lab import lula as lula_mod
+from lula_lab import training as training_mod
 from lula_lab.config import (
     ORDERED_PAIRS,
     SCHEMA,
@@ -183,6 +185,10 @@ MALFORMED = [
     ("train", "momentum", "-1"),
     ("train", "momentum", "nan"),
     ("train", "momentum", "inf"),
+    # a split whose train part holds no row of the default 500: a zero
+    # fraction, and one that rounds down to zero rows
+    ("data", "split", "0,0.5,0.5"),
+    ("data", "split", "0.001,0.5,0.499"),
 ]
 
 
@@ -661,7 +667,7 @@ class TestCliCommands:
         def refuse(*args, **kwargs):
             raise AssertionError("fit_curvature was called")
 
-        monkeypatch.setattr(cli, "fit_curvature", refuse)
+        monkeypatch.setattr(laplace_mod, "fit_curvature", refuse)
 
     def test_fixed_prior_precision_laplace_fits_nothing(self, tmp_path, no_fit):
         # the file holds only the given prior precision, so no curvature is fit
@@ -802,7 +808,7 @@ class TestCliCommands:
             raise AssertionError("work started before the config was validated")
 
         monkeypatch.setattr(cli, "_build_data", no_work)
-        monkeypatch.setattr(cli, "train_map", no_work)
+        monkeypatch.setattr(training_mod, "train_map", no_work)
         monkeypatch.setattr(demo, "train_map", no_work)
         config = tmp_path / "bad.ini"
         config.write_text(f"[{section}]\n{key} = {value}\n")
@@ -839,7 +845,7 @@ class TestCliCommands:
             raise AssertionError("work started before the config was validated")
 
         monkeypatch.setattr(cli, "_build_data", no_work)
-        monkeypatch.setattr(cli, "train_map", no_work)
+        monkeypatch.setattr(training_mod, "train_map", no_work)
         monkeypatch.setattr(demo, "train_map", no_work)
         config = tmp_path / "bad.ini"
         config.write_text(REGRESSION_INI.replace(
@@ -860,7 +866,7 @@ class TestCliCommands:
             raise AssertionError("work started before the config was validated")
 
         monkeypatch.setattr(cli, "_build_data", no_work)
-        monkeypatch.setattr(cli, "train_map", no_work)
+        monkeypatch.setattr(training_mod, "train_map", no_work)
         monkeypatch.setattr(demo, "train_map", no_work)
         config = tmp_path / "bad.ini"
         config.write_text(REGRESSION_INI.replace(
@@ -885,7 +891,7 @@ class TestCliCommands:
             raise AssertionError("work started before the config was validated")
 
         monkeypatch.setattr(cli, "_build_data", no_work)
-        monkeypatch.setattr(cli, "train_map", no_work)
+        monkeypatch.setattr(training_mod, "train_map", no_work)
         monkeypatch.setattr(demo, "train_map", no_work)
         config = tmp_path / "bad.ini"
         config.write_text(REGRESSION_INI.replace(
@@ -992,13 +998,13 @@ class TestCliCommands:
         model = str(tmp_path / "model.txt")
         assert cli.main(["train", "--config", str(config), "--out", model]) == 0
         calls = []
-        original = cli.predict_linearized
+        original = laplace_mod.predict_linearized
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "predict_linearized", counting)
+        monkeypatch.setattr(laplace_mod, "predict_linearized", counting)
         evaldir = tmp_path / "eval"
         argv = ["eval", "--config", str(config), "--model", model, "--out", str(evaldir)]
         assert cli.main(argv) == 0
@@ -1021,7 +1027,7 @@ class TestCliCommands:
         def no_tuning(*args, **kwargs):
             raise AssertionError("the prior precision was tuned first")
 
-        monkeypatch.setattr(cli, "tune_prior_precision", no_tuning)
+        monkeypatch.setattr(laplace_mod, "tune_prior_precision", no_tuning)
         tuned = tmp_path / "tuned.txt"
         code = cli.main(
             ["lula", "--config", str(config), "--model", model, "--out", str(tuned)]
@@ -1176,9 +1182,10 @@ class TestCsvInput:
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the data was checked")
 
-        for name in ("train_map", "fit_curvature", "tune_prior_precision"):
-            monkeypatch.setattr(cli, name, refuse)
-        monkeypatch.setattr(cli.lula_mod, "train_lula", refuse)
+        monkeypatch.setattr(training_mod, "train_map", refuse)
+        for name in ("fit_curvature", "tune_prior_precision"):
+            monkeypatch.setattr(laplace_mod, name, refuse)
+        monkeypatch.setattr(lula_mod, "train_lula", refuse)
 
     @pytest.mark.parametrize("command", ["train", "laplace", "lula", "eval"])
     def test_non_finite_cell_exits_1_before_work(
@@ -1225,6 +1232,22 @@ class TestCsvInput:
         assert "[eval] ood_kinds: blur needs at least 3 features, and the data has 2" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["train", "laplace", "lula", "eval"])
+    @pytest.mark.parametrize("fractions", ["0,0.5,0.5", "0.01,0.5,0.49"])
+    def test_csv_with_no_train_rows_exits_2_before_work(
+        self, command, fractions, tmp_path, capsys, no_work
+    ):
+        # a csv's row count is known only once it is read
+        argv, csv = _csv_argv(command, tmp_path, [i % 3 for i in range(60)])
+        config = Path(argv[2])
+        config.write_text(config.read_text().replace(
+            "target_column = label", f"target_column = label\nsplit = {fractions}"
+        ))
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"[data] split leaves no train rows of the 60 in {csv}" in err
+        assert not (tmp_path / "out").exists()
+
     def test_integer_valued_labels_load_as_classes(self, tmp_path):
         labels = [f"{i % 3}.0" for i in range(60)]
         argv, _ = _csv_argv("train", tmp_path, labels)
@@ -1244,13 +1267,13 @@ TUNE_INI = TINY_INI.replace(
 def tune_calls(monkeypatch):
     """Every prior-precision search the CLI starts, as a list of grids."""
     calls = []
-    original = cli.tune_prior_precision
+    original = laplace_mod.tune_prior_precision
 
     def counting(*args, **kwargs):
         calls.append(kwargs["grid"])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "tune_prior_precision", counting)
+    monkeypatch.setattr(laplace_mod, "tune_prior_precision", counting)
     return calls
 
 
@@ -1382,9 +1405,10 @@ class TestPosteriorSidecar:
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the file was checked")
 
-        for name in ("_build_data", "fit_curvature", "tune_prior_precision"):
-            monkeypatch.setattr(cli, name, no_work)
-        monkeypatch.setattr(cli.lula_mod, "train_lula", no_work)
+        monkeypatch.setattr(cli, "_build_data", no_work)
+        for name in ("fit_curvature", "tune_prior_precision"):
+            monkeypatch.setattr(laplace_mod, name, no_work)
+        monkeypatch.setattr(lula_mod, "train_lula", no_work)
         out = str(tmp_path / "out")
         assert cli.main(
             [command, "--config", config, "--model", model, "--out", out]
@@ -1408,8 +1432,9 @@ class TestPosteriorSidecar:
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the file was checked")
 
-        for name in ("_build_data", "fit_curvature", "tune_prior_precision"):
-            monkeypatch.setattr(cli, name, no_work)
+        monkeypatch.setattr(cli, "_build_data", no_work)
+        for name in ("fit_curvature", "tune_prior_precision"):
+            monkeypatch.setattr(laplace_mod, name, no_work)
         out = str(tmp_path / "out")
         assert cli.main(
             [command, "--config", config, "--model", model, "--out", out]
@@ -1601,10 +1626,11 @@ class TestModelFileAgainstTheConfig:
         def no_work(*args, **kwargs):
             raise AssertionError("work started before [laplace] was checked")
 
-        for name in ("_base_prior_precision", "_load_model", "_build_data",
-                     "fit_curvature", "tune_prior_precision"):
+        for name in ("_base_prior_precision", "_load_model", "_build_data"):
             monkeypatch.setattr(cli, name, no_work)
-        monkeypatch.setattr(cli.lula_mod, "train_lula", no_work)
+        for name in ("fit_curvature", "tune_prior_precision"):
+            monkeypatch.setattr(laplace_mod, name, no_work)
+        monkeypatch.setattr(lula_mod, "train_lula", no_work)
         out = tmp_path / "tuned.txt"
         argv = ["lula", "--config", str(config), "--model", model, "--out", str(out)]
         assert cli.main(argv) == 2
@@ -1620,13 +1646,13 @@ class TestModelFileAgainstTheConfig:
         model = str(tmp_path / "model.txt")
         save(Network.init_random([2, 16, 16, 2], "relu", Rng(0)), model)
         calls = []
-        original = cli.lula_mod.train_lula
+        original = lula_mod.train_lula
 
         def recording(net, units, curv_features, *rest):
             calls.append(curv_features)
             return original(net, units, curv_features, *rest)
 
-        monkeypatch.setattr(cli.lula_mod, "train_lula", recording)
+        monkeypatch.setattr(lula_mod, "train_lula", recording)
         out = str(tmp_path / "tuned.txt")
         assert cli.main(["lula", "--config", str(config), "--model", model,
                          "--out", out]) == 0
@@ -1639,13 +1665,13 @@ class TestModelFileAgainstTheConfig:
         model = str(tmp_path / "model.txt")
         save(Network.init_random([2, 16, 16, 2], "relu", Rng(0)), model)
         calls = []
-        original = cli.lula_mod.train_lula
+        original = lula_mod.train_lula
 
         def recording(net, units, curv_features, in_features, out_features, *rest):
             calls.append(out_features)
             return original(net, units, curv_features, in_features, out_features, *rest)
 
-        monkeypatch.setattr(cli.lula_mod, "train_lula", recording)
+        monkeypatch.setattr(lula_mod, "train_lula", recording)
         out = str(tmp_path / "tuned.txt")
         assert cli.main(["lula", "--config", str(config), "--model", model,
                          "--out", out]) == 0
