@@ -4,10 +4,10 @@ Every command is deterministic given the config seeds; outputs are CSV and
 key=value text so plotting stays external. Exit codes: 0 success, 1 runtime
 or numeric failure, 2 configuration error.
 
-At module level this file imports only the standard library and
-``errors``, so ``lula-lab --help`` loads no numpy. Each command and helper
-imports the package modules it uses when it runs: ``train``, ``laplace``
-and ``eval`` never load ``lula`` or ``demo``.
+At module level this file imports the standard library, numpy and
+``errors``, and no other package module. Each command and helper imports
+the package modules it uses when it runs: ``train``, ``laplace`` and
+``eval`` never load ``lula`` or ``demo``.
 """
 
 from __future__ import annotations
@@ -15,13 +15,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields, replace
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .errors import ConfigError, LulaLabError
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .config import ExperimentConfig
     from .network import Network
     from .training import LossKind
@@ -362,8 +363,6 @@ def cmd_laplace(
 
 def _prop1_check(original, augmented, extent: float, seed: int) -> float:
     """Max relative output difference over 100 fresh random inputs."""
-    import numpy as np
-
     from .network import forward_output
     from .numerics import Rng
 
@@ -468,8 +467,6 @@ def _score_run(preds, names, targets, classification: bool, report_total: bool):
     test confidences. Regression scores each set's mean predictive std
     (total or epistemic) and the test log-likelihood.
     """
-    import numpy as np
-
     from .laplace import predictive_log_likelihood
     from .metrics import auroc, brier, mmc
 
@@ -494,10 +491,6 @@ def _score_run(preds, names, targets, classification: bool, report_total: bool):
 def cmd_eval(
     config_path: str, model_path: str, out_dir: str, seed: int | None = None
 ) -> int:
-    from dataclasses import replace
-
-    import numpy as np
-
     from .laplace import PredictConfig, build_posterior, linearize, predict_linearized
     from .numerics import _mix64
 
@@ -574,8 +567,6 @@ def cmd_eval(
 
 
 def _demo_moons(cfg: ExperimentConfig, out_dir: str, summary: list[str]) -> None:
-    import numpy as np
-
     from . import demo as demo_mod
     from .laplace import PredictConfig, mc_predict_sets
     from .network import forward_output
@@ -639,8 +630,6 @@ def _demo_moons(cfg: ExperimentConfig, out_dir: str, summary: list[str]) -> None
 
 
 def _demo_regression(cfg: ExperimentConfig, out_dir: str, summary: list[str]) -> None:
-    import numpy as np
-
     from . import demo as demo_mod
     from .laplace import PredictConfig, mc_predict_sets
     from .network import forward_output
@@ -721,8 +710,6 @@ def cmd_demo_toy(config_path: str | None, out_dir: str, seed: int | None = None)
 def _stage(cls, cfg: ExperimentConfig, section: str):
     """``cls`` built from the keys of ``[section]`` named like its fields;
     every field has a key."""
-    from dataclasses import fields
-
     values = cfg[section]
     try:
         return cls(**{f.name: values[f.name] for f in fields(cls)})
