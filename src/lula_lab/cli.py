@@ -6,13 +6,24 @@ or numeric failure, 2 configuration error.
 
 At module level this file imports the standard library, numpy and
 ``errors``, and no other package module. Each command and helper imports
-the package modules it uses when it runs: ``train``, ``laplace`` and
-``eval`` never load ``lula`` or ``demo``.
+the package modules it uses when it runs. ``train`` loads ``cli``,
+``config``, ``data``, ``errors``, ``network``, ``numerics`` and
+``training``; ``laplace`` and ``eval`` add ``laplace`` and ``metrics``;
+``lula`` adds ``lula`` to those, and ``demo-toy`` ``lula`` and ``demo``.
+
+:func:`main` registers ``gc.freeze`` with ``atexit``, once per process, so
+the collections CPython runs at exit skip the heap the process is about to
+return. That is safe: CPython does not promise finalizers at exit, every
+file this package writes is closed by ``with`` before ``main`` returns, and
+stdio is flushed after the atexit handlers run.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import functools
+import gc
 import os
 import sys
 from dataclasses import fields, replace
@@ -242,7 +253,7 @@ def _read_posterior(path: str, model_path: str, cfg: ExperimentConfig) -> float:
     positive float with a finite reciprocal is a config error naming the
     file and the key.
     """
-    from .laplace import proper_prior_precision
+    from .numerics import proper_prior_precision
 
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
@@ -778,7 +789,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _skip_exit_collections() -> None:
+    """Have ``gc.freeze`` run at interpreter exit, registered once however
+    often :func:`main` runs in one process.
+
+    The frozen heap is out of reach of the collections CPython runs while it
+    tears the process down, which otherwise walk every object numpy and the
+    package made, to free memory the process returns anyway. Nothing is
+    frozen while the caller of ``main`` lives.
+    """
+    atexit.register(gc.freeze)
+
+
 def main(argv=None) -> int:
+    _skip_exit_collections()
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "train":

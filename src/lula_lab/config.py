@@ -19,15 +19,15 @@ import numpy as np
 from .data import (GENERATOR_FEATURES, OOD_KINDS, OOD_MIN_FEATURES, SplitSpec,
                    ood_width_need)
 from .errors import ConfigError
-from .laplace import (
+from .network import ACTIVATIONS
+from .numerics import (
     CURVATURE_KINDS,
     PREDICT_METHODS,
     SUBSETS,
     TUNE_OBJECTIVES,
+    _mix64,
     proper_prior_precision,
 )
-from .network import ACTIVATIONS
-from .numerics import _mix64
 from .training import LOSS_KINDS
 
 __all__ = ["ExperimentConfig", "load_config", "default_config", "reference_text"]

@@ -133,7 +133,14 @@ from .network import (
     jacobian_factors,
 )
 from .metrics import mmc
-from .numerics import Rng
+from .numerics import (
+    CURVATURE_KINDS,
+    PREDICT_METHODS,
+    SUBSETS,
+    TUNE_OBJECTIVES,
+    Rng,
+    proper_prior_precision,
+)
 from .training import (
     LossKind,
     hessian_root_width,
@@ -168,11 +175,6 @@ __all__ = [
     "tune_prior_precision",
 ]
 
-CURVATURE_KINDS = ("full_ggn", "diag_ggn", "kfac_last_layer")
-SUBSETS = ("all_layers", "last_layer")
-PREDICT_METHODS = ("mc", "probit_linearized")
-TUNE_OBJECTIVES = ("val_log_likelihood", "ood_mmc")
-
 # A full GGN is built only when min(n r, dim) * dim, r the root width, is at
 # most FULL_GGN_CAP**2 floats: the dim x dim matrix in parameter space, and
 # in data space (n r < dim) the size the n r stacked rows would have. Data
@@ -189,16 +191,6 @@ _JACOBIAN_CHUNK_BYTES = 8 * 2**20
 # Bytes of sampled (samples, k, c) logits of c points held at once by the MC
 # predictive.
 _MC_CHUNK_BYTES = 2 * 2**20
-
-
-def proper_prior_precision(lam) -> bool:
-    """Whether each prior precision lambda in ``lam`` (a number or an
-    array) and its reciprocal, the variance of the prior N(0, I / lambda),
-    are finite and positive: a subnormal such as 1e-310 is not."""
-    lam = np.asarray(lam, dtype=np.float64)
-    with np.errstate(divide="ignore", over="ignore"):
-        recip = 1.0 / lam
-    return bool(np.all((lam > 0.0) & (lam < np.inf) & (recip < np.inf)))
 
 
 def _require_proper_prior_precision(lam) -> None:

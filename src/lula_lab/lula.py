@@ -312,8 +312,10 @@ def train_lula(
     epoch's network up to round-off. Every other parameter is copied
     unchanged, so original parameters and structural zeros are preserved
     bitwise. Raises ``ValueError`` unless the last ``units`` units of the
-    final hidden layer have exactly zero outgoing weights. Returns the
-    tuned network and the per-epoch objective history.
+    final hidden layer have exactly zero outgoing weights, and
+    ``DivergenceError`` naming the epoch, before its step, when that
+    epoch's objective or gradient is not finite. Returns the tuned network
+    and the per-epoch objective history.
     """
     objective = _Objective(net, units, curv_features, in_features, out_features,
                            loss, prior_precision)
@@ -324,6 +326,8 @@ def train_lula(
         value, grad = objective(theta)
         if not np.isfinite(value):
             raise DivergenceError(f"non-finite objective at epoch {epoch}")
+        if not np.all(np.isfinite(grad)):
+            raise DivergenceError(f"non-finite gradient at epoch {epoch}")
         history.append(value)
         adam.step(theta, grad)
     top, first = objective.top, objective.first

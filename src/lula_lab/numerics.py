@@ -1,18 +1,46 @@
-"""Seeded random sampling.
+"""Seeded random sampling, and the posterior vocabulary every command reads.
 
 Randomness goes through :class:`Rng`, a thin wrapper around NumPy's Philox
 counter-based bit generator, so that a given seed produces the identical
 stream on every platform and run. No operation here touches a global random
 state.
+
+The curvature kinds, parameter subsets, predictive methods and tuning
+objectives, and the rule :func:`proper_prior_precision`, live here rather
+than in ``laplace``, which re-exports them: ``config`` checks its keys
+against them, and so ``train``, which fits no posterior, never loads
+``laplace`` or ``metrics``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Rng"]
+__all__ = [
+    "CURVATURE_KINDS",
+    "SUBSETS",
+    "PREDICT_METHODS",
+    "TUNE_OBJECTIVES",
+    "Rng",
+    "proper_prior_precision",
+]
+
+CURVATURE_KINDS = ("full_ggn", "diag_ggn", "kfac_last_layer")
+SUBSETS = ("all_layers", "last_layer")
+PREDICT_METHODS = ("mc", "probit_linearized")
+TUNE_OBJECTIVES = ("val_log_likelihood", "ood_mmc")
 
 _MASK64 = (1 << 64) - 1
+
+
+def proper_prior_precision(lam) -> bool:
+    """Whether each prior precision lambda in ``lam`` (a number or an
+    array) and its reciprocal, the variance of the prior N(0, I / lambda),
+    are finite and positive: a subnormal such as 1e-310 is not."""
+    lam = np.asarray(lam, dtype=np.float64)
+    with np.errstate(divide="ignore", over="ignore"):
+        recip = 1.0 / lam
+    return bool(np.all((lam > 0.0) & (lam < np.inf) & (recip < np.inf)))
 
 
 def _mix64(seed: int, stream: int) -> int:

@@ -9,6 +9,7 @@ from conftest import (
     relative_error,
 )
 from lula_lab import lula
+from lula_lab.errors import DivergenceError
 from lula_lab.laplace import build_posterior, fit_curvature
 from lula_lab.lula import (
     LulaTrainConfig,
@@ -436,6 +437,32 @@ class TestTrainLula:
         train_lula(aug_net, 3, curv, data, out, loss, 0.5, LulaTrainConfig(epochs=epochs))
         assert shapes.count((k, k)) == 1
         assert shapes.count((9, 9)) == epochs
+
+    def test_non_finite_gradient_stops_before_the_step(self, monkeypatch):
+        # a finite objective with a NaN gradient, as an overflowing 1/lambda
+        # gives, raises at its own epoch and leaves Adam unstepped
+        rng = Rng(24)
+        aug_net = augment(Network.init_random([2, 4, 2], "relu", rng), 2, rng)
+        data = rng.standard_normal((10, 2))
+        out = rng.uniform(-5, 5, (10, 2))
+        original = lula._Objective.__call__
+        calls = []
+
+        def nan_at_epoch_2(self, theta):
+            calls.append(theta)
+            value, grad = original(self, theta)
+            if len(calls) == 3:
+                grad[0] = np.nan
+            return value, grad
+
+        monkeypatch.setattr(lula._Objective, "__call__", nan_at_epoch_2)
+        steps = []
+        monkeypatch.setattr(_Adam, "step", lambda adam, theta, grad: steps.append(grad))
+        with pytest.raises(DivergenceError, match="non-finite gradient at epoch 2"):
+            train_lula(aug_net, 2, data, data, out, LossKind("categorical_ce"), 0.5,
+                       LulaTrainConfig(epochs=5))
+        assert len(calls) == 3
+        assert len(steps) == 2
 
     def test_rejects_units_that_are_not_added(self):
         rng = Rng(21)
