@@ -17,8 +17,7 @@ _EXPORTS_BY_MODULE = {
     "errors": ("ConfigError", "DivergenceError", "LulaLabError", "ModelFormatError"),
     "numerics": ("Rng",),
     "network": (
-        "ForwardTrace", "LayerSpec", "Network", "backward", "forward", "load",
-        "output_jacobian", "save",
+        "ForwardTrace", "LayerSpec", "Network", "backward", "forward", "load", "save",
     ),
     "training": ("LossKind", "TrainConfig", "map_loss", "train_map"),
     "laplace": (
@@ -26,7 +25,7 @@ _EXPORTS_BY_MODULE = {
         "build_posterior", "fit_curvature", "mc_predict", "mc_predict_sets",
         "probit_predict_binary", "tune_prior_precision",
     ),
-    "lula": ("LulaTrainConfig", "augment", "lula_objective", "train_lula"),
+    "lula": ("LulaTrainConfig", "augment", "train_lula"),
     "data": (
         "Dataset", "SplitSpec", "gen_toy_regression", "gen_two_moons", "load_csv",
         "split", "standardize", "synthesize_ood",

@@ -310,18 +310,6 @@ def _base_prior_precision(cfg: ExperimentConfig, model_path: str) -> float | Non
     return lam
 
 
-def _save_augmentation(path: str, units: int, init_std: float | None) -> None:
-    """Format v2: the units added to the final hidden layer and their init scale.
-
-    With the model file these fix the free block: the last ``units`` rows of
-    that layer's weights and biases.
-    """
-    std = "default" if init_std is None else format(init_std, ".17g")
-    _write_lines(
-        path, ["lula-lab-augmentation v2", f"units {units}", f"init_std {std}"]
-    )
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -437,7 +425,6 @@ def cmd_lula(
         return 1
     save(tuned, out_path)
     base = os.path.splitext(out_path)[0]
-    _save_augmentation(base + "_augmentation.txt", count, lu["init_std"])
     _write_csv(
         base + "_history.csv",
         ["epoch", "objective"],
@@ -445,7 +432,7 @@ def cmd_lula(
     )
     _write_posterior(_posterior_path(out_path), out_path, cfg, lam, lam_scores)
     print(
-        f"wrote {out_path}, {base}_augmentation.txt, {base}_history.csv, "
+        f"wrote {out_path}, {base}_history.csv, "
         f"{_posterior_path(out_path)} (prior precision {_fmt(lam)})"
     )
     return 0
@@ -560,9 +547,15 @@ def cmd_eval(
     for name in sorted(scored[0][0]):
         values = np.array([scores[name] for scores, _ in scored])
         dataset, metric = name.split(".", 1)
-        rows.append((dataset, metric, float(values.mean()), float(values.std())))
-        summary.append(f"{name}.mean {_fmt(values.mean())}")
-        summary.append(f"{name}.std {_fmt(values.std())}")
+        # runs that repeat one value (every regression run) report it with
+        # std exactly 0; the mean and std of copies are off by round-off
+        if np.all(values == values[0]):
+            mean, std = float(values[0]), 0.0
+        else:
+            mean, std = float(values.mean()), float(values.std())
+        rows.append((dataset, metric, mean, std))
+        summary.append(f"{name}.mean {_fmt(mean)}")
+        summary.append(f"{name}.std {_fmt(std)}")
     _write_csv(
         os.path.join(out_dir, "eval_report.csv"),
         ["dataset", "metric", "mean", "std"],

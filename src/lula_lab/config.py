@@ -279,7 +279,12 @@ SCHEMA: dict[str, dict[str, tuple]] = {
             "'default' (0.1 sqrt(2/fan_in)) or a positive float",
         ),
         "ood_size": ("500", _int_at_least(1), "number of outlier training points, >= 1"),
-        "seed": ("3", _int, "unit initialization and output-preservation check seed"),
+        "seed": (
+            "3",
+            _int,
+            "seed of the unit initialization, the outlier draw and the "
+            "output-preservation check",
+        ),
     },
     "eval": {
         "ood_kinds": (
@@ -303,7 +308,12 @@ SCHEMA: dict[str, dict[str, tuple]] = {
             "epistemic", ("epistemic", "total"), "regression std to report"
         ),
         "grid_size": ("60", _int_at_least(1), "demo lattice resolution per axis, >= 1"),
-        "grid_extent": ("12.0", _positive, "demo lattice half width, > 0"),
+        "grid_extent": (
+            "12.0",
+            _positive,
+            "half width of the demo lattice and of the box of lula's 100 "
+            "output-preservation check inputs, > 0",
+        ),
         "ring_inner": (
             "8.0",
             _nonnegative,

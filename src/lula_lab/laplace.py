@@ -554,7 +554,8 @@ class LaplacePosterior:
     ``curvature`` is the curvature it was built from. Raises
     ``ValueError`` for a prior precision that is not finite and positive or
     whose reciprocal, the prior variance, overflows, and for a curvature
-    whose spectrum has a negative or NaN entry, so every precision eigenvalue s + lambda is at least lambda.
+    whose spectrum has a negative or NaN entry, so every precision
+    eigenvalue s + lambda is at least lambda.
     """
 
     def __init__(self, curvature: Curvature, prior_precision: float):
@@ -606,17 +607,6 @@ class LaplacePosterior:
         z += self.mean
         z += _project(self._basis, proj, back=True)
         return z
-
-    def quad_forms(self, vectors: np.ndarray) -> np.ndarray:
-        """g^T Sigma g = c |g|^2 + (B g)^2 . t for each row g of ``vectors``."""
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-        if vectors.shape[1] != self.dim:
-            raise ValueError("vector dimension does not match posterior")
-        proj = _project(self._basis, vectors)
-        forms = (proj * proj) @ self._t
-        if self._c:
-            forms += self._c * np.einsum("ij,ij->i", vectors, vectors)
-        return forms
 
     def _kron_spread(self, lin: Linearization) -> np.ndarray:
         """u t^T (m, k) of the Kronecker kind, with t as its (k, F) grid:

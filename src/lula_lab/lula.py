@@ -30,15 +30,12 @@ import numpy as np
 
 from .errors import DivergenceError
 from .laplace import (
-    LaplacePosterior,
     _kfac_curvature,
     _output_factor_eigh,
     _require_proper_prior_precision,
     build_posterior,
     check_curvature_fit,
-    fit_curvature,
     last_layer_mean,
-    linearize,
 )
 from .network import (
     LayerSpec,
@@ -52,14 +49,7 @@ from .network import (
 from .numerics import Rng
 from .training import LossKind, _Adam
 
-__all__ = [
-    "LulaTrainConfig",
-    "augment",
-    "total_variance_batch",
-    "lula_objective",
-    "objective_gradient",
-    "train_lula",
-]
+__all__ = ["LulaTrainConfig", "augment", "train_lula"]
 
 
 @dataclass(frozen=True)
@@ -144,16 +134,6 @@ def _centring(loss: LossKind, k: int) -> np.ndarray:
     return centring
 
 
-def total_variance_batch(
-    net: Network, post: LaplacePosterior, x: np.ndarray, loss: LossKind
-) -> np.ndarray:
-    """v(x) = tr(K Sigma_f(x)) per input row, shape (m,), with Sigma_f the
-    posterior's :meth:`LaplacePosterior.output_cov`, the one prediction
-    reads, and K the centring of the module docstring."""
-    cov = post.output_cov(linearize(net, post.curvature, x))
-    return np.einsum("ij,mji->m", _centring(loss, net.output_dim), cov)
-
-
 def _as_batches(in_batch, out_batch) -> tuple[np.ndarray, np.ndarray]:
     in_batch = np.atleast_2d(np.asarray(in_batch, dtype=np.float64))
     out_batch = np.atleast_2d(np.asarray(out_batch, dtype=np.float64))
@@ -162,28 +142,12 @@ def _as_batches(in_batch, out_batch) -> tuple[np.ndarray, np.ndarray]:
     return in_batch, out_batch
 
 
-def lula_objective(
-    net: Network,
-    curv_features: np.ndarray,
-    in_batch: np.ndarray,
-    out_batch: np.ndarray,
-    loss: LossKind,
-    prior_precision: float,
-) -> float:
-    """Mean log v over ``in_batch`` minus mean log v over ``out_batch``, v
-    from :func:`total_variance_batch` under the Kronecker last-layer
-    posterior of ``net`` fit on ``curv_features``."""
-    in_batch, out_batch = _as_batches(in_batch, out_batch)
-    curv = fit_curvature(net, curv_features, loss, "kfac_last_layer", "last_layer")
-    post = build_posterior(curv, prior_precision)
-    v_in = total_variance_batch(net, post, in_batch, loss)
-    v_out = total_variance_batch(net, post, out_batch, loss)
-    return float(np.mean(np.log(v_in)) - np.mean(np.log(v_out)))
-
-
 class _Objective:
-    """:func:`lula_objective` of an augmented network and its gradient, as
-    functions of the flat free block theta = (W_free, b_free).
+    """The objective J of an augmented network and its gradient, as
+    functions of the flat free block theta = (W_free, b_free): J is the
+    mean of log v over the inlier set minus its mean over the outlier set,
+    v(x) = tr(K Sigma_f(x)) under the Kronecker last-layer posterior fit on
+    the curvature set (module docstring).
 
     Only the free block moves, so each set's input to the final hidden
     layer is computed once, and so are the output layer (the posterior
@@ -273,25 +237,6 @@ def _free_block(net: Network, units: int) -> np.ndarray:
     return np.concatenate([net.weights[top][first:].ravel(), net.biases[top][first:]])
 
 
-def objective_gradient(
-    net: Network,
-    units: int,
-    curv_features: np.ndarray,
-    in_batch: np.ndarray,
-    out_batch: np.ndarray,
-    loss: LossKind,
-    prior_precision: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form gradient of :func:`lula_objective` over the free block,
-    through the posterior (:class:`_Objective`). Returns the gradients of
-    the free weights (units x fan_in) and free biases (units,)."""
-    objective = _Objective(net, units, curv_features, in_batch, out_batch, loss,
-                           prior_precision)
-    grad = objective(_free_block(net, units))[1]
-    w_size = units * objective.fan_in
-    return grad[:w_size].reshape(units, objective.fan_in), grad[w_size:]
-
-
 def train_lula(
     net: Network,
     units: int,
@@ -304,9 +249,10 @@ def train_lula(
 ) -> tuple[Network, list[float]]:
     """Tune the free block of a network augmented with ``units`` units.
 
-    Per epoch: evaluate :func:`lula_objective` of the current network, with
-    its Kronecker last-layer posterior fit on ``curv_features``, on the
-    whole inlier and outlier sets, and step the flattened (W_free, b_free)
+    Per epoch: evaluate J, the mean of log v over the whole inlier set
+    minus its mean over the whole outlier set, v(x) = tr(K Sigma_f(x))
+    under the Kronecker last-layer posterior of the current network fit on
+    ``curv_features``, and step the flattened (W_free, b_free)
     pair along its gradient through that posterior with Adam
     (:class:`_Objective`), so each history entry is the objective of that
     epoch's network up to round-off. Every other parameter is copied

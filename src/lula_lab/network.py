@@ -26,7 +26,6 @@ __all__ = [
     "forward_output",
     "backward",
     "jacobian_factors",
-    "output_jacobian",
     "save",
     "load",
 ]
@@ -427,36 +426,6 @@ def _write_rows(blocks: list[_Block], out: np.ndarray) -> np.ndarray:
         if blk.bias:
             out[:, :, stop : stop + width] = blk.delta
     return out
-
-
-def output_jacobian(
-    net: Network, x: np.ndarray, *, seeds: np.ndarray | None = None
-) -> np.ndarray:
-    """Seed-weighted rows S^T J of the output Jacobian J w.r.t. the
-    flattened parameters.
-
-    Without ``seeds`` these are the Jacobians themselves: a single input
-    vector gives shape (k, d), a batch of m rows (m, k, d), one (k, d)
-    Jacobian per example, whose row i holds the gradient of output i in the
-    frozen flattening order (layer-major, weights row-major, then bias).
-    ``seeds`` of shape (m, k, r) ((k, r) for a vector) give the r rows
-    S_x^T J_x per example instead, shape (m, r, d) ((r, d)), such as the
-    GGN rows L_x^T J_x of a loss-Hessian root L_x, without forming J_x.
-
-    :func:`_write_rows`, which writes every Jacobian row of the package,
-    writes the rows from the factors of one :func:`jacobian_factors` sweep.
-    Without seeds the sweep starts from the identity, so identity seeds give
-    the same bits. Seeds of the wrong shape raise ``ValueError``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2):
-        raise ValueError("output_jacobian expects an input vector or a batch")
-    if seeds is not None and x.ndim == 1:
-        seeds = np.asarray(seeds, dtype=np.float64)[None]
-    blocks = jacobian_factors(net, _as_batch(x, net.input_dim), seeds)
-    m, r = blocks[0].delta.shape[:2]
-    jac = _write_rows(blocks, np.empty((m, r, net.num_params)))
-    return jac[0] if x.ndim == 1 else jac
 
 
 def augment_ones(features: np.ndarray) -> np.ndarray:

@@ -1,14 +1,29 @@
-"""Shared helpers: random network factories, loop and finite-difference oracles."""
+"""Shared helpers: random network factories, and the oracles tests compare
+the package against (loop, finite-difference and direct reference forms)."""
 
 import numpy as np
 import pytest
 
 from lula_lab import laplace
-from lula_lab.laplace import Curvature, LaplacePosterior
-from lula_lab.lula import lula_objective
-from lula_lab.network import Network, augment_ones, backward, forward
+from lula_lab.laplace import (
+    Curvature,
+    LaplacePosterior,
+    build_posterior,
+    fit_curvature,
+    linearize,
+)
+from lula_lab.lula import _as_batches, _centring, _free_block, _Objective
+from lula_lab.network import (
+    Network,
+    _as_batch,
+    _write_rows,
+    augment_ones,
+    backward,
+    forward,
+    jacobian_factors,
+)
 from lula_lab.numerics import Rng
-from lula_lab.training import output_hessians
+from lula_lab.training import LossKind, output_hessians
 
 
 def random_network(rng: Rng, max_layers=3, max_units=10, input_dim=None,
@@ -37,6 +52,99 @@ def loop_output_jacobian(net: Network, x: np.ndarray) -> np.ndarray:
         grads = backward(net, trace, onehot)
         rows.append(grads.flatten())
     return np.stack(rows, axis=0)
+
+
+def output_jacobian(
+    net: Network, x: np.ndarray, *, seeds: np.ndarray | None = None
+) -> np.ndarray:
+    """Seed-weighted rows S^T J of the output Jacobian J w.r.t. the
+    flattened parameters.
+
+    Without ``seeds`` these are the Jacobians themselves: a single input
+    vector gives shape (k, d), a batch of m rows (m, k, d), one (k, d)
+    Jacobian per example, whose row i holds the gradient of output i in the
+    frozen flattening order (layer-major, weights row-major, then bias).
+    ``seeds`` of shape (m, k, r) ((k, r) for a vector) give the r rows
+    S_x^T J_x per example instead, shape (m, r, d) ((r, d)), such as the
+    GGN rows L_x^T J_x of a loss-Hessian root L_x, without forming J_x.
+
+    ``network._write_rows``, which writes every Jacobian row of the package,
+    writes the rows from the factors of one ``jacobian_factors`` sweep.
+    Without seeds the sweep starts from the identity, so identity seeds give
+    the same bits. Seeds of the wrong shape raise ``ValueError``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2):
+        raise ValueError("output_jacobian expects an input vector or a batch")
+    if seeds is not None and x.ndim == 1:
+        seeds = np.asarray(seeds, dtype=np.float64)[None]
+    blocks = jacobian_factors(net, _as_batch(x, net.input_dim), seeds)
+    m, r = blocks[0].delta.shape[:2]
+    jac = _write_rows(blocks, np.empty((m, r, net.num_params)))
+    return jac[0] if x.ndim == 1 else jac
+
+
+def quad_forms(post: LaplacePosterior, vectors: np.ndarray) -> np.ndarray:
+    """g^T Sigma g = c |g|^2 + (B g)^2 . t for each row g of ``vectors``,
+    from the posterior's own c, t and basis B."""
+    vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+    if vectors.shape[1] != post.dim:
+        raise ValueError("vector dimension does not match posterior")
+    proj = laplace._project(post._basis, vectors)
+    forms = (proj * proj) @ post._t
+    if post._c:
+        forms += post._c * np.einsum("ij,ij->i", vectors, vectors)
+    return forms
+
+
+def total_variance_batch(
+    net: Network, post: LaplacePosterior, x: np.ndarray, loss: LossKind
+) -> np.ndarray:
+    """v(x) = tr(K Sigma_f(x)) per input row, shape (m,), with Sigma_f the
+    posterior's :meth:`LaplacePosterior.output_cov`, the one prediction
+    reads, and K the centring of the ``lula`` module docstring."""
+    cov = post.output_cov(linearize(net, post.curvature, x))
+    return np.einsum("ij,mji->m", _centring(loss, net.output_dim), cov)
+
+
+def lula_objective(
+    net: Network,
+    curv_features: np.ndarray,
+    in_batch: np.ndarray,
+    out_batch: np.ndarray,
+    loss: LossKind,
+    prior_precision: float,
+) -> float:
+    """Oracle LULA objective J, refitting the posterior: mean log v over
+    ``in_batch`` minus mean log v over ``out_batch``, v from
+    :func:`total_variance_batch` under the Kronecker last-layer posterior
+    of ``net`` fit on ``curv_features``."""
+    in_batch, out_batch = _as_batches(in_batch, out_batch)
+    curv = fit_curvature(net, curv_features, loss, "kfac_last_layer", "last_layer")
+    post = build_posterior(curv, prior_precision)
+    v_in = total_variance_batch(net, post, in_batch, loss)
+    v_out = total_variance_batch(net, post, out_batch, loss)
+    return float(np.mean(np.log(v_in)) - np.mean(np.log(v_out)))
+
+
+def objective_gradient(
+    net: Network,
+    units: int,
+    curv_features: np.ndarray,
+    in_batch: np.ndarray,
+    out_batch: np.ndarray,
+    loss: LossKind,
+    prior_precision: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form gradient of :func:`lula_objective` over the free block,
+    through the posterior (``lula._Objective``, the one ``train_lula``
+    steps with). Returns the gradients of the free weights (units x fan_in)
+    and free biases (units,)."""
+    objective = _Objective(net, units, curv_features, in_batch, out_batch, loss,
+                           prior_precision)
+    grad = objective(_free_block(net, units))[1]
+    w_size = units * objective.fan_in
+    return grad[:w_size].reshape(units, objective.fan_in), grad[w_size:]
 
 
 def fd_param_gradient(f, theta: np.ndarray, eps: float = 1e-5) -> np.ndarray:

@@ -15,6 +15,7 @@ from conftest import (
     fd_free_gradient,
     fd_param_gradient,
     kron_factors,
+    objective_gradient,
     random_network,
     relative_error,
 )
@@ -27,7 +28,7 @@ from lula_lab.laplace import (
     linearized_variance_batch,
     mc_predict,
 )
-from lula_lab.lula import augment, objective_gradient
+from lula_lab.lula import augment
 from lula_lab.metrics import auroc, brier, mmc
 from lula_lab.network import Network, backward, forward
 from lula_lab.numerics import Rng

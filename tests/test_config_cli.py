@@ -588,14 +588,16 @@ class TestCliCommands:
         assert "prior_precision" in meta and "grid_point" in meta
 
         tuned = str(tmp_path / "tuned.txt")
+        before = set(os.listdir(tmp_path))
         assert cli.main(
             ["lula", "--config", tiny_config, "--model", model, "--out", tuned]
         ) == 0
         out = capsys.readouterr().out
         assert "output-preservation" in out
-        assert os.path.exists(tuned)
-        assert os.path.exists(str(tmp_path / "tuned_augmentation.txt"))
-        assert os.path.exists(str(tmp_path / "tuned_history.csv"))
+        # the tuned model file holds the free block: no other record of it
+        written = set(os.listdir(tmp_path)) - before
+        assert written == {"tuned.txt", "tuned_history.csv", "tuned_laplace.txt"}
+        assert f"wrote {tuned}, {tmp_path / 'tuned'}_history.csv, " in out
 
         evaldir = str(tmp_path / "eval")
         assert cli.main(
@@ -990,11 +992,15 @@ class TestCliCommands:
         rows = report.splitlines()[1:]
         assert rows and all(row.endswith(",0") for row in rows)
 
-    def test_regression_eval_predicts_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("runs", [3, 10])
+    def test_regression_eval_predicts_once(self, runs, tmp_path, monkeypatch):
         # the exact regression predictive is the same in every run, so eval
-        # computes it once for all three
+        # computes it once for all of them and reports each score as it is,
+        # with std exactly 0; 10 is the [eval] runs default
+        runs_line = "" if runs == 10 else f"runs = {runs}\n"
+        ini = REGRESSION_INI.replace("runs = 2\n", runs_line)
         config = tmp_path / "cfg.ini"
-        config.write_text(REGRESSION_INI.replace("runs = 2", "runs = 3"))
+        config.write_text(ini)
         model = str(tmp_path / "model.txt")
         assert cli.main(["train", "--config", str(config), "--out", model]) == 0
         calls = []
@@ -1010,9 +1016,16 @@ class TestCliCommands:
         assert cli.main(argv) == 0
         assert len(calls) == 1
         summary = (evaldir / "eval_summary.txt").read_text()
-        assert "runs 3" in summary
+        assert f"runs {runs}" in summary
         stds = [line for line in summary.splitlines() if ".std " in line]
         assert stds and all(line.endswith(" 0") for line in stds)
+        rows = (evaldir / "eval_report.csv").read_text().splitlines()[1:]
+        assert rows and all(row.endswith(",0") for row in rows)
+        # the means are the one run's scores
+        config.write_text(REGRESSION_INI.replace("runs = 2", "runs = 1"))
+        once = tmp_path / "once"
+        assert cli.main(argv[:-1] + [str(once)]) == 0
+        assert (once / "eval_report.csv").read_text().splitlines()[1:] == rows
 
     def test_lula_without_hidden_layer_exits_2_before_work(
         self, tmp_path, capsys, monkeypatch
@@ -1034,31 +1047,33 @@ class TestCliCommands:
         )
         assert code == 2
         assert "no hidden layer" in capsys.readouterr().err
-        assert not tuned.exists()
-        assert not (tmp_path / "tuned_augmentation.txt").exists()
-        assert not (tmp_path / "tuned_history.csv").exists()
+        assert sorted(os.listdir(tmp_path)) == ["cfg.ini", "model.txt", "model_history.csv"]
 
-    @pytest.mark.parametrize(
-        "init_std,std_line",
-        [(None, "init_std default"), ("0.2", "init_std 0.20000000000000001")],
-    )
-    def test_augmentation_file_v2_bytes(self, init_std, std_line, tmp_path):
+    @pytest.mark.parametrize("init_std", [None, 0.2])
+    def test_init_std_reaches_augment(self, init_std, tmp_path):
+        # with no training epochs the tuned free block is augment's draw
         ini = TINY_INI.replace("dims = 2,16,16,2", "dims = 2,3,3,2").replace(
             "counts = 6", "counts = 2"
-        )
+        ).replace("epochs = 3\n", "epochs = 0\n")
         if init_std is not None:
             ini = ini.replace("[lula]\n", f"[lula]\ninit_std = {init_std}\n")
         config = tmp_path / "cfg.ini"
         config.write_text(ini)
+        cfg = load_config(str(config))
+        assert (cfg["lula"]["epochs"], cfg["lula"]["init_std"]) == (0, init_std)
+        net = Network.init_random([2, 3, 3, 2], "relu", Rng(0))
         model = str(tmp_path / "model.txt")
-        save(Network.init_random([2, 3, 3, 2], "relu", Rng(0)), model)
+        save(net, model)
         tuned = str(tmp_path / "tuned.txt")
         assert cli.main(
             ["lula", "--config", str(config), "--model", model, "--out", tuned]
         ) == 0
-        expected = f"lula-lab-augmentation v2\nunits 2\n{std_line}\n"
-        written = (tmp_path / "tuned_augmentation.txt").read_bytes()
-        assert written == expected.encode("ascii")
+        expected = lula_mod.augment(
+            net, 2, Rng(_mix64(cfg["lula"]["seed"], 23)), init_std
+        )
+        written = load(tuned)
+        assert np.array_equal(written.weights[-2][-2:], expected.weights[-2][-2:])
+        assert np.array_equal(written.biases[-2][-2:], expected.biases[-2][-2:])
 
 
 def _eval_files(config_path: str, model_path: str):
@@ -1112,17 +1127,30 @@ def _eval_files(config_path: str, model_path: str):
         f"runs {ev['runs']}",
     ]
     for key in sorted(values):
-        mean, std = np.mean(values[key]), np.std(values[key])
+        if len(set(values[key])) == 1:  # a repeated score, std exactly 0
+            mean, std = values[key][0], 0.0
+        else:
+            mean, std = np.mean(values[key]), np.std(values[key])
         report.append(f"{key.replace('.', ',', 1)},{g(mean)},{g(std)}")
         summary += [f"{key}.mean {g(mean)}", f"{key}.std {g(std)}"]
     texts = [report, summary, confidences]
     return [None if t is None else "\n".join(t) + "\n" for t in texts]
 
 
+# binary probit_linearized draws nothing either, so its runs repeat too
+BINARY_PROBIT_INI = TINY_INI.replace("dims = 2,16,16,2", "dims = 2,16,16,1").replace(
+    "[train]\n", "[train]\nloss = binary_ce\n"
+).replace("runs = 2\n", "runs = 10\nmethod = probit_linearized\n")
+
+
 @pytest.mark.parametrize(
     "ini,dims",
-    [(TINY_INI, [2, 16, 16, 2]), (REGRESSION_INI, [1, 12, 1])],
-    ids=["two-moons", "regression"],
+    [
+        (TINY_INI, [2, 16, 16, 2]),
+        (REGRESSION_INI, [1, 12, 1]),
+        (BINARY_PROBIT_INI, [2, 16, 16, 1]),
+    ],
+    ids=["two-moons", "regression", "binary-probit"],
 )
 def test_eval_files_match_the_library(ini, dims, tmp_path):
     config = tmp_path / "cfg.ini"
@@ -1318,7 +1346,7 @@ class TestPosteriorSidecar:
         self, base_model, tmp_path, capsys, tune_calls
     ):
         config, model = base_model
-        outputs = ("{}.txt", "{}_augmentation.txt", "{}_history.csv", "{}_laplace.txt")
+        outputs = ("{}.txt", "{}_history.csv", "{}_laplace.txt")
         for name in ("read", "searched"):
             if name == "searched":
                 os.remove(tmp_path / "model_laplace.txt")
@@ -1333,12 +1361,12 @@ class TestPosteriorSidecar:
             else:
                 assert "searching the prior precision" in out
                 assert len(tune_calls) == 1
-        for pattern in outputs[:3]:
+        for pattern in outputs[:2]:
             assert (tmp_path / pattern.format("read")).read_bytes() == (
                 tmp_path / pattern.format("searched")
             ).read_bytes()
         read, searched = (
-            _kv(tmp_path / outputs[3].format(n)) for n in ("read", "searched")
+            _kv(tmp_path / outputs[2].format(n)) for n in ("read", "searched")
         )
         assert read["prior_precision"] == searched["prior_precision"]
         assert read["model_sha256"] == searched["model_sha256"]

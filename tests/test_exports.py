@@ -33,6 +33,23 @@ def test_package_exports_load_on_first_use():
         assert getattr(lula_lab, name) is namespace[name], name
 
 
+def test_package_exports_exactly_what_runs():
+    # test oracles live in tests/conftest.py, not in the public surface
+    assert lula_lab.__all__ == [
+        "ConfigError", "DivergenceError", "LulaLabError", "ModelFormatError",
+        "Rng",
+        "ForwardTrace", "LayerSpec", "Network", "backward", "forward", "load", "save",
+        "LossKind", "TrainConfig", "map_loss", "train_map",
+        "Curvature", "LaplacePosterior", "PredictConfig", "Predictive",
+        "build_posterior", "fit_curvature", "mc_predict", "mc_predict_sets",
+        "probit_predict_binary", "tune_prior_precision",
+        "LulaTrainConfig", "augment", "train_lula",
+        "Dataset", "SplitSpec", "gen_toy_regression", "gen_two_moons", "load_csv",
+        "split", "standardize", "synthesize_ood",
+        "auroc", "brier", "mmc",
+    ]
+
+
 def test_unknown_package_attribute_raises_naming_it():
     with pytest.raises(AttributeError, match="'no_such_name'"):
         lula_lab.no_such_name

@@ -8,6 +8,8 @@ from conftest import (
     dense_ggn,
     kron_factors,
     loop_output_jacobian,
+    output_jacobian,
+    quad_forms,
     relative_error,
 )
 from lula_lab import laplace
@@ -29,13 +31,7 @@ from lula_lab.laplace import (
     probit_predict_binary,
     tune_prior_precision,
 )
-from lula_lab.network import (
-    LayerSpec,
-    Network,
-    augment_ones,
-    forward,
-    output_jacobian,
-)
+from lula_lab.network import LayerSpec, Network, augment_ones, forward
 from lula_lab.numerics import Rng
 from lula_lab.training import (
     LossKind,
@@ -57,7 +53,7 @@ def linear_net(weight, bias):
 
 
 def marginal_variances(post):
-    return post.quad_forms(np.eye(post.dim))
+    return quad_forms(post, np.eye(post.dim))
 
 
 def fd_hessian(f, theta, eps=1e-4):
@@ -478,7 +474,7 @@ class TestBuildPosterior:
         hbar = np.concatenate(
             [forward(net, points).activations[-2], np.ones((5, 1))], axis=1
         )
-        expected = post.quad_forms(np.kron(np.eye(10)[3], hbar))
+        expected = quad_forms(post, np.kron(np.eye(10)[3], hbar))
         assert v.shape == (5, 10)
         assert np.allclose(v[:, 3], expected, rtol=1e-10, atol=0.0)
 
@@ -602,7 +598,7 @@ class TestFullGGNEigenbasis:
             marginals = marginal_variances(post)
             assert np.max(np.abs(marginals - np.diag(oracle))) <= 1e-9 * scale, lam
             expected = np.einsum("ij,jk,ik->i", vectors, oracle, vectors)
-            quad = post.quad_forms(vectors)
+            quad = quad_forms(post, vectors)
             assert np.max(np.abs(quad - expected)) <= 1e-9 * np.max(expected), lam
             covs = jacs @ oracle @ jacs.transpose(0, 2, 1)
             error = np.max(np.abs(post.output_cov(lin) - covs))
@@ -628,7 +624,7 @@ class TestFullGGNEigenbasis:
         assert np.max(np.abs(marginal_variances(post) - np.diag(oracle))) <= 1e-9 * scale
         vectors = rng.standard_normal((5, post.dim))
         expected = np.einsum("ij,jk,ik->i", vectors, oracle, vectors)
-        assert np.max(np.abs(post.quad_forms(vectors) - expected)) <= 1e-9 * np.max(expected)
+        assert np.max(np.abs(quad_forms(post, vectors) - expected)) <= 1e-9 * np.max(expected)
 
     @pytest.mark.parametrize("subset, n", SIDE_CASES)
     def test_fit_clips_round_off_at_zero(self, subset, n):
@@ -1010,7 +1006,7 @@ class TestLinearizedVariance:
         curv = Curvature("diag_ggn", "last_layer", np.zeros(2), 1,
                          np.array([1.0, 3.0]))
         post = build_posterior(curv, 1.0)  # variances (0.5, 0.25)
-        assert post.quad_forms(np.array([[1.0, 2.0]]))[0] == pytest.approx(1.5, abs=1e-12)
+        assert quad_forms(post, np.array([[1.0, 2.0]]))[0] == pytest.approx(1.5, abs=1e-12)
 
     def test_matches_subset_jacobian_quadratic_form(self):
         rng = Rng(9)
@@ -1035,7 +1031,7 @@ class TestLinearizedVariance:
         post = build_posterior(curv, 0.5)
         points = rng.standard_normal((9, 2))
         expected = np.stack(
-            [post.quad_forms(loop_output_jacobian(net, p)) for p in points]
+            [quad_forms(post, loop_output_jacobian(net, p)) for p in points]
         )
         v = linearized_variance_batch(net, post, points)
         assert v.shape == (9, 3)
@@ -1058,7 +1054,7 @@ class TestLinearizedVariance:
             [forward(net, points).activations[-2], np.ones((7, 1))], axis=1
         )
         expected = np.stack(
-            [post.quad_forms(np.kron(np.eye(3)[i], hbar)) for i in range(3)], axis=1
+            [quad_forms(post, np.kron(np.eye(3)[i], hbar)) for i in range(3)], axis=1
         )
         v = linearized_variance_batch(net, post, points)
         assert np.allclose(v, expected, rtol=1e-12, atol=1e-15)

@@ -5,20 +5,16 @@ from conftest import (
     dense_ggn,
     fd_free_gradient,
     kron_factors,
+    lula_objective,
+    objective_gradient,
     random_network,
     relative_error,
+    total_variance_batch,
 )
 from lula_lab import lula
 from lula_lab.errors import DivergenceError
 from lula_lab.laplace import build_posterior, fit_curvature
-from lula_lab.lula import (
-    LulaTrainConfig,
-    augment,
-    lula_objective,
-    objective_gradient,
-    total_variance_batch,
-    train_lula,
-)
+from lula_lab.lula import LulaTrainConfig, augment, train_lula
 from lula_lab.network import Network, augment_ones, forward
 from lula_lab.numerics import Rng
 from lula_lab.training import LossKind, _Adam

@@ -4,6 +4,7 @@ import pytest
 from conftest import (
     fd_param_gradient,
     loop_output_jacobian,
+    output_jacobian,
     random_network,
     relative_error,
 )
@@ -21,7 +22,6 @@ from lula_lab.network import (
     forward,
     forward_output,
     load,
-    output_jacobian,
     save,
 )
 from lula_lab.numerics import Rng
