@@ -2,14 +2,16 @@
 
 Every command is deterministic given the config seeds; outputs are CSV and
 key=value text so plotting stays external. Exit codes: 0 success, 1 runtime
-or numeric failure, 2 configuration error.
+or numeric failure, 2 configuration error, which includes a model file that
+the data or the curvature fit cannot take.
 
 At module level this file imports the standard library, numpy and
 ``errors``, and no other package module. Each command and helper imports
 the package modules it uses when it runs. ``train`` loads ``cli``,
 ``config``, ``data``, ``errors``, ``network``, ``numerics`` and
-``training``; ``laplace`` and ``eval`` add ``laplace`` and ``metrics``;
-``lula`` adds ``lula`` to those, and ``demo-toy`` ``lula`` and ``demo``.
+``training``. Every other command adds ``laplace``, and ``eval``
+``metrics`` as well, ``lula`` ``lula``, and ``demo-toy`` ``lula`` and
+``demo``.
 
 :func:`main` registers ``gc.freeze`` with ``atexit``, once per process, so
 the collections CPython runs at exit skip the heap the process is about to
@@ -165,14 +167,26 @@ def _init_network(cfg: ExperimentConfig, input_dim: int) -> Network:
     )
 
 
+def _check_fit(cfg: ExperimentConfig, model_path: str, net, train, loss) -> None:
+    """The refusals of the ``[laplace]`` curvature fit on ``train``, from
+    shapes alone (:func:`laplace.check_curvature_fit`), as a config error
+    naming the model file: its input width does not fit the data's, or the
+    full GGN of its parameters would exceed the cap."""
+    from .laplace import check_curvature_fit
+
+    la = cfg["laplace"]
+    try:
+        check_curvature_fit(net, train.features, loss, la["curvature"], la["subset"])
+    except ValueError as exc:
+        raise ConfigError(f"{model_path}: {exc}") from None
+
+
 def _fit_laplace(
     cfg: ExperimentConfig, predict_cfg, net, train, val, loss, lam: float | None
 ):
     """Curvature on the train split; the prior precision ``lam``, or searched
     on val when it is None. Returns (curvature, lam, [(candidate, score)])."""
-    from .data import synthesize_ood
     from .laplace import fit_curvature, tune_prior_precision
-    from .numerics import Rng, _mix64
 
     la = cfg["laplace"]
     if lam is None and val.num_rows == 0:
@@ -182,21 +196,14 @@ def _fit_laplace(
         )
     curv = fit_curvature(net, train.features, loss, la["curvature"], la["subset"])
     if lam is None:
-        out_features = None
-        if la["tune_objective"] == "ood_mmc":
-            out_features = synthesize_ood(
-                val.features, "uniform", Rng(_mix64(la["seed"], 7))
-            )
         lam, scores = tune_prior_precision(
             net,
             curv,
             val.features,
             val.targets,
             loss,
-            objective=la["tune_objective"],
             grid=la["lambda_grid"],
             predict_cfg=predict_cfg,
-            out_features=out_features,
         )
         print(f"searched {len(scores)} prior precisions on val: picked {_fmt(lam)}")
     else:
@@ -208,6 +215,9 @@ def _fit_laplace(
 # sidecar files
 
 POSTERIOR_HEADER = "lula-lab-posterior v2"
+# the score every search maximizes; the line stays in format v2 so that a
+# file searched under another objective by an older build is refused
+POSTERIOR_OBJECTIVE = "val_log_likelihood"
 
 
 def _posterior_path(model_path: str) -> str:
@@ -227,10 +237,11 @@ def _write_posterior(
 ) -> None:
     """Format v2: the prior precision of the model file ``model_path``.
 
-    ``model_sha256`` ties it to that file's bytes; ``curvature``, ``subset``
-    and ``objective`` to the ``[laplace]`` settings it was picked under. The
-    precision is written at 17 significant digits, so it reads back exactly;
-    each ``grid_point`` is a searched candidate and its score.
+    ``model_sha256`` ties it to that file's bytes; ``curvature`` and
+    ``subset`` to the ``[laplace]`` settings it was picked under, and
+    ``objective`` is always POSTERIOR_OBJECTIVE. The precision is written at
+    17 significant digits, so it reads back exactly; each ``grid_point`` is
+    a searched candidate and its score.
     """
     la = cfg["laplace"]
     lines = [
@@ -239,7 +250,7 @@ def _write_posterior(
         f"curvature {la['curvature']}",
         f"subset {la['subset']}",
         f"prior_precision {format(lam, '.17g')}",
-        f"objective {la['tune_objective']}",
+        f"objective {POSTERIOR_OBJECTIVE}",
     ]
     lines += [f"grid_point {_fmt(cand)} {_fmt(score)}" for cand, score in scores]
     _write_lines(path, lines)
@@ -249,11 +260,11 @@ def _read_posterior(path: str, model_path: str, cfg: ExperimentConfig) -> float:
     """The prior precision of a v2 file written for ``model_path``.
 
     A file of another version, for other model bytes, picked under other
-    ``[laplace]`` settings, or whose prior precision is not a finite
-    positive float with a finite reciprocal is a config error naming the
-    file and the key.
+    ``[laplace]`` settings or another objective, or whose prior precision is
+    not a finite float of at least ``config.PRIOR_PRECISION_FLOOR`` is a
+    config error naming the file and the key.
     """
-    from .numerics import proper_prior_precision
+    from .config import PRIOR_PRECISION_FLOOR, allowed_prior_precision
 
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
@@ -269,26 +280,27 @@ def _read_posterior(path: str, model_path: str, cfg: ExperimentConfig) -> float:
             f"{path}: model_sha256 does not match {model_path}, which changed "
             "after this prior precision was picked; rerun laplace"
         )
-    for key, config_key in (
-        ("curvature", "curvature"),
-        ("subset", "subset"),
-        ("objective", "tune_objective"),
-    ):
-        want = cfg["laplace"][config_key]
+    for key in ("curvature", "subset"):
+        want = cfg["laplace"][key]
         if values.get(key) != want:
             raise ConfigError(
                 f"{path}: {key} {values.get(key)!r} differs from [laplace] "
-                f"{config_key} = {want}; rerun laplace"
+                f"{key} = {want}; rerun laplace"
             )
+    if values.get("objective") != POSTERIOR_OBJECTIVE:
+        raise ConfigError(
+            f"{path}: objective {values.get('objective')!r} is not "
+            f"{POSTERIOR_OBJECTIVE}, the one the search scores; rerun laplace"
+        )
     text = values.get("prior_precision", "")
     try:
         lam = float(text)
     except ValueError:
         lam = float("nan")
-    if not proper_prior_precision(lam):
+    if not allowed_prior_precision(lam):
         raise ConfigError(
             f"{path}: prior_precision {text!r} is not a finite positive float "
-            "with a finite reciprocal; rerun laplace"
+            f">= {PRIOR_PRECISION_FLOOR:g}; rerun laplace"
         )
     return lam
 
@@ -339,20 +351,18 @@ def cmd_train(config_path: str, out_path: str, seed: int | None = None) -> int:
 def cmd_laplace(
     config_path: str, model_path: str, out_path: str | None, seed: int | None = None
 ) -> int:
-    from .laplace import PredictConfig, check_curvature_fit
+    from .laplace import PredictConfig
 
     cfg = _load(config_path, seed)
     laplace_cfg = _stage(PredictConfig, cfg, "laplace")
     net = _load_model(cfg, model_path)
     train, val, test, loss = _build_data(cfg, net.output_dim)
-    la = cfg["laplace"]
-    lam = la["prior_precision"]
+    _check_fit(cfg, model_path, net, train, loss)
+    lam = cfg["laplace"]["prior_precision"]
     if lam is None:
         _, lam, scores = _fit_laplace(cfg, laplace_cfg, net, train, val, loss, None)
     else:
-        # the file holds only the given lam: refuse what the fit would, from
-        # shapes, but fit nothing
-        check_curvature_fit(net, train.features, loss, la["curvature"], la["subset"])
+        # the file holds only the given lam, so no curvature is fit
         scores = [(lam, float("nan"))]
     out_path = out_path or _posterior_path(model_path)
     _write_posterior(out_path, model_path, cfg, lam, scores)
@@ -399,6 +409,7 @@ def cmd_lula(
             f"{model_path} has no hidden layer to add uncertainty units to"
         )
     train, val, test, loss = _build_data(cfg, net.output_dim)
+    _check_fit(cfg, model_path, net, train, loss)
     count = lu["counts"]
     lam_scores = []  # grid points, when this command searched
     if lam is None:
@@ -498,6 +509,7 @@ def cmd_eval(
     lam = _base_prior_precision(cfg, model_path)
     net = _load_model(cfg, model_path)
     train, val, test, loss = _build_data(cfg, net.output_dim)
+    _check_fit(cfg, model_path, net, train, loss)
     if test.num_rows == 0:
         raise ConfigError("[data] split leaves no test rows for eval to score")
     ood_sets = _eval_ood_sets(cfg, test)

@@ -20,17 +20,17 @@ from .data import (GENERATOR_FEATURES, OOD_KINDS, OOD_MIN_FEATURES, SplitSpec,
                    ood_width_need)
 from .errors import ConfigError
 from .network import ACTIVATIONS
-from .numerics import (
-    CURVATURE_KINDS,
-    PREDICT_METHODS,
-    SUBSETS,
-    TUNE_OBJECTIVES,
-    _mix64,
-    proper_prior_precision,
-)
+from .numerics import CURVATURE_KINDS, PREDICT_METHODS, SUBSETS, _mix64
 from .training import LOSS_KINDS
 
 __all__ = ["ExperimentConfig", "load_config", "default_config", "reference_text"]
+
+# The least prior precision a config or a posterior file may give. LULA's
+# gradient multiplies (1 / lambda)**2 by curvature eigenvalues and feature
+# norms, which overflows near lambda = 1.5e-154 where A has a null
+# eigenvalue (dead ReLUs); 1e-100 leaves about 1e108 of headroom, and every
+# default grid value (>= 1e-4) lies far above it.
+PRIOR_PRECISION_FLOOR = 1e-100
 
 
 # Parsers turn the raw string into the typed value or raise ValueError; the
@@ -93,11 +93,20 @@ def _positive(raw: str) -> float:
     return value
 
 
+def allowed_prior_precision(lam) -> bool:
+    """Whether each prior precision in ``lam`` (a number or an array) is
+    finite and at least PRIOR_PRECISION_FLOOR."""
+    lam = np.asarray(lam, dtype=np.float64)
+    return bool(np.all((lam >= PRIOR_PRECISION_FLOOR) & (lam < np.inf)))
+
+
 def _prior_precision(raw: str) -> float:
-    """A positive float whose reciprocal, the prior variance, is finite."""
+    """A finite float of at least PRIOR_PRECISION_FLOOR."""
     value = _float(raw)
-    if not proper_prior_precision(value):
-        raise ValueError(f"expected a positive float with a finite reciprocal, got {raw!r}")
+    if not allowed_prior_precision(value):
+        raise ValueError(
+            f"expected a positive float >= {PRIOR_PRECISION_FLOOR:g}, got {raw!r}"
+        )
     return value
 
 
@@ -167,8 +176,8 @@ def _unit_count(raw: str) -> int:
 
 def _lambda_grid(raw: str) -> tuple[float, ...]:
     """Prior precisions of :func:`_prior_precision`: a comma list, or
-    logspace:lo:hi:count, whose every entry 10**x must stay finite and
-    positive in float64 with a finite reciprocal."""
+    logspace:lo:hi:count, whose every entry 10**x must stay finite in
+    float64 and at least PRIOR_PRECISION_FLOOR."""
     raw = raw.strip()
     if not raw.startswith("logspace:"):
         return _list(_prior_precision, 1)(raw)
@@ -181,10 +190,10 @@ def _lambda_grid(raw: str) -> tuple[float, ...]:
     # the checks below reject what the float64 power overflows or underflows
     with np.errstate(over="ignore", under="ignore"):
         grid = np.logspace(_float(parts[1]), _float(parts[2]), count)
-    if not proper_prior_precision(grid):
+    if not allowed_prior_precision(grid):
         raise ValueError(
-            f"{raw!r} yields entries that are not finite positive floats "
-            f"with finite reciprocals (from {grid.min():g} to {grid.max():g})"
+            f"{raw!r} yields entries that are not finite floats >= "
+            f"{PRIOR_PRECISION_FLOOR:g} (from {grid.min():g} to {grid.max():g})"
         )
     return tuple(grid)
 
@@ -251,15 +260,14 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "prior_precision": (
             "tune",
             _or_none("tune", _prior_precision),
-            "a positive float, or 'tune' to search the grid",
-        ),
-        "tune_objective": _choice(
-            "val_log_likelihood", TUNE_OBJECTIVES, "prior-precision tuning score"
+            f"a positive float >= {PRIOR_PRECISION_FLOOR:g}, or 'tune' to search "
+            "the grid for the best val log-likelihood",
         ),
         "lambda_grid": (
             "logspace:-4:4:17",
             _lambda_grid,
-            "logspace:lo:hi:count (base 10) or a comma list of positive values",
+            "logspace:lo:hi:count (base 10) or a comma list, every value >= "
+            f"{PRIOR_PRECISION_FLOOR:g}",
         ),
         "method": _choice("mc", PREDICT_METHODS, "predictive used for tuning"),
         "sample_count": (
@@ -456,12 +464,6 @@ def _convert(raw: dict) -> ExperimentConfig:
                 "(single-logit) or regression models only, and this config's "
                 "likelihood is categorical_ce; use mc"
             )
-    if loss == "gaussian_nll" and laplace["tune_objective"] == "ood_mmc":
-        raise ConfigError(
-            "[laplace] tune_objective = ood_mmc scores class probabilities, and "
-            "this config's likelihood ([train] loss) is gaussian_nll; use "
-            "val_log_likelihood"
-        )
     return ExperimentConfig(values)
 
 

@@ -132,12 +132,10 @@ from .network import (
     forward_output,
     jacobian_factors,
 )
-from .metrics import mmc
 from .numerics import (
     CURVATURE_KINDS,
     PREDICT_METHODS,
     SUBSETS,
-    TUNE_OBJECTIVES,
     Rng,
     proper_prior_precision,
 )
@@ -154,7 +152,6 @@ __all__ = [
     "CURVATURE_KINDS",
     "SUBSETS",
     "PREDICT_METHODS",
-    "TUNE_OBJECTIVES",
     "Curvature",
     "DataBasis",
     "LaplacePosterior",
@@ -895,52 +892,33 @@ def tune_prior_precision(
     features: np.ndarray,
     targets: np.ndarray,
     loss: LossKind,
-    objective: str = "val_log_likelihood",
     grid=None,
     predict_cfg: PredictConfig | None = None,
-    out_features: np.ndarray | None = None,
 ) -> tuple[float, list[tuple[float, float]]]:
-    """Pick the prior precision over a candidate grid.
+    """Pick the prior precision over a candidate grid: the candidate whose
+    predictive log-likelihood of the validation data ``features`` and
+    ``targets`` is highest; the first of equal best scores wins.
 
-    ``val_log_likelihood`` maximizes the predictive log-likelihood on the
-    given validation data. ``ood_mmc`` minimizes
-    |1 - MMC_in| + |1/k - MMC_out|, both from one shared draw per
-    candidate, with k the class count (2 under binary_ce, else the
-    network's output count); it needs ``out_features`` and a
-    classification loss. Each point set is linearized once, and every
-    candidate reads those pieces. Every candidate must be a finite
-    positive number (``ValueError`` from :func:`build_posterior`
-    otherwise). Returns (best, [(lambda, score), ...]) with score in the
-    objective's native orientation; the first of equal best scores wins.
+    The points are linearized once, and every candidate reads those
+    pieces. Every candidate must be a finite positive number
+    (``ValueError`` from :func:`build_posterior` otherwise). Returns
+    (best, [(lambda, score), ...]).
     """
-    if objective not in TUNE_OBJECTIVES:
-        raise ValueError(f"unknown tuning objective {objective!r}")
     if len(features) == 0:
         raise ValueError("features must be nonempty")
     cand = list(DEFAULT_LAMBDA_GRID if grid is None else grid)
     if not cand:
         raise ValueError("candidate grid must be nonempty")
     cfg = predict_cfg or PredictConfig()
-    if objective == "ood_mmc" and out_features is None:
-        raise ValueError("ood_mmc needs out_features")
-    if objective == "ood_mmc" and loss.kind == "gaussian_nll":
-        raise ValueError("ood_mmc scores class probabilities; gaussian_nll has none")
-    num_classes = loss.classes(net.output_dim)
 
-    points = [features] if objective == "val_log_likelihood" else [features, out_features]
-    sets = [linearize(net, curvature, x) for x in points]
+    sets = [linearize(net, curvature, features)]
     scores: list[tuple[float, float]] = []
-    best_lam = best_key = None
+    best_lam = best_score = None
     for lam in cand:
         post = build_posterior(curvature, lam)
-        preds = predict_linearized(post, sets, cfg, loss)
-        if objective == "val_log_likelihood":
-            score = key = predictive_log_likelihood(preds[0], targets)
-        else:
-            mmc_in, mmc_out = (mmc(pred.probabilities) for pred in preds)
-            score = abs(1.0 - mmc_in) + abs(1.0 / num_classes - mmc_out)
-            key = -score
+        pred = predict_linearized(post, sets, cfg, loss)[0]
+        score = predictive_log_likelihood(pred, targets)
         scores.append((float(lam), float(score)))
-        if best_key is None or key > best_key:
-            best_key, best_lam = key, float(lam)
+        if best_score is None or score > best_score:
+            best_score, best_lam = score, float(lam)
     return best_lam, scores

@@ -5,11 +5,12 @@ counter-based bit generator, so that a given seed produces the identical
 stream on every platform and run. No operation here touches a global random
 state.
 
-The curvature kinds, parameter subsets, predictive methods and tuning
-objectives, and the rule :func:`proper_prior_precision`, live here rather
-than in ``laplace``, which re-exports them: ``config`` checks its keys
-against them, and so ``train``, which fits no posterior, never loads
-``laplace`` or ``metrics``.
+The curvature kinds, parameter subsets and predictive methods live here
+rather than in ``laplace``, which re-exports them: ``config`` checks its
+keys against them, and so ``train``, which fits no posterior, never loads
+``laplace``. :func:`proper_prior_precision` is the rule every posterior
+holds; ``config`` asks more of a loaded value (its
+``PRIOR_PRECISION_FLOOR``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ __all__ = [
     "CURVATURE_KINDS",
     "SUBSETS",
     "PREDICT_METHODS",
-    "TUNE_OBJECTIVES",
     "Rng",
     "proper_prior_precision",
 ]
@@ -28,7 +28,6 @@ __all__ = [
 CURVATURE_KINDS = ("full_ggn", "diag_ggn", "kfac_last_layer")
 SUBSETS = ("all_layers", "last_layer")
 PREDICT_METHODS = ("mc", "probit_linearized")
-TUNE_OBJECTIVES = ("val_log_likelihood", "ood_mmc")
 
 _MASK64 = (1 << 64) - 1
 

@@ -102,7 +102,6 @@ MALFORMED = [
     ("lula", "counts", "grid"),
     ("lula", "sample_count", "30"),
     ("laplace", "sample_count", "0"),
-    ("laplace", "tune_objective", "foo"),
     ("laplace", "lambda_grid", "logspace:1:2"),
     ("laplace", "prior_precision", "abc"),
     ("laplace", "prior_precision", "-1"),
@@ -155,6 +154,10 @@ MALFORMED = [
     ("laplace", "prior_precision", "1e-310"),
     ("laplace", "lambda_grid", "1e-310,1"),
     ("laplace", "lambda_grid", "logspace:-309:0:3"),
+    # ... and is at least 1e-100, so that LULA's (1 / lambda)**2 terms stay
+    # finite
+    ("laplace", "prior_precision", "1e-155"),
+    ("laplace", "lambda_grid", "logspace:-155:0:3"),
     # the regression demo's far field must hold grid points, and the
     # classification demo's ring is a set of radii
     ("eval", "far_field", "20"),
@@ -270,9 +273,10 @@ AT_BOUNDARY = [
 ]
 
 
-# LULA reads whole sets, every MAP fit steps with Adam, and every uniform
-# outlier set is drawn from data.UNIFORM_BOX, so their former batch sizes,
-# optimizer, momentum and outlier box are unknown keys
+# LULA reads whole sets, every MAP fit steps with Adam, every uniform
+# outlier set is drawn from data.UNIFORM_BOX, and every prior-precision
+# search maximizes the val log-likelihood, so their former batch sizes,
+# optimizer, momentum, outlier box and tuning objective are unknown keys
 REMOVED_KEYS = [
     ("lula", "in_batch"),
     ("lula", "out_batch"),
@@ -280,6 +284,7 @@ REMOVED_KEYS = [
     ("train", "momentum"),
     ("lula", "ood_low"),
     ("lula", "ood_high"),
+    ("laplace", "tune_objective"),
 ]
 
 
@@ -364,6 +369,19 @@ class TestConfig:
             with pytest.raises(ConfigError, match=r"\[laplace\] lambda_grid.*finite"):
                 load_config(str(path))
 
+    @pytest.mark.parametrize(
+        "key,value,parsed",
+        [
+            ("prior_precision", "1e-100", 1e-100),
+            ("lambda_grid", "1e-100,1", (1e-100, 1.0)),
+            ("lambda_grid", "logspace:-100:0:3", (1e-100, 1e-50, 1.0)),
+        ],
+    )
+    def test_prior_precision_floor_is_accepted(self, tmp_path, key, value, parsed):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[laplace]\n{key} = {value}\n")
+        assert load_config(str(path))["laplace"][key] == parsed
+
     def test_float_keys_cover_every_float_parser(self):
         # the generated non-finite rows reach each float-valued key
         keys = _float_keys()
@@ -379,7 +397,7 @@ class TestConfig:
             for key, (_, _, comment) in entries.items()
             if " | " in comment
         }
-        assert len(choices) == 9
+        assert len(choices) == 8
         assert set(_word_keys()) == choices | {("eval", "ood_kinds")}
 
     def test_range_rows_cover_every_ranged_key(self):
@@ -447,31 +465,6 @@ class TestConfig:
                 load_config(str(path))
         else:
             assert load_config(str(path))[section]["method"] == "probit_linearized"
-
-    @pytest.mark.parametrize(
-        "body,rejected",
-        [
-            ("", False),
-            ("[model]\ndims = 2,8,1\n[train]\nloss = binary_ce\n", False),
-            ("[data]\ngenerator = csv\ncsv_path = d.csv\ntarget_column = y\n"
-             "[train]\nloss = categorical_ce\n", False),
-            ("[model]\ndims = 1,8,1\n[data]\ngenerator = toy_regression\n", True),
-            # load_csv reads a csv target as a regression target under auto
-            ("[model]\ndims = 2,8,1\n"
-             "[data]\ngenerator = csv\ncsv_path = d.csv\ntarget_column = y\n", True),
-            ("[model]\ndims = 2,8,1\n[train]\nloss = gaussian_nll\n", True),
-        ],
-    )
-    def test_ood_mmc_needs_a_classification_likelihood(self, tmp_path, body, rejected):
-        path = tmp_path / "c.ini"
-        path.write_text(body + "[laplace]\ntune_objective = ood_mmc\n")
-        if rejected:
-            with pytest.raises(
-                ConfigError, match=r"\[laplace\] tune_objective = ood_mmc .*\[train\] loss"
-            ):
-                load_config(str(path))
-        else:
-            assert load_config(str(path))["laplace"]["tune_objective"] == "ood_mmc"
 
     @pytest.mark.parametrize(
         "body,rejected",
@@ -693,8 +686,8 @@ class TestCliCommands:
         self, tmp_path, capsys, monkeypatch, no_fit
     ):
         # a model of another input width, and a full GGN over the cap (from
-        # the shapes: 72 train rows of one row each, 354 parameters), still
-        # exit 1 without a fit
+        # the shapes: 72 train rows of one row each, 354 parameters), exit 2
+        # without a fit, naming the model file
         config = tmp_path / "cfg.ini"
         config.write_text(TINY_INI.replace(
             "prior_precision = 1.0",
@@ -703,14 +696,43 @@ class TestCliCommands:
         model = tmp_path / "model.txt"
         save(Network.init_random([3, 16, 16, 2], "relu", Rng(0)), str(model))
         argv = ["laplace", "--config", str(config), "--model", str(model)]
-        assert cli.main(argv) == 1
-        assert "input batch must have 3 columns" in capsys.readouterr().err
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{model}: input batch must have 3 columns" in err
         save(Network.init_random([2, 16, 16, 2], "relu", Rng(0)), str(model))
         monkeypatch.setattr(laplace_mod, "FULL_GGN_CAP", 159)  # 159**2 < 72 * 354
-        assert cli.main(argv) == 1
-        assert "full_ggn array of 72 x 354 floats exceeds cap" in capsys.readouterr().err
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{model}: full_ggn array of 72 x 354 floats exceeds cap" in err
         monkeypatch.setattr(laplace_mod, "FULL_GGN_CAP", 160)
         assert cli.main(argv) == 0
+
+    @pytest.mark.parametrize("prior", ["1.0", "tune"])
+    @pytest.mark.parametrize("command", ["laplace", "lula", "eval"])
+    def test_model_of_another_input_width_exits_2_before_work(
+        self, command, prior, tmp_path, capsys, monkeypatch
+    ):
+        # a 3-input model on two_moons' 2 features: each command refused it
+        # with exit 1 once it reached the curvature fit or the search
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the model was checked")
+
+        for name in ("fit_curvature", "tune_prior_precision"):
+            monkeypatch.setattr(laplace_mod, name, no_work)
+        monkeypatch.setattr(lula_mod, "train_lula", no_work)
+        config = tmp_path / "cfg.ini"
+        config.write_text(TINY_INI.replace(
+            "prior_precision = 1.0", f"prior_precision = {prior}"
+        ))
+        model = tmp_path / "model.txt"
+        save(Network.init_random([3, 16, 16, 2], "relu", Rng(0)), str(model))
+        before = sorted(os.listdir(tmp_path))
+        argv = [command, "--config", str(config), "--model", str(model),
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {model}: input batch must have 3 columns" in err
+        assert sorted(os.listdir(tmp_path)) == before
 
     @pytest.mark.parametrize("command", ["laplace", "lula", "eval"])
     def test_tuning_on_an_empty_val_split_exits_2_before_the_fit(
@@ -858,28 +880,6 @@ class TestCliCommands:
             argv += ["--model", str(tmp_path / "model.txt")]
         assert cli.main(argv) == 2
         assert "[eval] sample_count" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("command", ["train", "laplace", "lula", "eval", "demo-toy"])
-    def test_ood_mmc_under_regression_exits_2_before_work(
-        self, command, tmp_path, capsys, monkeypatch
-    ):
-        def no_work(*args, **kwargs):
-            raise AssertionError("work started before the config was validated")
-
-        monkeypatch.setattr(cli, "_build_data", no_work)
-        monkeypatch.setattr(training_mod, "train_map", no_work)
-        monkeypatch.setattr(demo, "train_map", no_work)
-        config = tmp_path / "bad.ini"
-        config.write_text(REGRESSION_INI.replace(
-            "[laplace]\n", "[laplace]\ntune_objective = ood_mmc\n"
-        ))
-        argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
-        if command in ("laplace", "lula", "eval"):
-            argv += ["--model", str(tmp_path / "model.txt")]
-        assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert "[laplace] tune_objective = ood_mmc" in err and "[train] loss" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind", ["permute", "contrast"])
@@ -1446,7 +1446,7 @@ class TestPosteriorSidecar:
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("command", ["lula", "eval"])
-    @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan", "1e-310"])
+    @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan", "1e-310", "1e-155"])
     def test_non_positive_prior_precision_in_the_file_exits_2_before_work(
         self, base_model, tmp_path, capsys, monkeypatch, command, value
     ):
@@ -1471,6 +1471,22 @@ class TestPosteriorSidecar:
         assert str(sidecar) in err
         assert f"prior_precision {value!r} is not a finite positive float" in err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["lula", "eval"])
+    def test_prior_precision_floor_in_the_file_is_accepted(
+        self, base_model, tmp_path, capsys, command
+    ):
+        config, model = base_model
+        sidecar = tmp_path / "model_laplace.txt"
+        lines = sidecar.read_text().splitlines()
+        row = next(i for i, x in enumerate(lines) if x.startswith("prior_precision "))
+        lines[row] = "prior_precision 1e-100"
+        sidecar.write_text("\n".join(lines) + "\n")
+        out = str(tmp_path / "out")
+        assert cli.main(
+            [command, "--config", config, "--model", model, "--out", out]
+        ) == 0
+        assert f"prior precision 1e-100 from {sidecar}" in capsys.readouterr().out
 
     def test_fixed_prior_precision_wins_over_the_file(self, base_model, tmp_path, capsys):
         config, model = base_model

@@ -90,11 +90,11 @@ TRAIN_MODULES = {
     f"lula_lab.{name}"
     for name in ("cli", "config", "data", "errors", "network", "numerics", "training")
 }
-POSTERIOR_MODULES = TRAIN_MODULES | {"lula_lab.laplace", "lula_lab.metrics"}
+POSTERIOR_MODULES = TRAIN_MODULES | {"lula_lab.laplace"}
 COMMAND_MODULES = {
     "train": TRAIN_MODULES,
     "laplace": POSTERIOR_MODULES,
-    "eval": POSTERIOR_MODULES,
+    "eval": POSTERIOR_MODULES | {"lula_lab.metrics"},
     "lula": POSTERIOR_MODULES | {"lula_lab.lula"},
     "demo-toy": POSTERIOR_MODULES | {"lula_lab.lula", "lula_lab.demo"},
 }

@@ -18,7 +18,6 @@ from lula_lab.laplace import (
     DEFAULT_LAMBDA_GRID,
     FULL_GGN_CAP,
     Curvature,
-    TUNE_OBJECTIVES,
     PredictConfig,
     Predictive,
     build_posterior,
@@ -1597,39 +1596,8 @@ class TestTunePriorPrecision:
                 predict_cfg=PredictConfig("probit_linearized", 1, 0),
             )
 
-    def test_ood_mmc_objective(self, sample_calls, predictive_draws):
-        net, curv, x, y, loss = self._instance()
-        out = Rng(1).uniform(-8.0, 8.0, (30, 2))
-        lam, scores = tune_prior_precision(
-            net, curv, x, y, loss, objective="ood_mmc",
-            grid=[0.01, 1.0, 100.0], predict_cfg=PredictConfig("mc", 64, 3),
-            out_features=out,
-        )
-        best = min(scores, key=lambda pair: pair[1])
-        assert lam == best[0]
-        # in and out of distribution share one draw per candidate
-        assert predictive_draws == [(64, 2)] * 3
-        assert sample_calls == []
-
-    def test_ood_mmc_refuses_regression_before_linearizing(self, monkeypatch):
-        def no_work(*args, **kwargs):
-            raise AssertionError("a point set was linearized")
-
-        rng = Rng(17)
-        net = Network.init_random([1, 6, 1], "tanh", rng)
-        x = rng.standard_normal((20, 1))
-        loss = LossKind("gaussian_nll", 25.0)
-        curv = fit_curvature(net, x, loss, "kfac_last_layer")
-        monkeypatch.setattr(laplace, "linearize", no_work)
-        with pytest.raises(ValueError, match="ood_mmc scores class probabilities"):
-            tune_prior_precision(
-                net, curv, x, np.sin(x), loss, objective="ood_mmc",
-                grid=[0.1, 1.0], out_features=rng.uniform(-8.0, 8.0, (10, 1)),
-            )
-
-    @pytest.mark.parametrize("objective", TUNE_OBJECTIVES)
     @pytest.mark.parametrize("kind, subset", POSTERIOR_CASES)
-    def test_projects_each_point_once(self, kind, subset, objective, monkeypatch):
+    def test_projects_each_point_once(self, kind, subset, monkeypatch):
         # every candidate reads the same linearized points, so the search
         # projects each point's k Jacobian rows once, not once per candidate
         rng = Rng(16)
@@ -1638,7 +1606,6 @@ class TestTunePriorPrecision:
         labels = (x[:, 0] > 0).astype(np.int64)
         loss = LossKind("categorical_ce")
         curv = fit_curvature(net, x, loss, kind, subset)
-        out = Rng(1).uniform(-8.0, 8.0, (30, 2))
         rows, linearized = [], []
         project, linearize = laplace._project, laplace.linearize
 
@@ -1653,14 +1620,13 @@ class TestTunePriorPrecision:
         monkeypatch.setattr(laplace, "_project", counting_project)
         monkeypatch.setattr(laplace, "linearize", counting_linearize)
         _, scores = tune_prior_precision(
-            net, curv, x, labels, loss, objective=objective, grid=[0.1, 1.0, 10.0],
-            predict_cfg=PredictConfig("mc", 8, 3), out_features=out,
+            net, curv, x, labels, loss, grid=[0.1, 1.0, 10.0],
+            predict_cfg=PredictConfig("mc", 8, 3),
         )
         assert len(scores) == 3
-        points = [40] if objective == "val_log_likelihood" else [40, 30]
-        assert linearized == points
+        assert linearized == [40]
         # the Kronecker kind projects nothing: it reads (Q_A^T hbar)^2
-        projected = 0 if kind == "kfac_last_layer" else 2 * sum(points)
+        projected = 0 if kind == "kfac_last_layer" else 2 * 40
         assert sum(rows) == projected
 
     def test_last_layer_mean_roundtrip(self):
