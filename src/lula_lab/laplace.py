@@ -32,9 +32,12 @@ n out_l in_l per layer, not n r d. In data space the factors are kept
 (below).
 
 Every curvature kind is a spectrum s in a basis B fixed at fit time. A GGN
-is positive semidefinite, so the fit clips every eigenvalue at 0 (a
-negative one is round-off) and s >= 0. The posterior of every prior
-precision lambda > 0 then has one covariance form,
+is positive semidefinite, so :func:`_psd_eigh`, the one eigendecomposition
+of the fit and of the predictive's output covariances, sets each eigenvalue
+e <= size eps max(e) of its matrix to 0: an e that small, of either sign,
+is round-off of a null direction. So s >= 0, exactly 0 along a null
+direction. The posterior of every prior precision lambda > 0 then has one
+covariance form,
 
     Sigma = c I + B^T diag(t) B,  with symmetric root  c' I + B^T diag(t') B,
 
@@ -63,8 +66,9 @@ and no d x d precision is ever factored. The kinds differ only in B:
   that the fits it admits do not depend on the form.
 * diagonal: B = I and s the GGN's diagonal, the column sums of R * R
   read from the factors.
-* Kronecker (last layer only): G = sum over data of Lambda_x (k x k) and
-  A = average over data of the augmented feature outer products (F x F),
+* Kronecker (last layer only): G = sum over data of Lambda_x = L_x L_x^T
+  (k x k), formed from the roots, and A = average over data of the
+  augmented feature outer products (F x F),
   so that kron(G, A) targets the data-term GGN. The fit keeps only their
   eigendecompositions G = Q_G diag(g) Q_G^T, taken once per fit (and once
   per LULA training run, whose outputs do not move), and
@@ -77,10 +81,10 @@ Data space is exactly a spectrum shorter than d. There c = 1 / lambda and
 t = -1 / (lambda (e + lambda)), that is
 Sigma = (I - W^T diag(1 / (e + lambda)) W) / lambda with no division by e:
 the directions outside the rows of W carry the prior alone. The basis keeps
-only the Gram's range, the eigenpairs with e > n r eps max(e): a smaller e
-is round-off of a direction that R does not span, whose W row of round-off
-size, weighted by t = -1 / lambda^2, would blow up at a small lambda; the
-prior alone is its exact variance. Every other case has c = 0,
+only the Gram's range, the eigenpairs that the one rule leaves e > 0: a
+zeroed e is round-off of a direction that R does not span, whose W row of
+round-off size, weighted by t = -1 / lambda^2, would blow up at a small
+lambda; the prior alone is its exact variance. Every other case has c = 0,
 t = 1 / (s + lambda) and t' = sqrt(t). Every eigenvalue s + lambda of the
 precision is at least lambda, so these are read directly. A variance is
 g^T Sigma g = c |g|^2 + (B g)^2 . t and a draw is
@@ -108,7 +112,7 @@ Q_G diag(u t^T) Q_G^T with t as its (k, F) grid.
 * probit_linearized integrates the Gaussian in closed form from the
   diagonal of Sigma_f (binary and regression).
 * mc, classification: each point's logits are f + R eps_s, with R R^T the
-  output covariance (a batched k x k eigh clipped at 0; for the Kronecker
+  output covariance (a batched k x k :func:`_psd_eigh`; for the Kronecker
   kind Q_G diag(sqrt(u t^T)) read from the basis) and one standard normal
   block eps of shape (count, k) shared by every point and set.
 * mc, regression: exact, mean f and variance diag(Sigma_f) + 1 / beta; no
@@ -143,7 +147,6 @@ from .training import (
     LossKind,
     hessian_root_width,
     output_hessian_roots,
-    output_hessians,
     read_targets,
     sigmoid,
 )
@@ -345,18 +348,21 @@ class DataBasis:
 
 def _psd_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(e, Q) from eigh(matrix) = Q diag(e) Q^T of a positive semidefinite
-    matrix, with e clipped at 0: a negative eigenvalue is round-off."""
+    matrix of size s, or of each matrix in a stack, with every
+    e <= s eps max(e) of its matrix set to 0: an eigenvalue that small, of
+    either sign, is round-off of a null direction."""
     e, q = np.linalg.eigh(matrix)
-    return np.maximum(e, 0.0, out=e), q
+    top = e.max(axis=-1, keepdims=True, initial=0.0)
+    e[e <= e.shape[-1] * np.finfo(float).eps * top] = 0.0
+    return e, q
 
 
 def _data_basis(blocks: list[_Block]) -> tuple[np.ndarray, DataBasis]:
     """(e, B) from eigh(K) = U diag(e) U^T of the Gram K = R R^T of the
-    rows held as ``blocks``, keeping only the eigenpairs of K's range,
-    e > n r eps max(e): a smaller e is round-off of a null direction."""
-    gram = _gram(blocks, blocks)
-    e, u = np.linalg.eigh(gram)
-    keep = e > gram.shape[0] * np.finfo(float).eps * e.max(initial=0.0)
+    rows held as ``blocks``, keeping only the eigenpairs of K's range, the
+    e > 0 of :func:`_psd_eigh`."""
+    e, u = _psd_eigh(_gram(blocks, blocks))
+    keep = e > 0.0
     return e[keep], DataBasis(blocks, u[:, keep])
 
 
@@ -364,7 +370,8 @@ def _data_basis(blocks: list[_Block]) -> tuple[np.ndarray, DataBasis]:
 class Curvature:
     """Data-term GGN over a parameter subset (prior term not included), as
     a ``spectrum`` in a ``basis`` fixed at fit time. A fitted spectrum has
-    no negative entry: the fit clips round-off at 0.
+    no negative entry: every eigenvalue comes from :func:`_psd_eigh`, which
+    sets round-off to 0.
 
     ``basis`` is the full kind's Q^T (parameter space) or
     :class:`DataBasis` (data space), ``None`` for the diagonal kind
@@ -396,9 +403,13 @@ def last_layer_mean(net: Network) -> np.ndarray:
 
 def _output_factor_eigh(loss: LossKind, outputs: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """(g, Q_G) of the Kronecker output factor G = sum_x Lambda_x (k x k)
-    at the network ``outputs`` (n, k), eigendecomposed and clipped at 0."""
-    return _psd_eigh(output_hessians(loss, outputs).sum(axis=0))
+    """(g, Q_G) of the Kronecker output factor G = sum_x Lambda_x
+    = sum_x L_x L_x^T (k x k) at the network ``outputs`` (n, k), from the
+    roots L_x of :func:`lula_lab.training.output_hessian_roots`,
+    eigendecomposed by :func:`_psd_eigh`."""
+    roots = output_hessian_roots(loss, outputs)
+    flat = roots.transpose(1, 0, 2).reshape(roots.shape[1], -1)  # (k, n r)
+    return _psd_eigh(flat @ flat.T)  # numpy's syrk path: exactly symmetric
 
 
 def _kfac_curvature(mean: np.ndarray, output_eigh: tuple[np.ndarray, np.ndarray],
@@ -406,8 +417,8 @@ def _kfac_curvature(mean: np.ndarray, output_eigh: tuple[np.ndarray, np.ndarray]
     """The Kronecker last-layer curvature around ``mean`` with G's
     eigenpairs ``output_eigh`` = (g, Q_G) from :func:`_output_factor_eigh`,
     taken once by the caller, and A = hbar^T hbar / n from the augmented
-    final hidden features ``hbar`` (n, F), eigendecomposed here and clipped
-    at 0."""
+    final hidden features ``hbar`` (n, F), eigendecomposed here by
+    :func:`_psd_eigh`."""
     g, q_out = output_eigh
     a, q_feat = _psd_eigh((hbar.T @ hbar) / hbar.shape[0])
     return Curvature("kfac_last_layer", "last_layer", mean, g.size,
@@ -471,22 +482,22 @@ def fit_curvature(
     """Accumulate the data-term GGN over the given dataset.
 
     Targets are not needed: the inner factor is the output-space Hessian of
-    the negative log-likelihood, a function of the outputs alone. The
-    Kronecker kind keeps only the eigendecompositions of its two factors.
-    Every other fit, of either subset, reads R, the stack of L_x^T J_x with
-    L_x L_x^T = Lambda_x, as the factors of :func:`_row_factors` seeded
-    with the roots; L_x is (k, r), r the root width, so each example adds r
-    rows. The full kind is eigendecomposed once, and every eigenvalue, the
-    Kronecker factors' too, is clipped at 0: a GGN is positive
-    semidefinite, so a negative one is round-off. In data space, fewer rows
-    (n r) than parameters, it is eigh of the Gram K = R R^T of the factors,
-    of which only K's range is kept (:func:`_data_basis`), and the
-    :class:`DataBasis` keeps those factors and U, no d-wide row. In
-    parameter space each chunk of examples has its rows written by
-    :func:`lula_lab.network._write_rows` and summed as R^T R. The diagonal
-    writes no row: :func:`_factor_diagonal` sums R * R's columns from each
-    chunk's factors. Every refusal
-    of :func:`check_curvature_fit`, a full kind for which min(n r, d) x d
+    the negative log-likelihood, a function of the outputs alone, read as
+    its roots L_x (k, r), L_x L_x^T = Lambda_x, r the root width. The
+    Kronecker kind keeps only the eigendecompositions of its two factors,
+    G = sum_x L_x L_x^T among them. Every other fit, of either subset,
+    reads R, the stack of L_x^T J_x, as the factors of :func:`_row_factors`
+    seeded with the roots, so each example adds r rows. The full kind is
+    eigendecomposed once. Every eigendecomposition, the Kronecker factors'
+    too, is :func:`_psd_eigh`'s, which zeroes round-off of either sign. In
+    data space, fewer rows (n r) than parameters, it is eigh of the Gram
+    K = R R^T of the factors, of which only K's range is kept
+    (:func:`_data_basis`), and the :class:`DataBasis` keeps those factors
+    and U, no d-wide row. In parameter space each chunk of examples has its
+    rows written by :func:`lula_lab.network._write_rows` and summed as
+    R^T R. The diagonal writes no row: :func:`_factor_diagonal` sums
+    R * R's columns from each chunk's factors. Every refusal of
+    :func:`check_curvature_fit`, a full kind for which min(n r, d) x d
     floats would exceed FULL_GGN_CAP**2 among them (in data space too,
     though it holds only the factors and (n r)^2 floats), raises
     ``ValueError`` before any forward pass.
@@ -625,12 +636,12 @@ class LaplacePosterior:
 
     def output_root(self, lin: Linearization) -> np.ndarray:
         """R, shape (m, k, k), with R R^T = Sigma_f at each point of ``lin``:
-        through a batched eigh clipped at 0, or for the Kronecker kind
+        through a batched :func:`_psd_eigh`, or for the Kronecker kind
         Q_G diag(sqrt(u t^T)) read from the basis."""
         if isinstance(self._basis, tuple):
             return self._basis[0] * np.sqrt(self._kron_spread(lin))[:, None, :]
-        e, v = np.linalg.eigh(self.output_cov(lin))
-        return v * np.sqrt(np.maximum(e, 0.0))[:, None, :]
+        e, v = _psd_eigh(self.output_cov(lin))
+        return v * np.sqrt(e)[:, None, :]
 
 
 def build_posterior(curvature: Curvature, prior_precision: float) -> LaplacePosterior:

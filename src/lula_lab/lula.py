@@ -151,12 +151,14 @@ class _Objective:
 
     Only the free block moves, so each set's input to the final hidden
     layer is computed once, and so are the output layer (the posterior
-    mean) and the eigendecomposition G = sum_z Lambda_z = Q_G diag(g) Q_G^T,
-    taken here alone, because the outputs do not move. Each call forwards
-    the added units alone and builds the posterior from the curvature set's
-    features with the Kronecker fit's own code, which then eigendecomposes
-    only A. With A = Q_A diag(a) Q_A^T, d_pq = 1 / (g_p a_q + lambda)
-    and kappa_p = (Q_G^T K Q_G)_pp, v(x) = sum_q w_q (Q_A^T hbar)_q^2 with
+    mean) and the eigendecomposition G = sum_z L_z L_z^T = Q_G diag(g)
+    Q_G^T from the curvature set's Hessian roots, by the Kronecker fit's
+    own :func:`lula_lab.laplace._output_factor_eigh`, taken here alone,
+    because the outputs do not move. Each call forwards the added units
+    alone and builds the posterior from the curvature set's features with
+    the Kronecker fit's own code, which then eigendecomposes only A. With
+    A = Q_A diag(a) Q_A^T, d_pq = 1 / (g_p a_q + lambda) and
+    kappa_p = (Q_G^T K Q_G)_pp, v(x) = sum_q w_q (Q_A^T hbar)_q^2 with
     w = kappa^T d. Row x of the inlier or outlier set enters J with the
     weight s_x = +-1 / (n_rows v(x)), so with W = sum_x s_x hbar hbar^T
     the objective moves with Sigma as tr(Sigma (K kron W)), and

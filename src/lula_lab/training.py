@@ -84,12 +84,6 @@ def read_targets(targets, shape, classes: int | None = None, first_row: int = 0)
                 f"target {y[row].tolist()} at row {first_row + row} is not finite"
             )
         return y
-    if y.dtype.kind in "biu":
-        # no integrality test, and one reduction: read as unsigned, a
-        # negative label wraps past every class
-        labels = y.astype(np.int64, copy=False)
-        if np.maximum.reduce(labels.view(np.uint64), initial=0) < classes:
-            return labels
     bad = np.flatnonzero(~((y >= 0) & (y < classes) & (y == np.floor(y))))
     if bad.size:
         raise ValueError(
@@ -149,28 +143,6 @@ def _nll_output_grad(loss: LossKind, outputs: np.ndarray, y: np.ndarray) -> np.n
     return g[:, None]
 
 
-def output_hessians(loss: LossKind, outputs: np.ndarray) -> np.ndarray:
-    """Per-example Hessian of the NLL w.r.t. the outputs, shape (m, k, k).
-
-    This is the inner curvature factor of the generalized Gauss-Newton:
-    beta * I for the Gaussian, diag(p) - p p^T for the categorical, and
-    sigma * (1 - sigma) for the single-logit binary case.
-    """
-    m, k = outputs.shape
-    if loss.kind == "gaussian_nll":
-        return np.broadcast_to(
-            loss.noise_precision * np.eye(k), (m, k, k)
-        ).copy()
-    if loss.kind == "categorical_ce":
-        p = softmax(outputs)
-        h = -p[:, :, None] * p[:, None, :]
-        rows = np.arange(k)
-        h[:, rows, rows] += p
-        return h
-    s = sigmoid(outputs[:, 0])
-    return (s * (1.0 - s)).reshape(m, 1, 1)
-
-
 def hessian_root_width(loss: LossKind, k: int) -> int:
     """Columns r of :func:`output_hessian_roots` for k outputs, the rank of
     Lambda: k (Gaussian), k - 1 (categorical), 1 (binary)."""
@@ -178,7 +150,11 @@ def hessian_root_width(loss: LossKind, k: int) -> int:
 
 
 def output_hessian_roots(loss: LossKind, outputs: np.ndarray) -> np.ndarray:
-    """Per-example roots L with L L^T = Lambda of :func:`output_hessians`.
+    """Per-example roots L with L L^T = Lambda, the Hessian of the NLL
+    with respect to the outputs: the inner curvature factor of the
+    generalized Gauss-Newton, held only as these roots. Lambda is beta * I
+    for the Gaussian, diag(p) - p p^T for the categorical with p the
+    softmax, and sigma * (1 - sigma) for the single-logit binary case.
 
     Closed forms, shape (m, k, r) with r the root width, the rank of
     Lambda: sqrt(beta) * I for the Gaussian (r = k) and

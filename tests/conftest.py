@@ -23,7 +23,7 @@ from lula_lab.network import (
     jacobian_factors,
 )
 from lula_lab.numerics import Rng
-from lula_lab.training import LossKind, output_hessians
+from lula_lab.training import LossKind, sigmoid, softmax
 
 
 def random_network(rng: Rng, max_layers=3, max_units=10, input_dim=None,
@@ -39,6 +39,28 @@ def random_network(rng: Rng, max_layers=3, max_units=10, input_dim=None,
     # random biases exercise more of the affine path than the zero default
     biases = [b + 0.1 * rng.standard_normal(b.shape) for b in net.biases]
     return Network(net.specs, net.weights, biases)
+
+
+def output_hessians(loss: LossKind, outputs: np.ndarray) -> np.ndarray:
+    """Per-example Hessian of the NLL w.r.t. the outputs, shape (m, k, k).
+
+    This is the inner curvature factor of the generalized Gauss-Newton:
+    beta * I for the Gaussian, diag(p) - p p^T for the categorical, and
+    sigma * (1 - sigma) for the single-logit binary case.
+    """
+    m, k = outputs.shape
+    if loss.kind == "gaussian_nll":
+        return np.broadcast_to(
+            loss.noise_precision * np.eye(k), (m, k, k)
+        ).copy()
+    if loss.kind == "categorical_ce":
+        p = softmax(outputs)
+        h = -p[:, :, None] * p[:, None, :]
+        rows = np.arange(k)
+        h[:, rows, rows] += p
+        return h
+    s = sigmoid(outputs[:, 0])
+    return (s * (1.0 - s)).reshape(m, 1, 1)
 
 
 def loop_output_jacobian(net: Network, x: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from lula_lab import lula as lula_mod
 from lula_lab import training as training_mod
 from lula_lab.config import (
     ORDERED_PAIRS,
+    PRIOR_PRECISION_FLOOR,
     SCHEMA,
     default_config,
     load_config,
@@ -1074,6 +1075,41 @@ class TestCliCommands:
         written = load(tuned)
         assert np.array_equal(written.weights[-2][-2:], expected.weights[-2][-2:])
         assert np.array_equal(written.biases[-2][-2:], expected.biases[-2][-2:])
+
+    @pytest.mark.parametrize("curvature, subset", [
+        ("kfac_last_layer", "last_layer"),
+        ("full_ggn", "last_layer"),  # parameter space: 72 rows, d = 34
+        ("full_ggn", "all_layers"),  # data space: 72 rows, d = 354
+        ("diag_ggn", "all_layers"),
+    ])
+    def test_prior_precision_floor_runs_through_every_curvature(
+        self, curvature, subset, tmp_path
+    ):
+        # at the floor every null direction of the curvature carries the
+        # prior variance 1 / lambda = 1e100 alone; eval, and for the
+        # Kronecker kind lula and eval of the tuned model, run to the end
+        # with no overflow warning and finite scores
+        config = tmp_path / "cfg.ini"
+        config.write_text(TINY_INI.replace(
+            "prior_precision = 1.0",
+            f"prior_precision = {PRIOR_PRECISION_FLOOR!r}\n"
+            f"curvature = {curvature}\nsubset = {subset}",
+        ))
+        model = str(tmp_path / "model.txt")
+        assert cli.main(["train", "--config", str(config), "--out", model]) == 0
+        models = [model]
+        if curvature == "kfac_last_layer":
+            models.append(str(tmp_path / "tuned.txt"))
+            assert cli.main(["lula", "--config", str(config), "--model", model,
+                             "--out", models[-1]]) == 0
+        for i, path in enumerate(models):
+            out = tmp_path / f"eval{i}"
+            assert cli.main(["eval", "--config", str(config), "--model", path,
+                             "--out", str(out)]) == 0
+            rows = [line.split() for line in
+                    (out / "eval_summary.txt").read_text().splitlines()]
+            scores = [float(v) for key, v in rows if key.endswith((".mean", ".std"))]
+            assert scores and np.all(np.isfinite(scores))
 
 
 def _eval_files(config_path: str, model_path: str):

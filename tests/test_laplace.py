@@ -8,6 +8,7 @@ from conftest import (
     dense_ggn,
     kron_factors,
     loop_output_jacobian,
+    output_hessians,
     output_jacobian,
     quad_forms,
     relative_error,
@@ -36,7 +37,6 @@ from lula_lab.training import (
     LossKind,
     map_loss,
     output_hessian_roots,
-    output_hessians,
     sigmoid,
     softmax,
 )
@@ -501,7 +501,7 @@ class TestBuildPosterior:
     @pytest.mark.parametrize("matrix", [[[-10.0]], [[1.0, 0.0], [0.0, -1e-12]]],
                              ids=["negative", "round-off"])
     def test_negative_curvature_fails(self, matrix):
-        # fit_curvature clips round-off at 0, so a negative entry is a
+        # fit_curvature zeroes round-off, so a negative entry is a
         # curvature built by hand, and no prior precision mends it
         curv = curvature_from_matrix(np.array(matrix))
         with pytest.raises(ValueError, match="negative or NaN entry"):
@@ -958,10 +958,11 @@ class TestSampling:
             exact = np.linalg.inv(np.kron(*factors) + lam * eye)
             assert relative_error(root.T @ root, exact) <= 1e-8, lam
 
-    @pytest.mark.parametrize("seed", [1, 3])
+    @pytest.mark.parametrize("seed", range(16))
     def test_kfac_softmax_shift_row_clipped_at_zero(self, seed):
-        # at these seeds eigh gives the softmax-shift eigenvalue of G as
-        # -1.2e-15 and -1.3e-15; the fit clips it, and so its spectrum row
+        # eigh gives the softmax-shift eigenvalue of G as round-off of
+        # either sign (about 1e-15 of the largest); the fit zeroes it, and
+        # so its spectrum row
         rng = Rng(seed)
         net = Network.init_random([2, 5, 3], "tanh", rng)
         x = rng.standard_normal((20, 2))
@@ -970,9 +971,34 @@ class TestSampling:
         assert np.all(grid[0] == 0.0) and np.all(grid >= 0.0)
         assert np.all(grid[1:, -1] > 0.0)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_kfac_duplicate_unit_column_takes_the_prior_alone(self, seed):
+        # a hidden unit copied into the last one makes hbar's last two
+        # features equal, so A is singular along e_4 - e_5; the fit zeroes
+        # that round-off eigenvalue of either sign, so every spectrum entry
+        # of its column is 0 and the posterior there is the prior 1 / lambda
+        rng = Rng(seed)
+        net = Network.init_random([2, 6, 3], "tanh", rng)
+        weights, biases = list(net.weights), list(net.biases)
+        weights[0] = np.vstack([weights[0][:-1], weights[0][-2:-1]])
+        biases[0] = np.append(biases[0][:-1], biases[0][-2])
+        net = Network(net.specs, weights, biases)
+        x = rng.standard_normal((20, 2))
+        curv = fit_curvature(net, x, LossKind("gaussian_nll"), "kfac_last_layer")
+        null = np.zeros(7)
+        null[4], null[5] = 1.0, -1.0
+        along = np.abs(null @ curv.basis[1]) / np.sqrt(2.0)
+        col = int(np.argmax(along))
+        assert along[col] == pytest.approx(1.0, abs=1e-12)
+        lam = 1e-8
+        grid = curv.spectrum.reshape(3, -1)
+        t = build_posterior(curv, lam)._t.reshape(3, -1)
+        assert np.all(grid[:, col] == 0.0) and np.all(t[:, col] == 1.0 / lam)
+        assert np.all(np.delete(grid, col, axis=1) > 0.0)
+
     def test_kfac_null_factor_eigenvalue_takes_the_prior_alone(self):
         # two-class categorical: the output factor is s [[1, -1], [-1, 1]],
-        # whose null eigenvalue the fit clips to exactly 0, so the draw
+        # whose null eigenvalue the fit zeroes, so the draw
         # along it has the prior variance 1 / lambda
         curv = self._curvature("kfac_last_layer")
         lam = 1e-8
@@ -1328,7 +1354,7 @@ class TestOutputCovariance:
     def test_zero_jacobian_row_gives_a_finite_root(self):
         # output 0 of point 0 has a zero Jacobian row: Sigma_f is singular
         # there, and its data-space form c J J^T + P diag(t) P^T can round
-        # to a slightly negative eigenvalue, which the root clips at 0
+        # to a slightly negative eigenvalue, which the root zeroes
         loss = LossKind("categorical_ce")
         net, post, points, lin = self._instance("full_ggn", "all_layers", 3, loss, 3)
         lin.proj[0, 0] = 0.0
