@@ -28,7 +28,6 @@ import functools
 import gc
 import os
 import sys
-from dataclasses import fields, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -523,7 +522,7 @@ def cmd_eval(
     if classification:
         run_preds = (
             predict_linearized(
-                post, sets, replace(eval_cfg, seed=_mix64(eval_cfg.seed, 1000 + r)), loss
+                post, sets, eval_cfg._replace(seed=_mix64(eval_cfg.seed, 1000 + r)), loss
             )
             for r in range(runs)
         )
@@ -728,7 +727,7 @@ def _stage(cls, cfg: ExperimentConfig, section: str):
     every field has a key."""
     values = cfg[section]
     try:
-        return cls(**{f.name: values[f.name] for f in fields(cls)})
+        return cls(**{name: values[name] for name in cls._fields})
     except ValueError as exc:
         raise ConfigError(f"[{section}] {exc}") from None
 

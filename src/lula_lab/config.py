@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import io
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -354,9 +354,9 @@ SCHEMA: dict[str, dict[str, tuple]] = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated configuration; ``cfg[section][key]`` is the typed value."""
+class ExperimentConfig(NamedTuple):
+    """Validated configuration; ``cfg[section][key]`` is the typed value
+    (indexing reads a section, not the record's one field)."""
 
     values: dict
 

@@ -12,9 +12,8 @@ outlier set, LULA's training outliers among them, is drawn from
 
 from __future__ import annotations
 
-import csv as _csv
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,20 +49,24 @@ OOD_MIN_FEATURES = {"permute": 2, "blur": BLUR_WIDTH, "contrast": 2}
 GENERATOR_FEATURES = {"two_moons": 2, "toy_regression": 1}  # row widths
 
 
-@dataclass(frozen=True)
-class Dataset:
+class _DatasetFields(NamedTuple):
+    features: np.ndarray
+    targets: np.ndarray
+
+
+class Dataset(_DatasetFields):
     """Feature matrix plus targets.
 
     Classification targets are an int64 label vector; regression targets a
     float column matrix. The dtype is the only record of which they are.
     """
 
-    features: np.ndarray
-    targets: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.features.shape[0] != self.targets.shape[0]:
+    def __new__(cls, features: np.ndarray, targets: np.ndarray):
+        if features.shape[0] != targets.shape[0]:
             raise ValueError("feature and target row counts differ")
+        return super().__new__(cls, features, targets)
 
     @property
     def num_rows(self) -> int:
@@ -74,16 +77,21 @@ class Dataset:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
-    seed: int = 0
+class _SplitSpecFields(NamedTuple):
+    fractions: tuple[float, float, float]
+    seed: int
 
-    def __post_init__(self):
-        if any(f < 0.0 for f in self.fractions):
+
+class SplitSpec(_SplitSpecFields):
+    __slots__ = ()
+
+    def __new__(cls, fractions: tuple[float, float, float] = (0.6, 0.2, 0.2),
+                seed: int = 0):
+        if any(f < 0.0 for f in fractions):
             raise ValueError("fractions must be nonnegative")
-        if abs(sum(self.fractions) - 1.0) > 1e-9:
+        if abs(sum(fractions) - 1.0) > 1e-9:
             raise ValueError("fractions must sum to 1")
+        return super().__new__(cls, fractions, seed)
 
     def counts(self, m: int) -> tuple[int, int, int]:
         """The train, val and test row counts of a split of ``m`` rows."""
@@ -269,18 +277,20 @@ def _load_csv_bulk(path: str, header: bool):
     parse, has no rows, or is not as wide as the header is left to the cell
     reader; so is a blank first line, whose empty header fits no width.
     """
+    import csv
+
     names = None
     try:
         if header:
             with open(path, "r", encoding="utf-8", newline="") as handle:
-                names = [c.strip() for c in next(_csv.reader(handle), [])]
+                names = [c.strip() for c in next(csv.reader(handle), [])]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt warns on an empty body
             parsed = np.loadtxt(
                 path, delimiter=",", skiprows=int(header), ndmin=2,
                 comments=None, encoding="utf-8",
             )
-    except (ValueError, OSError, _csv.Error):
+    except (ValueError, OSError, csv.Error):
         return None
     if parsed.shape[0] == 0 or (names is not None and len(names) != parsed.shape[1]):
         return None
@@ -289,8 +299,10 @@ def _load_csv_bulk(path: str, header: bool):
 
 def _load_csv_cells(path: str, target_column, header: bool) -> Dataset:
     """The cell-by-cell reader: every row and column error names its place."""
+    import csv
+
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = list(_csv.reader(handle))
+        rows = list(csv.reader(handle))
     rows = [r for r in rows if r]
     if not rows:
         raise ValueError(f"{path}: empty file")

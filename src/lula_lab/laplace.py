@@ -121,7 +121,7 @@ Q_G diag(u t^T) Q_G^T with t as its (k, F) grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,6 +157,7 @@ __all__ = [
     "PREDICT_METHODS",
     "Curvature",
     "DataBasis",
+    "KronBasis",
     "LaplacePosterior",
     "Linearization",
     "PredictConfig",
@@ -295,8 +296,7 @@ def _gram(rows: list[_Block], cols: list[_Block]) -> np.ndarray:
     return total
 
 
-@dataclass
-class DataBasis:
+class DataBasis(NamedTuple):
     """The data-space basis B = W = U^T R of a full GGN, with R the
     (n r, d) stack of every curvature point's rows L_x^T J_x, r the root
     width, held as per-layer factors and never formed whole.
@@ -366,8 +366,15 @@ def _data_basis(blocks: list[_Block]) -> tuple[np.ndarray, DataBasis]:
     return e[keep], DataBasis(blocks, u[:, keep])
 
 
-@dataclass
-class Curvature:
+class KronBasis(NamedTuple):
+    """The Kronecker basis B = (Q_G kron Q_A)^T: the eigenvectors of the
+    output factor G (k x k) and of the feature factor A (F x F)."""
+
+    q_out: np.ndarray
+    q_feat: np.ndarray
+
+
+class Curvature(NamedTuple):
     """Data-term GGN over a parameter subset (prior term not included), as
     a ``spectrum`` in a ``basis`` fixed at fit time. A fitted spectrum has
     no negative entry: every eigenvalue comes from :func:`_psd_eigh`, which
@@ -375,8 +382,8 @@ class Curvature:
 
     ``basis`` is the full kind's Q^T (parameter space) or
     :class:`DataBasis` (data space), ``None`` for the diagonal kind
-    (B = I), or ``(Q_G, Q_A)`` for the Kronecker kind, whose spectrum is
-    ``np.outer(g, a).ravel()``. With one spectrum entry per parameter, B
+    (B = I), or :class:`KronBasis` for the Kronecker kind, whose spectrum
+    is ``np.outer(g, a).ravel()``. With one spectrum entry per parameter, B
     is orthonormal and GGN = B^T diag(spectrum) B. A shorter spectrum is
     data space: the n r rows of W = U^T R (r the root width) have
     W W^T = diag(spectrum) and GGN = W^T W, and the basis holds only R's
@@ -388,7 +395,7 @@ class Curvature:
     mean: np.ndarray
     num_outputs: int
     spectrum: np.ndarray
-    basis: np.ndarray | DataBasis | tuple[np.ndarray, np.ndarray] | None = None
+    basis: np.ndarray | DataBasis | KronBasis | None = None
 
     @property
     def dim(self) -> int:
@@ -422,7 +429,7 @@ def _kfac_curvature(mean: np.ndarray, output_eigh: tuple[np.ndarray, np.ndarray]
     g, q_out = output_eigh
     a, q_feat = _psd_eigh((hbar.T @ hbar) / hbar.shape[0])
     return Curvature("kfac_last_layer", "last_layer", mean, g.size,
-                     np.outer(g, a).ravel(), (q_out, q_feat))
+                     np.outer(g, a).ravel(), KronBasis(q_out, q_feat))
 
 
 def _final_layer(net: Network, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -539,7 +546,7 @@ def _project(basis, vectors: np.ndarray, back: bool = False) -> np.ndarray:
         return vectors
     if isinstance(basis, DataBasis):
         return basis.back(vectors) if back else basis.project(vectors)
-    if isinstance(basis, tuple):
+    if isinstance(basis, KronBasis):
         # B v is the flattened Q_G^T V Q_A of the row-major (k, F) view V
         # of v, and B^T v is Q_G V Q_A^T
         q_out, q_feat = basis
@@ -626,8 +633,8 @@ class LaplacePosterior:
         """Sigma_f = J Sigma J^T at each point of ``lin``, shape (m, k, k):
         c J J^T + P diag(t) P^T, for the Kronecker kind
         Q_G diag(u t^T) Q_G^T."""
-        if isinstance(self._basis, tuple):
-            q_out = self._basis[0]
+        if isinstance(self._basis, KronBasis):
+            q_out = self._basis.q_out
             return (q_out * self._kron_spread(lin)[:, None, :]) @ q_out.T
         cov = (lin.proj * self._t) @ lin.proj.transpose(0, 2, 1)
         if self._c:
@@ -638,8 +645,8 @@ class LaplacePosterior:
         """R, shape (m, k, k), with R R^T = Sigma_f at each point of ``lin``:
         through a batched :func:`_psd_eigh`, or for the Kronecker kind
         Q_G diag(sqrt(u t^T)) read from the basis."""
-        if isinstance(self._basis, tuple):
-            return self._basis[0] * np.sqrt(self._kron_spread(lin))[:, None, :]
+        if isinstance(self._basis, KronBasis):
+            return self._basis.q_out * np.sqrt(self._kron_spread(lin))[:, None, :]
         e, v = _psd_eigh(self.output_cov(lin))
         return v * np.sqrt(e)[:, None, :]
 
@@ -649,8 +656,7 @@ def build_posterior(curvature: Curvature, prior_precision: float) -> LaplacePost
     return LaplacePosterior(curvature, prior_precision)
 
 
-@dataclass
-class Linearization:
+class Linearization(NamedTuple):
     """The prior-precision-free pieces of the output Gaussian at m points.
 
     ``mean`` is f (m, k). ``proj`` is P = B J^T per point (m, k, S), S the
@@ -688,8 +694,8 @@ def linearize(net: Network, curvature: Curvature, x: np.ndarray) -> Linearizatio
             f"and {dim} {curvature.subset} parameters"
         )
     mean, hbar = _final_layer(net, x)
-    if isinstance(basis, tuple):
-        u = hbar @ basis[1]
+    if isinstance(basis, KronBasis):
+        u = hbar @ basis.q_feat
         return Linearization(mean, np.square(u, out=u))
     m, width = x.shape[0], curvature.spectrum.size
     proj = np.empty((m, k, width))
@@ -746,21 +752,24 @@ def probit_predict_binary(f_map, v):
     return float(result[0]) if scaled.ndim == 0 else result.reshape(scaled.shape)
 
 
-@dataclass(frozen=True)
-class PredictConfig:
-    method: str = "mc"
-    sample_count: int = 100
-    seed: int = 0
+class _PredictConfigFields(NamedTuple):
+    method: str
+    sample_count: int
+    seed: int
 
-    def __post_init__(self):
-        if self.method not in PREDICT_METHODS:
-            raise ValueError(f"unknown predict method {self.method!r}")
-        if self.method == "mc" and self.sample_count < 1:
+
+class PredictConfig(_PredictConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, method: str = "mc", sample_count: int = 100, seed: int = 0):
+        if method not in PREDICT_METHODS:
+            raise ValueError(f"unknown predict method {method!r}")
+        if method == "mc" and sample_count < 1:
             raise ValueError("sample_count must be at least 1")
+        return super().__new__(cls, method, sample_count, seed)
 
 
-@dataclass
-class Predictive:
+class Predictive(NamedTuple):
     """Predictive summary; classification fills probabilities, regression the rest.
 
     Regression variance is reported both without (epistemic) and with

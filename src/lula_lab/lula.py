@@ -24,7 +24,7 @@ and the units leak onto held-out inliers. The gradient runs through Sigma
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,12 @@ from .training import LossKind, _Adam
 __all__ = ["LulaTrainConfig", "augment", "train_lula"]
 
 
-@dataclass(frozen=True)
-class LulaTrainConfig:
+class _LulaTrainConfigFields(NamedTuple):
+    learning_rate: float
+    epochs: int
+
+
+class LulaTrainConfig(_LulaTrainConfigFields):
     """Settings for uncertainty training.
 
     The free-block update is Adam: the gradient spans several orders of
@@ -62,14 +66,14 @@ class LulaTrainConfig:
     a plain step either stalls or overshoots.
     """
 
-    learning_rate: float = 0.1
-    epochs: int = 20
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.learning_rate <= 0.0:
+    def __new__(cls, learning_rate: float = 0.1, epochs: int = 20):
+        if learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
-        if self.epochs < 0:
+        if epochs < 0:
             raise ValueError("epochs must be nonnegative")
+        return super().__new__(cls, learning_rate, epochs)
 
 
 def augment(
@@ -207,7 +211,7 @@ class _Objective:
             hbar[:, free] = apply_activation(self.activation, pre[-1])
         hbar = self.sets[0][1]
         post = build_posterior(_kfac_curvature(self.mean, self.output_eigh, hbar), self.lam)
-        q_a = post.curvature.basis[1]
+        q_a = post.curvature.basis.q_feat
         d = post._t.reshape(self.g.size, -1)
         w = self.kappa @ d
         value = 0.0

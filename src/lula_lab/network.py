@@ -8,7 +8,6 @@ set use this ordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -75,19 +74,23 @@ def activation_derivative(name: str, a: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {name!r}")
 
 
-@dataclass(frozen=True)
-class LayerSpec:
-    """Shape and nonlinearity of one affine layer."""
-
+class _LayerSpecFields(NamedTuple):
     in_dim: int
     out_dim: int
     activation: str
 
-    def __post_init__(self):
-        if self.in_dim <= 0 or self.out_dim <= 0:
+
+class LayerSpec(_LayerSpecFields):
+    """Shape and nonlinearity of one affine layer."""
+
+    __slots__ = ()
+
+    def __new__(cls, in_dim: int, out_dim: int, activation: str):
+        if in_dim <= 0 or out_dim <= 0:
             raise ValueError("layer dimensions must be positive")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+        if activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {activation!r}")
+        return super().__new__(cls, in_dim, out_dim, activation)
 
 
 class Network:
@@ -211,8 +214,7 @@ def _layer_views(
     return weights, biases
 
 
-@dataclass(frozen=True)
-class ForwardTrace:
+class ForwardTrace(NamedTuple):
     """Per-layer pre-activations and activations for one batch.
 
     ``activations[0]`` is the input batch; ``activations[-1]`` is the output.
@@ -227,8 +229,7 @@ class ForwardTrace:
         return self.activations[-1]
 
 
-@dataclass
-class ParamGrads:
+class ParamGrads(NamedTuple):
     """Parameter gradients in one flat buffer in the frozen order.
 
     ``weights`` and ``biases`` are views into ``flat``, aligned with

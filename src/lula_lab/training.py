@@ -7,7 +7,7 @@ All log-likelihood comparisons inside the package use the same convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,22 +25,26 @@ __all__ = [
 LOSS_KINDS = ("gaussian_nll", "categorical_ce", "binary_ce")
 
 
-@dataclass(frozen=True)
-class LossKind:
+class _LossKindFields(NamedTuple):
+    kind: str
+    noise_precision: float
+
+
+class LossKind(_LossKindFields):
     """Likelihood family used for the data term.
 
     ``noise_precision`` (beta) only applies to the Gaussian case; targets for
     binary_ce are 0/1 against a single logit output.
     """
 
-    kind: str
-    noise_precision: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.kind == "gaussian_nll" and self.noise_precision <= 0.0:
+    def __new__(cls, kind: str, noise_precision: float = 1.0):
+        if kind not in LOSS_KINDS:
+            raise ValueError(f"unknown loss kind {kind!r}")
+        if kind == "gaussian_nll" and noise_precision <= 0.0:
             raise ValueError("noise_precision must be positive")
+        return super().__new__(cls, kind, noise_precision)
 
     def classes(self, outputs: int) -> int | None:
         """Class count for ``outputs`` outputs; None for regression."""
@@ -217,25 +221,31 @@ def map_loss(
     value = _map_value(net, trace.output, y, loss, weight_decay)
     grads = backward(net, trace, _nll_output_grad(loss, trace.output, y))
     if weight_decay != 0.0:
-        grads.flat += weight_decay * net.flatten_params()
+        np.add(grads.flat, weight_decay * net.flatten_params(), out=grads.flat)
     return value, grads
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 1e-3
-    epochs: int = 100
-    batch_size: int | None = None
-    weight_decay: float = 0.0
-    seed: int = 0
+class _TrainConfigFields(NamedTuple):
+    learning_rate: float
+    epochs: int
+    batch_size: int | None
+    weight_decay: float
+    seed: int
 
-    def __post_init__(self):
-        if self.learning_rate <= 0.0:
+
+class TrainConfig(_TrainConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, learning_rate: float = 1e-3, epochs: int = 100,
+                batch_size: int | None = None, weight_decay: float = 0.0,
+                seed: int = 0):
+        if learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
-        if self.epochs < 0:
+        if epochs < 0:
             raise ValueError("epochs must be nonnegative")
-        if self.weight_decay < 0.0:
+        if weight_decay < 0.0:
             raise ValueError("weight_decay must be nonnegative")
+        return super().__new__(cls, learning_rate, epochs, batch_size, weight_decay, seed)
 
 
 class _Adam:

@@ -1,8 +1,10 @@
 """What each entry point loads, read from ``sys.modules`` of a fresh
 interpreter: ``import lula_lab`` loads no submodule and no numpy, the CLI
 module and ``--help`` load no package module but ``cli`` and ``errors``, and
-each command loads one exact set of package modules. Also the CLI's exit
-hook: ``gc.freeze`` registered once per process, run only at exit."""
+each command loads one exact set of package modules, no ``dataclasses`` (every
+record is a NamedTuple, so no command generates record code at start-up), and
+``csv`` only where a config reads a CSV. Also the CLI's exit hook:
+``gc.freeze`` registered once per process, run only at exit."""
 
 import gc
 import json
@@ -100,28 +102,51 @@ COMMAND_MODULES = {
 }
 
 
-def _command_argv(command: str, tmp_path) -> list[str]:
-    """``command`` on BOUNDARY_INI, reading a fresh 2,8,2 model where it
-    takes one, writing under ``tmp_path``."""
+# BOUNDARY_INI on a csv file of two features and a regression target y
+CSV_INI = BOUNDARY_INI.replace(
+    "size = 60", "generator = csv\ncsv_path = {path}\ntarget_column = y"
+).replace("dims = 2,8,2", "dims = 2,8,1")
+MAIN_SCRIPT = (
+    "import json, sys\n"
+    "from lula_lab import cli\n"
+    "assert cli.main(sys.argv[1:]) == 0\n"
+)
+
+
+def _command_argv(
+    command: str, tmp_path, ini: str = BOUNDARY_INI, outputs: int = 2
+) -> list[str]:
+    """``command`` on ``ini``, reading a fresh 2,8,``outputs`` model where
+    it takes one, writing under ``tmp_path``."""
     config = tmp_path / "cfg.ini"
-    config.write_text(BOUNDARY_INI)
+    config.write_text(ini)
     argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
     if command in ("laplace", "lula", "eval"):
         model = tmp_path / "model.txt"
-        save(Network.init_random([2, 8, 2], "relu", Rng(0)), str(model))
+        save(Network.init_random([2, 8, outputs], "relu", Rng(0)), str(model))
         argv += ["--model", str(model)]
     return argv
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
 def test_command_loads_exactly_its_modules(command, tmp_path):
-    script = (
-        "import json, sys\n"
-        "from lula_lab import cli\n"
-        "assert cli.main(sys.argv[1:]) == 0\n"
-    )
-    loaded = _loaded(script, *_command_argv(command, tmp_path))
+    loaded = _loaded(MAIN_SCRIPT, *_command_argv(command, tmp_path))
     assert _package_modules(loaded) == COMMAND_MODULES[command]
+    # records are NamedTuples, and a generator config reads no CSV
+    assert "dataclasses" not in loaded
+    assert not {"csv", "_csv"} & loaded
+
+
+@pytest.mark.parametrize("command", ["eval", "laplace", "lula", "train"])
+def test_csv_config_loads_csv_and_no_dataclasses(command, tmp_path):
+    rng = Rng(1)
+    rows = [f"{a:.6f},{b:.6f},{a - b:.6f}" for a, b in rng.normal(0.0, 1.0, (60, 2))]
+    data = tmp_path / "d.csv"
+    data.write_text("a,b,y\n" + "\n".join(rows) + "\n")
+    ini = CSV_INI.format(path=data)
+    loaded = _loaded(MAIN_SCRIPT, *_command_argv(command, tmp_path, ini, outputs=1))
+    assert {"csv", "_csv"} <= loaded
+    assert "dataclasses" not in loaded
 
 
 def test_main_freezes_nothing_while_its_caller_lives(tmp_path):

@@ -509,7 +509,7 @@ class TestBuildPosterior:
 
     def test_negative_kronecker_factor_fails(self):
         curv = TestSampling()._curvature("kfac_last_layer")
-        curv.spectrum = np.concatenate([[-1e-12], curv.spectrum[1:]])
+        curv = curv._replace(spectrum=np.concatenate([[-1e-12], curv.spectrum[1:]]))
         with pytest.raises(ValueError, match="negative or NaN entry"):
             build_posterior(curv, 0.1)
 

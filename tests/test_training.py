@@ -434,13 +434,14 @@ def _contract_entry_points(kind):
 
 def _bits(result) -> bytes:
     """The float64 bytes of an entry point's result, nested tuples and
-    lists, networks and gradients included."""
+    lists, networks and gradients included (a ParamGrads is itself a
+    tuple, read as its flat buffer)."""
+    if isinstance(result, ParamGrads):
+        result = result.flat
     if isinstance(result, tuple):
         return b"".join(_bits(part) for part in result)
     if isinstance(result, Network):
         result = result.flatten_params()
-    if isinstance(result, ParamGrads):
-        result = result.flat
     return np.asarray(result, dtype=np.float64).tobytes()
 
 
