@@ -22,7 +22,7 @@ _EXPORTS_BY_MODULE = {
     "training": ("LossKind", "TrainConfig", "map_loss", "train_map"),
     "laplace": (
         "Curvature", "LaplacePosterior", "PredictConfig", "Predictive",
-        "build_posterior", "fit_curvature", "mc_predict", "mc_predict_sets",
+        "build_posterior", "fit_curvature", "mc_predict_sets",
         "probit_predict_binary", "tune_prior_precision",
     ),
     "lula": ("LulaTrainConfig", "augment", "train_lula"),

@@ -260,10 +260,10 @@ def _read_posterior(path: str, model_path: str, cfg: ExperimentConfig) -> float:
 
     A file of another version, for other model bytes, picked under other
     ``[laplace]`` settings or another objective, or whose prior precision is
-    not a finite float of at least ``config.PRIOR_PRECISION_FLOOR`` is a
+    not a finite float of at least ``numerics.PRIOR_PRECISION_FLOOR`` is a
     config error naming the file and the key.
     """
-    from .config import PRIOR_PRECISION_FLOOR, allowed_prior_precision
+    from .numerics import PRIOR_PRECISION_FLOOR, proper_prior_precision
 
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
@@ -296,7 +296,7 @@ def _read_posterior(path: str, model_path: str, cfg: ExperimentConfig) -> float:
         lam = float(text)
     except ValueError:
         lam = float("nan")
-    if not allowed_prior_precision(lam):
+    if not proper_prior_precision(lam):
         raise ConfigError(
             f"{path}: prior_precision {text!r} is not a finite positive float "
             f">= {PRIOR_PRECISION_FLOOR:g}; rerun laplace"
@@ -385,7 +385,7 @@ def _prop1_check(original, augmented, extent: float, seed: int) -> float:
 def cmd_lula(
     config_path: str, model_path: str, out_path: str, seed: int | None = None
 ) -> int:
-    from .data import UNIFORM_BOX
+    from .data import uniform_outliers
     from .laplace import PredictConfig
     from .lula import LulaTrainConfig, augment, train_lula
     from .network import save
@@ -416,8 +416,8 @@ def cmd_lula(
             cfg, laplace_cfg, net, train, val, loss, None
         )
     in_features = val.features if val.num_rows else train.features
-    out_features = Rng(_mix64(lu["seed"], 11)).uniform(
-        *UNIFORM_BOX, (lu["ood_size"], train.num_features)
+    out_features = uniform_outliers(
+        lu["ood_size"], train.num_features, Rng(_mix64(lu["seed"], 11))
     )
     aug_net = augment(
         net, count, Rng(_mix64(lu["seed"], 23)), lu["init_std"]

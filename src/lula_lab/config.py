@@ -20,17 +20,11 @@ from .data import (GENERATOR_FEATURES, OOD_KINDS, OOD_MIN_FEATURES, SplitSpec,
                    ood_width_need)
 from .errors import ConfigError
 from .network import ACTIVATIONS
-from .numerics import CURVATURE_KINDS, PREDICT_METHODS, SUBSETS, _mix64
+from .numerics import (CURVATURE_KINDS, PREDICT_METHODS, PRIOR_PRECISION_FLOOR,
+                       SUBSETS, _mix64, proper_prior_precision)
 from .training import LOSS_KINDS
 
 __all__ = ["ExperimentConfig", "load_config", "default_config", "reference_text"]
-
-# The least prior precision a config or a posterior file may give. LULA's
-# gradient multiplies (1 / lambda)**2 by curvature eigenvalues and feature
-# norms, which overflows near lambda = 1.5e-154 where A has a null
-# eigenvalue (dead ReLUs); 1e-100 leaves about 1e108 of headroom, and every
-# default grid value (>= 1e-4) lies far above it.
-PRIOR_PRECISION_FLOOR = 1e-100
 
 
 # Parsers turn the raw string into the typed value or raise ValueError; the
@@ -93,17 +87,11 @@ def _positive(raw: str) -> float:
     return value
 
 
-def allowed_prior_precision(lam) -> bool:
-    """Whether each prior precision in ``lam`` (a number or an array) is
-    finite and at least PRIOR_PRECISION_FLOOR."""
-    lam = np.asarray(lam, dtype=np.float64)
-    return bool(np.all((lam >= PRIOR_PRECISION_FLOOR) & (lam < np.inf)))
-
-
 def _prior_precision(raw: str) -> float:
-    """A finite float of at least PRIOR_PRECISION_FLOOR."""
+    """A prior precision of :func:`numerics.proper_prior_precision`: a
+    finite float of at least PRIOR_PRECISION_FLOOR."""
     value = _float(raw)
-    if not allowed_prior_precision(value):
+    if not proper_prior_precision(value):
         raise ValueError(
             f"expected a positive float >= {PRIOR_PRECISION_FLOOR:g}, got {raw!r}"
         )
@@ -190,7 +178,7 @@ def _lambda_grid(raw: str) -> tuple[float, ...]:
     # the checks below reject what the float64 power overflows or underflows
     with np.errstate(over="ignore", under="ignore"):
         grid = np.logspace(_float(parts[1]), _float(parts[2]), count)
-    if not allowed_prior_precision(grid):
+    if not proper_prior_precision(grid):
         raise ValueError(
             f"{raw!r} yields entries that are not finite floats >= "
             f"{PRIOR_PRECISION_FLOOR:g} (from {grid.min():g} to {grid.max():g})"

@@ -6,8 +6,8 @@ two-moons demonstrations (the regression target is sin(2x) on two disjoint
 input clusters); their exact constants live here and nowhere else. So do
 those of every outlier set: ``synthesize_ood`` builds each of ``OOD_KINDS``
 as a bare feature array, since an outlier has no target. Every uniform
-outlier set, LULA's training outliers among them, is drawn from
-``UNIFORM_BOX``.
+outlier set, LULA's training outliers among them, is one draw of
+:func:`uniform_outliers` from ``UNIFORM_BOX``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ __all__ = [
     "gen_two_moons",
     "gen_toy_regression",
     "synthesize_ood",
+    "uniform_outliers",
     "standardize",
     "split",
     "load_csv",
@@ -156,6 +157,11 @@ def _box_blur_rows(x: np.ndarray) -> np.ndarray:
     return (padded[:, :-2] + padded[:, 1:-1] + padded[:, 2:]) / 3.0
 
 
+def uniform_outliers(count: int, width: int, rng: Rng) -> np.ndarray:
+    """``count`` rows of ``width`` features drawn uniformly from UNIFORM_BOX."""
+    return rng.uniform(*UNIFORM_BOX, (count, width))
+
+
 def ood_width_need(kinds, num_features: int) -> str | None:
     """"<kind> needs at least <n> features" for the first of the OOD
     ``kinds`` that rows of ``num_features`` are too narrow for, or None."""
@@ -185,7 +191,7 @@ def synthesize_ood(features: np.ndarray, kind: str, rng: Rng) -> np.ndarray:
     if need:
         raise ValueError(f"{need}, got {x.shape[1]}")
     if kind == "uniform":
-        return rng.uniform(*UNIFORM_BOX, x.shape)
+        return uniform_outliers(*x.shape, rng)
     if kind == "asymptotic":
         return rng.uniform(0.0, 1.0, x.shape) * ASYMPTOTIC_SCALE
     if kind == "permute":

@@ -4,9 +4,9 @@
 different seeds. Each trains a MAP net, fits an untuned Kronecker last-layer
 Laplace posterior on the train split whose prior precision is the training
 weight decay, adds LULA units to the final hidden layer, and trains them on
-the whole val split against the whole set of uniform outliers from
-``data.UNIFORM_BOX``, through that same posterior of the augmented net,
-which the tuned net then predicts with.
+the whole val split against the whole set of uniform outliers that
+``data.uniform_outliers`` draws, through that same posterior of the
+augmented net, which the tuned net then predicts with.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def _pipeline(
 
     aug_net = augment(net, units, Rng(seeds.augment), LULA_INIT_STD)
     lcfg = LulaTrainConfig(learning_rate=lula_lr, epochs=lula_epochs)
-    out_train = Rng(seeds.ood).uniform(*data_mod.UNIFORM_BOX, (ood_size, dims[0]))
+    out_train = data_mod.uniform_outliers(ood_size, dims[0], Rng(seeds.ood))
     tuned, _ = train_lula(
         aug_net, units, train.features, val.features, out_train, loss,
         WEIGHT_DECAY, lcfg,

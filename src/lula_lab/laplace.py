@@ -4,9 +4,10 @@ Curvature is always the generalized Gauss-Newton (GGN): the indefinite exact
 Hessian is replaced by sum_x J_x^T Lambda_x J_x with J_x the output Jacobian
 and Lambda_x the output-space Hessian of the negative log-likelihood. The
 posterior precision is the data-term curvature plus prior_precision * I,
-and the prior precision lambda must be finite and positive with a finite
-reciprocal, so that the prior N(0, I / lambda) is proper with a finite
-variance and every precision is positive definite.
+and the prior precision lambda must be finite and at least
+``numerics.PRIOR_PRECISION_FLOOR`` (1e-100), so that the prior
+N(0, I / lambda) is proper with a finite variance, every precision is
+positive definite and no LULA gradient overflows.
 
 Parameter subsets:
 
@@ -139,6 +140,7 @@ from .network import (
 from .numerics import (
     CURVATURE_KINDS,
     PREDICT_METHODS,
+    PRIOR_PRECISION_FLOOR,
     SUBSETS,
     Rng,
     proper_prior_precision,
@@ -167,10 +169,8 @@ __all__ = [
     "fit_curvature",
     "build_posterior",
     "linearize",
-    "linearized_variance_batch",
     "probit_predict_binary",
     "predict_linearized",
-    "mc_predict",
     "mc_predict_sets",
     "predictive_log_likelihood",
     "tune_prior_precision",
@@ -198,8 +198,8 @@ def _require_proper_prior_precision(lam) -> None:
     """``ValueError`` unless :func:`proper_prior_precision` holds."""
     if not proper_prior_precision(lam):
         raise ValueError(
-            "prior_precision must be a finite positive number with a "
-            f"finite reciprocal, got {lam!r}"
+            "prior_precision must be a finite positive number of at least "
+            f"{PRIOR_PRECISION_FLOOR:g}, got {lam!r}"
         )
 
 
@@ -567,10 +567,10 @@ class LaplacePosterior:
     t = -1 / (lambda (e + lambda)) in data space (a spectrum shorter than
     the dimension), otherwise c = 0, t = 1 / (s + lambda) and t' = sqrt(t).
     ``curvature`` is the curvature it was built from. Raises
-    ``ValueError`` for a prior precision that is not finite and positive or
-    whose reciprocal, the prior variance, overflows, and for a curvature
-    whose spectrum has a negative or NaN entry, so every precision
-    eigenvalue s + lambda is at least lambda.
+    ``ValueError`` for a prior precision that is not finite or is below
+    ``PRIOR_PRECISION_FLOOR``, and for a curvature whose spectrum has a
+    negative or NaN entry, so every precision eigenvalue s + lambda is at
+    least lambda.
     """
 
     def __init__(self, curvature: Curvature, prior_precision: float):
@@ -726,15 +726,6 @@ def _diagonals(cov: np.ndarray) -> np.ndarray:
     return cov.diagonal(axis1=1, axis2=2).copy()
 
 
-def linearized_variance_batch(
-    net: Network, post: LaplacePosterior, x: np.ndarray
-) -> np.ndarray:
-    """Per-output linearized predictive variances, shape (m, k): the
-    diagonal of Sigma_f = J Sigma J^T, J the output Jacobian restricted to
-    the posterior subset at the network's current parameters."""
-    return _diagonals(post.output_cov(linearize(net, post.curvature, x)))
-
-
 def probit_predict_binary(f_map, v):
     """Binary predictive sigma(f / sqrt(1 + pi/8 * v)); v may be an array.
 
@@ -875,17 +866,6 @@ def mc_predict_sets(
     return predict_linearized(post, sets, cfg, loss)
 
 
-def mc_predict(
-    net: Network,
-    post: LaplacePosterior,
-    x: np.ndarray,
-    cfg: PredictConfig,
-    loss: LossKind,
-) -> Predictive:
-    """Posterior predictive for one batch: :func:`mc_predict_sets` on ``[x]``."""
-    return mc_predict_sets(net, post, [x], cfg, loss)[0]
-
-
 def predictive_log_likelihood(pred: Predictive, targets: np.ndarray) -> float:
     """Summed log-likelihood of labelled targets under a predictive.
 
@@ -920,9 +900,9 @@ def tune_prior_precision(
     ``targets`` is highest; the first of equal best scores wins.
 
     The points are linearized once, and every candidate reads those
-    pieces. Every candidate must be a finite positive number
-    (``ValueError`` from :func:`build_posterior` otherwise). Returns
-    (best, [(lambda, score), ...]).
+    pieces. Every candidate must be finite and at least
+    ``PRIOR_PRECISION_FLOOR`` (``ValueError`` from :func:`build_posterior`
+    otherwise). Returns (best, [(lambda, score), ...]).
     """
     if len(features) == 0:
         raise ValueError("features must be nonempty")

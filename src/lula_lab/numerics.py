@@ -8,9 +8,10 @@ state.
 The curvature kinds, parameter subsets and predictive methods live here
 rather than in ``laplace``, which re-exports them: ``config`` checks its
 keys against them, and so ``train``, which fits no posterior, never loads
-``laplace``. :func:`proper_prior_precision` is the rule every posterior
-holds; ``config`` asks more of a loaded value (its
-``PRIOR_PRECISION_FLOOR``).
+``laplace``. The one domain of the prior precision lambda lives here too:
+:func:`proper_prior_precision`, finite and at least
+``PRIOR_PRECISION_FLOOR``, is the rule every posterior, LULA objective,
+config value and posterior file holds.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "CURVATURE_KINDS",
     "SUBSETS",
     "PREDICT_METHODS",
+    "PRIOR_PRECISION_FLOOR",
     "Rng",
     "proper_prior_precision",
 ]
@@ -28,18 +30,22 @@ __all__ = [
 CURVATURE_KINDS = ("full_ggn", "diag_ggn", "kfac_last_layer")
 SUBSETS = ("all_layers", "last_layer")
 PREDICT_METHODS = ("mc", "probit_linearized")
+# The least prior precision lambda. LULA's gradient multiplies
+# (1 / lambda)**2 by curvature eigenvalues and feature norms, which
+# overflows near lambda = 1.5e-154 where A has a null eigenvalue (dead
+# ReLUs); 1e-100 leaves about 1e108 of headroom, and every default grid
+# value (>= 1e-4) lies far above it.
+PRIOR_PRECISION_FLOOR = 1e-100
 
 _MASK64 = (1 << 64) - 1
 
 
 def proper_prior_precision(lam) -> bool:
     """Whether each prior precision lambda in ``lam`` (a number or an
-    array) and its reciprocal, the variance of the prior N(0, I / lambda),
-    are finite and positive: a subnormal such as 1e-310 is not."""
+    array) is finite and at least PRIOR_PRECISION_FLOOR, so that the prior
+    N(0, I / lambda) is proper with a variance of at most 1e100."""
     lam = np.asarray(lam, dtype=np.float64)
-    with np.errstate(divide="ignore", over="ignore"):
-        recip = 1.0 / lam
-    return bool(np.all((lam > 0.0) & (lam < np.inf) & (recip < np.inf)))
+    return bool(np.all((lam >= PRIOR_PRECISION_FLOOR) & (lam < np.inf)))
 
 
 def _mix64(seed: int, stream: int) -> int:

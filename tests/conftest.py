@@ -8,9 +8,13 @@ from lula_lab import laplace
 from lula_lab.laplace import (
     Curvature,
     LaplacePosterior,
+    PredictConfig,
+    Predictive,
+    _diagonals,
     build_posterior,
     fit_curvature,
     linearize,
+    mc_predict_sets,
 )
 from lula_lab.lula import _as_batches, _centring, _free_block, _Objective
 from lula_lab.network import (
@@ -61,6 +65,26 @@ def output_hessians(loss: LossKind, outputs: np.ndarray) -> np.ndarray:
         return h
     s = sigmoid(outputs[:, 0])
     return (s * (1.0 - s)).reshape(m, 1, 1)
+
+
+def linearized_variance_batch(
+    net: Network, post: LaplacePosterior, x: np.ndarray
+) -> np.ndarray:
+    """Per-output linearized predictive variances, shape (m, k): the
+    diagonal of Sigma_f = J Sigma J^T, J the output Jacobian restricted to
+    the posterior subset at the network's current parameters."""
+    return _diagonals(post.output_cov(linearize(net, post.curvature, x)))
+
+
+def mc_predict(
+    net: Network,
+    post: LaplacePosterior,
+    x: np.ndarray,
+    cfg: PredictConfig,
+    loss: LossKind,
+) -> Predictive:
+    """Posterior predictive for one batch: :func:`mc_predict_sets` on ``[x]``."""
+    return mc_predict_sets(net, post, [x], cfg, loss)[0]
 
 
 def loop_output_jacobian(net: Network, x: np.ndarray) -> np.ndarray:

@@ -15,6 +15,8 @@ from conftest import (
     fd_free_gradient,
     fd_param_gradient,
     kron_factors,
+    linearized_variance_batch,
+    mc_predict,
     objective_gradient,
     random_network,
     relative_error,
@@ -25,8 +27,6 @@ from lula_lab.laplace import (
     PredictConfig,
     build_posterior,
     fit_curvature,
-    linearized_variance_batch,
-    mc_predict,
 )
 from lula_lab.lula import augment
 from lula_lab.metrics import auroc, brier, mmc

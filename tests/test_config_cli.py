@@ -274,6 +274,81 @@ AT_BOUNDARY = [
 ]
 
 
+# Rungs, lowest first, on which a numeric key's least accepted value is
+# sought: the least float and the least int64 for a key the schema leaves
+# unbounded, then zero, the least positive float, the prior-precision floor
+# and the integer floors.
+LEAST_LADDER = (
+    "-1.7976931348623157e308", str(-(2**63)), "0", "5e-324",
+    repr(PRIOR_PRECISION_FLOOR), "1", "2", "3",
+)
+
+
+def _least_accepted(parse):
+    """The lowest rung of LEAST_LADDER that ``parse`` accepts, or None when
+    it reads that rung as a boolean or a string, not as a number."""
+    for raw in LEAST_LADDER:
+        try:
+            value = parse(raw)
+        except ValueError:
+            continue
+        return None if isinstance(value, (bool, str)) else raw
+    return None
+
+
+def _extremes() -> list[tuple[str, str, str]]:
+    """(section, key, value) for every numeric key at its least accepted
+    value, and for the low key of each ordered pair also at its greatest:
+    the float next to the other key's default, on the accepted side."""
+    rows = [
+        (section, key, raw)
+        for section, entries in SCHEMA.items()
+        for key, (_, parse, _) in entries.items()
+        if (raw := _least_accepted(parse)) is not None
+    ]
+    edges = {}
+    for section, low, high in ORDERED_PAIRS:
+        low_default = float(SCHEMA[section][low][0])
+        high_default = float(SCHEMA[section][high][0])
+        edges[section, high] = repr(float(np.nextafter(low_default, np.inf)))
+        rows.append(
+            (section, low, repr(float(np.nextafter(high_default, -np.inf))))
+        )
+    return [(s, k, edges.get((s, k), raw)) for s, k, raw in rows]
+
+
+# every numeric key at an extreme accepted value, one key at a time
+EXTREMES = _extremes()
+
+
+# A tiny config that every command runs in milliseconds, the base of the
+# extreme-value sweep: few rows and units, one epoch, run and draw.
+SWEEP_SECTIONS = {
+    "data": {"size": "24"},
+    "model": {"dims": "2,4,2"},
+    "train": {"epochs": "1", "batch_size": "0"},
+    "laplace": {"lambda_grid": "1", "sample_count": "2"},
+    "lula": {"counts": "2", "epochs": "1", "ood_size": "4"},
+    "eval": {"ood_kinds": "uniform", "runs": "1", "sample_count": "2",
+             "grid_size": "2"},
+    "demo": {"moons_size": "24", "moons_train_epochs": "1",
+             "moons_lula_units": "2", "moons_lula_epochs": "1",
+             "reg_size": "12", "reg_train_epochs": "1", "reg_lula_units": "2",
+             "reg_lula_epochs": "1"},
+}
+
+
+def _sweep_ini(section=None, key=None, value=None) -> str:
+    """SWEEP_SECTIONS as INI text, with ``[section] key`` set to ``value``."""
+    sections = {name: dict(keys) for name, keys in SWEEP_SECTIONS.items()}
+    if section is not None:
+        sections.setdefault(section, {})[key] = value
+    return "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()
+    )
+
+
 # LULA reads whole sets, every MAP fit steps with Adam, every uniform
 # outlier set is drawn from data.UNIFORM_BOX, and every prior-precision
 # search maximizes the val log-likelihood, so their former batch sizes,
@@ -1110,6 +1185,86 @@ class TestCliCommands:
                     (out / "eval_summary.txt").read_text().splitlines()]
             scores = [float(v) for key, v in rows if key.endswith((".mean", ".std"))]
             assert scores and np.all(np.isfinite(scores))
+
+
+class TestExtremeValues:
+    """Every accepted config value runs every command to the end, or exits
+    2 with a config error; the suite turns an overflow warning into an
+    error, which fails the run."""
+
+    def _run_commands(self, tmp_path, capsys, ini: str) -> list[int]:
+        """The exit codes of train, laplace, lula, eval of lula's model (or
+        of train's when lula wrote none) and demo-toy, run in-process; a
+        command whose model file was not written is not run."""
+        config = tmp_path / "sweep.ini"
+        config.write_text(ini)
+        model, tuned = tmp_path / "model.txt", tmp_path / "tuned.txt"
+        codes = []
+
+        def run(command, *args):
+            code = cli.main([command, "--config", str(config), *map(str, args)])
+            err = capsys.readouterr().err
+            assert code == 0 or (code == 2 and err.startswith("config error:")), (
+                command, code, err
+            )
+            codes.append(code)
+
+        run("train", "--out", model)
+        if model.exists():
+            run("laplace", "--model", model)
+            run("lula", "--model", model, "--out", tuned)
+            run("eval", "--model", tuned if tuned.exists() else model,
+                "--out", tmp_path / "eval")
+        run("demo-toy", "--out", tmp_path / "demo")
+        return codes
+
+    def test_the_sweep_config_runs_every_command(self, tmp_path, capsys):
+        assert self._run_commands(tmp_path, capsys, _sweep_ini()) == [0] * 5
+
+    def test_every_numeric_key_is_swept_at_an_edge(self, tmp_path):
+        # a key that takes a number is swept, and one step past its value,
+        # int or float, does not load: the value is the least (or
+        # greatest) accepted, except for a seed, which takes any int
+        numeric = set()
+        for section, entries in SCHEMA.items():
+            for key, (_, parse, _) in entries.items():
+                try:
+                    value = parse("1000")
+                except ValueError:
+                    continue
+                if not isinstance(value, (bool, str)):
+                    numeric.add((section, key))
+        assert {row[:2] for row in EXTREMES} == numeric
+        assert ("laplace", "prior_precision", repr(PRIOR_PRECISION_FLOOR)) in EXTREMES
+        assert ("laplace", "lambda_grid", repr(PRIOR_PRECISION_FLOOR)) in EXTREMES
+        config = tmp_path / "edge.ini"
+
+        def loads(section, key, value) -> bool:
+            config.write_text(_sweep_ini(section, key, value))
+            try:
+                load_config(str(config))
+            except ConfigError:
+                return False
+            return True
+
+        for section, key, value in EXTREMES:
+            if value == LEAST_LADDER[1]:
+                continue
+            if isinstance(SCHEMA[section][key][1](value), (int, type(None))):
+                steps = [str(int(value) + d) for d in (-1, 1)]
+            else:
+                with np.errstate(over="ignore"):  # past the least float is -inf
+                    steps = [repr(float(np.nextafter(float(value), to)))
+                             for to in (-np.inf, np.inf)]
+            assert loads(section, key, value), (section, key, value)
+            assert not all(loads(section, key, v) for v in steps), (section, key)
+
+    @pytest.mark.parametrize("section, key, value", EXTREMES,
+                             ids=[f"{s}.{k}={v}" for s, k, v in EXTREMES])
+    def test_extreme_value_runs_to_the_end_or_exits_2(
+        self, section, key, value, tmp_path, capsys
+    ):
+        self._run_commands(tmp_path, capsys, _sweep_ini(section, key, value))
 
 
 def _eval_files(config_path: str, model_path: str):

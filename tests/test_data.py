@@ -173,6 +173,14 @@ class TestUniformNoise:
         b = synthesize_ood(np.zeros((20, 2)), "uniform", Rng(3))
         assert np.array_equal(a, b)
 
+    def test_one_uniform_draw(self):
+        # eval's uniform set and LULA's training outliers are one draw
+        drawn = data_mod.uniform_outliers(20, 2, Rng(4))
+        assert np.array_equal(
+            drawn, synthesize_ood(np.zeros((20, 2)), "uniform", Rng(4))
+        )
+        assert np.array_equal(drawn, Rng(4).uniform(*data_mod.UNIFORM_BOX, (20, 2)))
+
 
 class TestStandardize:
     def test_train_becomes_standard(self):

@@ -41,7 +41,7 @@ def test_package_exports_exactly_what_runs():
         "ForwardTrace", "LayerSpec", "Network", "backward", "forward", "load", "save",
         "LossKind", "TrainConfig", "map_loss", "train_map",
         "Curvature", "LaplacePosterior", "PredictConfig", "Predictive",
-        "build_posterior", "fit_curvature", "mc_predict", "mc_predict_sets",
+        "build_posterior", "fit_curvature", "mc_predict_sets",
         "probit_predict_binary", "tune_prior_precision",
         "LulaTrainConfig", "augment", "train_lula",
         "Dataset", "SplitSpec", "gen_toy_regression", "gen_two_moons", "load_csv",

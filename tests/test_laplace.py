@@ -7,7 +7,9 @@ from conftest import (
     curvature_from_matrix,
     dense_ggn,
     kron_factors,
+    linearized_variance_batch,
     loop_output_jacobian,
+    mc_predict,
     output_hessians,
     output_jacobian,
     quad_forms,
@@ -24,8 +26,6 @@ from lula_lab.laplace import (
     build_posterior,
     fit_curvature,
     last_layer_mean,
-    linearized_variance_batch,
-    mc_predict,
     mc_predict_sets,
     predictive_log_likelihood,
     probit_predict_binary,
@@ -513,11 +513,14 @@ class TestBuildPosterior:
         with pytest.raises(ValueError, match="negative or NaN entry"):
             build_posterior(curv, 0.1)
 
-    @pytest.mark.parametrize("lam", [np.nan, -1.0, 0.0, np.inf, 1e-310],
-                             ids=["nan", "negative", "zero", "inf", "subnormal"])
+    @pytest.mark.parametrize(
+        "lam", [np.nan, -1.0, 0.0, np.inf, 1e-310, 1e-155],
+        ids=["nan", "negative", "zero", "inf", "subnormal", "below-floor"],
+    )
     def test_invalid_prior_precision_raises_value_error(self, lam):
         # NaN fails every comparison; 1e-310 is positive, but its prior
-        # variance 1 / lambda overflows to inf
+        # variance 1 / lambda overflows to inf; 1e-155 is below the floor,
+        # where LULA's (1 / lambda)**2 overflows
         with pytest.raises(ValueError, match="must be a finite positive number"):
             build_posterior(curvature_from_matrix(np.eye(2)), lam)
 
@@ -734,7 +737,7 @@ DATA_CASES = [
 
 
 class TestDataBasisRange:
-    @pytest.mark.parametrize("lam", [1e-150, 1e-50, 1e-8, 1.0])
+    @pytest.mark.parametrize("lam", [1e-100, 1e-50, 1e-8, 1.0])
     def test_duplicated_points_match_the_null_space_oracle(self, lam):
         # 3 points each given twice: R has 12 rows but rank 6, so half of
         # the Gram's spectrum is round-off. The basis keeps the 6 of its
@@ -1602,8 +1605,10 @@ class TestTunePriorPrecision:
         with pytest.raises(ValueError, match="do not fit 40 predictions"):
             tune_prior_precision(net, curv, x, y[:20], loss, grid=[0.1, 1.0])
 
-    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, np.inf, 1e-310],
-                             ids=["nan", "zero", "negative", "inf", "subnormal"])
+    @pytest.mark.parametrize(
+        "bad", [np.nan, 0.0, -1.0, np.inf, 1e-310, 1e-155],
+        ids=["nan", "zero", "negative", "inf", "subnormal", "below-floor"],
+    )
     def test_invalid_candidate_raises(self, bad):
         # no candidate is skipped: one that is not a finite positive number
         # is a bad grid and stops the search

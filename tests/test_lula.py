@@ -236,7 +236,7 @@ class TestObjectiveGradient:
         aug_net = augment(Network.init_random([2, 3, 1], "tanh", rng), 2, rng)
         data = rng.standard_normal((8, 2))
         loss = LossKind("gaussian_nll")
-        for lam in (0.0, -1.0, np.inf, 1e-310):
+        for lam in (0.0, -1.0, np.inf, 1e-310, 1e-155):
             with pytest.raises(ValueError, match="prior_precision"):
                 objective_gradient(aug_net, 2, data, data[:4], data[4:], loss, lam)
         with pytest.raises(ValueError, match="nonempty"):
